@@ -24,9 +24,9 @@ gamma(p+1) .. gamma(p+q) to -1.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
+
+from .linalg import from_scaled
 
 _SX = np.array([[0, 1], [1, 0]], dtype=np.int64)
 _SZ = np.array([[1, 0], [0, -1]], dtype=np.int64)
@@ -120,10 +120,7 @@ class GammaSet:
             [M(a,b), M(c,d)] = eta_bc M(a,d) - eta_ac M(b,d)
                                - eta_bd M(a,c) + eta_ad M(b,c).
         """
-        half = self.antisym(a, b)
-        return tuple(
-            tuple(Fraction(int(x), 2) for x in row) for row in half.tolist()
-        )
+        return from_scaled(self.antisym(a, b), 2)
 
     def top(self) -> np.ndarray:
         """Product of all generators, highest index first."""

@@ -2,10 +2,29 @@
 and one-parameter contractions.
 
 A MatrixAlgebra is a basis of exact rational matrices assumed (and verified)
-to close under commutators. Structure constants are extracted by solving
-linear systems over the rationals, so closure failures are detected exactly
-rather than hidden under a least-squares fit; a float refit is available as an
-independent cross-check, not as the source of truth.
+to close under commutators. The basis is integer-scaled once into a stack G
+(basis_i = G_i / s). All commutators come from one batched integer product
+(int64 while d * max|G|^2 < 2^62 for d x d matrices), and all of them are
+solved at once against the basis, followed by one exact residual check over
+every matrix entry. So closure failures are detected
+exactly rather than hidden under a least-squares fit; a float refit is
+available as an independent cross-check, not as the source of truth.
+
+StructureConstants hold the constants as one integer array C of shape
+(n, n, n) and one common denominator D: c_ijk = C[i, j, k] / D. Jacobi sums,
+the Killing form, brackets of coordinate vectors, the derived and lower
+central series, and contractions are integer einsums and array operations on
+C (linalg.int_einsum), for example
+
+    Jacobi   J = einsum("ijm,mkl->ijkl", C, C), int64 while n * max|C|^2 < 2^62,
+             then J_ijk + J_jki + J_kij over i < j < k, int64 while
+             3 * max|J| < 2^62
+    Killing  einsum("iml,jlm->ij", C, C), int64 while n^2 * max|C|^2 < 2^62
+    brackets einsum("i,j,ijk->k", u, v, C), int64 while
+             n^2 * max|u| * max|v| * max|C| < 2^62
+
+and when a bound fails the same einsum runs on Python ints. The public table
+c[i][j][k] of Fractions is built from (C, D) on construction.
 
 Contractions follow the graded-rescaling pattern: assign each basis element a
 weight w_i, scale x_i -> eps^{w_i} x_i, and watch
@@ -23,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 
@@ -53,10 +73,11 @@ class MatrixAlgebra:
         for m in mats:
             if linalg.shape(m) != (d, d):
                 raise ValueError("basis matrices must be square and same size")
-        span = RationalSpan(d * d)
-        for m in mats:
-            if not span.add(linalg.flatten(m)):
-                raise ValueError(f"basis of {name} is linearly dependent")
+        self.stack, self.scale = linalg.int_scaled(mats)  # basis_i == stack[i] / scale
+        try:
+            self._solver = ColumnSolver(self.stack.reshape(len(mats), -1).T)
+        except LinalgError:
+            raise ValueError(f"basis of {name} is linearly dependent") from None
         self.name = name
         self.basis = mats
         self.matrix_dim = d
@@ -66,6 +87,7 @@ class MatrixAlgebra:
         if len(self.labels) != len(mats):
             raise ValueError("one label per basis element")
         self._sc = None
+        self._comm = None
 
     @property
     def dim(self) -> int:
@@ -74,10 +96,36 @@ class MatrixAlgebra:
     def bracket(self, a, b):
         return linalg.commutator(a, b)
 
+    def commutators(self):
+        """Integer array K of shape (pairs, d, d) over the pairs i < j in
+        np.triu_indices order: [basis_i, basis_j] == K[pair] / scale^2."""
+        if self._comm is None:
+            i, j = np.triu_indices(self.dim, 1)
+            gi, gj = self.stack[i], self.stack[j]
+            # both products share one dtype and stay under 2^62, so the
+            # in-place difference fits
+            self._comm = linalg.int_einsum("pab,pbc->pac", gi, gj)
+            self._comm -= linalg.int_einsum("pab,pbc->pac", gj, gi)
+        return self._comm
+
     def structure_constants(self) -> "StructureConstants":
+        """Solve every [basis_i, basis_j], i < j, against the basis at once.
+        With the stack flattened into columns M, the solver gives X with
+        M X == den * K; the basis is M / scale and the commutators K / scale^2,
+        so the constants are X / (den * scale)."""
         if self._sc is None:
-            self._sc = StructureConstants.from_matrices(
-                self.basis, name=self.name, labels=self.labels
+            n = self.dim
+            i, j = np.triu_indices(n, 1)
+            comm = self.commutators().reshape(len(i), -1).T
+            x, inside = self._solver.solve(comm)
+            if not inside.all():
+                bad = int(np.argmin(inside))
+                raise ClosureError(f"[{i[bad]},{j[bad]}] leaves the span of the basis")
+            c = np.zeros((n, n, n), dtype=x.dtype)
+            c[i, j] = x.T
+            c[j, i] = -x.T
+            self._sc = StructureConstants.from_ints(
+                c, self._solver.den * self.scale, name=self.name, labels=self.labels
             )
         return self._sc
 
@@ -86,16 +134,29 @@ class MatrixAlgebra:
 
 
 class StructureConstants:
-    """c[i][j][k] with [x_i, x_j] = sum_k c[i][j][k] x_k, all Fractions."""
+    """c[i][j][k] with [x_i, x_j] = sum_k c[i][j][k] x_k, all Fractions,
+    backed by the integer array C and denominator D with c == C / D."""
 
     def __init__(self, c, name: str = "", labels=None):
-        self.c = tuple(
-            tuple(tuple(Fraction(x) for x in row) for row in plane) for plane in c
-        )
-        n = len(self.c)
-        for plane in self.c:
-            if len(plane) != n or any(len(row) != n for row in plane):
-                raise ValueError("structure constants must be n x n x n")
+        arr = np.array(c, dtype=object)
+        if arr.ndim != 3:
+            raise ValueError("structure constants must be n x n x n")
+        self._setup(*linalg.int_scaled(arr), name, labels)
+
+    @classmethod
+    def from_ints(cls, C, D: int, name: str = "", labels=None) -> "StructureConstants":
+        """Constants C / D for an integer array C of shape (n, n, n), D > 0."""
+        sc = cls.__new__(cls)
+        sc._setup(C, D, name, labels)
+        return sc
+
+    def _setup(self, C, D, name, labels):
+        n = C.shape[0]
+        if C.shape != (n, n, n):
+            raise ValueError("structure constants must be n x n x n")
+        g = gcd(D, *C.ravel().tolist()) * (-1 if D < 0 else 1)
+        self.C, self.D = linalg.fit(C // g), D // g
+        self.c = linalg.from_scaled(self.C, self.D)
         self.name = name
         self.labels = tuple(labels) if labels else tuple(f"x{i+1}" for i in range(n))
 
@@ -105,71 +166,27 @@ class StructureConstants:
 
     @classmethod
     def from_matrices(cls, basis, name="", labels=None) -> "StructureConstants":
-        n = len(basis)
-        cols = [linalg.flatten(m) for m in basis]
-        try:
-            solver = ColumnSolver(cols)
-        except LinalgError as e:
-            raise ValueError(f"basis is degenerate: {e}") from None
-        zero = Fraction(0)
-        c = [[[zero] * n for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                comm = linalg.commutator(basis[i], basis[j])
-                try:
-                    coords, residual = solver.solve(linalg.flatten(comm))
-                except LinalgError:
-                    raise ClosureError(
-                        f"[{i},{j}] leaves the span of the basis"
-                    ) from None
-                if residual != 0:
-                    raise ClosureError(f"[{i},{j}] leaves the span of the basis")
-                for k in range(n):
-                    c[i][j][k] = coords[k]
-                    c[j][i][k] = -coords[k]
-        return cls(c, name=name, labels=labels)
+        return MatrixAlgebra(name, basis, labels=labels).structure_constants()
 
     def bracket_coords(self, u, v):
         """Coordinates of [u, v] for coordinate vectors u, v."""
-        n = self.dim
-        out = [Fraction(0)] * n
-        for i in range(n):
-            ui = u[i]
-            if not ui:
-                continue
-            for j in range(n):
-                vj = v[j]
-                if not vj:
-                    continue
-                row = self.c[i][j]
-                for k in range(n):
-                    if row[k]:
-                        out[k] += ui * vj * row[k]
-        return tuple(out)
+        (iu, du), (iv, dv) = linalg.int_scaled(u), linalg.int_scaled(v)
+        w = linalg.int_einsum("i,j,ijk->k", iu, iv, self.C)
+        return linalg.from_scaled(w, du * dv * self.D)
 
     def antisymmetry_defect(self) -> Fraction:
-        worst = Fraction(0)
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    worst = max(worst, abs(self.c[i][j][k] + self.c[j][i][k]))
-        return worst
+        both = linalg.int_combine((1, self.C), (1, self.C.transpose(1, 0, 2)))
+        return Fraction(linalg.peak(both), self.D)
 
     def jacobi_defect(self) -> Fraction:
-        """max |[[x_i,x_j],x_k] + [[x_j,x_k],x_i] + [[x_k,x_i],x_j]| coordinate."""
+        """max |[[x_i,x_j],x_k] + [[x_j,x_k],x_i] + [[x_k,x_i],x_j]| coordinate
+        over i < j < k."""
         n = self.dim
-        worst = Fraction(0)
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    for l in range(n):
-                        s = Fraction(0)
-                        for m in range(n):
-                            s += self.c[i][j][m] * self.c[m][k][l]
-                            s += self.c[j][k][m] * self.c[m][i][l]
-                            s += self.c[k][i][m] * self.c[m][j][l]
-                        worst = max(worst, abs(s))
-        return worst
+        nested = linalg.int_einsum("ijm,mkl->ijkl", self.C, self.C)  # [[x_i,x_j],x_k] * D^2
+        a, b, c = np.ogrid[:n, :n, :n]
+        i, j, k = np.nonzero((a < b) & (b < c))
+        cyclic = linalg.int_combine((1, nested[i, j, k]), (1, nested[j, k, i]), (1, nested[k, i, j]))
+        return Fraction(linalg.peak(cyclic), self.D ** 2)
 
     def ad(self, i: int):
         """Matrix of ad(x_i) in the basis: (ad_i)[l][m] = c[i][m][l]."""
@@ -180,18 +197,7 @@ class StructureConstants:
 
     def killing_form(self):
         """K[i][j] = trace(ad x_i . ad x_j), exact."""
-        n = self.dim
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                s = Fraction(0)
-                for l in range(n):
-                    for m in range(n):
-                        s += self.c[i][m][l] * self.c[j][l][m]
-                row.append(s)
-            rows.append(tuple(row))
-        return tuple(rows)
+        return linalg.from_scaled(linalg.int_einsum("iml,jlm->ij", self.C, self.C), self.D ** 2)
 
     def killing_det(self) -> Fraction:
         return linalg.det(self.killing_form())
@@ -202,29 +208,24 @@ class StructureConstants:
     def _series_vanishes(self, derived: bool) -> bool:
         """Descending series test. Each term is an ideal inside the previous
         one, so a step that fails to drop the dimension has stabilized; a
-        strict drop can happen at most dim times."""
+        strict drop can happen at most dim times. Vectors are integer rows:
+        a common scale does not change a span."""
         n = self.dim
-        basis_vecs = [
-            tuple(Fraction(1) if k == i else Fraction(0) for k in range(n))
-            for i in range(n)
-        ]
+        basis_vecs = np.eye(n, dtype=np.int64)
         current = basis_vecs
         prev_dim = n
         for _ in range(n + 1):
             span = RationalSpan(n)
-            vecs = []
             left = current if derived else basis_vecs
-            for u in left:
-                for v in current:
-                    w = self.bracket_coords(u, v)
-                    if any(w) and span.add(w):
-                        vecs.append(w)
+            brackets = linalg.int_einsum("ai,ijk->ajk", left, self.C)
+            brackets = linalg.int_einsum("bj,ajk->abk", current, brackets)
+            vecs = [w for w in brackets.reshape(-1, n).tolist() if any(w) and span.add(w)]
             if not vecs:
                 return True
             if len(vecs) == prev_dim:
                 return False
             prev_dim = len(vecs)
-            current = vecs
+            current = linalg.fit(np.array(vecs, dtype=object))
         return False
 
     def is_nilpotent(self) -> bool:
@@ -234,12 +235,7 @@ class StructureConstants:
         return self._series_vanishes(derived=True)
 
     def is_abelian(self) -> bool:
-        return all(
-            not self.c[i][j][k]
-            for i in range(self.dim)
-            for j in range(self.dim)
-            for k in range(self.dim)
-        )
+        return not (self.C != 0).any()
 
     def classify(self) -> str:
         if self.is_abelian():
@@ -254,13 +250,11 @@ class StructureConstants:
 
     def nonzero(self):
         """Sorted (i, j, k, c) with i < j and c != 0."""
-        out = []
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                for k in range(self.dim):
-                    if self.c[i][j][k]:
-                        out.append((i, j, k, self.c[i][j][k]))
-        return out
+        return [
+            (i, j, k, self.c[i][j][k])
+            for i, j, k in np.argwhere(self.C != 0).tolist()
+            if i < j
+        ]
 
     def __repr__(self):
         return f"StructureConstants({self.name!r}, dim={self.dim})"
@@ -274,6 +268,11 @@ class ContractionFamily:
         self.weights = tuple(Fraction(w) for w in weights)
         if len(self.weights) != sc.dim:
             raise ContractionError("one weight per basis element")
+        w, self._wden = linalg.int_scaled(self.weights)
+        # exponents w_i + w_j - w_k of every constant, times _wden
+        self._exp = linalg.int_combine(
+            (1, w[:, None, None]), (1, w[None, :, None]), (-1, w[None, None, :])
+        )
         for i, j, k, _ in sc.nonzero():
             if self.exponent(i, j, k) < 0:
                 raise ContractionError(
@@ -296,38 +295,39 @@ class ContractionFamily:
         ]
 
     def at(self, eps: Fraction) -> StructureConstants:
-        """Exact table at a finite parameter value; exponents must be integers."""
+        """Exact table at a finite parameter value; exponents must be integers.
+        With eps = p/q and exponents e in lo..top, c_ijk eps^e is
+        C * p^(e - lo) * q^(top - e) over D * q^top * p^(-lo)."""
         eps = Fraction(eps)
-        n = self.sc.dim
-        zero = Fraction(0)
-        c = [[[zero] * n for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    v = self.sc.c[i][j][k]
-                    if not v:
-                        continue
-                    e = self.exponent(i, j, k)
-                    if e.denominator != 1:
-                        raise ContractionError(
-                            f"exponent {e} is not an integer; evaluate with a "
-                            f"rational square root of eps instead"
-                        )
-                    c[i][j][k] = v * eps ** int(e)
-        return StructureConstants(
-            c, name=f"{self.sc.name}@eps={eps}", labels=self.sc.labels
+        C, live = self.sc.C, self.sc.C != 0
+        fractional = np.argwhere(live & (self._exp % self._wden != 0)).tolist()
+        if fractional:
+            e = self.exponent(*fractional[0])
+            raise ContractionError(
+                f"exponent {e} is not an integer; evaluate with a "
+                f"rational square root of eps instead"
+            )
+        e = np.where(live, self._exp // self._wden, 0).astype(np.int64)
+        lo, top = int(e.min(initial=0)), int(e.max(initial=0))
+        p, q = eps.numerator, eps.denominator
+        factor = np.array([p ** (x - lo) * q ** (top - x) for x in range(lo, top + 1)], dtype=object)
+        return StructureConstants.from_ints(
+            linalg.int_einsum("ijk,ijk->ijk", C, linalg.fit(factor[e - lo])),
+            self.sc.D * q ** top * p ** -lo,
+            name=f"{self.sc.name}@eps={eps}",
+            labels=self.sc.labels,
         )
 
     def limit(self) -> StructureConstants:
+        """Keep the constants c_ijk, i < j, with exponent zero (and c_jik = -c_ijk)."""
         n = self.sc.dim
-        zero = Fraction(0)
-        c = [[[zero] * n for _ in range(n)] for _ in range(n)]
-        for i, j, k, v in self.sc.nonzero():
-            if self.exponent(i, j, k) == 0:
-                c[i][j][k] = v
-                c[j][i][k] = -v
-        return StructureConstants(
-            c, name=f"{self.sc.name}->limit", labels=self.sc.labels
+        upper = np.triu(np.ones((n, n), dtype=bool), 1)[:, :, None]
+        kept = np.where(upper & (self._exp == 0), self.sc.C, 0)
+        return StructureConstants.from_ints(
+            kept - kept.transpose(1, 0, 2),
+            self.sc.D,
+            name=f"{self.sc.name}->limit",
+            labels=self.sc.labels,
         )
 
     def describe(self):

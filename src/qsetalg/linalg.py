@@ -1,15 +1,32 @@
 """Exact rational matrix kernel.
 
-Matrices are immutable tuples of tuples of Fraction. numpy enters only through
-two doors: integer fast paths (detected, bound-checked, and still exact) and
-explicit to_float conversions for the numeric cross-check code paths. Nothing
-here rounds.
+The same exact numbers appear in two forms:
+
+- a Matrix, an immutable tuple of tuples of Fraction: the public form that
+  reports, tests and the small elimination loops read;
+- an integer-scaled array (A, d): integers A over one common denominator d,
+  so the numbers are A / d. int_scaled and from_scaled convert between the
+  two, for matrices and for higher tensors alike.
+
+All bulk arithmetic runs on integer-scaled arrays through two routines, and
+each states its bound before it runs:
+
+- int_einsum(spec, *ops): an output entry is a sum of `terms` products (the
+  sizes of the summed indices multiplied together), so
+  terms * prod(max|op|) < 2^62 keeps every partial sum inside int64;
+- int_combine((c, a), ...): sum(|c| * max|a|) < 2^62.
+
+When the bound fails, the same numpy call runs on dtype=object arrays of
+Python ints, which cannot overflow. There is no separate Fraction loop: mmul,
+commutators, structure constants, Jacobi and Killing sums all take this one
+path. Nothing here rounds; to_float is the only way out to floating point,
+for the numeric cross-checks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm, prod
 
 import numpy as np
 
@@ -26,12 +43,6 @@ def mat(rows) -> Matrix:
     if out and any(len(r) != len(out[0]) for r in out):
         raise LinalgError("ragged rows")
     return out
-
-
-def zeros(n: int, m: int | None = None) -> Matrix:
-    m = n if m is None else m
-    zero = Fraction(0)
-    return tuple(tuple(zero for _ in range(m)) for _ in range(n))
 
 
 def eye(n: int) -> Matrix:
@@ -56,76 +67,95 @@ def smul(c, a: Matrix) -> Matrix:
     return tuple(tuple(c * x for x in row) for row in a)
 
 
-def transpose(a: Matrix) -> Matrix:
-    return tuple(zip(*a)) if a else a
+# ---------------------------------------------------------------------------
+# integer-scaled arrays
+
+_LIMIT = 1 << 62  # int64 bound with a bit to spare for one sign flip or difference
 
 
-def _int_scaled(a: Matrix):
-    """Return (numpy int array, denominator) if every entry is d*integer, else None."""
-    den = 1
-    for row in a:
-        for x in row:
-            den = lcm(den, x.denominator)
-            if den > 1 << 30:
-                return None
-    arr = np.array([[int(x * den) for x in row] for row in a], dtype=np.int64)
-    return arr, den
+def peak(a) -> int:
+    """max |entry| of an integer array, as a Python int (0 when empty)."""
+    return int(np.abs(a).max(initial=0))
+
+
+def _cast(a, bound: int):
+    """a as int64 when `bound` is under 2^62, else as Python ints."""
+    return a.astype(np.int64 if bound < _LIMIT else object, copy=False)
+
+
+def fit(a):
+    """a as int64 if every entry fits comfortably, else as Python ints."""
+    return _cast(a, peak(a))
+
+
+def int_scaled(a):
+    """(A, d) with a == A / d exactly: A an integer array of a's shape, d the
+    least common denominator of the entries (ints, Fractions, or anything
+    Fraction accepts)."""
+    arr = np.array(a, dtype=object)
+    vals = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in arr.flat]
+    den = lcm(*(x.denominator for x in vals))
+    ints = np.array([x.numerator * (den // x.denominator) for x in vals], dtype=object)
+    return fit(ints.reshape(arr.shape)), den
+
+
+def from_scaled(a, den: int) -> tuple:
+    """Nested tuples of Fraction equal to the integer array a divided by den."""
+    memo = {}
+
+    def entry(x):
+        f = memo.get(x)
+        if f is None:
+            f = memo[x] = Fraction(x, den)
+        return f
+
+    def build(v, depth):
+        if depth == 1:
+            return tuple(map(entry, v))
+        return tuple(build(r, depth - 1) for r in v)
+
+    return build(a.tolist(), a.ndim)
+
+
+def int_einsum(spec: str, *ops):
+    """Exact np.einsum over integer arrays, explicit "->" form without
+    ellipsis. int64 while terms * prod(max|op|) < 2^62, where terms is the
+    number of products summed into one output entry; Python ints otherwise."""
+    inputs, out = spec.split("->")
+    size = {}
+    for letters, op in zip(inputs.split(","), ops):
+        size.update(zip(letters, op.shape))
+    bound = prod(size[x] for x in size if x not in out)
+    bound *= prod(max(peak(op), 1) for op in ops)
+    return np.einsum(spec, *(_cast(op, bound) for op in ops))
+
+
+def int_combine(*terms):
+    """sum(c * a for c, a in terms) exactly, for Python ints c and integer
+    arrays a (broadcast). int64 while sum(|c| * max|a|) < 2^62."""
+    bound = sum(max(abs(c), 1) * max(peak(a), 1) for c, a in terms)
+    return sum(c * _cast(a, bound) for c, a in terms)
 
 
 def mmul(a: Matrix, b: Matrix) -> Matrix:
-    """Exact product. Uses an int64 fast path when entries scale to small integers."""
-    n, k = shape(a)
-    k2, m = shape(b)
+    """Exact product: one int_einsum over the integer-scaled operands."""
+    k, k2 = shape(a)[1], shape(b)[0]
     if k != k2:
         raise LinalgError(f"shape mismatch {shape(a)} @ {shape(b)}")
-    sa, sb = _int_scaled(a), _int_scaled(b)
-    if sa is not None and sb is not None:
-        ia, da = sa
-        ib, db = sb
-        bound = k * int(np.max(np.abs(ia)) or 0) * int(np.max(np.abs(ib)) or 0)
-        if bound < 1 << 62:
-            prod = ia @ ib
-            d = da * db
-            return tuple(
-                tuple(Fraction(int(prod[i, j]), d) for j in range(m)) for i in range(n)
-            )
-    bt = transpose(b)
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    (ia, da), (ib, db) = int_scaled(a), int_scaled(b)
+    return from_scaled(int_einsum("ij,jk->ik", ia, ib), da * db)
 
 
 def commutator(a: Matrix, b: Matrix) -> Matrix:
     return msub(mmul(a, b), mmul(b, a))
 
 
-def anticommutator(a: Matrix, b: Matrix) -> Matrix:
-    return madd(mmul(a, b), mmul(b, a))
-
-
-def kron(a: Matrix, b: Matrix) -> Matrix:
-    na, ma = shape(a)
-    nb, mb = shape(b)
-    return tuple(
-        tuple(a[i // nb][j // mb] * b[i % nb][j % mb] for j in range(ma * mb))
-        for i in range(na * nb)
-    )
-
-
 def max_abs(a: Matrix) -> Fraction:
     return max((abs(x) for row in a for x in row), default=Fraction(0))
 
 
-def flatten(a: Matrix) -> tuple:
-    return tuple(x for row in a for x in row)
-
-
 def to_float(a: Matrix) -> np.ndarray:
     return np.array([[float(x) for x in row] for row in a], dtype=float)
-
-
-def from_int_array(arr) -> Matrix:
-    return tuple(tuple(Fraction(int(x)) for x in row) for row in arr)
 
 
 def det(a: Matrix) -> Fraction:
@@ -152,95 +182,66 @@ def det(a: Matrix) -> Fraction:
     return sign * result
 
 
-def rank(a: Matrix) -> int:
-    n, m = shape(a)
-    rows = [list(r) for r in a]
-    rk = 0
-    col = 0
-    for col in range(m):
-        piv = next((r for r in range(rk, n) if rows[r][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rk], rows[piv] = rows[piv], rows[rk]
-        pivot = rows[rk][col]
-        for r in range(n):
-            if r != rk and rows[r][col] != 0:
-                f = rows[r][col] / pivot
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rk])]
-        rk += 1
-        if rk == n:
-            break
-    return rk
-
-
-def inverse(a: Matrix) -> Matrix:
-    n, m = shape(a)
-    if n != m:
-        raise LinalgError("inverse of non-square matrix")
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise LinalgError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pivot = aug[col][col]
-        aug[col] = [x / pivot for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+def _eliminate(v: list, w: list, lead: int) -> list:
+    """Integer row v with its entry at `lead` cleared against w (w[lead] != 0),
+    fraction-free, divided by the gcd of its entries."""
+    f = v[lead]
+    if not f:
+        return v
+    p = w[lead]
+    out = [p * x - f * y for x, y in zip(v, w)]
+    g = gcd(*out)
+    return [x // g for x in out] if g > 1 else out
 
 
 class ColumnSolver:
-    """Solves M x = b exactly and repeatedly for a fixed full-column-rank M.
+    """Solves M X = B exactly for a fixed integer matrix M (m x k) of full
+    column rank, for any number of right-hand sides at once.
 
-    M is given by columns (the typical use flattens basis matrices). A k x k
-    invertible row-submatrix is located once; solving then costs one small
-    multiply plus a full residual check, both exact.
+    One fraction-free elimination over M's rows finds k pivot rows P with M[P]
+    invertible (LinalgError when the columns are dependent), and a second one
+    inverts M[P] with the inverse kept scaled to integers: inv(M[P]) = A / den.
+    Rows are divided by their gcd as they go, so the integers stay small.
     """
 
-    def __init__(self, columns):
-        self.columns = [tuple(c) for c in columns]
-        self.k = len(self.columns)
-        self.m = len(self.columns[0]) if self.columns else 0
-        rows = [
-            [self.columns[j][i] for j in range(self.k)] for i in range(self.m)
-        ]
-        pivot_rows = []
-        work = []
+    def __init__(self, m):
+        self.m = m
+        rows = m.tolist()
+        k = m.shape[1]
+        reduced, pivot_rows = [], []
         for i, row in enumerate(rows):
-            candidate = list(row)
-            for wrow, lead in work:
-                if candidate[lead] != 0:
-                    f = candidate[lead] / wrow[lead]
-                    candidate = [x - f * y for x, y in zip(candidate, wrow)]
-            lead = next((j for j in range(self.k) if candidate[j] != 0), None)
+            for w, lead in reduced:
+                row = _eliminate(row, w, lead)
+            lead = next((j for j, x in enumerate(row) if x), None)
             if lead is not None:
-                work.append((candidate, lead))
+                reduced.append((row, lead))
                 pivot_rows.append(i)
-                if len(pivot_rows) == self.k:
+                if len(pivot_rows) == k:
                     break
-        if len(pivot_rows) < self.k:
+        if len(pivot_rows) < k:
             raise LinalgError("columns are linearly dependent")
         self.pivot_rows = pivot_rows
-        sub = tuple(tuple(rows[i][j] for j in range(self.k)) for i in pivot_rows)
-        self.sub_inv = inverse(sub)
+        # Gauss-Jordan on [M[P] | I]; row i ends as (p_i e_i | p_i inv(M[P])_i)
+        aug = [rows[r] + [int(i == j) for j in range(k)] for i, r in enumerate(pivot_rows)]
+        for col in range(k):
+            piv = next(r for r in range(col, k) if aug[r][col])
+            aug[col], aug[piv] = aug[piv], aug[col]
+            for r in range(k):
+                if r != col:
+                    aug[r] = _eliminate(aug[r], aug[col], col)
+        self.den = lcm(*(row[i] for i, row in enumerate(aug)))
+        self.inv = fit(np.array(
+            [[x * (self.den // row[i]) for x in row[k:]] for i, row in enumerate(aug)],
+            dtype=object,
+        ).reshape(k, k))
 
     def solve(self, b):
-        """Return (x, residual_max). Residual 0 means b is exactly in the span."""
-        bsel = tuple(b[i] for i in self.pivot_rows)
-        x = tuple(
-            sum(self.sub_inv[i][j] * bsel[j] for j in range(self.k))
-            for i in range(self.k)
-        )
-        resid = Fraction(0)
-        for i in range(self.m):
-            approx = sum(self.columns[j][i] * x[j] for j in range(self.k) if x[j] != 0)
-            r = abs(b[i] - approx)
-            if r > resid:
-                resid = r
-        return x, resid
+        """For an integer array B (m x r), return (X, inside): M X == den * B
+        for every column of B inside the span of M's columns, which one exact
+        residual check over all rows decides (inside[r])."""
+        x = int_einsum("ij,jr->ir", self.inv, b[self.pivot_rows])
+        resid = int_combine((1, int_einsum("ij,jr->ir", self.m, x)), (-self.den, b))
+        return x, ~(resid != 0).any(axis=0)
 
 
 class RationalSpan:

@@ -193,25 +193,10 @@ class PalevMode:
         self.raise_op = linalg.mat(a)
         self.lower_op = linalg.mat(b)
         self.charge = linalg.commutator(self.raise_op, self.lower_op)
-        # 1/sqrt(N) as an exact quadratic scalar
-        self.norm_scale = QuadExt(0, Fraction(1, n), n)
 
     @property
     def j(self) -> Fraction:
         return Fraction(self.two_j, 2)
-
-    def lowering_entries(self):
-        """a = B/sqrt(N) with exact Q(sqrt(N)) entries."""
-        s = self.norm_scale
-        return tuple(
-            tuple(s * x for x in row) for row in self.lower_op
-        )
-
-    def raising_entries(self):
-        s = self.norm_scale
-        return tuple(
-            tuple(s * x for x in row) for row in self.raise_op
-        )
 
     def ladder_commutator_diagonal(self):
         """Diagonal of [a, adag] = [B, A]/N, exact rationals."""

@@ -13,18 +13,6 @@ from fractions import Fraction
 DEFAULT_TOLERANCE = 1e-12
 
 
-def as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"exact mode needs int or Fraction, got {type(x).__name__}")
-
-
-def is_exact(x) -> bool:
-    return isinstance(x, (int, Fraction))
-
-
 def is_zero(x, tol: float = DEFAULT_TOLERANCE) -> bool:
     if isinstance(x, float):
         return abs(x) <= tol

@@ -50,7 +50,6 @@ from .liecore import (
     ContractionError,
     MatrixAlgebra,
     StructureConstants,
-    scaled_basis,
 )
 
 # ---------------------------------------------------------------------------
@@ -318,25 +317,32 @@ def gauge_defect(frame: YangFrame, eps_sqrt) -> DefectReport:
     eps_sqrt is the exact square root of eps, so half-integer weights stay
     rational. The worst entry decays linearly in eps: the decaying brackets
     all carry exponent one onto weight-zero rotations.
+
+    With X_i = eps_sqrt^(2 w_i) G_i / s (the algebra's integer stack, K_ij
+    its commutators) and the limit constants L / DL, every term of D_ij
+    carries the same power eps_sqrt^(2 w_i + 2 w_j): the limit keeps only
+    constants with w_k = w_i + w_j. So D_ij is that power times the integer
+    matrix Q_ij = DL K_ij - s sum_k L_ijk G_k over s^2 DL, and one integer
+    einsum gives Q for all pairs.
     """
     eps_sqrt = Fraction(eps_sqrt)
-    sc = frame.structure_constants()
-    lim = ContractionFamily(sc, frame.weights).limit()
-    xs = scaled_basis(frame.algebra.basis, frame.weights, eps_sqrt)
-    n = len(xs)
+    alg = frame.algebra
+    lim = ContractionFamily(frame.structure_constants(), frame.weights).limit()
+    i, j = np.triu_indices(alg.dim, 1)
+    q = linalg.int_combine(
+        (lim.D, alg.commutators()),
+        (-alg.scale, linalg.int_einsum("qk,kab->qab", lim.C[i, j], alg.stack)),
+    )
+    peaks = np.abs(q).reshape(len(i), -1).max(axis=1).tolist()
+    den = alg.scale ** 2 * lim.D
+    w = frame.weights
     rows = []
     worst = Fraction(0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = linalg.commutator(xs[i], xs[j])
-            for k in range(n):
-                ck = lim.c[i][j][k]
-                if ck:
-                    d = linalg.msub(d, linalg.smul(ck, xs[k]))
-            m = linalg.max_abs(d)
-            if m:
-                rows.append((frame.labels[i], frame.labels[j], m))
-            worst = max(worst, m)
+    for a, b, top in zip(i.tolist(), j.tolist(), peaks):
+        m = abs(eps_sqrt) ** int(2 * (w[a] + w[b])) * Fraction(int(top), den)
+        if m:
+            rows.append((frame.labels[a], frame.labels[b], m))
+        worst = max(worst, m)
     return DefectReport(eps_sqrt * eps_sqrt, worst, tuple(rows))
 
 

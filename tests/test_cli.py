@@ -1,4 +1,5 @@
 import json
+from math import factorial
 
 import pytest
 
@@ -148,6 +149,14 @@ def test_palev_commands(capsys):
         capsys, "palev", "normal-order", "--system", "nosuch", "--word", "p,q"
     )
     assert code == 2
+
+
+
+def test_palev_exclusion_past_int64(capsys):
+    code, out, _ = run(capsys, "palev", "exclusion", "--capacity", "32")
+    assert code == 0
+    assert f"|adag^32| = {factorial(32)}" in out
+    assert "|adag^33| = 0" in out
 
 
 def test_net_commands(capsys, tmp_path):

@@ -18,6 +18,8 @@ from qsetalg.liecore import (
     scaled_basis,
 )
 
+from qsetalg.linalg import smul
+
 from helpers import load_oracle
 
 HALF = Fraction(1, 2)
@@ -186,3 +188,74 @@ def test_rotation_boost6_is_so4_sized():
     sc = alg.structure_constants()
     assert sc.classify() == "semisimple"
     assert str(sc.killing_det()) == load_oracle("oracle_killing")["so4"]
+
+
+# -- int64 bounds: huge constants take the Python-int route ------------------
+
+
+def _ref_jacobi(c):
+    n = len(c)
+    worst = Fraction(0)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                for l in range(n):
+                    s = sum(
+                        c[i][j][m] * c[m][k][l] + c[j][k][m] * c[m][i][l] + c[k][i][m] * c[m][j][l]
+                        for m in range(n)
+                    )
+                    worst = max(worst, abs(s))
+    return worst
+
+
+def _ref_killing(c):
+    n = len(c)
+    return tuple(
+        tuple(sum(c[i][m][l] * c[j][l][m] for l in range(n) for m in range(n)) for j in range(n))
+        for i in range(n)
+    )
+
+
+def _ref_bracket(c, u, v):
+    n = len(c)
+    return tuple(sum(u[i] * v[j] * c[i][j][k] for i in range(n) for j in range(n)) for k in range(n))
+
+
+def _assert_python_int_route(sc, seen):
+    u = (2 ** 12 + 1, Fraction(-3, 7), 5)
+    v = (Fraction(2 ** 13, 3), -1, 2 ** 11)
+    for method, ref in (
+        (sc.jacobi_defect, lambda: _ref_jacobi(sc.c)),
+        (sc.killing_form, lambda: _ref_killing(sc.c)),
+        (lambda: sc.bracket_coords(u, v), lambda: _ref_bracket(sc.c, u, v)),
+    ):
+        seen.clear()
+        assert method() == ref()
+        assert any(object in dtypes for dtypes in seen)
+
+
+def test_contraction_at_tiny_eps_takes_the_python_int_route(einsum_dtypes):
+    ent = catalog()["so21"]
+    base = ent.algebra.structure_constants()
+    fam = ContractionFamily(base, ent.weights)
+    eps = Fraction(1, 2 ** 40)
+    sc = fam.at(eps)
+    n = base.dim
+    want = tuple(
+        tuple(tuple(base.c[i][j][k] * eps ** int(fam.exponent(i, j, k)) for k in range(n)) for j in range(n))
+        for i in range(n)
+    )
+    assert sc.c == want
+    _assert_python_int_route(sc, einsum_dtypes)
+
+
+def test_so3_scaled_by_2_to_the_40_takes_the_python_int_route(einsum_dtypes):
+    big = 2 ** 40
+    alg = MatrixAlgebra("so3-big", [smul(big, m) for m in rotation3().basis])
+    sc = alg.structure_constants()
+    assert any(object in dtypes for dtypes in einsum_dtypes)  # commutators and solve
+    plain = rotation3().structure_constants()
+    assert sc.c == tuple(
+        tuple(tuple(big * x for x in row) for row in plane) for plane in plain.c
+    )
+    _assert_python_int_route(sc, einsum_dtypes)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 import sympy as sp
@@ -192,3 +193,9 @@ def test_polynomial_algebra():
     assert (a - a).is_zero()
     two_a = 2 * a
     assert two_a == a + a
+
+
+@pytest.mark.parametrize("two_j", [21, 32])
+def test_exclusion_past_int64_is_exact(two_j):
+    # adag^N has the entry N!, past 2^63 from N = 21 on
+    assert PalevMode(two_j).exclusion_report() == (factorial(two_j), 0)

@@ -185,3 +185,83 @@ def test_accumulation_guards():
 def test_bad_preset_rejected():
     with pytest.raises(ValueError):
         build_yang("6-0")
+
+
+def _slot_pairs():
+    """Direction-slot pairs (a, b) of M(a, b) in the frame's label order."""
+    rot = [(mu, nu) for mu in range(1, 5) for nu in range(mu + 1, 5)]
+    return rot + [(5, mu) for mu in range(1, 5)] + [(6, mu) for mu in range(1, 5)] + [(6, 5)]
+
+
+def _closed_form_constants(eta):
+    """[M(a,b), M(c,d)] = eta_bc M(a,d) - eta_ac M(b,d) - eta_bd M(a,c)
+    + eta_ad M(b,c), from the direction metric alone."""
+    pairs = _slot_pairs()
+    index = {}
+    for k, (a, b) in enumerate(pairs):
+        index[(a, b)] = (k, 1)
+        index[(b, a)] = (k, -1)
+    n = len(pairs)
+    c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+
+    def g(x, y):
+        return eta[x - 1] if x == y else 0
+
+    for i, (a, b) in enumerate(pairs):
+        for j, (cc, d) in enumerate(pairs):
+            for coeff, x, y in ((g(b, cc), a, d), (-g(a, cc), b, d), (-g(b, d), a, cc), (g(a, d), b, cc)):
+                if coeff and x != y:
+                    k, sign = index[(x, y)]
+                    c[i][j][k] += coeff * sign
+    return tuple(tuple(tuple(row) for row in plane) for plane in c)
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_constants_match_the_closed_form_bracket(preset):
+    plus, minus = (int(x) for x in preset.split("-"))
+    eta = (1,) * plus + (-1,) * minus
+    fr = _frame(preset)
+    assert fr.eta6 == eta
+    assert fr.structure_constants().c == _closed_form_constants(eta)
+
+
+def _ref_gauge_rows(basis, weights, labels, lim, eps_sqrt):
+    def mul(a, b):
+        return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+    xs = [[[eps_sqrt ** int(2 * w) * x for x in row] for row in m] for m, w in zip(basis, weights)]
+    rows = []
+    n = len(xs)
+    for i in range(n):
+        for j in range(i + 1, n):
+            ab, ba = mul(xs[i], xs[j]), mul(xs[j], xs[i])
+            d = [
+                [ab[r][s] - ba[r][s] - sum(lim[i][j][k] * xs[k][r][s] for k in range(n)) for s in range(len(ab))]
+                for r in range(len(ab))
+            ]
+            m = max(abs(x) for row in d for x in row)
+            if m:
+                rows.append((labels[i], labels[j], m))
+    return tuple(rows)
+
+
+def test_gauge_defect_on_a_huge_basis_takes_the_python_int_route(einsum_dtypes):
+    from types import SimpleNamespace
+
+    from qsetalg.liecore import ContractionFamily, MatrixAlgebra, catalog
+    from qsetalg.linalg import smul
+
+    ent = catalog()["so21"]
+    alg = MatrixAlgebra("so21-big", [smul(2 ** 31, m) for m in ent.algebra.basis], labels=ent.algebra.labels)
+    frame = SimpleNamespace(
+        algebra=alg, weights=ent.weights, labels=alg.labels, structure_constants=alg.structure_constants
+    )
+    lim = ContractionFamily(alg.structure_constants(), ent.weights).limit()
+    eps_sqrt = Fraction(-3, 7)
+    einsum_dtypes.clear()
+    rep = gauge_defect(frame, eps_sqrt)
+    assert any(np.dtype(object) in dtypes for dtypes in einsum_dtypes)
+    want = _ref_gauge_rows(alg.basis, ent.weights, alg.labels, lim.c, eps_sqrt)
+    assert rep.by_pair == want
+    assert rep.worst == max(m for _, _, m in want)
+    assert rep.eps == eps_sqrt * eps_sqrt
