@@ -19,15 +19,21 @@ from math import isqrt
 
 import numpy as np
 
-from . import linalg
+from . import linalg, palev
 from .cliff import (
     anticommutator_defect,
     build_gammas,
     entries_are_signs,
     gammas_to_json,
 )
-from .liecore import ContractionFamily, ContractionError, catalog, numeric_contraction_check
-from .palev import NCPolynomial, PalevMode, REWRITE_PRESETS, carrier_triple, normal_order
+from .liecore import (
+    CATALOG,
+    ContractionFamily,
+    ContractionError,
+    catalog_entry,
+    numeric_contraction_check,
+)
+from .palev import NCPolynomial, PalevMode, carrier_triple, normal_order
 from .perfinite import OM, decode, enumerate_rank, format_set_text, parse_set_text
 from .qset import (
     Multivector,
@@ -95,11 +101,29 @@ def _print_mv(mv: Multivector) -> None:
     print(json.dumps(mv_to_json(mv)))
 
 
-def _parse_fraction(text: str) -> Fraction:
+def _positive_int(text: str) -> int:
+    """argparse type: a positive integer."""
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as e:
-        raise CliError(f"not a rational number: {text!r} ({e})") from None
+        if int(text) > 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+
+
+def _eps(text: str) -> Fraction:
+    """argparse type: a nonzero rational whose float, used by the refit
+    check, is nonzero too. eps = 0 is the limit, printed without --eps."""
+    try:
+        eps = Fraction(text)
+        if float(eps) != 0:
+            return eps
+    except (ValueError, ZeroDivisionError, OverflowError):
+        pass
+    raise argparse.ArgumentTypeError(
+        f"must be a nonzero rational within float range, got {text!r} "
+        "(the eps -> 0 limit prints without --eps)"
+    )
 
 
 def _print_matrix(m) -> None:
@@ -111,26 +135,19 @@ def _print_matrix(m) -> None:
 # algebra registry shared by structure/killing/contract
 
 
-def _algebras():
-    reg = {}
-    for key, ent in catalog().items():
-        reg[key] = (ent.algebra, ent.weights, ent.note)
-    reg["toy"] = (toy_frame(), None, "2x2 symmetric triple")
-    for preset in sorted(YANG_PRESETS):
-        fr = build_yang(preset)
-        reg[f"yang-{preset}"] = (
-            fr.algebra,
-            fr.weights,
-            f"15 generators, six directions {fr.eta6}",
-        )
-    return reg
-
-
 def _lookup_algebra(name: str):
-    reg = _algebras()
-    if name not in reg:
-        raise CliError(f"unknown algebra {name!r}; available: {', '.join(sorted(reg))}")
-    return reg[name]
+    """(algebra, default weights, note) for one name; builds only that algebra."""
+    if name in CATALOG:
+        ent = catalog_entry(name)
+        return ent.algebra, ent.weights, ent.note
+    if name == "toy":
+        return toy_frame(), None, "2x2 symmetric triple"
+    preset = name.removeprefix("yang-")
+    if name.startswith("yang-") and preset in YANG_PRESETS:
+        fr = build_yang(preset)
+        return fr.algebra, fr.weights, f"15 generators, six directions {fr.eta6}"
+    names = [*CATALOG, "toy", *(f"yang-{p}" for p in YANG_PRESETS)]
+    raise CliError(f"unknown algebra {name!r}; available: {', '.join(sorted(names))}")
 
 
 # ---------------------------------------------------------------------------
@@ -180,9 +197,16 @@ def _make_frame(args) -> RankFrame:
     return RankFrame(args.rank, metric=args.metric)
 
 
+_QSET_INPUTS = {
+    "embed": 1, "signature": 0, "grassmann": 2, "clifford": 2, "norm": 1, "beta": 2, "iota": 1,
+}
+
+
 def _cmd_qset(args) -> int:
     _header(args, "qset")
     op = args.op
+    if len(args.inputs) != _QSET_INPUTS[op]:
+        raise CliError(f"qset {op} takes {_QSET_INPUTS[op]} input(s), got {len(args.inputs)}")
     if op == "embed":
         _print_mv(embed(parse_set_text(args.inputs[0])))
         return 0
@@ -266,7 +290,7 @@ def _cmd_contract(args) -> int:
     if args.weights:
         try:
             weights = tuple(Fraction(w) for w in args.weights.split(","))
-        except ValueError as e:
+        except (ValueError, ZeroDivisionError) as e:
             raise CliError(f"bad weights: {e}") from None
     elif default_w is not None:
         weights = tuple(default_w)
@@ -275,6 +299,7 @@ def _cmd_contract(args) -> int:
     sc = algebra.structure_constants()
     try:
         fam = ContractionFamily(sc, weights)
+        at = None if args.eps is None else fam.at(args.eps)
     except ContractionError as e:
         raise CliError(str(e)) from None
     print(f"weights: {', '.join(fmt_scalar(w) for w in weights)}")
@@ -284,22 +309,15 @@ def _cmd_contract(args) -> int:
     lim = fam.limit()
     print(f"limit classification: {lim.classify()}")
     print(f"limit Killing det: {fmt_scalar(lim.killing_det())}")
-    status = 0
-    if args.eps is not None:
-        eps = _parse_fraction(args.eps)
-        try:
-            at = fam.at(eps)
-        except ContractionError as e:
-            raise CliError(str(e)) from None
-        print(f"at eps={fmt_scalar(eps)}:")
-        for i, j, k, c in at.nonzero():
-            print(f"  [{at.labels[i]},{at.labels[j]}] -> {fmt_scalar(c)} {at.labels[k]}")
-        rel = numeric_contraction_check(algebra, weights, float(eps))
-        ok = rel <= 1e-9
-        print(f"float refit deviation: {rel:.17g} ({'PASS' if ok else 'FAIL'} <= 1e-9)")
-        if not ok:
-            status = 1
-    return status
+    if at is None:
+        return 0
+    print(f"at eps={fmt_scalar(args.eps)}:")
+    for i, j, k, c in at.nonzero():
+        print(f"  [{at.labels[i]},{at.labels[j]}] -> {fmt_scalar(c)} {at.labels[k]}")
+    rel = numeric_contraction_check(algebra, weights, float(args.eps))
+    ok = rel <= 1e-9
+    print(f"float refit deviation: {rel:.17g} ({'PASS' if ok else 'FAIL'} <= 1e-9)")
+    return 0 if ok else 1
 
 
 def _cmd_yang(args) -> int:
@@ -354,10 +372,10 @@ def _cmd_palev(args) -> int:
     _header(args, "palev")
     what = args.what
     if what == "normal-order":
-        if args.system not in REWRITE_PRESETS:
+        if args.system not in palev.REWRITE_PRESETS:
             raise CliError(
                 f"unknown rewrite system {args.system!r}; "
-                f"available: {', '.join(sorted(REWRITE_PRESETS))}"
+                f"available: {', '.join(sorted(palev.REWRITE_PRESETS))}"
             )
         word = tuple(w for w in args.word.split(",") if w)
         if not word:
@@ -490,13 +508,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("contract", help="weighted contraction of a named algebra")
     p.add_argument("name")
     p.add_argument("--weights", help="comma-separated rational weights")
-    p.add_argument("--eps", help="evaluate the family at this rational eps")
+    p.add_argument("--eps", type=_eps, help="evaluate the family at this nonzero rational eps")
     p.set_defaults(fn=_cmd_contract)
 
     p = sub.add_parser("yang", help="six-direction frames and their limits")
     p.add_argument("what", choices=("table", "contract", "defect", "accumulate", "units"))
     p.add_argument("--preset", default="4-2", choices=sorted(YANG_PRESETS))
-    p.add_argument("--capacity", type=int, default=100, help="N for defect scaling")
+    p.add_argument("--capacity", type=_positive_int, default=100, help="N for defect scaling")
     p.add_argument(
         "--frame",
         default="penrose",
@@ -510,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "what", choices=("ladder", "deviation", "exclusion", "carriers", "normal-order")
     )
-    p.add_argument("--capacity", type=int, default=4, help="2j, the quanta capacity")
+    p.add_argument("--capacity", type=_positive_int, default=4, help="2j, the quanta capacity")
     p.add_argument("--level", type=int, default=None, help="single level for deviation")
     p.add_argument("--preset", default="spin3", help="carrier preset")
     p.add_argument("--system", default="h1", help="rewrite system for normal-order")

@@ -467,21 +467,28 @@ def rotation_boost6() -> MatrixAlgebra:
     )
 
 
+# key -> (builder, default contraction weights, note); nothing is built here
+CATALOG = {
+    "so3": (rotation3, None, "compact rotations"),
+    "h1": (heisenberg3, None, "nilpotent; Killing form vanishes"),
+    "so21": (
+        boost_triple,
+        (Fraction(1, 2), Fraction(1, 2), Fraction(1)),
+        "symmetric triple; contracts onto h1",
+    ),
+    "so4": (
+        rotation_boost6,
+        (Fraction(0),) * 3 + (Fraction(1),) * 3,
+        "rotations kept, boosts decay: contracts onto iso(3)",
+    ),
+}
+
+
+def catalog_entry(key: str) -> CatalogEntry:
+    """Build the one catalog algebra named key."""
+    build, weights, note = CATALOG[key]
+    return CatalogEntry(key, build(), weights, note)
+
+
 def catalog() -> dict:
-    half = Fraction(1, 2)
-    return {
-        "so3": CatalogEntry("so3", rotation3(), None, "compact rotations"),
-        "h1": CatalogEntry("h1", heisenberg3(), None, "nilpotent; Killing form vanishes"),
-        "so21": CatalogEntry(
-            "so21",
-            boost_triple(),
-            (half, half, Fraction(1)),
-            "symmetric triple; contracts onto h1",
-        ),
-        "so4": CatalogEntry(
-            "so4",
-            rotation_boost6(),
-            (Fraction(0),) * 3 + (Fraction(1),) * 3,
-            "rotations kept, boosts decay: contracts onto iso(3)",
-        ),
-    }
+    return {key: catalog_entry(key) for key in CATALOG}

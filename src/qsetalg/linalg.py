@@ -45,11 +45,6 @@ def mat(rows) -> Matrix:
     return out
 
 
-def eye(n: int) -> Matrix:
-    one, zero = Fraction(1), Fraction(0)
-    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
-
-
 def shape(a: Matrix) -> tuple[int, int]:
     return (len(a), len(a[0]) if a else 0)
 
@@ -148,10 +143,6 @@ def mmul(a: Matrix, b: Matrix) -> Matrix:
 
 def commutator(a: Matrix, b: Matrix) -> Matrix:
     return msub(mmul(a, b), mmul(b, a))
-
-
-def max_abs(a: Matrix) -> Fraction:
-    return max((abs(x) for row in a for x in row), default=Fraction(0))
 
 
 def to_float(a: Matrix) -> np.ndarray:

@@ -29,15 +29,18 @@ Carrier triples package the mode as a Lie triple:
 
 normal_order() rewrites words in noncommuting generators into a canonical
 order using the bracket rules of a preset (h1, spin21, spin3), collecting the
-lower-order corrections with sympy coefficients.
+lower-order corrections with sympy coefficients. sympy is imported only by
+the code that builds or reads those coefficients, so the rest of the module
+(and the CLI) loads without it; REWRITE_PRESETS is built on first access.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
-import sympy as sp
+import numpy as np
 
 from . import linalg
 from .yang import UnitTag
@@ -220,14 +223,15 @@ class PalevMode:
     def exclusion_report(self):
         """(max |entry| of adag^N, max |entry| of adag^{N+1}): the first is
         positive, the second exactly zero. Computed on the integer part; the
-        sqrt(N) normalization cannot change vanishing."""
-        power = linalg.eye(self.dim)
+        sqrt(N) normalization cannot change vanishing. The power stays an
+        integer array; int_einsum moves it to Python ints past int64."""
+        a, den = linalg.int_scaled(self.raise_op)
+        power = np.eye(self.dim, dtype=np.int64)
         for _ in range(self.two_j):
-            power = linalg.mmul(power, self.raise_op)
-        at_n = linalg.max_abs(power)
-        power = linalg.mmul(power, self.raise_op)
-        at_n1 = linalg.max_abs(power)
-        return at_n, at_n1
+            power = linalg.int_einsum("ij,jk->ik", power, a)
+        at_n = Fraction(linalg.peak(power), den**self.two_j)
+        power = linalg.int_einsum("ij,jk->ik", power, a)
+        return at_n, Fraction(linalg.peak(power), den ** (self.two_j + 1))
 
     def __repr__(self):
         return f"PalevMode(two_j={self.two_j}, dim={self.dim})"
@@ -311,6 +315,8 @@ class NCPolynomial:
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
+        import sympy as sp
+
         clean = {}
         for word, c in (terms or {}).items():
             word = tuple(word)
@@ -338,6 +344,8 @@ class NCPolynomial:
         return sorted(self._terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
 
     def __add__(self, other):
+        import sympy as sp
+
         if not isinstance(other, NCPolynomial):
             other = NCPolynomial.scalar(other)
         out = dict(self._terms)
@@ -356,6 +364,8 @@ class NCPolynomial:
         return self + (-other)
 
     def __mul__(self, other):
+        import sympy as sp
+
         if not isinstance(other, NCPolynomial):
             return NCPolynomial({w: c * sp.sympify(other) for w, c in self._terms.items()})
         out = {}
@@ -373,6 +383,8 @@ class NCPolynomial:
         return not self._terms
 
     def __eq__(self, other):
+        import sympy as sp
+
         if not isinstance(other, NCPolynomial):
             return NotImplemented
         diff = self - other
@@ -410,7 +422,10 @@ class RewriteSystem:
             raise ValueError(f"generator {g!r} unknown to system {self.name!r}") from None
 
 
+@cache
 def _presets() -> dict:
+    import sympy as sp
+
     hbar = sp.Symbol("hbar", positive=True)
     i = sp.I
     h1 = RewriteSystem(
@@ -441,7 +456,12 @@ def _presets() -> dict:
     return {"h1": h1, "spin21": spin21, "spin3": spin3}
 
 
-REWRITE_PRESETS = _presets()
+def __getattr__(name):
+    # REWRITE_PRESETS holds sympy coefficients: build it on first access
+    if name == "REWRITE_PRESETS":
+        return _presets()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 _MAX_REWRITE_STEPS = 200_000
 
@@ -450,8 +470,10 @@ def normal_order(poly: NCPolynomial, system) -> NCPolynomial:
     """Rewrite every word so generator ranks ascend left to right, pushing
     bracket corrections down. Leftmost violation first; terminates because
     corrections are strictly shorter words."""
+    import sympy as sp
+
     if isinstance(system, str):
-        system = REWRITE_PRESETS[system]
+        system = _presets()[system]
     pending = list(poly.terms().items())
     done: dict = {}
     steps = 0
@@ -482,6 +504,8 @@ def normal_order(poly: NCPolynomial, system) -> NCPolynomial:
 def evaluate_nc(poly: NCPolynomial, assignment: dict):
     """Substitute sympy matrices for generators and sum the words; the scalar
     word contributes a multiple of the identity."""
+    import sympy as sp
+
     mats = dict(assignment)
     some = next(iter(mats.values()))
     dim = some.shape[0]

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from math import factorial
+from pathlib import Path
 
 import pytest
 
+import qsetalg
 from qsetalg.cli import main
 
 
@@ -63,6 +68,14 @@ def test_qset_pipeline(tmp_path, capsys):
     assert out.splitlines()[1] == "dimension=16 plus=4 minus=4 zero=8"
 
 
+def test_qset_wrong_input_count(capsys):
+    code, _, err = run(capsys, "qset", "embed")
+    assert code == 2
+    assert "qset embed takes 1 input(s), got 0" in err
+    code, _, err = run(capsys, "qset", "grassmann", "a.json")
+    assert code == 2
+
+
 def test_qset_bad_file(capsys, tmp_path):
     missing = tmp_path / "nope.json"
     code, _, err = run(capsys, "qset", "norm", str(missing), "--rank", "2")
@@ -95,6 +108,67 @@ def test_structure_killing_contract(capsys):
     code, _, err = run(capsys, "contract", "so3")
     assert code == 2
     assert "no default weights" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["yang", "defect", "--capacity", "0"],
+        ["yang", "defect", "--capacity", "-4"],
+        ["palev", "exclusion", "--capacity", "0"],
+        ["contract", "so21", "--eps", "0"],
+        ["contract", "so21", "--eps=1/0"],
+        ["contract", "so21", "--eps=1e400"],
+    ],
+)
+def test_bad_capacity_or_eps_exits_two_before_output(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out.out == ""
+    assert "error: argument --" in out.err
+    assert "Traceback" not in out.err
+
+
+def test_bad_weights_and_negative_eps(capsys):
+    code, _, err = run(capsys, "contract", "so3", "--weights", "1/0,1,1")
+    assert code == 2
+    assert "bad weights" in err
+    code, out, _ = run(capsys, "contract", "so21", "--eps=-1/100")
+    assert code == 0
+    assert "PASS" in out
+
+
+def test_unknown_algebra_lists_every_name(capsys):
+    code, _, err = run(capsys, "killing", "nosuch")
+    assert code == 2
+    assert err.strip().endswith(
+        "available: h1, so21, so3, so4, toy, yang-3-3, yang-4-2, yang-5-1"
+    )
+
+
+LAZY_SYMPY = """
+import sys
+import qsetalg.cli, qsetalg.palev, qsetalg.verify
+from qsetalg.cli import main
+assert "sympy" not in sys.modules, "sympy loaded on import"
+main(["structure", "so3"])
+main(["palev", "exclusion", "--capacity", "5"])
+assert "sympy" not in sys.modules, "sympy loaded by structure or exclusion"
+main(["palev", "normal-order", "--system", "h1", "--word", "p,q,q"])
+"""
+
+
+def test_sympy_loads_only_where_a_coefficient_is_built():
+    # a fresh interpreter: this test process has long imported sympy
+    src = str(Path(qsetalg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run(
+        [sys.executable, "-c", LAZY_SYMPY], capture_output=True, text=True, env=env
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "p*q*q = (-2*I*hbar)*q + (1)*q*q*p"
 
 
 def test_contract_custom_weights(capsys):
