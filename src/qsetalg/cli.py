@@ -393,6 +393,8 @@ def _cmd_palev(args) -> int:
         print("[a, adag] diagonal: " + ", ".join(fmt_scalar(d) for d in diag))
         return 0
     if what == "deviation":
+        if args.level is not None and not 0 <= args.level <= mode.two_j:
+            raise CliError(f"level must lie in 0..{mode.two_j}")
         levels = [args.level] if args.level is not None else list(range(mode.dim))
         print(f"capacity {mode.two_j} (j = {fmt_scalar(mode.j)})")
         for n in levels:

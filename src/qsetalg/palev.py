@@ -195,7 +195,12 @@ class PalevMode:
                 b[k - 1][k] = Fraction(k)
         self.raise_op = linalg.mat(a)
         self.lower_op = linalg.mat(b)
-        self.charge = linalg.commutator(self.raise_op, self.lower_op)
+        # [A, B] in closed form: A B and B A are diagonal with entries
+        # k (N - k + 1) and (k + 1)(N - k), whose difference is 2k - N.
+        self.charge = tuple(
+            tuple(Fraction(2 * k - n) if k == c else z for c in range(self.dim))
+            for k in range(self.dim)
+        )
 
     @property
     def j(self) -> Fraction:

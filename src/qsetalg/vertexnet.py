@@ -18,10 +18,14 @@ vector to vector, and an iota's out to a higher iota's in (chaining). Open
 slots become output axes in the declared order.
 
 contract() runs a greedy pairwise reduction, joining the pair of tensors
-whose merged result is smallest; tiny merges drop to a dense numpy einsum and
-everything else goes through an exact sparse hash-join. All entries are small
-integers either way. Tests replay whole networks through float64 einsum as an
-independent oracle.
+whose merged result is smallest. A wire index keeps the candidates to pairs
+that share a wire, so planning costs O(E log E) for E edges instead of an
+all-pairs rescan per merge (O(V^3) for V vertices). Tiny merges drop to a
+dense integer einsum (linalg.int_einsum, int64 under its stated bound,
+Python ints past it) and everything else goes through an exact sparse
+hash-join, so no entry wraps; the result is int64 when every entry fits and
+dtype=object otherwise. Tests replay whole networks through float64 einsum
+as an independent oracle.
 
 parity_check() is the bookkeeping pass: gauge vertices always balance; every
 iota node gets flagged. An even-m node breaks the mod-2 grading outright
@@ -32,17 +36,21 @@ a parity-conservation argument has to notice before waving a network through.
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from math import comb
 
 import numpy as np
 
 from .cliff import build_gammas
+from .linalg import int_einsum
 from .perfinite import enumerate_rank
 
 _DENSE_CUTOFF = 64
+_INT64 = 1 << 63
 
 # slot kind compatibility for edges (unordered pairs)
 _COMPATIBLE = (
@@ -63,26 +71,36 @@ class GammaVertex:
             raise ValueError("gamma vertex limited to p + q <= 8")
         self.p = p
         self.q = q
-        self.gamma_set = build_gammas(p, q)
+        self.gamma_set, self._entries = _gamma_table(p, q)
         d = self.gamma_set.dim
         self.slot_dims = {"dual": d, "vector": p + q, "spinor": d}
         self.slot_kinds = {"dual": "dual", "vector": "vector", "spinor": "spinor"}
         self.slot_parity = {"dual": 1, "vector": 0, "spinor": 1}
 
     def entries(self):
-        """Sparse dict (dual, vector, spinor) -> entry."""
-        out = {}
-        for m, g in enumerate(self.gamma_set.gammas):
-            rows, cols = np.nonzero(g)
-            for r, c in zip(rows.tolist(), cols.tolist()):
-                out[(r, m, c)] = int(g[r, c])
-        return out
+        """Sparse dict (dual, vector, spinor) -> entry; a fresh copy."""
+        return dict(self._entries)
 
     def to_json(self):
         return {"kind": "gamma", "p": self.p, "q": self.q}
 
     def __repr__(self):
         return f"GammaVertex(p={self.p}, q={self.q})"
+
+
+@cache
+def _gamma_table(p: int, q: int):
+    """GammaSet and sparse entry dict of a (p, q) vertex, built once per
+    signature and shared by every vertex: the gamma arrays are read-only and
+    GammaVertex.entries() hands out copies of the dict."""
+    gs = build_gammas(p, q)
+    entries = {}
+    for m, g in enumerate(gs.gammas):
+        g.flags.writeable = False
+        rows, cols = np.nonzero(g)
+        for r, c in zip(rows.tolist(), cols.tolist()):
+            entries[(r, m, c)] = int(g[r, c])
+    return gs, entries
 
 
 class IotaNode:
@@ -249,10 +267,14 @@ class VertexNetwork:
     def contract(self, dense_cutoff: int = _DENSE_CUTOFF) -> np.ndarray:
         """Contract all edges; result axes follow the declared open order.
 
-        Pairwise greedy: always merge the pair with the smallest resulting
-        dense size. Merges whose operands and result all fit under
-        dense_cutoff entries run through numpy einsum on int64; larger ones
-        use the exact sparse hash-join. Entries stay integers throughout.
+        Pairwise greedy (see _reduce): always merge the pair with the
+        smallest resulting dense size, preferring pairs that share a wire.
+        A wire index finds those pairs, so planning costs O(E log E) for E
+        edges rather than an all-pairs scan per merge. Merges whose
+        operands and result all fit under dense_cutoff entries run through
+        an integer einsum; larger ones use the exact sparse hash-join.
+        Entries stay exact integers throughout: the result is int64 when
+        every entry fits and dtype=object (Python ints) otherwise.
         """
         if not self.vertices:
             return np.ones((), dtype=np.int64)
@@ -261,23 +283,8 @@ class VertexNetwork:
         for vi, vert in enumerate(self.vertices):
             legs = tuple(wire_of[(vi, s)] for s in vert.slot_names)
             dims = tuple(vert.slot_dims[s] for s in vert.slot_names)
-            tensors.append(_SparseTensor(legs, dims, vert.entries()))
-        tensors = [t.self_trace() for t in tensors]
-        while len(tensors) > 1:
-            best = None
-            for i, j in combinations(range(len(tensors)), 2):
-                size = tensors[i].merged_size(tensors[j])
-                shared = tensors[i].shares_with(tensors[j])
-                key = (not shared, size)
-                if best is None or key < best[0]:
-                    best = (key, i, j)
-            _, i, j = best
-            a = tensors[i]
-            b = tensors[j]
-            merged = a.merge(b, dense_cutoff)
-            rest = [t for k, t in enumerate(tensors) if k not in (i, j)]
-            tensors = rest + [merged.self_trace()]
-        final = tensors[0].self_trace()
+            tensors.append(_SparseTensor(legs, dims, vert.entries()).self_trace())
+        final = _reduce(tensors, dense_cutoff)
         order = tuple(wire_of[l] for l in self.open_legs)
         return final.to_dense(order)
 
@@ -312,6 +319,52 @@ class VertexNetwork:
         )
 
 
+def _reduce(tensors, dense_cutoff: int) -> "_SparseTensor":
+    """Merge self-traced tensors pairwise down to one.
+
+    Each step merges the pair with the smallest (not sharing a wire,
+    merged_size, id_a, id_b): ids follow creation order and a merged tensor
+    gets a fresh id, so this is the all-pairs greedy with its first-pair
+    tie-break. Pairs that share a wire live in a heap keyed by
+    (merged_size, id_a, id_b); a wire index (wire -> ids of the live tensors
+    carrying it, at most two) finds the new tensor's neighbours after each
+    merge, and heap entries naming a merged-away tensor are dropped when
+    they surface. When the heap runs dry the live tensors share no wire at
+    all (one per connected component), and those few are scanned pairwise.
+    """
+    live = dict(enumerate(tensors))
+    holders: dict = {}
+    for i, t in live.items():
+        for w in t.legs:
+            holders.setdefault(w, []).append(i)
+    pairs = {tuple(ids) for ids in holders.values() if len(ids) == 2}
+    heap = [(live[a].merged_size(live[b]), a, b) for a, b in pairs]
+    heapq.heapify(heap)
+    fresh = len(live)
+    while len(live) > 1:
+        while heap and not (heap[0][1] in live and heap[0][2] in live):
+            heapq.heappop(heap)
+        if heap:
+            _, a, b = heapq.heappop(heap)
+        else:
+            _, a, b = min(
+                (live[a].merged_size(live[b]), a, b)
+                for a, b in combinations(live, 2)
+            )
+        merged = live.pop(a).merge(live.pop(b), dense_cutoff).self_trace()
+        c, fresh = fresh, fresh + 1
+        live[c] = merged
+        neighbours = set()
+        for w in merged.legs:
+            ids = [i for i in holders[w] if i in live]
+            neighbours.update(ids)
+            holders[w] = ids + [c]
+        for n in neighbours:
+            heapq.heappush(heap, (live[n].merged_size(merged), n, c))
+    (final,) = live.values()
+    return final
+
+
 class _SparseTensor:
     """Integer tensor as dict index-tuple -> value, with wire-id legs.
 
@@ -329,9 +382,6 @@ class _SparseTensor:
         for d in self.dims:
             size *= d
         return size
-
-    def shares_with(self, other) -> bool:
-        return bool(set(self.legs) & set(other.legs))
 
     def merged_size(self, other) -> int:
         shared = set(self.legs) & set(other.legs)
@@ -408,83 +458,71 @@ class _SparseTensor:
         return _SparseTensor(legs, dims, out)
 
     def _merge_dense(self, other: "_SparseTensor") -> "_SparseTensor":
-        names: dict = {}
-
-        def sub(legs):
-            out = []
-            for l in legs:
-                if l not in names:
-                    names[l] = _einsum_letter(len(names))
-                out.append(names[l])
-            return "".join(out)
-
-        sa, sb = sub(self.legs), sub(other.legs)
         shared = set(self.legs) & set(other.legs)
         out_legs = [l for l in self.legs if l not in shared] + [
             l for l in other.legs if l not in shared
         ]
-        so = "".join(names[l] for l in out_legs)
-        arr = np.einsum(
-            f"{sa},{sb}->{so}", self._to_array(), other._to_array()
+        arr = int_einsum(
+            _einsum_spec((self.legs, other.legs), out_legs),
+            _dense_array(self.dims, self.data),
+            _dense_array(other.dims, other.data),
         )
         dims = tuple(
             dict(zip(self.legs + other.legs, self.dims + other.dims))[l]
             for l in out_legs
         )
-        data = {}
-        it = np.nditer(arr, flags=["multi_index"]) if arr.ndim else None
-        if arr.ndim == 0:
-            if int(arr) != 0:
-                data[()] = int(arr)
-        else:
-            for val in it:
-                if int(val) != 0:
-                    data[it.multi_index] = int(val)
+        data = {tuple(i): int(arr[tuple(i)]) for i in np.argwhere(arr).tolist()}
         return _SparseTensor(tuple(out_legs), dims, data)
-
-    def _to_array(self) -> np.ndarray:
-        arr = np.zeros(self.dims, dtype=np.int64)
-        for idx, v in self.data.items():
-            arr[idx] = v
-        return arr
 
     def to_dense(self, leg_order) -> np.ndarray:
         if set(leg_order) != set(self.legs) or len(leg_order) != len(self.legs):
             raise ValueError("output legs disagree with remaining legs")
         perm = [self.legs.index(l) for l in leg_order]
         dims = tuple(self.dims[p] for p in perm)
-        arr = np.zeros(dims, dtype=np.int64)
-        for idx, v in self.data.items():
-            arr[tuple(idx[p] for p in perm)] = v
-        return arr
+        data = {tuple(idx[p] for p in perm): v for idx, v in self.data.items()}
+        return _dense_array(dims, data)
 
 
-def _einsum_letter(k: int) -> str:
+def _dense_array(dims, data) -> np.ndarray:
+    """Dense array of a sparse dict: int64 when every entry fits, otherwise
+    dtype=object holding the exact Python ints."""
+    fits = all(-_INT64 <= v < _INT64 for v in data.values())
+    arr = np.zeros(dims, dtype=np.int64 if fits else object)
+    for idx, v in data.items():
+        arr[idx] = v
+    return arr
+
+
+def _einsum_spec(inputs, output) -> str:
+    """einsum subscripts for operands with wire-id legs `inputs` and result
+    legs `output`: one letter per distinct wire, in order of first
+    appearance. numpy accepts 52 letters (its integer-sublist form has the
+    same [0, 52) limit), so at most 52 distinct wires."""
     alphabet = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-    if k >= len(alphabet):
-        raise ValueError("too many distinct wires for einsum subscripts")
-    return alphabet[k]
+    names: dict = {}
+
+    def word(legs):
+        for l in legs:
+            if l not in names:
+                if len(names) == len(alphabet):
+                    raise ValueError("too many distinct wires for einsum subscripts")
+                names[l] = alphabet[len(names)]
+        return "".join(names[l] for l in legs)
+
+    return ",".join(word(legs) for legs in inputs) + "->" + word(output)
 
 
 def dense_oracle(net: VertexNetwork) -> np.ndarray:
     """Independent reference: one float64 einsum over the whole network."""
     wire_of = net._wires()
-    names: dict = {}
-
-    def letter(w):
-        if w not in names:
-            names[w] = _einsum_letter(len(names))
-        return names[w]
-
-    subs = []
+    legs = []
     ops = []
     for vi, vert in enumerate(net.vertices):
-        legs = [wire_of[(vi, s)] for s in vert.slot_names]
-        subs.append("".join(letter(w) for w in legs))
+        legs.append([wire_of[(vi, s)] for s in vert.slot_names])
         dims = tuple(vert.slot_dims[s] for s in vert.slot_names)
         arr = np.zeros(dims, dtype=np.float64)
         for idx, v in vert.entries().items():
             arr[idx] = float(v)
         ops.append(arr)
-    out = "".join(letter(wire_of[l]) for l in net.open_legs)
-    return np.einsum(",".join(subs) + "->" + out, *ops)
+    out = [wire_of[l] for l in net.open_legs]
+    return np.einsum(_einsum_spec(legs, out), *ops)

@@ -200,6 +200,18 @@ def test_yang_commands(capsys):
     assert "t (square -1, unit i*lstep)" in out
 
 
+@pytest.mark.parametrize("level", ["99", "-1", "5"])
+def test_palev_deviation_checks_level_before_any_payload(capsys, level):
+    code, out, err = run(
+        capsys, "palev", "deviation", "--capacity", "4", "--level", level
+    )
+    assert code == 2
+    assert out.splitlines() == [out.splitlines()[0]]
+    assert out.startswith("# qsetalg palev |")
+    assert "level must lie in 0..4" in err
+    assert "Traceback" not in err
+
+
 def test_palev_commands(capsys):
     code, out, _ = run(capsys, "palev", "deviation", "--capacity", "4")
     assert code == 0

@@ -4,6 +4,7 @@ from math import factorial
 import pytest
 import sympy as sp
 
+from qsetalg import linalg
 from qsetalg.liecore import boost_triple
 from qsetalg.palev import (
     NCPolynomial,
@@ -114,6 +115,12 @@ def test_charge_diagonal():
     m = PalevMode(4)
     for k in range(m.dim):
         assert m.charge[k][k] == 2 * k - 4
+
+
+@pytest.mark.parametrize("n", range(1, 33))
+def test_closed_form_charge_is_the_ladder_commutator(n):
+    m = PalevMode(n)
+    assert m.charge == linalg.commutator(m.raise_op, m.lower_op)
 
 
 # -- carrier triples ---------------------------------------------------------

@@ -1,8 +1,11 @@
 import json
+import random
+from itertools import combinations
 
 import numpy as np
 import pytest
 
+from qsetalg import vertexnet
 from qsetalg.cliff import build_gammas
 from qsetalg.vertexnet import (
     GammaVertex,
@@ -199,3 +202,232 @@ def test_json_round_trip(tmp_path):
     path.write_text(json.dumps(blob))
     loaded = VertexNetwork.load(str(path))
     assert loaded.to_json() == blob
+
+
+# -- planner -----------------------------------------------------------------
+
+
+def _all_pairs_reduce(tensors, dense_cutoff):
+    """The greedy as a full rescan per step: merge the pair with the
+    smallest (not sharing a wire, merged size), first pair on ties, and
+    append the result after the untouched tensors."""
+    while len(tensors) > 1:
+        best = None
+        for i, j in combinations(range(len(tensors)), 2):
+            shared = bool(set(tensors[i].legs) & set(tensors[j].legs))
+            key = (not shared, tensors[i].merged_size(tensors[j]))
+            if best is None or key < best[0]:
+                best = (key, i, j)
+        _, i, j = best
+        merged = tensors[i].merge(tensors[j], dense_cutoff)
+        rest = [t for k, t in enumerate(tensors) if k not in (i, j)]
+        tensors = rest + [merged.self_trace()]
+    return tensors[0]
+
+
+def _merge_log(monkeypatch, net, reduce=None):
+    """(result, [(legs, legs) of every merge]) of net.contract(), optionally
+    with another reduction routine in place of the planner."""
+    log = []
+    real = vertexnet._SparseTensor.merge
+
+    def spy(self, other, dense_cutoff):
+        log.append((self.legs, other.legs))
+        return real(self, other, dense_cutoff)
+
+    with monkeypatch.context() as m:
+        m.setattr(vertexnet._SparseTensor, "merge", spy)
+        if reduce is not None:
+            m.setattr(vertexnet, "_reduce", reduce)
+        return net.contract(), log
+
+
+def _ring(size, p, q, rng):
+    """Gamma ring (spinor i -> dual i+1): two or three vector slots stay
+    open, in a shuffled order, and the others pair up on neighbouring
+    vertices at random places around the ring."""
+    n_open = 2 if size % 2 == 0 else 3
+    tokens = ["open"] * n_open + ["pair"] * ((size - n_open) // 2)
+    rng.shuffle(tokens)
+    open_legs, edges, v = [], [], 0
+    for t in tokens:
+        if t == "open":
+            open_legs.append((v, "vector"))
+            v += 1
+        else:
+            edges.append(((v, "vector"), (v + 1, "vector")))
+            v += 2
+    rng.shuffle(open_legs)
+    edges += [((i, "spinor"), ((i + 1) % size, "dual")) for i in range(size)]
+    return VertexNetwork([GammaVertex(p, q) for _ in range(size)], edges, open_legs)
+
+
+def _crossed_ring(size, rng):
+    """(2, 1) ring whose vector slots pair up between random vertices, so
+    merged tensors gain several wire neighbours."""
+    slots = list(range(size))
+    rng.shuffle(slots)
+    edges = [((i, "spinor"), ((i + 1) % size, "dual")) for i in range(size)]
+    edges += [((a, "vector"), (b, "vector")) for a, b in zip(slots[2::2], slots[3::2])]
+    open_legs = [(slots[0], "vector"), (slots[1], "vector")]
+    return VertexNetwork([GammaVertex(2, 1) for _ in range(size)], edges, open_legs)
+
+
+def _iota_chain(nodes):
+    edges = [((i, "out"), (i + 1, "in")) for i in range(len(nodes) - 1)]
+    return VertexNetwork(
+        [IotaNode(m, r) for m, r in nodes],
+        edges,
+        [(0, "in"), (len(nodes) - 1, "out")],
+    )
+
+
+def _self_loop_network():
+    # vertex 0 traces its own spinor line; 1 and 2 form a loop
+    return VertexNetwork(
+        [GammaVertex(3, 1) for _ in range(3)],
+        edges=[
+            ((0, "spinor"), (0, "dual")),
+            ((1, "spinor"), (2, "dual")),
+            ((2, "spinor"), (1, "dual")),
+        ],
+        open_legs=[(1, "vector"), (0, "vector"), (2, "vector")],
+    )
+
+
+def _two_component_network():
+    return VertexNetwork(
+        [GammaVertex(2, 1) for _ in range(5)],
+        edges=[
+            ((0, "spinor"), (1, "dual")),
+            ((1, "spinor"), (0, "dual")),
+            ((2, "spinor"), (3, "dual")),
+            ((3, "spinor"), (4, "dual")),
+            ((4, "spinor"), (2, "dual")),
+            ((2, "vector"), (4, "vector")),
+        ],
+        open_legs=[(3, "vector"), (0, "vector"), (1, "vector")],
+    )
+
+
+def _planner_cases():
+    rng = random.Random(20140915)
+    cases = []
+    for size in (2, 3, 5, 8, 13, 24, 33, 64):
+        p, q = rng.choice([(2, 1), (3, 1), (2, 2), (4, 1), (2, 4)])
+        cases.append((f"ring{size}-{p}{q}", _ring(size, p, q, rng)))
+    cases.append(("crossed-ring", _crossed_ring(12, rng)))
+    for nodes in ([(0, 1), (1, 2)], [(1, 1), (1, 2), (3, 3)], [(2, 2), (1, 3)]):
+        cases.append((f"iota{nodes}", _iota_chain(nodes)))
+    cases.append(("self-loop", _self_loop_network()))
+    cases.append(("two-component", _two_component_network()))
+    return cases
+
+
+@pytest.mark.parametrize("net", [pytest.param(n, id=k) for k, n in _planner_cases()])
+def test_planner_merges_like_the_all_pairs_greedy(monkeypatch, net):
+    got, plan = _merge_log(monkeypatch, net)
+    want, ref_plan = _merge_log(monkeypatch, net, _all_pairs_reduce)
+    assert plan == ref_plan
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+def test_planner_cost_is_linear_in_the_vertex_count(monkeypatch):
+    # a full rescan per step would evaluate ~V^3/6 pair sizes (1.8e8 here)
+    size = 1024
+    calls = []
+    real = vertexnet._SparseTensor.merged_size
+
+    def spy(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(vertexnet._SparseTensor, "merged_size", spy)
+    edges = [((i, "spinor"), ((i + 1) % size, "dual")) for i in range(size)]
+    edges += [((v, "vector"), (v + 1, "vector")) for v in range(2, size, 2)]
+    net = VertexNetwork(
+        [GammaVertex(2, 1) for _ in range(size)],
+        edges,
+        [(0, "vector"), (1, "vector")],
+    )
+    arr = net.contract()
+    # (p - q)^pairs * tr(g_a g_b) = 1 * dim * eta_a delta_ab
+    assert arr.tolist() == [[2, 0, 0], [0, 2, 0], [0, 0, -2]]
+    assert len(calls) <= 6 * size
+
+
+def test_vertices_share_no_mutable_state():
+    a, b = GammaVertex(3, 1), GammaVertex(3, 1)
+    before = b.entries()
+    ent = a.entries()
+    ent.clear()
+    ent[(0, 0, 0)] = 99
+    assert b.entries() == before
+    assert a.entries() == before
+    with pytest.raises(ValueError):
+        a.gamma_set.gammas[0][0, 0] = 7
+    assert b.entries() == before
+    assert np.array_equal(b.gamma_set.gammas[0], build_gammas(3, 1).gammas[0])
+
+
+# -- exactness past int64 ------------------------------------------------------
+
+
+@pytest.mark.parametrize("p, q", [(3, 1), (4, 2)])
+def test_long_ring_past_int64_is_exact(einsum_dtypes, p, q):
+    # vertices 0 and 1 keep their vector legs open; 2-3, 4-5, ... pair up, and
+    # each pair collapses to sum_m g_m g_m = (p - q) I
+    size = 128
+    pairs = (size - 2) // 2
+    edges = [((i, "spinor"), ((i + 1) % size, "dual")) for i in range(size)]
+    edges += [((v, "vector"), (v + 1, "vector")) for v in range(2, size, 2)]
+    net = VertexNetwork(
+        [GammaVertex(p, q) for _ in range(size)],
+        edges,
+        [(0, "vector"), (1, "vector")],
+    )
+    arr = net.contract()
+    gs = build_gammas(p, q)
+    trace = [
+        [gs.dim * gs.eta[a] if a == b else 0 for b in range(p + q)]
+        for a in range(p + q)
+    ]
+    want = [[(p - q) ** pairs * t for t in row] for row in trace]
+    assert abs(want[0][0]) >= 1 << 63
+    # the fallback ran: the result keeps Python ints instead of wrapping
+    assert arr.dtype == object
+    assert arr.tolist() == want
+    if (p, q) == (3, 1):
+        # 4x4 merges go dense; their operands pass int64 and einsum ran on objects
+        assert [object, object] in einsum_dtypes
+
+
+def test_dense_merge_past_int64_falls_back(einsum_dtypes):
+    big = 1 << 40
+    a = vertexnet._SparseTensor((0, 1), (2, 2), {(0, 0): big, (0, 1): big, (1, 1): -big})
+    b = vertexnet._SparseTensor((1, 2), (2, 2), {(0, 0): big, (1, 0): big, (1, 1): big})
+    dense = a._merge_dense(b)
+    sparse = a._merge_sparse(b)
+    assert [object, object] in einsum_dtypes
+    assert dense.legs == sparse.legs == (0, 2)
+    assert dense.data == sparse.data == {
+        (0, 0): 2 * big * big, (0, 1): big * big, (1, 0): -big * big, (1, 1): -big * big,
+    }
+    assert dense.to_dense((0, 2)).dtype == object
+
+
+def test_results_that_fit_stay_int64():
+    t = vertexnet._SparseTensor((0,), (2,), {(0,): (1 << 63) - 1, (1,): -(1 << 63)})
+    arr = t.to_dense((0,))
+    assert arr.dtype == np.int64
+    assert arr.tolist() == [(1 << 63) - 1, -(1 << 63)]
+    t = vertexnet._SparseTensor((0,), (2,), {(0,): 1 << 63})
+    assert t.to_dense((0,)).dtype == object
+
+
+def test_einsum_lettering_caps_at_52_wires():
+    assert vertexnet._einsum_spec(((5, 9), (9, 2)), (5, 2)) == "ab,bc->ac"
+    assert vertexnet._einsum_spec((range(52),), ()).endswith("Z->")
+    with pytest.raises(ValueError, match="too many distinct wires"):
+        vertexnet._einsum_spec((range(53),), ())
