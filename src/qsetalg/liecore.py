@@ -93,9 +93,6 @@ class MatrixAlgebra:
     def dim(self) -> int:
         return len(self.basis)
 
-    def bracket(self, a, b):
-        return linalg.commutator(a, b)
-
     def commutators(self):
         """Integer array K of shape (pairs, d, d) over the pairs i < j in
         np.triu_indices order: [basis_i, basis_j] == K[pair] / scale^2."""
@@ -187,13 +184,6 @@ class StructureConstants:
         i, j, k = np.nonzero((a < b) & (b < c))
         cyclic = linalg.int_combine((1, nested[i, j, k]), (1, nested[j, k, i]), (1, nested[k, i, j]))
         return Fraction(linalg.peak(cyclic), self.D ** 2)
-
-    def ad(self, i: int):
-        """Matrix of ad(x_i) in the basis: (ad_i)[l][m] = c[i][m][l]."""
-        n = self.dim
-        return tuple(
-            tuple(self.c[i][m][l] for m in range(n)) for l in range(n)
-        )
 
     def killing_form(self):
         """K[i][j] = trace(ad x_i . ad x_j), exact."""
@@ -431,14 +421,9 @@ def ladder_matrices(steps: int):
         raise ValueError("need at least two levels")
     d = steps + 1
     z = Fraction(0)
-    a = [[z] * d for _ in range(d)]
-    b = [[z] * d for _ in range(d)]
-    for k in range(d):
-        if k + 1 < d:
-            a[k + 1][k] = Fraction(steps - k)
-        if k - 1 >= 0:
-            b[k - 1][k] = Fraction(k)
-    return linalg.mat(a), linalg.mat(b)
+    a = tuple(tuple(Fraction(steps - c) if r == c + 1 else z for c in range(d)) for r in range(d))
+    b = tuple(tuple(Fraction(c) if r == c - 1 else z for c in range(d)) for r in range(d))
+    return a, b
 
 
 def boost_triple(steps: int = 2) -> MatrixAlgebra:

@@ -3,7 +3,7 @@
 The same exact numbers appear in two forms:
 
 - a Matrix, an immutable tuple of tuples of Fraction: the public form that
-  reports, tests and the small elimination loops read;
+  reports and tests read, and what callers pass in;
 - an integer-scaled array (A, d): integers A over one common denominator d,
   so the numbers are A / d. int_scaled and from_scaled convert between the
   two, for matrices and for higher tensors alike.
@@ -21,6 +21,13 @@ Python ints, which cannot overflow. There is no separate Fraction loop: mmul,
 commutators, structure constants, Jacobi and Killing sums all take this one
 path. Nothing here rounds; to_float is the only way out to floating point,
 for the numeric cross-checks.
+
+All exact elimination is one row step, _eliminate, and one echelon,
+RationalSpan: primitive, fully reduced integer rows, with the product of the
+factors the rows were scaled by kept. det, both ColumnSolver passes and the
+central series are spans; congruence_signature updates rows with the same
+step, dividing by the previous pivot (Bareiss 1968). Fractions remain only at
+the API edge: Matrix inputs are integer-scaled first, and det returns one.
 """
 
 from __future__ import annotations
@@ -150,81 +157,64 @@ def to_float(a: Matrix) -> np.ndarray:
 
 
 def det(a: Matrix) -> Fraction:
-    """Exact determinant by fraction Gaussian elimination with partial pivoting."""
+    """Exact determinant. With a == A / d for an integer matrix A, A's rows go
+    into one RationalSpan; when all n enlarge it they end as a permuted
+    diagonal, and det(A) * num / den == sign * prod(pivots) for the span's
+    scale num / den."""
     n, m = shape(a)
     if n != m:
         raise LinalgError("determinant of non-square matrix")
-    rows = [list(r) for r in a]
-    sign = 1
-    result = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            sign = -sign
-        pivot = rows[col][col]
-        result *= pivot
-        for r in range(col + 1, n):
-            if rows[r][col] != 0:
-                f = rows[r][col] / pivot
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
-    return sign * result
+    ints, d = int_scaled(a)
+    span = RationalSpan(n)
+    if not all(span.add(row) for row in ints.tolist()):
+        return Fraction(0)
+    leads = [lead for _, lead in span.rows]
+    flips = sum(x > y for i, x in enumerate(leads) for y in leads[i + 1:])
+    num, den = span._scale
+    pivots = prod(row[lead] for row, lead in span.rows)
+    return Fraction((-1) ** flips * pivots * den, num * d ** n)
 
 
-def _eliminate(v: list, w: list, lead: int) -> list:
-    """Integer row v with its entry at `lead` cleared against w (w[lead] != 0),
-    fraction-free, divided by the gcd of its entries."""
-    f = v[lead]
-    if not f:
-        return v
-    p = w[lead]
+def _eliminate(v: list, w: list, lead: int, div: int = 0) -> tuple[list, int]:
+    """(u, g): integer row v with its entry at `lead` cleared against w
+    (w[lead] != 0) fraction-free, u = (w[lead] * v - v[lead] * w) / g. g is
+    div when given (an exact divisor: Bareiss's previous pivot), else the gcd
+    of the entries, which leaves u primitive."""
+    p, f = w[lead], v[lead]
     out = [p * x - f * y for x, y in zip(v, w)]
-    g = gcd(*out)
-    return [x // g for x in out] if g > 1 else out
+    g = div or gcd(*out)
+    return (out if g in (0, 1) else [x // g for x in out]), g
 
 
 class ColumnSolver:
     """Solves M X = B exactly for a fixed integer matrix M (m x k) of full
     column rank, for any number of right-hand sides at once.
 
-    One fraction-free elimination over M's rows finds k pivot rows P with M[P]
-    invertible (LinalgError when the columns are dependent), and a second one
-    inverts M[P] with the inverse kept scaled to integers: inv(M[P]) = A / den.
-    Rows are divided by their gcd as they go, so the integers stay small.
+    One RationalSpan over M's rows finds k pivot rows P with M[P] invertible
+    (LinalgError when the columns are dependent). A second one over the rows
+    of [M[P] | I] reduces them to (p_c e_c | p_c inv(M[P])_c), one for each
+    column c, so the inverse is kept scaled to integers: inv(M[P]) = A / den.
     """
 
     def __init__(self, m):
         self.m = m
         rows = m.tolist()
         k = m.shape[1]
-        reduced, pivot_rows = [], []
+        span, self.pivot_rows = RationalSpan(k), []
         for i, row in enumerate(rows):
-            for w, lead in reduced:
-                row = _eliminate(row, w, lead)
-            lead = next((j for j, x in enumerate(row) if x), None)
-            if lead is not None:
-                reduced.append((row, lead))
-                pivot_rows.append(i)
-                if len(pivot_rows) == k:
+            if span.add(row):
+                self.pivot_rows.append(i)
+                if len(self.pivot_rows) == k:
                     break
-        if len(pivot_rows) < k:
+        else:
             raise LinalgError("columns are linearly dependent")
-        self.pivot_rows = pivot_rows
-        # Gauss-Jordan on [M[P] | I]; row i ends as (p_i e_i | p_i inv(M[P])_i)
-        aug = [rows[r] + [int(i == j) for j in range(k)] for i, r in enumerate(pivot_rows)]
-        for col in range(k):
-            piv = next(r for r in range(col, k) if aug[r][col])
-            aug[col], aug[piv] = aug[piv], aug[col]
-            for r in range(k):
-                if r != col:
-                    aug[r] = _eliminate(aug[r], aug[col], col)
-        self.den = lcm(*(row[i] for i, row in enumerate(aug)))
-        self.inv = fit(np.array(
-            [[x * (self.den // row[i]) for x in row[k:]] for i, row in enumerate(aug)],
-            dtype=object,
-        ).reshape(k, k))
+        aug = RationalSpan(2 * k)
+        for i, r in enumerate(self.pivot_rows):
+            aug.add(rows[r] + [int(i == j) for j in range(k)])
+        pivots = [row for row, _ in sorted(aug.rows, key=lambda item: item[1])]
+        self.den = lcm(*(row[c] for c, row in enumerate(pivots)))
+        inv = [[x * (self.den // row[c]) for x in row[k:]] for c, row in enumerate(pivots)]
+        self.inv = fit(np.array(inv, dtype=object))
 
     def solve(self, b):
         """For an integer array B (m x r), return (X, inside): M X == den * B
@@ -236,80 +226,84 @@ class ColumnSolver:
 
 
 class RationalSpan:
-    """Incrementally maintained row echelon span of exact vectors."""
+    """The span over the rationals of integer vectors, kept as a reduced
+    echelon of integer rows: `rows` holds (row, lead) pairs in insertion
+    order, every row primitive (gcd 1) and zero in every other row's lead
+    column. Every step multiplies one row by a rational factor (w[lead] / g in
+    _eliminate, 1 / gcd when a row is inserted); _scale = (num, den) is the
+    product of the factors applied to inserted rows, so the determinant of the
+    inserted vectors is den / num times that of the rows."""
 
     def __init__(self, dim: int):
         self.dim = dim
-        self.rows: list[tuple[list[Fraction], int]] = []
-
-    def _reduce(self, vec):
-        v = [Fraction(x) for x in vec]
-        for row, lead in self.rows:
-            if v[lead] != 0:
-                f = v[lead] / row[lead]
-                v = [x - f * y for x, y in zip(v, row)]
-        return v
+        self.rows: list[tuple[list[int], int]] = []
+        self._scale = (1, 1)
 
     def add(self, vec) -> bool:
-        """Insert a vector; True if it enlarged the span."""
-        v = self._reduce(vec)
-        lead = next((j for j in range(self.dim) if v[j] != 0), None)
+        """Insert an integer vector; True if it enlarged the span."""
+        v, num, den = list(vec), 1, 1
+        for w, lead in self.rows:
+            if v[lead]:
+                num *= w[lead]
+                v, g = _eliminate(v, w, lead)
+                den *= g
+        lead = next((j for j in range(self.dim) if v[j]), None)
         if lead is None:
             return False
+        g = gcd(*v)
+        if g > 1:
+            v = [x // g for x in v]
+        den *= g
+        for idx, (w, wlead) in enumerate(self.rows):
+            if w[lead]:
+                num *= v[lead]
+                w, g = _eliminate(w, v, lead)
+                den *= g
+                self.rows[idx] = (w, wlead)
         self.rows.append((v, lead))
+        self._scale = (self._scale[0] * num, self._scale[1] * den)
         return True
-
-    def contains(self, vec) -> bool:
-        return all(x == 0 for x in self._reduce(vec))
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
 
 
 def congruence_signature(a: Matrix) -> tuple[int, int, int]:
     """Exact (n_plus, n_minus, n_zero) of a symmetric rational matrix.
 
-    Lagrange congruence diagonalization: simultaneous row and column operations
-    preserve the signature, zero diagonals are repaired with the classic
-    row+row / col+col trick before elimination.
+    Lagrange congruence diagonalization of the integer-scaled matrix:
+    simultaneous row and column operations preserve the signature, zero
+    diagonals are repaired with the classic row+row / col+col trick before
+    elimination. Rows are updated by _eliminate, divided exactly by the
+    previous pivot (Bareiss), so the trailing block stays symmetric and equals
+    that pivot times the rational one: pivot d is positive iff d * prev > 0.
     """
     n, m = shape(a)
     if n != m:
         raise LinalgError("signature of non-square matrix")
-    if any(a[i][j] != a[j][i] for i in range(n) for j in range(i)):
+    w = int_scaled(a)[0].tolist()
+    if any(w[i][j] != w[j][i] for i in range(n) for j in range(i)):
         raise LinalgError("signature of non-symmetric matrix")
-    w = [list(row) for row in a]
     pos = neg = zero = 0
-
-    def add_rowcol(dst, src, f=Fraction(1)):
-        for j in range(n):
-            w[dst][j] += f * w[src][j]
-        for i in range(n):
-            w[i][dst] += f * w[i][src]
-
-    def swap_rowcol(i, j):
-        w[i], w[j] = w[j], w[i]
-        for row in w:
-            row[i], row[j] = row[j], row[i]
-
+    prev = 1
     for i in range(n):
         if w[i][i] == 0:
             swap_j = next((j for j in range(i + 1, n) if w[j][j] != 0), None)
             if swap_j is not None:
-                swap_rowcol(i, swap_j)
+                w[i], w[swap_j] = w[swap_j], w[i]
+                for row in w:
+                    row[i], row[swap_j] = row[swap_j], row[i]
             else:
                 off_j = next((j for j in range(i + 1, n) if w[i][j] != 0), None)
                 if off_j is None:
                     zero += 1
                     continue
-                add_rowcol(i, off_j)
+                w[i] = [x + y for x, y in zip(w[i], w[off_j])]
+                for row in w:
+                    row[i] += row[off_j]
         d = w[i][i]
-        if d > 0:
+        if d * prev > 0:
             pos += 1
         else:
             neg += 1
         for r in range(i + 1, n):
-            if w[r][i] != 0:
-                add_rowcol(r, i, -w[r][i] / d)
+            w[r] = _eliminate(w[r], w[i], i, prev)[0]
+        prev = d
     return pos, neg, zero

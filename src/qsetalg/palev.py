@@ -43,6 +43,7 @@ from functools import cache
 import numpy as np
 
 from . import linalg
+from .liecore import ladder_matrices
 from .yang import UnitTag
 
 # ---------------------------------------------------------------------------
@@ -186,15 +187,7 @@ class PalevMode:
         self.dim = two_j + 1
         n = two_j
         z = Fraction(0)
-        a = [[z] * self.dim for _ in range(self.dim)]
-        b = [[z] * self.dim for _ in range(self.dim)]
-        for k in range(self.dim):
-            if k + 1 < self.dim:
-                a[k + 1][k] = Fraction(n - k)
-            if k:
-                b[k - 1][k] = Fraction(k)
-        self.raise_op = linalg.mat(a)
-        self.lower_op = linalg.mat(b)
+        self.raise_op, self.lower_op = ladder_matrices(n)
         # [A, B] in closed form: A B and B A are diagonal with entries
         # k (N - k + 1) and (k + 1)(N - k), whose difference is 2k - N.
         self.charge = tuple(
@@ -207,14 +200,8 @@ class PalevMode:
         return Fraction(self.two_j, 2)
 
     def ladder_commutator_diagonal(self):
-        """Diagonal of [a, adag] = [B, A]/N, exact rationals."""
-        comm = linalg.commutator(self.lower_op, self.raise_op)
-        n = self.two_j
-        for i in range(self.dim):
-            for jx in range(self.dim):
-                if i != jx and comm[i][jx]:
-                    raise AssertionError("[a, adag] must be diagonal")
-        return tuple(comm[i][i] / n for i in range(self.dim))
+        """Diagonal of [a, adag] = [B, A]/N = -charge/N, exact rationals."""
+        return tuple(-self.charge[k][k] / self.two_j for k in range(self.dim))
 
     def ground_commutator_value(self) -> Fraction:
         return self.ladder_commutator_diagonal()[0]

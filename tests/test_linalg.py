@@ -1,7 +1,10 @@
+import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
+from helpers import lagrange_signature
 from qsetalg import linalg
 
 
@@ -50,3 +53,163 @@ def test_int_combine_falls_back_to_python_ints():
     assert got.dtype == object
     assert got.tolist() == [-(2 ** 61), 2 ** 61, -7]
     assert linalg.int_combine((1, a // 4), (1, a // 4)).dtype == np.int64
+
+
+# -- exact elimination: det, congruence_signature, RationalSpan, ColumnSolver
+
+
+def _sympy_det(a):
+    import sympy as sp
+
+    ref = sp.Matrix([[sp.Rational(x.numerator, x.denominator) for x in row] for row in a]).det()
+    return Fraction(int(ref.p), int(ref.q))
+
+
+def _rand_fraction(rng, zeros=0.3):
+    if rng.random() < zeros:
+        return Fraction(0)
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+
+def test_det_matches_sympy_on_seeded_rational_matrices():
+    rng = random.Random(20240)
+    for n in range(1, 7):
+        for _ in range(12):
+            a = linalg.mat([[_rand_fraction(rng) for _ in range(n)] for _ in range(n)])
+            assert linalg.det(a) == _sympy_det(a)
+
+
+def test_det_of_singular_matrices_is_zero():
+    rng = random.Random(20241)
+    for n in range(2, 7):
+        for _ in range(6):
+            rows = [[_rand_fraction(rng, 0.1) for _ in range(n)] for _ in range(n - 1)]
+            c1, c2 = _rand_fraction(rng, 0), _rand_fraction(rng, 0)
+            dependent = [c1 * x + c2 * y for x, y in zip(rows[0], rows[-1])]
+            rows.insert(rng.randrange(n), dependent)
+            assert linalg.det(linalg.mat(rows)) == 0 == _sympy_det(linalg.mat(rows))
+    assert linalg.det(linalg.mat([[0, 0], [0, 0]])) == 0
+    assert linalg.det(linalg.mat([[1, 2, 3], [0, 0, 0], [4, 5, 6]])) == 0
+
+
+def test_det_with_row_swaps_and_huge_entries():
+    swap = linalg.mat([[0, 0, 2], [0, 3, 0], [5, 0, 0]])
+    assert linalg.det(swap) == -30 == _sympy_det(swap)
+    shuffled = linalg.mat([[0, 1, 0, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 0, 1, 0]])
+    assert linalg.det(shuffled) == _sympy_det(shuffled)
+    huge = linalg.mat([
+        [2 ** 70, Fraction(1, 3), -7],
+        [0, -(2 ** 70) + 1, Fraction(2 ** 70, 11)],
+        [5, 2 ** 69, 0],
+    ])
+    assert linalg.det(huge) == _sympy_det(huge)
+    rng = random.Random(20242)
+    for _ in range(8):
+        a = linalg.mat([[rng.choice([0, 1, -1]) * 2 ** 70 + rng.randint(-3, 3) for _ in range(4)] for _ in range(4)])
+        assert linalg.det(a) == _sympy_det(a)
+    assert linalg.det(linalg.mat([[Fraction(-2, 7)]])) == Fraction(-2, 7)
+
+
+def test_det_of_non_square_raises():
+    with pytest.raises(linalg.LinalgError):
+        linalg.det(linalg.mat([[1, 2, 3], [4, 5, 6]]))
+
+
+def _rand_symmetric(rng, n, rank=None):
+    """Symmetric B^T D B with zero diagonals likely; rank <= `rank` when given."""
+    k = n if rank is None else rank
+    b = [[rng.choice([0, 0, 1, -1, 2, Fraction(1, 2)]) for _ in range(n)] for _ in range(k)]
+    d = [rng.choice([1, -1, 3, Fraction(-1, 3)]) for _ in range(k)]
+    return linalg.mat(
+        [[sum(b[m][i] * d[m] * b[m][j] for m in range(k)) for j in range(n)] for i in range(n)]
+    )
+
+
+def test_congruence_signature_matches_the_lagrange_reference():
+    rng = random.Random(20243)
+    for n in range(1, 7):
+        for _ in range(15):
+            a = _rand_symmetric(rng, n)
+            assert linalg.congruence_signature(a) == lagrange_signature(a)
+            low = _rand_symmetric(rng, n, rank=rng.randint(0, n - 1))
+            got = linalg.congruence_signature(low)
+            assert got == lagrange_signature(low)
+            assert got[2] >= 1
+
+
+def test_congruence_signature_zero_diagonals_and_huge_entries():
+    hyperbolic = linalg.mat([[0, 1], [1, 0]])
+    assert linalg.congruence_signature(hyperbolic) == (1, 1, 0)
+    off = linalg.mat([[0, 0, 2, 0], [0, 0, 0, -3], [2, 0, 0, 0], [0, -3, 0, 0]])
+    assert linalg.congruence_signature(off) == lagrange_signature(off) == (2, 2, 0)
+    assert linalg.congruence_signature(linalg.mat([[0] * 3] * 3)) == (0, 0, 3)
+    rng = random.Random(20244)
+    for _ in range(10):
+        n = rng.randint(2, 5)
+        upper = [[rng.choice([0, 2 ** 70, -(2 ** 69), Fraction(1, 3)]) for _ in range(n)] for _ in range(n)]
+        a = linalg.mat([[upper[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)])
+        assert linalg.congruence_signature(a) == lagrange_signature(a)
+
+
+def test_congruence_signature_rejects_bad_shapes():
+    with pytest.raises(linalg.LinalgError):
+        linalg.congruence_signature(linalg.mat([[1, 2], [3, 4]]))
+    with pytest.raises(linalg.LinalgError):
+        linalg.congruence_signature(linalg.mat([[1, 2, 3], [2, 4, 5]]))
+
+
+def test_rational_span_add_reports_whether_the_span_grew():
+    span = linalg.RationalSpan(3)
+    assert span.add([2, 4, 6]) is True
+    assert span.add([1, 2, 3]) is False
+    assert span.add([0, 0, 0]) is False
+    assert span.add([0, 5, 1]) is True
+    assert span.add([2, 9, 7]) is False
+    assert span.add([3, -1, 2 ** 70]) is True
+    assert span.add([7, 7, 7]) is False
+
+
+def test_rational_span_add_tracks_sympy_rank():
+    import sympy as sp
+
+    rng = random.Random(20245)
+    for dim in (2, 4, 6):
+        span, seen = linalg.RationalSpan(dim), []
+        for _ in range(2 * dim):
+            if seen and rng.random() < 0.4:
+                v = [sum(rng.randint(-2, 2) * w[j] for w in seen) for j in range(dim)]
+            else:
+                v = [rng.choice([0, 0, 1, -3, 5, 2 ** 64]) for _ in range(dim)]
+            before = sp.Matrix(seen).rank() if seen else 0
+            seen.append(v)
+            assert span.add(v) is (sp.Matrix(seen).rank() > before)
+
+
+def test_column_solver_rejects_dependent_columns():
+    with pytest.raises(linalg.LinalgError):
+        linalg.ColumnSolver(np.array([[1, 2], [2, 4], [3, 6]], dtype=np.int64))
+    with pytest.raises(linalg.LinalgError):
+        linalg.ColumnSolver(np.array([[1, 0, 1], [0, 1, 1]], dtype=np.int64))
+
+
+def test_column_solver_solves_and_flags_columns_outside_the_span():
+    m = np.array([[0, 0], [2, 0], [0, 3], [1, 1]], dtype=np.int64)
+    solver = linalg.ColumnSolver(m)
+    b = np.array([[0, 1], [4, 0], [9, 0], [5, 0]], dtype=np.int64)  # (2, 3) inside; e_1 not
+    x, inside = solver.solve(b)
+    assert inside.tolist() == [True, False]
+    assert [Fraction(int(v), solver.den) for v in x[:, 0]] == [2, 3]
+    assert (m @ x[:, :1] == solver.den * b[:, :1]).all()
+
+
+def test_column_solver_recovers_random_coordinates():
+    rng = np.random.default_rng(20246)
+    for k in (1, 3, 6):
+        m = rng.integers(-4, 5, size=(3 * k, k))
+        m[0] = 0
+        assert np.linalg.matrix_rank(m.astype(float)) == k
+        coords = rng.integers(-9, 10, size=(k, 5))
+        solver = linalg.ColumnSolver(m)
+        x, inside = solver.solve(m @ coords)
+        assert inside.all()
+        assert (x == solver.den * coords).all()
