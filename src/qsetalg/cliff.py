@@ -114,6 +114,8 @@ class GammaSet:
 
     def spin_generator(self, a: int, b: int):
         """Rotation generator antisym(a, b)/2 as an exact Fraction matrix.
+        The Lie layer takes antisym(a, b) over scale 2 directly
+        (MatrixAlgebra.from_ints) and builds no Fractions.
 
         With M(a,b) = gamma_a gamma_b / 2 for a != b the commutators close as
 

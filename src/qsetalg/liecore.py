@@ -2,13 +2,14 @@
 and one-parameter contractions.
 
 A MatrixAlgebra is a basis of exact rational matrices assumed (and verified)
-to close under commutators. The basis is integer-scaled once into a stack G
-(basis_i = G_i / s). All commutators come from one batched integer product
-(int64 while d * max|G|^2 < 2^62 for d x d matrices), and all of them are
-solved at once against the basis, followed by one exact residual check over
-every matrix entry. So closure failures are detected
-exactly rather than hidden under a least-squares fit; a float refit is
-available as an independent cross-check, not as the source of truth.
+to close under commutators, held as an integer stack G over one scale s
+(basis_i = G_i / s): from_ints takes it as built (gamma products over 2), the
+constructor integer-scales Fraction matrices once. All commutators come from
+one batched integer product (int64 while d * max|G|^2 < 2^62 for d x d
+matrices), and all of them are solved at once against the basis, followed by
+one exact residual check over every matrix entry. So closure failures are
+detected exactly rather than hidden under a least-squares fit; a float refit
+of the same stack is an independent cross-check, not the source of truth.
 
 StructureConstants hold the constants as one integer array C of shape
 (n, n, n) and one common denominator D: c_ijk = C[i, j, k] / D. Jacobi sums,
@@ -23,8 +24,9 @@ C (linalg.int_einsum), for example
     brackets einsum("i,j,ijk->k", u, v, C), int64 while
              n^2 * max|u| * max|v| * max|C| < 2^62
 
-and when a bound fails the same einsum runs on Python ints. The public table
-c[i][j][k] of Fractions is built from (C, D) on construction.
+and when a bound fails the same einsum runs on Python ints; killing_det
+eliminates the integer Killing form over D^2. MatrixAlgebra.basis and
+StructureConstants.c are Fraction views, built on first read.
 
 Contractions follow the graded-rescaling pattern: assign each basis element a
 weight w_i, scale x_i -> eps^{w_i} x_i, and watch
@@ -42,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
@@ -63,46 +65,60 @@ class ContractionError(LieError):
 
 
 class MatrixAlgebra:
-    """Lie algebra presented by an independent basis of rational matrices."""
+    """Lie algebra presented by an independent basis of rational matrices,
+    kept as an integer stack over one scale: basis_i == stack[i] / scale."""
 
     def __init__(self, name: str, basis, labels=None):
+        """From square matrices of ints or Fractions, integer-scaled once."""
         mats = tuple(linalg.mat(b) if not isinstance(b, tuple) else b for b in basis)
-        if not mats:
+        d = len(mats[0]) if mats else 0
+        if any(linalg.shape(m) != (d, d) for m in mats):
+            raise ValueError("basis matrices must be square and same size")
+        self._setup(name, *linalg.int_scaled(mats), labels)
+
+    @classmethod
+    def from_ints(cls, name: str, stack, scale: int, labels=None) -> "MatrixAlgebra":
+        """The algebra spanned by stack[i] / scale, for an integer array stack
+        of shape (n, d, d) and an integer scale > 0."""
+        if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+            raise ValueError("basis matrices must be square and same size")
+        alg = cls.__new__(cls)
+        alg._setup(name, stack, scale, labels)
+        return alg
+
+    def _setup(self, name, stack, scale, labels):
+        n = len(stack)
+        if not n:
             raise ValueError("empty basis")
-        d = linalg.shape(mats[0])[0]
-        for m in mats:
-            if linalg.shape(m) != (d, d):
-                raise ValueError("basis matrices must be square and same size")
-        self.stack, self.scale = linalg.int_scaled(mats)  # basis_i == stack[i] / scale
+        self.stack, self.scale = linalg.fit(stack), scale
         try:
-            self._solver = ColumnSolver(self.stack.reshape(len(mats), -1).T)
+            self._solver = ColumnSolver(self.stack.reshape(n, -1).T)
         except LinalgError:
             raise ValueError(f"basis of {name} is linearly dependent") from None
         self.name = name
-        self.basis = mats
-        self.matrix_dim = d
-        self.labels = tuple(labels) if labels else tuple(
-            f"x{i+1}" for i in range(len(mats))
-        )
-        if len(self.labels) != len(mats):
+        self.matrix_dim = stack.shape[1]
+        self.labels = tuple(labels) if labels else tuple(f"x{i+1}" for i in range(n))
+        if len(self.labels) != n:
             raise ValueError("one label per basis element")
-        self._sc = None
-        self._comm = None
+        self._basis = self._sc = self._comm = None
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.stack)
+
+    @property
+    def basis(self) -> tuple:
+        """The basis as Fraction matrices, stack / scale, built on first read."""
+        if self._basis is None:
+            self._basis = linalg.from_scaled(self.stack, self.scale)
+        return self._basis
 
     def commutators(self):
         """Integer array K of shape (pairs, d, d) over the pairs i < j in
         np.triu_indices order: [basis_i, basis_j] == K[pair] / scale^2."""
         if self._comm is None:
             i, j = np.triu_indices(self.dim, 1)
-            gi, gj = self.stack[i], self.stack[j]
-            # both products share one dtype and stay under 2^62, so the
-            # in-place difference fits
-            self._comm = linalg.int_einsum("pab,pbc->pac", gi, gj)
-            self._comm -= linalg.int_einsum("pab,pbc->pac", gj, gi)
+            self._comm = linalg.int_commutator(self.stack[i], self.stack[j])
         return self._comm
 
     def structure_constants(self) -> "StructureConstants":
@@ -131,8 +147,9 @@ class MatrixAlgebra:
 
 
 class StructureConstants:
-    """c[i][j][k] with [x_i, x_j] = sum_k c[i][j][k] x_k, all Fractions,
-    backed by the integer array C and denominator D with c == C / D."""
+    """c[i][j][k] with [x_i, x_j] = sum_k c[i][j][k] x_k, held as the integer
+    array C and denominator D with c == C / D; the Fraction table c is a view
+    built on first read."""
 
     def __init__(self, c, name: str = "", labels=None):
         arr = np.array(c, dtype=object)
@@ -153,13 +170,20 @@ class StructureConstants:
             raise ValueError("structure constants must be n x n x n")
         g = gcd(D, *C.ravel().tolist()) * (-1 if D < 0 else 1)
         self.C, self.D = linalg.fit(C // g), D // g
-        self.c = linalg.from_scaled(self.C, self.D)
+        self._c = None
         self.name = name
         self.labels = tuple(labels) if labels else tuple(f"x{i+1}" for i in range(n))
 
     @property
+    def c(self) -> tuple:
+        """Nested tuples of Fraction, C / D, built on first read."""
+        if self._c is None:
+            self._c = linalg.from_scaled(self.C, self.D)
+        return self._c
+
+    @property
     def dim(self) -> int:
-        return len(self.c)
+        return len(self.C)
 
     @classmethod
     def from_matrices(cls, basis, name="", labels=None) -> "StructureConstants":
@@ -185,12 +209,16 @@ class StructureConstants:
         cyclic = linalg.int_combine((1, nested[i, j, k]), (1, nested[j, k, i]), (1, nested[k, i, j]))
         return Fraction(linalg.peak(cyclic), self.D ** 2)
 
+    def _killing(self):
+        """The integer Killing form: killing_form() == _killing() / D^2."""
+        return linalg.int_einsum("iml,jlm->ij", self.C, self.C)
+
     def killing_form(self):
         """K[i][j] = trace(ad x_i . ad x_j), exact."""
-        return linalg.from_scaled(linalg.int_einsum("iml,jlm->ij", self.C, self.C), self.D ** 2)
+        return linalg.from_scaled(self._killing(), self.D ** 2)
 
     def killing_det(self) -> Fraction:
-        return linalg.det(self.killing_form())
+        return linalg.det(self._killing(), self.D ** 2)
 
     def is_semisimple(self) -> bool:
         return self.killing_det() != 0
@@ -240,14 +268,17 @@ class StructureConstants:
 
     def nonzero(self):
         """Sorted (i, j, k, c) with i < j and c != 0."""
-        return [
-            (i, j, k, self.c[i][j][k])
-            for i, j, k in np.argwhere(self.C != 0).tolist()
-            if i < j
-        ]
+        idx = np.argwhere(_upper(self.dim) & (self.C != 0))
+        vals = self.C[tuple(idx.T)].tolist()
+        return [(i, j, k, Fraction(v, self.D)) for (i, j, k), v in zip(idx.tolist(), vals)]
 
     def __repr__(self):
         return f"StructureConstants({self.name!r}, dim={self.dim})"
+
+
+def _upper(n: int):
+    """Mask of the (i, j, k) with i < j, shape (n, n, 1)."""
+    return np.triu(np.ones((n, n), dtype=bool), 1)[:, :, None]
 
 
 class ContractionFamily:
@@ -258,18 +289,20 @@ class ContractionFamily:
         self.weights = tuple(Fraction(w) for w in weights)
         if len(self.weights) != sc.dim:
             raise ContractionError("one weight per basis element")
-        w, self._wden = linalg.int_scaled(self.weights)
+        self._wden = lcm(*(w.denominator for w in self.weights))
+        w = linalg.fit(np.array([int(x * self._wden) for x in self.weights], dtype=object))
         # exponents w_i + w_j - w_k of every constant, times _wden
         self._exp = linalg.int_combine(
             (1, w[:, None, None]), (1, w[None, :, None]), (-1, w[None, None, :])
         )
-        for i, j, k, _ in sc.nonzero():
-            if self.exponent(i, j, k) < 0:
-                raise ContractionError(
-                    f"constant ({self.sc.labels[i]},{self.sc.labels[j]})->"
-                    f"{self.sc.labels[k]} diverges: exponent "
-                    f"{self.exponent(i, j, k)} < 0"
-                )
+        diverging = np.argwhere(_upper(sc.dim) & (sc.C != 0) & (self._exp < 0))
+        if len(diverging):
+            i, j, k = diverging[0].tolist()
+            raise ContractionError(
+                f"constant ({self.sc.labels[i]},{self.sc.labels[j]})->"
+                f"{self.sc.labels[k]} diverges: exponent "
+                f"{self.exponent(i, j, k)} < 0"
+            )
 
     def exponent(self, i: int, j: int, k: int) -> Fraction:
         return self.weights[i] + self.weights[j] - self.weights[k]
@@ -310,9 +343,7 @@ class ContractionFamily:
 
     def limit(self) -> StructureConstants:
         """Keep the constants c_ijk, i < j, with exponent zero (and c_jik = -c_ijk)."""
-        n = self.sc.dim
-        upper = np.triu(np.ones((n, n), dtype=bool), 1)[:, :, None]
-        kept = np.where(upper & (self._exp == 0), self.sc.C, 0)
+        kept = np.where(_upper(self.sc.dim) & (self._exp == 0), self.sc.C, 0)
         return StructureConstants.from_ints(
             kept - kept.transpose(1, 0, 2),
             self.sc.D,
@@ -342,11 +373,11 @@ def scaled_basis(basis, weights, eps_sqrt: Fraction):
     eps_sqrt = Fraction(eps_sqrt)
     out = []
     for m, w in zip(basis, weights):
-        w = Fraction(w)
-        two_w = 2 * w
+        two_w = 2 * Fraction(w)
         if two_w.denominator != 1:
             raise ContractionError("weights must be integers or half-integers")
-        out.append(linalg.smul(eps_sqrt ** int(two_w), m))
+        f = eps_sqrt ** int(two_w)
+        out.append(tuple(tuple(f * x for x in row) for row in m))
     return tuple(out)
 
 
@@ -358,13 +389,15 @@ def numeric_contraction_check(
 
     Returns the largest relative deviation over all (i, j) brackets, where the
     denominator is max(1, |exact coordinate vector|_inf). Independent of the
-    exact path: uses numpy only.
+    exact path: uses numpy only, on floats of the integer stack and of C / D.
     """
     sc = algebra.structure_constants()
     fam = ContractionFamily(sc, weights)
     n = algebra.dim
     ws = [float(w) for w in fam.weights]
-    mats = [np.array(linalg.to_float(m)) * (eps ** w) for m, w in zip(algebra.basis, ws)]
+    basis = linalg.to_float(algebra.stack, algebra.scale)
+    consts = linalg.to_float(sc.C, sc.D)
+    mats = [m * (eps ** w) for m, w in zip(basis, ws)]
     cols = np.stack([m.reshape(-1) for m in mats], axis=1)
     worst = 0.0
     for i in range(n):
@@ -373,7 +406,7 @@ def numeric_contraction_check(
             coords, *_ = np.linalg.lstsq(cols, comm.reshape(-1), rcond=None)
             exact = np.array(
                 [
-                    float(sc.c[i][j][k]) * eps ** (ws[i] + ws[j] - ws[k])
+                    float(consts[i, j, k]) * eps ** (ws[i] + ws[j] - ws[k])
                     for k in range(n)
                 ]
             )
@@ -396,46 +429,37 @@ class CatalogEntry:
 
 def rotation3() -> MatrixAlgebra:
     """so(3): (L_a)_bc = -epsilon_abc, [L1, L2] = L3 cyclically."""
-    z = Fraction(0)
-    o = Fraction(1)
-    l1 = ((z, z, z), (z, z, -o), (z, o, z))
-    l2 = ((z, z, o), (z, z, z), (-o, z, z))
-    l3 = ((z, -o, z), (o, z, z), (z, z, z))
-    return MatrixAlgebra("so3", (l1, l2, l3), labels=("L1", "L2", "L3"))
+    l1 = ((0, 0, 0), (0, 0, -1), (0, 1, 0))
+    l2 = ((0, 0, 1), (0, 0, 0), (-1, 0, 0))
+    l3 = ((0, -1, 0), (1, 0, 0), (0, 0, 0))
+    return MatrixAlgebra.from_ints("so3", np.array((l1, l2, l3)), 1, labels=("L1", "L2", "L3"))
 
 
 def heisenberg3() -> MatrixAlgebra:
     """Strictly upper-triangular 3x3: [P, Q] = Z, Z central, Killing form 0."""
-    z = Fraction(0)
-    o = Fraction(1)
-    p = ((z, o, z), (z, z, z), (z, z, z))
-    q = ((z, z, z), (z, z, o), (z, z, z))
-    c = ((z, z, o), (z, z, z), (z, z, z))
-    return MatrixAlgebra("h1", (p, q, c), labels=("P", "Q", "Z"))
+    p = ((0, 1, 0), (0, 0, 0), (0, 0, 0))
+    q = ((0, 0, 0), (0, 0, 1), (0, 0, 0))
+    c = ((0, 0, 1), (0, 0, 0), (0, 0, 0))
+    return MatrixAlgebra.from_ints("h1", np.array((p, q, c)), 1, labels=("P", "Q", "Z"))
 
 
-def ladder_matrices(steps: int):
-    """Raising/lowering pair on steps+1 levels: A e_k = (steps-k) e_{k+1},
-    B e_k = k e_{k-1}; then [A, B] is diagonal with entries 2k - steps."""
+def ladder_pair(steps: int):
+    """Integer raising/lowering pair on steps+1 levels, as int64 arrays:
+    A e_k = (steps-k) e_{k+1}, B e_k = k e_{k-1}; then [A, B] is diagonal
+    with entries 2k - steps."""
     if steps < 1:
         raise ValueError("need at least two levels")
-    d = steps + 1
-    z = Fraction(0)
-    a = tuple(tuple(Fraction(steps - c) if r == c + 1 else z for c in range(d)) for r in range(d))
-    b = tuple(tuple(Fraction(c) if r == c - 1 else z for c in range(d)) for r in range(d))
-    return a, b
+    k = np.arange(steps, dtype=np.int64)
+    return np.diag(steps - k, -1), np.diag(k + 1, 1)
 
 
 def boost_triple(steps: int = 2) -> MatrixAlgebra:
     """so(2,1) in the symmetric presentation [q,p] = r, [p,r] = q, [q,r] = p,
     realized rationally on steps+1 levels as (q, p, r) =
     ([A,B]/2, (A-B)/2, (A+B)/2) for the ladder pair (A, B)."""
-    a, b = ladder_matrices(steps)
-    half = Fraction(1, 2)
-    q = linalg.smul(half, linalg.commutator(a, b))
-    p = linalg.smul(half, linalg.msub(a, b))
-    r = linalg.smul(half, linalg.madd(a, b))
-    return MatrixAlgebra("so21", (q, p, r), labels=("q", "p", "r"))
+    a, b = ladder_pair(steps)
+    stack = np.stack([linalg.int_commutator(a, b), a - b, a + b])
+    return MatrixAlgebra.from_ints("so21", stack, 2, labels=("q", "p", "r"))
 
 
 def rotation_boost6() -> MatrixAlgebra:
@@ -443,11 +467,11 @@ def rotation_boost6() -> MatrixAlgebra:
     from .cliff import build_gammas
 
     gs = build_gammas(4, 0)
-    rot = [gs.spin_generator(1, 2), gs.spin_generator(1, 3), gs.spin_generator(2, 3)]
-    boost = [gs.spin_generator(1, 4), gs.spin_generator(2, 4), gs.spin_generator(3, 4)]
-    return MatrixAlgebra(
+    pairs = ((1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4))
+    return MatrixAlgebra.from_ints(
         "so4",
-        rot + boost,
+        np.stack([gs.antisym(a, b) for a, b in pairs]),
+        2,
         labels=("r12", "r13", "r23", "b1", "b2", "b3"),
     )
 

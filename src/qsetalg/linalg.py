@@ -2,11 +2,13 @@
 
 The same exact numbers appear in two forms:
 
-- a Matrix, an immutable tuple of tuples of Fraction: the public form that
-  reports and tests read, and what callers pass in;
 - an integer-scaled array (A, d): integers A over one common denominator d,
-  so the numbers are A / d. int_scaled and from_scaled convert between the
-  two, for matrices and for higher tensors alike.
+  so the numbers are A / d; the working form, from gamma product to Killing
+  determinant;
+- a Matrix, an immutable tuple of tuples of Fraction: the public form that
+  reports and tests read. int_scaled and from_scaled convert between the
+  two, for matrices and higher tensors alike; the Lie layer builds its
+  Fraction views with from_scaled on first read.
 
 All bulk arithmetic runs on integer-scaled arrays through two routines, and
 each states its bound before it runs:
@@ -26,8 +28,8 @@ All exact elimination is one row step, _eliminate, and one echelon,
 RationalSpan: primitive, fully reduced integer rows, with the product of the
 factors the rows were scaled by kept. det, both ColumnSolver passes and the
 central series are spans; congruence_signature updates rows with the same
-step, dividing by the previous pivot (Bareiss 1968). Fractions remain only at
-the API edge: Matrix inputs are integer-scaled first, and det returns one.
+step, dividing by the previous pivot (Bareiss 1968). det takes either a
+Matrix or an integer array with its denominator, and returns a Fraction.
 """
 
 from __future__ import annotations
@@ -52,21 +54,8 @@ def mat(rows) -> Matrix:
     return out
 
 
-def shape(a: Matrix) -> tuple[int, int]:
-    return (len(a), len(a[0]) if a else 0)
-
-
-def madd(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def msub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def smul(c, a: Matrix) -> Matrix:
-    c = Fraction(c)
-    return tuple(tuple(c * x for x in row) for row in a)
+def shape(a) -> tuple[int, int]:
+    return (len(a), len(a[0]) if len(a) else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -148,23 +137,28 @@ def mmul(a: Matrix, b: Matrix) -> Matrix:
     return from_scaled(int_einsum("ij,jk->ik", ia, ib), da * db)
 
 
-def commutator(a: Matrix, b: Matrix) -> Matrix:
-    return msub(mmul(a, b), mmul(b, a))
+def int_commutator(a, b):
+    """a b - b a for integer arrays of square matrices (2-d, or 3-d stacks
+    multiplied pairwise), exact. Both products share one int_einsum bound,
+    hence one dtype, and each stays under 2^62, so the difference fits."""
+    spec = "ij,jk->ik" if a.ndim == 2 else "pij,pjk->pik"
+    return int_einsum(spec, a, b) - int_einsum(spec, b, a)
 
 
-def to_float(a: Matrix) -> np.ndarray:
-    return np.array([[float(x) for x in row] for row in a], dtype=float)
+def to_float(a, den: int) -> np.ndarray:
+    """a / den as floats, each correctly rounded (as float(Fraction) is)."""
+    return (a.astype(object) / den).astype(float)
 
 
-def det(a: Matrix) -> Fraction:
-    """Exact determinant. With a == A / d for an integer matrix A, A's rows go
-    into one RationalSpan; when all n enlarge it they end as a permuted
-    diagonal, and det(A) * num / den == sign * prod(pivots) for the span's
-    scale num / den."""
+def det(a, den: int | None = None) -> Fraction:
+    """Exact determinant of a Matrix a, or, with den given, of the integer
+    array a divided by den. With the matrix A / d, A's rows go into one
+    RationalSpan; when all n enlarge it they end as a permuted diagonal, and
+    det(A) * num / den == sign * prod(pivots) for the span's scale num / den."""
     n, m = shape(a)
     if n != m:
         raise LinalgError("determinant of non-square matrix")
-    ints, d = int_scaled(a)
+    ints, d = int_scaled(a) if den is None else (a, den)
     span = RationalSpan(n)
     if not all(span.add(row) for row in ints.tolist()):
         return Fraction(0)

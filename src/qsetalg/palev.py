@@ -38,12 +38,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
 from . import linalg
-from .liecore import ladder_matrices
+from .liecore import ladder_pair
 from .yang import UnitTag
 
 # ---------------------------------------------------------------------------
@@ -185,15 +185,26 @@ class PalevMode:
             raise ValueError("two_j > 4096 is outside the supported range")
         self.two_j = two_j
         self.dim = two_j + 1
-        n = two_j
-        z = Fraction(0)
-        self.raise_op, self.lower_op = ladder_matrices(n)
-        # [A, B] in closed form: A B and B A are diagonal with entries
-        # k (N - k + 1) and (k + 1)(N - k), whose difference is 2k - N.
-        self.charge = tuple(
-            tuple(Fraction(2 * k - n) if k == c else z for c in range(self.dim))
-            for k in range(self.dim)
-        )
+        # the integer ladder pair, and [A, B] in closed form: A B and B A are
+        # diagonal with entries k (N - k + 1) and (k + 1)(N - k), whose
+        # difference is 2k - N
+        self._raise, self._lower = ladder_pair(two_j)
+        self._charge = np.diag(2 * np.arange(self.dim, dtype=np.int64) - two_j)
+
+    @cached_property
+    def raise_op(self):
+        """A as a Fraction matrix."""
+        return linalg.from_scaled(self._raise, 1)
+
+    @cached_property
+    def lower_op(self):
+        """B as a Fraction matrix."""
+        return linalg.from_scaled(self._lower, 1)
+
+    @cached_property
+    def charge(self):
+        """Z = [A, B] = diag(2k - N) as a Fraction matrix."""
+        return linalg.from_scaled(self._charge, 1)
 
     @property
     def j(self) -> Fraction:
@@ -201,7 +212,7 @@ class PalevMode:
 
     def ladder_commutator_diagonal(self):
         """Diagonal of [a, adag] = [B, A]/N = -charge/N, exact rationals."""
-        return tuple(-self.charge[k][k] / self.two_j for k in range(self.dim))
+        return tuple(Fraction(self.two_j - 2 * k, self.two_j) for k in range(self.dim))
 
     def ground_commutator_value(self) -> Fraction:
         return self.ladder_commutator_diagonal()[0]
@@ -213,17 +224,17 @@ class PalevMode:
         return Fraction(1) - self.ladder_commutator_diagonal()[n]
 
     def exclusion_report(self):
-        """(max |entry| of adag^N, max |entry| of adag^{N+1}): the first is
-        positive, the second exactly zero. Computed on the integer part; the
-        sqrt(N) normalization cannot change vanishing. The power stays an
-        integer array; int_einsum moves it to Python ints past int64."""
-        a, den = linalg.int_scaled(self.raise_op)
+        """(max |entry| of A^N, max |entry| of A^{N+1}): the first is
+        positive, the second exactly zero. Computed on the integer pair; the
+        sqrt(N) normalization of adag = A / sqrt(N) cannot change vanishing.
+        The power stays an integer array; int_einsum moves it to Python ints
+        past int64."""
         power = np.eye(self.dim, dtype=np.int64)
         for _ in range(self.two_j):
-            power = linalg.int_einsum("ij,jk->ik", power, a)
-        at_n = Fraction(linalg.peak(power), den**self.two_j)
-        power = linalg.int_einsum("ij,jk->ik", power, a)
-        return at_n, Fraction(linalg.peak(power), den ** (self.two_j + 1))
+            power = linalg.int_einsum("ij,jk->ik", power, self._raise)
+        at_n = Fraction(linalg.peak(power))
+        power = linalg.int_einsum("ij,jk->ik", power, self._raise)
+        return at_n, Fraction(linalg.peak(power))
 
     def __repr__(self):
         return f"PalevMode(two_j={self.two_j}, dim={self.dim})"
@@ -254,47 +265,37 @@ class CarrierTriple:
 def carrier_triple(mode: PalevMode, preset: str = "spin3"):
     """Build the (q, p, r) triple for a mode and verify its bracket relations
     exactly on the rational carrier parts. Returns (triple, checks) where
-    checks maps relation text to bool."""
-    A, B = mode.raise_op, mode.lower_op
-    Z = mode.charge
-    half = Fraction(1, 2)
+    checks maps relation text to bool.
+
+    The carrier parts are integer matrices (Q, P, R) over a scale s: spin3
+    takes (A+B, A-B, -Z) over 1, so [q,p] = r reads (i/2) [Q, P] = i R;
+    spin21 takes (Z, A-B, A+B) over 2, so [q,p] = r reads [Q, P] / 4 = R / 2.
+    In both, the three relations read [Q, P] = 2 R, [P, R] = 2 Q and
+    [Q, R] = 2 P, checked with integer commutators of the ladder pair.
+    """
+    A, B, Z = mode._raise, mode._lower, mode._charge
     if preset == "spin3":
-        qc = linalg.madd(A, B)          # q = qc / sqrt(2)
-        pc = linalg.msub(A, B)          # p = i * pc / sqrt(2)
-        rc = linalg.smul(Fraction(-1), Z)  # r = i * rc
+        q, p, r, scale = A + B, A - B, -Z, 1
         tags = (
             UnitTag({"sqrt2": -1}),
             UnitTag({"i": 1, "sqrt2": -1}),
             UnitTag({"i": 1}),
         )
-        # [q,p] = r      <=> (i/2) [qc, pc] = i rc  <=> [qc, pc] = 2 rc
-        # [p,r] = -2q    <=> (i*i) [pc, rc] = -2 qc/sqrt2 * sqrt2... on the
-        #                    rational parts: [pc, rc] = 2 qc
-        # [q,r] = 2p     <=> [qc, rc] = 2 pc
-        checks = {
-            "[q,p] = r": linalg.commutator(qc, pc) == linalg.smul(Fraction(2), rc),
-            "[p,r] = -2q": linalg.commutator(pc, rc) == linalg.smul(Fraction(2), qc),
-            "[q,r] = 2p": linalg.commutator(qc, rc) == linalg.smul(Fraction(2), pc),
-        }
-        triple = CarrierTriple(
-            "spin3", qc, pc, rc, tags, "[q,p]=r, [p,r]=-2q, [q,r]=2p"
-        )
-        return triple, checks
-    if preset == "spin21":
-        qc = linalg.smul(half, Z)
-        pc = linalg.smul(half, linalg.msub(A, B))
-        rc = linalg.smul(half, linalg.madd(A, B))
-        one = UnitTag.one()
-        checks = {
-            "[q,p] = r": linalg.commutator(qc, pc) == rc,
-            "[p,r] = q": linalg.commutator(pc, rc) == qc,
-            "[q,r] = p": linalg.commutator(qc, rc) == pc,
-        }
-        triple = CarrierTriple(
-            "spin21", qc, pc, rc, (one, one, one), "[q,p]=r, [p,r]=q, [q,r]=p"
-        )
-        return triple, checks
-    raise ValueError(f"unknown carrier preset {preset!r}")
+        names = ("[q,p] = r", "[p,r] = -2q", "[q,r] = 2p")
+        relations = "[q,p]=r, [p,r]=-2q, [q,r]=2p"
+    elif preset == "spin21":
+        q, p, r, scale = Z, A - B, A + B, 2
+        tags = (UnitTag.one(),) * 3
+        names = ("[q,p] = r", "[p,r] = q", "[q,r] = p")
+        relations = "[q,p]=r, [p,r]=q, [q,r]=p"
+    else:
+        raise ValueError(f"unknown carrier preset {preset!r}")
+    checks = {
+        name: np.array_equal(linalg.int_commutator(x, y), 2 * w)
+        for name, (x, y, w) in zip(names, ((q, p, r), (p, r, q), (q, r, p)))
+    }
+    q, p, r = (linalg.from_scaled(m, scale) for m in (q, p, r))
+    return CarrierTriple(preset, q, p, r, tags, relations), checks
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +459,10 @@ def __getattr__(name):
 _MAX_REWRITE_STEPS = 200_000
 
 
+class RewriteBudgetError(ValueError):
+    """Normal ordering needed more than _MAX_REWRITE_STEPS rewrite steps."""
+
+
 def normal_order(poly: NCPolynomial, system) -> NCPolynomial:
     """Rewrite every word so generator ranks ascend left to right, pushing
     bracket corrections down. Leftmost violation first; terminates because
@@ -472,7 +477,10 @@ def normal_order(poly: NCPolynomial, system) -> NCPolynomial:
     while pending:
         steps += 1
         if steps > _MAX_REWRITE_STEPS:
-            raise RuntimeError("normal ordering exceeded the step budget")
+            raise RewriteBudgetError(
+                f"normal ordering exceeded the budget of {_MAX_REWRITE_STEPS} "
+                "rewrite steps; try a shorter word"
+            )
         word, coeff = pending.pop()
         spot = -1
         for i in range(len(word) - 1):

@@ -152,10 +152,9 @@ def toy_frame() -> MatrixAlgebra:
     [p,r] = q, [q,r] = p, built from quadratic elements of a (2,1) gamma set."""
     gs = build_gammas(2, 1)
     s = TOY_GAMMA_ORDER
-    q = gs.spin_generator(s[2], s[0])
-    p = gs.spin_generator(s[2], s[1])
-    r = gs.spin_generator(s[1], s[0])
-    return MatrixAlgebra("toy", (q, p, r), labels=("q", "p", "r"))
+    pairs = ((s[2], s[0]), (s[2], s[1]), (s[1], s[0]))
+    stack = np.stack([gs.antisym(a, b) for a, b in pairs])
+    return MatrixAlgebra.from_ints("toy", stack, 2, labels=("q", "p", "r"))
 
 
 # ---------------------------------------------------------------------------
@@ -186,33 +185,18 @@ class YangFrame:
         self.eta6 = tuple(gs.eta_entry(i) for i in picks)
         self.eta_mu = self.eta6[:4]
 
-        def M(a, b):
-            # a, b are 1-based direction slots; map through to gamma indices
-            return gs.spin_generator(picks[a - 1], picks[b - 1])
-
-        mats = []
-        labels = []
-        self.rot_slots = []
-        self.x_slots = []
-        self.p_slots = []
-        for mu in range(1, 5):
-            for nu in range(mu + 1, 5):
-                self.rot_slots.append(len(mats))
-                mats.append(M(mu, nu))
-                labels.append(f"L{mu}{nu}")
-        for mu in range(1, 5):
-            self.x_slots.append(len(mats))
-            mats.append(M(5, mu))
-            labels.append(f"x{mu}")
-        for mu in range(1, 5):
-            self.p_slots.append(len(mats))
-            mats.append(M(6, mu))
-            labels.append(f"p{mu}")
-        self.z_slot = len(mats)
-        mats.append(M(6, 5))
-        labels.append("z")
-
-        self.algebra = MatrixAlgebra(f"yang-{preset}", mats, labels=labels)
+        # generators M(a, b) over 1-based direction slots a, b, in the order
+        # rotations L(mu, nu), coordinates M(5, mu), momenta M(6, mu), center
+        mus = range(1, 5)
+        rot = [(mu, nu) for mu in mus for nu in range(mu + 1, 5)]
+        pairs = rot + [(5, mu) for mu in mus] + [(6, mu) for mu in mus] + [(6, 5)]
+        labels = [f"L{mu}{nu}" for mu, nu in rot] + [f"x{mu}" for mu in mus]
+        labels += [f"p{mu}" for mu in mus] + ["z"]
+        self.rot_slots, self.x_slots, self.p_slots = list(range(6)), list(range(6, 10)), list(range(10, 14))
+        self.z_slot = 14
+        # M(a, b) = gamma_a gamma_b / 2: the integer antisym matrix over 2
+        stack = np.stack([gs.antisym(picks[a - 1], picks[b - 1]) for a, b in pairs])
+        self.algebra = MatrixAlgebra.from_ints(f"yang-{preset}", stack, 2, labels=labels)
         self.weights = (
             (Fraction(0),) * 6
             + (Fraction(1, 2),) * 8
@@ -272,32 +256,15 @@ def contract_to_hp(frame: YangFrame):
     (family, HpTarget)."""
     fam = frame.family()
     lim = fam.limit()
-    n = lim.dim
-    zs = frame.z_slot
-
-    central = all(
-        not lim.c[zs][j][k] for j in range(n) for k in range(n)
-    )
-    xx = all(
-        not lim.c[i][j][k]
-        for i in frame.x_slots
-        for j in frame.x_slots
-        for k in range(n)
-    )
-    pp = all(
-        not lim.c[i][j][k]
-        for i in frame.p_slots
-        for j in frame.p_slots
-        for k in range(n)
-    )
-    pairing = True
-    for a, i in enumerate(frame.x_slots):
-        for b, j in enumerate(frame.p_slots):
-            want = Fraction(frame.eta_mu[a]) if a == b else Fraction(0)
-            for k in range(n):
-                expect = want if k == zs else Fraction(0)
-                if lim.c[i][j][k] != expect:
-                    pairing = False
+    xs, ps, zs = frame.x_slots, frame.p_slots, frame.z_slot
+    central = not lim.C[zs].any()
+    xx = not lim.C[np.ix_(xs, xs)].any()
+    pp = not lim.C[np.ix_(ps, ps)].any()
+    # c[x_a, p_b] == eta_a delta_ab z exactly when C[x_a, p_b] == D eta_a delta_ab z
+    want = np.zeros((len(xs), len(ps), lim.dim), dtype=object)
+    for a, eta in enumerate(frame.eta_mu):
+        want[a, a, zs] = lim.D * eta
+    pairing = bool((lim.C[np.ix_(xs, ps)] == want).all())
     degenerate = lim.killing_det() == 0
     return fam, HpTarget(lim, central, xx, pp, pairing, degenerate)
 

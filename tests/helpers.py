@@ -1,9 +1,12 @@
-"""Shared test utilities: frozen oracle loading and seeded random elements."""
+"""Shared test utilities: frozen oracle loading, seeded random elements, and
+elementwise Fraction matrix helpers (the package itself works on integer
+arrays)."""
 
 import json
 import os
 from fractions import Fraction
 
+from qsetalg import linalg
 from qsetalg.perfinite import decode
 from qsetalg.qset import Multivector
 
@@ -13,6 +16,23 @@ ORACLE_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "oracles")
 def load_oracle(name: str):
     with open(os.path.join(ORACLE_DIR, f"{name}.json"), "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def madd(a, b):
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def msub(a, b):
+    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def smul(c, a):
+    c = Fraction(c)
+    return tuple(tuple(c * x for x in row) for row in a)
+
+
+def commutator(a, b):
+    return msub(linalg.mmul(a, b), linalg.mmul(b, a))
 
 
 def rand_label(rng, frame):

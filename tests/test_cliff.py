@@ -11,9 +11,8 @@ from qsetalg.cliff import (
     gammas_from_json,
     gammas_to_json,
 )
-from qsetalg.linalg import commutator, smul
 
-from helpers import load_oracle
+from helpers import commutator, load_oracle, smul
 
 
 def test_every_tower_anticommutes_exactly():

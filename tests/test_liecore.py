@@ -1,7 +1,9 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from qsetalg import linalg
 from qsetalg.liecore import (
     ClosureError,
     ContractionError,
@@ -11,16 +13,15 @@ from qsetalg.liecore import (
     boost_triple,
     catalog,
     heisenberg3,
-    ladder_matrices,
+    ladder_pair,
     numeric_contraction_check,
     rotation3,
     rotation_boost6,
     scaled_basis,
 )
 
-from qsetalg.linalg import smul
 
-from helpers import load_oracle
+from helpers import load_oracle, smul
 
 HALF = Fraction(1, 2)
 
@@ -99,7 +100,7 @@ def test_bracket_coords_agrees_with_constants():
 
 
 def test_ladder_matrices_shape_and_relation():
-    up, down = ladder_matrices(3)
+    up, down = ladder_pair(3)
     # A steps down the index, B steps up; their bracket is diagonal
     alg = MatrixAlgebra("ladder", [up, down])
     with pytest.raises(ClosureError):
@@ -136,6 +137,14 @@ def test_negative_exponent_is_rejected_at_construction():
     sc = rotation3().structure_constants()
     with pytest.raises(ContractionError):
         ContractionFamily(sc, (Fraction(1), Fraction(0), Fraction(0)))
+
+
+def test_divergence_names_the_first_diverging_constant():
+    sc = rotation_boost6().structure_constants()
+    with pytest.raises(ContractionError, match=r"^constant \(r13,r23\)->r12 diverges: exponent -1 < 0$"):
+        ContractionFamily(sc, (1, 0, 0, 0, 0, 0))
+    with pytest.raises(ContractionError, match=r"^constant \(r13,b1\)->b3 diverges: exponent -1/2 < 0$"):
+        ContractionFamily(sc, (0, 0, 0, HALF, HALF, 1))
 
 
 def test_family_at_matches_scaled_basis_refit():
@@ -259,3 +268,71 @@ def test_so3_scaled_by_2_to_the_40_takes_the_python_int_route(einsum_dtypes):
         tuple(tuple(big * x for x in row) for row in plane) for plane in plain.c
     )
     _assert_python_int_route(sc, einsum_dtypes)
+
+
+# ---------------------------------------------------------------------------
+# integer stacks: from_ints, lazy Fraction views, integer Killing determinant
+
+
+def test_from_ints_matches_the_fraction_constructor():
+    for ent in catalog().values():
+        alg = ent.algebra
+        again = MatrixAlgebra(alg.name, alg.basis, labels=alg.labels)
+        assert again.scale == alg.scale and np.array_equal(again.stack, alg.stack)
+        a, b = alg.structure_constants(), again.structure_constants()
+        assert a.D == b.D and np.array_equal(a.C, b.C)
+
+
+def test_from_ints_rejects_a_dependent_stack_with_the_constructor_message():
+    stack = np.array([np.eye(2, dtype=np.int64), 2 * np.eye(2, dtype=np.int64)])
+    with pytest.raises(ValueError, match=r"^basis of dep is linearly dependent$"):
+        MatrixAlgebra.from_ints("dep", stack, 3)
+    with pytest.raises(ValueError, match=r"^basis of dep is linearly dependent$"):
+        MatrixAlgebra("dep", [((1, 0), (0, 1)), ((2, 0), (0, 2))])
+    with pytest.raises(ValueError, match="square"):
+        MatrixAlgebra.from_ints("flat", np.zeros((2, 2, 3), dtype=np.int64), 1)
+    with pytest.raises(ValueError, match="empty basis"):
+        MatrixAlgebra.from_ints("none", np.zeros((0, 2, 2), dtype=np.int64), 1)
+
+
+def test_from_ints_raises_closure_error_on_a_non_closing_stack():
+    sx_sz = np.array([[[0, 1], [1, 0]], [[1, 0], [0, -1]]], dtype=np.int64)
+    with pytest.raises(ClosureError):
+        MatrixAlgebra.from_ints("open", sx_sz, 2).structure_constants()
+
+
+def test_fraction_views_are_built_on_first_read():
+    alg = rotation_boost6()
+    sc = alg.structure_constants()
+    assert alg._basis is None and sc._c is None
+    sc.killing_det(), sc.classify(), sc.nonzero()
+    numeric_contraction_check(alg, catalog()["so4"].weights, 1e-3)
+    assert alg._basis is None and sc._c is None
+    assert alg.basis == tuple(
+        tuple(tuple(Fraction(int(x), 2) for x in row) for row in m) for m in alg.stack
+    )
+    assert sc.c[0][1][2] == Fraction(int(sc.C[0, 1, 2]), sc.D)
+
+
+def _killing_cases():
+    from qsetalg.yang import PRESETS, build_yang, toy_frame
+
+    algs = [ent.algebra for ent in catalog().values()] + [toy_frame()]
+    algs += [build_yang(p).algebra for p in sorted(PRESETS)]
+    weights = {"so3": (0, 1, 1), "h1": (1, 1, 1), "toy": (HALF, HALF, 1), "so21": (HALF, HALF, 1),
+               "so4": (0,) * 3 + (1,) * 3}
+    for alg in algs:
+        sc = alg.structure_constants()
+        fam = ContractionFamily(sc, weights.get(alg.name, (0,) * 6 + (HALF,) * 8 + (1,)))
+        yield alg.name, sc
+        yield f"{alg.name} limit", fam.limit()
+        yield f"{alg.name} at 2^-40", fam.at(Fraction(1, 2 ** 40))
+
+
+KILLING_CASES = dict(_killing_cases())
+
+
+@pytest.mark.parametrize("name", list(KILLING_CASES))
+def test_integer_killing_det_equals_det_of_the_fraction_form(name):
+    sc = KILLING_CASES[name]
+    assert sc.killing_det() == linalg.det(sc.killing_form())

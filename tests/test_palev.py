@@ -4,7 +4,8 @@ from math import factorial
 import pytest
 import sympy as sp
 
-from qsetalg import linalg
+from qsetalg import palev
+from qsetalg.cli import main
 from qsetalg.liecore import boost_triple
 from qsetalg.palev import (
     NCPolynomial,
@@ -18,7 +19,7 @@ from qsetalg.palev import (
     normal_order,
 )
 
-from helpers import load_oracle
+from helpers import commutator, load_oracle, madd, msub, smul
 
 
 # -- quadratic extension scalars --------------------------------------------
@@ -120,7 +121,7 @@ def test_charge_diagonal():
 @pytest.mark.parametrize("n", range(1, 33))
 def test_closed_form_charge_is_the_ladder_commutator(n):
     m = PalevMode(n)
-    assert m.charge == linalg.commutator(m.raise_op, m.lower_op)
+    assert m.charge == commutator(m.raise_op, m.lower_op)
 
 
 # -- carrier triples ---------------------------------------------------------
@@ -137,6 +138,37 @@ def test_carrier_relations_hold(preset):
 def test_carrier_bad_preset():
     with pytest.raises(ValueError):
         carrier_triple(PalevMode(2), "nosuch")
+
+
+@pytest.mark.parametrize("preset", ["spin3", "spin21"])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_carrier_parts_equal_the_fraction_construction(n, preset):
+    m = PalevMode(n)
+    a, b, z = m.raise_op, m.lower_op, m.charge
+    half = Fraction(1, 2)
+    if preset == "spin3":
+        want = (madd(a, b), msub(a, b), smul(-1, z))
+    else:
+        want = (smul(half, z), smul(half, msub(a, b)), smul(half, madd(a, b)))
+    triple, checks = carrier_triple(m, preset)
+    assert (triple.q, triple.p, triple.r) == want
+    assert all(checks.values())
+    m._charge = 2 * m._charge  # a wrong charge breaks every relation that involves it
+    _, checks = carrier_triple(m, preset)
+    assert not any(checks.values())
+
+
+def test_rewrite_budget_is_bad_input_exit_two(capsys, monkeypatch):
+    monkeypatch.setattr(palev, "_MAX_REWRITE_STEPS", 50)
+    with pytest.raises(palev.RewriteBudgetError, match="budget of 50 rewrite steps"):
+        normal_order(NCPolynomial.word(*"ppppqqqq"), "h1")
+    assert issubclass(palev.RewriteBudgetError, ValueError)
+    word = ",".join("p" * 7 + "q" * 7)
+    code = main(["palev", "normal-order", "--system", "h1", "--word", word])
+    out = capsys.readouterr()
+    assert code == 2
+    assert len(out.out.splitlines()) == 1 and out.out.startswith("# qsetalg palev |")
+    assert out.err.startswith("error: normal ordering exceeded the budget of 50")
 
 
 # -- normal ordering ---------------------------------------------------------

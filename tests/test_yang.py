@@ -249,7 +249,7 @@ def test_gauge_defect_on_a_huge_basis_takes_the_python_int_route(einsum_dtypes):
     from types import SimpleNamespace
 
     from qsetalg.liecore import ContractionFamily, MatrixAlgebra, catalog
-    from qsetalg.linalg import smul
+    from helpers import smul
 
     ent = catalog()["so21"]
     alg = MatrixAlgebra("so21-big", [smul(2 ** 31, m) for m in ent.algebra.basis], labels=ent.algebra.labels)
@@ -265,3 +265,26 @@ def test_gauge_defect_on_a_huge_basis_takes_the_python_int_route(einsum_dtypes):
     assert rep.by_pair == want
     assert rep.worst == max(m for _, _, m in want)
     assert rep.eps == eps_sqrt * eps_sqrt
+
+
+FRAME_OPS = {
+    "structure": lambda fr: fr.structure_constants(),
+    "jacobi": lambda fr: fr.structure_constants().jacobi_defect(),
+    "killing": lambda fr: fr.structure_constants().killing_det(),
+    "classify": lambda fr: fr.structure_constants().classify(),
+    "contract": lambda fr: contract_to_hp(fr),
+    "gauge": lambda fr: gauge_defect(fr, Fraction(1, 10 ** 6)),
+}
+
+
+@pytest.mark.parametrize("op", sorted(FRAME_OPS))
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_frame_operations_stay_in_integer_arrays(monkeypatch, preset, op):
+    """No Fraction round trip from the gamma products to the result."""
+    from qsetalg import linalg
+
+    calls = []
+    for name in ("int_scaled", "from_scaled"):
+        monkeypatch.setattr(linalg, name, lambda *args, _name=name: calls.append(_name))
+    FRAME_OPS[op](build_yang(preset))
+    assert calls == []
