@@ -29,16 +29,23 @@ Carrier triples package the mode as a Lie triple:
 
 normal_order() rewrites words in noncommuting generators into a canonical
 order using the bracket rules of a preset (h1, spin21, spin3), collecting the
-lower-order corrections with sympy coefficients. sympy is imported only by
-the code that builds or reads those coefficients, so the rest of the module
-(and the CLI) loads without it; REWRITE_PRESETS is built on first access.
+lower-order corrections with exact coefficients in Q(i)[hbar] (QiHbar).
+Pending words are merged by word before they are rewritten, so each word is
+rewritten once: p^7 q^7 takes 148 steps and lands on the closed form
+sum_j j! C(k,j)^2 (-i hbar)^j q^{k-j} p^{k-j}.
+
+sympy is not needed to run any of it. It is imported only at the edge: when
+NCPolynomial is handed a sympy coefficient, when a QiHbar is converted to
+sympy (_sympy_), and by evaluate_nc, which takes sympy matrices.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
+from math import prod
 
 import numpy as np
 
@@ -227,14 +234,19 @@ class PalevMode:
         """(max |entry| of A^N, max |entry| of A^{N+1}): the first is
         positive, the second exactly zero. Computed on the integer pair; the
         sqrt(N) normalization of adag = A / sqrt(N) cannot change vanishing.
-        The power stays an integer array; int_einsum moves it to Python ints
-        past int64."""
-        power = np.eye(self.dim, dtype=np.int64)
-        for _ in range(self.two_j):
-            power = linalg.int_einsum("ij,jk->ik", power, self._raise)
-        at_n = Fraction(linalg.peak(power))
-        power = linalg.int_einsum("ij,jk->ik", power, self._raise)
-        return at_n, Fraction(linalg.peak(power))
+
+        A is a weighted shift, A e_k = w_k e_{k+1}, so A^m e_k is the window
+        product w_k ... w_{k+m-1} times e_{k+m}: the powers are composed on
+        the weight vector in exact ints, with no dense product."""
+        weights = np.diag(self._raise, -1)
+        if np.count_nonzero(self._raise) != np.count_nonzero(weights):
+            raise ValueError("the raising operator is not a weighted shift")
+        weights = [int(w) for w in weights]
+
+        def peak(m):
+            return max((abs(prod(weights[k : k + m])) for k in range(len(weights) - m + 1)), default=0)
+
+        return Fraction(peak(self.two_j)), Fraction(peak(self.two_j + 1))
 
     def __repr__(self):
         return f"PalevMode(two_j={self.two_j}, dim={self.dim})"
@@ -302,25 +314,204 @@ def carrier_triple(mode: PalevMode, preset: str = "spin3"):
 # normal ordering
 
 
+class QiHbar:
+    """Exact element of Q(i)[hbar]: a sum of (re + i im) hbar^k over powers k,
+    with rational re and im. The coefficient ring of the rewrite presets.
+
+    Held as a map from hbar power to the pair (re, im) of exact rationals,
+    zero pairs dropped. Integral input is held as int, so integer work never
+    builds a Fraction; the rest is held as Fraction. str() prints the
+    same text as sympy's str of the expanded expression; _sympy_() builds
+    that expression, importing sympy only then."""
+
+    __slots__ = ("_parts",)
+
+    def __init__(self, parts=None):
+        clean = {}
+        for k, pair in (parts or {}).items():
+            re, im = (x.numerator if x.denominator == 1 else x for x in map(Fraction, pair))
+            if re or im:
+                clean[int(k)] = (re, im)
+        self._parts = clean
+
+    @classmethod
+    def _of(cls, parts: dict) -> "QiHbar":
+        # parts already hold ints and Fractions; only zero pairs still need dropping
+        out = object.__new__(cls)
+        out._parts = {k: v for k, v in parts.items() if v[0] or v[1]}
+        return out
+
+    @classmethod
+    def coerce(cls, x) -> "QiHbar":
+        """A QiHbar from a QiHbar, an int, a Fraction, or a sympy expression in
+        I and hbar (read through sympy, imported only for that case)."""
+        lifted = cls._lift(x)
+        return _qihbar_from_sympy(x) if lifted is None else lifted
+
+    @staticmethod
+    def _lift(x):
+        if isinstance(x, QiHbar):
+            return x
+        if isinstance(x, (int, Fraction)):
+            return QiHbar({0: (x, 0)})
+        return None
+
+    def parts(self) -> dict:
+        """{hbar power: (re, im)}, nonzero pairs only."""
+        return dict(self._parts)
+
+    def __bool__(self):
+        return bool(self._parts)
+
+    def __add__(self, other):
+        other = QiHbar._lift(other)
+        if other is None:
+            return NotImplemented
+        out = dict(self._parts)
+        for k, (c, d) in other._parts.items():
+            a, b = out.get(k, (0, 0))
+            out[k] = (a + c, b + d)
+        return QiHbar._of(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return QiHbar._of({k: (-a, -b) for k, (a, b) in self._parts.items()})
+
+    def __sub__(self, other):
+        other = QiHbar._lift(other)
+        return NotImplemented if other is None else self + (-other)
+
+    def __rsub__(self, other):
+        other = QiHbar._lift(other)
+        return NotImplemented if other is None else other + (-self)
+
+    def __mul__(self, other):
+        other = QiHbar._lift(other)
+        if other is None:
+            return NotImplemented
+        out: dict = {}
+        for k1, (a, b) in self._parts.items():
+            for k2, (c, d) in other._parts.items():
+                re, im = out.get(k1 + k2, (0, 0))
+                out[k1 + k2] = (re + a * c - b * d, im + a * d + b * c)
+        return QiHbar._of(out)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        other = QiHbar._lift(other)
+        return NotImplemented if other is None else self._parts == other._parts
+
+    def __hash__(self):
+        if not self._parts:
+            return hash(0)
+        if len(self._parts) == 1 and 0 in self._parts and not self._parts[0][1]:
+            return hash(self._parts[0][0])  # equal to its rational value
+        return hash(frozenset(self._parts.items()))
+
+    def __str__(self):
+        # sympy's order for an expanded sum: higher hbar power first, and
+        # within a power the real term before the imaginary one; except that
+        # a positive rational plus one negative real multiple of a power of
+        # hbar prints with the constant first ("1 - hbar")
+        terms = [
+            (k, c, imag)
+            for k in sorted(self._parts, reverse=True)
+            for c, imag in zip(self._parts[k], (False, True))
+            if c
+        ]
+        if not terms:
+            return "0"
+        if (
+            len(terms) == 2
+            and terms[1][0] == 0 and not terms[1][2] and terms[1][1] > 0
+            and not terms[0][2] and terms[0][1] < 0
+        ):
+            terms.reverse()
+        text = []
+        for k, c, imag in terms:
+            factors = [str(abs(c.numerator))] if abs(c.numerator) != 1 else []
+            if imag:
+                factors.append("I")
+            if k:
+                factors.append("hbar" if k == 1 else f"hbar**{k}")
+            body = "*".join(factors or ["1"])
+            if c.denominator != 1:
+                body += f"/{c.denominator}"
+            if not text:
+                text.append(f"-{body}" if c < 0 else body)
+            else:
+                text.append(f"{'-' if c < 0 else '+'} {body}")
+        return " ".join(text)
+
+    def __repr__(self):
+        return f"QiHbar({self})"
+
+    def _sympy_(self):
+        import sympy as sp
+
+        hbar = sp.Symbol("hbar", positive=True)
+        return sp.expand(
+            sp.Add(
+                *(
+                    (sp.Rational(a.numerator, a.denominator) + sp.I * sp.Rational(b.numerator, b.denominator))
+                    * hbar ** k
+                    for k, (a, b) in self._parts.items()
+                )
+            )
+        )
+
+
+def _qihbar_from_sympy(x) -> QiHbar:
+    """Read a sympy value (or anything sympify accepts) that is a polynomial
+    in hbar with Gaussian rational coefficients."""
+    import sympy as sp
+
+    expr = sp.expand(sp.sympify(x))
+    free = expr.free_symbols
+    if len(free) > 1 or any(s.name != "hbar" for s in free):
+        raise ValueError(f"coefficient {expr} is not a polynomial in I and hbar")
+    if not free:
+        terms = [((0,), expr)]
+    else:
+        try:
+            terms = sp.Poly(expr, *free).terms()
+        except sp.PolynomialError:
+            raise ValueError(f"coefficient {expr} is not a polynomial in I and hbar") from None
+    parts = {}
+    for (k,), c in terms:
+        re, im = sp.re(c), sp.im(c)
+        if not (re.is_Rational and im.is_Rational):
+            raise ValueError(f"coefficient {expr} has a part {c} outside Q(i)")
+        parts[k] = (Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q)))
+    return QiHbar(parts)
+
+
+def _collect(pairs) -> dict:
+    """Sum the coefficients of equal words; drop the zero sums."""
+    out: dict = {}
+    for w, c in pairs:
+        out[w] = out[w] + c if w in out else c
+    return {w: c for w, c in out.items() if c}
+
+
 class NCPolynomial:
-    """Polynomial in noncommuting generators: map word-tuple -> sympy coeff."""
+    """Polynomial in noncommuting generators: map word-tuple -> QiHbar
+    coefficient. Coefficients given as ints, Fractions or sympy values are
+    converted on entry."""
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
-        import sympy as sp
+        self._terms = _collect((tuple(w), QiHbar.coerce(c)) for w, c in (terms or {}).items())
 
-        clean = {}
-        for word, c in (terms or {}).items():
-            word = tuple(word)
-            c = sp.expand(sp.sympify(c))
-            if c == 0:
-                continue
-            if word in clean:
-                c = sp.expand(clean[word] + c)
-            if c != 0:
-                clean[word] = c
-        self._terms = clean
+    @classmethod
+    def _of(cls, terms: dict) -> "NCPolynomial":
+        # terms already map word tuples to nonzero QiHbar coefficients
+        out = object.__new__(cls)
+        out._terms = terms
+        return out
 
     @classmethod
     def word(cls, *gens, coeff=1) -> "NCPolynomial":
@@ -337,19 +528,14 @@ class NCPolynomial:
         return sorted(self._terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
 
     def __add__(self, other):
-        import sympy as sp
-
         if not isinstance(other, NCPolynomial):
             other = NCPolynomial.scalar(other)
-        out = dict(self._terms)
-        for w, c in other._terms.items():
-            out[w] = sp.expand(out.get(w, 0) + c)
-        return NCPolynomial(out)
+        return NCPolynomial._of(_collect([*self._terms.items(), *other._terms.items()]))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return NCPolynomial({w: -c for w, c in self._terms.items()})
+        return NCPolynomial._of({w: -c for w, c in self._terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, NCPolynomial):
@@ -357,16 +543,12 @@ class NCPolynomial:
         return self + (-other)
 
     def __mul__(self, other):
-        import sympy as sp
-
         if not isinstance(other, NCPolynomial):
-            return NCPolynomial({w: c * sp.sympify(other) for w, c in self._terms.items()})
-        out = {}
-        for w1, c1 in self._terms.items():
-            for w2, c2 in other._terms.items():
-                w = w1 + w2
-                out[w] = sp.expand(out.get(w, 0) + c1 * c2)
-        return NCPolynomial(out)
+            c = QiHbar.coerce(other)
+            return NCPolynomial._of({w: x * c for w, x in self._terms.items()} if c else {})
+        return NCPolynomial._of(
+            _collect((w1 + w2, c1 * c2) for w1, c1 in self._terms.items() for w2, c2 in other._terms.items())
+        )
 
     def __rmul__(self, other):
         # scalars commute; only scalars arrive here
@@ -376,12 +558,9 @@ class NCPolynomial:
         return not self._terms
 
     def __eq__(self, other):
-        import sympy as sp
-
         if not isinstance(other, NCPolynomial):
             return NotImplemented
-        diff = self - other
-        return all(sp.simplify(c) == 0 for c in diff._terms.values())
+        return self._terms == other._terms
 
     def __hash__(self):
         return hash(frozenset(self._terms.items()))
@@ -414,19 +593,24 @@ class RewriteSystem:
         except ValueError:
             raise ValueError(f"generator {g!r} unknown to system {self.name!r}") from None
 
+    @cached_property
+    def rank_rules(self) -> dict:
+        """The corrections with generators replaced by their ranks:
+        {(rank g, rank h): [(rank word, coefficient)]}."""
+        return {
+            (self.rank(g), self.rank(h)): [
+                (tuple(self.rank(x) for x in w), c) for w, c in corr.terms().items()
+            ]
+            for (g, h), corr in self.corrections.items()
+        }
 
-@cache
-def _presets() -> dict:
-    import sympy as sp
 
-    hbar = sp.Symbol("hbar", positive=True)
-    i = sp.I
-    h1 = RewriteSystem(
-        "h1",
-        ("q", "p"),
-        {("p", "q"): NCPolynomial.scalar(-i * hbar)},
-    )
-    spin21 = RewriteSystem(
+_I = QiHbar({0: (0, 1)})
+_MINUS_I_HBAR = QiHbar({1: (0, -1)})
+
+REWRITE_PRESETS = {
+    "h1": RewriteSystem("h1", ("q", "p"), {("p", "q"): NCPolynomial.scalar(_MINUS_I_HBAR)}),
+    "spin21": RewriteSystem(
         "spin21",
         ("q", "p", "r"),
         {
@@ -435,26 +619,18 @@ def _presets() -> dict:
             ("r", "p"): NCPolynomial.word("q", coeff=-1),
             ("r", "q"): NCPolynomial.word("p", coeff=-1),
         },
-    )
-    spin3 = RewriteSystem(
+    ),
+    "spin3": RewriteSystem(
         "spin3",
         ("jx", "jy", "jz"),
         {
             # [jx,jy] = i jz, [jy,jz] = i jx, [jz,jx] = i jy
-            ("jy", "jx"): NCPolynomial.word("jz", coeff=-i),
-            ("jz", "jy"): NCPolynomial.word("jx", coeff=-i),
-            ("jz", "jx"): NCPolynomial.word("jy", coeff=i),
+            ("jy", "jx"): NCPolynomial.word("jz", coeff=-_I),
+            ("jz", "jy"): NCPolynomial.word("jx", coeff=-_I),
+            ("jz", "jx"): NCPolynomial.word("jy", coeff=_I),
         },
-    )
-    return {"h1": h1, "spin21": spin21, "spin3": spin3}
-
-
-def __getattr__(name):
-    # REWRITE_PRESETS holds sympy coefficients: build it on first access
-    if name == "REWRITE_PRESETS":
-        return _presets()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
+    ),
+}
 
 _MAX_REWRITE_STEPS = 200_000
 
@@ -463,42 +639,68 @@ class RewriteBudgetError(ValueError):
     """Normal ordering needed more than _MAX_REWRITE_STEPS rewrite steps."""
 
 
+def _inversions(word) -> int:
+    return sum(a > b for i, a in enumerate(word) for b in word[i + 1 :])
+
+
 def normal_order(poly: NCPolynomial, system) -> NCPolynomial:
     """Rewrite every word so generator ranks ascend left to right, pushing
-    bracket corrections down. Leftmost violation first; terminates because
-    corrections are strictly shorter words."""
-    import sympy as sp
+    bracket corrections down.
 
+    Pending words sit in one dict keyed by word (as a tuple of ranks), so
+    equal words merge their coefficients before they are rewritten. Each
+    step pops the longest pending word, and among equal lengths the one with
+    the most out-of-order pairs, and rewrites its leftmost out-of-order pair:
+    the swapped word has one out-of-order pair fewer and every correction is
+    shorter, so no word comes back once popped and a popped ordered word is
+    final. Every pop counts as one step against _MAX_REWRITE_STEPS."""
     if isinstance(system, str):
-        system = _presets()[system]
-    pending = list(poly.terms().items())
+        system = REWRITE_PRESETS[system]
+    rules = system.rank_rules
+    pending: dict = {}
+    heap: list = []
+
+    def push(word, coeff, inversions):
+        if word in pending:
+            pending[word] = pending[word] + coeff
+        else:
+            pending[word] = coeff
+            heapq.heappush(heap, (-len(word), -inversions, word))
+
+    for w, c in poly.terms().items():
+        w = tuple(system.rank(g) for g in w)
+        push(w, c, _inversions(w))
     done: dict = {}
     steps = 0
-    while pending:
+    while heap:
         steps += 1
         if steps > _MAX_REWRITE_STEPS:
             raise RewriteBudgetError(
                 f"normal ordering exceeded the budget of {_MAX_REWRITE_STEPS} "
                 "rewrite steps; try a shorter word"
             )
-        word, coeff = pending.pop()
-        spot = -1
-        for i in range(len(word) - 1):
-            if system.rank(word[i]) > system.rank(word[i + 1]):
-                spot = i
-                break
-        if spot < 0:
-            done[word] = sp.expand(done.get(word, 0) + coeff)
+        _, minus_inv, word = heapq.heappop(heap)
+        coeff = pending.pop(word)
+        if not coeff:
             continue
+        if not minus_inv:
+            done[word] = coeff
+            continue
+        spot = next(i for i in range(len(word) - 1) if word[i] > word[i + 1])
         g, h = word[spot], word[spot + 1]
-        swapped = word[:spot] + (h, g) + word[spot + 2 :]
-        pending.append((swapped, coeff))
-        corr = system.corrections.get((g, h))
+        corr = rules.get((g, h))
         if corr is None:
-            raise ValueError(f"system {system.name!r} has no rule for {g}*{h}")
-        for cw, cc in corr.terms().items():
-            pending.append((word[:spot] + cw + word[spot + 2 :], sp.expand(coeff * cc)))
-    return NCPolynomial(done)
+            raise ValueError(
+                f"system {system.name!r} has no rule for {system.order[g]}*{system.order[h]}"
+            )
+        head, tail = word[:spot], word[spot + 2 :]
+        push(head + (h, g) + tail, coeff, -minus_inv - 1)
+        for cw, cc in corr:
+            w = head + cw + tail
+            push(w, coeff * cc, _inversions(w))
+    return NCPolynomial._of(
+        {tuple(system.order[r] for r in w): c for w, c in done.items()}
+    )
 
 
 def evaluate_nc(poly: NCPolynomial, assignment: dict):
@@ -514,5 +716,5 @@ def evaluate_nc(poly: NCPolynomial, assignment: dict):
         m = sp.eye(dim)
         for g in word:
             m = m * mats[g]
-        total = total + c * m
+        total = total + sp.sympify(c) * m
     return sp.simplify(total)

@@ -8,6 +8,7 @@ way: rationals as n or n/d, floats with 17 significant digits.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 
 DEFAULT_TOLERANCE = 1e-12
@@ -19,14 +20,23 @@ def is_zero(x, tol: float = DEFAULT_TOLERANCE) -> bool:
     return x == 0
 
 
+def _int_text(n: int) -> str:
+    # str() refuses ints past sys.get_int_max_str_digits() (4300 digits by
+    # default, passed by N! from N = 1559); Decimal converts with no limit
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
+
+
 def fmt_scalar(x) -> str:
     """Format a scalar for reports: exact rationals verbatim, floats at 17 sig digits."""
     if isinstance(x, Fraction):
         if x.denominator == 1:
-            return str(x.numerator)
-        return f"{x.numerator}/{x.denominator}"
+            return _int_text(x.numerator)
+        return f"{_int_text(x.numerator)}/{_int_text(x.denominator)}"
     if isinstance(x, int):
-        return str(x)
+        return _int_text(x)
     if isinstance(x, float):
         return f"{x:.17g}"
     raise TypeError(f"cannot format {type(x).__name__} as a scalar")

@@ -89,3 +89,59 @@ def lagrange_signature(a):
             if w[r][i] != 0:
                 add_rowcol(r, i, -w[r][i] / d)
     return pos, neg, zero
+
+
+# -- the sympy normal-ordering reference ------------------------------------
+#
+# The rewrite loop palev used before its exact coefficients: every branch is
+# followed on its own, leftmost out-of-order pair first, with sympy
+# coefficients passed through expand. It is kept only as the reference the
+# merged rewrite and the QiHbar text are checked against.
+
+
+def sympy_rewrite_rules():
+    """{system: (generator order, {(g, h): [(word, sympy coeff)]})}."""
+    import sympy as sp
+
+    hbar = sp.Symbol("hbar", positive=True)
+    i = sp.I
+    return {
+        "h1": (("q", "p"), {("p", "q"): [((), -i * hbar)]}),
+        "spin21": (
+            ("q", "p", "r"),
+            {("p", "q"): [(("r",), -1)], ("r", "p"): [(("q",), -1)], ("r", "q"): [(("p",), -1)]},
+        ),
+        "spin3": (
+            ("jx", "jy", "jz"),
+            {("jy", "jx"): [(("jz",), -i)], ("jz", "jy"): [(("jx",), -i)], ("jz", "jx"): [(("jy",), i)]},
+        ),
+    }
+
+
+def sympy_normal_order(terms, system):
+    """Normal-order {word: sympy coeff} in a preset; returns {word: coeff}."""
+    import sympy as sp
+
+    order, rules = sympy_rewrite_rules()[system]
+    pending = [(tuple(w), sp.sympify(c)) for w, c in terms.items()]
+    done = {}
+    while pending:
+        word, coeff = pending.pop()
+        spot = next((i for i in range(len(word) - 1) if order.index(word[i]) > order.index(word[i + 1])), -1)
+        if spot < 0:
+            done[word] = sp.expand(done.get(word, 0) + coeff)
+            continue
+        g, h = word[spot], word[spot + 1]
+        pending.append((word[:spot] + (h, g) + word[spot + 2 :], coeff))
+        for cw, cc in rules[g, h]:
+            pending.append((word[:spot] + cw + word[spot + 2 :], sp.expand(coeff * cc)))
+    return {w: c for w, c in done.items() if c != 0}
+
+
+def sympy_nc_text(terms) -> str:
+    """NCPolynomial's text format for {word: sympy coeff}: one "(coeff)*word"
+    per nonzero term, shorter words first, then by word."""
+    items = sorted(((w, c) for w, c in terms.items() if c != 0), key=lambda kv: (len(kv[0]), kv[0]))
+    if not items:
+        return "0"
+    return " + ".join(f"({c})*{'*'.join(w)}" if w else f"({c})" for w, c in items)

@@ -2,7 +2,8 @@
 """Golden stdout of CLI commands whose reports pass through the exact Lie
 layer: structure, Killing form, contraction (limit and at eps = 1/1000) for
 every named algebra, the six-direction frame tables, limits and 1/N defect,
-and the carrier triples of the truncated modes.
+the carrier triples and exclusion reports of the truncated modes, and normal
+ordering of a fixed set of words of length 1-6 in every rewrite preset.
 
 Run from the repository root with the package importable (PYTHONPATH=src);
 it writes cli_golden.json next to this file as a list of
@@ -14,6 +15,7 @@ import contextlib
 import io
 import json
 import os
+import random
 
 from qsetalg import cli
 from qsetalg.liecore import CATALOG
@@ -23,6 +25,14 @@ ALGEBRAS = [*CATALOG, "toy", *(f"yang-{p}" for p in sorted(PRESETS))]
 CARRIER_PRESETS = ("spin3", "spin21")
 # weights for the algebras that have no default contraction weights
 WEIGHTS = {"so3": "0,1,1", "h1": "1,1,1", "toy": "1/2,1/2,1"}
+REWRITE_GENERATORS = {"h1": ("q", "p"), "spin21": ("q", "p", "r"), "spin3": ("jx", "jy", "jz")}
+
+
+def rewrite_words(system):
+    """Three seeded words of each length 1-6 over the preset's generators."""
+    gens = REWRITE_GENERATORS[system]
+    rng = random.Random(f"cli-golden:{system}")
+    return [tuple(rng.choice(gens) for _ in range(length)) for length in range(1, 7) for _ in range(3)]
 
 
 def commands():
@@ -41,6 +51,12 @@ def commands():
     for preset in CARRIER_PRESETS:
         for capacity in range(1, 33):
             yield ["palev", "carriers", "--preset", preset, "--capacity", str(capacity)]
+    for capacity in range(1, 33):
+        yield ["palev", "exclusion", "--capacity", str(capacity)]
+    yield ["palev", "normal-order", "--system", "h1", "--word", "p,q,q"]
+    for system in sorted(REWRITE_GENERATORS):
+        for word in rewrite_words(system):
+            yield ["palev", "normal-order", "--system", system, "--word", ",".join(word)]
 
 
 def run(argv):

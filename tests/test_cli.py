@@ -156,7 +156,12 @@ assert "sympy" not in sys.modules, "sympy loaded on import"
 main(["structure", "so3"])
 main(["palev", "exclusion", "--capacity", "5"])
 assert "sympy" not in sys.modules, "sympy loaded by structure or exclusion"
+assert main(["verify-all"]) == 0
+assert "sympy" not in sys.modules, "sympy loaded by verify-all"
+assert main(["--mode", "float", "verify-all"]) == 0
+assert "sympy" not in sys.modules, "sympy loaded by verify-all in float mode"
 main(["palev", "normal-order", "--system", "h1", "--word", "p,q,q"])
+assert "sympy" not in sys.modules, "sympy loaded by normal-order"
 """
 
 

@@ -1,5 +1,8 @@
+import itertools
+import random
+import sys
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 import sympy as sp
@@ -10,6 +13,7 @@ from qsetalg.liecore import boost_triple
 from qsetalg.palev import (
     NCPolynomial,
     PalevMode,
+    QiHbar,
     QuadExt,
     REWRITE_PRESETS,
     RewriteSystem,
@@ -19,7 +23,31 @@ from qsetalg.palev import (
     normal_order,
 )
 
-from helpers import commutator, load_oracle, madd, msub, smul
+from helpers import (
+    commutator,
+    load_oracle,
+    madd,
+    msub,
+    smul,
+    sympy_nc_text,
+    sympy_normal_order,
+    sympy_rewrite_rules,
+)
+
+HBAR = sp.Symbol("hbar", positive=True)
+
+
+def weyl_closed_form(k: int) -> NCPolynomial:
+    """p^k q^k = sum_j j! C(k,j)^2 (-i hbar)^j q^{k-j} p^{k-j} in the Weyl
+    algebra [p, q] = -i hbar (Blasiak et al., Am. J. Phys. 75 (2007))."""
+    minus_i_hbar = QiHbar({1: (0, -1)})
+    terms = {}
+    for j in range(k + 1):
+        c = QiHbar({0: (factorial(j) * comb(k, j) ** 2, 0)})
+        for _ in range(j):
+            c = c * minus_i_hbar
+        terms[("q",) * (k - j) + ("p",) * (k - j)] = c
+    return NCPolynomial(terms)
 
 
 # -- quadratic extension scalars --------------------------------------------
@@ -159,8 +187,9 @@ def test_carrier_parts_equal_the_fraction_construction(n, preset):
 
 
 def test_rewrite_budget_is_bad_input_exit_two(capsys, monkeypatch):
-    monkeypatch.setattr(palev, "_MAX_REWRITE_STEPS", 50)
-    with pytest.raises(palev.RewriteBudgetError, match="budget of 50 rewrite steps"):
+    # the merged rewrite takes 35 steps on p^4 q^4 and 148 on p^7 q^7
+    monkeypatch.setattr(palev, "_MAX_REWRITE_STEPS", 20)
+    with pytest.raises(palev.RewriteBudgetError, match="budget of 20 rewrite steps"):
         normal_order(NCPolynomial.word(*"ppppqqqq"), "h1")
     assert issubclass(palev.RewriteBudgetError, ValueError)
     word = ",".join("p" * 7 + "q" * 7)
@@ -168,7 +197,25 @@ def test_rewrite_budget_is_bad_input_exit_two(capsys, monkeypatch):
     out = capsys.readouterr()
     assert code == 2
     assert len(out.out.splitlines()) == 1 and out.out.startswith("# qsetalg palev |")
-    assert out.err.startswith("error: normal ordering exceeded the budget of 50")
+    assert out.err.startswith("error: normal ordering exceeded the budget of 20")
+
+
+def test_rewrite_step_counts_of_the_merged_rewrite(monkeypatch):
+    for k, steps in ((4, 35), (7, 148)):
+        word = NCPolynomial.word(*("p" * k + "q" * k))
+        monkeypatch.setattr(palev, "_MAX_REWRITE_STEPS", steps)
+        normal_order(word, "h1")
+        monkeypatch.setattr(palev, "_MAX_REWRITE_STEPS", steps - 1)
+        with pytest.raises(palev.RewriteBudgetError):
+            normal_order(word, "h1")
+
+
+def test_p7q7_orders_at_the_default_budget(capsys):
+    word = ",".join("p" * 7 + "q" * 7)
+    code = main(["palev", "normal-order", "--system", "h1", "--word", word])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert lines[1] == f"{word.replace(',', '*')} = {weyl_closed_form(7)}"
 
 
 # -- normal ordering ---------------------------------------------------------
@@ -240,3 +287,120 @@ def test_exclusion_past_int64_is_exact(two_j):
     report = PalevMode(two_j).exclusion_report()
     assert report == (factorial(two_j), 0)
     assert all(type(x) is Fraction for x in report)
+
+
+@pytest.mark.parametrize("capacity", [1558, 1559])
+def test_exclusion_prints_factorials_past_the_int_text_limit(capsys, capacity):
+    # 1559! is the first factorial longer than Python's default 4300-digit
+    # int -> str limit; the CLI prints it in full all the same
+    code = main(["palev", "exclusion", "--capacity", str(capacity)])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        want = str(factorial(capacity))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (len(want) > 4300) == (capacity == 1559)
+    assert lines[1:] == [f"|adag^{capacity}| = {want}", f"|adag^{capacity + 1}| = 0"]
+
+
+def test_exclusion_rejects_a_raising_operator_that_is_not_a_shift():
+    m = PalevMode(3)
+    m._raise = m._raise.copy()
+    m._raise[0, 0] = 1
+    with pytest.raises(ValueError, match="not a weighted shift"):
+        m.exclusion_report()
+
+
+# -- exact Q(i)[hbar] coefficients -------------------------------------------
+
+
+def _sympy_value(parts):
+    return sp.expand(sum((sp.Rational(a) + sp.I * sp.Rational(b)) * HBAR ** k for k, (a, b) in parts.items()))
+
+
+def test_normal_order_matches_the_sympy_reference_on_every_short_word():
+    for system, (order, _) in sympy_rewrite_rules().items():
+        for length in range(1, 7):
+            for word in itertools.product(order, repeat=length):
+                want = sympy_nc_text(sympy_normal_order({word: 1}, system))
+                assert str(normal_order(NCPolynomial.word(*word), system)) == want, (system, word)
+
+
+def test_text_of_mixed_sums_matches_sympy():
+    rng = random.Random(7)
+    values = [0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-3, 2), Fraction(7, 3), Fraction(-1, 4)]
+    gens = ("q", "p", "r")
+    for _ in range(200):
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            word = tuple(rng.choice(gens) for _ in range(rng.randint(0, 3)))
+            parts = {k: (rng.choice(values), rng.choice(values)) for k in rng.sample(range(4), rng.randint(1, 3))}
+            terms[word] = (terms[word] + _sympy_value(parts)) if word in terms else _sympy_value(parts)
+        poly = NCPolynomial(terms)
+        assert str(poly) == sympy_nc_text(terms)
+        for word, c in terms.items():
+            if c != 0:
+                assert str(poly.terms()[word]) == str(c)
+
+
+def test_special_sympy_orders():
+    # sympy puts a positive constant first next to one negative real hbar
+    # term, and the higher power first otherwise
+    cases = {
+        1 - HBAR: "1 - hbar",
+        sp.Rational(1, 2) - HBAR ** 2 / 3: "1/2 - hbar**2/3",
+        2 - sp.I * HBAR: "-I*hbar + 2",
+        -1 - HBAR: "-hbar - 1",
+        2 + HBAR: "hbar + 2",
+        2 * sp.I - HBAR: "-hbar + 2*I",
+        1 - 2 * HBAR + HBAR ** 2: "hbar**2 - 2*hbar + 1",
+        -sp.I * HBAR / 2: "-I*hbar/2",
+    }
+    for expr, text in cases.items():
+        assert str(expr) == text
+        assert str(QiHbar.coerce(expr)) == text
+
+
+@pytest.mark.parametrize("k", range(15))
+def test_pk_qk_equals_the_closed_form(k):
+    assert normal_order(NCPolynomial.word(*("p" * k + "q" * k)), "h1") == weyl_closed_form(k)
+
+
+def test_sympy_values_round_trip():
+    expr = 3 * sp.I * HBAR ** 2 / 2 - HBAR + sp.Rational(5, 7)
+    c = QiHbar.coerce(expr)
+    assert c == QiHbar({2: (0, Fraction(3, 2)), 1: (-1, 0), 0: (Fraction(5, 7), 0)})
+    assert sp.sympify(c) == expr
+    poly = NCPolynomial({("q",): expr, ("p",): 2, (): sp.I})
+    assert poly.terms()[("q",)] == c
+    back = NCPolynomial({w: sp.sympify(x) for w, x in poly.terms().items()})
+    assert back == poly and str(back) == str(poly)
+    for bad in (sp.Symbol("x"), 1 / HBAR, sp.sqrt(2)):
+        with pytest.raises(ValueError):
+            NCPolynomial.scalar(bad)
+
+
+def test_coefficients_multiply_sympy_expressions_and_matrices():
+    c = QiHbar({1: (0, -2)})
+    x = sp.Symbol("x")
+    assert sp.expand(c * sp.exp(x)) == -2 * sp.I * HBAR * sp.exp(x)
+    assert sp.expand(sp.exp(x) * c) == -2 * sp.I * HBAR * sp.exp(x)
+    m = sp.Matrix([[1, 2], [3, 4]])
+    assert c * m == -2 * sp.I * HBAR * m
+    assert c + sp.Integer(1) == 1 - 2 * sp.I * HBAR
+    assert sum([c, c], sp.Integer(0)) == -4 * sp.I * HBAR
+
+
+def test_qihbar_arithmetic():
+    i = QiHbar({0: (0, 1)})
+    hbar = QiHbar({1: (1, 0)})
+    assert i * i == -1
+    assert (i + hbar) * (i - hbar) == -1 - hbar * hbar
+    assert 3 * hbar - hbar * 3 == 0
+    assert not (hbar - hbar)
+    assert Fraction(1, 2) * i == QiHbar({0: (0, Fraction(1, 2))})
+    assert hash(QiHbar({0: (3, 0)})) == hash(3) and QiHbar({0: (3, 0)}) == Fraction(3)
+    assert str(QiHbar()) == "0"
