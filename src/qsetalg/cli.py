@@ -167,7 +167,7 @@ def _cmd_sets(args) -> int:
     elif op == "code":
         if len(args.operands) != 1:
             raise CliError("sets code takes one set text")
-        print(parse_set_text(args.operands[0]).code)
+        print(fmt_scalar(parse_set_text(args.operands[0]).code))
     elif op == "decode":
         if len(args.operands) != 1:
             raise CliError("sets decode takes one integer")
@@ -180,7 +180,7 @@ def _cmd_sets(args) -> int:
         if len(args.operands) != 1:
             raise CliError("sets info takes one set text")
         x = parse_set_text(args.operands[0])
-        print(f"code={x.code} grade={x.grade} rank={x.rank}")
+        print(f"code={fmt_scalar(x.code)} grade={x.grade} rank={x.rank}")
     elif op == "enumerate":
         if len(args.operands) != 1:
             raise CliError("sets enumerate takes a maximum rank")

@@ -3,25 +3,32 @@
 The code of a set is sum(2**code(e) for e in elements), with the empty set at
 0. That map is a bijection between naturals and hereditarily finite sets, and
 the codes 0..T(k)-1 (T the iterated-exponential tower 1, 2, 4, 16, 65536, ...)
-are exactly the sets of rank <= k. Canonical element order everywhere is
-ascending code.
+are exactly the sets of rank <= k. So a set is held as its code alone: its
+elements are the set bits of the code, in ascending order (the canonical
+element order everywhere), its grade is the popcount, membership is a bit
+test, and decode is free.
 
 Two binary operations matter downstream:
 
-    xor_union   symmetric difference; the empty set is the unit and every set
-                is its own inverse (x ^ x is empty)
-    por         union when the operands are disjoint, else the absorbing
-                sentinel OM -- a genuine "undefined", distinct from the empty
-                set
+    xor_union   symmetric difference, the xor of the codes; the empty set is
+                the unit and every set is its own inverse (x ^ x is empty)
+    por         union (the or of the codes) when the operands are disjoint,
+                else the absorbing sentinel OM -- a genuine "undefined",
+                distinct from the empty set
 
-Codes of rank-5 sets already need tens of kilobits and rank 7 is not
-representable at all (a rank-6 element would need a code with 2**65536 bits),
-so enumeration is guarded; nothing in this package needs rank above 4.
+Codes of rank-5 sets already need tens of kilobits, so enumeration is
+guarded; nothing in this package needs rank above 4. A set whose code would
+pass 2**24 bits (2 MB) is refused with ValueError: every set of rank <= 5
+fits, a rank-6 set fits while its elements' codes stay below 2**24, and rank
+7 never does (a rank-6 element has a code of at least 2**65536).
 """
 
 from __future__ import annotations
 
+import operator
+
 _TOWER = [1, 2, 4, 16, 65536]
+_MAX_ELEMENT_CODE = 1 << 24
 
 
 class _OmType:
@@ -51,69 +58,71 @@ class _OmType:
 OM = _OmType()
 
 
-class PerfiniteSet:
-    """Immutable hereditarily finite set, elements kept in ascending code order."""
+def _singleton_code(c: int) -> int:
+    """Code of {x} for the set x coded c."""
+    if c >= _MAX_ELEMENT_CODE:
+        raise ValueError(
+            "set not representable: an element code of 2**24 or more makes a code past 2 MB"
+        )
+    return 1 << c
 
-    __slots__ = ("_elems", "_code", "_rank", "_hash")
+
+def bit_positions(n: int):
+    """Positions of the set bits of n, ascending: the element codes of the
+    set coded n, and the generator indices of a rank-frame blade."""
+    while n:
+        low = n & -n
+        yield low.bit_length() - 1
+        n ^= low
+
+
+class PerfiniteSet:
+    """Immutable hereditarily finite set, held as its code alone."""
+
+    __slots__ = ("_code",)
 
     def __init__(self, elems=()):
-        items = []
+        code = 0
         for e in elems:
             if not isinstance(e, PerfiniteSet):
                 raise TypeError(f"elements must be PerfiniteSet, got {type(e).__name__}")
-            items.append(e)
-        items.sort(key=lambda e: e.code)
-        unique = []
-        last_code = None
-        for e in items:
-            if last_code is None or e.code != last_code:
-                unique.append(e)
-                last_code = e.code
-        self._elems = tuple(unique)
-        self._code = None
-        self._rank = None
-        self._hash = None
+            code |= _singleton_code(e._code)
+        self._code = code
 
     @property
     def code(self) -> int:
-        if self._code is None:
-            self._code = sum(1 << e.code for e in self._elems)
         return self._code
 
     @property
     def grade(self) -> int:
         """Cardinality; doubles as the grading that drives exchange parity."""
-        return len(self._elems)
+        return self._code.bit_count()
 
     @property
     def rank(self) -> int:
-        if self._rank is None:
-            self._rank = 0 if not self._elems else 1 + max(e.rank for e in self._elems)
-        return self._rank
+        # rank grows with code (codes below T(k) are the sets of rank <= k),
+        # so the top bit names an element of the highest rank
+        n, r = self._code, 0
+        while n:
+            n, r = n.bit_length() - 1, r + 1
+        return r
 
     def __iter__(self):
-        return iter(self._elems)
+        return map(decode, bit_positions(self._code))
 
     def __len__(self):
-        return len(self._elems)
+        return self.grade
 
     def __contains__(self, item):
-        if not isinstance(item, PerfiniteSet):
-            return False
-        c = item.code
-        return any(e.code == c for e in self._elems)
+        return isinstance(item, PerfiniteSet) and bool(self._code >> item._code & 1)
 
     def __eq__(self, other):
-        if self is other:
-            return True
         if not isinstance(other, PerfiniteSet):
             return NotImplemented
-        return self._elems == other._elems
+        return self._code == other._code
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self._elems)
-        return self._hash
+        return hash(self._code)
 
     def __xor__(self, other):
         return xor_union(self, other)
@@ -122,8 +131,7 @@ class PerfiniteSet:
         return por(self, other)
 
     def isdisjoint(self, other: "PerfiniteSet") -> bool:
-        mine = {e.code for e in self._elems}
-        return not any(e.code in mine for e in other._elems)
+        return not self._code & other._code
 
     def __str__(self):
         return format_set_text(self)
@@ -135,71 +143,38 @@ class PerfiniteSet:
 EMPTY = PerfiniteSet()
 
 
-def empty() -> PerfiniteSet:
-    return EMPTY
-
-
 def iota(x: PerfiniteSet) -> PerfiniteSet:
     """Singleton brace: x -> {x}. Raises rank by exactly one."""
     if not isinstance(x, PerfiniteSet):
         raise TypeError("iota takes a PerfiniteSet")
-    return PerfiniteSet((x,))
+    return decode(_singleton_code(x.code))
 
 
 def xor_union(x, y):
     """Symmetric difference. Empty set is the unit; x ^ x is empty. OM absorbs."""
     if x is OM or y is OM:
         return OM
-    ex, ey = list(x), list(y)
-    out = []
-    i = j = 0
-    while i < len(ex) and j < len(ey):
-        cx, cy = ex[i].code, ey[j].code
-        if cx == cy:
-            i += 1
-            j += 1
-        elif cx < cy:
-            out.append(ex[i])
-            i += 1
-        else:
-            out.append(ey[j])
-            j += 1
-    out.extend(ex[i:])
-    out.extend(ey[j:])
-    return PerfiniteSet(out)
+    return decode(x.code ^ y.code)
 
 
 def por(x, y):
     """Partial or: union if disjoint, else the absorbing OM sentinel."""
-    if x is OM or y is OM:
+    if x is OM or y is OM or x.code & y.code:
         return OM
-    if not x.isdisjoint(y):
-        return OM
-    return PerfiniteSet(tuple(x) + tuple(y))
+    return decode(x.code | y.code)
 
 
 def code(x: PerfiniteSet) -> int:
     return x.code
 
 
-_decode_cache: dict[int, PerfiniteSet] = {0: EMPTY}
-
-
 def decode(n: int) -> PerfiniteSet:
     """Inverse Ackermann coding: the unique set with code n."""
+    n = operator.index(n)
     if n < 0:
         raise ValueError("codes are non-negative")
-    cached = _decode_cache.get(n)
-    if cached is not None:
-        return cached
-    elems = []
-    m = n
-    while m:
-        low = m & -m
-        elems.append(decode(low.bit_length() - 1))
-        m ^= low
-    s = PerfiniteSet(elems)
-    _decode_cache[n] = s
+    s = PerfiniteSet.__new__(PerfiniteSet)
+    s._code = n
     return s
 
 

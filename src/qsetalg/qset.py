@@ -7,9 +7,16 @@ basis labels to scalars, where the label of the blade e_{s1} ^ ... ^ e_{sm}
 {s1,...,sm}. embed() therefore sends a classical set to its blade with
 coefficient +1, and the blade basis is ordered by code.
 
+Generator i of a rank frame has code i, so the code of a blade label is the
+bitmask of its generators, and a Multivector is keyed by that integer: the
+bitmap blade representation (Dorst, Fontijne & Mann, Geometric Algebra for
+Computer Science, ch. 19). Labels appear as PerfiniteSet only at the API edge
+(the constructor, items, coeff, support, JSON, repr, error text).
+
 Products:
 
-    grassmann(v, w)        exterior product; metric-free, e ^ e = 0
+    grassmann(v, w)        exterior product; metric-free, e ^ e = 0: masks
+                           that share a bit annihilate, others meet in a | b
     clifford(v, w, frame)  geometric product against the frame's generator
                            metric; e_i e_j + e_j e_i = 2 beta(i, j)
 
@@ -27,30 +34,34 @@ by the frame's top_scale so rescaling the top element rescales norms inversely.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .perfinite import PerfiniteSet, decode, enumerate_rank, format_set_text, iota, parse_set_text
+from .perfinite import (
+    PerfiniteSet, bit_positions, decode, enumerate_rank, format_set_text, iota, parse_set_text,
+)
 
 _METRIC_PRESETS = ("zero", "berezin", "hyperbolic")
 
 
 class Multivector:
-    """Sparse multivector: finite map from basis label (a set) to scalar."""
+    """Sparse multivector: finite map from basis label (a set) to scalar,
+    held as a map from label code to scalar."""
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for label, c in terms.items():
-                if not isinstance(label, PerfiniteSet):
-                    raise TypeError("labels must be PerfiniteSet")
-                if c == 0:
-                    continue
-                clean[label] = c
-        self._terms = clean
+        terms = terms or {}
+        if not all(isinstance(label, PerfiniteSet) for label in terms):
+            raise TypeError("labels must be PerfiniteSet")
+        self._terms = {label.code: c for label, c in terms.items() if c != 0}
+
+    @classmethod
+    def _of(cls, terms: dict) -> "Multivector":
+        """From a map keyed by label code; zero coefficients are dropped."""
+        mv = cls.__new__(cls)
+        mv._terms = {k: c for k, c in terms.items() if c != 0}
+        return mv
 
     @classmethod
     def zero(cls) -> "Multivector":
@@ -58,60 +69,53 @@ class Multivector:
 
     @classmethod
     def scalar(cls, c) -> "Multivector":
-        return cls({PerfiniteSet(): c})
+        return cls._of({0: c})
 
     @classmethod
     def blade(cls, label: PerfiniteSet, c=Fraction(1)) -> "Multivector":
         return cls({label: c})
 
     def coeff(self, label: PerfiniteSet):
-        return self._terms.get(label, Fraction(0))
+        return self._terms.get(label.code, Fraction(0))
 
     def items(self):
-        """Terms in ascending label-code order (deterministic everywhere)."""
-        return sorted(self._terms.items(), key=lambda kv: kv[0].code)
+        """(label, coeff) in ascending label-code order (deterministic everywhere)."""
+        return [(decode(k), c) for k, c in sorted(self._terms.items())]
 
     def support(self):
-        return tuple(lab for lab, _ in self.items())
+        return tuple(decode(k) for k in sorted(self._terms))
 
     def grades(self) -> tuple:
-        return tuple(sorted({lab.grade for lab in self._terms}))
+        return tuple(sorted({k.bit_count() for k in self._terms}))
 
     def is_zero(self) -> bool:
         return not self._terms
 
     def chop(self, tol: float) -> "Multivector":
         """Drop float coefficients below tol; exact coefficients are kept."""
-        return Multivector(
-            {
-                lab: c
-                for lab, c in self._terms.items()
-                if not (isinstance(c, float) and abs(c) <= tol)
-            }
+        return Multivector._of(
+            {k: c for k, c in self._terms.items() if not (isinstance(c, float) and abs(c) <= tol)}
         )
 
     def __add__(self, other):
         if not isinstance(other, Multivector):
             return NotImplemented
         out = dict(self._terms)
-        for lab, c in other._terms.items():
-            out[lab] = out.get(lab, 0) + c
-        return Multivector(out)
+        for k, c in other._terms.items():
+            out[k] = out.get(k, 0) + c
+        return Multivector._of(out)
 
     def __sub__(self, other):
         if not isinstance(other, Multivector):
             return NotImplemented
-        out = dict(self._terms)
-        for lab, c in other._terms.items():
-            out[lab] = out.get(lab, 0) - c
-        return Multivector(out)
+        return self + -other
 
     def __neg__(self):
-        return Multivector({lab: -c for lab, c in self._terms.items()})
+        return Multivector._of({k: -c for k, c in self._terms.items()})
 
     def __rmul__(self, c):
         if isinstance(c, (int, float, Fraction)):
-            return Multivector({lab: c * v for lab, v in self._terms.items()})
+            return Multivector._of({k: c * v for k, v in self._terms.items()})
         return NotImplemented
 
     __mul__ = __rmul__
@@ -122,7 +126,7 @@ class Multivector:
         return self._terms == other._terms
 
     def __hash__(self):
-        return hash(tuple(self.items()))
+        return hash(tuple(sorted(self._terms.items())))
 
     def __repr__(self):
         if not self._terms:
@@ -147,8 +151,7 @@ class RankFrame:
         self.r = r
         self.generators = enumerate_rank(r - 1)
         self.n = len(self.generators)
-        self.gen_index = {s: i for i, s in enumerate(self.generators)}
-        self.top_label = PerfiniteSet(self.generators)
+        self.top_label = decode((1 << self.n) - 1)
         self.top_scale = Fraction(top_scale)
         if self.top_scale == 0:
             raise ValueError("top_scale must be nonzero")
@@ -200,13 +203,14 @@ class RankFrame:
         raise AssertionError(name)
 
     def validate(self, mv: Multivector) -> None:
-        for lab in mv._terms:
-            for elem in lab:
-                if elem not in self.gen_index:
-                    raise ValueError(
-                        f"label {format_set_text(lab)} uses {format_set_text(elem)}, "
-                        f"not a generator of the rank-{self.r} frame"
-                    )
+        for k in mv._terms:
+            stray = k >> self.n
+            if stray:
+                elem = decode(next(bit_positions(stray)) + self.n)
+                raise ValueError(
+                    f"label {format_set_text(decode(k))} uses {format_set_text(elem)}, "
+                    f"not a generator of the rank-{self.r} frame"
+                )
 
     def top(self) -> Multivector:
         return Multivector.blade(self.top_label, self.top_scale)
@@ -219,94 +223,76 @@ class RankFrame:
         return f"RankFrame(r={self.r}, n={self.n}, metric={self.metric_name!r})"
 
 
-def _merge_sign(codes_a, codes_b) -> int:
-    """Sign of sorting the concatenation of two ascending disjoint code lists."""
+def _wedge_sign(a: int, b: int) -> int:
+    """Sign of e_a ^ e_b -> e_(a|b) for disjoint masks: the parity of the
+    pairs x in a, y in b with x > y, counted over the set bits of b."""
     inv = 0
-    i = 0
-    for b in codes_b:
-        while i < len(codes_a) and codes_a[i] < b:
-            i += 1
-        inv += len(codes_a) - i
+    for y in bit_positions(b):
+        inv += (a >> y).bit_count()
     return -1 if inv & 1 else 1
 
 
 def grassmann(v: Multivector, w: Multivector) -> Multivector:
-    """Exterior product on blade labels; shared generators annihilate."""
+    """Exterior product on blade masks; shared generators annihilate."""
     out: dict = {}
-    for lx, cx in v._terms.items():
-        codes_x = [e.code for e in lx]
-        ex = tuple(lx)
-        for ly, cy in w._terms.items():
-            if not lx.isdisjoint(ly):
+    for a, ca in v._terms.items():
+        for b, cb in w._terms.items():
+            if a & b:
                 continue
-            sign = _merge_sign(codes_x, [e.code for e in ly])
-            label = PerfiniteSet(ex + tuple(ly))
-            out[label] = out.get(label, 0) + sign * cx * cy
-    return Multivector(out)
+            k = a | b
+            out[k] = out.get(k, 0) + _wedge_sign(a, b) * ca * cb
+    return Multivector._of(out)
 
 
-def _gen_times(a: int, mv: Multivector, frame: RankFrame) -> Multivector:
-    """Clifford product e_a ? mv = wedge part + contraction part."""
-    sa = frame.generators[a]
-    ca = sa.code
-    beta_row = frame.beta[a]
+def _contraction(a: int, k: int, beta_row):
+    """e_a -| blade k as (mask, coefficient) pairs: (-1)^t beta(a, i_t) for
+    the t-th generator i_t of k, which it removes."""
+    for t, i in enumerate(bit_positions(k)):
+        b = beta_row[i]
+        if b:
+            yield k ^ (1 << i), -b if t & 1 else b
+
+
+def _gen_times(a: int, terms: dict, beta) -> dict:
+    """Clifford product e_a terms = wedge part + contraction part."""
+    bit = 1 << a
     out: dict = {}
-    for lab, c in mv._terms.items():
-        elems = tuple(lab)
-        codes = [e.code for e in elems]
-        if sa not in lab:
-            pos = bisect_left(codes, ca)
-            sgn = -1 if pos & 1 else 1
-            wedge = PerfiniteSet(elems + (sa,))
-            out[wedge] = out.get(wedge, 0) + sgn * c
-        for t, e in enumerate(elems):
-            b = beta_row[frame.gen_index[e]]
-            if b:
-                sgn = -1 if t & 1 else 1
-                rest = PerfiniteSet(elems[:t] + elems[t + 1 :])
-                out[rest] = out.get(rest, 0) + sgn * b * c
-    return Multivector(out)
+    for k, c in terms.items():
+        if not k & bit:
+            sgn = -1 if (k & (bit - 1)).bit_count() & 1 else 1
+            out[k | bit] = out.get(k | bit, 0) + sgn * c
+        for rest, b in _contraction(a, k, beta[a]):
+            out[rest] = out.get(rest, 0) + b * c
+    return out
 
 
-def _gen_contract_blade(a: int, idxs: tuple, frame: RankFrame) -> Multivector:
-    beta_row = frame.beta[a]
-    out: dict = {}
-    for t, b in enumerate(idxs):
-        coeff = beta_row[b]
-        if coeff:
-            sgn = -1 if t & 1 else 1
-            rest = PerfiniteSet(tuple(frame.generators[k] for k in idxs[:t] + idxs[t + 1 :]))
-            out[rest] = out.get(rest, 0) + sgn * coeff
-    return Multivector(out)
-
-
-def _blade_times(idxs: tuple, mv: Multivector, frame: RankFrame) -> Multivector:
+def _blade_times(k: int, terms: dict, beta) -> dict:
     # blade(a0, rest) = e_a0 ^ blade(rest) = e_a0 blade(rest) - e_a0 -| blade(rest),
-    # so right-multiplying by mv splits into a generator product and a smaller
-    # recursion. Exact for any symmetric metric, diagonal or not.
-    if not idxs:
-        return mv
-    a0, rest = idxs[0], idxs[1:]
-    part = _gen_times(a0, _blade_times(rest, mv, frame), frame)
-    corr = _gen_contract_blade(a0, rest, frame)
-    if corr.is_zero():
-        return part
-    return part - _mv_times(corr, mv, frame)
-
-
-def _mv_times(v: Multivector, w: Multivector, frame: RankFrame) -> Multivector:
-    total = Multivector.zero()
-    for lab, c in v._terms.items():
-        idxs = tuple(frame.gen_index[s] for s in lab)
-        total = total + c * _blade_times(idxs, w, frame)
-    return total
+    # so left-multiplying terms splits into a generator product and smaller
+    # recursions. Exact for any symmetric metric, diagonal or not.
+    if not k:
+        return terms
+    a0 = (k & -k).bit_length() - 1
+    rest = k ^ (1 << a0)
+    out = _gen_times(a0, _blade_times(rest, terms, beta), beta)
+    corr: dict = {}
+    for k2, b in _contraction(a0, rest, beta[a0]):
+        for m, c in _blade_times(k2, terms, beta).items():
+            corr[m] = corr.get(m, 0) + b * c
+    for m, c in corr.items():
+        out[m] = out.get(m, 0) - c
+    return out
 
 
 def clifford(v: Multivector, w: Multivector, frame: RankFrame) -> Multivector:
     """Geometric product against frame.beta. Reduces to grassmann when beta = 0."""
     frame.validate(v)
     frame.validate(w)
-    return _mv_times(v, w, frame)
+    out: dict = {}
+    for k, c in v._terms.items():
+        for m, x in _blade_times(k, w._terms, frame.beta).items():
+            out[m] = out.get(m, 0) + c * x
+    return Multivector._of(out)
 
 
 def berezin_norm(w: Multivector, frame: RankFrame):
@@ -325,7 +311,7 @@ def beta_form(v: Multivector, w: Multivector, frame: RankFrame):
 
 def grade_op(w: Multivector) -> Multivector:
     """Number operator: multiply each blade by its grade."""
-    return Multivector({lab: lab.grade * c for lab, c in w._terms.items()})
+    return Multivector._of({k: k.bit_count() * c for k, c in w._terms.items()})
 
 
 def grade_parity(x: PerfiniteSet) -> int:
@@ -344,11 +330,7 @@ def iota_m(w: Multivector, m: int, frame: RankFrame, frame_out: RankFrame | None
         frame_out = RankFrame(frame.r + 1, metric=frame.metric_name)
     if frame_out.r != frame.r + 1:
         raise ValueError("frame_out must sit exactly one rank above frame")
-    out: dict = {}
-    for lab, c in w._terms.items():
-        if lab.grade == m:
-            out[iota(lab)] = out.get(iota(lab), 0) + c
-    mv = Multivector(out)
+    mv = Multivector._of({1 << k: c for k, c in w._terms.items() if k.bit_count() == m})
     frame_out.validate(mv)
     return mv, frame_out
 

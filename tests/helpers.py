@@ -1,13 +1,15 @@
-"""Shared test utilities: frozen oracle loading, seeded random elements, and
+"""Shared test utilities: frozen oracle loading, seeded random elements,
 elementwise Fraction matrix helpers (the package itself works on integer
-arrays)."""
+arrays), and the reference implementations the package's faster routes are
+checked against."""
 
 import json
 import os
+from bisect import bisect_left
 from fractions import Fraction
 
 from qsetalg import linalg
-from qsetalg.perfinite import decode
+from qsetalg.perfinite import PerfiniteSet, decode
 from qsetalg.qset import Multivector
 
 ORACLE_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "oracles")
@@ -145,3 +147,94 @@ def sympy_nc_text(terms) -> str:
     if not items:
         return "0"
     return " + ".join(f"({c})*{'*'.join(w)}" if w else f"({c})" for w, c in items)
+
+
+# ---------------------------------------------------------------------------
+# The products qset used before blades were keyed by their bitmask: labels are
+# walked element by element, every term of every product builds its label as
+# a PerfiniteSet, and a generator is found by its position in the frame. Kept
+# only as the reference the bitmask products are checked against.
+
+
+def label_merge_sign(codes_a, codes_b) -> int:
+    """Sign of sorting the concatenation of two ascending disjoint code lists."""
+    inv = 0
+    i = 0
+    for b in codes_b:
+        while i < len(codes_a) and codes_a[i] < b:
+            i += 1
+        inv += len(codes_a) - i
+    return -1 if inv & 1 else 1
+
+
+def label_grassmann(v, w):
+    """Exterior product on blade labels; shared elements annihilate."""
+    out = {}
+    for lx, cx in v.items():
+        ex = tuple(lx)
+        codes_x = [e.code for e in ex]
+        for ly, cy in w.items():
+            if not lx.isdisjoint(ly):
+                continue
+            sign = label_merge_sign(codes_x, [e.code for e in ly])
+            label = PerfiniteSet(ex + tuple(ly))
+            out[label] = out.get(label, 0) + sign * cx * cy
+    return Multivector(out)
+
+
+def _label_gen_times(a, mv, frame, gen_index):
+    """e_a mv = wedge part + contraction part."""
+    sa = frame.generators[a]
+    beta_row = frame.beta[a]
+    out = {}
+    for lab, c in mv.items():
+        elems = tuple(lab)
+        codes = [e.code for e in elems]
+        if sa not in lab:
+            pos = bisect_left(codes, sa.code)
+            wedge = PerfiniteSet(elems + (sa,))
+            out[wedge] = out.get(wedge, 0) + (-1 if pos & 1 else 1) * c
+        for t, e in enumerate(elems):
+            b = beta_row[gen_index[e]]
+            if b:
+                rest = PerfiniteSet(elems[:t] + elems[t + 1 :])
+                out[rest] = out.get(rest, 0) + (-1 if t & 1 else 1) * b * c
+    return Multivector(out)
+
+
+def _label_gen_contract_blade(a, idxs, frame):
+    beta_row = frame.beta[a]
+    out = {}
+    for t, b in enumerate(idxs):
+        if beta_row[b]:
+            rest = PerfiniteSet(tuple(frame.generators[k] for k in idxs[:t] + idxs[t + 1 :]))
+            out[rest] = out.get(rest, 0) + (-1 if t & 1 else 1) * beta_row[b]
+    return Multivector(out)
+
+
+def _label_blade_times(idxs, mv, frame, gen_index):
+    # blade(a0, rest) = e_a0 ^ blade(rest) = e_a0 blade(rest) - e_a0 -| blade(rest)
+    if not idxs:
+        return mv
+    a0, rest = idxs[0], idxs[1:]
+    part = _label_gen_times(a0, _label_blade_times(rest, mv, frame, gen_index), frame, gen_index)
+    corr = _label_gen_contract_blade(a0, rest, frame)
+    if corr.is_zero():
+        return part
+    return part - _label_mv_times(corr, mv, frame, gen_index)
+
+
+def _label_mv_times(v, w, frame, gen_index):
+    total = Multivector.zero()
+    for lab, c in v.items():
+        idxs = tuple(gen_index[s] for s in lab)
+        total = total + c * _label_blade_times(idxs, w, frame, gen_index)
+    return total
+
+
+def label_clifford(v, w, frame):
+    """Geometric product against frame.beta by the contraction recursion."""
+    frame.validate(v)
+    frame.validate(w)
+    gen_index = {s: i for i, s in enumerate(frame.generators)}
+    return _label_mv_times(v, w, frame, gen_index)

@@ -2,13 +2,18 @@
 """Golden stdout of CLI commands whose reports pass through the exact Lie
 layer: structure, Killing form, contraction (limit and at eps = 1/1000) for
 every named algebra, the six-direction frame tables, limits and 1/N defect,
-the carrier triples and exclusion reports of the truncated modes, and normal
-ordering of a fixed set of words of length 1-6 in every rewrite preset.
+the carrier triples and exclusion reports of the truncated modes, normal
+ordering of a fixed set of words of length 1-6 in every rewrite preset, the
+set operations, and the multivector products, norms and signatures of the
+rank frames.
 
 Run from the repository root with the package importable (PYTHONPATH=src);
-it writes cli_golden.json next to this file as a list of
-{"argv": [...], "exit": code, "stdout": text}. tests/test_cli_golden.py
-replays every entry through cli.main and compares stdout byte for byte.
+it writes the seeded multivector inputs (qset_*.json) and cli_golden.json
+next to this file, the latter as a list of
+{"argv": [...], "exit": code, "stdout": text}. Input paths in argv are
+relative to this directory: the recorder runs from it, and
+tests/test_cli_golden.py replays every entry through cli.main from it and
+compares stdout byte for byte.
 """
 
 import contextlib
@@ -16,9 +21,11 @@ import io
 import json
 import os
 import random
+from fractions import Fraction
 
 from qsetalg import cli
 from qsetalg.liecore import CATALOG
+from qsetalg.perfinite import decode, format_set_text
 from qsetalg.yang import PRESETS
 
 ALGEBRAS = [*CATALOG, "toy", *(f"yang-{p}" for p in sorted(PRESETS))]
@@ -26,6 +33,37 @@ CARRIER_PRESETS = ("spin3", "spin21")
 # weights for the algebras that have no default contraction weights
 WEIGHTS = {"so3": "0,1,1", "h1": "1,1,1", "toy": "1/2,1/2,1"}
 REWRITE_GENERATORS = {"h1": ("q", "p"), "spin21": ("q", "p", "r"), "spin3": ("jx", "jy", "jz")}
+
+
+SET_TEXTS = (
+    "{}", "{{}}", "{{{}}}", "{{},{{}}}", "{{},{{}},{{{}}},{{},{{}}}}",
+    "{{{{}}},{{},{{{}}}}}", "{{{{{}}}}}", "{{{{{{}}}}}}",
+)
+# (op, x, y): xor laws and a partial or in each of its three outcomes
+SET_PAIRS = (
+    ("xor", "{}", "{{}}"),
+    ("xor", "{{},{{}}}", "{{}}"),
+    ("xor", "{{{}}}", "{{{}}}"),
+    ("xor", "{{{{{{}}}}}}", "{{},{{{{{{}}}}}}}"),
+    ("or", "{{}}", "{{{}}}"),
+    ("or", "{{}}", "{{},{{}}}"),
+    ("or", "{}", "{{{{{{}}}}}}"),
+)
+METRICS = ("zero", "berezin", "hyperbolic")
+# seeded multivector inputs: name -> (rank, number of terms)
+MV_INPUTS = {"qset_r2_a": (2, 3), "qset_r2_b": (2, 4), "qset_r3_a": (3, 4), "qset_r3_b": (3, 6), "qset_r3_c": (3, 5)}
+
+
+def mv_terms(name):
+    """[set text, numerator, denominator] triples of one seeded input, in code order."""
+    rank, terms = MV_INPUTS[name]
+    rng = random.Random(f"cli-golden:{name}")
+    codes = sorted(rng.sample(range(1 << (1 << (rank - 1))), terms))
+    out = []
+    for c in codes:
+        f = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 6))
+        out.append([format_set_text(decode(c)), f.numerator, f.denominator])
+    return out
 
 
 def rewrite_words(system):
@@ -57,6 +95,32 @@ def commands():
     for system in sorted(REWRITE_GENERATORS):
         for word in rewrite_words(system):
             yield ["palev", "normal-order", "--system", system, "--word", ",".join(word)]
+    for op, x, y in SET_PAIRS:
+        yield ["sets", op, x, y]
+    for text in SET_TEXTS:
+        yield ["sets", "code", text]
+        yield ["sets", "info", text]
+        yield ["qset", "embed", text]
+    for n in (*range(20), 255, 256, 65535, 65536):
+        yield ["sets", "decode", str(n)]
+    for r in range(4):
+        yield ["sets", "enumerate", str(r)]
+    for rank in range(1, 5):
+        for metric in METRICS:
+            yield ["qset", "signature", "--rank", str(rank), "--metric", metric]
+    pairs = {2: ("qset_r2_a.json", "qset_r2_b.json"), 3: ("qset_r3_a.json", "qset_r3_b.json", "qset_r3_c.json")}
+    for rank, files in pairs.items():
+        for a in files:
+            for b in files:
+                yield ["qset", "grassmann", a, b]
+                for metric in METRICS:
+                    yield ["qset", "clifford", a, b, "--rank", str(rank), "--metric", metric]
+                yield ["qset", "beta", a, b, "--rank", str(rank)]
+            yield ["qset", "norm", a, "--rank", str(rank)]
+            for grade in range(3):
+                yield ["qset", "iota", a, "--rank", str(rank), "--grade", str(grade)]
+    # a rank-3 label is not a blade of the rank-2 frame: exit 2
+    yield ["qset", "clifford", "qset_r3_a.json", "qset_r2_a.json", "--rank", "2"]
 
 
 def run(argv):
@@ -68,12 +132,16 @@ def run(argv):
 
 
 def main() -> None:
+    os.chdir(os.path.dirname(os.path.abspath(__file__)))
+    for name in MV_INPUTS:
+        with open(f"{name}.json", "w", encoding="utf-8") as fh:
+            json.dump(mv_terms(name), fh)
+            fh.write("\n")
     out = []
     for argv in commands():
         code, text = run(argv)
         out.append({"argv": argv, "exit": code, "stdout": text})
-    here = os.path.dirname(os.path.abspath(__file__))
-    with open(os.path.join(here, "cli_golden.json"), "w", encoding="utf-8") as fh:
+    with open("cli_golden.json", "w", encoding="utf-8") as fh:
         json.dump(out, fh, indent=1)
     print(f"{len(out)} commands recorded")
 

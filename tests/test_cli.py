@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Context, Decimal
 from math import factorial
 from pathlib import Path
 
@@ -305,3 +306,22 @@ def test_argparse_usage_exits_two(capsys):
 def test_bad_config_is_usage_error(capsys):
     code, _, err = run(capsys, "--mode", "exact", "--tolerance", "-3", "verify-all")
     assert code == 2
+
+
+def test_sets_code_prints_past_the_int_str_digit_limit(capsys):
+    # 2**65536 has 19729 digits, past str()'s default limit of 4300
+    want = Context(prec=20000).power(Decimal(2), 65536)
+    code, out, _ = run(capsys, "sets", "code", "{{{{{{{}}}}}}}")
+    assert code == 0
+    assert Decimal(out.splitlines()[1]) == want
+    code, out, _ = run(capsys, "sets", "info", "{{{{{{{}}}}}}}")
+    assert code == 0
+    digits, rest = out.splitlines()[1].removeprefix("code=").split(" ", 1)
+    assert Decimal(digits) == want and len(digits) == 19729
+    assert rest == "grade=1 rank=6"
+
+
+def test_sets_past_the_code_size_limit_exit_two(capsys):
+    code, _, err = run(capsys, "sets", "xor", "{{{{{{{{}}}}}}}}", "{}")
+    assert code == 2
+    assert "not representable" in err

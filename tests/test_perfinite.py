@@ -117,3 +117,37 @@ def test_sets_hash_and_compare_by_extension():
     assert a == b
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+@pytest.mark.parametrize(
+    "text,code,rank",
+    [("{{{{{{}}}}}}", 65536, 5), ("{{{{{{{}}}}}}}", 1 << 65536, 6)],
+    ids=["rank5", "rank6"],
+)
+def test_rank_and_grade_of_deep_singletons(text, code, rank):
+    x = parse_set_text(text)
+    assert x.code == code
+    assert x.rank == rank
+    assert x.grade == 1
+    assert decode(code) == x
+    assert [e.rank for e in x] == [rank - 1]
+    assert format_set_text(x) == text
+
+
+def test_code_cannot_be_reassigned():
+    x = decode(5)
+    with pytest.raises(AttributeError):
+        x.code = 6
+    assert x.code == 5
+
+
+def test_sets_past_the_code_size_limit_are_refused():
+    # rank 7: the element {{{{{{{}}}}}}} has code 2**65536, and {x} would
+    # need a code of 2**(2**65536) bits; an element coded 2**36 would need 8 GB
+    deep = parse_set_text("{{{{{{{}}}}}}}")
+    for make in (lambda: iota(deep), lambda: PerfiniteSet((deep,)), lambda: iota(decode(1 << 36))):
+        with pytest.raises(ValueError, match="not representable"):
+            make()
+    with pytest.raises(ValueError):
+        parse_set_text("{{{{{{{{}}}}}}}}")
+    assert iota(decode((1 << 24) - 1)).code == 1 << ((1 << 24) - 1)

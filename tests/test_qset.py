@@ -1,10 +1,13 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from qsetalg import perfinite, qset
+from qsetalg.cliff import build_gammas
 from qsetalg.linalg import congruence_signature
-from qsetalg.perfinite import decode, enumerate_rank, iota
+from qsetalg.perfinite import PerfiniteSet, bit_positions, decode, enumerate_rank, iota
 from qsetalg.qset import (
     Multivector,
     RankFrame,
@@ -22,7 +25,7 @@ from qsetalg.qset import (
     signature_report,
 )
 
-from helpers import load_oracle, rand_label, rand_mv
+from helpers import label_clifford, label_grassmann, load_oracle, rand_label, rand_mv
 
 
 def test_embed_is_the_unit_blade():
@@ -264,3 +267,108 @@ def test_chop_drops_small_float_terms():
     out = mv.chop(1e-12)
     assert out.coeff(decode(1)) == 0
     assert out.coeff(decode(2)) == 1.0
+
+
+# -- the bitmask products against the label-walking reference ----------------
+
+
+def _explicit_metric(rng, n, dense):
+    """Seeded symmetric rational metric: every entry nonzero when dense,
+    else diagonal with nonzero entries."""
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n) if dense else (i,):
+            rows[i][j] = rows[j][i] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 3))
+    return rows
+
+
+# the hyperbolic metric needs an even generator count, so not at rank 1
+@pytest.mark.parametrize(
+    "rank,metric",
+    [(r, m) for r in (1, 2, 3) for m in ("zero", "berezin", "hyperbolic", "dense") if (r, m) != (1, "hyperbolic")],
+)
+def test_products_match_label_reference(rank, metric):
+    rng = random.Random(f"bitmask-reference:{rank}:{metric}")
+    n = 1 << (rank - 1)
+    frame = RankFrame(rank, metric=_explicit_metric(rng, n, dense=True) if metric == "dense" else metric)
+    for _ in range(20):
+        u, v = rand_mv(rng, frame), rand_mv(rng, frame)
+        assert grassmann(u, v) == label_grassmann(u, v)
+        assert clifford(u, v, frame) == label_clifford(u, v, frame)
+
+
+@pytest.mark.parametrize("metric", ["hyperbolic", "diagonal"])
+def test_rank_four_products_match_label_reference(metric):
+    rng = random.Random(f"bitmask-reference:4:{metric}")
+    frame = RankFrame(4, metric=_explicit_metric(rng, 16, dense=False) if metric == "diagonal" else metric)
+    for _ in range(8):
+        u, v = rand_mv(rng, frame, terms=3), rand_mv(rng, frame, terms=3)
+        assert grassmann(u, v) == label_grassmann(u, v)
+        assert clifford(u, v, frame) == label_clifford(u, v, frame)
+
+
+def test_grassmann_matches_label_reference_on_large_element_codes():
+    # elements of rank 4 (65535) and rank 5 (65536, 65541, 2**20): label
+    # codes run to a million bits, and the sign loops over set bits only
+    pool = [decode(c) for c in (0, 3, 15, 255, 65535, 65536, 65541, 1 << 20)]
+    rng = random.Random(37)
+
+    def rand_big_mv():
+        terms = {}
+        for _ in range(3):
+            label = PerfiniteSet(rng.sample(pool, rng.randint(0, 4)))
+            terms[label] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        return Multivector(terms)
+
+    for _ in range(30):
+        u, v = rand_big_mv(), rand_big_mv()
+        assert grassmann(u, v) == label_grassmann(u, v)
+
+
+def test_products_construct_no_perfinite_set(monkeypatch):
+    # a set is built by its constructor or by decode; spy on both routes
+    rng = random.Random(41)
+    frame = RankFrame(3, metric="hyperbolic")
+    u, v = rand_mv(rng, frame), rand_mv(rng, frame)
+    made = []
+    real_init, real_decode = PerfiniteSet.__init__, perfinite.decode
+
+    def init_spy(self, *args, **kwargs):
+        made.append(args)
+        real_init(self, *args, **kwargs)
+
+    def decode_spy(n):
+        made.append(n)
+        return real_decode(n)
+
+    monkeypatch.setattr(PerfiniteSet, "__init__", init_spy)
+    for module in (perfinite, qset):
+        monkeypatch.setattr(module, "decode", decode_spy)
+    grassmann(u, v)
+    clifford(u, v, frame)
+    assert made == []
+    u.support()  # labels are built at the API edge, where the spy sees them
+    assert made
+
+
+@pytest.mark.parametrize("p", range(5))
+def test_clifford_equals_gamma_products(p):
+    # on the rank-3 frame (4 generators) with metric diag(eta) of Cl(p, 4-p),
+    # e_A -> gamma_{i+1} ... over A's generators i ascending is an algebra
+    # map: the image of every product of two blades is the matrix product
+    gs = build_gammas(p, 4 - p)
+    frame = RankFrame(3, metric=[[gs.eta[i] if i == j else 0 for j in range(4)] for i in range(4)])
+    ident = np.eye(gs.dim, dtype=np.int64)
+    image = {}
+    for lab in frame.basis_labels():
+        m = ident
+        for i in bit_positions(lab.code):
+            m = m @ gs.gamma(i + 1)
+        image[lab.code] = m
+    for a in frame.basis_labels():
+        for b in frame.basis_labels():
+            got = np.zeros_like(ident)
+            for lab, c in clifford(Multivector.blade(a), Multivector.blade(b), frame).items():
+                assert c.denominator == 1
+                got += int(c) * image[lab.code]
+            assert np.array_equal(got, image[a.code] @ image[b.code])
