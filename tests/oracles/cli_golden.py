@@ -4,11 +4,13 @@ layer: structure, Killing form, contraction (limit and at eps = 1/1000) for
 every named algebra, the six-direction frame tables, limits and 1/N defect,
 the carrier triples and exclusion reports of the truncated modes, normal
 ordering of a fixed set of words of length 1-6 in every rewrite preset, the
-set operations, and the multivector products, norms and signatures of the
-rank frames.
+set operations, the multivector products, norms and signatures of the rank
+frames, and the evaluation, parity audit and path check of seeded vertex
+networks.
 
 Run from the repository root with the package importable (PYTHONPATH=src);
-it writes the seeded multivector inputs (qset_*.json) and cli_golden.json
+it writes the seeded multivector inputs (qset_*.json), the seeded networks
+(net_*.json) and cli_golden.json
 next to this file, the latter as a list of
 {"argv": [...], "exit": code, "stdout": text}. Input paths in argv are
 relative to this directory: the recorder runs from it, and
@@ -52,6 +54,12 @@ SET_PAIRS = (
 METRICS = ("zero", "berezin", "hyperbolic")
 # seeded multivector inputs: name -> (rank, number of terms)
 MV_INPUTS = {"qset_r2_a": (2, 3), "qset_r2_b": (2, 4), "qset_r3_a": (3, 4), "qset_r3_b": (3, 6), "qset_r3_c": (3, 5)}
+# seeded gamma rings: name -> (vertices, signature); |p - q| >= 2 on 128
+# vertices passes 2^63, so that result prints Python ints
+RINGS = {
+    "net_ring2": (2, (2, 1)), "net_ring3": (3, (3, 1)), "net_ring16": (16, (3, 2)),
+    "net_ring48": (48, (2, 3)), "net_ring128": (128, (4, 3)), "net_ring128_wide": (128, (4, 1)),
+}
 
 
 def mv_terms(name):
@@ -64,6 +72,51 @@ def mv_terms(name):
         f = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 6))
         out.append([format_set_text(decode(c)), f.numerator, f.denominator])
     return out
+
+
+def ring(name):
+    """Gamma ring (spinor i -> dual i+1): two (even size) or three vector
+    slots stay open in a shuffled order, the others pair up on neighbouring
+    vertices at seeded places around the ring."""
+    size, (p, q) = RINGS[name]
+    rng = random.Random(f"cli-golden:{name}")
+    n_open = 2 if size % 2 == 0 else 3
+    tokens = ["open"] * n_open + ["pair"] * ((size - n_open) // 2)
+    rng.shuffle(tokens)
+    open_legs, edges, v = [], [], 0
+    for t in tokens:
+        if t == "open":
+            open_legs.append([v, "vector"])
+            v += 1
+        else:
+            edges.append([[v, "vector"], [v + 1, "vector"]])
+            v += 2
+    rng.shuffle(open_legs)
+    edges += [[[i, "spinor"], [(i + 1) % size, "dual"]] for i in range(size)]
+    return {"vertices": [{"kind": "gamma", "p": p, "q": q}] * size, "edges": edges, "open": open_legs}
+
+
+def gamma_net(p, q, count, edges, open_legs):
+    return {"vertices": [{"kind": "gamma", "p": p, "q": q}] * count, "edges": edges, "open": open_legs}
+
+
+NETWORKS = {
+    **{name: (lambda name=name: ring(name)) for name in RINGS},
+    "net_iota": lambda: {
+        "vertices": [{"kind": "iota", "m": m, "rank": r} for m, r in ((1, 1), (1, 2), (3, 3))],
+        "edges": [[[0, "out"], [1, "in"]], [[1, "out"], [2, "in"]]],
+        "open": [[0, "in"], [2, "out"]],
+    },
+    # vertex 0 traces its own spinor line; 1 and 2 form a loop
+    "net_self_loop": lambda: gamma_net(3, 1, 3, [
+        [[0, "spinor"], [0, "dual"]], [[1, "spinor"], [2, "dual"]], [[2, "spinor"], [1, "dual"]],
+    ], [[1, "vector"], [0, "vector"], [2, "vector"]]),
+    # a two-vertex loop and a three-vertex ring with one vector pair
+    "net_two_component": lambda: gamma_net(2, 1, 5, [
+        [[0, "spinor"], [1, "dual"]], [[1, "spinor"], [0, "dual"]], [[2, "spinor"], [3, "dual"]],
+        [[3, "spinor"], [4, "dual"]], [[4, "spinor"], [2, "dual"]], [[2, "vector"], [4, "vector"]],
+    ], [[3, "vector"], [0, "vector"], [1, "vector"]]),
+}
 
 
 def rewrite_words(system):
@@ -121,6 +174,13 @@ def commands():
                 yield ["qset", "iota", a, "--rank", str(rank), "--grade", str(grade)]
     # a rank-3 label is not a blade of the rank-2 frame: exit 2
     yield ["qset", "clifford", "qset_r3_a.json", "qset_r2_a.json", "--rank", "2"]
+    for name in NETWORKS:
+        yield ["net", "eval", f"{name}.json"]
+        yield ["net", "parity", f"{name}.json"]
+        # check's float oracle is one einsum over every wire at once: past 52
+        # wires it exits 2, and a 16-ring's nested loop would not finish
+        if name != "net_ring16":
+            yield ["net", "check", f"{name}.json"]
 
 
 def run(argv):
@@ -136,6 +196,10 @@ def main() -> None:
     for name in MV_INPUTS:
         with open(f"{name}.json", "w", encoding="utf-8") as fh:
             json.dump(mv_terms(name), fh)
+            fh.write("\n")
+    for name, build in NETWORKS.items():
+        with open(f"{name}.json", "w", encoding="utf-8") as fh:
+            json.dump(build(), fh)
             fh.write("\n")
     out = []
     for argv in commands():
