@@ -15,7 +15,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, log10
 
 import numpy as np
 
@@ -34,7 +34,14 @@ from .liecore import (
     numeric_contraction_check,
 )
 from .palev import NCPolynomial, PalevMode, carrier_triple, normal_order
-from .perfinite import OM, decode, enumerate_rank, format_set_text, parse_set_text
+from .perfinite import (
+    MAX_CODE_BITS,
+    OM,
+    decode,
+    enumerate_rank,
+    format_set_text,
+    parse_set_text,
+)
 from .qset import (
     Multivector,
     RankFrame,
@@ -48,7 +55,7 @@ from .qset import (
     mv_to_json,
     signature_report,
 )
-from .scalars import fmt_scalar
+from .scalars import fmt_scalar, parse_int
 from .verify import RunConfig, run_all
 from .vertexnet import VertexNetwork, dense_oracle
 from .yang import (
@@ -61,6 +68,10 @@ from .yang import (
     toy_frame,
     unit_tags,
 )
+
+
+# decimal digits of 2**MAX_CODE_BITS - 1, the largest code a set may have
+_MAX_CODE_DIGITS = int(MAX_CODE_BITS * log10(2)) + 1
 
 
 class CliError(Exception):
@@ -171,10 +182,16 @@ def _cmd_sets(args) -> int:
     elif op == "decode":
         if len(args.operands) != 1:
             raise CliError("sets decode takes one integer")
+        text = args.operands[0].strip()
+        too_long = f"sets decode: the code passes the {MAX_CODE_BITS}-bit set limit"
+        if len(text) > _MAX_CODE_DIGITS:
+            raise CliError(too_long)
         try:
-            n = int(args.operands[0])
+            n = parse_int(text)
         except ValueError:
             raise CliError("sets decode takes one integer") from None
+        if n.bit_length() > MAX_CODE_BITS:
+            raise CliError(too_long)
         print(format_set_text(decode(n)))
     elif op == "info":
         if len(args.operands) != 1:
@@ -438,8 +455,8 @@ def _cmd_net(args) -> int:
         print(f"parity flags: {len(rep.flags)}")
         return 0
     if what == "check":
-        sparse = net.contract()
-        dense = net.contract(dense_cutoff=10**9)
+        sparse = net.contract(dense_cutoff=0)  # sparse dicts throughout
+        dense = net.contract(dense_cutoff=10**9)  # integer arrays throughout
         oracle = dense_oracle(net)
         ok = np.array_equal(sparse, dense) and np.array_equal(
             sparse.astype(float), oracle

@@ -42,7 +42,7 @@ _QJ = np.array(
 )
 _QK = _QI @ _QJ
 
-_MAX_TOTAL = 12
+MAX_TOTAL = 12  # largest p + q of a gamma set, and of a gamma vertex
 
 
 def _recurse(p: int, q: int):
@@ -148,8 +148,8 @@ class GammaSet:
 def build_gammas(p: int, q: int) -> GammaSet:
     if p < 0 or q < 0:
         raise ValueError("signature counts must be nonnegative")
-    if p + q > _MAX_TOTAL:
-        raise ValueError(f"p + q > {_MAX_TOTAL} not supported")
+    if p + q > MAX_TOTAL:
+        raise ValueError(f"p + q > {MAX_TOTAL} not supported")
     plus, minus = _recurse(p, q)
     return GammaSet(p, q, plus + minus)
 

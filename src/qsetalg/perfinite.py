@@ -28,7 +28,9 @@ from __future__ import annotations
 import operator
 
 _TOWER = [1, 2, 4, 16, 65536]
-_MAX_ELEMENT_CODE = 1 << 24
+# a code has at most this many bits, so every element code lies below it
+MAX_CODE_BITS = 1 << 24
+_TOO_LARGE = "set not representable: an element code of 2**24 or more makes a code past 2 MB"
 
 
 class _OmType:
@@ -60,10 +62,8 @@ OM = _OmType()
 
 def _singleton_code(c: int) -> int:
     """Code of {x} for the set x coded c."""
-    if c >= _MAX_ELEMENT_CODE:
-        raise ValueError(
-            "set not representable: an element code of 2**24 or more makes a code past 2 MB"
-        )
+    if c >= MAX_CODE_BITS:
+        raise ValueError(_TOO_LARGE)
     return 1 << c
 
 
@@ -200,45 +200,63 @@ def format_set_text(x: PerfiniteSet) -> str:
     """Brace text, elements in code order: {}, {{}}, {{},{{}}} ..."""
     if not isinstance(x, PerfiniteSet):
         raise TypeError("format_set_text takes a PerfiniteSet")
-    return "{" + ",".join(format_set_text(e) for e in x) + "}"
+    return _text(x._code)
+
+
+def _text(n: int) -> str:
+    if n < len(_SMALL_TEXTS):
+        return _SMALL_TEXTS[n]
+    return "{" + ",".join(map(_text, bit_positions(n))) + "}"
+
+
+def _small_texts() -> tuple:
+    """Texts of the 16 sets of rank <= 3, by code."""
+    texts = []
+    for n in range(16):
+        texts.append("{" + ",".join(texts[e] for e in bit_positions(n)) + "}")
+    return tuple(texts)
+
+
+_SMALL_TEXTS = _small_texts()
 
 
 def parse_set_text(text: str) -> PerfiniteSet:
-    """Parse brace text. Whitespace is tolerated; output of format round-trips."""
-    s = text
-    pos = 0
+    """Parse brace text. Whitespace is tolerated; output of format round-trips.
 
-    def skip_ws():
-        nonlocal pos
-        while pos < len(s) and s[pos].isspace():
-            pos += 1
-
-    def parse() -> PerfiniteSet:
-        nonlocal pos
-        skip_ws()
-        if pos >= len(s) or s[pos] != "{":
-            raise ValueError(f"expected '{{' at position {pos} in {text!r}")
-        pos += 1
-        skip_ws()
-        elems = []
-        if pos < len(s) and s[pos] == "}":
-            pos += 1
-            return EMPTY
-        while True:
-            elems.append(parse())
-            skip_ws()
-            if pos >= len(s):
-                raise ValueError(f"unterminated set in {text!r}")
-            if s[pos] == ",":
-                pos += 1
-                continue
-            if s[pos] == "}":
-                pos += 1
-                return PerfiniteSet(elems)
+    One pass over the characters. `codes` holds the codes of the sets opened
+    and not yet closed, innermost last; a set gets -1 once it has an element
+    past the code limit, and raises when it closes. `state` says what the
+    next non-space character may be: 0 '{' (at the start and after ','),
+    1 '{' or '}' (after '{'), 2 ',' or '}' (after an element), 3 nothing
+    (after the outermost '}').
+    """
+    codes = []
+    state = 0
+    for pos, ch in enumerate(text):
+        if ch == "{" and state < 2:
+            codes.append(0)
+            state = 1
+        elif ch == "}" and 0 < state < 3:
+            c = codes.pop()
+            if c < 0:
+                raise ValueError(_TOO_LARGE)
+            if not codes:
+                result, state = c, 3
+            else:
+                codes[-1] = -1 if c >= MAX_CODE_BITS else codes[-1] | 1 << c
+                state = 2
+        elif ch == "," and state == 2:
+            state = 0
+        elif ch.isspace():
+            continue
+        elif state == 3:
+            raise ValueError(f"trailing input at position {pos} in {text!r}")
+        elif state == 2:
             raise ValueError(f"expected ',' or '}}' at position {pos} in {text!r}")
-
-    result = parse()
-    skip_ws()
-    if pos != len(s):
-        raise ValueError(f"trailing input at position {pos} in {text!r}")
-    return result
+        else:
+            raise ValueError(f"expected '{{' at position {pos} in {text!r}")
+    if state == 3:
+        return decode(result)
+    if state == 2:
+        raise ValueError(f"unterminated set in {text!r}")
+    raise ValueError(f"expected '{{' at position {len(text)} in {text!r}")

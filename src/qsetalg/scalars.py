@@ -8,8 +8,10 @@ way: rationals as n or n/d, floats with 17 significant digits.
 
 from __future__ import annotations
 
+import sys
 from decimal import Decimal
 from fractions import Fraction
+from functools import cache
 
 DEFAULT_TOLERANCE = 1e-12
 
@@ -18,6 +20,27 @@ def is_zero(x, tol: float = DEFAULT_TOLERANCE) -> bool:
     if isinstance(x, float):
         return abs(x) <= tol
     return x == 0
+
+
+def parse_int(text: str) -> int:
+    """int(text), also past int()'s sys.get_int_max_str_digits() limit: a
+    longer run of ASCII digits is read by halves, each part under it."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = text.strip()
+        if not (digits.isascii() and digits.isdigit()):
+            raise
+    limit = sys.get_int_max_str_digits()
+    pow10 = cache(lambda k: 10**k)
+
+    def read(s: str) -> int:
+        if len(s) <= limit:
+            return int(s)
+        half = len(s) // 2
+        return read(s[:-half]) * pow10(half) + read(s[-half:])
+
+    return read(digits)
 
 
 def _int_text(n: int) -> str:

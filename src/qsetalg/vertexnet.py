@@ -5,7 +5,8 @@ Two node species:
     gamma vertex   slots (dual, vector, spinor) with dimensions
                    (rep, p+q, rep) and parities (1, 0, 1); the tensor entry at
                    (y2, m, y1) is gamma_m[y2][y1]. The parity sum is even, so
-                   a gauge interaction conserves fermion-line parity.
+                   a gauge interaction conserves fermion-line parity. Any
+                   signature build_gammas makes is accepted: 1 <= p+q <= 12.
 
     iota node      one rank-raising relabeling: grade-m blade labels of the
                    rank-r frame (C(n, m) of them, parity m mod 2) are sent to
@@ -20,12 +21,19 @@ slots become output axes in the declared order.
 contract() runs a greedy pairwise reduction, joining the pair of tensors
 whose merged result is smallest. A wire index keeps the candidates to pairs
 that share a wire, so planning costs O(E log E) for E edges instead of an
-all-pairs rescan per merge (O(V^3) for V vertices). Tiny merges drop to a
-dense integer einsum (linalg.int_einsum, int64 under its stated bound,
-Python ints past it) and everything else goes through an exact sparse
-hash-join, so no entry wraps; the result is int64 when every entry fits and
-dtype=object otherwise. Tests replay whole networks through float64 einsum
-as an independent oracle.
+all-pairs rescan per merge (O(V^3) for V vertices). Each tensor in flight is
+held one of two ways, by its dense size (product of dimensions):
+
+    array   within dense_cutoff: an integer ndarray. Vertices hand over their
+            cached read-only arrays, and a merge of two arrays whose result
+            fits too is one linalg.int_einsum (int64 under its stated bound,
+            Python ints past it).
+    dict    past it: index tuple -> nonzero entry, merged by an exact sparse
+            hash-join on the shared indices.
+
+dense_cutoff=0 keeps every tensor a dict. No entry wraps on either path; the
+result is int64 when every entry fits and dtype=object otherwise. Tests
+replay whole networks through float64 einsum as an independent oracle.
 
 parity_check() is the bookkeeping pass: gauge vertices always balance; every
 iota node gets flagged. An even-m node breaks the mod-2 grading outright
@@ -40,17 +48,20 @@ import heapq
 import json
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations
-from math import comb
+from itertools import chain, combinations
+from math import comb, prod
 
 import numpy as np
 
-from .cliff import build_gammas
+from .cliff import MAX_TOTAL, build_gammas
 from .linalg import int_einsum
 from .perfinite import enumerate_rank
 
-_DENSE_CUTOFF = 64
+# every intermediate of a (4, 4) ring with two open legs fits: the largest
+# is a (16, 8, 16) vertex with one open vector leg
+_DENSE_CUTOFF = 1 << 12
 _INT64 = 1 << 63
+_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 # slot kind compatibility for edges (unordered pairs)
 _COMPATIBLE = (
@@ -61,17 +72,20 @@ _COMPATIBLE = (
 
 
 class GammaVertex:
+    """A (p, q) gamma vertex; `array` is its read-only int64 tensor
+    (dual, vector, spinor), shared by every vertex of the signature."""
+
     kind = "gamma"
     slot_names = ("dual", "vector", "spinor")
 
     def __init__(self, p: int, q: int):
         if p + q < 1:
             raise ValueError("gamma vertex needs at least one direction")
-        if p + q > 8:
-            raise ValueError("gamma vertex limited to p + q <= 8")
+        if p + q > MAX_TOTAL:
+            raise ValueError(f"gamma vertex limited to p + q <= {MAX_TOTAL}")
         self.p = p
         self.q = q
-        self.gamma_set, self._entries = _gamma_table(p, q)
+        self.gamma_set, self.array = _gamma_table(p, q)
         d = self.gamma_set.dim
         self.slot_dims = {"dual": d, "vector": p + q, "spinor": d}
         self.slot_kinds = {"dual": "dual", "vector": "vector", "spinor": "spinor"}
@@ -79,7 +93,7 @@ class GammaVertex:
 
     def entries(self):
         """Sparse dict (dual, vector, spinor) -> entry; a fresh copy."""
-        return dict(self._entries)
+        return _entries(self.array)
 
     def to_json(self):
         return {"kind": "gamma", "p": self.p, "q": self.q}
@@ -90,20 +104,20 @@ class GammaVertex:
 
 @cache
 def _gamma_table(p: int, q: int):
-    """GammaSet and sparse entry dict of a (p, q) vertex, built once per
-    signature and shared by every vertex: the gamma arrays are read-only and
-    GammaVertex.entries() hands out copies of the dict."""
+    """GammaSet and (dual, vector, spinor) stack of a (p, q) vertex, built
+    once per signature and shared by every vertex, all arrays read-only."""
     gs = build_gammas(p, q)
-    entries = {}
-    for m, g in enumerate(gs.gammas):
+    for g in gs.gammas:
         g.flags.writeable = False
-        rows, cols = np.nonzero(g)
-        for r, c in zip(rows.tolist(), cols.tolist()):
-            entries[(r, m, c)] = int(g[r, c])
-    return gs, entries
+    stack = np.stack(gs.gammas, axis=1)
+    stack.flags.writeable = False
+    return gs, stack
 
 
 class IotaNode:
+    """A grade-m selector of the rank frame; `array` is its read-only 0/1
+    inclusion matrix (out, in), shared by every node of the grade and rank."""
+
     kind = "iota"
     slot_names = ("out", "in")
 
@@ -122,22 +136,28 @@ class IotaNode:
         self.slot_dims = {"out": out_dim, "in": in_dim}
         self.slot_kinds = {"out": "monad-out", "in": "blade-in"}
         self.slot_parity = {"out": 1, "in": m % 2}
-        # grade-m labels of the rank frame, ascending code; their codes are
-        # exactly the out-side generator indices.
-        self._labels = [
-            x for x in enumerate_rank(rank) if x.grade == m
-        ]
-        assert len(self._labels) == in_dim
+        self.array = _inclusion(m, rank)
 
     def entries(self):
         """Sparse dict (out, in) -> 1; inclusion of grade-m labels."""
-        return {(lab.code, i): 1 for i, lab in enumerate(self._labels)}
+        return _entries(self.array)
 
     def to_json(self):
         return {"kind": "iota", "m": self.m, "rank": self.rank}
 
     def __repr__(self):
         return f"IotaNode(m={self.m}, rank={self.rank})"
+
+
+@cache
+def _inclusion(m: int, rank: int) -> np.ndarray:
+    """Grade-m labels of the rank frame, in ascending code, down the in
+    axis; each label's code is exactly its out-side generator index."""
+    codes = [x.code for x in enumerate_rank(rank) if x.grade == m]
+    arr = np.zeros((1 << len(enumerate_rank(rank - 1)), len(codes)), dtype=np.int64)
+    arr[codes, range(len(codes))] = 1
+    arr.flags.writeable = False
+    return arr
 
 
 def _vertex_from_json(data: dict):
@@ -270,11 +290,16 @@ class VertexNetwork:
         Pairwise greedy (see _reduce): always merge the pair with the
         smallest resulting dense size, preferring pairs that share a wire.
         A wire index finds those pairs, so planning costs O(E log E) for E
-        edges rather than an all-pairs scan per merge. Merges whose
-        operands and result all fit under dense_cutoff entries run through
-        an integer einsum; larger ones use the exact sparse hash-join.
-        Entries stay exact integers throughout: the result is int64 when
-        every entry fits and dtype=object (Python ints) otherwise.
+        edges rather than an all-pairs scan per merge.
+
+        dense_cutoff picks the representation, never the plan. A vertex
+        whose dense size is within it enters as its cached integer array,
+        and a merge whose operands and result are all within it is one
+        integer einsum producing an array. Larger vertices enter as sparse
+        dicts, and larger merges run the exact sparse hash-join. 0 keeps
+        dicts throughout; a huge cutoff keeps arrays throughout. Entries
+        stay exact integers either way: the result is int64 when every
+        entry fits and dtype=object (Python ints) otherwise.
         """
         if not self.vertices:
             return np.ones((), dtype=np.int64)
@@ -282,8 +307,9 @@ class VertexNetwork:
         tensors = []
         for vi, vert in enumerate(self.vertices):
             legs = tuple(wire_of[(vi, s)] for s in vert.slot_names)
-            dims = tuple(vert.slot_dims[s] for s in vert.slot_names)
-            tensors.append(_SparseTensor(legs, dims, vert.entries()).self_trace())
+            arr = vert.array
+            data = arr if arr.size <= dense_cutoff else _entries(arr)
+            tensors.append(_Tensor(legs, arr.shape, data).self_trace())
         final = _reduce(tensors, dense_cutoff)
         order = tuple(wire_of[l] for l in self.open_legs)
         return final.to_dense(order)
@@ -319,7 +345,7 @@ class VertexNetwork:
         )
 
 
-def _reduce(tensors, dense_cutoff: int) -> "_SparseTensor":
+def _reduce(tensors, dense_cutoff: int) -> "_Tensor":
     """Merge self-traced tensors pairwise down to one.
 
     Each step merges the pair with the smallest (not sharing a wire,
@@ -365,82 +391,72 @@ def _reduce(tensors, dense_cutoff: int) -> "_SparseTensor":
     return final
 
 
-class _SparseTensor:
-    """Integer tensor as dict index-tuple -> value, with wire-id legs.
+class _Tensor:
+    """Integer tensor with wire-id legs, held as an ndarray or as a dict
+    index tuple -> nonzero entry (see the module docstring).
 
     Repeated wire ids inside one tensor mean a pending self-trace."""
 
-    __slots__ = ("legs", "dims", "data")
+    __slots__ = ("legs", "dims", "size", "data")
 
     def __init__(self, legs, dims, data):
         self.legs = tuple(legs)
         self.dims = tuple(dims)
-        self.data = {k: v for k, v in data.items() if v}
+        self.size = prod(self.dims)  # the dense size
+        if isinstance(data, dict):
+            data = {k: v for k, v in data.items() if v}
+        self.data = data
 
-    def dense_size(self) -> int:
-        size = 1
-        for d in self.dims:
-            size *= d
-        return size
+    def array(self) -> np.ndarray:
+        data = self.data
+        return _dense_array(self.dims, data) if isinstance(data, dict) else data
+
+    def entries(self) -> dict:
+        data = self.data
+        return data if isinstance(data, dict) else _entries(data)
 
     def merged_size(self, other) -> int:
-        shared = set(self.legs) & set(other.legs)
-        size = 1
-        for l, d in zip(self.legs + other.legs, self.dims + other.dims):
-            if l not in shared:
-                size *= d
+        size = self.size * other.size
+        for l, d in zip(self.legs, self.dims):
+            if l in other.legs:
+                size //= d * d
         return size
 
-    def self_trace(self) -> "_SparseTensor":
-        counts = {}
-        for l in self.legs:
-            counts[l] = counts.get(l, 0) + 1
-        dups = [l for l, c in counts.items() if c > 1]
-        if not dups:
+    def self_trace(self) -> "_Tensor":
+        """Sum over the diagonal of every wire the tensor carries twice."""
+        if len(set(self.legs)) == len(self.legs):
             return self
-        keep = [i for i, l in enumerate(self.legs) if counts[l] == 1]
+        keep = [i for i, l in enumerate(self.legs) if self.legs.count(l) == 1]
+        legs = tuple(self.legs[i] for i in keep)
+        if not isinstance(self.data, dict):
+            arr = int_einsum(_einsum_spec((self.legs,), legs), self.data)
+            return _Tensor(legs, arr.shape, arr)
+        ties = [(self.legs.index(l), i) for i, l in enumerate(self.legs) if self.legs.index(l) < i]
         out: dict = {}
         for idx, v in self.data.items():
-            ok = True
-            for l in dups:
-                pos = [i for i, ll in enumerate(self.legs) if ll == l]
-                if any(idx[pos[0]] != idx[p] for p in pos[1:]):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            key = tuple(idx[i] for i in keep)
-            out[key] = out.get(key, 0) + v
-        return _SparseTensor(
-            tuple(self.legs[i] for i in keep),
-            tuple(self.dims[i] for i in keep),
-            out,
-        )
+            if all(idx[a] == idx[b] for a, b in ties):
+                key = tuple(idx[i] for i in keep)
+                out[key] = out.get(key, 0) + v
+        return _Tensor(legs, tuple(self.dims[i] for i in keep), out)
 
-    def merge(self, other: "_SparseTensor", dense_cutoff: int) -> "_SparseTensor":
-        small = (
-            self.dense_size() <= dense_cutoff
-            and other.dense_size() <= dense_cutoff
-            and self.merged_size(other) <= dense_cutoff
-        )
-        if small:
+    def merge(self, other: "_Tensor", dense_cutoff: int) -> "_Tensor":
+        size = max(self.size, other.size, self.merged_size(other))
+        if size <= dense_cutoff and len(self.legs + other.legs) <= len(_LETTERS):
             return self._merge_dense(other)
         return self._merge_sparse(other)
 
-    def _merge_sparse(self, other: "_SparseTensor") -> "_SparseTensor":
+    def _merge_sparse(self, other: "_Tensor") -> "_Tensor":
         shared = sorted(set(self.legs) & set(other.legs))
         a_keep = [i for i, l in enumerate(self.legs) if l not in shared]
         b_keep = [i for i, l in enumerate(other.legs) if l not in shared]
         a_sh = [self.legs.index(l) for l in shared]
         b_sh = [other.legs.index(l) for l in shared]
         buckets: dict = {}
-        for idx, v in other.data.items():
-            key = tuple(idx[i] for i in b_sh)
-            buckets.setdefault(key, []).append(
-                (tuple(idx[i] for i in b_keep), v)
-            )
+        for idx, v in other.entries().items():
+            right = tuple(idx[i] for i in b_keep)
+            buckets.setdefault(tuple(idx[i] for i in b_sh), []).append((right, v))
         out: dict = {}
-        for idx, v in self.data.items():
+        for idx, v in self.entries().items():
             key = tuple(idx[i] for i in a_sh)
             hits = buckets.get(key)
             if not hits:
@@ -449,45 +465,38 @@ class _SparseTensor:
             for right, w in hits:
                 full = left + right
                 out[full] = out.get(full, 0) + v * w
-        legs = tuple(self.legs[i] for i in a_keep) + tuple(
-            other.legs[i] for i in b_keep
-        )
-        dims = tuple(self.dims[i] for i in a_keep) + tuple(
-            other.dims[i] for i in b_keep
-        )
-        return _SparseTensor(legs, dims, out)
+        legs = [self.legs[i] for i in a_keep] + [other.legs[i] for i in b_keep]
+        dims = [self.dims[i] for i in a_keep] + [other.dims[i] for i in b_keep]
+        return _Tensor(legs, dims, out)
 
-    def _merge_dense(self, other: "_SparseTensor") -> "_SparseTensor":
-        shared = set(self.legs) & set(other.legs)
-        out_legs = [l for l in self.legs if l not in shared] + [
-            l for l in other.legs if l not in shared
-        ]
-        arr = int_einsum(
-            _einsum_spec((self.legs, other.legs), out_legs),
-            _dense_array(self.dims, self.data),
-            _dense_array(other.dims, other.data),
-        )
-        dims = tuple(
-            dict(zip(self.legs + other.legs, self.dims + other.dims))[l]
-            for l in out_legs
-        )
-        data = {tuple(i): int(arr[tuple(i)]) for i in np.argwhere(arr).tolist()}
-        return _SparseTensor(tuple(out_legs), dims, data)
+    def _merge_dense(self, other: "_Tensor") -> "_Tensor":
+        legs = [l for l in self.legs + other.legs if (l in self.legs) != (l in other.legs)]
+        spec = _einsum_spec((self.legs, other.legs), legs)
+        arr = int_einsum(spec, self.array(), other.array())
+        return _Tensor(legs, arr.shape, arr)
 
     def to_dense(self, leg_order) -> np.ndarray:
+        """A fresh array with axes in leg_order: int64 when every entry
+        fits, otherwise dtype=object holding the exact Python ints."""
         if set(leg_order) != set(self.legs) or len(leg_order) != len(self.legs):
             raise ValueError("output legs disagree with remaining legs")
-        perm = [self.legs.index(l) for l in leg_order]
-        dims = tuple(self.dims[p] for p in perm)
-        data = {tuple(idx[p] for p in perm): v for idx, v in self.data.items()}
-        return _dense_array(dims, data)
+        arr = self.array().transpose([self.legs.index(l) for l in leg_order])
+        fits = arr.dtype != object or -_INT64 <= arr.min(initial=0) <= arr.max(initial=0) < _INT64
+        return arr.astype(np.int64 if fits else object)
+
+
+def _entries(arr: np.ndarray) -> dict:
+    """Sparse dict index tuple -> nonzero entry (a Python int) of an
+    integer array."""
+    if arr.ndim == 0:
+        return {(): int(arr)} if arr else {}
+    idx = np.nonzero(arr)
+    return dict(zip(zip(*(i.tolist() for i in idx)), arr[idx].tolist()))
 
 
 def _dense_array(dims, data) -> np.ndarray:
-    """Dense array of a sparse dict: int64 when every entry fits, otherwise
-    dtype=object holding the exact Python ints."""
-    fits = all(-_INT64 <= v < _INT64 for v in data.values())
-    arr = np.zeros(dims, dtype=np.int64 if fits else object)
+    """Dense dtype=object array of a sparse dict, holding its Python ints."""
+    arr = np.zeros(dims, dtype=object)
     for idx, v in data.items():
         arr[idx] = v
     return arr
@@ -498,31 +507,21 @@ def _einsum_spec(inputs, output) -> str:
     legs `output`: one letter per distinct wire, in order of first
     appearance. numpy accepts 52 letters (its integer-sublist form has the
     same [0, 52) limit), so at most 52 distinct wires."""
-    alphabet = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-    names: dict = {}
-
-    def word(legs):
-        for l in legs:
-            if l not in names:
-                if len(names) == len(alphabet):
-                    raise ValueError("too many distinct wires for einsum subscripts")
-                names[l] = alphabet[len(names)]
-        return "".join(names[l] for l in legs)
-
-    return ",".join(word(legs) for legs in inputs) + "->" + word(output)
+    wires = dict.fromkeys(chain(*inputs, output))
+    if len(wires) > len(_LETTERS):
+        raise ValueError("too many distinct wires for einsum subscripts")
+    name = dict(zip(wires, _LETTERS)).__getitem__
+    words = ["".join(map(name, legs)) for legs in (*inputs, output)]
+    return ",".join(words[:-1]) + "->" + words[-1]
 
 
 def dense_oracle(net: VertexNetwork) -> np.ndarray:
     """Independent reference: one float64 einsum over the whole network."""
     wire_of = net._wires()
-    legs = []
-    ops = []
-    for vi, vert in enumerate(net.vertices):
-        legs.append([wire_of[(vi, s)] for s in vert.slot_names])
-        dims = tuple(vert.slot_dims[s] for s in vert.slot_names)
-        arr = np.zeros(dims, dtype=np.float64)
-        for idx, v in vert.entries().items():
-            arr[idx] = float(v)
-        ops.append(arr)
+    legs = [
+        [wire_of[(vi, s)] for s in vert.slot_names]
+        for vi, vert in enumerate(net.vertices)
+    ]
+    ops = [vert.array.astype(np.float64) for vert in net.vertices]
     out = [wire_of[l] for l in net.open_legs]
     return np.einsum(_einsum_spec(legs, out), *ops)

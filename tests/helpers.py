@@ -238,3 +238,51 @@ def label_clifford(v, w, frame):
     frame.validate(w)
     gen_index = {s: i for i, s in enumerate(frame.generators)}
     return _label_mv_times(v, w, frame, gen_index)
+
+
+def recursive_parse_set_text(text: str) -> PerfiniteSet:
+    """Brace text by recursive descent, one character at a time: the
+    reference for perfinite.parse_set_text, error messages included."""
+    s = text
+    pos = 0
+
+    def skip_ws():
+        nonlocal pos
+        while pos < len(s) and s[pos].isspace():
+            pos += 1
+
+    def parse() -> PerfiniteSet:
+        nonlocal pos
+        skip_ws()
+        if pos >= len(s) or s[pos] != "{":
+            raise ValueError(f"expected '{{' at position {pos} in {text!r}")
+        pos += 1
+        skip_ws()
+        elems = []
+        if pos < len(s) and s[pos] == "}":
+            pos += 1
+            return decode(0)
+        while True:
+            elems.append(parse())
+            skip_ws()
+            if pos >= len(s):
+                raise ValueError(f"unterminated set in {text!r}")
+            if s[pos] == ",":
+                pos += 1
+                continue
+            if s[pos] == "}":
+                pos += 1
+                return PerfiniteSet(elems)
+            raise ValueError(f"expected ',' or '}}' at position {pos} in {text!r}")
+
+    result = parse()
+    skip_ws()
+    if pos != len(s):
+        raise ValueError(f"trailing input at position {pos} in {text!r}")
+    return result
+
+
+def recursive_format_set_text(x: PerfiniteSet) -> str:
+    """Brace text by recursion over the elements: the reference for
+    perfinite.format_set_text."""
+    return "{" + ",".join(recursive_format_set_text(e) for e in x) + "}"

@@ -325,3 +325,37 @@ def test_sets_past_the_code_size_limit_exit_two(capsys):
     code, _, err = run(capsys, "sets", "xor", "{{{{{{{{}}}}}}}}", "{}")
     assert code == 2
     assert "not representable" in err
+
+
+def test_sets_decode_reads_back_what_code_prints(capsys):
+    code, out, _ = run(capsys, "sets", "code", "{{{{{{{}}}}}}}")
+    digits = out.splitlines()[1]
+    assert code == 0 and len(digits) == 19729
+    code, out, _ = run(capsys, "sets", "decode", digits)
+    assert code == 0
+    assert out.splitlines()[1] == "{{{{{{{}}}}}}}"
+
+
+def test_sets_decode_refuses_codes_past_the_set_limit(capsys):
+    from qsetalg import cli
+
+    # more digits than 2**(2**24) - 1 has: refused before conversion
+    code, out, err = run(capsys, "sets", "decode", "1" * (cli._MAX_CODE_DIGITS + 1))
+    assert code == 2
+    assert "passes the 16777216-bit set limit" in err
+    assert len(out.splitlines()) == 1  # the header only
+    code, _, err = run(capsys, "sets", "decode", "1" * 5000 + "x")
+    assert code == 2
+    assert "takes one integer" in err
+
+
+def test_net_eval_refuses_gamma_vertices_past_p_plus_q_12(capsys, tmp_path):
+    f = tmp_path / "big.json"
+    f.write_text(json.dumps({
+        "vertices": [{"kind": "gamma", "p": 7, "q": 6}],
+        "edges": [[[0, "spinor"], [0, "dual"]]],
+        "open": [[0, "vector"]],
+    }))
+    code, _, err = run(capsys, "net", "eval", str(f))
+    assert code == 2
+    assert "gamma vertex limited to p + q <= 12" in err

@@ -15,7 +15,7 @@ from qsetalg.perfinite import (
     xor_union,
 )
 
-from helpers import load_oracle
+from helpers import load_oracle, recursive_format_set_text, recursive_parse_set_text
 
 
 def test_code_table_matches_independent_derivation():
@@ -101,6 +101,41 @@ def test_parse_format_round_trip():
 def test_parse_rejects_malformed_text(bad):
     with pytest.raises(ValueError):
         parse_set_text(bad)
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text).code
+    except ValueError as e:
+        return str(e)
+
+
+def test_set_text_matches_the_recursive_reference():
+    rng = random.Random(20250611)
+    codes = [*range(300), *rng.sample(range(1 << 16), 300), 1 << 65536, (1 << 65536) | 65535]
+    for c in codes:
+        text = format_set_text(decode(c))
+        assert text == recursive_format_set_text(decode(c))
+        spaced = "".join(ch + " " * rng.choice((0, 0, 1, 2)) for ch in text)
+        assert parse_set_text(text).code == parse_set_text(spaced).code == c
+    # malformed texts: the same ValueError message, position included
+    for _ in range(3000):
+        text = format_set_text(decode(rng.randrange(1 << 16)))
+        chars = list(text)
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(chars) + 1)
+            op = rng.randrange(3)
+            if op == 0 and chars:
+                del chars[min(i, len(chars) - 1)]
+            elif op == 1:
+                chars.insert(i, rng.choice("{},x "))
+            else:
+                chars = chars[:i] if rng.random() < 0.5 else chars[i:]
+        bad = "".join(chars)
+        assert _parsed(parse_set_text, bad) == _parsed(recursive_parse_set_text, bad)
+    # an element past the code limit, and a syntax error after it
+    for bad in ("{{{{{{{{}}}}}}}}", "{{{{{{{{}}}}}}},{}}", "{{{{{{{{}}}}}}}x}", "{{{{{{{{}}}}}}},"):
+        assert _parsed(parse_set_text, bad) == _parsed(recursive_parse_set_text, bad)
 
 
 def test_elements_are_deduplicated_and_sorted():

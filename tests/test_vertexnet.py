@@ -34,8 +34,9 @@ def test_gamma_vertex_slots():
     assert v.slot_parity == {"dual": 1, "vector": 0, "spinor": 1}
     with pytest.raises(ValueError):
         GammaVertex(0, 0)
-    with pytest.raises(ValueError):
-        GammaVertex(5, 4)
+    # p + q = 13 is one past build_gammas' limit
+    with pytest.raises(ValueError, match="p \\+ q <= 12"):
+        GammaVertex(7, 6)
 
 
 def test_iota_node_entries_are_a_grade_selector():
@@ -229,14 +230,14 @@ def _merge_log(monkeypatch, net, reduce=None):
     """(result, [(legs, legs) of every merge]) of net.contract(), optionally
     with another reduction routine in place of the planner."""
     log = []
-    real = vertexnet._SparseTensor.merge
+    real = vertexnet._Tensor.merge
 
     def spy(self, other, dense_cutoff):
         log.append((self.legs, other.legs))
         return real(self, other, dense_cutoff)
 
     with monkeypatch.context() as m:
-        m.setattr(vertexnet._SparseTensor, "merge", spy)
+        m.setattr(vertexnet._Tensor, "merge", spy)
         if reduce is not None:
             m.setattr(vertexnet, "_reduce", reduce)
         return net.contract(), log
@@ -260,6 +261,22 @@ def _ring(size, p, q, rng):
     rng.shuffle(open_legs)
     edges += [((i, "spinor"), ((i + 1) % size, "dual")) for i in range(size)]
     return VertexNetwork([GammaVertex(p, q) for _ in range(size)], edges, open_legs)
+
+
+def _paired_ring(size, p, q):
+    # vertices 0 and 1 keep their vector legs open; 2-3, 4-5, ... pair up
+    edges = [((i, "spinor"), ((i + 1) % size, "dual")) for i in range(size)]
+    edges += [((v, "vector"), (v + 1, "vector")) for v in range(2, size, 2)]
+    return VertexNetwork(
+        [GammaVertex(p, q) for _ in range(size)], edges, [(0, "vector"), (1, "vector")]
+    )
+
+
+def _paired_ring_value(size, p, q):
+    # each pair collapses to sum_m g_m g_m = (p - q) I: (p - q)^pairs tr(g_a g_b)
+    gs = build_gammas(p, q)
+    scale = (p - q) ** ((size - 2) // 2) * gs.dim
+    return [[scale * gs.eta[a] if a == b else 0 for b in range(p + q)] for a in range(p + q)]
 
 
 def _crossed_ring(size, rng):
@@ -337,21 +354,14 @@ def test_planner_cost_is_linear_in_the_vertex_count(monkeypatch):
     # a full rescan per step would evaluate ~V^3/6 pair sizes (1.8e8 here)
     size = 1024
     calls = []
-    real = vertexnet._SparseTensor.merged_size
+    real = vertexnet._Tensor.merged_size
 
     def spy(self, other):
         calls.append(1)
         return real(self, other)
 
-    monkeypatch.setattr(vertexnet._SparseTensor, "merged_size", spy)
-    edges = [((i, "spinor"), ((i + 1) % size, "dual")) for i in range(size)]
-    edges += [((v, "vector"), (v + 1, "vector")) for v in range(2, size, 2)]
-    net = VertexNetwork(
-        [GammaVertex(2, 1) for _ in range(size)],
-        edges,
-        [(0, "vector"), (1, "vector")],
-    )
-    arr = net.contract()
+    monkeypatch.setattr(vertexnet._Tensor, "merged_size", spy)
+    arr = _paired_ring(size, 2, 1).contract()
     # (p - q)^pairs * tr(g_a g_b) = 1 * dim * eta_a delta_ab
     assert arr.tolist() == [[2, 0, 0], [0, 2, 0], [0, 0, -2]]
     assert len(calls) <= 6 * size
@@ -376,24 +386,8 @@ def test_vertices_share_no_mutable_state():
 
 @pytest.mark.parametrize("p, q", [(3, 1), (4, 2)])
 def test_long_ring_past_int64_is_exact(einsum_dtypes, p, q):
-    # vertices 0 and 1 keep their vector legs open; 2-3, 4-5, ... pair up, and
-    # each pair collapses to sum_m g_m g_m = (p - q) I
-    size = 128
-    pairs = (size - 2) // 2
-    edges = [((i, "spinor"), ((i + 1) % size, "dual")) for i in range(size)]
-    edges += [((v, "vector"), (v + 1, "vector")) for v in range(2, size, 2)]
-    net = VertexNetwork(
-        [GammaVertex(p, q) for _ in range(size)],
-        edges,
-        [(0, "vector"), (1, "vector")],
-    )
-    arr = net.contract()
-    gs = build_gammas(p, q)
-    trace = [
-        [gs.dim * gs.eta[a] if a == b else 0 for b in range(p + q)]
-        for a in range(p + q)
-    ]
-    want = [[(p - q) ** pairs * t for t in row] for row in trace]
+    arr = _paired_ring(128, p, q).contract()
+    want = _paired_ring_value(128, p, q)
     assert abs(want[0][0]) >= 1 << 63
     # the fallback ran: the result keeps Python ints instead of wrapping
     assert arr.dtype == object
@@ -405,24 +399,24 @@ def test_long_ring_past_int64_is_exact(einsum_dtypes, p, q):
 
 def test_dense_merge_past_int64_falls_back(einsum_dtypes):
     big = 1 << 40
-    a = vertexnet._SparseTensor((0, 1), (2, 2), {(0, 0): big, (0, 1): big, (1, 1): -big})
-    b = vertexnet._SparseTensor((1, 2), (2, 2), {(0, 0): big, (1, 0): big, (1, 1): big})
+    a = vertexnet._Tensor((0, 1), (2, 2), {(0, 0): big, (0, 1): big, (1, 1): -big})
+    b = vertexnet._Tensor((1, 2), (2, 2), {(0, 0): big, (1, 0): big, (1, 1): big})
     dense = a._merge_dense(b)
     sparse = a._merge_sparse(b)
     assert [object, object] in einsum_dtypes
     assert dense.legs == sparse.legs == (0, 2)
-    assert dense.data == sparse.data == {
+    assert dense.entries() == sparse.entries() == {
         (0, 0): 2 * big * big, (0, 1): big * big, (1, 0): -big * big, (1, 1): -big * big,
     }
     assert dense.to_dense((0, 2)).dtype == object
 
 
 def test_results_that_fit_stay_int64():
-    t = vertexnet._SparseTensor((0,), (2,), {(0,): (1 << 63) - 1, (1,): -(1 << 63)})
+    t = vertexnet._Tensor((0,), (2,), {(0,): (1 << 63) - 1, (1,): -(1 << 63)})
     arr = t.to_dense((0,))
     assert arr.dtype == np.int64
     assert arr.tolist() == [(1 << 63) - 1, -(1 << 63)]
-    t = vertexnet._SparseTensor((0,), (2,), {(0,): 1 << 63})
+    t = vertexnet._Tensor((0,), (2,), {(0,): 1 << 63})
     assert t.to_dense((0,)).dtype == object
 
 
@@ -431,3 +425,98 @@ def test_einsum_lettering_caps_at_52_wires():
     assert vertexnet._einsum_spec((range(52),), ()).endswith("Z->")
     with pytest.raises(ValueError, match="too many distinct wires"):
         vertexnet._einsum_spec((range(53),), ())
+
+
+# -- array and dict representations ---------------------------------------------
+
+
+def _merge_paths(monkeypatch):
+    """Names of the merge routines each _Tensor.merge call runs, in order."""
+    seen = []
+    for name in ("_merge_dense", "_merge_sparse"):
+        real = getattr(vertexnet._Tensor, name)
+
+        def spy(self, other, real=real, name=name):
+            seen.append(name)
+            return real(self, other)
+
+        monkeypatch.setattr(vertexnet._Tensor, name, spy)
+    return seen
+
+
+@pytest.mark.parametrize("net", [pytest.param(n, id=k) for k, n in _planner_cases()])
+def test_dict_and_array_paths_agree(monkeypatch, net):
+    paths = _merge_paths(monkeypatch)
+    dicts = net.contract(dense_cutoff=0)
+    assert "_merge_dense" not in paths
+    paths.clear()
+    arrays = net.contract(dense_cutoff=10**9)
+    assert "_merge_sparse" not in paths
+    assert dicts.dtype == arrays.dtype == net.contract().dtype
+    assert np.array_equal(dicts, arrays)
+
+
+@pytest.mark.parametrize("p, q", [(4, 4), (2, 4)])
+def test_long_rings_merge_arrays_only_at_the_default_cutoff(monkeypatch, p, q):
+    paths = _merge_paths(monkeypatch)
+    arr = _paired_ring(128, p, q).contract()
+    assert paths == ["_merge_dense"] * 127
+    # (4, 4) sums to zero; (2, 4) reaches (-2)^63 * 8, past int64
+    assert arr.dtype == (np.int64 if p == q else object)
+    assert arr.tolist() == _paired_ring_value(128, p, q)
+
+
+def test_object_fallback_trips_inside_the_array_path(monkeypatch, einsum_dtypes):
+    # (4, 1): 3^63 * 4 passes 2^63 well inside the ring, on arrays
+    paths = _merge_paths(monkeypatch)
+    arr = _paired_ring(128, 4, 1).contract()
+    assert set(paths) == {"_merge_dense"}
+    assert [object, object] in einsum_dtypes
+    assert arr.dtype == object
+    want = _paired_ring_value(128, 4, 1)
+    assert abs(want[0][0]) >= 1 << 63
+    assert arr.tolist() == want
+
+
+def test_array_results_that_fit_come_back_int64():
+    # an object array (as int_einsum returns past its bound) whose entries fit
+    big = np.array([(1 << 63) - 1, -(1 << 63)], dtype=object)
+    arr = vertexnet._Tensor((0,), (2,), big).to_dense((0,))
+    assert arr.dtype == np.int64
+    assert arr.tolist() == [(1 << 63) - 1, -(1 << 63)]
+    over = np.array([1 << 63, 0], dtype=object)
+    assert vertexnet._Tensor((0,), (2,), over).to_dense((0,)).dtype == object
+    # a single vertex hands back a fresh, writeable copy of its cached array
+    net = VertexNetwork(
+        [GammaVertex(2, 1)], edges=[], open_legs=[(0, "dual"), (0, "vector"), (0, "spinor")]
+    )
+    arr = net.contract()
+    assert arr.dtype == np.int64 and arr.flags.writeable
+    arr[...] = 0
+    assert net.vertices[0].array.any()
+
+
+@pytest.mark.parametrize("p, q", [(0, 12), (6, 6), (12, 0)])
+def test_two_vertex_loops_up_to_p_plus_q_12(monkeypatch, p, q):
+    paths = _merge_paths(monkeypatch)
+    net = VertexNetwork(
+        [GammaVertex(p, q), GammaVertex(p, q)],
+        edges=[((0, "spinor"), (1, "dual")), ((1, "spinor"), (0, "dual"))],
+        open_legs=[(0, "vector"), (1, "vector")],
+    )
+    arr = net.contract()
+    # each vertex is 64 x 12 x 64, past the default cutoff: it starts as a dict
+    assert paths == ["_merge_sparse"]
+    gs = build_gammas(p, q)
+    assert arr.tolist() == [
+        [gs.dim * gs.eta[a] if a == b else 0 for b in range(12)] for a in range(12)
+    ]
+
+
+def test_merges_past_52_wires_fall_back_to_dicts():
+    # twenty (1, 0) vertices with every slot open: 60 legs of dimension 1,
+    # too many letters for one einsum however small the tensors are
+    legs = [(v, s) for v in range(20) for s in ("dual", "vector", "spinor")]
+    arr = VertexNetwork([GammaVertex(1, 0) for _ in range(20)], [], legs).contract()
+    assert arr.shape == (1,) * 60
+    assert arr.item() == 1
