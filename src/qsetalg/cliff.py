@@ -13,7 +13,18 @@ built by a three-rule recursion over explicit seed representations:
     (0,q) -> (q+2,0)     two new plus generators, old ones conjugated through
     (p,0) -> (0,p+2)     two new minus generators via the quaternion pair
 
-Everything stays in int64, so products and anticommutator checks are exact.
+Every seed is a signed permutation, and a Kronecker product of monomial
+matrices (one nonzero per row) is monomial, so a GammaSet holds its
+generators as two int64 stacks of shape (n, d), `perm` and `sign`: row r of
+gamma_{i+1} has sign[i, r] in column perm[i, r]. A product of two monomials
+is a gather, and the anticommutator, top element and commutator checks run
+on these stacks in O(n^2 d). The dense d x d matrices are built only at the
+edge, on first read of `gammas` (and so of `gamma(i)`, `gammas_to_json` and
+the vertex tables of vertexnet), and cached. A set read from matrices that
+are not monomial (gammas_from_json accepts any) keeps them dense, and every
+check on it takes the dense route.
+
+Everything is exact: int64 while a stated bound holds, Python ints past it.
 The representation dimension is not always the minimal one (for example
 Cl(0,8) lands at 64 rather than 16); callers that only need the algebra
 relations never notice, and exactness was the goal here.
@@ -24,89 +35,188 @@ gamma(p+1) .. gamma(p+q) to -1.
 
 from __future__ import annotations
 
+from functools import cached_property, reduce
+from itertools import combinations_with_replacement
+
 import numpy as np
 
 from .linalg import from_scaled
 
-_SX = np.array([[0, 1], [1, 0]], dtype=np.int64)
-_SZ = np.array([[1, 0], [0, -1]], dtype=np.int64)
-_SM = np.array([[0, 1], [-1, 0]], dtype=np.int64)  # squares to -1
-_SXZ = _SX @ _SZ
+_LIMIT = 1 << 62
 
+
+def _monomial(stack):
+    """(perm, sign) stacks of a (k, d, d) integer stack whose every row holds
+    exactly one nonzero entry; None for any other stack."""
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        return None
+    nonzero = stack != 0
+    if not (nonzero.sum(axis=-1) == 1).all():
+        return None
+    perm = nonzero.argmax(axis=-1)
+    return perm, np.take_along_axis(stack, perm[..., None], axis=-1)[..., 0]
+
+
+def _mul(a, b):
+    """Product of two monomials a = (perm, sign) and b: row r of a b holds
+    sign_a[r] sign_b[perm_a[r]] in column perm_b[perm_a[r]]."""
+    (pa, sa), (pb, sb) = a, b
+    return pb[pa], sa * sb[pa]
+
+
+def _seed(matrix):
+    """(perm, sign) of one monomial matrix."""
+    return tuple(x[0] for x in _monomial(np.array([matrix], dtype=np.int64)))
+
+
+def _stack(*monomials):
+    return tuple(np.stack(xs) for xs in zip(*monomials))
+
+
+def _join(*stacks):
+    return tuple(np.concatenate(xs) for xs in zip(*stacks))
+
+
+_SX = _seed([[0, 1], [1, 0]])
+_SZ = _seed([[1, 0], [0, -1]])
+_SM = _seed([[0, 1], [-1, 0]])  # squares to -1
 # Left multiplication by i and j on quaternions with basis (1, i, j, k).
-_QI = np.array(
-    [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]], dtype=np.int64
-)
-_QJ = np.array(
-    [[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]], dtype=np.int64
-)
-_QK = _QI @ _QJ
+_QI = _seed([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
+_QJ = _seed([[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]])
+_SXZ = _mul(_SX, _SZ)
+_QK = _mul(_QI, _QJ)
+_SEEDS = {
+    (0, 0): (np.zeros((0, 1), dtype=np.int64),) * 2,
+    (1, 0): _stack(_seed([[1]])),
+    (0, 1): _stack(_SM),
+    (2, 0): _stack(_SX, _SZ),
+    (0, 2): _stack(_QI, _QJ),
+}
 
 MAX_TOTAL = 12  # largest p + q of a gamma set, and of a gamma vertex
 
 
+def _kron(a, b):
+    """kron(a, g) for the monomial a and every g of the stack b: row (r, s)
+    has sign a_r b_s in column perm_a(r) d_b + perm_b(s)."""
+    (pa, sa), (pb, sb) = a, b
+    k, d = pb.shape
+    shape = (k, len(pa) * d)
+    perm = pa[None, :, None] * d + pb[:, None, :]
+    return perm.reshape(shape), (sa[None, :, None] * sb[:, None, :]).reshape(shape)
+
+
+def _eye(stack):
+    d = stack[0].shape[1]
+    return np.arange(d)[None], np.ones((1, d), dtype=np.int64)
+
+
 def _recurse(p: int, q: int):
-    """Return (plus_list, minus_list) of int64 arrays."""
-    if p == 0 and q == 0:
-        return [], []
-    if p == 1 and q == 0:
-        return [np.array([[1]], dtype=np.int64)], []
-    if p == 0 and q == 1:
-        return [], [_SM.copy()]
-    if p == 2 and q == 0:
-        return [_SX.copy(), _SZ.copy()], []
-    if p == 0 and q == 2:
-        return [], [_QI.copy(), _QJ.copy()]
+    """(perm, sign) stacks of shape (p + q, d), plus generators first."""
+    if (p, q) in _SEEDS:
+        return _SEEDS[p, q]
     if p >= 1 and q >= 1:
-        plus, minus = _recurse(p - 1, q - 1)
-        d = plus[0].shape[0] if plus else (minus[0].shape[0] if minus else 1)
-        ident = np.eye(d, dtype=np.int64)
-        new_plus = [np.kron(_SX, ident)] + [np.kron(_SZ, g) for g in plus]
-        new_minus = [np.kron(_SZ, g) for g in minus] + [np.kron(_SM, ident)]
-        return new_plus, new_minus
+        old = _recurse(p - 1, q - 1)
+        return _join(_kron(_SX, _eye(old)), _kron(_SZ, old), _kron(_SM, _eye(old)))
     if q == 0:  # p >= 3
-        _, minus = _recurse(0, p - 2)
-        d = minus[0].shape[0] if minus else 1
-        ident = np.eye(d, dtype=np.int64)
-        new_plus = [np.kron(_SX, ident), np.kron(_SZ, ident)]
-        new_plus += [np.kron(_SXZ, g) for g in minus]
-        return new_plus, []
+        old = _recurse(0, p - 2)
+        return _join(_kron(_SX, _eye(old)), _kron(_SZ, _eye(old)), _kron(_SXZ, old))
     # p == 0, q >= 3
-    plus, _ = _recurse(q - 2, 0)
-    d = plus[0].shape[0] if plus else 1
-    ident = np.eye(d, dtype=np.int64)
-    new_minus = [np.kron(_QI, ident), np.kron(_QJ, ident)]
-    new_minus += [np.kron(_QK, g) for g in plus]
-    return [], new_minus
+    old = _recurse(q - 2, 0)
+    return _join(_kron(_QI, _eye(old)), _kron(_QJ, _eye(old)), _kron(_QK, old))
+
+
+def _dense(perm, sign):
+    """The dense (k, d, d) stack of monomial (perm, sign) stacks."""
+    k, d = perm.shape
+    out = np.zeros((k, d, d), dtype=sign.dtype)
+    out[np.arange(k)[:, None], np.arange(d), perm] = sign
+    return out
+
+
+def _frozen(a):
+    if a is not None:
+        a.flags.writeable = False
+    return a
 
 
 class GammaSet:
-    """Concrete real representation of the generators for signature (p, q)."""
+    """Concrete real representation of the generators for signature (p, q).
 
-    def __init__(self, p: int, q: int, gammas):
+    Monomial sets hold `perm` and `sign`, (n, d) stacks; a set made by
+    from_matrices from matrices that are not monomial holds None in both and
+    only its dense matrices. All of these arrays are read-only: the cached
+    products and the dense view are derived from them once."""
+
+    def __init__(self, p: int, q: int, perm, sign):
         self.p = p
         self.q = q
         self.n = p + q
         self.eta = (1,) * p + (-1,) * q
-        self.gammas = tuple(gammas)
-        self.dim = self.gammas[0].shape[0] if self.gammas else 1
+        self.perm = _frozen(perm)
+        self.sign = _frozen(sign)
+        self.dim = perm.shape[1] if perm is not None else 1
+
+    @classmethod
+    def from_matrices(cls, p: int, q: int, gammas) -> "GammaSet":
+        stack = np.array(gammas, dtype=np.int64)
+        mono = _monomial(stack)
+        if mono is not None:
+            return cls(p, q, *mono)
+        gs = cls(p, q, None, None)
+        gs.gammas = tuple(_frozen(stack))
+        gs.dim = stack.shape[1] if len(stack) else 1
+        return gs
+
+    @cached_property
+    def gammas(self) -> tuple:
+        """The generators as dense int64 matrices, built on first read."""
+        return tuple(_frozen(_dense(self.perm, self.sign)))
+
+    @cached_property
+    def _peak(self) -> int:
+        """max |sign|, read once: a set's stacks do not change after it is built."""
+        return int(np.abs(self.sign).max(initial=0))
+
+    def _signs(self, bound):
+        """The sign stack as int64 when `bound`, a function of max |sign|, is
+        under 2^62, else as Python ints."""
+        return self.sign.astype(object) if bound(self._peak) >= _LIMIT else self.sign
+
+    @cached_property
+    def _products(self):
+        """(perm, sign) of gamma_i gamma_j for every pair (i, j), as (n, n, d)
+        stacks, gathered at once; with |sign| <= m the signs are exact for a
+        sum of three entries of size up to m^2 and 2 (2 m^2 + 2 < 2^62)."""
+        sign = self._signs(lambda m: 2 * m * m + 2)
+        j, after_i = np.arange(len(self.perm))[None, :, None], self.perm[:, None, :]
+        return self.perm[j, after_i], sign[:, None, :] * sign[j, after_i]
+
+    def _index(self, i: int, what: str = "gamma") -> int:
+        if not 1 <= i <= self.n:
+            raise IndexError(f"{what} index {i} outside 1..{self.n}")
+        return i - 1
 
     def gamma(self, i: int) -> np.ndarray:
         """1-based: indices 1..p square to +1, p+1..p+q to -1."""
-        if not 1 <= i <= self.n:
-            raise IndexError(f"gamma index {i} outside 1..{self.n}")
-        return self.gammas[i - 1]
+        return self.gammas[self._index(i)]
 
     def eta_entry(self, i: int) -> int:
-        if not 1 <= i <= self.n:
-            raise IndexError(f"eta index {i} outside 1..{self.n}")
-        return self.eta[i - 1]
+        return self.eta[self._index(i, "eta")]
 
     def antisym(self, a: int, b: int) -> np.ndarray:
-        """[gamma_a, gamma_b] / 2, exact in int64 (equals gamma_a gamma_b off
-        the diagonal, zero on it)."""
-        ga, gb = self.gamma(a), self.gamma(b)
-        comm = ga @ gb - gb @ ga
+        """[gamma_a, gamma_b] / 2, exact (equals gamma_a gamma_b off the
+        diagonal, zero on it)."""
+        if self.perm is None:
+            ga, gb = self.gamma(a), self.gamma(b)
+            comm = ga @ gb - gb @ ga
+        else:
+            i, j = self._index(a), self._index(b)
+            perm, sign = self._products
+            rows = np.arange(self.dim)
+            comm = np.zeros((self.dim, self.dim), dtype=sign.dtype)
+            comm[rows, perm[i, j]] = sign[i, j]
+            comm[rows, perm[j, i]] -= sign[j, i]
         half, rem = np.divmod(comm, 2)
         if rem.any():
             raise AssertionError("commutator of gammas must be even")
@@ -124,22 +234,32 @@ class GammaSet:
         """
         return from_scaled(self.antisym(a, b), 2)
 
+    def _top(self):
+        """(perm, sign) of the top element, signs exact for its square: at
+        most 2n factors of |sign| <= m."""
+        sign = self._signs(lambda m: m ** (2 * len(self.sign)))
+        start = (np.arange(self.dim), np.ones(self.dim, dtype=sign.dtype))
+        return reduce(_mul, zip(self.perm[::-1], sign[::-1]), start)
+
     def top(self) -> np.ndarray:
         """Product of all generators, highest index first."""
-        out = np.eye(self.dim, dtype=np.int64)
-        for i in range(self.n, 0, -1):
-            out = out @ self.gamma(i)
-        return out
+        if self.perm is None:
+            return reduce(np.matmul, self.gammas[::-1], np.eye(self.dim, dtype=np.int64))
+        return _dense(*(x[None] for x in self._top()))[0]
 
     def top_square_sign(self) -> int:
-        t = self.top()
-        sq = t @ t
-        ident = np.eye(self.dim, dtype=np.int64)
-        if np.array_equal(sq, ident):
-            return 1
-        if np.array_equal(sq, -ident):
-            return -1
-        raise AssertionError("top element must square to +/- identity")
+        if self.perm is None:
+            t = self.top()
+            ident = np.eye(self.dim, dtype=np.int64)
+            found = [s for s in (1, -1) if np.array_equal(t @ t, s * ident)]
+        else:
+            top = self._top()
+            perm, sign = _mul(top, top)
+            ident = (perm == np.arange(self.dim)).all()
+            found = [s for s in (1, -1) if ident and (sign == s).all()]
+        if not found:
+            raise AssertionError("top element must square to +/- identity")
+        return found[0]
 
     def __repr__(self):
         return f"GammaSet(p={self.p}, q={self.q}, dim={self.dim})"
@@ -150,32 +270,48 @@ def build_gammas(p: int, q: int) -> GammaSet:
         raise ValueError("signature counts must be nonnegative")
     if p + q > MAX_TOTAL:
         raise ValueError(f"p + q > {MAX_TOTAL} not supported")
-    plus, minus = _recurse(p, q)
-    return GammaSet(p, q, plus + minus)
+    return GammaSet(p, q, *(a.copy() for a in _recurse(p, q)))
 
 
 def anticommutator_defect(gs: GammaSet) -> int:
     """max |gamma_i gamma_j + gamma_j gamma_i - 2 eta_i delta_ij I|, exactly.
 
     Zero for every GammaSet this module builds; kept as a function because the
-    acceptance checks sweep it over all signatures.
+    acceptance checks sweep it over all signatures. On a monomial set all
+    pairs are checked at once over the (n, n, d) stacks of pair products:
+    row r of pair (i, j) has nonzero entries only in column c1 of
+    gamma_i gamma_j, column c2 of gamma_j gamma_i and column r of the
+    diagonal target, and each entry is the sum of those values whose columns
+    coincide. Column c2 of (i, j) is column c1 of (j, i), so the entries at
+    c1 and at r cover every pair. With |sign| <= m no entry exceeds
+    2 m^2 + 2, so the stacks stay int64 while that is under 2^62 and take
+    Python ints past it. A set that is not monomial takes the dense pair
+    loop.
     """
+    if gs.perm is None:
+        return _dense_defect(gs)
+    c1, v1 = gs._products
+    c2, v2 = c1.transpose(1, 0, 2), v1.transpose(1, 0, 2)
+    c3, v3 = np.arange(gs.dim), (-2 * np.diag(gs.eta))[:, :, None]
+    at_c1 = v1 + np.where(c2 == c1, v2, 0) + np.where(c3 == c1, v3, 0)
+    at_c3 = v3 + np.where(c1 == c3, v1, 0) + np.where(c2 == c3, v2, 0)
+    return int(max(np.abs(at_c1).max(initial=0), np.abs(at_c3).max(initial=0)))
+
+
+def _dense_defect(gs: GammaSet) -> int:
+    """anticommutator_defect by dense products, pair by pair."""
     ident = np.eye(gs.dim, dtype=np.int64)
     worst = 0
-    for i in range(gs.n):
-        gi = gs.gammas[i]
-        for j in range(i, gs.n):
-            gj = gs.gammas[j]
-            anti = gi @ gj + gj @ gi
-            if i == j:
-                anti = anti - 2 * gs.eta[i] * ident
-            m = int(np.abs(anti).max()) if anti.size else 0
-            worst = max(worst, m)
+    for i, j in combinations_with_replacement(range(gs.n), 2):
+        gi, gj = gs.gammas[i], gs.gammas[j]
+        anti = gi @ gj + gj @ gi - (2 * gs.eta[i] * ident if i == j else 0)
+        worst = max(worst, int(np.abs(anti).max(initial=0)))
     return worst
 
 
 def entries_are_signs(gs: GammaSet) -> bool:
-    return all(int(np.abs(g).max(initial=0)) <= 1 for g in gs.gammas)
+    stack = gs.sign if gs.perm is not None else gs.gammas
+    return all(int(np.abs(g).max(initial=0)) <= 1 for g in stack)
 
 
 def gammas_to_json(gs: GammaSet) -> dict:
@@ -189,8 +325,10 @@ def gammas_to_json(gs: GammaSet) -> dict:
 
 
 def gammas_from_json(data: dict) -> GammaSet:
-    gammas = [np.array(g, dtype=np.int64) for g in data["gammas"]]
-    gs = GammaSet(int(data["p"]), int(data["q"]), gammas)
+    p, q = int(data["p"]), int(data["q"])
+    if len(data["gammas"]) != p + q:
+        raise ValueError("p + q disagrees with the number of matrices")
+    gs = GammaSet.from_matrices(p, q, data["gammas"])
     if gs.dim != int(data["dim"]):
         raise ValueError("dimension field disagrees with matrices")
     return gs

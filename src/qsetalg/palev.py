@@ -260,18 +260,70 @@ def bose_deviation(two_j: int, n: int) -> Fraction:
 # carrier triples
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CarrierTriple:
-    """Lie triple wrapping a mode. The matrices are the rational carrier
-    parts; tags carry the irrational/imaginary normalizations; relations are
-    the target brackets among the tagged generators."""
+    """Lie triple wrapping a mode. `parts` are the integer carrier parts
+    over `scale`; q, p and r are their rational values as Fraction matrices,
+    built on first read. Tags carry the irrational/imaginary normalizations;
+    relations are the target brackets among the tagged generators."""
 
     preset: str
-    q: tuple
-    p: tuple
-    r: tuple
+    parts: tuple
+    scale: int
     tags: tuple  # UnitTag for (q, p, r)
     relations: str
+
+    def _view(self, k: int) -> tuple:
+        return linalg.from_scaled(self.parts[k], self.scale)
+
+    q = cached_property(lambda self: self._view(0))
+    p = cached_property(lambda self: self._view(1))
+    r = cached_property(lambda self: self._view(2))
+
+    def __repr__(self):
+        """The rational values, not the integer parts: the text of a triple
+        does not depend on how it is stored."""
+        shown = ("preset", "q", "p", "r", "tags", "relations")
+        return f"CarrierTriple({', '.join(f'{f}={getattr(self, f)!r}' for f in shown)})"
+
+
+def _band(m):
+    """(3, d + 2) array whose row o + 1 holds m[i, i + o] in column i + 1 for
+    o = -1, 0, 1; zero where i + o leaves the matrix and in both margins."""
+    d = len(m)
+    out = np.zeros((3, d + 2), dtype=m.dtype)
+    for o in (-1, 0, 1):
+        out[o + 1, 1 + max(-o, 0) : 1 + d - max(o, 0)] = np.diagonal(m, o)
+    return out
+
+
+def _band_commutator(x, y):
+    """[X, Y] on the offsets -2..2 (rows 0..4) for stacks of tridiagonal X
+    and Y given by their bands: entry (i, i + a + b) of X Y gains
+    X[i, i + a] Y[i + a, i + a + b], at most three products per entry."""
+    d = x.shape[-1] - 2
+    out = np.zeros((len(x), 5, d + 2), dtype=x.dtype)
+    for a in range(3):  # rows a + b for b = 0, 1, 2 at once
+        xy = x[:, a, None, 1 : d + 1] * y[:, :, a : a + d]
+        yx = y[:, a, None, 1 : d + 1] * x[:, :, a : a + d]
+        out[:, a : a + 3, 1 : d + 1] += xy - yx
+    return out
+
+
+def _relations_hold(parts, triples) -> list:
+    """Whether [P_i, P_j] == 2 P_k for each (i, j, k) in triples, exactly,
+    for tridiagonal integer matrices P, checked on their bands in O(d):
+    with |entries| <= m, [P_i, P_j] and 2 P_k stay within 6 m^2 + 2 m, so
+    the bands are int64 while that is under 2^62 and Python ints past it.
+    A part with an entry off the band is a ValueError."""
+    bands = np.stack([_band(m) for m in parts])
+    if any(np.count_nonzero(m) != np.count_nonzero(b) for m, b in zip(parts, bands)):
+        raise ValueError("a carrier part is not tridiagonal")
+    m = linalg.peak(bands)
+    bands = bands.astype(np.int64 if 6 * m * m + 2 * m < 1 << 62 else object)
+    x, y, w = (bands[list(idx)] for idx in zip(*triples))
+    comm = _band_commutator(x, y)
+    return [np.array_equal(c[1:4], 2 * t) and not c[[0, 4]].any() for c, t in zip(comm, w)]
 
 
 def carrier_triple(mode: PalevMode, preset: str = "spin3"):
@@ -283,7 +335,8 @@ def carrier_triple(mode: PalevMode, preset: str = "spin3"):
     takes (A+B, A-B, -Z) over 1, so [q,p] = r reads (i/2) [Q, P] = i R;
     spin21 takes (Z, A-B, A+B) over 2, so [q,p] = r reads [Q, P] / 4 = R / 2.
     In both, the three relations read [Q, P] = 2 R, [P, R] = 2 Q and
-    [Q, R] = 2 P, checked with integer commutators of the ladder pair.
+    [Q, R] = 2 P. A and B are weighted shifts and Z is diagonal, so every
+    part is tridiagonal and each relation is checked on five diagonals.
     """
     A, B, Z = mode._raise, mode._lower, mode._charge
     if preset == "spin3":
@@ -302,12 +355,8 @@ def carrier_triple(mode: PalevMode, preset: str = "spin3"):
         relations = "[q,p]=r, [p,r]=q, [q,r]=p"
     else:
         raise ValueError(f"unknown carrier preset {preset!r}")
-    checks = {
-        name: np.array_equal(linalg.int_commutator(x, y), 2 * w)
-        for name, (x, y, w) in zip(names, ((q, p, r), (p, r, q), (q, r, p)))
-    }
-    q, p, r = (linalg.from_scaled(m, scale) for m in (q, p, r))
-    return CarrierTriple(preset, q, p, r, tags, relations), checks
+    checks = dict(zip(names, _relations_hold((q, p, r), ((0, 1, 2), (1, 2, 0), (0, 2, 1)))))
+    return CarrierTriple(preset, (q, p, r), scale, tags, relations), checks
 
 
 # ---------------------------------------------------------------------------

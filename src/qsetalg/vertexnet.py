@@ -107,8 +107,6 @@ def _gamma_table(p: int, q: int):
     """GammaSet and (dual, vector, spinor) stack of a (p, q) vertex, built
     once per signature and shared by every vertex, all arrays read-only."""
     gs = build_gammas(p, q)
-    for g in gs.gammas:
-        g.flags.writeable = False
     stack = np.stack(gs.gammas, axis=1)
     stack.flags.writeable = False
     return gs, stack
@@ -516,7 +514,10 @@ def _einsum_spec(inputs, output) -> str:
 
 
 def dense_oracle(net: VertexNetwork) -> np.ndarray:
-    """Independent reference: one float64 einsum over the whole network."""
+    """Independent reference: one float64 einsum over the whole network,
+    contracted in the pairwise order numpy's own greedy path search picks
+    (independent of _reduce's plan); unoptimised, its nested loop grows as
+    the product of every wire dimension."""
     wire_of = net._wires()
     legs = [
         [wire_of[(vi, s)] for s in vert.slot_names]
@@ -524,4 +525,4 @@ def dense_oracle(net: VertexNetwork) -> np.ndarray:
     ]
     ops = [vert.array.astype(np.float64) for vert in net.vertices]
     out = [wire_of[l] for l in net.open_legs]
-    return np.einsum(_einsum_spec(legs, out), *ops)
+    return np.einsum(_einsum_spec(legs, out), *ops, optimize="greedy")

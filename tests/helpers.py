@@ -8,6 +8,8 @@ import os
 from bisect import bisect_left
 from fractions import Fraction
 
+import numpy as np
+
 from qsetalg import linalg
 from qsetalg.perfinite import PerfiniteSet, decode
 from qsetalg.qset import Multivector
@@ -286,3 +288,22 @@ def recursive_format_set_text(x: PerfiniteSet) -> str:
     """Brace text by recursion over the elements: the reference for
     perfinite.format_set_text."""
     return "{" + ",".join(recursive_format_set_text(e) for e in x) + "}"
+
+
+def reference_defect(gammas, eta) -> int:
+    """max |g_i g_j + g_j g_i - 2 eta_i delta_ij I| over all pairs, by dense
+    products in the matrices' own dtype (object arrays stay exact): the pair
+    loop cliff.anticommutator_defect ran before generators were held as
+    signed permutations, kept as the reference its gather is checked
+    against."""
+    dim = gammas[0].shape[0] if len(gammas) else 1
+    ident = np.eye(dim, dtype=np.int64)
+    worst = 0
+    for i, gi in enumerate(gammas):
+        for j in range(i, len(gammas)):
+            gj = gammas[j]
+            anti = gi @ gj + gj @ gi
+            if i == j:
+                anti = anti - 2 * eta[i] * ident
+            worst = max(worst, int(np.abs(anti).max()) if anti.size else 0)
+    return worst

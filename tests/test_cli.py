@@ -359,3 +359,22 @@ def test_net_eval_refuses_gamma_vertices_past_p_plus_q_12(capsys, tmp_path):
     code, _, err = run(capsys, "net", "eval", str(f))
     assert code == 2
     assert "gamma vertex limited to p + q <= 12" in err
+
+
+def test_net_check_passes_on_a_16_ring(capsys):
+    # 25 wires: the oracle's unoptimised einsum loop did not finish here
+    ring = os.path.join(os.path.dirname(__file__), "oracles", "net_ring16.json")
+    code, out, _ = run(capsys, "net", "check", ring)
+    assert code == 0
+    assert out.splitlines()[-1].endswith("PASS")
+
+
+def test_gamma_through_twelve_is_exact(capsys):
+    code, out, _ = run(capsys, "gamma", "0", "12")
+    assert code == 0
+    assert out.splitlines()[1:] == [
+        "signature=(0,12) dim=512 eta=[" + ", ".join(["-1"] * 12) + "]",
+        "anticommutator defect=0",
+        "entries in -1,0,1: True",
+        "top element squares to +1",
+    ]

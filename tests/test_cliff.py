@@ -1,8 +1,11 @@
+import random
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from qsetalg import cliff
 from qsetalg.cliff import (
     GammaSet,
     anticommutator_defect,
@@ -12,7 +15,12 @@ from qsetalg.cliff import (
     gammas_to_json,
 )
 
-from helpers import commutator, load_oracle, smul
+from helpers import ORACLE_DIR, commutator, load_oracle, reference_defect, smul
+
+sys.path.insert(0, ORACLE_DIR)
+from gamma_digests import digest  # noqa: E402
+
+SIGNATURES = [(p, total - p) for total in range(1, 9) for p in range(total + 1)]
 
 
 def test_every_tower_anticommutes_exactly():
@@ -141,3 +149,150 @@ def test_json_round_trip():
     assert again.dim == gs.dim
     for i in range(1, 4):
         assert np.array_equal(again.gamma(i), gs.gamma(i))
+
+
+# -- the signed-permutation kernel -----------------------------------------
+
+
+def test_digests_of_every_set_through_twelve():
+    """gammas_to_json, dim, top square and entries_are_signs for every
+    p + q <= 12, against gamma_digests.json (recorded from the dense kernel)."""
+    frozen = load_oracle("gamma_digests")
+    assert len(frozen) == 91
+    for key, want in frozen.items():
+        p, q = (int(t) for t in key.split(","))
+        assert digest(build_gammas(p, q)) == want, key
+
+
+def test_every_set_is_a_signed_permutation_stack():
+    for p, q in SIGNATURES + [(0, 12), (12, 0), (5, 7)]:
+        gs = build_gammas(p, q)
+        assert gs.perm.shape == gs.sign.shape == (p + q, gs.dim)
+        assert all(sorted(row) == list(range(gs.dim)) for row in gs.perm.tolist())
+        assert set(np.unique(gs.sign)) <= {-1, 1}
+
+
+def reference_top(gammas, dim):
+    out = np.eye(dim, dtype=np.int64)
+    for g in reversed(gammas):
+        out = out @ g
+    return out
+
+
+@pytest.mark.parametrize("p, q", SIGNATURES)
+def test_kernel_matches_the_dense_reference_on_built_sets(p, q):
+    gs = build_gammas(p, q)
+    assert anticommutator_defect(gs) == reference_defect(gs.gammas, gs.eta) == 0
+    assert np.array_equal(gs.top(), reference_top(gs.gammas, gs.dim))
+    for a in range(1, gs.n + 1):
+        for b in range(1, gs.n + 1):
+            ga, gb = gs.gamma(a), gs.gamma(b)
+            assert np.array_equal(2 * gs.antisym(a, b), ga @ gb - gb @ ga)
+
+
+def broken_sets(rng, count):
+    """Monomial sets that fail the relations: one generator scaled by 3,
+    one with two rows swapped, or one generator repeated in place of
+    another."""
+    for _ in range(count):
+        p, q = rng.choice([s for s in SIGNATURES if sum(s) >= 2])
+        gammas = [g.copy() for g in build_gammas(p, q).gammas]
+        i, j = rng.sample(range(p + q), 2)
+        kind = rng.choice(("scaled", "rows", "duplicate"))
+        if kind == "scaled":
+            gammas[i] = 3 * gammas[i]
+        elif kind == "rows" and len(gammas[i]) > 1:
+            r, s = rng.sample(range(len(gammas[i])), 2)
+            gammas[i][[r, s]] = gammas[i][[s, r]]
+        else:
+            gammas[j] = gammas[i].copy()
+        yield GammaSet.from_matrices(p, q, gammas)
+
+
+def test_kernel_matches_the_dense_reference_on_broken_sets(monkeypatch):
+    dense = []
+    monkeypatch.setattr(cliff, "_dense_defect", lambda gs: dense.append(gs))
+    seen = set()
+    for gs in broken_sets(random.Random(7), 300):
+        assert gs.perm is not None
+        got = anticommutator_defect(gs)
+        assert got == reference_defect(gs.gammas, gs.eta)
+        seen.add(got)
+    assert not dense
+    assert 0 not in seen and len(seen) > 2
+
+
+def test_defect_past_int64_takes_python_ints():
+    gammas = list(build_gammas(3, 2).gammas)
+    c = 1 << 40
+    gammas[4] = c * gammas[4]
+    gs = GammaSet.from_matrices(3, 2, gammas)
+    assert gs.perm is not None
+    # gamma_5^2 = -c^2 I, so the defect is |2 c^2 - 2|, past 2^63
+    want = reference_defect([g.astype(object) for g in gammas], gs.eta)
+    assert anticommutator_defect(gs) == want == 2 * c * c - 2
+
+
+def test_non_monomial_set_takes_the_dense_fallback(monkeypatch):
+    gs = build_gammas(2, 1)
+    data = gammas_to_json(gs)
+    data["gammas"][0] = (gs.gamma(1) + gs.gamma(2)).tolist()
+    mixed = gammas_from_json(data)
+    assert mixed.perm is None and mixed.dim == gs.dim
+    calls = []
+    real = cliff._dense_defect
+
+    def spy(arg):
+        calls.append(arg)
+        return real(arg)
+
+    monkeypatch.setattr(cliff, "_dense_defect", spy)
+    got = anticommutator_defect(mixed)
+    assert calls == [mixed]
+    assert got == reference_defect(mixed.gammas, mixed.eta) == 2
+    assert not entries_are_signs(gammas_from_json({**data, "gammas": [[[2, 0], [0, 2]]] * 3}))
+    assert np.array_equal(mixed.top(), reference_top(mixed.gammas, mixed.dim))
+    ga, gb = mixed.gamma(1), mixed.gamma(3)
+    assert np.array_equal(2 * mixed.antisym(1, 3), ga @ gb - gb @ ga)
+
+
+def test_stored_arrays_are_read_only():
+    gs = build_gammas(2, 1)
+    for arr in (gs.perm, gs.sign, gs.gammas[0]):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 7
+    data = gammas_to_json(gs)
+    data["gammas"][0] = (gs.gamma(1) + gs.gamma(2)).tolist()
+    with pytest.raises(ValueError):
+        gammas_from_json(data).gammas[0][0, 0] = 7
+
+
+def test_monomial_json_reads_back_monomial():
+    gs = build_gammas(3, 2)
+    data = gammas_to_json(gs)
+    again = gammas_from_json(data)
+    assert np.array_equal(again.perm, gs.perm) and np.array_equal(again.sign, gs.sign)
+    with pytest.raises(ValueError, match="number of matrices"):
+        gammas_from_json({**data, "q": 3})
+    with pytest.raises(ValueError, match="dimension field"):
+        gammas_from_json({**data, "dim": 8})
+
+
+def top_square_rule(p, q):
+    """(g_n ... g_1)^2 = (-1)^(n(n-1)/2) g_1^2 ... g_n^2 = (-1)^(n(n-1)/2 + q)."""
+    n = p + q
+    return -1 if (n * (n - 1) // 2 + q) % 2 else 1
+
+
+def test_top_square_rule_reproduces_the_float_oracle():
+    for key, row in load_oracle("oracle_gamma")["towers"].items():
+        assert top_square_rule(*(int(t) for t in key.split(","))) == row["top_square"]
+
+
+@pytest.mark.parametrize("p, q", [(0, 12), (12, 0), (5, 7)])
+def test_largest_sets_anticommute_exactly(p, q):
+    gs = build_gammas(p, q)
+    assert anticommutator_defect(gs) == 0
+    assert entries_are_signs(gs)
+    assert gs.top_square_sign() == top_square_rule(p, q)
+    assert "gammas" not in vars(gs)  # no dense matrix was built

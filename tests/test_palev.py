@@ -4,12 +4,14 @@ import sys
 from fractions import Fraction
 from math import comb, factorial
 
+import numpy as np
 import pytest
 import sympy as sp
 
-from qsetalg import palev
+from qsetalg import linalg, palev
 from qsetalg.cli import main
 from qsetalg.liecore import boost_triple
+from qsetalg.linalg import int_commutator
 from qsetalg.palev import (
     NCPolynomial,
     PalevMode,
@@ -180,10 +182,67 @@ def test_carrier_parts_equal_the_fraction_construction(n, preset):
         want = (smul(half, z), smul(half, msub(a, b)), smul(half, madd(a, b)))
     triple, checks = carrier_triple(m, preset)
     assert (triple.q, triple.p, triple.r) == want
+    q, p, r = (repr(x) for x in want)
+    assert repr(triple).startswith(f"CarrierTriple(preset={preset!r}, q={q}, p={p}, r={r}, tags=(")
     assert all(checks.values())
     m._charge = 2 * m._charge  # a wrong charge breaks every relation that involves it
     _, checks = carrier_triple(m, preset)
     assert not any(checks.values())
+
+
+def carrier_parts(n, preset):
+    triple, _ = carrier_triple(PalevMode(n), preset)
+    return triple.parts
+
+
+def relation_holds(x, y, w) -> bool:
+    (holds,) = palev._relations_hold((x, y, w), ((0, 1, 2),))
+    return holds
+
+
+@pytest.mark.parametrize("preset", ["spin3", "spin21"])
+def test_band_relations_match_the_dense_commutator(preset):
+    rng = random.Random(f"bands:{preset}")
+    for n in (1, 2, 3, 7, 16):
+        q, p, r = carrier_parts(n, preset)
+        for x, y, w in ((q, p, r), (p, r, q), (q, r, p)):
+            assert relation_holds(x, y, w)
+            for _ in range(5):
+                bent = [m.copy() for m in (x, y, w)]
+                k = rng.randrange(3)
+                i = rng.randrange(n + 1)
+                j = min(max(i + rng.choice((-1, 0, 1)), 0), n)
+                bent[k][i, j] += rng.choice((-1, 1))
+                want = np.array_equal(int_commutator(bent[0], bent[1]), 2 * bent[2])
+                assert relation_holds(*bent) == want
+
+
+def test_band_relations_past_int64_take_python_ints():
+    q, p, r = (m.astype(object) for m in carrier_parts(6, "spin21"))
+    c = 1 << 40
+    # [cQ, cP] = c^2 [Q, P] = 2 c^2 R, entries past 2^63
+    assert relation_holds(c * q, c * p, c * c * r)
+    bent = c * c * r
+    bent[3, 2] += 1
+    assert not relation_holds(c * q, c * p, bent)
+
+
+def test_relation_off_the_band_is_rejected():
+    q, p, r = carrier_parts(6, "spin3")
+    far = r.copy()
+    far[0, 3] = 1
+    with pytest.raises(ValueError, match="not tridiagonal"):
+        relation_holds(q, p, far)
+
+
+def test_carrier_views_are_built_on_first_read(monkeypatch):
+    calls = []
+    real = linalg.from_scaled
+    monkeypatch.setattr(linalg, "from_scaled", lambda a, den: calls.append(1) or real(a, den))
+    triple, checks = carrier_triple(PalevMode(1024), "spin3")
+    assert all(checks.values()) and not calls
+    assert len(triple.q) == 1025 and calls == [1]
+    assert triple.q is triple.q and calls == [1]
 
 
 def test_rewrite_budget_is_bad_input_exit_two(capsys, monkeypatch):

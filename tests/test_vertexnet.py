@@ -377,6 +377,10 @@ def test_vertices_share_no_mutable_state():
     assert a.entries() == before
     with pytest.raises(ValueError):
         a.gamma_set.gammas[0][0, 0] = 7
+    with pytest.raises(ValueError):
+        a.gamma_set.sign[0, 0] = 7
+    with pytest.raises(ValueError):
+        a.gamma_set.perm[0, 0] = 1
     assert b.entries() == before
     assert np.array_equal(b.gamma_set.gammas[0], build_gammas(3, 1).gammas[0])
 
