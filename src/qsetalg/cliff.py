@@ -20,9 +20,8 @@ gamma_{i+1} has sign[i, r] in column perm[i, r]. A product of two monomials
 is a gather, and the anticommutator, top element and commutator checks run
 on these stacks in O(n^2 d). The dense d x d matrices are built only at the
 edge, on first read of `gammas` (and so of `gamma(i)`, `gammas_to_json` and
-the vertex tables of vertexnet), and cached. A set read from matrices that
-are not monomial (gammas_from_json accepts any) keeps them dense, and every
-check on it takes the dense route.
+the vertex tables of vertexnet), and cached. Matrices that are not monomial
+(as gammas_from_json may be handed) are refused with a ValueError.
 
 Everything is exact: int64 while a stated bound holds, Python ints past it.
 The representation dimension is not always the minimal one (for example
@@ -36,7 +35,6 @@ gamma(p+1) .. gamma(p+q) to -1.
 from __future__ import annotations
 
 from functools import cached_property, reduce
-from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -47,12 +45,12 @@ _LIMIT = 1 << 62
 
 def _monomial(stack):
     """(perm, sign) stacks of a (k, d, d) integer stack whose every row holds
-    exactly one nonzero entry; None for any other stack."""
+    exactly one nonzero entry; ValueError for any other stack."""
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
-        return None
+        raise ValueError("gamma matrices must be square and of one size")
     nonzero = stack != 0
     if not (nonzero.sum(axis=-1) == 1).all():
-        return None
+        raise ValueError("a gamma matrix has a row without exactly one nonzero entry")
     perm = nonzero.argmax(axis=-1)
     return perm, np.take_along_axis(stack, perm[..., None], axis=-1)[..., 0]
 
@@ -135,18 +133,16 @@ def _dense(perm, sign):
 
 
 def _frozen(a):
-    if a is not None:
-        a.flags.writeable = False
+    a.flags.writeable = False
     return a
 
 
 class GammaSet:
     """Concrete real representation of the generators for signature (p, q).
 
-    Monomial sets hold `perm` and `sign`, (n, d) stacks; a set made by
-    from_matrices from matrices that are not monomial holds None in both and
-    only its dense matrices. All of these arrays are read-only: the cached
-    products and the dense view are derived from them once."""
+    The set holds `perm` and `sign`, (n, d) stacks of its monomial
+    generators. Both are read-only: the cached products and the dense view
+    are derived from them once."""
 
     def __init__(self, p: int, q: int, perm, sign):
         self.p = p
@@ -155,18 +151,14 @@ class GammaSet:
         self.eta = (1,) * p + (-1,) * q
         self.perm = _frozen(perm)
         self.sign = _frozen(sign)
-        self.dim = perm.shape[1] if perm is not None else 1
+        self.dim = perm.shape[1]
 
     @classmethod
     def from_matrices(cls, p: int, q: int, gammas) -> "GammaSet":
+        """The set of monomial integer matrices; ValueError for any other.
+        No matrices is the set of Cl(0, 0), on one dimension."""
         stack = np.array(gammas, dtype=np.int64)
-        mono = _monomial(stack)
-        if mono is not None:
-            return cls(p, q, *mono)
-        gs = cls(p, q, None, None)
-        gs.gammas = tuple(_frozen(stack))
-        gs.dim = stack.shape[1] if len(stack) else 1
-        return gs
+        return cls(p, q, *_monomial(stack if len(stack) else stack.reshape(0, 1, 1)))
 
     @cached_property
     def gammas(self) -> tuple:
@@ -207,16 +199,12 @@ class GammaSet:
     def antisym(self, a: int, b: int) -> np.ndarray:
         """[gamma_a, gamma_b] / 2, exact (equals gamma_a gamma_b off the
         diagonal, zero on it)."""
-        if self.perm is None:
-            ga, gb = self.gamma(a), self.gamma(b)
-            comm = ga @ gb - gb @ ga
-        else:
-            i, j = self._index(a), self._index(b)
-            perm, sign = self._products
-            rows = np.arange(self.dim)
-            comm = np.zeros((self.dim, self.dim), dtype=sign.dtype)
-            comm[rows, perm[i, j]] = sign[i, j]
-            comm[rows, perm[j, i]] -= sign[j, i]
+        i, j = self._index(a), self._index(b)
+        perm, sign = self._products
+        rows = np.arange(self.dim)
+        comm = np.zeros((self.dim, self.dim), dtype=sign.dtype)
+        comm[rows, perm[i, j]] = sign[i, j]
+        comm[rows, perm[j, i]] -= sign[j, i]
         half, rem = np.divmod(comm, 2)
         if rem.any():
             raise AssertionError("commutator of gammas must be even")
@@ -243,20 +231,13 @@ class GammaSet:
 
     def top(self) -> np.ndarray:
         """Product of all generators, highest index first."""
-        if self.perm is None:
-            return reduce(np.matmul, self.gammas[::-1], np.eye(self.dim, dtype=np.int64))
         return _dense(*(x[None] for x in self._top()))[0]
 
     def top_square_sign(self) -> int:
-        if self.perm is None:
-            t = self.top()
-            ident = np.eye(self.dim, dtype=np.int64)
-            found = [s for s in (1, -1) if np.array_equal(t @ t, s * ident)]
-        else:
-            top = self._top()
-            perm, sign = _mul(top, top)
-            ident = (perm == np.arange(self.dim)).all()
-            found = [s for s in (1, -1) if ident and (sign == s).all()]
+        top = self._top()
+        perm, sign = _mul(top, top)
+        ident = (perm == np.arange(self.dim)).all()
+        found = [s for s in (1, -1) if ident and (sign == s).all()]
         if not found:
             raise AssertionError("top element must square to +/- identity")
         return found[0]
@@ -277,19 +258,16 @@ def anticommutator_defect(gs: GammaSet) -> int:
     """max |gamma_i gamma_j + gamma_j gamma_i - 2 eta_i delta_ij I|, exactly.
 
     Zero for every GammaSet this module builds; kept as a function because the
-    acceptance checks sweep it over all signatures. On a monomial set all
-    pairs are checked at once over the (n, n, d) stacks of pair products:
+    acceptance checks sweep it over all signatures. All pairs are checked at
+    once over the (n, n, d) stacks of pair products:
     row r of pair (i, j) has nonzero entries only in column c1 of
     gamma_i gamma_j, column c2 of gamma_j gamma_i and column r of the
     diagonal target, and each entry is the sum of those values whose columns
     coincide. Column c2 of (i, j) is column c1 of (j, i), so the entries at
     c1 and at r cover every pair. With |sign| <= m no entry exceeds
     2 m^2 + 2, so the stacks stay int64 while that is under 2^62 and take
-    Python ints past it. A set that is not monomial takes the dense pair
-    loop.
+    Python ints past it.
     """
-    if gs.perm is None:
-        return _dense_defect(gs)
     c1, v1 = gs._products
     c2, v2 = c1.transpose(1, 0, 2), v1.transpose(1, 0, 2)
     c3, v3 = np.arange(gs.dim), (-2 * np.diag(gs.eta))[:, :, None]
@@ -298,20 +276,8 @@ def anticommutator_defect(gs: GammaSet) -> int:
     return int(max(np.abs(at_c1).max(initial=0), np.abs(at_c3).max(initial=0)))
 
 
-def _dense_defect(gs: GammaSet) -> int:
-    """anticommutator_defect by dense products, pair by pair."""
-    ident = np.eye(gs.dim, dtype=np.int64)
-    worst = 0
-    for i, j in combinations_with_replacement(range(gs.n), 2):
-        gi, gj = gs.gammas[i], gs.gammas[j]
-        anti = gi @ gj + gj @ gi - (2 * gs.eta[i] * ident if i == j else 0)
-        worst = max(worst, int(np.abs(anti).max(initial=0)))
-    return worst
-
-
 def entries_are_signs(gs: GammaSet) -> bool:
-    stack = gs.sign if gs.perm is not None else gs.gammas
-    return all(int(np.abs(g).max(initial=0)) <= 1 for g in stack)
+    return gs._peak <= 1
 
 
 def gammas_to_json(gs: GammaSet) -> dict:

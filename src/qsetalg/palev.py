@@ -50,7 +50,6 @@ from math import prod
 import numpy as np
 
 from . import linalg
-from .liecore import ladder_pair
 from .yang import UnitTag
 
 # ---------------------------------------------------------------------------
@@ -182,36 +181,40 @@ class QuadExt:
 # the mode
 
 
+MAX_CAPACITY = 4096  # largest capacity N = 2j of a mode
+
+
 class PalevMode:
-    """One oscillator mode truncated at 2j quanta (N = 2j, N + 1 levels)."""
+    """One oscillator mode truncated at 2j quanta (N = 2j, N + 1 levels),
+    held as three int64 vectors: the weights N - k of A e_k = (N - k) e_{k+1}
+    and k + 1 of B e_{k+1} = (k + 1) e_k for k < N, and the diagonal 2k - N
+    of Z = [A, B]. The Fraction matrices are built on first read."""
 
     def __init__(self, two_j: int):
         if not isinstance(two_j, int) or two_j < 1:
             raise ValueError("two_j must be a positive integer")
-        if two_j > 4096:
-            raise ValueError("two_j > 4096 is outside the supported range")
+        if two_j > MAX_CAPACITY:
+            raise ValueError(f"capacity {two_j} is past the largest supported capacity, {MAX_CAPACITY}")
         self.two_j = two_j
         self.dim = two_j + 1
-        # the integer ladder pair, and [A, B] in closed form: A B and B A are
-        # diagonal with entries k (N - k + 1) and (k + 1)(N - k), whose
-        # difference is 2k - N
-        self._raise, self._lower = ladder_pair(two_j)
-        self._charge = np.diag(2 * np.arange(self.dim, dtype=np.int64) - two_j)
+        self._raise = np.arange(two_j, 0, -1, dtype=np.int64)
+        self._lower = np.arange(1, self.dim, dtype=np.int64)
+        self._charge = np.arange(-two_j, self.dim, 2, dtype=np.int64)
 
     @cached_property
     def raise_op(self):
         """A as a Fraction matrix."""
-        return linalg.from_scaled(self._raise, 1)
+        return linalg.from_scaled(np.diag(self._raise, -1), 1)
 
     @cached_property
     def lower_op(self):
         """B as a Fraction matrix."""
-        return linalg.from_scaled(self._lower, 1)
+        return linalg.from_scaled(np.diag(self._lower, 1), 1)
 
     @cached_property
     def charge(self):
         """Z = [A, B] = diag(2k - N) as a Fraction matrix."""
-        return linalg.from_scaled(self._charge, 1)
+        return linalg.from_scaled(np.diag(self._charge), 1)
 
     @property
     def j(self) -> Fraction:
@@ -222,26 +225,20 @@ class PalevMode:
         return tuple(Fraction(self.two_j - 2 * k, self.two_j) for k in range(self.dim))
 
     def ground_commutator_value(self) -> Fraction:
-        return self.ladder_commutator_diagonal()[0]
+        return 1 - self.bose_deviation(0)
 
     def bose_deviation(self, n: int) -> Fraction:
-        """How far [a, adag] falls short of 1 on level n; exactly n/j."""
+        """How far [a, adag] falls short of 1 on level n; exactly 2n/N = n/j."""
         if not 0 <= n <= self.two_j:
             raise ValueError(f"level must lie in 0..{self.two_j}")
-        return Fraction(1) - self.ladder_commutator_diagonal()[n]
+        return Fraction(2 * n, self.two_j)
 
     def exclusion_report(self):
         """(max |entry| of A^N, max |entry| of A^{N+1}): the first is
-        positive, the second exactly zero. Computed on the integer pair; the
-        sqrt(N) normalization of adag = A / sqrt(N) cannot change vanishing.
-
-        A is a weighted shift, A e_k = w_k e_{k+1}, so A^m e_k is the window
-        product w_k ... w_{k+m-1} times e_{k+m}: the powers are composed on
-        the weight vector in exact ints, with no dense product."""
-        weights = np.diag(self._raise, -1)
-        if np.count_nonzero(self._raise) != np.count_nonzero(weights):
-            raise ValueError("the raising operator is not a weighted shift")
-        weights = [int(w) for w in weights]
+        positive, the second exactly zero. A^m e_k is the product of the
+        raising weights k .. k + m - 1 times e_{k+m}, taken in exact ints; the
+        sqrt(N) normalization of adag = A / sqrt(N) cannot change vanishing."""
+        weights = self._raise.tolist()
 
         def peak(m):
             return max((abs(prod(weights[k : k + m])) for k in range(len(weights) - m + 1)), default=0)
@@ -260,12 +257,21 @@ def bose_deviation(two_j: int, n: int) -> Fraction:
 # carrier triples
 
 
+def _unband(band):
+    """The d x d matrix M of its band, a (3, d + 2) array whose row o + 1
+    holds M[i, i + o] in column i + 1 for o = -1, 0, 1; zero where i + o
+    leaves the matrix and in both margins."""
+    d = band.shape[-1] - 2
+    return sum(np.diag(band[o + 1, 1 + max(-o, 0) : 1 + d - max(o, 0)], o) for o in (-1, 0, 1))
+
+
 @dataclass(frozen=True, eq=False)
 class CarrierTriple:
-    """Lie triple wrapping a mode. `parts` are the integer carrier parts
-    over `scale`; q, p and r are their rational values as Fraction matrices,
-    built on first read. Tags carry the irrational/imaginary normalizations;
-    relations are the target brackets among the tagged generators."""
+    """Lie triple wrapping a mode. `parts` are the integer carrier parts, as
+    bands, over `scale`; q, p and r are their rational values as Fraction
+    matrices, built on first read. Tags carry the irrational/imaginary
+    normalizations; relations are the target brackets among the tagged
+    generators."""
 
     preset: str
     parts: tuple
@@ -274,7 +280,7 @@ class CarrierTriple:
     relations: str
 
     def _view(self, k: int) -> tuple:
-        return linalg.from_scaled(self.parts[k], self.scale)
+        return linalg.from_scaled(_unband(self.parts[k]), self.scale)
 
     q = cached_property(lambda self: self._view(0))
     p = cached_property(lambda self: self._view(1))
@@ -285,16 +291,6 @@ class CarrierTriple:
         does not depend on how it is stored."""
         shown = ("preset", "q", "p", "r", "tags", "relations")
         return f"CarrierTriple({', '.join(f'{f}={getattr(self, f)!r}' for f in shown)})"
-
-
-def _band(m):
-    """(3, d + 2) array whose row o + 1 holds m[i, i + o] in column i + 1 for
-    o = -1, 0, 1; zero where i + o leaves the matrix and in both margins."""
-    d = len(m)
-    out = np.zeros((3, d + 2), dtype=m.dtype)
-    for o in (-1, 0, 1):
-        out[o + 1, 1 + max(-o, 0) : 1 + d - max(o, 0)] = np.diagonal(m, o)
-    return out
 
 
 def _band_commutator(x, y):
@@ -310,15 +306,12 @@ def _band_commutator(x, y):
     return out
 
 
-def _relations_hold(parts, triples) -> list:
+def _relations_hold(bands, triples) -> list:
     """Whether [P_i, P_j] == 2 P_k for each (i, j, k) in triples, exactly,
-    for tridiagonal integer matrices P, checked on their bands in O(d):
-    with |entries| <= m, [P_i, P_j] and 2 P_k stay within 6 m^2 + 2 m, so
-    the bands are int64 while that is under 2^62 and Python ints past it.
-    A part with an entry off the band is a ValueError."""
-    bands = np.stack([_band(m) for m in parts])
-    if any(np.count_nonzero(m) != np.count_nonzero(b) for m, b in zip(parts, bands)):
-        raise ValueError("a carrier part is not tridiagonal")
+    for the integer bands P, in O(d): with |entries| <= m, [P_i, P_j] and
+    2 P_k stay within 6 m^2 + 2 m, so the bands are int64 while that is
+    under 2^62 and Python ints past it."""
+    bands = np.stack(bands)
     m = linalg.peak(bands)
     bands = bands.astype(np.int64 if 6 * m * m + 2 * m < 1 << 62 else object)
     x, y, w = (bands[list(idx)] for idx in zip(*triples))
@@ -336,9 +329,13 @@ def carrier_triple(mode: PalevMode, preset: str = "spin3"):
     spin21 takes (Z, A-B, A+B) over 2, so [q,p] = r reads [Q, P] / 4 = R / 2.
     In both, the three relations read [Q, P] = 2 R, [P, R] = 2 Q and
     [Q, R] = 2 P. A and B are weighted shifts and Z is diagonal, so every
-    part is tridiagonal and each relation is checked on five diagonals.
+    part is tridiagonal: each is built as a band straight from the mode's
+    vectors, and each relation is checked on five diagonals.
     """
-    A, B, Z = mode._raise, mode._lower, mode._charge
+    A, B, Z = np.zeros((3, 3, mode.dim + 2), dtype=np.int64)
+    A[0, 2:-1] = mode._raise
+    B[2, 1:-2] = mode._lower
+    Z[1, 1:-1] = mode._charge
     if preset == "spin3":
         q, p, r, scale = A + B, A - B, -Z, 1
         tags = (

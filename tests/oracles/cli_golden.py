@@ -2,8 +2,9 @@
 """Golden stdout of CLI commands whose reports pass through the exact Lie
 layer: structure, Killing form, contraction (limit and at eps = 1/1000) for
 every named algebra, the six-direction frame tables, limits and 1/N defect,
-the gamma sets of every signature with 1 <= p + q <= 8, the carrier triples
-and exclusion reports of the truncated modes, normal ordering of a fixed set
+the gamma sets of every signature with 1 <= p + q <= 8, the ladder,
+deviation, carrier and exclusion reports of the truncated modes (capacities
+1-32, 256 and the largest, 4096), normal ordering of a fixed set
 of words of length 1-6 in every rewrite preset, the set operations, the
 multivector products, norms and signatures of the rank frames, and the
 evaluation, parity audit and path check of seeded vertex networks.
@@ -147,6 +148,15 @@ def commands():
             yield ["palev", "carriers", "--preset", preset, "--capacity", str(capacity)]
     for capacity in range(1, 33):
         yield ["palev", "exclusion", "--capacity", str(capacity)]
+    for capacity in (*range(1, 33), 256):
+        yield ["palev", "ladder", "--capacity", str(capacity)]
+        yield ["palev", "deviation", "--capacity", str(capacity)]
+    for level in (0, 1, 4095, 4096):
+        yield ["palev", "deviation", "--capacity", "4096", "--level", str(level)]
+    for capacity in ("256", "4096"):
+        for preset in CARRIER_PRESETS:
+            yield ["palev", "carriers", "--preset", preset, "--capacity", capacity]
+        yield ["palev", "exclusion", "--capacity", capacity]
     yield ["palev", "normal-order", "--system", "h1", "--word", "p,q,q"]
     for system in sorted(REWRITE_GENERATORS):
         for word in rewrite_words(system):

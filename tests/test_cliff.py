@@ -5,7 +5,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qsetalg import cliff
 from qsetalg.cliff import (
     GammaSet,
     anticommutator_defect,
@@ -142,12 +141,14 @@ def test_build_guards():
         build_gammas(7, 6)
 
 
-def test_json_round_trip():
-    gs = build_gammas(2, 1)
+@pytest.mark.parametrize("p, q", [(0, 0), *SIGNATURES])
+def test_json_round_trip(p, q):
+    gs = build_gammas(p, q)
     again = gammas_from_json(gammas_to_json(gs))
     assert again.p == gs.p and again.q == gs.q
     assert again.dim == gs.dim
-    for i in range(1, 4):
+    assert np.array_equal(again.perm, gs.perm) and np.array_equal(again.sign, gs.sign)
+    for i in range(1, gs.n + 1):
         assert np.array_equal(again.gamma(i), gs.gamma(i))
 
 
@@ -209,16 +210,12 @@ def broken_sets(rng, count):
         yield GammaSet.from_matrices(p, q, gammas)
 
 
-def test_kernel_matches_the_dense_reference_on_broken_sets(monkeypatch):
-    dense = []
-    monkeypatch.setattr(cliff, "_dense_defect", lambda gs: dense.append(gs))
+def test_kernel_matches_the_dense_reference_on_broken_sets():
     seen = set()
     for gs in broken_sets(random.Random(7), 300):
-        assert gs.perm is not None
         got = anticommutator_defect(gs)
         assert got == reference_defect(gs.gammas, gs.eta)
         seen.add(got)
-    assert not dense
     assert 0 not in seen and len(seen) > 2
 
 
@@ -227,33 +224,26 @@ def test_defect_past_int64_takes_python_ints():
     c = 1 << 40
     gammas[4] = c * gammas[4]
     gs = GammaSet.from_matrices(3, 2, gammas)
-    assert gs.perm is not None
     # gamma_5^2 = -c^2 I, so the defect is |2 c^2 - 2|, past 2^63
     want = reference_defect([g.astype(object) for g in gammas], gs.eta)
     assert anticommutator_defect(gs) == want == 2 * c * c - 2
 
 
-def test_non_monomial_set_takes_the_dense_fallback(monkeypatch):
+def test_non_monomial_set_is_refused():
     gs = build_gammas(2, 1)
     data = gammas_to_json(gs)
     data["gammas"][0] = (gs.gamma(1) + gs.gamma(2)).tolist()
-    mixed = gammas_from_json(data)
-    assert mixed.perm is None and mixed.dim == gs.dim
-    calls = []
-    real = cliff._dense_defect
-
-    def spy(arg):
-        calls.append(arg)
-        return real(arg)
-
-    monkeypatch.setattr(cliff, "_dense_defect", spy)
-    got = anticommutator_defect(mixed)
-    assert calls == [mixed]
-    assert got == reference_defect(mixed.gammas, mixed.eta) == 2
+    with pytest.raises(ValueError, match="exactly one nonzero"):
+        gammas_from_json(data)
+    # the dense product of this matrix wrapped around int64: the diagonal
+    # 2^81 - 2 came back as -2, and the defect read 2^42
+    big = {"p": 1, "q": 0, "dim": 2, "gammas": [[[1 << 40, 1], [0, 1 << 40]]]}
+    assert reference_defect([np.array(big["gammas"][0], dtype=object)], (1,)) == 2417851639229258349412350
+    with pytest.raises(ValueError, match="exactly one nonzero"):
+        gammas_from_json(big)
+    with pytest.raises(ValueError, match="square"):
+        GammaSet.from_matrices(1, 0, [[[1, 0]]])
     assert not entries_are_signs(gammas_from_json({**data, "gammas": [[[2, 0], [0, 2]]] * 3}))
-    assert np.array_equal(mixed.top(), reference_top(mixed.gammas, mixed.dim))
-    ga, gb = mixed.gamma(1), mixed.gamma(3)
-    assert np.array_equal(2 * mixed.antisym(1, 3), ga @ gb - gb @ ga)
 
 
 def test_stored_arrays_are_read_only():
@@ -263,8 +253,8 @@ def test_stored_arrays_are_read_only():
             arr[0, 0] = 7
     data = gammas_to_json(gs)
     data["gammas"][0] = (gs.gamma(1) + gs.gamma(2)).tolist()
-    with pytest.raises(ValueError):
-        gammas_from_json(data).gammas[0][0, 0] = 7
+    with pytest.raises(ValueError, match="exactly one nonzero"):
+        gammas_from_json(data)
 
 
 def test_monomial_json_reads_back_monomial():
