@@ -11,8 +11,8 @@ The package is organized bottom-up:
     vertexnet   triadic tensor networks with parity typing
     cli         command line front end (also `python -m qsetalg`)
 
-Everything advertised as exact is computed over fractions.Fraction (or an
-explicit quadratic extension); floats appear only in cross-checks and
+Everything advertised as exact is computed as integer arrays over a common
+scale, or over fractions.Fraction; floats appear only in cross-checks and
 explicitly float-mode paths.
 """
 

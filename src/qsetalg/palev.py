@@ -13,8 +13,8 @@ level n. That fraction is the Bose deviation: it halves every time j doubles,
 and vanishes only in the infinite-capacity limit. The ladder also enforces an
 exclusion principle: adag^N is nonzero but adag^{N+1} annihilates everything.
 
-Entries of a and adag live in Q(sqrt(N)); the QuadExt scalar type keeps them
-exact (and collapses to plain rationals whenever N is a perfect square).
+Entries of a and adag live in Q(sqrt(N)); every computation here runs on the
+integer pair (A, B), which keeps it exact, and the sqrt(N) stays symbolic.
 
 Carrier triples package the mode as a Lie triple:
 
@@ -36,7 +36,9 @@ sum_j j! C(k,j)^2 (-i hbar)^j q^{k-j} p^{k-j}.
 
 sympy is not needed to run any of it. It is imported only at the edge: when
 NCPolynomial is handed a sympy coefficient, when a QiHbar is converted to
-sympy (_sympy_), and by evaluate_nc, which takes sympy matrices.
+sympy (_sympy_), and by evaluate_nc, which takes sympy matrices. numpy is
+imported only by the band and carrier code and the Fraction matrix views, so
+the ladder, deviation, exclusion and normal-ordering paths run without it.
 """
 
 from __future__ import annotations
@@ -47,135 +49,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import prod
 
-import numpy as np
-
-from . import linalg
-from .yang import UnitTag
-
-# ---------------------------------------------------------------------------
-# quadratic extension scalars
-
-
-class QuadExt:
-    """Exact number a + b*sqrt(rad) with rational a, b and integer rad >= 1.
-
-    Square factors are pulled out of rad on construction, so a perfect-square
-    radical collapses to a plain rational (rad == 1)."""
-
-    __slots__ = ("a", "b", "rad")
-
-    def __init__(self, a, b=0, rad=1):
-        a = Fraction(a)
-        b = Fraction(b)
-        rad = int(rad)
-        if rad < 1:
-            raise ValueError("radical must be a positive integer")
-        if b:
-            s = 1
-            d = 2
-            while d * d <= rad:
-                while rad % (d * d) == 0:
-                    rad //= d * d
-                    s *= d
-                d += 1
-            b *= s
-        if rad == 1:
-            a += b
-            b = Fraction(0)
-        if not b:
-            rad = 1
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "rad", rad)
-
-    def __setattr__(self, *_):
-        raise AttributeError("QuadExt is immutable")
-
-    def _compatible(self, other: "QuadExt") -> int:
-        if self.rad == 1:
-            return other.rad
-        if other.rad == 1 or other.rad == self.rad:
-            return self.rad
-        raise ValueError(f"mixed radicals {self.rad} and {other.rad}")
-
-    @classmethod
-    def coerce(cls, x) -> "QuadExt":
-        if isinstance(x, QuadExt):
-            return x
-        return cls(Fraction(x))
-
-    def __add__(self, other):
-        other = QuadExt.coerce(other)
-        rad = self._compatible(other)
-        return QuadExt(self.a + other.a, self.b + other.b, rad)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.rad)
-
-    def __sub__(self, other):
-        return self + (-QuadExt.coerce(other))
-
-    def __rsub__(self, other):
-        return QuadExt.coerce(other) + (-self)
-
-    def __mul__(self, other):
-        other = QuadExt.coerce(other)
-        rad = self._compatible(other)
-        return QuadExt(
-            self.a * other.a + self.b * other.b * rad,
-            self.a * other.b + self.b * other.a,
-            rad,
-        )
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "QuadExt":
-        den = self.a * self.a - self.b * self.b * self.rad
-        if den == 0:
-            raise ZeroDivisionError("QuadExt has no inverse")
-        return QuadExt(self.a / den, -self.b / den, self.rad)
-
-    def __truediv__(self, other):
-        return self * QuadExt.coerce(other).inverse()
-
-    def is_zero(self) -> bool:
-        return not self.a and not self.b
-
-    def is_rational(self) -> bool:
-        return not self.b
-
-    def __eq__(self, other):
-        try:
-            other = QuadExt.coerce(other)
-        except (TypeError, ValueError):
-            return NotImplemented
-        return (
-            self.a == other.a
-            and self.b == other.b
-            and (self.rad == other.rad or not self.b)
-        )
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.rad if self.b else 1))
-
-    def __float__(self):
-        return float(self.a) + float(self.b) * self.rad ** 0.5
-
-    def __str__(self):
-        if not self.b:
-            return str(self.a)
-        root = f"sqrt({self.rad})"
-        bpart = root if self.b == 1 else (f"-{root}" if self.b == -1 else f"{self.b}*{root}")
-        if not self.a:
-            return bpart
-        sign = "+" if self.b > 0 else ""
-        return f"{self.a}{sign}{bpart}"
-
-    def __repr__(self):
-        return f"QuadExt({self})"
-
+from .scalars import UnitTag
 
 # ---------------------------------------------------------------------------
 # the mode
@@ -184,11 +58,21 @@ class QuadExt:
 MAX_CAPACITY = 4096  # largest capacity N = 2j of a mode
 
 
+def _fraction_view(vector, offset: int) -> tuple:
+    """The Fraction matrix with `vector` on diagonal `offset`, zero elsewhere."""
+    import numpy as np
+
+    from . import linalg
+
+    return linalg.from_scaled(np.diag(vector, offset), 1)
+
+
 class PalevMode:
     """One oscillator mode truncated at 2j quanta (N = 2j, N + 1 levels),
-    held as three int64 vectors: the weights N - k of A e_k = (N - k) e_{k+1}
+    given by three int64 vectors: the weights N - k of A e_k = (N - k) e_{k+1}
     and k + 1 of B e_{k+1} = (k + 1) e_k for k < N, and the diagonal 2k - N
-    of Z = [A, B]. The Fraction matrices are built on first read."""
+    of Z = [A, B]. The vectors and the Fraction matrices are built on first
+    read."""
 
     def __init__(self, two_j: int):
         if not isinstance(two_j, int) or two_j < 1:
@@ -197,24 +81,39 @@ class PalevMode:
             raise ValueError(f"capacity {two_j} is past the largest supported capacity, {MAX_CAPACITY}")
         self.two_j = two_j
         self.dim = two_j + 1
-        self._raise = np.arange(two_j, 0, -1, dtype=np.int64)
-        self._lower = np.arange(1, self.dim, dtype=np.int64)
-        self._charge = np.arange(-two_j, self.dim, 2, dtype=np.int64)
+
+    @cached_property
+    def _raise(self):
+        import numpy as np
+
+        return np.arange(self.two_j, 0, -1, dtype=np.int64)
+
+    @cached_property
+    def _lower(self):
+        import numpy as np
+
+        return np.arange(1, self.dim, dtype=np.int64)
+
+    @cached_property
+    def _charge(self):
+        import numpy as np
+
+        return np.arange(-self.two_j, self.dim, 2, dtype=np.int64)
 
     @cached_property
     def raise_op(self):
         """A as a Fraction matrix."""
-        return linalg.from_scaled(np.diag(self._raise, -1), 1)
+        return _fraction_view(self._raise, -1)
 
     @cached_property
     def lower_op(self):
         """B as a Fraction matrix."""
-        return linalg.from_scaled(np.diag(self._lower, 1), 1)
+        return _fraction_view(self._lower, 1)
 
     @cached_property
     def charge(self):
         """Z = [A, B] = diag(2k - N) as a Fraction matrix."""
-        return linalg.from_scaled(np.diag(self._charge), 1)
+        return _fraction_view(self._charge, 0)
 
     @property
     def j(self) -> Fraction:
@@ -238,7 +137,7 @@ class PalevMode:
         positive, the second exactly zero. A^m e_k is the product of the
         raising weights k .. k + m - 1 times e_{k+m}, taken in exact ints; the
         sqrt(N) normalization of adag = A / sqrt(N) cannot change vanishing."""
-        weights = self._raise.tolist()
+        weights = range(self.two_j, 0, -1)
 
         def peak(m):
             return max((abs(prod(weights[k : k + m])) for k in range(len(weights) - m + 1)), default=0)
@@ -261,6 +160,8 @@ def _unband(band):
     """The d x d matrix M of its band, a (3, d + 2) array whose row o + 1
     holds M[i, i + o] in column i + 1 for o = -1, 0, 1; zero where i + o
     leaves the matrix and in both margins."""
+    import numpy as np
+
     d = band.shape[-1] - 2
     return sum(np.diag(band[o + 1, 1 + max(-o, 0) : 1 + d - max(o, 0)], o) for o in (-1, 0, 1))
 
@@ -280,6 +181,8 @@ class CarrierTriple:
     relations: str
 
     def _view(self, k: int) -> tuple:
+        from . import linalg
+
         return linalg.from_scaled(_unband(self.parts[k]), self.scale)
 
     q = cached_property(lambda self: self._view(0))
@@ -297,6 +200,8 @@ def _band_commutator(x, y):
     """[X, Y] on the offsets -2..2 (rows 0..4) for stacks of tridiagonal X
     and Y given by their bands: entry (i, i + a + b) of X Y gains
     X[i, i + a] Y[i + a, i + a + b], at most three products per entry."""
+    import numpy as np
+
     d = x.shape[-1] - 2
     out = np.zeros((len(x), 5, d + 2), dtype=x.dtype)
     for a in range(3):  # rows a + b for b = 0, 1, 2 at once
@@ -311,6 +216,10 @@ def _relations_hold(bands, triples) -> list:
     for the integer bands P, in O(d): with |entries| <= m, [P_i, P_j] and
     2 P_k stay within 6 m^2 + 2 m, so the bands are int64 while that is
     under 2^62 and Python ints past it."""
+    import numpy as np
+
+    from . import linalg
+
     bands = np.stack(bands)
     m = linalg.peak(bands)
     bands = bands.astype(np.int64 if 6 * m * m + 2 * m < 1 << 62 else object)
@@ -332,6 +241,8 @@ def carrier_triple(mode: PalevMode, preset: str = "spin3"):
     part is tridiagonal: each is built as a band straight from the mode's
     vectors, and each relation is checked on five diagonals.
     """
+    import numpy as np
+
     A, B, Z = np.zeros((3, 3, mode.dim + 2), dtype=np.int64)
     A[0, 2:-1] = mode._raise
     B[2, 1:-2] = mode._lower

@@ -9,7 +9,6 @@ seconds and states concretely what it verified.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -29,6 +28,7 @@ from .qset import (
     grassmann,
     signature_report,
 )
+from .scalars import RunConfig
 from .vertexnet import GammaVertex, IotaNode, VertexNetwork, dense_oracle
 from .yang import (
     accumulate_coordinate,
@@ -39,24 +39,6 @@ from .yang import (
     total_matrix,
     unit_tags,
 )
-
-_MODES = ("exact", "float")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    seed: int = 0
-    mode: str = "exact"
-    tolerance: float = 1e-12
-
-    def __post_init__(self):
-        if self.mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}")
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
-
-    def describe(self) -> str:
-        return f"seed={self.seed} mode={self.mode} tolerance={self.tolerance:.17g}"
 
 
 class _CheckFailure(Exception):

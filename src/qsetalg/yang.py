@@ -51,78 +51,10 @@ from .liecore import (
     MatrixAlgebra,
     StructureConstants,
 )
+from .scalars import UnitTag
 
 # ---------------------------------------------------------------------------
 # unit tags
-
-
-class UnitTag:
-    """Multiplicative unit bookkeeping: a map symbol -> rational exponent.
-
-    Tags multiply and divide; they never turn into numbers. The point is to
-    keep statements like "the pairing scale is xbar*ebar/N" exact and visible
-    instead of burying them in floating-point prefactors.
-    """
-
-    __slots__ = ("_exps",)
-
-    def __init__(self, exps=None):
-        clean = {}
-        for sym, e in (exps or {}).items():
-            e = Fraction(e)
-            if e:
-                clean[str(sym)] = e
-        self._exps = dict(sorted(clean.items()))
-
-    @classmethod
-    def one(cls) -> "UnitTag":
-        return cls()
-
-    @classmethod
-    def single(cls, sym: str, exp=1) -> "UnitTag":
-        return cls({sym: exp})
-
-    def exponents(self) -> dict:
-        return dict(self._exps)
-
-    def __mul__(self, other: "UnitTag") -> "UnitTag":
-        out = dict(self._exps)
-        for s, e in other._exps.items():
-            out[s] = out.get(s, Fraction(0)) + e
-        return UnitTag(out)
-
-    def __truediv__(self, other: "UnitTag") -> "UnitTag":
-        out = dict(self._exps)
-        for s, e in other._exps.items():
-            out[s] = out.get(s, Fraction(0)) - e
-        return UnitTag(out)
-
-    def __pow__(self, k) -> "UnitTag":
-        k = Fraction(k)
-        return UnitTag({s: e * k for s, e in self._exps.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, UnitTag) and self._exps == other._exps
-
-    def __hash__(self):
-        return hash(tuple(self._exps.items()))
-
-    def is_one(self) -> bool:
-        return not self._exps
-
-    def __str__(self):
-        if not self._exps:
-            return "1"
-        bits = []
-        for s, e in self._exps.items():
-            if e == 1:
-                bits.append(s)
-            else:
-                bits.append(f"{s}^{e}")
-        return "*".join(bits)
-
-    def __repr__(self):
-        return f"UnitTag({self})"
 
 
 def unit_tags() -> dict:

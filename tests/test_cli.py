@@ -177,6 +177,67 @@ def test_sympy_loads_only_where_a_coefficient_is_built():
     assert res.stdout.splitlines()[-1] == "p*q*q = (-2*I*hbar)*q + (1)*q*q*p"
 
 
+IMPORT_GRAPH = """
+import sys
+from qsetalg.cli import main
+
+net = sys.argv[1]
+
+
+def loaded(*names):
+    return [n for n in names if n in sys.modules]
+
+
+assert not loaded("numpy"), "numpy loaded on import"
+for argv in (
+    "sets decode 11",
+    "qset signature --rank 3",
+    "palev deviation --capacity 9",
+    "palev exclusion --capacity 30",
+    "palev ladder",
+    "palev normal-order",
+):
+    main(argv.split())
+    assert not loaded("numpy"), f"numpy loaded by {argv}"
+layers = ("qsetalg.verify", "qsetalg.vertexnet", "qsetalg.yang")
+for argv in ("gamma 4 4", "palev carriers"):
+    main(argv.split())
+    assert not loaded(*layers), f"{loaded(*layers)} loaded by {argv}"
+for argv in ("structure so3", "killing toy", "contract so3", "yang table", f"net eval {net}"):
+    main(argv.split())
+    assert not loaded("qsetalg.verify"), f"qsetalg.verify loaded by {argv}"
+assert main(["verify-all"]) == 0
+assert loaded("qsetalg.verify")
+"""
+
+
+def test_each_command_imports_only_the_layers_it_runs():
+    src = str(Path(qsetalg.__file__).resolve().parents[1])
+    net = str(Path(__file__).parent / "oracles" / "net_ring3.json")
+    res = subprocess.run(
+        [sys.executable, "-c", IMPORT_GRAPH, net],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert res.returncode == 0, res.stderr
+
+
+def test_yang_choices_match_the_yang_tables(capsys):
+    from qsetalg import cli, yang
+
+    assert cli._YANG_PRESETS == tuple(sorted(yang.PRESETS))
+    assert cli._FRAMES == tuple(sorted(yang.ACCUMULATION_PRESETS))
+    with pytest.raises(SystemExit) as done:
+        main(["yang", "--help"])
+    assert done.value.code == 0
+    out = capsys.readouterr().out
+    assert "--preset {3-3,4-2,5-1}" in out
+    assert "--frame {feynman,penrose}" in out
+    with pytest.raises(SystemExit) as done:
+        main(["yang", "table", "--preset", "9-9"])
+    assert done.value.code == 2
+    assert "invalid choice: '9-9'" in capsys.readouterr().err
+
+
 def test_contract_custom_weights(capsys):
     code, out, _ = run(
         capsys, "contract", "so3", "--weights", "1/2,1/2,1"

@@ -19,7 +19,6 @@ from qsetalg.palev import (
     NCPolynomial,
     PalevMode,
     QiHbar,
-    QuadExt,
     REWRITE_PRESETS,
     RewriteSystem,
     bose_deviation,
@@ -53,40 +52,6 @@ def weyl_closed_form(k: int) -> NCPolynomial:
             c = c * minus_i_hbar
         terms[("q",) * (k - j) + ("p",) * (k - j)] = c
     return NCPolynomial(terms)
-
-
-# -- quadratic extension scalars --------------------------------------------
-
-
-def test_quadext_square_factor_collapses():
-    assert QuadExt(0, 1, 4) == QuadExt(2)
-    assert QuadExt(0, 1, 8) == QuadExt(0, 2, 2)
-    assert QuadExt(0, 1, 18) == QuadExt(0, 3, 2)
-    assert QuadExt(0, Fraction(1, 2), 1) == QuadExt(Fraction(1, 2))
-
-
-def test_quadext_arithmetic():
-    r2 = QuadExt(0, 1, 2)
-    assert r2 * r2 == QuadExt(2)
-    assert (QuadExt(1, 1, 2)) * (QuadExt(1, -1, 2)) == QuadExt(-1)
-    x = QuadExt(3, 2, 5)
-    assert x * x.inverse() == QuadExt(1)
-    assert x / x == QuadExt(1)
-    assert x - x == QuadExt(0)
-    assert float(r2) == pytest.approx(2 ** 0.5)
-
-
-def test_quadext_is_immutable():
-    x = QuadExt(1, 1, 2)
-    with pytest.raises(AttributeError):
-        x.a = 5
-
-
-def test_quadext_mixed_radicals_rejected():
-    with pytest.raises(ValueError):
-        QuadExt(0, 1, 2) + QuadExt(0, 1, 3)
-    # rational values mix with anything
-    assert QuadExt(2) + QuadExt(0, 1, 3) == QuadExt(2, 1, 3)
 
 
 # -- capped modes ------------------------------------------------------------
@@ -192,6 +157,28 @@ def test_charge_diagonal():
     m = PalevMode(4)
     for k in range(m.dim):
         assert m.charge[k][k] == 2 * k - 4
+
+
+@pytest.mark.parametrize("two_j", [1, 4, 9])
+def test_mode_vectors_are_built_on_first_read(two_j):
+    m = PalevMode(two_j)
+    assert not {"_raise", "_lower", "_charge"} & vars(m).keys()
+    assert m._raise.dtype == m._lower.dtype == m._charge.dtype == np.int64
+    assert m._raise.tolist() == [two_j - k for k in range(two_j)]
+    assert m._lower.tolist() == [k + 1 for k in range(two_j)]
+    assert m._charge.tolist() == [2 * k - two_j for k in range(m.dim)]
+    assert m._raise is m._raise
+
+
+@pytest.mark.parametrize("two_j", [1, 2, 5, 12])
+def test_exclusion_report_is_the_power_of_the_raising_matrix(two_j):
+    # exclusion_report reads its weights from a range, not from _raise:
+    # both must give the same A
+    m = PalevMode(two_j)
+    a = np.diag(m._raise, -1)
+    at_n = np.linalg.matrix_power(a, two_j)
+    beyond = np.linalg.matrix_power(a, two_j + 1)
+    assert m.exclusion_report() == (Fraction(int(abs(at_n).max())), Fraction(int(abs(beyond).max())))
 
 
 @pytest.mark.parametrize("n", range(1, 33))

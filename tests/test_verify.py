@@ -52,3 +52,9 @@ def test_config_validation():
         RunConfig(mode="symbolic")
     with pytest.raises(ValueError):
         RunConfig(tolerance=-1.0)
+
+
+def test_run_config_still_resolves_from_verify():
+    from qsetalg import scalars, verify
+
+    assert verify.RunConfig is scalars.RunConfig

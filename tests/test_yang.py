@@ -128,6 +128,13 @@ def test_unit_tags_compose():
     assert str(tags["coordinate"]) == "N^-1/2*xbar"
 
 
+def test_unit_tag_still_resolves_from_yang_and_palev():
+    from qsetalg import palev, scalars, yang
+
+    assert yang.UnitTag is scalars.UnitTag
+    assert palev.UnitTag is scalars.UnitTag
+
+
 def test_unit_tag_algebra():
     a = UnitTag.single("u")
     b = UnitTag.single("v", 2)
