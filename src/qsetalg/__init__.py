@@ -12,12 +12,13 @@ The package is organized bottom-up:
     cli         command line front end (also `python -m qsetalg`)
 
 Everything advertised as exact is computed as integer arrays over a common
-scale, or over fractions.Fraction; floats appear only in cross-checks and
-explicitly float-mode paths.
+scale, or over fractions.Fraction. Floats appear in cross-checks and
+explicitly float-mode paths, and in one exact place: float64 carries integer
+matrix products (BLAS) while k * max|a| * max|b| < 2^53, where every product
+and partial sum is an integer float64 holds exactly (linalg.int_matmul).
 """
 
 from .perfinite import OM, PerfiniteSet, decode, parse_set_text
-from .qset import Multivector, RankFrame
 
 __all__ = [
     "OM",
@@ -29,3 +30,13 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    """Multivector and RankFrame, importing qset on first use, so a command
+    that never builds a multivector never loads it."""
+    if name in ("Multivector", "RankFrame"):
+        from . import qset
+
+        return getattr(qset, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

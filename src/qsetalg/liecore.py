@@ -5,26 +5,34 @@ A MatrixAlgebra is a basis of exact rational matrices assumed (and verified)
 to close under commutators, held as an integer stack G over one scale s
 (basis_i = G_i / s): from_ints takes it as built (gamma products over 2), the
 constructor integer-scales Fraction matrices once. All commutators come from
-one batched integer product (int64 while d * max|G|^2 < 2^62 for d x d
-matrices), and all of them are solved at once against the basis, followed by
-one exact residual check over every matrix entry. So closure failures are
-detected exactly rather than hidden under a least-squares fit; a float refit
-of the same stack is an independent cross-check, not the source of truth.
+one batched integer product (linalg.int_matmul: float64 while
+d * max|G|^2 < 2^53 for d x d matrices, int64 while it is < 2^62), and all
+of them are solved at once against the basis, followed by one exact residual
+check over every matrix entry. So closure failures are detected exactly
+rather than hidden under a least-squares fit; a float refit of the same stack
+is an independent cross-check, not the source of truth.
 
 StructureConstants hold the constants as one integer array C of shape
 (n, n, n) and one common denominator D: c_ijk = C[i, j, k] / D. Jacobi sums,
 the Killing form, brackets of coordinate vectors, the derived and lower
-central series, and contractions are integer einsums and array operations on
-C (linalg.int_einsum), for example
+central series, and contractions are integer products and array operations
+on C. The matrix products among them are linalg.int_matmul, whose bound
+for a @ b with inner dimension k is B = k * max|a| * max|b|: float64 while
+B < 2^53, int64 while B < 2^62. The rest are linalg.int_einsum and
+int_combine, int64 while their bounds are < 2^62:
 
-    Jacobi   J = einsum("ijm,mkl->ijkl", C, C), int64 while n * max|C|^2 < 2^62,
+    Jacobi   J = C.reshape(n^2, n) @ C.reshape(n, n^2), B = n * max|C|^2,
              then J_ijk + J_jki + J_kij over i < j < k, int64 while
              3 * max|J| < 2^62
-    Killing  einsum("iml,jlm->ij", C, C), int64 while n^2 * max|C|^2 < 2^62
+    Killing  C.reshape(n, n^2) @ C.transpose(2, 1, 0).reshape(n^2, n),
+             B = n^2 * max|C|^2
+    series   U @ C.reshape(n, n^2), B = n * max|U| * max|C|, for the rows U
+             of the current term (or the basis), then V @ that, reshaped
+             to a stack of n x n, B = n * max|V| * max|U C|
     brackets einsum("i,j,ijk->k", u, v, C), int64 while
              n^2 * max|u| * max|v| * max|C| < 2^62
 
-and when a bound fails the same einsum runs on Python ints; killing_det
+and when a bound fails the same product runs on Python ints; killing_det
 eliminates the integer Killing form over D^2. MatrixAlgebra.basis and
 StructureConstants.c are Fraction views, built on first read.
 
@@ -203,7 +211,8 @@ class StructureConstants:
         """max |[[x_i,x_j],x_k] + [[x_j,x_k],x_i] + [[x_k,x_i],x_j]| coordinate
         over i < j < k."""
         n = self.dim
-        nested = linalg.int_einsum("ijm,mkl->ijkl", self.C, self.C)  # [[x_i,x_j],x_k] * D^2
+        # [[x_i,x_j],x_k] * D^2
+        nested = linalg.int_matmul(self.C.reshape(n * n, n), self.C.reshape(n, n * n)).reshape(n, n, n, n)
         a, b, c = np.ogrid[:n, :n, :n]
         i, j, k = np.nonzero((a < b) & (b < c))
         cyclic = linalg.int_combine((1, nested[i, j, k]), (1, nested[j, k, i]), (1, nested[k, i, j]))
@@ -211,7 +220,8 @@ class StructureConstants:
 
     def _killing(self):
         """The integer Killing form: killing_form() == _killing() / D^2."""
-        return linalg.int_einsum("iml,jlm->ij", self.C, self.C)
+        n = self.dim
+        return linalg.int_matmul(self.C.reshape(n, n * n), self.C.transpose(2, 1, 0).reshape(n * n, n))
 
     def killing_form(self):
         """K[i][j] = trace(ad x_i . ad x_j), exact."""
@@ -235,8 +245,8 @@ class StructureConstants:
         for _ in range(n + 1):
             span = RationalSpan(n)
             left = current if derived else basis_vecs
-            brackets = linalg.int_einsum("ai,ijk->ajk", left, self.C)
-            brackets = linalg.int_einsum("bj,ajk->abk", current, brackets)
+            brackets = linalg.int_matmul(left, self.C.reshape(n, n * n)).reshape(-1, n, n)
+            brackets = linalg.int_matmul(current, brackets)
             vecs = [w for w in brackets.reshape(-1, n).tolist() if any(w) and span.add(w)]
             if not vecs:
                 return True

@@ -10,19 +10,35 @@ The same exact numbers appear in two forms:
   two, for matrices and higher tensors alike; the Lie layer builds its
   Fraction views with from_scaled on first read.
 
-All bulk arithmetic runs on integer-scaled arrays through two routines, and
-each states its bound before it runs:
+All bulk arithmetic runs on integer-scaled arrays through three routines,
+and each states its bound before it runs:
 
-- int_einsum(spec, *ops): an output entry is a sum of `terms` products (the
-  sizes of the summed indices multiplied together), so
-  terms * prod(max|op|) < 2^62 keeps every partial sum inside int64;
-- int_combine((c, a), ...): sum(|c| * max|a|) < 2^62.
+- int_matmul(a, b): a @ b with matmul broadcasting. An output entry is a sum
+  of k products (k the inner dimension), so every product and every partial
+  sum is at most k * max|a| * max|b| in absolute value.
+- int_einsum(spec, *ops), for the contractions that are not matrix
+  products: an output entry is a sum of `terms` products (the sizes of the
+  summed indices multiplied together), bounded by terms * prod(max|op|).
+- int_combine((c, a), ...): bounded by sum(|c| * max|a|).
 
-When the bound fails, the same numpy call runs on dtype=object arrays of
-Python ints, which cannot overflow. There is no separate Fraction loop: mmul,
-commutators, structure constants, Jacobi and Killing sums all take this one
-path. Nothing here rounds; to_float is the only way out to floating point,
-for the numeric cross-checks.
+int_matmul takes the first of three tiers its bound fits; int_einsum and
+int_combine take the first of the last two:
+
+- float64 through np.matmul (BLAS) while the bound is under 2^53. Every
+  integer of magnitude up to 2^53 is a float64, and a sum or product of
+  float64s is rounded only when its exact value is not itself a float64.
+  Here every operand entry, every product and every partial sum, in
+  whatever order the BLAS adds them (a fused multiply-add included), is an
+  integer under the bound, so none is ever rounded and the result is exact.
+  (This rests on the BLAS summing the products a_ij b_jk themselves; it
+  forms no sums of operand entries, as Strassen's scheme would.)
+- int64 while the bound is under 2^62.
+- Python ints (dtype=object) otherwise, which cannot overflow.
+
+There is no separate Fraction loop: mmul, commutators, structure constants,
+Jacobi and Killing sums all take these routines. Nothing here rounds: the
+float64 tier only ever holds integers it represents exactly, and to_float is
+the only way out to floating point, for the numeric cross-checks.
 
 All exact elimination is one row step, _eliminate, and one echelon,
 RationalSpan: primitive, fully reduced integer rows, with the product of the
@@ -62,6 +78,7 @@ def shape(a) -> tuple[int, int]:
 # integer-scaled arrays
 
 _LIMIT = 1 << 62  # int64 bound with a bit to spare for one sign flip or difference
+_EXACT = 1 << 53  # every integer up to 2^53 in magnitude is a float64
 
 
 def peak(a) -> int:
@@ -128,21 +145,31 @@ def int_combine(*terms):
     return sum(c * _cast(a, bound) for c, a in terms)
 
 
+def int_matmul(a, b):
+    """Exact a @ b for integer arrays, with np.matmul's broadcasting. With k
+    the inner dimension and each factor taken as at least 1, the bound
+    k * max|a| * max|b| picks the tier: float64 BLAS under 2^53, int64 under
+    2^62, Python ints otherwise. The result is int64 or Python ints."""
+    bound = max(a.shape[-1], 1) * max(peak(a), 1) * max(peak(b), 1)
+    if bound < _EXACT:
+        return np.matmul(a.astype(np.float64), b.astype(np.float64)).astype(np.int64)
+    return np.matmul(_cast(a, bound), _cast(b, bound))
+
+
 def mmul(a: Matrix, b: Matrix) -> Matrix:
-    """Exact product: one int_einsum over the integer-scaled operands."""
+    """Exact product: one int_matmul over the integer-scaled operands."""
     k, k2 = shape(a)[1], shape(b)[0]
     if k != k2:
         raise LinalgError(f"shape mismatch {shape(a)} @ {shape(b)}")
     (ia, da), (ib, db) = int_scaled(a), int_scaled(b)
-    return from_scaled(int_einsum("ij,jk->ik", ia, ib), da * db)
+    return from_scaled(int_matmul(ia, ib), da * db)
 
 
 def int_commutator(a, b):
     """a b - b a for integer arrays of square matrices (2-d, or 3-d stacks
-    multiplied pairwise), exact. Both products share one int_einsum bound,
+    multiplied pairwise), exact. Both products share one int_matmul bound,
     hence one dtype, and each stays under 2^62, so the difference fits."""
-    spec = "ij,jk->ik" if a.ndim == 2 else "pij,pjk->pik"
-    return int_einsum(spec, a, b) - int_einsum(spec, b, a)
+    return int_matmul(a, b) - int_matmul(b, a)
 
 
 def to_float(a, den: int) -> np.ndarray:
@@ -194,8 +221,14 @@ class ColumnSolver:
         self.m = m
         rows = m.tolist()
         k = m.shape[1]
-        span, self.pivot_rows = RationalSpan(k), []
+        # a zero or repeated row cannot enlarge the span: offer each distinct
+        # nonzero row once, at its first index
+        first = {}
         for i, row in enumerate(rows):
+            if any(row):
+                first.setdefault(tuple(row), i)
+        span, self.pivot_rows = RationalSpan(k), []
+        for row, i in first.items():
             if span.add(row):
                 self.pivot_rows.append(i)
                 if len(self.pivot_rows) == k:
@@ -214,8 +247,8 @@ class ColumnSolver:
         """For an integer array B (m x r), return (X, inside): M X == den * B
         for every column of B inside the span of M's columns, which one exact
         residual check over all rows decides (inside[r])."""
-        x = int_einsum("ij,jr->ir", self.inv, b[self.pivot_rows])
-        resid = int_combine((1, int_einsum("ij,jr->ir", self.m, x)), (-self.den, b))
+        x = int_matmul(self.inv, b[self.pivot_rows])
+        resid = int_combine((1, int_matmul(self.m, x)), (-self.den, b))
         return x, ~(resid != 0).any(axis=0)
 
 

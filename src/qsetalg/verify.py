@@ -15,6 +15,7 @@ import numpy as np
 
 from .cliff import anticommutator_defect, build_gammas, entries_are_signs
 from .liecore import ContractionFamily, boost_triple, catalog, numeric_contraction_check
+from .linalg import int_matmul
 from .palev import NCPolynomial, PalevMode, QiHbar, carrier_triple, normal_order
 from .perfinite import EMPTY, code, decode, enumerate_rank
 from .qset import (
@@ -248,7 +249,7 @@ def _on_stack(poly: NCPolynomial, alg) -> np.ndarray:
             _fail(f"spin21: coefficient {c} is not rational")
         m = np.eye(dim, dtype=np.int64)
         for g in word:
-            m = m @ mats[g]
+            m = int_matmul(m, mats[g])
         total = total + m * Fraction(re, alg.scale ** len(word))
     return total
 

@@ -222,26 +222,34 @@ def gauge_defect(frame: YangFrame, eps_sqrt) -> DefectReport:
     carries the same power eps_sqrt^(2 w_i + 2 w_j): the limit keeps only
     constants with w_k = w_i + w_j. So D_ij is that power times the integer
     matrix Q_ij = DL K_ij - s sum_k L_ijk G_k over s^2 DL, and one integer
-    einsum gives Q for all pairs.
+    product (linalg.int_matmul) gives Q for all pairs.
     """
     eps_sqrt = Fraction(eps_sqrt)
     alg = frame.algebra
     lim = ContractionFamily(frame.structure_constants(), frame.weights).limit()
     i, j = np.triu_indices(alg.dim, 1)
+    comm = alg.commutators()
     q = linalg.int_combine(
-        (lim.D, alg.commutators()),
-        (-alg.scale, linalg.int_einsum("qk,kab->qab", lim.C[i, j], alg.stack)),
+        (lim.D, comm),
+        (-alg.scale, linalg.int_matmul(lim.C[i, j], alg.stack.reshape(alg.dim, -1)).reshape(comm.shape)),
     )
     peaks = np.abs(q).reshape(len(i), -1).max(axis=1).tolist()
     den = alg.scale ** 2 * lim.D
-    w = frame.weights
+    two_w = [2 * x for x in frame.weights]
+    powers = {}  # exponent of |eps_sqrt| -> its power; a frame has a few
     rows = []
     worst = Fraction(0)
     for a, b, top in zip(i.tolist(), j.tolist(), peaks):
-        m = abs(eps_sqrt) ** int(2 * (w[a] + w[b])) * Fraction(int(top), den)
+        if not top:
+            continue
+        e = int(two_w[a] + two_w[b])
+        p = powers.get(e)
+        if p is None:
+            p = powers[e] = abs(eps_sqrt) ** e
+        m = Fraction(p.numerator * top, p.denominator * den)
         if m:
             rows.append((frame.labels[a], frame.labels[b], m))
-        worst = max(worst, m)
+            worst = max(worst, m)
     return DefectReport(eps_sqrt * eps_sqrt, worst, tuple(rows))
 
 

@@ -7,6 +7,7 @@ import json
 import os
 from bisect import bisect_left
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -307,3 +308,27 @@ def reference_defect(gammas, eta) -> int:
                 anti = anti - 2 * eta[i] * ident
             worst = max(worst, int(np.abs(anti).max()) if anti.size else 0)
     return worst
+
+
+def plain_column_solver(m):
+    """(pivot_rows, den, inv) of linalg.ColumnSolver(m), with every row of m
+    offered to the span in order, zero and repeated rows included: the loop
+    ColumnSolver ran before it offered each distinct nonzero row once, kept
+    as the reference that shortcut is checked against."""
+    rows = m.tolist()
+    k = m.shape[1]
+    span, pivot_rows = linalg.RationalSpan(k), []
+    for i, row in enumerate(rows):
+        if span.add(row):
+            pivot_rows.append(i)
+            if len(pivot_rows) == k:
+                break
+    else:
+        raise linalg.LinalgError("columns are linearly dependent")
+    aug = linalg.RationalSpan(2 * k)
+    for i, r in enumerate(pivot_rows):
+        aug.add(rows[r] + [int(i == j) for j in range(k)])
+    pivots = [row for row, _ in sorted(aug.rows, key=lambda item: item[1])]
+    den = lcm(*(row[c] for c, row in enumerate(pivots)))
+    inv = [[x * (den // row[c]) for x in row[k:]] for c, row in enumerate(pivots)]
+    return pivot_rows, den, inv

@@ -188,17 +188,18 @@ def loaded(*names):
     return [n for n in names if n in sys.modules]
 
 
-assert not loaded("numpy"), "numpy loaded on import"
+assert not loaded("numpy", "qsetalg.qset"), "numpy or qset loaded on import"
 for argv in (
     "sets decode 11",
-    "qset signature --rank 3",
     "palev deviation --capacity 9",
     "palev exclusion --capacity 30",
     "palev ladder",
     "palev normal-order",
 ):
     main(argv.split())
-    assert not loaded("numpy"), f"numpy loaded by {argv}"
+    assert not loaded("numpy", "qsetalg.qset"), f"{loaded('numpy', 'qsetalg.qset')} loaded by {argv}"
+main("qset signature --rank 3".split())
+assert not loaded("numpy"), "numpy loaded by qset signature --rank 3"
 layers = ("qsetalg.verify", "qsetalg.vertexnet", "qsetalg.yang")
 for argv in ("gamma 4 4", "palev carriers"):
     main(argv.split())

@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 import pytest
 
-from helpers import lagrange_signature
+from helpers import lagrange_signature, plain_column_solver
 from qsetalg import linalg
 
 
@@ -53,6 +54,83 @@ def test_int_combine_falls_back_to_python_ints():
     assert got.dtype == object
     assert got.tolist() == [-(2 ** 61), 2 ** 61, -7]
     assert linalg.int_combine((1, a // 4), (1, a // 4)).dtype == np.int64
+
+
+def _python_product(a, b):
+    """a @ b on Python ints: the reference int_matmul is checked against."""
+    return a.astype(object) @ b.astype(object)
+
+
+def _tier(seen):
+    """The dtype of the single np.matmul call recorded by the spy."""
+    (dtypes,) = seen
+    assert len(set(dtypes)) == 1
+    return dtypes[0]
+
+
+# (a, b, tier): k * max|a| * max|b| just under and at each tier edge, with
+# entries chosen so the exact product is odd and near the bound
+_EDGES = (
+    # 6361 * 69431 * 20394401 == 2^53 - 1, and so is the product
+    (np.full((1, 6361), 69431), np.full((6361, 1), 20394401), np.float64),
+    # 2 * 2^26 * 2^26 == 2^53; the product is 2^53 - 2^27 + 1
+    (np.array([[2 ** 26, 2 ** 26 - 1]]), np.array([[2 ** 26], [2 ** 26 - 1]]), np.int64),
+    # (2^31 - 1) * (2^31 + 1) == 2^62 - 1, and so is the product
+    (np.array([[2 ** 31 - 1]]), np.array([[2 ** 31 + 1]]), np.int64),
+    # 2 * 2^30 * 2^31 == 2^62; the product is 2^62 - 3 * 2^30 + 1
+    (np.array([[2 ** 30, 2 ** 30 - 1]]), np.array([[2 ** 31], [2 ** 31 - 1]]), object),
+)
+
+
+@pytest.mark.parametrize("a, b, tier", _EDGES)
+def test_int_matmul_tier_edges(einsum_dtypes, a, b, tier):
+    bound = a.shape[-1] * linalg.peak(a) * linalg.peak(b)
+    assert bound in (2 ** 53 - 1, 2 ** 53, 2 ** 62 - 1, 2 ** 62)
+    want = _python_product(a, b)
+    assert want[0, 0] % 2 == 1 and bound - want[0, 0] < 2 ** 33
+    einsum_dtypes.clear()
+    got = linalg.int_matmul(a, b)
+    assert _tier(einsum_dtypes) == tier
+    assert got.dtype == (object if tier is object else np.int64)
+    assert got.tolist() == want.tolist()
+    assert linalg.int_matmul(-a, b).tolist() == (-want).tolist()
+
+
+def test_int_matmul_matches_python_ints_on_seeded_stacks():
+    rng = random.Random(20247)
+
+    def rand(shape, bits):
+        vals = [rng.randint(-(2 ** bits), 2 ** bits) for _ in range(prod(shape))]
+        return np.array(vals, dtype=np.int64 if bits < 63 else object).reshape(shape)
+
+    for bits in (3, 20, 26, 31, 40, 70):
+        for sa, sb in (((5, 7), (7, 4)), ((3, 6, 6), (3, 6, 6)), ((2, 1, 4, 5), (3, 5, 2))):
+            a, b = rand(sa, bits), rand(sb, bits)
+            got = linalg.int_matmul(a, b)
+            assert got.shape == np.broadcast_shapes(sa[:-2], sb[:-2]) + (sa[-2], sb[-1])
+            assert got.tolist() == _python_product(a, b).tolist()
+
+
+@pytest.mark.parametrize(
+    "sa, sb", [((4,), (4,)), ((4,), (4, 3)), ((2, 4), (4,)), ((0, 3), (3, 2)), ((2, 0), (0, 3)), ((3, 2, 4), (4, 5))]
+)
+def test_int_matmul_follows_matmul_shapes(sa, sb):
+    a = np.arange(1, prod(sa) + 1, dtype=np.int64).reshape(sa) - 2
+    b = np.arange(prod(sb), dtype=np.int64).reshape(sb) * 3 - 5
+    got = linalg.int_matmul(a, b)
+    want = _python_product(a, b)
+    assert np.shape(got) == np.shape(want) and np.array_equal(got, want)
+    huge = linalg.int_matmul(a * 2 ** 40, b * 2 ** 40)
+    assert np.array_equal(huge, want * 2 ** 80)
+
+
+def test_int_matmul_takes_object_input_under_the_bound(einsum_dtypes):
+    a = np.array([[3, -5], [2 ** 20, 7]], dtype=object)
+    b = np.array([[1, 2 ** 21], [-4, 0]], dtype=object)
+    got = linalg.int_matmul(a, b)
+    assert _tier(einsum_dtypes) == np.float64
+    assert got.dtype == np.int64
+    assert got.tolist() == _python_product(a, b).tolist()
 
 
 # -- exact elimination: det, congruence_signature, RationalSpan, ColumnSolver
@@ -213,3 +291,49 @@ def test_column_solver_recovers_random_coordinates():
         x, inside = solver.solve(m @ coords)
         assert inside.all()
         assert (x == solver.den * coords).all()
+
+
+def _solver_matrices():
+    """The column matrices ColumnSolver meets: the three frames, every catalog
+    algebra, and seeded integer matrices with zero and repeated rows, each
+    with more than one column also once with a dependent last column."""
+    from qsetalg.liecore import catalog
+    from qsetalg.yang import PRESETS, build_yang
+
+    algebras = [build_yang(p).algebra for p in sorted(PRESETS)]
+    algebras += [ent.algebra for ent in catalog().values()]
+    for alg in algebras:
+        yield alg.stack.reshape(alg.dim, -1).T
+    rng = np.random.default_rng(20248)
+    for k in (1, 3, 6):
+        m = rng.integers(-3, 4, size=(2 * k, k))
+        m = m[rng.integers(0, 2 * k, size=5 * k)]  # repeated rows
+        m[rng.integers(0, 5 * k, size=k)] = 0
+        yield m
+        if k > 1:
+            yield np.concatenate([m[:, :-1], m[:, :1] - m[:, 1:2]], axis=1)
+
+
+def test_column_solver_matches_the_plain_row_loop():
+    for m in _solver_matrices():
+        try:
+            pivot_rows, den, inv = plain_column_solver(m)
+        except linalg.LinalgError:
+            with pytest.raises(linalg.LinalgError):
+                linalg.ColumnSolver(m)
+            continue
+        solver = linalg.ColumnSolver(m)
+        assert solver.pivot_rows == pivot_rows
+        assert solver.den == den
+        assert solver.inv.tolist() == inv
+
+
+def test_column_solver_with_zero_and_repeated_rows_rejects_a_dependent_basis():
+    m = np.array([[0, 0, 0], [1, 2, 3], [1, 2, 3], [0, 0, 0], [2, 4, 6], [0, 1, 1], [0, 1, 1]])
+    with pytest.raises(linalg.LinalgError):
+        plain_column_solver(m)
+    with pytest.raises(linalg.LinalgError):
+        linalg.ColumnSolver(m)
+    m[3] = [5, 0, 0]
+    solver = linalg.ColumnSolver(m)
+    assert (solver.pivot_rows, solver.den, solver.inv.tolist()) == plain_column_solver(m)

@@ -274,6 +274,18 @@ def test_gauge_defect_on_a_huge_basis_takes_the_python_int_route(einsum_dtypes):
     assert rep.eps == eps_sqrt * eps_sqrt
 
 
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_frame_commutators_take_the_float64_route(einsum_dtypes, preset):
+    alg = build_yang(preset).algebra
+    i, j = np.triu_indices(alg.dim, 1)
+    a, b = alg.stack[i].astype(object), alg.stack[j].astype(object)
+    einsum_dtypes.clear()
+    comm = alg.commutators()
+    assert einsum_dtypes == [[np.dtype(np.float64)] * 2] * 2
+    assert comm.dtype == np.int64
+    assert comm.tolist() == (a @ b - b @ a).tolist()
+
+
 FRAME_OPS = {
     "structure": lambda fr: fr.structure_constants(),
     "jacobi": lambda fr: fr.structure_constants().jacobi_defect(),
