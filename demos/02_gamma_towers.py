@@ -9,7 +9,7 @@ The antisymmetrized pairs then close under commutators like rotations do.
 import numpy as np
 
 from qsetalg.cliff import anticommutator_defect, build_gammas
-from qsetalg.liecore import StructureConstants
+from qsetalg.liecore import MatrixAlgebra
 
 print("== dimension table ==")
 for total in range(1, 9):
@@ -32,8 +32,8 @@ print()
 print("== spin generators close on rotation constants ==")
 gs = build_gammas(2, 1)
 pairs = [(2, 3), (2, 1), (1, 3)]
-basis = [gs.spin_generator(a, b) for a, b in pairs]
-sc = StructureConstants.from_matrices(basis, name="spin21", labels=("q", "p", "r"))
+stack = np.stack([gs.antisym(a, b) for a, b in pairs])
+sc = MatrixAlgebra("spin21", stack, 2, labels=("q", "p", "r")).structure_constants()
 for i, j, k, c in sc.nonzero():
     print(f"  [{sc.labels[i]},{sc.labels[j]}] = {c} {sc.labels[k]}")
 print("killing det:", sc.killing_det(), "->", sc.classify())

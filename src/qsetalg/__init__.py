@@ -4,7 +4,7 @@ The package is organized bottom-up:
 
     perfinite   hereditarily finite sets, Ackermann codes, xor/partial-or
     qset        Grassmann/Clifford linearization over rank frames, Berezin norms
-    cliff       real gamma matrix sets, top elements, spin generators
+    cliff       real gamma matrix sets, top elements
     liecore     structure constants, Killing forms, contraction limits
     yang        six-index spin frames, canonical contraction, spectra
     palev       finite ladder oscillators, normal ordering

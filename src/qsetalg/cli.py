@@ -265,15 +265,12 @@ def _cmd_structure(args) -> int:
 
 
 def _cmd_killing(args) -> int:
-    from . import linalg
-
     _header(args, "killing")
     algebra, _, _ = _lookup_algebra(args.name)
     sc = algebra.structure_constants()
-    k = sc.killing_form()
     print(f"{args.name}: Killing form")
-    _print_matrix(k)
-    det = linalg.det(k)
+    _print_matrix(sc.killing_form())
+    det = sc.killing_det()
     print(f"det = {fmt_scalar(det)}")
     print(f"semisimple: {det != 0}")
     return 0
@@ -299,6 +296,10 @@ def _cmd_contract(args) -> int:
         at = None if args.eps is None else fam.at(args.eps)
     except ContractionError as e:
         raise CliError(str(e)) from None
+    try:
+        rel = None if at is None else numeric_contraction_check(algebra, weights, float(args.eps))
+    except (OverflowError, FloatingPointError):
+        raise CliError(f"the float refit overflows at eps={float(args.eps):g}") from None
     print(f"weights: {', '.join(fmt_scalar(w) for w in weights)}")
     for li, lj, lk, c, e in fam.describe():
         tag = "survives" if e == 0 else f"decays as eps^{fmt_scalar(e)}"
@@ -311,7 +312,6 @@ def _cmd_contract(args) -> int:
     print(f"at eps={fmt_scalar(args.eps)}:")
     for i, j, k, c in at.nonzero():
         print(f"  [{at.labels[i]},{at.labels[j]}] -> {fmt_scalar(c)} {at.labels[k]}")
-    rel = numeric_contraction_check(algebra, weights, float(args.eps))
     ok = rel <= 1e-9
     print(f"float refit deviation: {rel:.17g} ({'PASS' if ok else 'FAIL'} <= 1e-9)")
     return 0 if ok else 1

@@ -38,9 +38,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .linalg import from_scaled
-
-_LIMIT = 1 << 62
+from .linalg import cast
 
 
 def _monomial(stack):
@@ -153,13 +151,6 @@ class GammaSet:
         self.sign = _frozen(sign)
         self.dim = perm.shape[1]
 
-    @classmethod
-    def from_matrices(cls, p: int, q: int, gammas) -> "GammaSet":
-        """The set of monomial integer matrices; ValueError for any other.
-        No matrices is the set of Cl(0, 0), on one dimension."""
-        stack = np.array(gammas, dtype=np.int64)
-        return cls(p, q, *_monomial(stack if len(stack) else stack.reshape(0, 1, 1)))
-
     @cached_property
     def gammas(self) -> tuple:
         """The generators as dense int64 matrices, built on first read."""
@@ -170,17 +161,12 @@ class GammaSet:
         """max |sign|, read once: a set's stacks do not change after it is built."""
         return int(np.abs(self.sign).max(initial=0))
 
-    def _signs(self, bound):
-        """The sign stack as int64 when `bound`, a function of max |sign|, is
-        under 2^62, else as Python ints."""
-        return self.sign.astype(object) if bound(self._peak) >= _LIMIT else self.sign
-
     @cached_property
     def _products(self):
         """(perm, sign) of gamma_i gamma_j for every pair (i, j), as (n, n, d)
         stacks, gathered at once; with |sign| <= m the signs are exact for a
         sum of three entries of size up to m^2 and 2 (2 m^2 + 2 < 2^62)."""
-        sign = self._signs(lambda m: 2 * m * m + 2)
+        sign = cast(self.sign, 2 * self._peak ** 2 + 2)
         j, after_i = np.arange(len(self.perm))[None, :, None], self.perm[:, None, :]
         return self.perm[j, after_i], sign[:, None, :] * sign[j, after_i]
 
@@ -197,8 +183,9 @@ class GammaSet:
         return self.eta[self._index(i, "eta")]
 
     def antisym(self, a: int, b: int) -> np.ndarray:
-        """[gamma_a, gamma_b] / 2, exact (equals gamma_a gamma_b off the
-        diagonal, zero on it)."""
+        """A_ab = [gamma_a, gamma_b] / 2, exact (equals gamma_a gamma_b off the
+        diagonal, zero on it). Over scale 2 these are the rotation generators:
+        [A_ab, A_cd] = 2 (eta_bc A_ad - eta_ac A_bd - eta_bd A_ac + eta_ad A_bc)."""
         i, j = self._index(a), self._index(b)
         perm, sign = self._products
         rows = np.arange(self.dim)
@@ -210,22 +197,10 @@ class GammaSet:
             raise AssertionError("commutator of gammas must be even")
         return half
 
-    def spin_generator(self, a: int, b: int):
-        """Rotation generator antisym(a, b)/2 as an exact Fraction matrix.
-        The Lie layer takes antisym(a, b) over scale 2 directly
-        (MatrixAlgebra.from_ints) and builds no Fractions.
-
-        With M(a,b) = gamma_a gamma_b / 2 for a != b the commutators close as
-
-            [M(a,b), M(c,d)] = eta_bc M(a,d) - eta_ac M(b,d)
-                               - eta_bd M(a,c) + eta_ad M(b,c).
-        """
-        return from_scaled(self.antisym(a, b), 2)
-
     def _top(self):
         """(perm, sign) of the top element, signs exact for its square: at
         most 2n factors of |sign| <= m."""
-        sign = self._signs(lambda m: m ** (2 * len(self.sign)))
+        sign = cast(self.sign, self._peak ** (2 * len(self.sign)))
         start = (np.arange(self.dim), np.ones(self.dim, dtype=sign.dtype))
         return reduce(_mul, zip(self.perm[::-1], sign[::-1]), start)
 
@@ -291,10 +266,13 @@ def gammas_to_json(gs: GammaSet) -> dict:
 
 
 def gammas_from_json(data: dict) -> GammaSet:
+    """The set of the monomial integer matrices data["gammas"]; ValueError
+    for any other. No matrices is the set of Cl(0, 0), on one dimension."""
     p, q = int(data["p"]), int(data["q"])
     if len(data["gammas"]) != p + q:
         raise ValueError("p + q disagrees with the number of matrices")
-    gs = GammaSet.from_matrices(p, q, data["gammas"])
+    stack = np.array(data["gammas"], dtype=np.int64)
+    gs = GammaSet(p, q, *_monomial(stack if len(stack) else stack.reshape(0, 1, 1)))
     if gs.dim != int(data["dim"]):
         raise ValueError("dimension field disagrees with matrices")
     return gs

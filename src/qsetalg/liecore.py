@@ -2,10 +2,10 @@
 and one-parameter contractions.
 
 A MatrixAlgebra is a basis of exact rational matrices assumed (and verified)
-to close under commutators, held as an integer stack G over one scale s
-(basis_i = G_i / s): from_ints takes it as built (gamma products over 2), the
-constructor integer-scales Fraction matrices once. All commutators come from
-one batched integer product (linalg.int_matmul: float64 while
+to close under commutators, taken and held as an integer stack G over one
+scale s (basis_i = G_i / s), as its builders make it: gamma products and
+ladder pairs over 2, the small catalog matrices over 1. All commutators come
+from one batched integer product (linalg.int_matmul: float64 while
 d * max|G|^2 < 2^53 for d x d matrices, int64 while it is < 2^62), and all
 of them are solved at once against the basis, followed by one exact residual
 check over every matrix entry. So closure failures are detected exactly
@@ -14,12 +14,12 @@ is an independent cross-check, not the source of truth.
 
 StructureConstants hold the constants as one integer array C of shape
 (n, n, n) and one common denominator D: c_ijk = C[i, j, k] / D. Jacobi sums,
-the Killing form, brackets of coordinate vectors, the derived and lower
-central series, and contractions are integer products and array operations
-on C. The matrix products among them are linalg.int_matmul, whose bound
-for a @ b with inner dimension k is B = k * max|a| * max|b|: float64 while
-B < 2^53, int64 while B < 2^62. The rest are linalg.int_einsum and
-int_combine, int64 while their bounds are < 2^62:
+the Killing form, the derived and lower central series, and contractions are
+integer products and array operations on C. The matrix products among them
+are linalg.int_matmul, whose bound for a @ b with inner dimension k is
+B = k * max|a| * max|b|: float64 while B < 2^53, int64 while B < 2^62. The
+rest are linalg.int_einsum and int_combine, int64 while their bounds are
+< 2^62:
 
     Jacobi   J = C.reshape(n^2, n) @ C.reshape(n, n^2), B = n * max|C|^2,
              then J_ijk + J_jki + J_kij over i < j < k, int64 while
@@ -29,12 +29,11 @@ int_combine, int64 while their bounds are < 2^62:
     series   U @ C.reshape(n, n^2), B = n * max|U| * max|C|, for the rows U
              of the current term (or the basis), then V @ that, reshaped
              to a stack of n x n, B = n * max|V| * max|U C|
-    brackets einsum("i,j,ijk->k", u, v, C), int64 while
-             n^2 * max|u| * max|v| * max|C| < 2^62
 
 and when a bound fails the same product runs on Python ints; killing_det
-eliminates the integer Killing form over D^2. MatrixAlgebra.basis and
-StructureConstants.c are Fraction views, built on first read.
+eliminates the integer Killing form over D^2. MatrixAlgebra.basis,
+StructureConstants.c and killing_form are Fraction views for reports; the
+first two are built on first read and cached.
 
 Contractions follow the graded-rescaling pattern: assign each basis element a
 weight w_i, scale x_i -> eps^{w_i} x_i, and watch
@@ -52,6 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 import numpy as np
@@ -76,25 +76,11 @@ class MatrixAlgebra:
     """Lie algebra presented by an independent basis of rational matrices,
     kept as an integer stack over one scale: basis_i == stack[i] / scale."""
 
-    def __init__(self, name: str, basis, labels=None):
-        """From square matrices of ints or Fractions, integer-scaled once."""
-        mats = tuple(linalg.mat(b) if not isinstance(b, tuple) else b for b in basis)
-        d = len(mats[0]) if mats else 0
-        if any(linalg.shape(m) != (d, d) for m in mats):
-            raise ValueError("basis matrices must be square and same size")
-        self._setup(name, *linalg.int_scaled(mats), labels)
-
-    @classmethod
-    def from_ints(cls, name: str, stack, scale: int, labels=None) -> "MatrixAlgebra":
+    def __init__(self, name: str, stack, scale: int, labels=None):
         """The algebra spanned by stack[i] / scale, for an integer array stack
         of shape (n, d, d) and an integer scale > 0."""
         if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
             raise ValueError("basis matrices must be square and same size")
-        alg = cls.__new__(cls)
-        alg._setup(name, stack, scale, labels)
-        return alg
-
-    def _setup(self, name, stack, scale, labels):
         n = len(stack)
         if not n:
             raise ValueError("empty basis")
@@ -108,18 +94,16 @@ class MatrixAlgebra:
         self.labels = tuple(labels) if labels else tuple(f"x{i+1}" for i in range(n))
         if len(self.labels) != n:
             raise ValueError("one label per basis element")
-        self._basis = self._sc = self._comm = None
+        self._sc = self._comm = None
 
     @property
     def dim(self) -> int:
         return len(self.stack)
 
-    @property
+    @cached_property
     def basis(self) -> tuple:
         """The basis as Fraction matrices, stack / scale, built on first read."""
-        if self._basis is None:
-            self._basis = linalg.from_scaled(self.stack, self.scale)
-        return self._basis
+        return linalg.from_scaled(self.stack, self.scale)
 
     def commutators(self):
         """Integer array K of shape (pairs, d, d) over the pairs i < j in
@@ -145,7 +129,7 @@ class MatrixAlgebra:
             c = np.zeros((n, n, n), dtype=x.dtype)
             c[i, j] = x.T
             c[j, i] = -x.T
-            self._sc = StructureConstants.from_ints(
+            self._sc = StructureConstants(
                 c, self._solver.den * self.scale, name=self.name, labels=self.labels
             )
         return self._sc
@@ -159,49 +143,24 @@ class StructureConstants:
     array C and denominator D with c == C / D; the Fraction table c is a view
     built on first read."""
 
-    def __init__(self, c, name: str = "", labels=None):
-        arr = np.array(c, dtype=object)
-        if arr.ndim != 3:
-            raise ValueError("structure constants must be n x n x n")
-        self._setup(*linalg.int_scaled(arr), name, labels)
-
-    @classmethod
-    def from_ints(cls, C, D: int, name: str = "", labels=None) -> "StructureConstants":
-        """Constants C / D for an integer array C of shape (n, n, n), D > 0."""
-        sc = cls.__new__(cls)
-        sc._setup(C, D, name, labels)
-        return sc
-
-    def _setup(self, C, D, name, labels):
+    def __init__(self, C, D: int, name: str = "", labels=None):
+        """Constants C / D for an integer array C of shape (n, n, n), D != 0."""
         n = C.shape[0]
         if C.shape != (n, n, n):
             raise ValueError("structure constants must be n x n x n")
         g = gcd(D, *C.ravel().tolist()) * (-1 if D < 0 else 1)
         self.C, self.D = linalg.fit(C // g), D // g
-        self._c = None
         self.name = name
         self.labels = tuple(labels) if labels else tuple(f"x{i+1}" for i in range(n))
 
-    @property
+    @cached_property
     def c(self) -> tuple:
         """Nested tuples of Fraction, C / D, built on first read."""
-        if self._c is None:
-            self._c = linalg.from_scaled(self.C, self.D)
-        return self._c
+        return linalg.from_scaled(self.C, self.D)
 
     @property
     def dim(self) -> int:
         return len(self.C)
-
-    @classmethod
-    def from_matrices(cls, basis, name="", labels=None) -> "StructureConstants":
-        return MatrixAlgebra(name, basis, labels=labels).structure_constants()
-
-    def bracket_coords(self, u, v):
-        """Coordinates of [u, v] for coordinate vectors u, v."""
-        (iu, du), (iv, dv) = linalg.int_scaled(u), linalg.int_scaled(v)
-        w = linalg.int_einsum("i,j,ijk->k", iu, iv, self.C)
-        return linalg.from_scaled(w, du * dv * self.D)
 
     def antisymmetry_defect(self) -> Fraction:
         both = linalg.int_combine((1, self.C), (1, self.C.transpose(1, 0, 2)))
@@ -344,7 +303,7 @@ class ContractionFamily:
         lo, top = int(e.min(initial=0)), int(e.max(initial=0))
         p, q = eps.numerator, eps.denominator
         factor = np.array([p ** (x - lo) * q ** (top - x) for x in range(lo, top + 1)], dtype=object)
-        return StructureConstants.from_ints(
+        return StructureConstants(
             linalg.int_einsum("ijk,ijk->ijk", C, linalg.fit(factor[e - lo])),
             self.sc.D * q ** top * p ** -lo,
             name=f"{self.sc.name}@eps={eps}",
@@ -354,7 +313,7 @@ class ContractionFamily:
     def limit(self) -> StructureConstants:
         """Keep the constants c_ijk, i < j, with exponent zero (and c_jik = -c_ijk)."""
         kept = np.where(_upper(self.sc.dim) & (self._exp == 0), self.sc.C, 0)
-        return StructureConstants.from_ints(
+        return StructureConstants(
             kept - kept.transpose(1, 0, 2),
             self.sc.D,
             name=f"{self.sc.name}->limit",
@@ -377,20 +336,7 @@ class ContractionFamily:
         return out
 
 
-def scaled_basis(basis, weights, eps_sqrt: Fraction):
-    """Rescale basis matrices by eps^{w_i}, with eps = eps_sqrt**2 so that
-    half-integer weights stay exact."""
-    eps_sqrt = Fraction(eps_sqrt)
-    out = []
-    for m, w in zip(basis, weights):
-        two_w = 2 * Fraction(w)
-        if two_w.denominator != 1:
-            raise ContractionError("weights must be integers or half-integers")
-        f = eps_sqrt ** int(two_w)
-        out.append(tuple(tuple(f * x for x in row) for row in m))
-    return tuple(out)
-
-
+@np.errstate(over="raise")
 def numeric_contraction_check(
     algebra: MatrixAlgebra, weights, eps: float
 ) -> float:
@@ -400,6 +346,8 @@ def numeric_contraction_check(
     Returns the largest relative deviation over all (i, j) brackets, where the
     denominator is max(1, |exact coordinate vector|_inf). Independent of the
     exact path: uses numpy only, on floats of the integer stack and of C / D.
+    A value past float range raises (OverflowError or FloatingPointError)
+    rather than turning into inf.
     """
     sc = algebra.structure_constants()
     fam = ContractionFamily(sc, weights)
@@ -442,7 +390,7 @@ def rotation3() -> MatrixAlgebra:
     l1 = ((0, 0, 0), (0, 0, -1), (0, 1, 0))
     l2 = ((0, 0, 1), (0, 0, 0), (-1, 0, 0))
     l3 = ((0, -1, 0), (1, 0, 0), (0, 0, 0))
-    return MatrixAlgebra.from_ints("so3", np.array((l1, l2, l3)), 1, labels=("L1", "L2", "L3"))
+    return MatrixAlgebra("so3", np.array((l1, l2, l3)), 1, labels=("L1", "L2", "L3"))
 
 
 def heisenberg3() -> MatrixAlgebra:
@@ -450,7 +398,7 @@ def heisenberg3() -> MatrixAlgebra:
     p = ((0, 1, 0), (0, 0, 0), (0, 0, 0))
     q = ((0, 0, 0), (0, 0, 1), (0, 0, 0))
     c = ((0, 0, 1), (0, 0, 0), (0, 0, 0))
-    return MatrixAlgebra.from_ints("h1", np.array((p, q, c)), 1, labels=("P", "Q", "Z"))
+    return MatrixAlgebra("h1", np.array((p, q, c)), 1, labels=("P", "Q", "Z"))
 
 
 def ladder_pair(steps: int):
@@ -469,7 +417,7 @@ def boost_triple(steps: int = 2) -> MatrixAlgebra:
     ([A,B]/2, (A-B)/2, (A+B)/2) for the ladder pair (A, B)."""
     a, b = ladder_pair(steps)
     stack = np.stack([linalg.int_commutator(a, b), a - b, a + b])
-    return MatrixAlgebra.from_ints("so21", stack, 2, labels=("q", "p", "r"))
+    return MatrixAlgebra("so21", stack, 2, labels=("q", "p", "r"))
 
 
 def rotation_boost6() -> MatrixAlgebra:
@@ -478,7 +426,7 @@ def rotation_boost6() -> MatrixAlgebra:
 
     gs = build_gammas(4, 0)
     pairs = ((1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4))
-    return MatrixAlgebra.from_ints(
+    return MatrixAlgebra(
         "so4",
         np.stack([gs.antisym(a, b) for a, b in pairs]),
         2,

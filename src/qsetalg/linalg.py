@@ -3,12 +3,13 @@
 The same exact numbers appear in two forms:
 
 - an integer-scaled array (A, d): integers A over one common denominator d,
-  so the numbers are A / d; the working form, from gamma product to Killing
-  determinant;
-- a Matrix, an immutable tuple of tuples of Fraction: the public form that
-  reports and tests read. int_scaled and from_scaled convert between the
-  two, for matrices and higher tensors alike; the Lie layer builds its
-  Fraction views with from_scaled on first read.
+  so the numbers are A / d; the only working form, from gamma product to
+  Killing determinant, and the only input the Lie layer takes;
+- a Matrix, an immutable tuple of tuples of Fraction: an output view that
+  reports and tests read (the Lie layer builds its views with from_scaled on
+  first read), and otherwise only the input of det, congruence_signature
+  and mmul. int_scaled and from_scaled convert between the two, for
+  matrices and higher tensors alike.
 
 All bulk arithmetic runs on integer-scaled arrays through three routines,
 and each states its bound before it runs:
@@ -62,14 +63,6 @@ class LinalgError(ValueError):
     pass
 
 
-def mat(rows) -> Matrix:
-    """Canonicalize nested iterables of ints/Fractions into an exact matrix."""
-    out = tuple(tuple(Fraction(x) for x in row) for row in rows)
-    if out and any(len(r) != len(out[0]) for r in out):
-        raise LinalgError("ragged rows")
-    return out
-
-
 def shape(a) -> tuple[int, int]:
     return (len(a), len(a[0]) if len(a) else 0)
 
@@ -86,14 +79,15 @@ def peak(a) -> int:
     return int(np.abs(a).max(initial=0))
 
 
-def _cast(a, bound: int):
-    """a as int64 when `bound` is under 2^62, else as Python ints."""
+def cast(a, bound: int):
+    """a as int64 when `bound`, a stated bound on every value computed from
+    it, is under 2^62, else as Python ints: the one int64 tier rule."""
     return a.astype(np.int64 if bound < _LIMIT else object, copy=False)
 
 
 def fit(a):
     """a as int64 if every entry fits comfortably, else as Python ints."""
-    return _cast(a, peak(a))
+    return cast(a, peak(a))
 
 
 def int_scaled(a):
@@ -135,25 +129,34 @@ def int_einsum(spec: str, *ops):
         size.update(zip(letters, op.shape))
     bound = prod(size[x] for x in size if x not in out)
     bound *= prod(max(peak(op), 1) for op in ops)
-    return np.einsum(spec, *(_cast(op, bound) for op in ops))
+    return np.einsum(spec, *(cast(op, bound) for op in ops))
 
 
 def int_combine(*terms):
     """sum(c * a for c, a in terms) exactly, for Python ints c and integer
     arrays a (broadcast). int64 while sum(|c| * max|a|) < 2^62."""
     bound = sum(max(abs(c), 1) * max(peak(a), 1) for c, a in terms)
-    return sum(c * _cast(a, bound) for c, a in terms)
+    return sum(c * cast(a, bound) for c, a in terms)
+
+
+def _matmul_bound(a, b) -> int:
+    """k * max|a| * max|b| for a @ b, k the inner dimension, each factor
+    taken as at least 1."""
+    return max(a.shape[-1], 1) * max(peak(a), 1) * max(peak(b), 1)
+
+
+def _tier_matmul(a, b, bound: int):
+    """a @ b in the tier `bound` picks: float64 BLAS under 2^53, int64 under
+    2^62, Python ints otherwise. The result is int64 or Python ints."""
+    if bound < _EXACT:
+        return np.matmul(a.astype(np.float64), b.astype(np.float64)).astype(np.int64)
+    return np.matmul(cast(a, bound), cast(b, bound))
 
 
 def int_matmul(a, b):
-    """Exact a @ b for integer arrays, with np.matmul's broadcasting. With k
-    the inner dimension and each factor taken as at least 1, the bound
-    k * max|a| * max|b| picks the tier: float64 BLAS under 2^53, int64 under
-    2^62, Python ints otherwise. The result is int64 or Python ints."""
-    bound = max(a.shape[-1], 1) * max(peak(a), 1) * max(peak(b), 1)
-    if bound < _EXACT:
-        return np.matmul(a.astype(np.float64), b.astype(np.float64)).astype(np.int64)
-    return np.matmul(_cast(a, bound), _cast(b, bound))
+    """Exact a @ b for integer arrays, with np.matmul's broadcasting, in the
+    tier its bound k * max|a| * max|b| picks."""
+    return _tier_matmul(a, b, _matmul_bound(a, b))
 
 
 def mmul(a: Matrix, b: Matrix) -> Matrix:
@@ -167,9 +170,11 @@ def mmul(a: Matrix, b: Matrix) -> Matrix:
 
 def int_commutator(a, b):
     """a b - b a for integer arrays of square matrices (2-d, or 3-d stacks
-    multiplied pairwise), exact. Both products share one int_matmul bound,
-    hence one dtype, and each stays under 2^62, so the difference fits."""
-    return int_matmul(a, b) - int_matmul(b, a)
+    multiplied pairwise), exact. Both products share one bound, read once,
+    hence one tier and one dtype, and each stays under 2^62, so the
+    difference fits."""
+    bound = _matmul_bound(a, b)
+    return _tier_matmul(a, b, bound) - _tier_matmul(b, a, bound)
 
 
 def to_float(a, den: int) -> np.ndarray:

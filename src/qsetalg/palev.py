@@ -222,7 +222,7 @@ def _relations_hold(bands, triples) -> list:
 
     bands = np.stack(bands)
     m = linalg.peak(bands)
-    bands = bands.astype(np.int64 if 6 * m * m + 2 * m < 1 << 62 else object)
+    bands = linalg.cast(bands, 6 * m * m + 2 * m)
     x, y, w = (bands[list(idx)] for idx in zip(*triples))
     comm = _band_commutator(x, y)
     return [np.array_equal(c[1:4], 2 * t) and not c[[0, 4]].any() for c, t in zip(comm, w)]

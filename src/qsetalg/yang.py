@@ -86,7 +86,7 @@ def toy_frame() -> MatrixAlgebra:
     s = TOY_GAMMA_ORDER
     pairs = ((s[2], s[0]), (s[2], s[1]), (s[1], s[0]))
     stack = np.stack([gs.antisym(a, b) for a, b in pairs])
-    return MatrixAlgebra.from_ints("toy", stack, 2, labels=("q", "p", "r"))
+    return MatrixAlgebra("toy", stack, 2, labels=("q", "p", "r"))
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +128,7 @@ class YangFrame:
         self.z_slot = 14
         # M(a, b) = gamma_a gamma_b / 2: the integer antisym matrix over 2
         stack = np.stack([gs.antisym(picks[a - 1], picks[b - 1]) for a, b in pairs])
-        self.algebra = MatrixAlgebra.from_ints(f"yang-{preset}", stack, 2, labels=labels)
+        self.algebra = MatrixAlgebra(f"yang-{preset}", stack, 2, labels=labels)
         self.weights = (
             (Fraction(0),) * 6
             + (Fraction(1, 2),) * 8

@@ -23,6 +23,11 @@ def load_oracle(name: str):
         return json.load(fh)
 
 
+def mat(rows):
+    """Nested iterables of ints/Fractions as a tuple-of-tuples Fraction matrix."""
+    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+
+
 def madd(a, b):
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
@@ -38,6 +43,12 @@ def smul(c, a):
 
 def commutator(a, b):
     return msub(linalg.mmul(a, b), linalg.mmul(b, a))
+
+
+def scaled_basis(basis, weights, eps_sqrt):
+    """Fraction basis matrices rescaled by eps^{w_i}, with eps = eps_sqrt**2
+    so that half-integer weights stay exact."""
+    return tuple(smul(Fraction(eps_sqrt) ** int(2 * Fraction(w)), m) for m, w in zip(basis, weights))
 
 
 def rand_label(rng, frame):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from decimal import Context, Decimal
 from math import factorial
 from pathlib import Path
@@ -130,6 +131,17 @@ def test_bad_capacity_or_eps_exits_two_before_output(capsys, argv):
     assert out.out == ""
     assert "error: argument --" in out.err
     assert "Traceback" not in out.err
+
+
+@pytest.mark.parametrize("name", ["so4", "yang-4-2"])
+def test_eps_past_the_float_refit_exits_two_before_the_payload(capsys, name):
+    # 1e300 is a float, but eps^2 in the refit is not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "contract", name, "--eps", "1e300")
+    assert code == 2
+    assert out.startswith("# qsetalg contract |") and len(out.splitlines()) == 1
+    assert err == "error: the float refit overflows at eps=1e+300\n"
 
 
 def test_bad_weights_and_negative_eps(capsys):

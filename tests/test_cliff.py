@@ -1,20 +1,19 @@
 import random
 import sys
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from qsetalg.cliff import (
-    GammaSet,
     anticommutator_defect,
     build_gammas,
     entries_are_signs,
     gammas_from_json,
     gammas_to_json,
 )
+from qsetalg.linalg import int_commutator
 
-from helpers import ORACLE_DIR, commutator, load_oracle, reference_defect, smul
+from helpers import ORACLE_DIR, load_oracle, reference_defect
 
 sys.path.insert(0, ORACLE_DIR)
 from gamma_digests import digest  # noqa: E402
@@ -65,63 +64,32 @@ def test_squares_match_signature():
         assert np.array_equal(sq, gs.eta_entry(i) * np.eye(gs.dim, dtype=sq.dtype))
 
 
-def _so_bracket_target(gs: GammaSet, a, b, c, d):
-    """eta^{bc} M^{ad} - eta^{ac} M^{bd} - eta^{bd} M^{ac} + eta^{ad} M^{bc}."""
-
-    def eta(i, j):
-        return Fraction(gs.eta_entry(i)) if i == j else Fraction(0)
-
-    def m(i, j):
-        return gs.spin_generator(i, j)
-
-    z = [[Fraction(0)] * gs.dim for _ in range(gs.dim)]
-    out = z
-    for coeff, mat in (
-        (eta(b, c), m(a, d)),
-        (-eta(a, c), m(b, d)),
-        (-eta(b, d), m(a, c)),
-        (eta(a, d), m(b, c)),
-    ):
-        if coeff:
-            out = [
-                [out[r][s] + coeff * mat[r][s] for s in range(gs.dim)]
-                for r in range(gs.dim)
-            ]
-    return out
-
-
-@pytest.mark.parametrize("p,q", [(2, 1), (3, 3)])
-def test_spin_generators_close_like_rotations(p, q):
+@pytest.mark.parametrize("p, q", SIGNATURES)
+def test_antisymmetrized_pairs_close_like_rotations(p, q):
+    """[A_ab, A_cd] == 2 (eta_bc A_ad - eta_ac A_bd - eta_bd A_ac + eta_ad A_bc)
+    for A_ab = antisym(a, b), over every pair of pairs a < b, c < d at once."""
     gs = build_gammas(p, q)
-    idx = range(1, p + q + 1)
-    for a in idx:
-        for b in idx:
-            if a == b:
-                continue
-            for c in idx:
-                for d in idx:
-                    if c == d:
-                        continue
-                    lhs = commutator(gs.spin_generator(a, b), gs.spin_generator(c, d))
-                    rhs = _so_bracket_target(gs, a, b, c, d)
-                    assert all(
-                        lhs[r][s] == rhs[r][s]
-                        for r in range(gs.dim)
-                        for s in range(gs.dim)
-                    ), (a, b, c, d)
+    n = gs.n
+    full = np.array([[gs.antisym(a, b) for b in range(1, n + 1)] for a in range(1, n + 1)])
+    eta = np.diag(gs.eta)
+    a, b = np.triu_indices(n, 1)
+    lhs = int_commutator(full[a, b][:, None], full[a, b][None])
+    a, b, c, d = a[:, None], b[:, None], a[None], b[None]
+
+    def term(x, y, u, v):
+        return eta[x, y][..., None, None] * full[u, v]
+
+    rhs = 2 * (term(b, c, a, d) - term(a, c, b, d) - term(b, d, a, c) + term(a, d, b, c))
+    assert np.array_equal(lhs, rhs)
 
 
-def test_spin_generator_is_half_antisymmetrized_product():
-    gs = build_gammas(4, 0)
-    m = gs.spin_generator(1, 3)
-    anti = smul(Fraction(1, 2), gs.antisym(1, 3))
-    assert all(
-        m[r][c] == anti[r][c] for r in range(gs.dim) for c in range(gs.dim)
-    )
-    neg = gs.spin_generator(3, 1)
-    assert all(
-        m[r][c] == -neg[r][c] for r in range(gs.dim) for c in range(gs.dim)
-    )
+@pytest.mark.parametrize("p, q", [(4, 0), (2, 1), (3, 3)])
+def test_antisym_is_antisymmetric(p, q):
+    gs = build_gammas(p, q)
+    for a in range(1, gs.n + 1):
+        assert not gs.antisym(a, a).any()
+        for b in range(a + 1, gs.n + 1):
+            assert np.array_equal(gs.antisym(a, b), -gs.antisym(b, a))
 
 
 def test_top_element_anticommutes_in_even_total():
@@ -191,6 +159,10 @@ def test_kernel_matches_the_dense_reference_on_built_sets(p, q):
             assert np.array_equal(2 * gs.antisym(a, b), ga @ gb - gb @ ga)
 
 
+def _from_matrices(p, q, gammas):
+    return gammas_from_json({"p": p, "q": q, "dim": len(gammas[0]), "gammas": gammas})
+
+
 def broken_sets(rng, count):
     """Monomial sets that fail the relations: one generator scaled by 3,
     one with two rows swapped, or one generator repeated in place of
@@ -207,7 +179,7 @@ def broken_sets(rng, count):
             gammas[i][[r, s]] = gammas[i][[s, r]]
         else:
             gammas[j] = gammas[i].copy()
-        yield GammaSet.from_matrices(p, q, gammas)
+        yield _from_matrices(p, q, gammas)
 
 
 def test_kernel_matches_the_dense_reference_on_broken_sets():
@@ -223,7 +195,7 @@ def test_defect_past_int64_takes_python_ints():
     gammas = list(build_gammas(3, 2).gammas)
     c = 1 << 40
     gammas[4] = c * gammas[4]
-    gs = GammaSet.from_matrices(3, 2, gammas)
+    gs = _from_matrices(3, 2, gammas)
     # gamma_5^2 = -c^2 I, so the defect is |2 c^2 - 2|, past 2^63
     want = reference_defect([g.astype(object) for g in gammas], gs.eta)
     assert anticommutator_defect(gs) == want == 2 * c * c - 2
@@ -242,7 +214,7 @@ def test_non_monomial_set_is_refused():
     with pytest.raises(ValueError, match="exactly one nonzero"):
         gammas_from_json(big)
     with pytest.raises(ValueError, match="square"):
-        GammaSet.from_matrices(1, 0, [[[1, 0]]])
+        _from_matrices(1, 0, [[[1, 0]]])
     assert not entries_are_signs(gammas_from_json({**data, "gammas": [[[2, 0], [0, 2]]] * 3}))
 
 

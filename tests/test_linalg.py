@@ -5,7 +5,7 @@ from math import prod
 import numpy as np
 import pytest
 
-from helpers import lagrange_signature, plain_column_solver
+from helpers import lagrange_signature, mat, plain_column_solver
 from qsetalg import linalg
 
 
@@ -16,16 +16,16 @@ def _fraction_product(a, b):
 
 
 def test_mmul_beyond_int64_equals_the_fraction_product():
-    a = linalg.mat([[2 ** 70, Fraction(1, 3)], [5, -(2 ** 69)]])
-    b = linalg.mat([[7, 2 ** 70], [Fraction(-1, 2), 3]])
+    a = mat([[2 ** 70, Fraction(1, 3)], [5, -(2 ** 69)]])
+    b = mat([[7, 2 ** 70], [Fraction(-1, 2), 3]])
     assert linalg.mmul(a, b) == _fraction_product(a, b)
 
 
 def test_mmul_just_past_the_bound_equals_the_fraction_product():
     # every entry fits int64, but k * max|a| * max|b| >= 2^62
     big = 2 ** 31
-    a = linalg.mat([[big, big], [-big, 1]])
-    b = linalg.mat([[big, -1], [Fraction(big, 7), big]])
+    a = mat([[big, big], [-big, 1]])
+    b = mat([[big, -1], [Fraction(big, 7), big]])
     assert 2 * big * big >= 2 ** 62
     assert linalg.mmul(a, b) == _fraction_product(a, b)
 
@@ -124,6 +124,19 @@ def test_int_matmul_follows_matmul_shapes(sa, sb):
     assert np.array_equal(huge, want * 2 ** 80)
 
 
+def test_int_commutator_reads_each_peak_once(monkeypatch, einsum_dtypes):
+    # one bound for both products: two peak reads, one tier
+    reads = []
+    real = linalg.peak
+    monkeypatch.setattr(linalg, "peak", lambda a: reads.append(1) or real(a))
+    a = np.array([[2 ** 30, 1], [0, -3]], dtype=np.int64)
+    b = np.array([[5, 0], [2 ** 31, 7]], dtype=np.int64)
+    got = linalg.int_commutator(a, b)
+    assert len(reads) == 2
+    assert [d[0] for d in einsum_dtypes] == [np.dtype(object)] * 2
+    assert got.tolist() == (_python_product(a, b) - _python_product(b, a)).tolist()
+
+
 def test_int_matmul_takes_object_input_under_the_bound(einsum_dtypes):
     a = np.array([[3, -5], [2 ** 20, 7]], dtype=object)
     b = np.array([[1, 2 ** 21], [-4, 0]], dtype=object)
@@ -153,7 +166,7 @@ def test_det_matches_sympy_on_seeded_rational_matrices():
     rng = random.Random(20240)
     for n in range(1, 7):
         for _ in range(12):
-            a = linalg.mat([[_rand_fraction(rng) for _ in range(n)] for _ in range(n)])
+            a = mat([[_rand_fraction(rng) for _ in range(n)] for _ in range(n)])
             assert linalg.det(a) == _sympy_det(a)
 
 
@@ -165,17 +178,17 @@ def test_det_of_singular_matrices_is_zero():
             c1, c2 = _rand_fraction(rng, 0), _rand_fraction(rng, 0)
             dependent = [c1 * x + c2 * y for x, y in zip(rows[0], rows[-1])]
             rows.insert(rng.randrange(n), dependent)
-            assert linalg.det(linalg.mat(rows)) == 0 == _sympy_det(linalg.mat(rows))
-    assert linalg.det(linalg.mat([[0, 0], [0, 0]])) == 0
-    assert linalg.det(linalg.mat([[1, 2, 3], [0, 0, 0], [4, 5, 6]])) == 0
+            assert linalg.det(mat(rows)) == 0 == _sympy_det(mat(rows))
+    assert linalg.det(mat([[0, 0], [0, 0]])) == 0
+    assert linalg.det(mat([[1, 2, 3], [0, 0, 0], [4, 5, 6]])) == 0
 
 
 def test_det_with_row_swaps_and_huge_entries():
-    swap = linalg.mat([[0, 0, 2], [0, 3, 0], [5, 0, 0]])
+    swap = mat([[0, 0, 2], [0, 3, 0], [5, 0, 0]])
     assert linalg.det(swap) == -30 == _sympy_det(swap)
-    shuffled = linalg.mat([[0, 1, 0, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 0, 1, 0]])
+    shuffled = mat([[0, 1, 0, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 0, 1, 0]])
     assert linalg.det(shuffled) == _sympy_det(shuffled)
-    huge = linalg.mat([
+    huge = mat([
         [2 ** 70, Fraction(1, 3), -7],
         [0, -(2 ** 70) + 1, Fraction(2 ** 70, 11)],
         [5, 2 ** 69, 0],
@@ -183,14 +196,14 @@ def test_det_with_row_swaps_and_huge_entries():
     assert linalg.det(huge) == _sympy_det(huge)
     rng = random.Random(20242)
     for _ in range(8):
-        a = linalg.mat([[rng.choice([0, 1, -1]) * 2 ** 70 + rng.randint(-3, 3) for _ in range(4)] for _ in range(4)])
+        a = mat([[rng.choice([0, 1, -1]) * 2 ** 70 + rng.randint(-3, 3) for _ in range(4)] for _ in range(4)])
         assert linalg.det(a) == _sympy_det(a)
-    assert linalg.det(linalg.mat([[Fraction(-2, 7)]])) == Fraction(-2, 7)
+    assert linalg.det(mat([[Fraction(-2, 7)]])) == Fraction(-2, 7)
 
 
 def test_det_of_non_square_raises():
     with pytest.raises(linalg.LinalgError):
-        linalg.det(linalg.mat([[1, 2, 3], [4, 5, 6]]))
+        linalg.det(mat([[1, 2, 3], [4, 5, 6]]))
 
 
 def _rand_symmetric(rng, n, rank=None):
@@ -198,7 +211,7 @@ def _rand_symmetric(rng, n, rank=None):
     k = n if rank is None else rank
     b = [[rng.choice([0, 0, 1, -1, 2, Fraction(1, 2)]) for _ in range(n)] for _ in range(k)]
     d = [rng.choice([1, -1, 3, Fraction(-1, 3)]) for _ in range(k)]
-    return linalg.mat(
+    return mat(
         [[sum(b[m][i] * d[m] * b[m][j] for m in range(k)) for j in range(n)] for i in range(n)]
     )
 
@@ -216,24 +229,24 @@ def test_congruence_signature_matches_the_lagrange_reference():
 
 
 def test_congruence_signature_zero_diagonals_and_huge_entries():
-    hyperbolic = linalg.mat([[0, 1], [1, 0]])
+    hyperbolic = mat([[0, 1], [1, 0]])
     assert linalg.congruence_signature(hyperbolic) == (1, 1, 0)
-    off = linalg.mat([[0, 0, 2, 0], [0, 0, 0, -3], [2, 0, 0, 0], [0, -3, 0, 0]])
+    off = mat([[0, 0, 2, 0], [0, 0, 0, -3], [2, 0, 0, 0], [0, -3, 0, 0]])
     assert linalg.congruence_signature(off) == lagrange_signature(off) == (2, 2, 0)
-    assert linalg.congruence_signature(linalg.mat([[0] * 3] * 3)) == (0, 0, 3)
+    assert linalg.congruence_signature(mat([[0] * 3] * 3)) == (0, 0, 3)
     rng = random.Random(20244)
     for _ in range(10):
         n = rng.randint(2, 5)
         upper = [[rng.choice([0, 2 ** 70, -(2 ** 69), Fraction(1, 3)]) for _ in range(n)] for _ in range(n)]
-        a = linalg.mat([[upper[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)])
+        a = mat([[upper[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)])
         assert linalg.congruence_signature(a) == lagrange_signature(a)
 
 
 def test_congruence_signature_rejects_bad_shapes():
     with pytest.raises(linalg.LinalgError):
-        linalg.congruence_signature(linalg.mat([[1, 2], [3, 4]]))
+        linalg.congruence_signature(mat([[1, 2], [3, 4]]))
     with pytest.raises(linalg.LinalgError):
-        linalg.congruence_signature(linalg.mat([[1, 2, 3], [2, 4, 5]]))
+        linalg.congruence_signature(mat([[1, 2, 3], [2, 4, 5]]))
 
 
 def test_rational_span_add_reports_whether_the_span_grew():

@@ -255,11 +255,13 @@ def _ref_gauge_rows(basis, weights, labels, lim, eps_sqrt):
 def test_gauge_defect_on_a_huge_basis_takes_the_python_int_route(einsum_dtypes):
     from types import SimpleNamespace
 
+    from qsetalg import linalg
     from qsetalg.liecore import ContractionFamily, MatrixAlgebra, catalog
     from helpers import smul
 
     ent = catalog()["so21"]
-    alg = MatrixAlgebra("so21-big", [smul(2 ** 31, m) for m in ent.algebra.basis], labels=ent.algebra.labels)
+    big = linalg.int_scaled([smul(2 ** 31, m) for m in ent.algebra.basis])
+    alg = MatrixAlgebra("so21-big", *big, labels=ent.algebra.labels)
     frame = SimpleNamespace(
         algebra=alg, weights=ent.weights, labels=alg.labels, structure_constants=alg.structure_constants
     )
