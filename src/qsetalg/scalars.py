@@ -13,7 +13,6 @@ and the oscillator layer reach them without loading numpy.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import cache
@@ -23,17 +22,43 @@ DEFAULT_TOLERANCE = 1e-12
 _MODES = ("exact", "float")
 
 
-@dataclass(frozen=True)
 class RunConfig:
-    seed: int = 0
-    mode: str = "exact"
-    tolerance: float = DEFAULT_TOLERANCE
+    """Seed, mode and tolerance of a run: immutable, equal and hashed by
+    value. A plain slotted class, so the CLI loads no dataclasses (and with
+    it inspect) on its way to the commands that need neither."""
 
-    def __post_init__(self):
-        if self.mode not in _MODES:
+    __slots__ = ("seed", "mode", "tolerance")
+
+    def __init__(self, seed: int = 0, mode: str = "exact", tolerance: float = DEFAULT_TOLERANCE):
+        if mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}")
-        if not self.tolerance > 0:
+        if not tolerance > 0:
             raise ValueError("tolerance must be positive")
+        for name, value in zip(self.__slots__, (seed, mode, tolerance)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def _fields(self) -> tuple:
+        return self.seed, self.mode, self.tolerance
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(seed={self.seed!r}, mode={self.mode!r}, tolerance={self.tolerance!r})"
 
     def describe(self) -> str:
         return f"seed={self.seed} mode={self.mode} tolerance={self.tolerance:.17g}"

@@ -35,6 +35,19 @@ dense_cutoff=0 keeps every tensor a dict. No entry wraps on either path; the
 result is int64 when every entry fits and dtype=object otherwise. Tests
 replay whole networks through float64 einsum as an independent oracle.
 
+One contract() call computes each distinct merge and self-trace once. Every
+tensor in flight carries a small integer key naming its value: a vertex's is
+interned from the identity of its cached array, which every vertex of one
+signature (or grade and rank) shares, and a merge's from (key, key, pattern),
+a self-trace's from (key, pattern), where pattern numbers the wires of the
+operand legs by first appearance. The pattern fixes which wires are summed
+and the order of the result's legs, and the representation (array or dict)
+follows from the keys' dims, the pattern and the cutoff, so equal keys mean
+equal dims and equal data. A repeat is rebuilt over its own wire ids from the
+stored dims and data, which are shared, never copied: stored arrays are
+read-only. In a paired 128-vertex ring, 13 of the 127 merges are distinct.
+The memo lives for one call only.
+
 parity_check() is the bookkeeping pass: gauge vertices always balance; every
 iota node gets flagged. An even-m node breaks the mod-2 grading outright
 (even in, odd out), and an odd-m node, while parity-consistent, re-types a
@@ -57,9 +70,11 @@ from .cliff import MAX_TOTAL, build_gammas
 from .linalg import int_einsum
 from .perfinite import enumerate_rank
 
-# every intermediate of a (4, 4) ring with two open legs fits: the largest
-# is a (16, 8, 16) vertex with one open vector leg
-_DENSE_CUTOFF = 1 << 12
+# every intermediate of a ring with up to three open vector legs at
+# p + q <= 8 fits: the largest, two (16, 8, 16) vertices of a (4, 4) 3-ring
+# merged over one spinor line, is (16, 8, 8, 16) = 2^14 entries. A p + q = 12
+# vertex (64, 12, 64) stays past it and enters as a dict.
+_DENSE_CUTOFF = 1 << 14
 _INT64 = 1 << 63
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
@@ -298,17 +313,24 @@ class VertexNetwork:
         dicts throughout; a huge cutoff keeps arrays throughout. Entries
         stay exact integers either way: the result is int64 when every
         entry fits and dtype=object (Python ints) otherwise.
+
+        A memo local to this call computes each distinct merge and
+        self-trace once (see the module docstring). Its invariant: equal
+        keys mean equal dims and equal data, so a repeat reuses the stored
+        result under its own wire ids.
         """
         if not self.vertices:
             return np.ones((), dtype=np.int64)
         wire_of = self._wires()
+        memo: dict = {}
         tensors = []
         for vi, vert in enumerate(self.vertices):
             legs = tuple(wire_of[(vi, s)] for s in vert.slot_names)
             arr = vert.array
             data = arr if arr.size <= dense_cutoff else _entries(arr)
-            tensors.append(_Tensor(legs, arr.shape, data).self_trace())
-        final = _reduce(tensors, dense_cutoff)
+            key = memo.setdefault(id(arr), len(memo))
+            tensors.append(_Tensor(legs, arr.shape, data, key).self_trace(memo))
+        final = _reduce(tensors, dense_cutoff, memo)
         order = tuple(wire_of[l] for l in self.open_legs)
         return final.to_dense(order)
 
@@ -343,8 +365,9 @@ class VertexNetwork:
         )
 
 
-def _reduce(tensors, dense_cutoff: int) -> "_Tensor":
-    """Merge self-traced tensors pairwise down to one.
+def _reduce(tensors, dense_cutoff: int, memo: dict) -> "_Tensor":
+    """Merge self-traced tensors pairwise down to one, each distinct merge
+    computed once through `memo` (see _Tensor.merge).
 
     Each step merges the pair with the smallest (not sharing a wire,
     merged_size, id_a, id_b): ids follow creation order and a merged tensor
@@ -375,7 +398,7 @@ def _reduce(tensors, dense_cutoff: int) -> "_Tensor":
                 (live[a].merged_size(live[b]), a, b)
                 for a, b in combinations(live, 2)
             )
-        merged = live.pop(a).merge(live.pop(b), dense_cutoff).self_trace()
+        merged = live.pop(a).merge(live.pop(b), dense_cutoff, memo).self_trace(memo)
         c, fresh = fresh, fresh + 1
         live[c] = merged
         neighbours = set()
@@ -391,19 +414,19 @@ def _reduce(tensors, dense_cutoff: int) -> "_Tensor":
 
 class _Tensor:
     """Integer tensor with wire-id legs, held as an ndarray or as a dict
-    index tuple -> nonzero entry (see the module docstring).
+    index tuple -> nonzero entry (see the module docstring). `key` names
+    the value within one contract() call; None outside one.
 
     Repeated wire ids inside one tensor mean a pending self-trace."""
 
-    __slots__ = ("legs", "dims", "size", "data")
+    __slots__ = ("legs", "dims", "size", "data", "key")
 
-    def __init__(self, legs, dims, data):
+    def __init__(self, legs, dims, data, key=None):
         self.legs = tuple(legs)
         self.dims = tuple(dims)
         self.size = prod(self.dims)  # the dense size
-        if isinstance(data, dict):
-            data = {k: v for k, v in data.items() if v}
         self.data = data
+        self.key = key
 
     def array(self) -> np.ndarray:
         data = self.data
@@ -420,28 +443,41 @@ class _Tensor:
                 size //= d * d
         return size
 
-    def self_trace(self) -> "_Tensor":
-        """Sum over the diagonal of every wire the tensor carries twice."""
+    def self_trace(self, memo: dict | None = None) -> "_Tensor":
+        """Sum over the diagonal of every wire the tensor carries twice;
+        with a memo, once per distinct (key, pattern)."""
         if len(set(self.legs)) == len(self.legs):
             return self
-        keep = [i for i, l in enumerate(self.legs) if self.legs.count(l) == 1]
-        legs = tuple(self.legs[i] for i in keep)
+        pattern = _pattern(self.legs)
+        return _memoised(memo, (self.key, pattern), self.legs, lambda: self._trace(pattern))
+
+    def _trace(self, pattern) -> "_Tensor":
+        keep = _once(pattern)
+        legs = [self.legs[i] for i in keep]
         if not isinstance(self.data, dict):
-            arr = int_einsum(_einsum_spec((self.legs,), legs), self.data)
+            arr = int_einsum(_subscripts(pattern, (len(pattern),), keep), self.data)
             return _Tensor(legs, arr.shape, arr)
-        ties = [(self.legs.index(l), i) for i, l in enumerate(self.legs) if self.legs.index(l) < i]
+        ties = [(pattern.index(w), i) for i, w in enumerate(pattern) if pattern.index(w) < i]
         out: dict = {}
         for idx, v in self.data.items():
             if all(idx[a] == idx[b] for a, b in ties):
                 key = tuple(idx[i] for i in keep)
                 out[key] = out.get(key, 0) + v
-        return _Tensor(legs, tuple(self.dims[i] for i in keep), out)
+        return _Tensor(legs, [self.dims[i] for i in keep], _nonzero(out))
 
-    def merge(self, other: "_Tensor", dense_cutoff: int) -> "_Tensor":
-        size = max(self.size, other.size, self.merged_size(other))
-        if size <= dense_cutoff and len(self.legs + other.legs) <= len(_LETTERS):
-            return self._merge_dense(other)
-        return self._merge_sparse(other)
+    def merge(self, other: "_Tensor", dense_cutoff: int, memo: dict | None = None) -> "_Tensor":
+        """Contract the wires shared with `other`; legs of self then of
+        other, in order. With a memo, once per distinct (key, key, pattern)."""
+        legs = self.legs + other.legs
+        pattern = _pattern(legs)
+
+        def compute():
+            size = max(self.size, other.size, self.merged_size(other))
+            if size <= dense_cutoff and len(legs) <= len(_LETTERS):
+                return self._merge_dense(other, pattern)
+            return self._merge_sparse(other)
+
+        return _memoised(memo, (self.key, other.key, pattern), legs, compute)
 
     def _merge_sparse(self, other: "_Tensor") -> "_Tensor":
         shared = sorted(set(self.legs) & set(other.legs))
@@ -465,13 +501,15 @@ class _Tensor:
                 out[full] = out.get(full, 0) + v * w
         legs = [self.legs[i] for i in a_keep] + [other.legs[i] for i in b_keep]
         dims = [self.dims[i] for i in a_keep] + [other.dims[i] for i in b_keep]
-        return _Tensor(legs, dims, out)
+        return _Tensor(legs, dims, _nonzero(out))
 
-    def _merge_dense(self, other: "_Tensor") -> "_Tensor":
-        legs = [l for l in self.legs + other.legs if (l in self.legs) != (l in other.legs)]
-        spec = _einsum_spec((self.legs, other.legs), legs)
+    def _merge_dense(self, other: "_Tensor", pattern) -> "_Tensor":
+        """One integer einsum; `pattern` is _pattern(self.legs + other.legs)."""
+        keep = _once(pattern)
+        legs = self.legs + other.legs
+        spec = _subscripts(pattern, (len(self.legs), len(other.legs)), keep)
         arr = int_einsum(spec, self.array(), other.array())
-        return _Tensor(legs, arr.shape, arr)
+        return _Tensor([legs[i] for i in keep], arr.shape, arr)
 
     def to_dense(self, leg_order) -> np.ndarray:
         """A fresh array with axes in leg_order: int64 when every entry
@@ -490,6 +528,56 @@ def _entries(arr: np.ndarray) -> dict:
         return {(): int(arr)} if arr else {}
     idx = np.nonzero(arr)
     return dict(zip(zip(*(i.tolist() for i in idx)), arr[idx].tolist()))
+
+
+def _nonzero(data: dict) -> dict:
+    """The dict without the entries that summed to zero."""
+    return {k: v for k, v in data.items() if v}
+
+
+def _pattern(legs) -> tuple:
+    """Each leg's wire numbered by first appearance: (5, 9, 9, 2) ->
+    (0, 1, 1, 2). It names a contraction over `legs` up to relabelling the
+    wires, and its numbers are the contraction's einsum letters."""
+    first: dict = {}
+    return tuple(first.setdefault(l, len(first)) for l in legs)
+
+
+def _once(pattern) -> list:
+    """Positions of the wires a pattern numbers once: the legs a
+    contraction keeps, in order. Every other wire appears twice and is
+    summed."""
+    return [i for i, w in enumerate(pattern) if pattern.count(w) == 1]
+
+
+def _subscripts(pattern, sizes, keep) -> str:
+    """einsum subscripts for operands of the given leg counts, numbered
+    together by `pattern`, whose result keeps the legs at `keep`."""
+    letters = [_LETTERS[w] for w in pattern]
+    words, start = [], 0
+    for n in sizes:
+        words.append("".join(letters[start:start + n]))
+        start += n
+    return ",".join(words) + "->" + "".join(letters[i] for i in keep)
+
+
+def _memoised(memo, name, legs, compute) -> _Tensor:
+    """compute(), a tensor whose legs are drawn from `legs`, computed once
+    per `name` in `memo` (none: every time). A first computation gets the
+    next key and is stored, its array made read-only; a repeat is rebuilt
+    over its own `legs` from the stored positions, dims and data."""
+    if memo is None:
+        return compute()
+    entry = memo.get(name)
+    if entry is None:
+        t = compute()
+        if not isinstance(t.data, dict):
+            t.data.flags.writeable = False
+        t.key = len(memo)
+        memo[name] = (t.key, [legs.index(l) for l in t.legs], t.dims, t.data)
+        return t
+    key, positions, dims, data = entry
+    return _Tensor([legs[i] for i in positions], dims, data, key)
 
 
 def _dense_array(dims, data) -> np.ndarray:

@@ -201,8 +201,9 @@ def loaded(*names):
 
 
 assert not loaded("numpy", "qsetalg.qset"), "numpy or qset loaded on import"
+main("sets decode 11".split())
+assert not loaded("numpy", "qsetalg.qset", "dataclasses"), f"{loaded('numpy', 'qsetalg.qset', 'dataclasses')} loaded by sets decode 11"
 for argv in (
-    "sets decode 11",
     "palev deviation --capacity 9",
     "palev exclusion --capacity 30",
     "palev ladder",

@@ -1,6 +1,7 @@
 import json
 import random
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -208,10 +209,11 @@ def test_json_round_trip(tmp_path):
 # -- planner -----------------------------------------------------------------
 
 
-def _all_pairs_reduce(tensors, dense_cutoff):
+def _all_pairs_reduce(tensors, dense_cutoff, memo):
     """The greedy as a full rescan per step: merge the pair with the
     smallest (not sharing a wire, merged size), first pair on ties, and
-    append the result after the untouched tensors."""
+    append the result after the untouched tensors. It ignores `memo` and
+    computes every merge, so it stays an independent reference."""
     while len(tensors) > 1:
         best = None
         for i, j in combinations(range(len(tensors)), 2):
@@ -232,9 +234,9 @@ def _merge_log(monkeypatch, net, reduce=None):
     log = []
     real = vertexnet._Tensor.merge
 
-    def spy(self, other, dense_cutoff):
+    def spy(self, other, *args):
         log.append((self.legs, other.legs))
-        return real(self, other, dense_cutoff)
+        return real(self, other, *args)
 
     with monkeypatch.context() as m:
         m.setattr(vertexnet._Tensor, "merge", spy)
@@ -327,6 +329,23 @@ def _two_component_network():
     )
 
 
+def _mixed_signature_network():
+    # a (2, 1) loop and a (3, 1) loop: their merges share one pattern, but
+    # not their vertex arrays, so the memo must tell them apart
+    loops = [((v, "spinor"), (v + 1, "dual")) for v in (0, 2)]
+    loops += [((v + 1, "spinor"), (v, "dual")) for v in (0, 2)]
+    return VertexNetwork(
+        [GammaVertex(p, q) for p, q in ((2, 1), (2, 1), (3, 1), (3, 1))],
+        edges=loops,
+        open_legs=[(v, "vector") for v in range(4)],
+    )
+
+
+def _oracle_cases():
+    oracles = Path(__file__).parent / "oracles"
+    return [(path.stem, VertexNetwork.load(str(path))) for path in sorted(oracles.glob("net_*.json"))]
+
+
 def _planner_cases():
     rng = random.Random(20140915)
     cases = []
@@ -338,10 +357,13 @@ def _planner_cases():
         cases.append((f"iota{nodes}", _iota_chain(nodes)))
     cases.append(("self-loop", _self_loop_network()))
     cases.append(("two-component", _two_component_network()))
+    cases.append(("mixed-signatures", _mixed_signature_network()))
     return cases
 
 
-@pytest.mark.parametrize("net", [pytest.param(n, id=k) for k, n in _planner_cases()])
+@pytest.mark.parametrize(
+    "net", [pytest.param(n, id=k) for k, n in _planner_cases() + _oracle_cases()]
+)
 def test_planner_merges_like_the_all_pairs_greedy(monkeypatch, net):
     got, plan = _merge_log(monkeypatch, net)
     want, ref_plan = _merge_log(monkeypatch, net, _all_pairs_reduce)
@@ -405,7 +427,7 @@ def test_dense_merge_past_int64_falls_back(einsum_dtypes):
     big = 1 << 40
     a = vertexnet._Tensor((0, 1), (2, 2), {(0, 0): big, (0, 1): big, (1, 1): -big})
     b = vertexnet._Tensor((1, 2), (2, 2), {(0, 0): big, (1, 0): big, (1, 1): big})
-    dense = a._merge_dense(b)
+    dense = a._merge_dense(b, vertexnet._pattern(a.legs + b.legs))
     sparse = a._merge_sparse(b)
     assert [object, object] in einsum_dtypes
     assert dense.legs == sparse.legs == (0, 2)
@@ -440,9 +462,9 @@ def _merge_paths(monkeypatch):
     for name in ("_merge_dense", "_merge_sparse"):
         real = getattr(vertexnet._Tensor, name)
 
-        def spy(self, other, real=real, name=name):
+        def spy(self, other, *args, real=real, name=name):
             seen.append(name)
-            return real(self, other)
+            return real(self, other, *args)
 
         monkeypatch.setattr(vertexnet._Tensor, name, spy)
     return seen
@@ -460,14 +482,53 @@ def test_dict_and_array_paths_agree(monkeypatch, net):
     assert np.array_equal(dicts, arrays)
 
 
-@pytest.mark.parametrize("p, q", [(4, 4), (2, 4)])
+@pytest.mark.parametrize("p, q", [(4, 4), (2, 4), (4, 1)])
 def test_long_rings_merge_arrays_only_at_the_default_cutoff(monkeypatch, p, q):
     paths = _merge_paths(monkeypatch)
-    arr = _paired_ring(128, p, q).contract()
-    assert paths == ["_merge_dense"] * 127
-    # (4, 4) sums to zero; (2, 4) reaches (-2)^63 * 8, past int64
+    einsums = []
+    real = vertexnet.int_einsum
+    monkeypatch.setattr(vertexnet, "int_einsum", lambda *a: einsums.append(a[0]) or real(*a))
+    arr, plan = _merge_log(monkeypatch, _paired_ring(128, p, q))
+    # all 127 plan steps run, and the memo computes the 13 distinct merges
+    assert len(plan) == 127
+    assert paths == ["_merge_dense"] * 13
+    assert len(einsums) == 13  # one per distinct merge
+    # (4, 4) sums to zero; (2, 4) and (4, 1) reach (-2)^63 * 8 and 3^63 * 4
     assert arr.dtype == (np.int64 if p == q else object)
     assert arr.tolist() == _paired_ring_value(128, p, q)
+
+
+@pytest.mark.parametrize("net", [_paired_ring(24, 3, 1), _self_loop_network()])
+def test_memoised_arrays_are_read_only(monkeypatch, net):
+    made = []
+    real = vertexnet._memoised
+
+    def spy(*args):
+        made.append(real(*args))
+        return made[-1]
+
+    monkeypatch.setattr(vertexnet, "_memoised", spy)
+    arr = net.contract()
+    arrays = [t.data for t in made if not isinstance(t.data, dict)]
+    assert arrays and not any(a.flags.writeable for a in arrays)
+    # the result is a fresh copy
+    assert arr.flags.writeable
+
+
+def test_three_open_legs_merge_arrays_only_at_the_default_cutoff(monkeypatch):
+    # two (16, 8, 16) vertices of a (4, 4) 3-ring merge to (16, 8, 8, 16):
+    # 2^14 entries, within the default cutoff
+    net = VertexNetwork(
+        [GammaVertex(4, 4) for _ in range(3)],
+        edges=[((i, "spinor"), ((i + 1) % 3, "dual")) for i in range(3)],
+        open_legs=[(1, "vector"), (0, "vector"), (2, "vector")],
+    )
+    paths = _merge_paths(monkeypatch)
+    arr = net.contract()
+    assert paths == ["_merge_dense"] * 2
+    dicts = net.contract(dense_cutoff=0)
+    assert arr.dtype == dicts.dtype == np.int64
+    assert np.array_equal(arr, dicts)
 
 
 def test_object_fallback_trips_inside_the_array_path(monkeypatch, einsum_dtypes):
