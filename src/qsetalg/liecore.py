@@ -18,8 +18,8 @@ the Killing form, the derived and lower central series, and contractions are
 integer products and array operations on C. The matrix products among them
 are linalg.int_matmul, whose bound for a @ b with inner dimension k is
 B = k * max|a| * max|b|: float64 while B < 2^53, int64 while B < 2^62. The
-rest are linalg.int_einsum and int_combine, int64 while their bounds are
-< 2^62:
+sums are linalg.int_combine, int64 while its bound is < 2^62, and a
+contraction's factors eps^e multiply C elementwise on Python ints:
 
     Jacobi   J = C.reshape(n^2, n) @ C.reshape(n, n^2), B = n * max|C|^2,
              then J_ijk + J_jki + J_kij over i < j < k, int64 while
@@ -304,7 +304,7 @@ class ContractionFamily:
         p, q = eps.numerator, eps.denominator
         factor = np.array([p ** (x - lo) * q ** (top - x) for x in range(lo, top + 1)], dtype=object)
         return StructureConstants(
-            linalg.int_einsum("ijk,ijk->ijk", C, linalg.fit(factor[e - lo])),
+            C.astype(object) * factor[e - lo],
             self.sc.D * q ** top * p ** -lo,
             name=f"{self.sc.name}@eps={eps}",
             labels=self.sc.labels,
@@ -401,21 +401,16 @@ def heisenberg3() -> MatrixAlgebra:
     return MatrixAlgebra("h1", np.array((p, q, c)), 1, labels=("P", "Q", "Z"))
 
 
-def ladder_pair(steps: int):
-    """Integer raising/lowering pair on steps+1 levels, as int64 arrays:
-    A e_k = (steps-k) e_{k+1}, B e_k = k e_{k-1}; then [A, B] is diagonal
-    with entries 2k - steps."""
-    if steps < 1:
-        raise ValueError("need at least two levels")
-    k = np.arange(steps, dtype=np.int64)
-    return np.diag(steps - k, -1), np.diag(k + 1, 1)
-
-
 def boost_triple(steps: int = 2) -> MatrixAlgebra:
     """so(2,1) in the symmetric presentation [q,p] = r, [p,r] = q, [q,r] = p,
     realized rationally on steps+1 levels as (q, p, r) =
-    ([A,B]/2, (A-B)/2, (A+B)/2) for the ladder pair (A, B)."""
-    a, b = ladder_pair(steps)
+    ([A,B]/2, (A-B)/2, (A+B)/2) for the integer ladder pair
+    A e_k = (steps-k) e_{k+1}, B e_k = k e_{k-1}, whose bracket [A, B] is
+    diagonal with entries 2k - steps."""
+    if steps < 1:
+        raise ValueError("need at least two levels")
+    k = np.arange(steps, dtype=np.int64)
+    a, b = np.diag(steps - k, -1), np.diag(k + 1, 1)
     stack = np.stack([linalg.int_commutator(a, b), a - b, a + b])
     return MatrixAlgebra("so21", stack, 2, labels=("q", "p", "r"))
 

@@ -7,23 +7,22 @@ The same exact numbers appear in two forms:
   Killing determinant, and the only input the Lie layer takes;
 - a Matrix, an immutable tuple of tuples of Fraction: an output view that
   reports and tests read (the Lie layer builds its views with from_scaled on
-  first read), and otherwise only the input of det, congruence_signature
-  and mmul. int_scaled and from_scaled convert between the two, for
-  matrices and higher tensors alike.
+  first read), and otherwise only the input of congruence_signature and
+  mmul. int_scaled and from_scaled convert between the two, for matrices
+  and higher tensors alike.
 
-All bulk arithmetic runs on integer-scaled arrays through three routines,
-and each states its bound before it runs:
+All bulk arithmetic runs on integer-scaled arrays through two routines, and
+each states its bound before it runs:
 
 - int_matmul(a, b): a @ b with matmul broadcasting. An output entry is a sum
   of k products (k the inner dimension), so every product and every partial
-  sum is at most k * max|a| * max|b| in absolute value.
-- int_einsum(spec, *ops), for the contractions that are not matrix
-  products: an output entry is a sum of `terms` products (the sizes of the
-  summed indices multiplied together), bounded by terms * prod(max|op|).
+  sum is at most k * max|a| * max|b| in absolute value. A contraction that
+  is not a matrix product (vertexnet's tensor merges) reshapes its operands
+  to one first.
 - int_combine((c, a), ...): bounded by sum(|c| * max|a|).
 
-int_matmul takes the first of three tiers its bound fits; int_einsum and
-int_combine take the first of the last two:
+int_matmul takes the first of three tiers its bound fits; int_combine takes
+the first of the last two:
 
 - float64 through np.matmul (BLAS) while the bound is under 2^53. Every
   integer of magnitude up to 2^53 is a float64, and a sum or product of
@@ -45,8 +44,8 @@ All exact elimination is one row step, _eliminate, and one echelon,
 RationalSpan: primitive, fully reduced integer rows, with the product of the
 factors the rows were scaled by kept. det, both ColumnSolver passes and the
 central series are spans; congruence_signature updates rows with the same
-step, dividing by the previous pivot (Bareiss 1968). det takes either a
-Matrix or an integer array with its denominator, and returns a Fraction.
+step, dividing by the previous pivot (Bareiss 1968). det takes an integer
+array with its denominator, and returns a Fraction.
 """
 
 from __future__ import annotations
@@ -119,19 +118,6 @@ def from_scaled(a, den: int) -> tuple:
     return build(a.tolist(), a.ndim)
 
 
-def int_einsum(spec: str, *ops):
-    """Exact np.einsum over integer arrays, explicit "->" form without
-    ellipsis. int64 while terms * prod(max|op|) < 2^62, where terms is the
-    number of products summed into one output entry; Python ints otherwise."""
-    inputs, out = spec.split("->")
-    size = {}
-    for letters, op in zip(inputs.split(","), ops):
-        size.update(zip(letters, op.shape))
-    bound = prod(size[x] for x in size if x not in out)
-    bound *= prod(max(peak(op), 1) for op in ops)
-    return np.einsum(spec, *(cast(op, bound) for op in ops))
-
-
 def int_combine(*terms):
     """sum(c * a for c, a in terms) exactly, for Python ints c and integer
     arrays a (broadcast). int64 while sum(|c| * max|a|) < 2^62."""
@@ -182,23 +168,22 @@ def to_float(a, den: int) -> np.ndarray:
     return (a.astype(object) / den).astype(float)
 
 
-def det(a, den: int | None = None) -> Fraction:
-    """Exact determinant of a Matrix a, or, with den given, of the integer
-    array a divided by den. With the matrix A / d, A's rows go into one
-    RationalSpan; when all n enlarge it they end as a permuted diagonal, and
-    det(A) * num / den == sign * prod(pivots) for the span's scale num / den."""
-    n, m = shape(a)
+def det(a, den: int) -> Fraction:
+    """Exact determinant of the integer array a divided by den. a's rows go
+    into one RationalSpan; when all n enlarge it they end as a permuted
+    diagonal, and det(a) * num / d == sign * prod(pivots) for the span's
+    scale num / d."""
+    n, m = a.shape
     if n != m:
         raise LinalgError("determinant of non-square matrix")
-    ints, d = int_scaled(a) if den is None else (a, den)
     span = RationalSpan(n)
-    if not all(span.add(row) for row in ints.tolist()):
+    if not all(span.add(row) for row in a.tolist()):
         return Fraction(0)
     leads = [lead for _, lead in span.rows]
     flips = sum(x > y for i, x in enumerate(leads) for y in leads[i + 1:])
-    num, den = span._scale
+    num, d = span._scale
     pivots = prod(row[lead] for row, lead in span.rows)
-    return Fraction((-1) ** flips * pivots * den, num * d ** n)
+    return Fraction((-1) ** flips * pivots * d, num * den ** n)
 
 
 def _eliminate(v: list, w: list, lead: int, div: int = 0) -> tuple[list, int]:

@@ -64,12 +64,6 @@ class RunConfig:
         return f"seed={self.seed} mode={self.mode} tolerance={self.tolerance:.17g}"
 
 
-def is_zero(x, tol: float = DEFAULT_TOLERANCE) -> bool:
-    if isinstance(x, float):
-        return abs(x) <= tol
-    return x == 0
-
-
 def parse_int(text: str) -> int:
     """int(text), also past int()'s sys.get_int_max_str_digits() limit: a
     longer run of ASCII digits is read by halves, each part under it."""

@@ -21,13 +21,18 @@ slots become output axes in the declared order.
 contract() runs a greedy pairwise reduction, joining the pair of tensors
 whose merged result is smallest. A wire index keeps the candidates to pairs
 that share a wire, so planning costs O(E log E) for E edges instead of an
-all-pairs rescan per merge (O(V^3) for V vertices). Each tensor in flight is
-held one of two ways, by its dense size (product of dimensions):
+all-pairs rescan per merge (O(V^3) for V vertices). A vertex that carries a
+wire twice (a spinor line closed on itself) is traced on its own cached
+array as it enters; its entries are -1, 0 or 1, so the trace stays int64. No
+merge result carries a wire twice, so that is the only trace. Each tensor in
+flight is then held one of two ways, by its dense size (product of
+dimensions):
 
     array   within dense_cutoff: an integer ndarray. Vertices hand over their
             cached read-only arrays, and a merge of two arrays whose result
-            fits too is one linalg.int_einsum (int64 under its stated bound,
-            Python ints past it).
+            fits too is a tensordot run as one linalg.int_matmul: the shared
+            legs move to the inner dimension and the kept legs are flattened
+            (float64 BLAS, int64 or Python ints, by its stated bound).
     dict    past it: index tuple -> nonzero entry, merged by an exact sparse
             hash-join on the shared indices.
 
@@ -67,7 +72,7 @@ from math import comb, prod
 import numpy as np
 
 from .cliff import MAX_TOTAL, build_gammas
-from .linalg import int_einsum
+from .linalg import int_matmul
 from .perfinite import enumerate_rank
 
 # every intermediate of a ring with up to three open vector legs at
@@ -305,14 +310,16 @@ class VertexNetwork:
         A wire index finds those pairs, so planning costs O(E log E) for E
         edges rather than an all-pairs scan per merge.
 
-        dense_cutoff picks the representation, never the plan. A vertex
-        whose dense size is within it enters as its cached integer array,
-        and a merge whose operands and result are all within it is one
-        integer einsum producing an array. Larger vertices enter as sparse
-        dicts, and larger merges run the exact sparse hash-join. 0 keeps
-        dicts throughout; a huge cutoff keeps arrays throughout. Entries
-        stay exact integers either way: the result is int64 when every
-        entry fits and dtype=object (Python ints) otherwise.
+        A vertex carrying a wire twice is traced on its own array first.
+        dense_cutoff then picks the representation, never the plan. A vertex
+        whose (traced) dense size is within it stays an integer array, and a
+        merge whose operands and result are all within it is one exact
+        integer matrix product producing an array. Larger vertices become
+        sparse dicts, and larger merges run the exact sparse hash-join. 0
+        keeps dicts throughout; a huge cutoff keeps arrays throughout.
+        Entries stay exact integers either way: the result, a fresh ndarray
+        (0-d for a network with no open legs), is int64 when every entry
+        fits and dtype=object (Python ints) otherwise.
 
         A memo local to this call computes each distinct merge and
         self-trace once (see the module docstring). Its invariant: equal
@@ -327,9 +334,11 @@ class VertexNetwork:
         for vi, vert in enumerate(self.vertices):
             legs = tuple(wire_of[(vi, s)] for s in vert.slot_names)
             arr = vert.array
-            data = arr if arr.size <= dense_cutoff else _entries(arr)
             key = memo.setdefault(id(arr), len(memo))
-            tensors.append(_Tensor(legs, arr.shape, data, key).self_trace(memo))
+            t = _Tensor(legs, arr.shape, arr, key).self_trace(memo)
+            if t.size > dense_cutoff:
+                t.data = _entries(t.data)
+            tensors.append(t)
         final = _reduce(tensors, dense_cutoff, memo)
         order = tuple(wire_of[l] for l in self.open_legs)
         return final.to_dense(order)
@@ -366,7 +375,7 @@ class VertexNetwork:
 
 
 def _reduce(tensors, dense_cutoff: int, memo: dict) -> "_Tensor":
-    """Merge self-traced tensors pairwise down to one, each distinct merge
+    """Merge tensors pairwise down to one, each distinct merge
     computed once through `memo` (see _Tensor.merge).
 
     Each step merges the pair with the smallest (not sharing a wire,
@@ -398,7 +407,7 @@ def _reduce(tensors, dense_cutoff: int, memo: dict) -> "_Tensor":
                 (live[a].merged_size(live[b]), a, b)
                 for a, b in combinations(live, 2)
             )
-        merged = live.pop(a).merge(live.pop(b), dense_cutoff, memo).self_trace(memo)
+        merged = live.pop(a).merge(live.pop(b), dense_cutoff, memo)
         c, fresh = fresh, fresh + 1
         live[c] = merged
         neighbours = set()
@@ -443,48 +452,51 @@ class _Tensor:
                 size //= d * d
         return size
 
-    def self_trace(self, memo: dict | None = None) -> "_Tensor":
-        """Sum over the diagonal of every wire the tensor carries twice;
-        with a memo, once per distinct (key, pattern)."""
+    def self_trace(self, memo: dict) -> "_Tensor":
+        """Sum an array tensor over the diagonal of every wire it carries
+        twice, once per distinct (key, pattern) in `memo`. Only a vertex can
+        carry a wire twice: a merge keeps the wires it sees once."""
         if len(set(self.legs)) == len(self.legs):
             return self
         pattern = _pattern(self.legs)
-        return _memoised(memo, (self.key, pattern), self.legs, lambda: self._trace(pattern))
-
-    def _trace(self, pattern) -> "_Tensor":
         keep = _once(pattern)
-        legs = [self.legs[i] for i in keep]
-        if not isinstance(self.data, dict):
-            arr = int_einsum(_subscripts(pattern, (len(pattern),), keep), self.data)
-            return _Tensor(legs, arr.shape, arr)
-        ties = [(pattern.index(w), i) for i, w in enumerate(pattern) if pattern.index(w) < i]
-        out: dict = {}
-        for idx, v in self.data.items():
-            if all(idx[a] == idx[b] for a, b in ties):
-                key = tuple(idx[i] for i in keep)
-                out[key] = out.get(key, 0) + v
-        return _Tensor(legs, [self.dims[i] for i in keep], _nonzero(out))
+
+        def compute():
+            arr = np.einsum(self.data, list(pattern), [pattern[i] for i in keep])
+            return _Tensor([self.legs[i] for i in keep], arr.shape, arr)
+
+        return _memoised(memo, (self.key, pattern), self.legs, compute)
 
     def merge(self, other: "_Tensor", dense_cutoff: int, memo: dict | None = None) -> "_Tensor":
         """Contract the wires shared with `other`; legs of self then of
         other, in order. With a memo, once per distinct (key, key, pattern)."""
         legs = self.legs + other.legs
-        pattern = _pattern(legs)
 
         def compute():
             size = max(self.size, other.size, self.merged_size(other))
-            if size <= dense_cutoff and len(legs) <= len(_LETTERS):
-                return self._merge_dense(other, pattern)
-            return self._merge_sparse(other)
+            return self._merge_dense(other) if size <= dense_cutoff else self._merge_sparse(other)
 
-        return _memoised(memo, (self.key, other.key, pattern), legs, compute)
+        return _memoised(memo, (self.key, other.key, _pattern(legs)), legs, compute)
+
+    def _split(self, other: "_Tensor"):
+        """Leg positions of a merge: (kept in self, shared in self, kept in
+        other, shared in other), the shared wires in one order on both."""
+        shared = [l for l in self.legs if l in other.legs]
+        return (
+            [i for i, l in enumerate(self.legs) if l not in shared],
+            [self.legs.index(l) for l in shared],
+            [i for i, l in enumerate(other.legs) if l not in shared],
+            [other.legs.index(l) for l in shared],
+        )
+
+    def _joined(self, other: "_Tensor", a_keep, b_keep, data) -> "_Tensor":
+        """The merge result: the kept legs of self, then those of other."""
+        legs = [self.legs[i] for i in a_keep] + [other.legs[i] for i in b_keep]
+        dims = [self.dims[i] for i in a_keep] + [other.dims[i] for i in b_keep]
+        return _Tensor(legs, dims, data)
 
     def _merge_sparse(self, other: "_Tensor") -> "_Tensor":
-        shared = sorted(set(self.legs) & set(other.legs))
-        a_keep = [i for i, l in enumerate(self.legs) if l not in shared]
-        b_keep = [i for i, l in enumerate(other.legs) if l not in shared]
-        a_sh = [self.legs.index(l) for l in shared]
-        b_sh = [other.legs.index(l) for l in shared]
+        a_keep, a_sh, b_keep, b_sh = self._split(other)
         buckets: dict = {}
         for idx, v in other.entries().items():
             right = tuple(idx[i] for i in b_keep)
@@ -499,17 +511,18 @@ class _Tensor:
             for right, w in hits:
                 full = left + right
                 out[full] = out.get(full, 0) + v * w
-        legs = [self.legs[i] for i in a_keep] + [other.legs[i] for i in b_keep]
-        dims = [self.dims[i] for i in a_keep] + [other.dims[i] for i in b_keep]
-        return _Tensor(legs, dims, _nonzero(out))
+        return self._joined(other, a_keep, b_keep, _nonzero(out))
 
-    def _merge_dense(self, other: "_Tensor", pattern) -> "_Tensor":
-        """One integer einsum; `pattern` is _pattern(self.legs + other.legs)."""
-        keep = _once(pattern)
-        legs = self.legs + other.legs
-        spec = _subscripts(pattern, (len(self.legs), len(other.legs)), keep)
-        arr = int_einsum(spec, self.array(), other.array())
-        return _Tensor([legs[i] for i in keep], arr.shape, arr)
+    def _merge_dense(self, other: "_Tensor") -> "_Tensor":
+        """A tensordot as one exact matrix product (linalg.int_matmul): each
+        operand's shared legs move to the inner dimension and its kept legs
+        are flattened."""
+        a_keep, a_sh, b_keep, b_sh = self._split(other)
+        a = self.array().transpose(a_keep + a_sh)
+        b = other.array().transpose(b_sh + b_keep)
+        inner = prod(b.shape[:len(b_sh)])
+        arr = int_matmul(a.reshape(-1, inner), b.reshape(inner, -1))
+        return self._joined(other, a_keep, b_keep, arr.reshape(a.shape[:len(a_keep)] + b.shape[len(b_sh):]))
 
     def to_dense(self, leg_order) -> np.ndarray:
         """A fresh array with axes in leg_order: int64 when every entry
@@ -538,7 +551,7 @@ def _nonzero(data: dict) -> dict:
 def _pattern(legs) -> tuple:
     """Each leg's wire numbered by first appearance: (5, 9, 9, 2) ->
     (0, 1, 1, 2). It names a contraction over `legs` up to relabelling the
-    wires, and its numbers are the contraction's einsum letters."""
+    wires; a vertex trace hands its numbers to np.einsum as subscripts."""
     first: dict = {}
     return tuple(first.setdefault(l, len(first)) for l in legs)
 
@@ -548,17 +561,6 @@ def _once(pattern) -> list:
     contraction keeps, in order. Every other wire appears twice and is
     summed."""
     return [i for i, w in enumerate(pattern) if pattern.count(w) == 1]
-
-
-def _subscripts(pattern, sizes, keep) -> str:
-    """einsum subscripts for operands of the given leg counts, numbered
-    together by `pattern`, whose result keeps the legs at `keep`."""
-    letters = [_LETTERS[w] for w in pattern]
-    words, start = [], 0
-    for n in sizes:
-        words.append("".join(letters[start:start + n]))
-        start += n
-    return ",".join(words) + "->" + "".join(letters[i] for i in keep)
 
 
 def _memoised(memo, name, legs, compute) -> _Tensor:

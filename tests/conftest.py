@@ -5,19 +5,21 @@ import pytest
 
 
 @pytest.fixture
-def einsum_dtypes(monkeypatch):
-    """Record the operand dtypes of every np.einsum and np.matmul call."""
-    seen = []
+def numpy_dtypes(monkeypatch):
+    """Record the operand dtypes of every np.einsum and np.matmul call, per
+    function: {"einsum": [...], "matmul": [...]}, one list of dtypes a call."""
+    seen = {"einsum": [], "matmul": []}
 
-    def spy(real, skip):
-        """real, recording the dtypes of its operands: args after `skip`."""
+    def spy(name):
+        real = getattr(np, name)
 
         def call(*args, **kwargs):
-            seen.append([op.dtype for op in args[skip:]])
+            # array operands only: einsum's subscripts are a string or lists
+            seen[name].append([op.dtype for op in args if isinstance(op, np.ndarray)])
             return real(*args, **kwargs)
 
         return call
 
-    monkeypatch.setattr(np, "einsum", spy(np.einsum, 1))  # after the spec
-    monkeypatch.setattr(np, "matmul", spy(np.matmul, 0))
+    for name in seen:
+        monkeypatch.setattr(np, name, spy(name))
     return seen

@@ -436,6 +436,26 @@ def test_net_eval_refuses_gamma_vertices_past_p_plus_q_12(capsys, tmp_path):
     assert "gamma vertex limited to p + q <= 12" in err
 
 
+def test_net_eval_and_check_on_a_closed_network(capsys, tmp_path):
+    # two (2, 1) vertices, no open legs: sum_m tr(g_m g_m) = dim * sum_m eta_m = 2
+    f = tmp_path / "closed.json"
+    f.write_text(json.dumps({
+        "vertices": [{"kind": "gamma", "p": 2, "q": 1}] * 2,
+        "edges": [
+            [[0, "spinor"], [1, "dual"]],
+            [[1, "spinor"], [0, "dual"]],
+            [[0, "vector"], [1, "vector"]],
+        ],
+        "open": [],
+    }))
+    code, out, _ = run(capsys, "net", "eval", str(f))
+    assert code == 0
+    assert out.splitlines()[1:] == ["open legs: []", "2", "parity flags: 0"]
+    code, out, _ = run(capsys, "net", "check", str(f))
+    assert code == 0
+    assert out.splitlines()[-1].endswith("PASS")
+
+
 def test_net_check_passes_on_a_16_ring(capsys):
     # 25 wires: the oracle's unoptimised einsum loop did not finish here
     ring = os.path.join(os.path.dirname(__file__), "oracles", "net_ring16.json")

@@ -13,7 +13,6 @@ from qsetalg.liecore import (
     boost_triple,
     catalog,
     heisenberg3,
-    ladder_pair,
     numeric_contraction_check,
     rotation3,
     rotation_boost6,
@@ -90,8 +89,10 @@ def test_defects_vanish_for_catalog_entries():
 
 
 def test_ladder_matrices_shape_and_relation():
-    up, down = ladder_pair(3)
-    # A steps down the index, B steps up; their bracket is diagonal
+    # the pair behind boost_triple(3): A steps down the index, B steps up,
+    # and their bracket is diagonal, so the two alone do not close
+    k = np.arange(3)
+    up, down = np.diag(3 - k, -1), np.diag(k + 1, 1)
     alg = MatrixAlgebra("ladder", np.stack([up, down]), 1)
     with pytest.raises(ClosureError):
         alg.structure_constants()
@@ -224,7 +225,7 @@ def _assert_python_int_route(sc, seen):
         assert any(object in dtypes for dtypes in seen)
 
 
-def test_contraction_at_tiny_eps_takes_the_python_int_route(einsum_dtypes):
+def test_contraction_at_tiny_eps_takes_the_python_int_route(numpy_dtypes):
     ent = catalog()["so21"]
     base = ent.algebra.structure_constants()
     fam = ContractionFamily(base, ent.weights)
@@ -236,19 +237,19 @@ def test_contraction_at_tiny_eps_takes_the_python_int_route(einsum_dtypes):
         for i in range(n)
     )
     assert sc.c == want
-    _assert_python_int_route(sc, einsum_dtypes)
+    _assert_python_int_route(sc, numpy_dtypes["matmul"])
 
 
-def test_so3_scaled_by_2_to_the_40_takes_the_python_int_route(einsum_dtypes):
+def test_so3_scaled_by_2_to_the_40_takes_the_python_int_route(numpy_dtypes):
     big = 2 ** 40
     alg = MatrixAlgebra("so3-big", *linalg.int_scaled([smul(big, m) for m in rotation3().basis]))
     sc = alg.structure_constants()
-    assert any(object in dtypes for dtypes in einsum_dtypes)  # commutators and solve
+    assert any(object in dtypes for dtypes in numpy_dtypes["matmul"])  # commutators and solve
     plain = rotation3().structure_constants()
     assert sc.c == tuple(
         tuple(tuple(big * x for x in row) for row in plane) for plane in plain.c
     )
-    _assert_python_int_route(sc, einsum_dtypes)
+    _assert_python_int_route(sc, numpy_dtypes["matmul"])
 
 
 # ---------------------------------------------------------------------------
@@ -326,4 +327,4 @@ KILLING_CASES = dict(_killing_cases())
 @pytest.mark.parametrize("name", list(KILLING_CASES))
 def test_integer_killing_det_equals_det_of_the_fraction_form(name):
     sc = KILLING_CASES[name]
-    assert sc.killing_det() == linalg.det(sc.killing_form())
+    assert sc.killing_det() == linalg.det(*linalg.int_scaled(sc.killing_form()))

@@ -224,7 +224,7 @@ def _all_pairs_reduce(tensors, dense_cutoff, memo):
         _, i, j = best
         merged = tensors[i].merge(tensors[j], dense_cutoff)
         rest = [t for k, t in enumerate(tensors) if k not in (i, j)]
-        tensors = rest + [merged.self_trace()]
+        tensors = rest + [merged]
     return tensors[0]
 
 
@@ -341,6 +341,39 @@ def _mixed_signature_network():
     )
 
 
+def _closed_pair(p, q):
+    # two (p, q) vertices wired spinor -> dual both ways and vector to
+    # vector: no open legs, and one merge shares every wire
+    return VertexNetwork(
+        [GammaVertex(p, q), GammaVertex(p, q)],
+        edges=[
+            ((0, "spinor"), (1, "dual")),
+            ((1, "spinor"), (0, "dual")),
+            ((0, "vector"), (1, "vector")),
+        ],
+        open_legs=[],
+    )
+
+
+def _merge_shape_cases():
+    """Networks whose merges take each shape: no shared wire (an outer
+    product), every wire shared (a 0-d result), and shared wires in
+    different leg orders on the two operands."""
+    outer = VertexNetwork(
+        [GammaVertex(2, 1), IotaNode(1, 2)],
+        edges=[],
+        open_legs=[(1, "in"), (0, "vector"), (1, "out"), (0, "spinor"), (0, "dual")],
+    )
+    # legs (x, a, y) and (y, b, x): the shared x and y come in opposite
+    # orders, and each operand keeps its middle leg
+    swapped = VertexNetwork(
+        [GammaVertex(3, 1), GammaVertex(3, 1)],
+        edges=[((0, "spinor"), (1, "dual")), ((1, "spinor"), (0, "dual"))],
+        open_legs=[(1, "vector"), (0, "vector")],
+    )
+    return [("outer-product", outer), ("all-shared", _closed_pair(2, 1)), ("swapped-shared", swapped)]
+
+
 def _oracle_cases():
     oracles = Path(__file__).parent / "oracles"
     return [(path.stem, VertexNetwork.load(str(path))) for path in sorted(oracles.glob("net_*.json"))]
@@ -358,7 +391,7 @@ def _planner_cases():
     cases.append(("self-loop", _self_loop_network()))
     cases.append(("two-component", _two_component_network()))
     cases.append(("mixed-signatures", _mixed_signature_network()))
-    return cases
+    return cases + _merge_shape_cases()
 
 
 @pytest.mark.parametrize(
@@ -370,6 +403,30 @@ def test_planner_merges_like_the_all_pairs_greedy(monkeypatch, net):
     assert plan == ref_plan
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("net", [pytest.param(n, id=k) for k, n in _merge_shape_cases()])
+def test_merge_shapes_match_the_oracle(monkeypatch, net):
+    paths = _merge_paths(monkeypatch)
+    oracle = dense_oracle(net)
+    for cutoff, path in ((0, "_merge_sparse"), (10**9, "_merge_dense")):
+        paths.clear()
+        arr = net.contract(dense_cutoff=cutoff)
+        assert set(paths) == {path}
+        assert arr.shape == np.shape(oracle) and arr.dtype == np.int64
+        assert np.array_equal(arr.astype(float), oracle)
+
+
+@pytest.mark.parametrize("p, q, want", [(2, 1, 2), (1, 0, 1), (4, 4, 0)])
+def test_closed_networks_contract_to_a_0d_array(p, q, want):
+    # sum_m tr(g_m g_m) = dim * sum_m eta_m
+    net = _closed_pair(p, q)
+    for cutoff in (0, 1 << 14, 10**9):
+        arr = net.contract(dense_cutoff=cutoff)
+        assert isinstance(arr, np.ndarray) and arr.shape == ()
+        assert arr.dtype == np.int64 and arr == want
+        assert arr.flags.writeable
+    assert dense_oracle(net) == want
 
 
 def test_planner_cost_is_linear_in_the_vertex_count(monkeypatch):
@@ -411,7 +468,7 @@ def test_vertices_share_no_mutable_state():
 
 
 @pytest.mark.parametrize("p, q", [(3, 1), (4, 2)])
-def test_long_ring_past_int64_is_exact(einsum_dtypes, p, q):
+def test_long_ring_past_int64_is_exact(numpy_dtypes, p, q):
     arr = _paired_ring(128, p, q).contract()
     want = _paired_ring_value(128, p, q)
     assert abs(want[0][0]) >= 1 << 63
@@ -419,17 +476,17 @@ def test_long_ring_past_int64_is_exact(einsum_dtypes, p, q):
     assert arr.dtype == object
     assert arr.tolist() == want
     if (p, q) == (3, 1):
-        # 4x4 merges go dense; their operands pass int64 and einsum ran on objects
-        assert [object, object] in einsum_dtypes
+        # 4x4 merges go dense; their operands pass int64 and matmul ran on objects
+        assert [object, object] in numpy_dtypes["matmul"]
 
 
-def test_dense_merge_past_int64_falls_back(einsum_dtypes):
+def test_dense_merge_past_int64_falls_back(numpy_dtypes):
     big = 1 << 40
     a = vertexnet._Tensor((0, 1), (2, 2), {(0, 0): big, (0, 1): big, (1, 1): -big})
     b = vertexnet._Tensor((1, 2), (2, 2), {(0, 0): big, (1, 0): big, (1, 1): big})
-    dense = a._merge_dense(b, vertexnet._pattern(a.legs + b.legs))
+    dense = a._merge_dense(b)
     sparse = a._merge_sparse(b)
-    assert [object, object] in einsum_dtypes
+    assert numpy_dtypes["matmul"] == [[object, object]]
     assert dense.legs == sparse.legs == (0, 2)
     assert dense.entries() == sparse.entries() == {
         (0, 0): 2 * big * big, (0, 1): big * big, (1, 0): -big * big, (1, 1): -big * big,
@@ -485,14 +542,14 @@ def test_dict_and_array_paths_agree(monkeypatch, net):
 @pytest.mark.parametrize("p, q", [(4, 4), (2, 4), (4, 1)])
 def test_long_rings_merge_arrays_only_at_the_default_cutoff(monkeypatch, p, q):
     paths = _merge_paths(monkeypatch)
-    einsums = []
-    real = vertexnet.int_einsum
-    monkeypatch.setattr(vertexnet, "int_einsum", lambda *a: einsums.append(a[0]) or real(*a))
+    products = []
+    real = vertexnet.int_matmul
+    monkeypatch.setattr(vertexnet, "int_matmul", lambda a, b: products.append(1) or real(a, b))
     arr, plan = _merge_log(monkeypatch, _paired_ring(128, p, q))
     # all 127 plan steps run, and the memo computes the 13 distinct merges
     assert len(plan) == 127
     assert paths == ["_merge_dense"] * 13
-    assert len(einsums) == 13  # one per distinct merge
+    assert len(products) == 13  # one per distinct merge
     # (4, 4) sums to zero; (2, 4) and (4, 1) reach (-2)^63 * 8 and 3^63 * 4
     assert arr.dtype == (np.int64 if p == q else object)
     assert arr.tolist() == _paired_ring_value(128, p, q)
@@ -531,12 +588,14 @@ def test_three_open_legs_merge_arrays_only_at_the_default_cutoff(monkeypatch):
     assert np.array_equal(arr, dicts)
 
 
-def test_object_fallback_trips_inside_the_array_path(monkeypatch, einsum_dtypes):
+def test_object_fallback_trips_inside_the_array_path(monkeypatch, numpy_dtypes):
     # (4, 1): 3^63 * 4 passes 2^63 well inside the ring, on arrays
     paths = _merge_paths(monkeypatch)
     arr = _paired_ring(128, 4, 1).contract()
     assert set(paths) == {"_merge_dense"}
-    assert [object, object] in einsum_dtypes
+    # ring merges reach np.matmul only, and past int64 on Python ints
+    assert numpy_dtypes["einsum"] == []
+    assert [object, object] in numpy_dtypes["matmul"]
     assert arr.dtype == object
     want = _paired_ring_value(128, 4, 1)
     assert abs(want[0][0]) >= 1 << 63
@@ -544,7 +603,7 @@ def test_object_fallback_trips_inside_the_array_path(monkeypatch, einsum_dtypes)
 
 
 def test_array_results_that_fit_come_back_int64():
-    # an object array (as int_einsum returns past its bound) whose entries fit
+    # an object array (as int_matmul returns past its bound) whose entries fit
     big = np.array([(1 << 63) - 1, -(1 << 63)], dtype=object)
     arr = vertexnet._Tensor((0,), (2,), big).to_dense((0,))
     assert arr.dtype == np.int64
@@ -578,10 +637,13 @@ def test_two_vertex_loops_up_to_p_plus_q_12(monkeypatch, p, q):
     ]
 
 
-def test_merges_past_52_wires_fall_back_to_dicts():
+def test_merges_past_52_wires_stay_arrays(monkeypatch):
     # twenty (1, 0) vertices with every slot open: 60 legs of dimension 1,
-    # too many letters for one einsum however small the tensors are
+    # more than einsum has letters for; a merge is a matrix product and
+    # has no such limit
+    paths = _merge_paths(monkeypatch)
     legs = [(v, s) for v in range(20) for s in ("dual", "vector", "spinor")]
     arr = VertexNetwork([GammaVertex(1, 0) for _ in range(20)], [], legs).contract()
+    assert paths and "_merge_sparse" not in paths
     assert arr.shape == (1,) * 60
     assert arr.item() == 1

@@ -252,7 +252,7 @@ def _ref_gauge_rows(basis, weights, labels, lim, eps_sqrt):
     return tuple(rows)
 
 
-def test_gauge_defect_on_a_huge_basis_takes_the_python_int_route(einsum_dtypes):
+def test_gauge_defect_on_a_huge_basis_takes_the_python_int_route(numpy_dtypes):
     from types import SimpleNamespace
 
     from qsetalg import linalg
@@ -267,9 +267,9 @@ def test_gauge_defect_on_a_huge_basis_takes_the_python_int_route(einsum_dtypes):
     )
     lim = ContractionFamily(alg.structure_constants(), ent.weights).limit()
     eps_sqrt = Fraction(-3, 7)
-    einsum_dtypes.clear()
+    numpy_dtypes["matmul"].clear()
     rep = gauge_defect(frame, eps_sqrt)
-    assert any(np.dtype(object) in dtypes for dtypes in einsum_dtypes)
+    assert any(np.dtype(object) in dtypes for dtypes in numpy_dtypes["matmul"])
     want = _ref_gauge_rows(alg.basis, ent.weights, alg.labels, lim.c, eps_sqrt)
     assert rep.by_pair == want
     assert rep.worst == max(m for _, _, m in want)
@@ -277,13 +277,13 @@ def test_gauge_defect_on_a_huge_basis_takes_the_python_int_route(einsum_dtypes):
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
-def test_frame_commutators_take_the_float64_route(einsum_dtypes, preset):
+def test_frame_commutators_take_the_float64_route(numpy_dtypes, preset):
     alg = build_yang(preset).algebra
     i, j = np.triu_indices(alg.dim, 1)
     a, b = alg.stack[i].astype(object), alg.stack[j].astype(object)
-    einsum_dtypes.clear()
+    numpy_dtypes["matmul"].clear()
     comm = alg.commutators()
-    assert einsum_dtypes == [[np.dtype(np.float64)] * 2] * 2
+    assert numpy_dtypes == {"einsum": [], "matmul": [[np.dtype(np.float64)] * 2] * 2}
     assert comm.dtype == np.int64
     assert comm.tolist() == (a @ b - b @ a).tolist()
 
