@@ -289,7 +289,8 @@ class ContractionFamily:
     def at(self, eps: Fraction) -> StructureConstants:
         """Exact table at a finite parameter value; exponents must be integers.
         With eps = p/q and exponents e in lo..top, c_ijk eps^e is
-        C * p^(e - lo) * q^(top - e) over D * q^top * p^(-lo)."""
+        C * p^(e - lo) * q^(top - e) over D * q^top * p^(-lo). The product
+        runs in int64 while its bound max|C| * max|factor| is under 2^62."""
         eps = Fraction(eps)
         C, live = self.sc.C, self.sc.C != 0
         fractional = np.argwhere(live & (self._exp % self._wden != 0)).tolist()
@@ -303,8 +304,9 @@ class ContractionFamily:
         lo, top = int(e.min(initial=0)), int(e.max(initial=0))
         p, q = eps.numerator, eps.denominator
         factor = np.array([p ** (x - lo) * q ** (top - x) for x in range(lo, top + 1)], dtype=object)
+        bound = linalg.peak(C) * linalg.peak(factor)
         return StructureConstants(
-            C.astype(object) * factor[e - lo],
+            linalg.cast(C, bound) * linalg.cast(factor, bound)[e - lo],
             self.sc.D * q ** top * p ** -lo,
             name=f"{self.sc.name}@eps={eps}",
             labels=self.sc.labels,

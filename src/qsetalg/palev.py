@@ -37,8 +37,9 @@ sum_j j! C(k,j)^2 (-i hbar)^j q^{k-j} p^{k-j}.
 sympy is not needed to run any of it. It is imported only at the edge: when
 NCPolynomial is handed a sympy coefficient, when a QiHbar is converted to
 sympy (_sympy_), and by evaluate_nc, which takes sympy matrices. numpy is
-imported only by the band and carrier code and the Fraction matrix views, so
-the ladder, deviation, exclusion and normal-ordering paths run without it.
+imported only by the band and carrier code (the carrier triple's Fraction
+views included), so the ladder, deviation, exclusion and normal-ordering
+paths run without it.
 """
 
 from __future__ import annotations
@@ -58,21 +59,11 @@ from .scalars import UnitTag
 MAX_CAPACITY = 4096  # largest capacity N = 2j of a mode
 
 
-def _fraction_view(vector, offset: int) -> tuple:
-    """The Fraction matrix with `vector` on diagonal `offset`, zero elsewhere."""
-    import numpy as np
-
-    from . import linalg
-
-    return linalg.from_scaled(np.diag(vector, offset), 1)
-
-
 class PalevMode:
     """One oscillator mode truncated at 2j quanta (N = 2j, N + 1 levels),
     given by three int64 vectors: the weights N - k of A e_k = (N - k) e_{k+1}
     and k + 1 of B e_{k+1} = (k + 1) e_k for k < N, and the diagonal 2k - N
-    of Z = [A, B]. The vectors and the Fraction matrices are built on first
-    read."""
+    of Z = [A, B]. The vectors are built on first read."""
 
     def __init__(self, two_j: int):
         if not isinstance(two_j, int) or two_j < 1:
@@ -99,21 +90,6 @@ class PalevMode:
         import numpy as np
 
         return np.arange(-self.two_j, self.dim, 2, dtype=np.int64)
-
-    @cached_property
-    def raise_op(self):
-        """A as a Fraction matrix."""
-        return _fraction_view(self._raise, -1)
-
-    @cached_property
-    def lower_op(self):
-        """B as a Fraction matrix."""
-        return _fraction_view(self._lower, 1)
-
-    @cached_property
-    def charge(self):
-        """Z = [A, B] = diag(2k - N) as a Fraction matrix."""
-        return _fraction_view(self._charge, 0)
 
     @property
     def j(self) -> Fraction:

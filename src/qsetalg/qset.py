@@ -15,17 +15,22 @@ Computer Science, ch. 19). Labels appear as PerfiniteSet only at the API edge
 
 Products:
 
-    grassmann(v, w)        exterior product; metric-free, e ^ e = 0: masks
-                           that share a bit annihilate, others meet in a | b
+    grassmann(v, w)        exterior product: the zero metric, e ^ e = 0;
+                           masks that share a bit annihilate
     clifford(v, w, frame)  geometric product against the frame's generator
                            metric; e_i e_j + e_j e_i = 2 beta(i, j)
 
+Both run one loop over term pairs that reads each blade product e_a e_b from
+a per-metric table, computed exactly on first use (rank 4 has 2^16 blades,
+too many to fill up front). grassmann is the zero metric's case; zero-metric
+products do not depend on n, so the zero and berezin frames share its table.
+
 The frame metric has presets "zero" (pure Grassmann), "berezin" (the
-restriction of the Berezin polarization to generators, computed on the spot;
-it vanishes identically, so clifford coincides with grassmann -- lone
+restriction of the Berezin polarization to generators, computed once per
+rank; it vanishes identically, so clifford coincides with grassmann -- lone
 generators are null), and "hyperbolic" (generator 2k pairs with 2k+1 at 1/2,
-so the anticommutator of a pair is exactly 1). An explicit symmetric matrix is
-also accepted.
+so the anticommutator of a pair is exactly 1; one table per rank). An
+explicit symmetric matrix is also accepted and gets a table on its frame.
 
 The Berezin pairing itself lives on the whole algebra: berezin_norm(w) is the
 coefficient of the top blade in w ^ w, and beta_form polarizes it. Both divide
@@ -36,12 +41,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .perfinite import (
-    PerfiniteSet, bit_positions, decode, enumerate_rank, format_set_text, iota, parse_set_text,
+    PerfiniteSet, bit_positions, decode, enumerate_rank, format_set_text, parse_set_text,
 )
-
-_METRIC_PRESETS = ("zero", "berezin", "hyperbolic")
 
 
 class Multivector:
@@ -156,10 +160,8 @@ class RankFrame:
         if self.top_scale == 0:
             raise ValueError("top_scale must be nonzero")
         if isinstance(metric, str):
-            if metric not in _METRIC_PRESETS:
-                raise ValueError(f"unknown metric preset {metric!r}")
             self.metric_name = metric
-            self.beta = self._preset_metric(metric)
+            self.beta, self._metric, self._table = _preset(r, metric)
         else:
             rows = tuple(tuple(Fraction(x) for x in row) for row in metric)
             if len(rows) != self.n or any(len(row) != self.n for row in rows):
@@ -167,40 +169,7 @@ class RankFrame:
             if any(rows[i][j] != rows[j][i] for i in range(self.n) for j in range(i)):
                 raise ValueError("metric must be symmetric")
             self.metric_name = "explicit"
-            self.beta = rows
-
-    def _preset_metric(self, name: str):
-        zero = Fraction(0)
-        if name == "zero":
-            return tuple(tuple(zero for _ in range(self.n)) for _ in range(self.n))
-        if name == "berezin":
-            # Restriction of the Berezin polarization to generators. Computed
-            # rather than assumed: generator pairs have grade 2 and the
-            # symmetrized product never reaches the top blade, so this is the
-            # zero matrix for every rank, which is exactly the point -- lone
-            # generators are null and clifford degenerates to grassmann.
-            rows = []
-            for i in range(self.n):
-                gi = Multivector.blade(iota(self.generators[i]))
-                row = []
-                for j in range(self.n):
-                    gj = Multivector.blade(iota(self.generators[j]))
-                    sym = grassmann(gi, gj) + grassmann(gj, gi)
-                    row.append(sym.coeff(self.top_label) / Fraction(2))
-                rows.append(tuple(row))
-            return tuple(rows)
-        if name == "hyperbolic":
-            if self.n % 2:
-                raise ValueError(
-                    "hyperbolic metric pairs generators; generator count is odd"
-                )
-            half = Fraction(1, 2)
-            rows = [[zero] * self.n for _ in range(self.n)]
-            for k in range(0, self.n, 2):
-                rows[k][k + 1] = half
-                rows[k + 1][k] = half
-            return tuple(tuple(row) for row in rows)
-        raise AssertionError(name)
+            self.beta, self._metric, self._table = rows, *_kernel(rows)
 
     def validate(self, mv: Multivector) -> None:
         for k in mv._terms:
@@ -223,76 +192,111 @@ class RankFrame:
         return f"RankFrame(r={self.r}, n={self.n}, metric={self.metric_name!r})"
 
 
-def _wedge_sign(a: int, b: int) -> int:
-    """Sign of e_a ^ e_b -> e_(a|b) for disjoint masks: the parity of the
-    pairs x in a, y in b with x > y, counted over the set bits of b."""
-    inv = 0
-    for y in bit_positions(b):
-        inv += (a >> y).bit_count()
-    return -1 if inv & 1 else 1
+_WEDGE: dict = {}  # the zero metric's blade products (see "Products" above)
 
 
-def grassmann(v: Multivector, w: Multivector) -> Multivector:
-    """Exterior product on blade masks; shared generators annihilate."""
+def _kernel(rows):
+    """(metric, table) for _product: a zero metric runs metric-free on the
+    wedge table, any other gets a table of its own."""
+    if any(x for row in rows for x in row):
+        return rows, {}
+    return None, _WEDGE
+
+
+@cache
+def _preset(r: int, name: str):
+    """(metric rows, kernel metric, table) of a preset at rank r, built once."""
+    n = len(enumerate_rank(r - 1))
+    zero = Fraction(0)
+    if name == "berezin":
+        # The Berezin polarization on generators, computed, not assumed: the
+        # symmetrized product of two generators never reaches the top blade,
+        # so this is the zero matrix at every rank -- lone generators are null.
+        top = (1 << n) - 1
+        gens = [Multivector._of({1 << i: 1}) for i in range(n)]
+        rows = tuple(
+            tuple(Fraction((grassmann(gi, gj) + grassmann(gj, gi))._terms.get(top, 0), 2) for gj in gens)
+            for gi in gens
+        )
+    elif name == "hyperbolic":
+        if n % 2:
+            raise ValueError("hyperbolic metric pairs generators; generator count is odd")
+        half = Fraction(1, 2)
+        rows = tuple(tuple(half if j == i ^ 1 else zero for j in range(n)) for i in range(n))
+    elif name == "zero":
+        rows = tuple((zero,) * n for _ in range(n))
+    else:
+        raise ValueError(f"unknown metric preset {name!r}")
+    return (rows, *_kernel(rows))
+
+
+def _contraction(i: int, k: int, beta_row):
+    """e_i -| blade k as (mask, coefficient) pairs: (-1)^t beta(i, j_t) for
+    the t-th generator j_t of k, which it removes."""
+    for t, j in enumerate(bit_positions(k)):
+        b = beta_row[j]
+        if b:
+            yield k ^ (1 << j), -b if t & 1 else b
+
+
+def _blade_product(a: int, b: int, beta, table: dict) -> dict:
+    """e_a e_b as {mask: coefficient} against the metric rows beta (None:
+    the zero metric), stored in table the first time it is asked for.
+
+    With i the lowest generator of a, e_a = e_i e_rest - e_i -| e_rest, so
+    e_a e_b = e_i (e_rest e_b) - (e_i -| e_rest) e_b, and e_i e_m is a wedge
+    part plus a contraction part. The suffixes of a are walked from the top,
+    each stored, so a long label costs no recursion; only the contraction
+    part recurses, and it needs a metric, so at most 16 generators. Exact for
+    any symmetric metric; float coefficients only meet the table in _product.
+    """
+    out, rest = table.setdefault((0, b), {b: 1}), 0
+    for i in reversed([*bit_positions(a)]):
+        low = 1 << i
+        hit = table.get((rest | low, b))
+        if hit is None:
+            acc: dict = {}
+            for m, c in out.items():
+                if not m & low:
+                    acc[m | low] = acc.get(m | low, 0) + (-c if (m & (low - 1)).bit_count() & 1 else c)
+                if beta is not None:
+                    for k, x in _contraction(i, m, beta[i]):
+                        acc[k] = acc.get(k, 0) + x * c
+            if beta is not None:
+                for k2, s in _contraction(i, rest, beta[i]):
+                    for k, x in _blade_product(k2, b, beta, table).items():
+                        acc[k] = acc.get(k, 0) - s * x
+            hit = table[rest | low, b] = {k: x for k, x in acc.items() if x}
+        out, rest = hit, rest | low
+    return out
+
+
+def _product(v: Multivector, w: Multivector, beta, table: dict) -> Multivector:
+    """sum of c_a c_b e_a e_b over the terms of v and w (see _blade_product)."""
     out: dict = {}
     for a, ca in v._terms.items():
         for b, cb in w._terms.items():
-            if a & b:
-                continue
-            k = a | b
-            out[k] = out.get(k, 0) + _wedge_sign(a, b) * ca * cb
+            ab = table.get((a, b))
+            if ab is None:
+                ab = _blade_product(a, b, beta, table)
+            if ab:
+                c = ca * cb
+                for m, x in ab.items():
+                    out[m] = out.get(m, 0) + c * x
     return Multivector._of(out)
 
 
-def _contraction(a: int, k: int, beta_row):
-    """e_a -| blade k as (mask, coefficient) pairs: (-1)^t beta(a, i_t) for
-    the t-th generator i_t of k, which it removes."""
-    for t, i in enumerate(bit_positions(k)):
-        b = beta_row[i]
-        if b:
-            yield k ^ (1 << i), -b if t & 1 else b
-
-
-def _gen_times(a: int, terms: dict, beta) -> dict:
-    """Clifford product e_a terms = wedge part + contraction part."""
-    bit = 1 << a
-    out: dict = {}
-    for k, c in terms.items():
-        if not k & bit:
-            sgn = -1 if (k & (bit - 1)).bit_count() & 1 else 1
-            out[k | bit] = out.get(k | bit, 0) + sgn * c
-        for rest, b in _contraction(a, k, beta[a]):
-            out[rest] = out.get(rest, 0) + b * c
-    return out
-
-
-def _blade_times(k: int, terms: dict, beta) -> dict:
-    # blade(a0, rest) = e_a0 ^ blade(rest) = e_a0 blade(rest) - e_a0 -| blade(rest),
-    # so left-multiplying terms splits into a generator product and smaller
-    # recursions. Exact for any symmetric metric, diagonal or not.
-    if not k:
-        return terms
-    a0 = (k & -k).bit_length() - 1
-    rest = k ^ (1 << a0)
-    out = _gen_times(a0, _blade_times(rest, terms, beta), beta)
-    corr: dict = {}
-    for k2, b in _contraction(a0, rest, beta[a0]):
-        for m, c in _blade_times(k2, terms, beta).items():
-            corr[m] = corr.get(m, 0) + b * c
-    for m, c in corr.items():
-        out[m] = out.get(m, 0) - c
-    return out
+def grassmann(v: Multivector, w: Multivector) -> Multivector:
+    """Exterior product: the zero-metric product, where shared generators
+    annihilate."""
+    return _product(v, w, None, _WEDGE)
 
 
 def clifford(v: Multivector, w: Multivector, frame: RankFrame) -> Multivector:
     """Geometric product against frame.beta. Reduces to grassmann when beta = 0."""
     frame.validate(v)
     frame.validate(w)
-    out: dict = {}
-    for k, c in v._terms.items():
-        for m, x in _blade_times(k, w._terms, frame.beta).items():
-            out[m] = out.get(m, 0) + c * x
-    return Multivector._of(out)
+    return _product(v, w, frame._metric, frame._table)
 
 
 def berezin_norm(w: Multivector, frame: RankFrame):

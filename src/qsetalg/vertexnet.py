@@ -40,18 +40,19 @@ dense_cutoff=0 keeps every tensor a dict. No entry wraps on either path; the
 result is int64 when every entry fits and dtype=object otherwise. Tests
 replay whole networks through float64 einsum as an independent oracle.
 
-One contract() call computes each distinct merge and self-trace once. Every
-tensor in flight carries a small integer key naming its value: a vertex's is
-interned from the identity of its cached array, which every vertex of one
-signature (or grade and rank) shares, and a merge's from (key, key, pattern),
-a self-trace's from (key, pattern), where pattern numbers the wires of the
-operand legs by first appearance. The pattern fixes which wires are summed
-and the order of the result's legs, and the representation (array or dict)
-follows from the keys' dims, the pattern and the cutoff, so equal keys mean
-equal dims and equal data. A repeat is rebuilt over its own wire ids from the
-stored dims and data, which are shared, never copied: stored arrays are
-read-only. In a paired 128-vertex ring, 13 of the 127 merges are distinct.
-The memo lives for one call only.
+One contract() call computes each distinct merge and self-trace, and each
+distinct vertex's dict, once. Every tensor in flight carries a small integer
+key naming its value: a vertex's is interned from the identity of its cached
+array, which every vertex of one signature (or grade and rank) shares, and
+a merge's from (key, key, pattern), a self-trace's from (key, pattern),
+where pattern numbers the wires of the operand legs by first appearance.
+The pattern fixes which wires are summed and the order of the result's legs,
+and the representation (array or dict) follows from the keys' dims, the
+pattern and the cutoff, so equal keys mean equal dims and equal data. A
+repeat is rebuilt over its own wire ids from the stored dims and data, which
+are shared, never copied: stored arrays are read-only. In a paired
+128-vertex ring, 13 of the 127 merges are distinct. The memo lives for one
+call only.
 
 parity_check() is the bookkeeping pass: gauge vertices always balance; every
 iota node gets flagged. An even-m node breaks the mod-2 grading outright
@@ -315,8 +316,9 @@ class VertexNetwork:
         whose (traced) dense size is within it stays an integer array, and a
         merge whose operands and result are all within it is one exact
         integer matrix product producing an array. Larger vertices become
-        sparse dicts, and larger merges run the exact sparse hash-join. 0
-        keeps dicts throughout; a huge cutoff keeps arrays throughout.
+        sparse dicts, once per distinct vertex, and larger merges run the
+        exact sparse hash-join. 0 keeps dicts throughout; a huge cutoff
+        keeps arrays throughout.
         Entries stay exact integers either way: the result, a fresh ndarray
         (0-d for a network with no open legs), is int64 when every entry
         fits and dtype=object (Python ints) otherwise.
@@ -337,7 +339,9 @@ class VertexNetwork:
             key = memo.setdefault(id(arr), len(memo))
             t = _Tensor(legs, arr.shape, arr, key).self_trace(memo)
             if t.size > dense_cutoff:
-                t.data = _entries(t.data)
+                if ("entries", t.key) not in memo:
+                    memo["entries", t.key] = _entries(t.data)
+                t.data = memo["entries", t.key]
             tensors.append(t)
         final = _reduce(tensors, dense_cutoff, memo)
         order = tuple(wire_of[l] for l in self.open_legs)

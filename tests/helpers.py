@@ -45,6 +45,17 @@ def commutator(a, b):
     return msub(linalg.mmul(a, b), linalg.mmul(b, a))
 
 
+def fraction_view(vector, offset: int) -> tuple:
+    """The Fraction matrix with `vector` on diagonal `offset`, zero elsewhere."""
+    return linalg.from_scaled(np.diag(vector, offset), 1)
+
+
+def mode_matrices(mode):
+    """A, B and Z = [A, B] of a PalevMode as Fraction matrices, from its
+    weight and charge vectors."""
+    return fraction_view(mode._raise, -1), fraction_view(mode._lower, 1), fraction_view(mode._charge, 0)
+
+
 def scaled_basis(basis, weights, eps_sqrt):
     """Fraction basis matrices rescaled by eps^{w_i}, with eps = eps_sqrt**2
     so that half-integer weights stay exact."""

@@ -11,6 +11,8 @@ import pytest
 
 import qsetalg
 from qsetalg.cli import main
+from qsetalg.perfinite import decode
+from qsetalg.qset import Multivector, mv_to_json
 
 
 def run(capsys, *argv):
@@ -193,7 +195,7 @@ IMPORT_GRAPH = """
 import sys
 from qsetalg.cli import main
 
-net = sys.argv[1]
+net, mv_a, mv_b = sys.argv[1:4]
 
 
 def loaded(*names):
@@ -211,8 +213,14 @@ for argv in (
 ):
     main(argv.split())
     assert not loaded("numpy", "qsetalg.qset"), f"{loaded('numpy', 'qsetalg.qset')} loaded by {argv}"
-main("qset signature --rank 3".split())
-assert not loaded("numpy"), "numpy loaded by qset signature --rank 3"
+for argv in (
+    "qset signature --rank 3",
+    f"qset grassmann {mv_a} {mv_b}",
+    f"qset clifford {mv_a} {mv_b} --rank 3 --metric hyperbolic",
+    f"qset norm {mv_a} --rank 3",
+):
+    main(argv.split())
+    assert not loaded("numpy"), f"numpy loaded by {argv}"
 layers = ("qsetalg.verify", "qsetalg.vertexnet", "qsetalg.yang")
 for argv in ("gamma 4 4", "palev carriers"):
     main(argv.split())
@@ -225,11 +233,16 @@ assert loaded("qsetalg.verify")
 """
 
 
-def test_each_command_imports_only_the_layers_it_runs():
+def test_each_command_imports_only_the_layers_it_runs(tmp_path):
     src = str(Path(qsetalg.__file__).resolve().parents[1])
     net = str(Path(__file__).parent / "oracles" / "net_ring3.json")
+    mvs = []
+    for name, codes in (("a.json", (0, 3, 6, 15)), ("b.json", (1, 5, 10, 12))):
+        path = tmp_path / name
+        path.write_text(json.dumps(mv_to_json(sum((Multivector.blade(decode(c), c + 1) for c in codes), Multivector.zero()))))
+        mvs.append(str(path))
     res = subprocess.run(
-        [sys.executable, "-c", IMPORT_GRAPH, net],
+        [sys.executable, "-c", IMPORT_GRAPH, net, *mvs],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
     )
     assert res.returncode == 0, res.stderr

@@ -240,6 +240,30 @@ def test_contraction_at_tiny_eps_takes_the_python_int_route(numpy_dtypes):
     _assert_python_int_route(sc, numpy_dtypes["matmul"])
 
 
+def test_contraction_at_multiplies_in_int64_within_its_bound(monkeypatch):
+    from qsetalg import liecore
+    from qsetalg.yang import build_yang
+
+    fam = build_yang("5-1").family()
+    handed = []
+    real = liecore.StructureConstants.__init__
+
+    def spy(self, C, D, *args, **kwargs):
+        handed.append(C.dtype)
+        real(self, C, D, *args, **kwargs)
+
+    monkeypatch.setattr(liecore.StructureConstants, "__init__", spy)
+    eps = Fraction(1, 3)
+    sc = fam.at(eps)
+    assert handed == [np.int64]
+    base, n = fam.sc, fam.sc.dim
+    want = tuple(
+        tuple(tuple(base.c[i][j][k] * eps ** int(fam.exponent(i, j, k)) for k in range(n)) for j in range(n))
+        for i in range(n)
+    )
+    assert sc.c == want
+
+
 def test_so3_scaled_by_2_to_the_40_takes_the_python_int_route(numpy_dtypes):
     big = 2 ** 40
     alg = MatrixAlgebra("so3-big", *linalg.int_scaled([smul(big, m) for m in rotation3().basis]))

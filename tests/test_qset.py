@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -325,6 +326,17 @@ def test_grassmann_matches_label_reference_on_large_element_codes():
         assert grassmann(u, v) == label_grassmann(u, v)
 
 
+def test_grassmann_of_labels_longer_than_the_recursion_limit():
+    # a label's generators are walked in a loop: 1500 of them on each side
+    # pass Python's default recursion limit of 1000
+    rng = random.Random(53)
+    codes = rng.sample(range(4000), 3000)
+    u = Multivector.blade(PerfiniteSet([decode(c) for c in codes[:1500]]), Fraction(2, 3))
+    v = Multivector.blade(PerfiniteSet([decode(c) for c in codes[1500:]]), Fraction(-5))
+    assert grassmann(u, v) == label_grassmann(u, v)
+    assert grassmann(u, u).is_zero()
+
+
 def test_products_construct_no_perfinite_set(monkeypatch):
     # a set is built by its constructor or by decode; spy on both routes
     rng = random.Random(41)
@@ -349,6 +361,63 @@ def test_products_construct_no_perfinite_set(monkeypatch):
     assert made == []
     u.support()  # labels are built at the API edge, where the spy sees them
     assert made
+
+
+def _floats(mv):
+    return Multivector({lab: float(c) for lab, c in mv.items()})
+
+
+@pytest.mark.parametrize("metric", ["hyperbolic", "dense"])
+def test_float_products_match_label_reference(metric):
+    # the table multiplies in a different order from the reference, so a
+    # float coefficient may differ in its last bits
+    rng = random.Random(f"float-reference:{metric}")
+    frame = RankFrame(3, metric=_explicit_metric(rng, 4, dense=True) if metric == "dense" else metric)
+    for _ in range(20):
+        u, v = _floats(rand_mv(rng, frame)), _floats(rand_mv(rng, frame))
+        for got, want in ((grassmann(u, v), label_grassmann(u, v)), (clifford(u, v, frame), label_clifford(u, v, frame))):
+            assert all(isinstance(c, float) for _, c in got.items())
+            for lab in set(got.support()) | set(want.support()):
+                assert abs(got.coeff(lab) - want.coeff(lab)) <= 1e-12 * max(1.0, abs(want.coeff(lab)))
+
+
+def test_explicit_metrics_at_one_rank_keep_their_own_products():
+    rng = random.Random(43)
+    frames = [RankFrame(3, metric=_explicit_metric(rng, 4, dense=True)) for _ in range(2)]
+    assert frames[0].beta != frames[1].beta
+    for _ in range(10):
+        u, v = rand_mv(rng, frames[0]), rand_mv(rng, frames[0])
+        for frame in frames:
+            assert clifford(u, v, frame) == label_clifford(u, v, frame)
+
+
+def test_repeated_products_store_no_new_table_entry():
+    rng = random.Random(47)
+    frame = RankFrame(3, metric="hyperbolic")
+    u, v = rand_mv(rng, frame), rand_mv(rng, frame)
+    first = clifford(u, v, frame), grassmann(u, v)
+    sizes = len(frame._table), len(qset._WEDGE)
+    assert (clifford(u, v, frame), grassmann(u, v)) == first
+    assert (len(frame._table), len(qset._WEDGE)) == sizes
+    # a table is keyed by pairs of rank-3 blades: at most 16 * 16 entries
+    assert all(a < 16 and b < 16 for a, b in frame._table)
+    assert RankFrame(3, metric="hyperbolic")._table is frame._table
+
+
+def test_berezin_metric_is_computed_once_per_rank(monkeypatch):
+    monkeypatch.setattr(qset, "_preset", functools.cache(qset._preset.__wrapped__))
+    calls = []
+    real = qset.grassmann
+
+    def spy(v, w):
+        calls.append((v, w))
+        return real(v, w)
+
+    monkeypatch.setattr(qset, "grassmann", spy)
+    frames = [RankFrame(3), RankFrame(3)]
+    assert len(calls) == 2 * 4 * 4
+    assert frames[0].beta == frames[1].beta == tuple((0,) * 4 for _ in range(4))
+    assert frames[0]._table is frames[1]._table is qset._WEDGE
 
 
 @pytest.mark.parametrize("p", range(5))

@@ -572,6 +572,17 @@ def test_memoised_arrays_are_read_only(monkeypatch, net):
     assert arr.flags.writeable
 
 
+def test_sparse_vertices_are_converted_once_per_distinct_array(monkeypatch):
+    net = VertexNetwork.load(str(Path(__file__).parent / "oracles" / "net_ring128.json"))
+    calls = []
+    real = vertexnet._entries
+    monkeypatch.setattr(vertexnet, "_entries", lambda arr: calls.append(1) or real(arr))
+    dicts = net.contract(dense_cutoff=0)
+    distinct = len({id(v.array) for v in net.vertices})
+    assert len(calls) == distinct < len(net.vertices)
+    assert np.array_equal(dicts, net.contract(dense_cutoff=10**9))
+
+
 def test_three_open_legs_merge_arrays_only_at_the_default_cutoff(monkeypatch):
     # two (16, 8, 16) vertices of a (4, 4) 3-ring merge to (16, 8, 8, 16):
     # 2^14 entries, within the default cutoff
