@@ -437,7 +437,7 @@ def _cmd_net(args) -> int:
         return 0 if rep.ok else 1
     if what == "eval":
         arr = net.contract()
-        print(f"open legs: {net.open_legs}")
+        print(f"open legs: {list(net.open_legs)}")
         print(json.dumps(arr.tolist()))
         rep = net.parity_check()
         print(f"parity flags: {len(rep.flags)}")

@@ -351,14 +351,16 @@ class SignatureReport:
 
 
 def gram_matrix(frame: RankFrame):
-    """Dense exact Gram matrix of beta_form on the full blade basis (small n)."""
+    """Dense exact Gram matrix of beta_form on the full blade basis (small n):
+    the top coefficient of e_a ^ e_b + e_b ^ e_a over 2 top_scale, read from
+    the wedge table for every pair, one Fraction per distinct value."""
     if frame.n > 8:
         raise ValueError("dense Gram limited to n <= 8; use signature_report")
-    labels = frame.basis_labels()
-    blades = [Multivector.blade(lab) for lab in labels]
-    return tuple(
-        tuple(beta_form(bi, bj, frame) for bj in blades) for bi in blades
-    )
+    dim = 1 << frame.n
+    tops = [[_blade_product(a, b, None, _WEDGE).get(dim - 1, 0) for b in range(dim)] for a in range(dim)]
+    sums = [[tops[a][b] + tops[b][a] for b in range(dim)] for a in range(dim)]
+    value = {s: Fraction(s, 2) / frame.top_scale for s in {s for row in sums for s in row}}
+    return tuple(tuple(map(value.__getitem__, row)) for row in sums)
 
 
 def signature_report(frame: RankFrame) -> SignatureReport:

@@ -14,9 +14,16 @@ Two node species:
                    The tensor is the 0/1 inclusion matrix, out index = the
                    label's own code.
 
+Every vertex of one signature (or grade and rank) shares one read-only
+table, built on first use: its array, its slot_dims, slot_kinds and
+slot_parity (MappingProxyType views) and their parity sum.
+
 Edges join slots of compatible kind and equal dimension: spinor to dual,
 vector to vector, and an iota's out to a higher iota's in (chaining). Open
-slots become output axes in the declared order.
+slots become output axes in the declared order. One pass over the edges and
+open legs checks them and numbers the wires as the network is built: edge k
+is wire k, open leg j is wire E + j for E edges. A network's vertices, edges
+and open legs are tuples, so that wiring never goes stale.
 
 contract() runs a greedy pairwise reduction, joining the pair of tensors
 whose merged result is smallest. A wire index keeps the candidates to pairs
@@ -24,9 +31,8 @@ that share a wire, so planning costs O(E log E) for E edges instead of an
 all-pairs rescan per merge (O(V^3) for V vertices). A vertex that carries a
 wire twice (a spinor line closed on itself) is traced on its own cached
 array as it enters; its entries are -1, 0 or 1, so the trace stays int64. No
-merge result carries a wire twice, so that is the only trace. Each tensor in
-flight is then held one of two ways, by its dense size (product of
-dimensions):
+merge result carries a wire twice, so that is the only trace. Each value is
+then held one of two ways, by its dense size (product of dimensions):
 
     array   within dense_cutoff: an integer ndarray. Vertices hand over their
             cached read-only arrays, and a merge of two arrays whose result
@@ -41,16 +47,17 @@ result is int64 when every entry fits and dtype=object otherwise. Tests
 replay whole networks through float64 einsum as an independent oracle.
 
 One contract() call computes each distinct merge and self-trace, and each
-distinct vertex's dict, once. Every tensor in flight carries a small integer
-key naming its value: a vertex's is interned from the identity of its cached
-array, which every vertex of one signature (or grade and rank) shares, and
-a merge's from (key, key, pattern), a self-trace's from (key, pattern),
-where pattern numbers the wires of the operand legs by first appearance.
-The pattern fixes which wires are summed and the order of the result's legs,
-and the representation (array or dict) follows from the keys' dims, the
-pattern and the cutoff, so equal keys mean equal dims and equal data. A
-repeat is rebuilt over its own wire ids from the stored dims and data, which
-are shared, never copied: stored arrays are read-only. In a paired
+distinct vertex's dict, once. A tensor in flight is its legs (wire ids) and
+a small integer key into the call's table of values (dims and data). A
+vertex's key is named by its cached array, which every vertex of one
+signature shares, and by the pattern of its legs if it is traced, where
+pattern numbers the wires by first appearance; a merge's is named by
+(key, key, shared), where shared pairs the positions of each wire the two
+operands share. That fixes which wires are summed and the order of the
+result's legs, and the representation (array or dict) follows from the
+keys' dims, the positions and the cutoff, so equal keys mean equal dims and
+equal data. A plan step that repeats a merge computes only the result's
+legs; stored arrays are read-only and shared, never copied. In a paired
 128-vertex ring, 13 of the 127 merges are distinct. The memo lives for one
 call only.
 
@@ -63,12 +70,13 @@ a parity-conservation argument has to notice before waving a network through.
 
 from __future__ import annotations
 
-import heapq
 import json
 from dataclasses import dataclass
 from functools import cache
+from heapq import heapify, heappop, heappush
 from itertools import chain, combinations
-from math import comb, prod
+from math import prod
+from types import MappingProxyType
 
 import numpy as np
 
@@ -84,17 +92,26 @@ _DENSE_CUTOFF = 1 << 14
 _INT64 = 1 << 63
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
-# slot kind compatibility for edges (unordered pairs)
-_COMPATIBLE = (
-    frozenset(("spinor", "dual")),
-    frozenset(("vector", "vector")),
-    frozenset(("monad-out", "blade-in")),
-)
+# the slot kind pairs an edge may join, in either order
+_COMPATIBLE = frozenset({
+    ("spinor", "dual"), ("dual", "spinor"), ("vector", "vector"),
+    ("monad-out", "blade-in"), ("blade-in", "monad-out"),
+})
+
+
+def _slot_tables(names, dims, kinds, parities) -> tuple:
+    """A species' shared slot tables: read-only slot_dims, slot_kinds and
+    slot_parity, their parity sum mod 2, and each slot's (position, dim,
+    kind), which the wiring pass reads."""
+    views = (MappingProxyType(dict(zip(names, col))) for col in (dims, kinds, parities))
+    slots = {s: (i, d, k) for i, (s, d, k) in enumerate(zip(names, dims, kinds))}
+    return (*views, sum(parities) % 2, MappingProxyType(slots))
 
 
 class GammaVertex:
     """A (p, q) gamma vertex; `array` is its read-only int64 tensor
-    (dual, vector, spinor), shared by every vertex of the signature."""
+    (dual, vector, spinor). Every vertex of the signature shares it and
+    its slot tables."""
 
     kind = "gamma"
     slot_names = ("dual", "vector", "spinor")
@@ -106,11 +123,8 @@ class GammaVertex:
             raise ValueError(f"gamma vertex limited to p + q <= {MAX_TOTAL}")
         self.p = p
         self.q = q
-        self.gamma_set, self.array = _gamma_table(p, q)
-        d = self.gamma_set.dim
-        self.slot_dims = {"dual": d, "vector": p + q, "spinor": d}
-        self.slot_kinds = {"dual": "dual", "vector": "vector", "spinor": "spinor"}
-        self.slot_parity = {"dual": 1, "vector": 0, "spinor": 1}
+        (self.gamma_set, self.array, self.slot_dims, self.slot_kinds,
+         self.slot_parity, self.parity, self._slots) = _gamma_table(p, q)
 
     def entries(self):
         """Sparse dict (dual, vector, spinor) -> entry; a fresh copy."""
@@ -125,17 +139,20 @@ class GammaVertex:
 
 @cache
 def _gamma_table(p: int, q: int):
-    """GammaSet and (dual, vector, spinor) stack of a (p, q) vertex, built
-    once per signature and shared by every vertex, all arrays read-only."""
+    """GammaSet, (dual, vector, spinor) stack and slot tables of a (p, q)
+    vertex, built once per signature and shared by every vertex, all
+    read-only."""
     gs = build_gammas(p, q)
     stack = np.stack(gs.gammas, axis=1)
     stack.flags.writeable = False
-    return gs, stack
+    names = GammaVertex.slot_names
+    return gs, stack, *_slot_tables(names, (gs.dim, p + q, gs.dim), names, (1, 0, 1))
 
 
 class IotaNode:
     """A grade-m selector of the rank frame; `array` is its read-only 0/1
-    inclusion matrix (out, in), shared by every node of the grade and rank."""
+    inclusion matrix (out, in). Every node of the grade and rank shares it
+    and its slot tables."""
 
     kind = "iota"
     slot_names = ("out", "in")
@@ -143,19 +160,14 @@ class IotaNode:
     def __init__(self, m: int, rank: int):
         if rank not in (1, 2, 3):
             raise ValueError("iota nodes support input frame ranks 1..3")
-        gens = enumerate_rank(rank - 1)
-        n = len(gens)
+        n = len(enumerate_rank(rank - 1))
         if not 0 <= m <= n:
             raise ValueError(f"grade {m} impossible with {n} generators")
         self.m = m
         self.rank = rank
         self.n_generators = n
-        in_dim = comb(n, m)
-        out_dim = 1 << n
-        self.slot_dims = {"out": out_dim, "in": in_dim}
-        self.slot_kinds = {"out": "monad-out", "in": "blade-in"}
-        self.slot_parity = {"out": 1, "in": m % 2}
-        self.array = _inclusion(m, rank)
+        (self.array, self.slot_dims, self.slot_kinds,
+         self.slot_parity, self.parity, self._slots) = _iota_table(m, rank)
 
     def entries(self):
         """Sparse dict (out, in) -> 1; inclusion of grade-m labels."""
@@ -169,17 +181,20 @@ class IotaNode:
 
 
 @cache
-def _inclusion(m: int, rank: int) -> np.ndarray:
-    """Grade-m labels of the rank frame, in ascending code, down the in
-    axis; each label's code is exactly its out-side generator index."""
+def _iota_table(m: int, rank: int):
+    """Inclusion matrix and slot tables of a grade-m node: the grade-m
+    labels of the rank frame, in ascending code, down the in axis; each
+    label's code is exactly its out-side generator index."""
     codes = [x.code for x in enumerate_rank(rank) if x.grade == m]
     arr = np.zeros((1 << len(enumerate_rank(rank - 1)), len(codes)), dtype=np.int64)
     arr[codes, range(len(codes))] = 1
     arr.flags.writeable = False
-    return arr
+    return arr, *_slot_tables(IotaNode.slot_names, arr.shape, ("monad-out", "blade-in"), (1, m % 2))
 
 
-def _vertex_from_json(data: dict):
+def _vertex_from_json(data):
+    if not isinstance(data, dict):
+        raise ValueError(f"a vertex is a JSON object, not {data!r}")
     kind = data.get("kind")
     if kind == "gamma":
         return GammaVertex(int(data["p"]), int(data["q"]))
@@ -203,103 +218,79 @@ class ParityReport:
 
 
 class VertexNetwork:
-    """Vertices plus a wiring of their slots into edges and open legs."""
+    """Vertices plus a wiring of their slots into edges and open legs,
+    checked and numbered into wires once, as the network is built."""
 
     def __init__(self, vertices, edges, open_legs):
-        self.vertices = list(vertices)
-        self.edges = [tuple(map(tuple, e)) for e in edges]
-        self.open_legs = [tuple(l) for l in open_legs]
-        self._validate()
+        self.vertices = tuple(vertices)
+        try:
+            self.edges = tuple([(tuple(a), tuple(b)) for a, b in edges])
+        except ValueError:
+            raise ValueError("edges join exactly two slots") from None
+        self.open_legs = tuple(map(tuple, open_legs))
+        n = len(self.edges)
+        legs = [[None] * len(v.slot_names) for v in self.vertices]
+        loops = set()
+        for w, e in enumerate(self.edges):
+            a, b = e
+            (pa, da, ka), (pb, db, kb) = self._slot(a), self._slot(b)
+            if a == b:
+                raise ValueError(f"slot {a} wired to itself")
+            if (ka, kb) not in _COMPATIBLE:
+                raise ValueError(f"incompatible slot kinds {ka!r} and {kb!r} on edge {e}")
+            if da != db:
+                raise ValueError(f"dimension mismatch on edge {e}: {da} vs {db}")
+            for end, pos in ((a, pa), (b, pb)):
+                if legs[end[0]][pos] is not None:
+                    raise ValueError(f"slot {end} used twice")
+                legs[end[0]][pos] = w
+            if a[0] == b[0]:
+                loops.add(a[0])
+        for j, l in enumerate(self.open_legs):
+            pos = self._slot(l)[0]
+            held = legs[l[0]][pos]
+            if held is not None:
+                raise ValueError(f"slot {l} {'declared open twice' if held >= n else 'both wired and open'}")
+            legs[l[0]][pos] = n + j
+        for vi, ls in enumerate(legs):
+            if None in ls:
+                raise ValueError(
+                    f"slot ({vi}, {self.vertices[vi].slot_names[ls.index(None)]!r}) is neither "
+                    f"wired nor open; declare it open if it should remain free"
+                )
+        # each vertex's wire ids in slot order, the vertices that carry a
+        # wire twice, and the open legs' wire ids in declared order
+        self._legs = tuple(map(tuple, legs))
+        self._loops = frozenset(loops)
+        self._out = range(n, n + len(self.open_legs))
 
     def _slot(self, end):
+        """(position, dim, kind) of the slot `end` = (vertex, slot name)."""
         v, s = end
         if not (isinstance(v, int) and 0 <= v < len(self.vertices)):
             raise ValueError(f"edge references vertex {v!r}")
         vert = self.vertices[v]
-        if s not in vert.slot_dims:
+        slot = vert._slots.get(s)
+        if slot is None:
             raise ValueError(f"vertex {v} ({vert.kind}) has no slot {s!r}")
-        return vert
-
-    def _validate(self):
-        seen = {}
-        for e in self.edges:
-            if len(e) != 2:
-                raise ValueError("edges join exactly two slots")
-            (a, b) = e
-            va, vb = self._slot(a), self._slot(b)
-            if a == b:
-                raise ValueError(f"slot {a} wired to itself")
-            ka = va.slot_kinds[a[1]]
-            kb = vb.slot_kinds[b[1]]
-            if frozenset((ka, kb)) not in _COMPATIBLE:
-                raise ValueError(
-                    f"incompatible slot kinds {ka!r} and {kb!r} on edge {e}"
-                )
-            if va.slot_dims[a[1]] != vb.slot_dims[b[1]]:
-                raise ValueError(
-                    f"dimension mismatch on edge {e}: "
-                    f"{va.slot_dims[a[1]]} vs {vb.slot_dims[b[1]]}"
-                )
-            for end in e:
-                if end in seen:
-                    raise ValueError(f"slot {end} used twice")
-                seen[end] = True
-        for l in self.open_legs:
-            self._slot(l)
-            if l in seen:
-                raise ValueError(f"slot {l} both wired and open")
-            seen[l] = True
-        for vi, vert in enumerate(self.vertices):
-            for s in vert.slot_dims:
-                if (vi, s) not in seen:
-                    raise ValueError(
-                        f"slot ({vi}, {s!r}) is neither wired nor open; "
-                        f"declare it open if it should remain free"
-                    )
-
-    # -- wiring ------------------------------------------------------------
-
-    def _wires(self):
-        """Assign a wire id to every slot; edge endpoints share one."""
-        wire_of = {}
-        nxt = 0
-        for e in self.edges:
-            for end in e:
-                wire_of[end] = nxt
-            nxt += 1
-        for l in self.open_legs:
-            wire_of[l] = nxt
-            nxt += 1
-        return wire_of
+        return slot
 
     def parity_check(self) -> ParityReport:
+        """Each vertex's parity sum, read from its shared table, and a flag
+        for every iota node (see the module docstring)."""
         flags = []
-        sums = []
         for vi, vert in enumerate(self.vertices):
-            total = sum(vert.slot_parity[s] for s in vert.slot_dims) % 2
-            sums.append(total)
-            if vert.kind == "iota":
-                if vert.m % 2 == 0:
-                    flags.append(
-                        ParityFlag(
-                            vi,
-                            "iota",
-                            f"grade {vert.m} input is even but the output is a "
-                            f"single generator (odd): parity sum {total} != 0",
-                        )
-                    )
-                else:
-                    flags.append(
-                        ParityFlag(
-                            vi,
-                            "iota",
-                            f"grade {vert.m} blade of the rank-{vert.rank} "
-                            f"frame re-typed as a grade-1 generator one rank "
-                            f"up; parity bookkeeping does not transfer across "
-                            f"the boundary",
-                        )
-                    )
-        return ParityReport(not flags, tuple(flags), tuple(sums))
+            if vert.kind != "iota":
+                continue
+            if vert.m % 2 == 0:
+                reason = (f"grade {vert.m} input is even but the output is a "
+                          f"single generator (odd): parity sum {vert.parity} != 0")
+            else:
+                reason = (f"grade {vert.m} blade of the rank-{vert.rank} frame re-typed as a "
+                          f"grade-1 generator one rank up; parity bookkeeping does not "
+                          f"transfer across the boundary")
+            flags.append(ParityFlag(vi, "iota", reason))
+        return ParityReport(not flags, tuple(flags), tuple(v.parity for v in self.vertices))
 
     # -- contraction ---------------------------------------------------------
 
@@ -323,29 +314,22 @@ class VertexNetwork:
         (0-d for a network with no open legs), is int64 when every entry
         fits and dtype=object (Python ints) otherwise.
 
-        A memo local to this call computes each distinct merge and
-        self-trace once (see the module docstring). Its invariant: equal
-        keys mean equal dims and equal data, so a repeat reuses the stored
-        result under its own wire ids.
+        A memo local to this call computes each distinct vertex value,
+        merge and self-trace once (see the module docstring), so a plan
+        step costs one memo lookup unless its merge is new. Its invariant:
+        equal keys mean equal dims and equal data.
         """
         if not self.vertices:
             return np.ones((), dtype=np.int64)
-        wire_of = self._wires()
         memo: dict = {}
-        tensors = []
-        for vi, vert in enumerate(self.vertices):
-            legs = tuple(wire_of[(vi, s)] for s in vert.slot_names)
-            arr = vert.array
-            key = memo.setdefault(id(arr), len(memo))
-            t = _Tensor(legs, arr.shape, arr, key).self_trace(memo)
-            if t.size > dense_cutoff:
-                if ("entries", t.key) not in memo:
-                    memo["entries", t.key] = _entries(t.data)
-                t.data = memo["entries", t.key]
-            tensors.append(t)
-        final = _reduce(tensors, dense_cutoff, memo)
-        order = tuple(wire_of[l] for l in self.open_legs)
-        return final.to_dense(order)
+        values: list = []
+        legs, keys = [], []
+        for vi, (vert, ls) in enumerate(zip(self.vertices, self._legs)):
+            ls, key = _enter(vert.array, ls, vi in self._loops, dense_cutoff, memo, values)
+            legs.append(ls)
+            keys.append(key)
+        ls, key = _reduce(legs, keys, values, dense_cutoff, memo)
+        return _Tensor(ls, values[key].dims, values[key].data).to_dense(self._out)
 
     # -- serialization -------------------------------------------------------
 
@@ -357,7 +341,9 @@ class VertexNetwork:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "VertexNetwork":
+    def from_json(cls, data) -> "VertexNetwork":
+        if not isinstance(data, dict):
+            raise ValueError(f"a network is a JSON object, not {type(data).__name__}")
         vertices = [_vertex_from_json(v) for v in data.get("vertices", [])]
         edges = [
             ((int(a[0]), str(a[1])), (int(b[0]), str(b[1])))
@@ -378,68 +364,129 @@ class VertexNetwork:
         )
 
 
-def _reduce(tensors, dense_cutoff: int, memo: dict) -> "_Tensor":
-    """Merge tensors pairwise down to one, each distinct merge
-    computed once through `memo` (see _Tensor.merge).
+def _enter(arr, legs, traced: bool, dense_cutoff: int, memo: dict, values: list):
+    """(legs, key) of a vertex entering the reduction: its array, traced
+    over each wire it carries twice and held as a dict past dense_cutoff,
+    computed once per distinct (array, pattern) in `memo`. Only a vertex can
+    carry a wire twice: a merge keeps the wires it sees once."""
+    name = (id(arr), _pattern(legs) if traced else None)
+    key = memo.get(name)
+    if traced:
+        pattern = name[1]
+        keep = _once(pattern)
+        legs = tuple(legs[i] for i in keep)
+    if key is None:
+        if traced:
+            arr = np.einsum(arr, list(pattern), [pattern[i] for i in keep])
+        t = _Tensor(legs, arr.shape, arr)
+        if t.size > dense_cutoff:
+            t.data = _entries(arr)
+        key = _store(memo, values, name, t)
+    return legs, key
+
+
+def _reduce(legs: list, keys: list, values: list, dense_cutoff: int, memo: dict):
+    """Merge tensors pairwise down to one and return its (legs, key). The
+    state is flat per-id lists: legs (None once merged away) and key, with
+    each key's dims and size; the values themselves are read only when a
+    merge is new to `memo`.
 
     Each step merges the pair with the smallest (not sharing a wire,
-    merged_size, id_a, id_b): ids follow creation order and a merged tensor
+    merged size, id_a, id_b): ids follow creation order and a merged tensor
     gets a fresh id, so this is the all-pairs greedy with its first-pair
-    tie-break. Pairs that share a wire live in a heap keyed by
-    (merged_size, id_a, id_b); a wire index (wire -> ids of the live tensors
-    carrying it, at most two) finds the new tensor's neighbours after each
-    merge, and heap entries naming a merged-away tensor are dropped when
-    they surface. When the heap runs dry the live tensors share no wire at
-    all (one per connected component), and those few are scanned pairwise.
+    tie-break. Pairs that share a wire live in a heap of _pair entries; a
+    wire index (wire -> ids of the live tensors carrying it, at most two)
+    finds the new tensor's neighbours after each merge, and entries naming
+    a merged-away tensor are dropped when they surface. When the heap runs
+    dry the live tensors share no wire at all (one per connected
+    component), and those few are scanned pairwise.
     """
-    live = dict(enumerate(tensors))
+    dims = [values[k].dims for k in keys]
+    sizes = [values[k].size for k in keys]
     holders: dict = {}
-    for i, t in live.items():
-        for w in t.legs:
+    for i, ls in enumerate(legs):
+        for w in ls:
             holders.setdefault(w, []).append(i)
     pairs = {tuple(ids) for ids in holders.values() if len(ids) == 2}
-    heap = [(live[a].merged_size(live[b]), a, b) for a, b in pairs]
-    heapq.heapify(heap)
-    fresh = len(live)
-    while len(live) > 1:
-        while heap and not (heap[0][1] in live and heap[0][2] in live):
-            heapq.heappop(heap)
-        if heap:
-            _, a, b = heapq.heappop(heap)
+    heap = [_pair(a, b, legs, dims, sizes) for a, b in pairs]
+    heapify(heap)
+    for c in range(len(legs), 2 * len(legs) - 1):
+        while heap:
+            size, a, b, shared = heappop(heap)
+            if legs[a] is not None and legs[b] is not None:
+                break
         else:
-            _, a, b = min(
-                (live[a].merged_size(live[b]), a, b)
-                for a, b in combinations(live, 2)
-            )
-        merged = live.pop(a).merge(live.pop(b), dense_cutoff, memo)
-        c, fresh = fresh, fresh + 1
-        live[c] = merged
+            live = [i for i, ls in enumerate(legs) if ls is not None]
+            size, a, b, shared = min(_pair(a, b, legs, dims, sizes) for a, b in combinations(live, 2))
+        la, lb = legs[a], legs[b]
+        out = _kept(la, lb)
+        name = (keys[a], keys[b], shared)
+        key = memo.get(name)
+        if key is None:
+            ta = _Tensor(la, dims[a], values[keys[a]].data)
+            tb = _Tensor(lb, dims[b], values[keys[b]].data)
+            dense = max(sizes[a], sizes[b], size) <= dense_cutoff
+            key = _store(memo, values, name, ta._merge_dense(tb) if dense else ta._merge_sparse(tb))
+        legs[a] = legs[b] = None
         neighbours = set()
-        for w in merged.legs:
-            ids = [i for i in holders[w] if i in live]
-            neighbours.update(ids)
-            holders[w] = ids + [c]
+        for w in out:
+            # a kept wire came from a or b and has at most one other holder
+            ids = holders[w]
+            if len(ids) == 2:
+                n = ids[0] if legs[ids[1]] is None else ids[1]
+                neighbours.add(n)
+                holders[w] = [n, c]
+            else:
+                holders[w] = [c]
+        legs.append(out)
+        keys.append(key)
+        dims.append(values[key].dims)
+        sizes.append(values[key].size)
         for n in neighbours:
-            heapq.heappush(heap, (live[n].merged_size(merged), n, c))
-    (final,) = live.values()
-    return final
+            heappush(heap, _pair(n, c, legs, dims, sizes))
+    return legs[-1], keys[-1]
+
+
+def _pair(a: int, b: int, legs, dims, sizes) -> tuple:
+    """(merged size, a, b, shared) of the pair of live tensors a < b: the
+    dense size of their merge, and (position in a, position in b) of each
+    wire they share, in a's order. Every pair-size evaluation runs here."""
+    la, lb = legs[a], legs[b]
+    shared = tuple([(i, lb.index(w)) for i, w in enumerate(la) if w in lb])
+    size = sizes[a] * sizes[b]
+    for i, _ in shared:
+        size //= dims[a][i] ** 2
+    return size, a, b, shared
+
+
+def _kept(la, lb) -> tuple:
+    """Legs of a merge result: the wires of la that lb lacks, then those
+    of lb that la lacks, in order. Every plan step runs here once."""
+    return tuple([w for w in la if w not in lb] + [w for w in lb if w not in la])
+
+
+def _store(memo: dict, values: list, name, t: "_Tensor") -> int:
+    """Key of t, a value computed once per `name` in one contract() call:
+    the next free index into `values`. Its array is made read-only, so a
+    repeat shares it uncopied."""
+    if not isinstance(t.data, dict):
+        t.data.flags.writeable = False
+    memo[name] = len(values)
+    values.append(t)
+    return memo[name]
 
 
 class _Tensor:
     """Integer tensor with wire-id legs, held as an ndarray or as a dict
-    index tuple -> nonzero entry (see the module docstring). `key` names
-    the value within one contract() call; None outside one.
+    index tuple -> nonzero entry (see the module docstring)."""
 
-    Repeated wire ids inside one tensor mean a pending self-trace."""
+    __slots__ = ("legs", "dims", "size", "data")
 
-    __slots__ = ("legs", "dims", "size", "data", "key")
-
-    def __init__(self, legs, dims, data, key=None):
+    def __init__(self, legs, dims, data):
         self.legs = tuple(legs)
         self.dims = tuple(dims)
         self.size = prod(self.dims)  # the dense size
         self.data = data
-        self.key = key
 
     def array(self) -> np.ndarray:
         data = self.data
@@ -448,39 +495,6 @@ class _Tensor:
     def entries(self) -> dict:
         data = self.data
         return data if isinstance(data, dict) else _entries(data)
-
-    def merged_size(self, other) -> int:
-        size = self.size * other.size
-        for l, d in zip(self.legs, self.dims):
-            if l in other.legs:
-                size //= d * d
-        return size
-
-    def self_trace(self, memo: dict) -> "_Tensor":
-        """Sum an array tensor over the diagonal of every wire it carries
-        twice, once per distinct (key, pattern) in `memo`. Only a vertex can
-        carry a wire twice: a merge keeps the wires it sees once."""
-        if len(set(self.legs)) == len(self.legs):
-            return self
-        pattern = _pattern(self.legs)
-        keep = _once(pattern)
-
-        def compute():
-            arr = np.einsum(self.data, list(pattern), [pattern[i] for i in keep])
-            return _Tensor([self.legs[i] for i in keep], arr.shape, arr)
-
-        return _memoised(memo, (self.key, pattern), self.legs, compute)
-
-    def merge(self, other: "_Tensor", dense_cutoff: int, memo: dict | None = None) -> "_Tensor":
-        """Contract the wires shared with `other`; legs of self then of
-        other, in order. With a memo, once per distinct (key, key, pattern)."""
-        legs = self.legs + other.legs
-
-        def compute():
-            size = max(self.size, other.size, self.merged_size(other))
-            return self._merge_dense(other) if size <= dense_cutoff else self._merge_sparse(other)
-
-        return _memoised(memo, (self.key, other.key, _pattern(legs)), legs, compute)
 
     def _split(self, other: "_Tensor"):
         """Leg positions of a merge: (kept in self, shared in self, kept in
@@ -554,8 +568,8 @@ def _nonzero(data: dict) -> dict:
 
 def _pattern(legs) -> tuple:
     """Each leg's wire numbered by first appearance: (5, 9, 9, 2) ->
-    (0, 1, 1, 2). It names a contraction over `legs` up to relabelling the
-    wires; a vertex trace hands its numbers to np.einsum as subscripts."""
+    (0, 1, 1, 2). It names a vertex's self-trace up to relabelling the
+    wires, and hands its numbers to np.einsum as subscripts."""
     first: dict = {}
     return tuple(first.setdefault(l, len(first)) for l in legs)
 
@@ -565,25 +579,6 @@ def _once(pattern) -> list:
     contraction keeps, in order. Every other wire appears twice and is
     summed."""
     return [i for i, w in enumerate(pattern) if pattern.count(w) == 1]
-
-
-def _memoised(memo, name, legs, compute) -> _Tensor:
-    """compute(), a tensor whose legs are drawn from `legs`, computed once
-    per `name` in `memo` (none: every time). A first computation gets the
-    next key and is stored, its array made read-only; a repeat is rebuilt
-    over its own `legs` from the stored positions, dims and data."""
-    if memo is None:
-        return compute()
-    entry = memo.get(name)
-    if entry is None:
-        t = compute()
-        if not isinstance(t.data, dict):
-            t.data.flags.writeable = False
-        t.key = len(memo)
-        memo[name] = (t.key, [legs.index(l) for l in t.legs], t.dims, t.data)
-        return t
-    key, positions, dims, data = entry
-    return _Tensor([legs[i] for i in positions], dims, data, key)
 
 
 def _dense_array(dims, data) -> np.ndarray:
@@ -612,11 +607,5 @@ def dense_oracle(net: VertexNetwork) -> np.ndarray:
     contracted in the pairwise order numpy's own greedy path search picks
     (independent of _reduce's plan); unoptimised, its nested loop grows as
     the product of every wire dimension."""
-    wire_of = net._wires()
-    legs = [
-        [wire_of[(vi, s)] for s in vert.slot_names]
-        for vi, vert in enumerate(net.vertices)
-    ]
     ops = [vert.array.astype(np.float64) for vert in net.vertices]
-    out = [wire_of[l] for l in net.open_legs]
-    return np.einsum(_einsum_spec(legs, out), *ops, optimize="greedy")
+    return np.einsum(_einsum_spec(net._legs, net._out), *ops, optimize="greedy")

@@ -13,7 +13,7 @@ import numpy as np
 
 from qsetalg import linalg
 from qsetalg.perfinite import PerfiniteSet, decode
-from qsetalg.qset import Multivector
+from qsetalg.qset import Multivector, beta_form
 
 ORACLE_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "oracles")
 
@@ -263,6 +263,14 @@ def label_clifford(v, w, frame):
     frame.validate(w)
     gen_index = {s: i for i, s in enumerate(frame.generators)}
     return _label_mv_times(v, w, frame, gen_index)
+
+
+def beta_gram(frame):
+    """The Gram matrix of beta_form on the full blade basis, one beta_form
+    call (two wedge products) per entry: the reference qset.gram_matrix's
+    table reads are checked against."""
+    blades = [Multivector.blade(lab) for lab in frame.basis_labels()]
+    return tuple(tuple(beta_form(bi, bj, frame) for bj in blades) for bi in blades)
 
 
 def recursive_parse_set_text(text: str) -> PerfiniteSet:

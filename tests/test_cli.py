@@ -369,6 +369,29 @@ def test_net_commands(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("what", ["eval", "check", "parity"])
+@pytest.mark.parametrize(
+    "blob, reason",
+    [
+        ([1, 2], "a network is a JSON object, not list"),
+        ("x", "a network is a JSON object, not str"),
+        ({"vertices": [5]}, "a vertex is a JSON object, not 5"),
+        (
+            {"vertices": [{"kind": "gamma", "p": 2, "q": 1}], "edges": [[[0, "dual"], [0, "spinor"]]],
+             "open": [[0, "vector"], [0, "vector"]]},
+            "slot (0, 'vector') declared open twice",
+        ),
+    ],
+)
+def test_net_bad_network_json_exits_two_with_one_error_line(capsys, tmp_path, what, blob, reason):
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(blob))
+    code, out, err = run(capsys, "net", what, str(f))
+    assert code == 2
+    assert err.splitlines() == [f"error: cannot load network: {reason}"]
+    assert len(out.splitlines()) == 1  # the header only
+
+
 def test_verify_all_passes_and_repeats_bytewise(capsys):
     code, out1, _ = run(capsys, "verify-all")
     assert code == 0

@@ -26,7 +26,7 @@ from qsetalg.qset import (
     signature_report,
 )
 
-from helpers import label_clifford, label_grassmann, load_oracle, rand_label, rand_mv
+from helpers import beta_gram, label_clifford, label_grassmann, load_oracle, rand_label, rand_mv
 
 
 def test_embed_is_the_unit_blade():
@@ -207,6 +207,20 @@ def test_signature_matches_float_oracle_and_exact_congruence():
         assert rep.dimension == 1 << frame.n
         dense = congruence_signature(gram_matrix(frame))
         assert dense == rep.as_tuple()
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("top_scale", [1, 2, Fraction(1, 3)])
+def test_gram_matrix_reads_beta_form_from_the_wedge_table(r, top_scale):
+    frame = RankFrame(r, top_scale=top_scale)
+    got = gram_matrix(frame)
+    assert got == beta_gram(frame)
+    assert isinstance(got, tuple) and all(isinstance(row, tuple) for row in got)
+    assert all(type(x) is Fraction for row in got for x in row)
+    # only complementary blades pair, so the top-scaled pairing is all it holds
+    top = (1 << frame.n) - 1
+    assert {x for row in got for x in row} <= {0, 1 / frame.top_scale, -1 / frame.top_scale}
+    assert all(got[a][b] == 0 for a in range(top + 1) for b in range(top + 1) if a ^ b != top)
 
 
 def test_iota_lifts_selected_grade_one_rank_up():

@@ -1,6 +1,7 @@
 import json
 import random
 from itertools import combinations
+from math import prod
 from pathlib import Path
 
 import numpy as np
@@ -86,11 +87,25 @@ def test_network_requires_every_slot_exactly_once():
     g = GammaVertex(2, 1)
     with pytest.raises(ValueError):
         VertexNetwork([g], edges=[], open_legs=[(0, "vector")])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="declared open twice"):
         VertexNetwork(
             [g],
             edges=[((0, "dual"), (0, "spinor"))],
             open_legs=[(0, "vector"), (0, "vector")],
+        )
+    with pytest.raises(ValueError, match="both wired and open"):
+        VertexNetwork(
+            [g],
+            edges=[((0, "dual"), (0, "spinor"))],
+            open_legs=[(0, "vector"), (0, "dual")],
+        )
+    with pytest.raises(ValueError, match="edges join exactly two slots"):
+        VertexNetwork([g], edges=[((0, "dual"),)], open_legs=[(0, "vector"), (0, "spinor")])
+    with pytest.raises(ValueError, match="used twice"):
+        VertexNetwork(
+            [g, GammaVertex(2, 1)],
+            edges=[((0, "spinor"), (1, "dual")), ((0, "spinor"), (0, "dual"))],
+            open_legs=[(0, "vector"), (1, "vector"), (1, "spinor")],
         )
 
 
@@ -209,39 +224,41 @@ def test_json_round_trip(tmp_path):
 # -- planner -----------------------------------------------------------------
 
 
-def _all_pairs_reduce(tensors, dense_cutoff, memo):
+def _all_pairs_reduce(legs, keys, values, dense_cutoff, memo, log):
     """The greedy as a full rescan per step: merge the pair with the
     smallest (not sharing a wire, merged size), first pair on ties, and
-    append the result after the untouched tensors. It ignores `memo` and
-    computes every merge, so it stays an independent reference."""
+    append the result after the untouched tensors. It ignores `memo`,
+    computes every merge and logs the legs of each, so it stays an
+    independent reference."""
+    tensors = [vertexnet._Tensor(l, values[k].dims, values[k].data) for l, k in zip(legs, keys)]
     while len(tensors) > 1:
         best = None
         for i, j in combinations(range(len(tensors)), 2):
-            shared = bool(set(tensors[i].legs) & set(tensors[j].legs))
-            key = (not shared, tensors[i].merged_size(tensors[j]))
+            a, b = tensors[i], tensors[j]
+            shared = [d for l, d in zip(a.legs, a.dims) if l in b.legs]
+            key = (not shared, a.size * b.size // prod(d * d for d in shared))
             if best is None or key < best[0]:
                 best = (key, i, j)
-        _, i, j = best
-        merged = tensors[i].merge(tensors[j], dense_cutoff)
-        rest = [t for k, t in enumerate(tensors) if k not in (i, j)]
-        tensors = rest + [merged]
-    return tensors[0]
+        (_, size), i, j = best
+        a, b = tensors[i], tensors[j]
+        log.append((a.legs, b.legs))
+        merged = a._merge_dense(b) if max(a.size, b.size, size) <= dense_cutoff else a._merge_sparse(b)
+        tensors = [t for k, t in enumerate(tensors) if k not in (i, j)] + [merged]
+    values.append(tensors[0])
+    return tensors[0].legs, len(values) - 1
 
 
-def _merge_log(monkeypatch, net, reduce=None):
-    """(result, [(legs, legs) of every merge]) of net.contract(), optionally
-    with another reduction routine in place of the planner."""
+def _merge_log(monkeypatch, net, reference=False):
+    """(result, [(legs, legs) of every plan step]) of net.contract(), by
+    the planner or by the all-pairs reference in its place. Every step of
+    the planner, a memo hit or not, computes its result's legs in _kept."""
     log = []
-    real = vertexnet._Tensor.merge
-
-    def spy(self, other, *args):
-        log.append((self.legs, other.legs))
-        return real(self, other, *args)
-
     with monkeypatch.context() as m:
-        m.setattr(vertexnet._Tensor, "merge", spy)
-        if reduce is not None:
-            m.setattr(vertexnet, "_reduce", reduce)
+        if reference:
+            m.setattr(vertexnet, "_reduce", lambda *args: _all_pairs_reduce(*args, log))
+        else:
+            real = vertexnet._kept
+            m.setattr(vertexnet, "_kept", lambda la, lb: log.append((la, lb)) or real(la, lb))
         return net.contract(), log
 
 
@@ -399,7 +416,9 @@ def _planner_cases():
 )
 def test_planner_merges_like_the_all_pairs_greedy(monkeypatch, net):
     got, plan = _merge_log(monkeypatch, net)
-    want, ref_plan = _merge_log(monkeypatch, net, _all_pairs_reduce)
+    want, ref_plan = _merge_log(monkeypatch, net, reference=True)
+    # one step per merge: a network of V vertices reduces in V - 1
+    assert len(plan) == len(net.vertices) - 1
     assert plan == ref_plan
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
@@ -433,13 +452,13 @@ def test_planner_cost_is_linear_in_the_vertex_count(monkeypatch):
     # a full rescan per step would evaluate ~V^3/6 pair sizes (1.8e8 here)
     size = 1024
     calls = []
-    real = vertexnet._Tensor.merged_size
+    real = vertexnet._pair
 
-    def spy(self, other):
+    def spy(*args):
         calls.append(1)
-        return real(self, other)
+        return real(*args)
 
-    monkeypatch.setattr(vertexnet._Tensor, "merged_size", spy)
+    monkeypatch.setattr(vertexnet, "_pair", spy)
     arr = _paired_ring(size, 2, 1).contract()
     # (p - q)^pairs * tr(g_a g_b) = 1 * dim * eta_a delta_ab
     assert arr.tolist() == [[2, 0, 0], [0, 2, 0], [0, 0, -2]]
@@ -462,6 +481,30 @@ def test_vertices_share_no_mutable_state():
         a.gamma_set.perm[0, 0] = 1
     assert b.entries() == before
     assert np.array_equal(b.gamma_set.gammas[0], build_gammas(3, 1).gammas[0])
+    # the slot tables are shared read-only views
+    for name, want in (("slot_dims", 4), ("slot_kinds", "dual"), ("slot_parity", 1)):
+        assert getattr(a, name) is getattr(b, name)
+        with pytest.raises(TypeError):
+            getattr(a, name)["dual"] = 7
+        with pytest.raises(TypeError):
+            del getattr(a, name)["dual"]
+        assert getattr(b, name)["dual"] == want
+    assert GammaVertex(3, 1).slot_dims == {"dual": 4, "vector": 4, "spinor": 4}
+    node = IotaNode(1, 2)
+    with pytest.raises(TypeError):
+        node.slot_dims["in"] = 3
+    assert IotaNode(1, 2).slot_dims == {"out": 4, "in": 2}
+
+
+def test_a_network_contracts_the_same_twice():
+    # the wiring is numbered once, as the network is built, and its
+    # vertices, edges and open legs are tuples, so it cannot go stale
+    net = _self_loop_network()
+    first = net.contract()
+    assert np.array_equal(first, net.contract()) and first.dtype == net.contract().dtype
+    assert np.array_equal(net.contract(dense_cutoff=0), first)
+    assert isinstance(net.vertices, tuple) and isinstance(net.edges, tuple)
+    assert net.open_legs == ((1, "vector"), (0, "vector"), (2, "vector"))
 
 
 # -- exactness past int64 ------------------------------------------------------
@@ -558,13 +601,13 @@ def test_long_rings_merge_arrays_only_at_the_default_cutoff(monkeypatch, p, q):
 @pytest.mark.parametrize("net", [_paired_ring(24, 3, 1), _self_loop_network()])
 def test_memoised_arrays_are_read_only(monkeypatch, net):
     made = []
-    real = vertexnet._memoised
+    real = vertexnet._store
 
-    def spy(*args):
-        made.append(real(*args))
-        return made[-1]
+    def spy(memo, values, name, t):
+        made.append(t)
+        return real(memo, values, name, t)
 
-    monkeypatch.setattr(vertexnet, "_memoised", spy)
+    monkeypatch.setattr(vertexnet, "_store", spy)
     arr = net.contract()
     arrays = [t.data for t in made if not isinstance(t.data, dict)]
     assert arrays and not any(a.flags.writeable for a in arrays)
