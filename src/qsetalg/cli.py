@@ -34,15 +34,12 @@ _FRAMES = ("feynman", "penrose")
 _MAX_CODE_DIGITS = int(MAX_CODE_BITS * log10(2)) + 1
 
 
-class CliError(Exception):
-    """Invalid input; maps to exit code 2."""
+class CliError(ValueError):
+    """Invalid input; maps to exit code 2, as every ValueError does."""
 
 
 def _config(args) -> RunConfig:
-    try:
-        return RunConfig(seed=args.seed, mode=args.mode, tolerance=args.tolerance)
-    except ValueError as e:
-        raise CliError(str(e)) from None
+    return RunConfig(seed=args.seed, mode=args.mode, tolerance=args.tolerance)
 
 
 def _header(args, name: str) -> None:
@@ -224,13 +221,11 @@ def _cmd_qset(args) -> int:
         a, b = (_read_mv(p) for p in args.inputs)
         print(fmt_scalar(beta_form(a, b, _make_frame(args))))
         return 0
-    if op == "iota":
-        a = _read_mv(args.inputs[0])
-        img, frame_out = iota_m(a, args.grade, _make_frame(args))
-        _print_mv(img)
-        print(f"# output frame: rank {frame_out.r}, {frame_out.n} generators", file=sys.stderr)
-        return 0
-    raise CliError(f"unknown qset operation {op!r}")
+    a = _read_mv(args.inputs[0])  # iota
+    img, frame_out = iota_m(a, args.grade, _make_frame(args))
+    _print_mv(img)
+    print(f"# output frame: rank {frame_out.r}, {frame_out.n} generators", file=sys.stderr)
+    return 0
 
 
 def _cmd_gamma(args) -> int:
@@ -353,18 +348,16 @@ def _cmd_yang(args) -> int:
             print(f"{label}: {'PASS' if ok else 'FAIL'}")
         print(f"limit classification: {target.constants.classify()}")
         return 0 if target.all_hold() else 1
-    if what == "defect":
-        n = args.capacity
-        root = isqrt(n)
-        if root * root != n:
-            raise CliError(f"capacity {n} must be a perfect square for exact scaling")
-        rep = gauge_defect(fr, Fraction(1, root))
-        print(f"eps = {fmt_scalar(rep.eps)}")
-        for li, lj, m in rep.by_pair:
-            print(f"|[{li},{lj}] - limit| = {fmt_scalar(m)}")
-        print(f"worst defect: {fmt_scalar(rep.worst)} (~{float(rep.worst):.17g})")
-        return 0
-    raise CliError(f"unknown yang operation {what!r}")
+    n = args.capacity  # defect
+    root = isqrt(n)
+    if root * root != n:
+        raise CliError(f"capacity {n} must be a perfect square for exact scaling")
+    rep = gauge_defect(fr, Fraction(1, root))
+    print(f"eps = {fmt_scalar(rep.eps)}")
+    for li, lj, m in rep.by_pair:
+        print(f"|[{li},{lj}] - limit| = {fmt_scalar(m)}")
+    print(f"worst defect: {fmt_scalar(rep.worst)} (~{float(rep.worst):.17g})")
+    return 0
 
 
 def _cmd_palev(args) -> int:
@@ -381,10 +374,7 @@ def _cmd_palev(args) -> int:
         word = tuple(w for w in args.word.split(",") if w)
         if not word:
             raise CliError("empty word")
-        try:
-            result = normal_order(NCPolynomial.word(*word), args.system)
-        except ValueError as e:
-            raise CliError(str(e)) from None
+        result = normal_order(NCPolynomial.word(*word), args.system)
         print(f"{'*'.join(word)} = {result}")
         return 0
     mode = PalevMode(args.capacity)
@@ -406,16 +396,14 @@ def _cmd_palev(args) -> int:
         print(f"|adag^{mode.two_j}| = {fmt_scalar(at_n)}")
         print(f"|adag^{mode.two_j + 1}| = {fmt_scalar(at_n1)}")
         return 0 if (at_n > 0 and at_n1 == 0) else 1
-    if what == "carriers":
-        triple, checks = carrier_triple(mode, args.preset)
-        print(f"preset {triple.preset}: {triple.relations}")
-        print(f"tags: q -> {triple.tags[0]}, p -> {triple.tags[1]}, r -> {triple.tags[2]}")
-        ok = True
-        for rel in sorted(checks):
-            print(f"{rel}: {'PASS' if checks[rel] else 'FAIL'}")
-            ok = ok and checks[rel]
-        return 0 if ok else 1
-    raise CliError(f"unknown palev operation {what!r}")
+    triple, checks = carrier_triple(mode, args.preset)  # carriers
+    print(f"preset {triple.preset}: {triple.relations}")
+    print(f"tags: q -> {triple.tags[0]}, p -> {triple.tags[1]}, r -> {triple.tags[2]}")
+    ok = True
+    for rel in sorted(checks):
+        print(f"{rel}: {'PASS' if checks[rel] else 'FAIL'}")
+        ok = ok and checks[rel]
+    return 0 if ok else 1
 
 
 def _cmd_net(args) -> int:
@@ -442,16 +430,12 @@ def _cmd_net(args) -> int:
         rep = net.parity_check()
         print(f"parity flags: {len(rep.flags)}")
         return 0
-    if what == "check":
-        sparse = net.contract(dense_cutoff=0)  # sparse dicts throughout
-        dense = net.contract(dense_cutoff=10**9)  # integer arrays throughout
-        oracle = dense_oracle(net)
-        ok = np.array_equal(sparse, dense) and np.array_equal(
-            sparse.astype(float), oracle
-        )
-        print(f"contraction paths agree with dense einsum: {'PASS' if ok else 'FAIL'}")
-        return 0 if ok else 1
-    raise CliError(f"unknown net operation {what!r}")
+    sparse = net.contract(dense_cutoff=0)  # check: sparse dicts throughout
+    dense = net.contract(dense_cutoff=10**9)  # integer arrays throughout
+    oracle = dense_oracle(net)
+    ok = np.array_equal(sparse, dense) and np.array_equal(sparse.astype(float), oracle)
+    print(f"contraction paths agree with dense einsum: {'PASS' if ok else 'FAIL'}")
+    return 0 if ok else 1
 
 
 def _cmd_verify_all(args) -> int:
@@ -560,10 +544,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except ValueError as e:  # CliError included
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -48,18 +48,20 @@ replay whole networks through float64 einsum as an independent oracle.
 
 One contract() call computes each distinct merge and self-trace, and each
 distinct vertex's dict, once. A tensor in flight is its legs (wire ids) and
-a small integer key into the call's table of values (dims and data). A
-vertex's key is named by its cached array, which every vertex of one
-signature shares, and by the pattern of its legs if it is traced, where
-pattern numbers the wires by first appearance; a merge's is named by
-(key, key, shared), where shared pairs the positions of each wire the two
-operands share. That fixes which wires are summed and the order of the
-result's legs, and the representation (array or dict) follows from the
-keys' dims, the positions and the cutoff, so equal keys mean equal dims and
-equal data. A plan step that repeats a merge computes only the result's
-legs; stored arrays are read-only and shared, never copied. In a paired
-128-vertex ring, 13 of the 127 merges are distinct. The memo lives for one
-call only.
+a small integer key into the call's table of values; a value is a plain
+(dims, data) pair, data an array or a dict. A vertex's key is named by its
+cached array, which every vertex of one signature shares, and by the
+pattern of its legs if it is traced, where pattern numbers the wires by
+first appearance; a merge's is named by (key, key, shared), where shared
+pairs the positions of each wire the two operands share, in the first
+operand's order. shared describes the merge completely: the merge routines
+read the summed positions and the result's leg order (the first operand's
+kept legs, then the second's) from it alone and never see a wire id. The
+representation (array or dict) follows from the keys' dims, the positions
+and the cutoff, so equal keys mean equal dims and equal data. A plan step
+that repeats a merge computes only the result's legs; stored arrays are
+read-only and shared, never copied. In a paired 128-vertex ring, 13 of the
+127 merges are distinct. The memo lives for one call only.
 
 parity_check() is the bookkeeping pass: gauge vertices always balance; every
 iota node gets flagged. An even-m node breaks the mod-2 grading outright
@@ -90,7 +92,6 @@ from .perfinite import enumerate_rank
 # vertex (64, 12, 64) stays past it and enters as a dict.
 _DENSE_CUTOFF = 1 << 14
 _INT64 = 1 << 63
-_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 # the slot kind pairs an edge may join, in either order
 _COMPATIBLE = frozenset({
@@ -316,8 +317,10 @@ class VertexNetwork:
 
         A memo local to this call computes each distinct vertex value,
         merge and self-trace once (see the module docstring), so a plan
-        step costs one memo lookup unless its merge is new. Its invariant:
-        equal keys mean equal dims and equal data.
+        step costs one memo lookup unless its merge is new. A value is a
+        (dims, data) pair, and a merge is fully described by the planner's
+        shared positions. The memo's invariant: equal keys mean equal dims
+        and equal data.
         """
         if not self.vertices:
             return np.ones((), dtype=np.int64)
@@ -329,7 +332,7 @@ class VertexNetwork:
             legs.append(ls)
             keys.append(key)
         ls, key = _reduce(legs, keys, values, dense_cutoff, memo)
-        return _Tensor(ls, values[key].dims, values[key].data).to_dense(self._out)
+        return _to_dense(ls, values[key], self._out)
 
     # -- serialization -------------------------------------------------------
 
@@ -378,10 +381,7 @@ def _enter(arr, legs, traced: bool, dense_cutoff: int, memo: dict, values: list)
     if key is None:
         if traced:
             arr = np.einsum(arr, list(pattern), [pattern[i] for i in keep])
-        t = _Tensor(legs, arr.shape, arr)
-        if t.size > dense_cutoff:
-            t.data = _entries(arr)
-        key = _store(memo, values, name, t)
+        key = _store(memo, values, name, (arr.shape, _entries(arr) if arr.size > dense_cutoff else arr))
     return legs, key
 
 
@@ -401,8 +401,8 @@ def _reduce(legs: list, keys: list, values: list, dense_cutoff: int, memo: dict)
     dry the live tensors share no wire at all (one per connected
     component), and those few are scanned pairwise.
     """
-    dims = [values[k].dims for k in keys]
-    sizes = [values[k].size for k in keys]
+    dims = [values[k][0] for k in keys]
+    sizes = [prod(d) for d in dims]
     holders: dict = {}
     for i, ls in enumerate(legs):
         for w in ls:
@@ -418,15 +418,12 @@ def _reduce(legs: list, keys: list, values: list, dense_cutoff: int, memo: dict)
         else:
             live = [i for i, ls in enumerate(legs) if ls is not None]
             size, a, b, shared = min(_pair(a, b, legs, dims, sizes) for a, b in combinations(live, 2))
-        la, lb = legs[a], legs[b]
-        out = _kept(la, lb)
+        out = _kept(legs[a], legs[b])
         name = (keys[a], keys[b], shared)
         key = memo.get(name)
         if key is None:
-            ta = _Tensor(la, dims[a], values[keys[a]].data)
-            tb = _Tensor(lb, dims[b], values[keys[b]].data)
-            dense = max(sizes[a], sizes[b], size) <= dense_cutoff
-            key = _store(memo, values, name, ta._merge_dense(tb) if dense else ta._merge_sparse(tb))
+            merge = _merge_dense if max(sizes[a], sizes[b], size) <= dense_cutoff else _merge_sparse
+            key = _store(memo, values, name, merge(values[keys[a]], values[keys[b]], shared))
         legs[a] = legs[b] = None
         neighbours = set()
         for w in out:
@@ -440,8 +437,8 @@ def _reduce(legs: list, keys: list, values: list, dense_cutoff: int, memo: dict)
                 holders[w] = [c]
         legs.append(out)
         keys.append(key)
-        dims.append(values[key].dims)
-        sizes.append(values[key].size)
+        dims.append(values[key][0])
+        sizes.append(size)
         for n in neighbours:
             heappush(heap, _pair(n, c, legs, dims, sizes))
     return legs[-1], keys[-1]
@@ -465,91 +462,69 @@ def _kept(la, lb) -> tuple:
     return tuple([w for w in la if w not in lb] + [w for w in lb if w not in la])
 
 
-def _store(memo: dict, values: list, name, t: "_Tensor") -> int:
-    """Key of t, a value computed once per `name` in one contract() call:
-    the next free index into `values`. Its array is made read-only, so a
-    repeat shares it uncopied."""
-    if not isinstance(t.data, dict):
-        t.data.flags.writeable = False
+def _store(memo: dict, values: list, name, value: tuple) -> int:
+    """Key of value, a (dims, data) pair computed once per `name` in one
+    contract() call: the next free index into `values`. Its array is made
+    read-only, so a repeat shares it uncopied."""
+    if not isinstance(value[1], dict):
+        value[1].flags.writeable = False
     memo[name] = len(values)
-    values.append(t)
+    values.append(value)
     return memo[name]
 
 
-class _Tensor:
-    """Integer tensor with wire-id legs, held as an ndarray or as a dict
-    index tuple -> nonzero entry (see the module docstring)."""
+def _layout(da, db, shared) -> tuple:
+    """Leg positions of a merge of operands with dims da and db: (kept in
+    a, shared in a, kept in b, shared in b), the shared ones paired as in
+    `shared`, and the result's dims, a's kept legs then b's."""
+    a_sh, b_sh = (list(s) for s in zip(*shared)) if shared else ([], [])
+    a_keep = [i for i in range(len(da)) if i not in a_sh]
+    b_keep = [i for i in range(len(db)) if i not in b_sh]
+    return a_keep, a_sh, b_keep, b_sh, tuple([da[i] for i in a_keep] + [db[i] for i in b_keep])
 
-    __slots__ = ("legs", "dims", "size", "data")
 
-    def __init__(self, legs, dims, data):
-        self.legs = tuple(legs)
-        self.dims = tuple(dims)
-        self.size = prod(self.dims)  # the dense size
-        self.data = data
+def _merge_sparse(va: tuple, vb: tuple, shared) -> tuple:
+    """The merge of two (dims, data) values as an exact sparse hash-join on
+    the shared indices: a (dims, dict) value."""
+    a_keep, a_sh, b_keep, b_sh, dims = _layout(va[0], vb[0], shared)
+    ea, eb = (d if isinstance(d, dict) else _entries(d) for _, d in (va, vb))
+    buckets: dict = {}
+    for idx, v in eb.items():
+        right = tuple(idx[i] for i in b_keep)
+        buckets.setdefault(tuple(idx[i] for i in b_sh), []).append((right, v))
+    out: dict = {}
+    for idx, v in ea.items():
+        hits = buckets.get(tuple(idx[i] for i in a_sh))
+        if not hits:
+            continue
+        left = tuple(idx[i] for i in a_keep)
+        for right, w in hits:
+            full = left + right
+            out[full] = out.get(full, 0) + v * w
+    return dims, {k: v for k, v in out.items() if v}  # drop entries that summed to 0
 
-    def array(self) -> np.ndarray:
-        data = self.data
-        return _dense_array(self.dims, data) if isinstance(data, dict) else data
 
-    def entries(self) -> dict:
-        data = self.data
-        return data if isinstance(data, dict) else _entries(data)
+def _merge_dense(va: tuple, vb: tuple, shared) -> tuple:
+    """The merge of two (dims, data) values as a tensordot run as one exact
+    matrix product (linalg.int_matmul): each operand's shared legs move to
+    the inner dimension and its kept legs are flattened. A (dims, array)
+    value."""
+    a_keep, a_sh, b_keep, b_sh, dims = _layout(va[0], vb[0], shared)
+    a = _array(*va).transpose(a_keep + a_sh)
+    b = _array(*vb).transpose(b_sh + b_keep)
+    inner = prod(b.shape[:len(b_sh)])
+    return dims, int_matmul(a.reshape(-1, inner), b.reshape(inner, -1)).reshape(dims)
 
-    def _split(self, other: "_Tensor"):
-        """Leg positions of a merge: (kept in self, shared in self, kept in
-        other, shared in other), the shared wires in one order on both."""
-        shared = [l for l in self.legs if l in other.legs]
-        return (
-            [i for i, l in enumerate(self.legs) if l not in shared],
-            [self.legs.index(l) for l in shared],
-            [i for i, l in enumerate(other.legs) if l not in shared],
-            [other.legs.index(l) for l in shared],
-        )
 
-    def _joined(self, other: "_Tensor", a_keep, b_keep, data) -> "_Tensor":
-        """The merge result: the kept legs of self, then those of other."""
-        legs = [self.legs[i] for i in a_keep] + [other.legs[i] for i in b_keep]
-        dims = [self.dims[i] for i in a_keep] + [other.dims[i] for i in b_keep]
-        return _Tensor(legs, dims, data)
-
-    def _merge_sparse(self, other: "_Tensor") -> "_Tensor":
-        a_keep, a_sh, b_keep, b_sh = self._split(other)
-        buckets: dict = {}
-        for idx, v in other.entries().items():
-            right = tuple(idx[i] for i in b_keep)
-            buckets.setdefault(tuple(idx[i] for i in b_sh), []).append((right, v))
-        out: dict = {}
-        for idx, v in self.entries().items():
-            key = tuple(idx[i] for i in a_sh)
-            hits = buckets.get(key)
-            if not hits:
-                continue
-            left = tuple(idx[i] for i in a_keep)
-            for right, w in hits:
-                full = left + right
-                out[full] = out.get(full, 0) + v * w
-        return self._joined(other, a_keep, b_keep, _nonzero(out))
-
-    def _merge_dense(self, other: "_Tensor") -> "_Tensor":
-        """A tensordot as one exact matrix product (linalg.int_matmul): each
-        operand's shared legs move to the inner dimension and its kept legs
-        are flattened."""
-        a_keep, a_sh, b_keep, b_sh = self._split(other)
-        a = self.array().transpose(a_keep + a_sh)
-        b = other.array().transpose(b_sh + b_keep)
-        inner = prod(b.shape[:len(b_sh)])
-        arr = int_matmul(a.reshape(-1, inner), b.reshape(inner, -1))
-        return self._joined(other, a_keep, b_keep, arr.reshape(a.shape[:len(a_keep)] + b.shape[len(b_sh):]))
-
-    def to_dense(self, leg_order) -> np.ndarray:
-        """A fresh array with axes in leg_order: int64 when every entry
-        fits, otherwise dtype=object holding the exact Python ints."""
-        if set(leg_order) != set(self.legs) or len(leg_order) != len(self.legs):
-            raise ValueError("output legs disagree with remaining legs")
-        arr = self.array().transpose([self.legs.index(l) for l in leg_order])
-        fits = arr.dtype != object or -_INT64 <= arr.min(initial=0) <= arr.max(initial=0) < _INT64
-        return arr.astype(np.int64 if fits else object)
+def _to_dense(legs, value: tuple, order) -> np.ndarray:
+    """A fresh array of the (dims, data) value with wire-id legs `legs`,
+    axes in `order`: int64 when every entry fits, otherwise dtype=object
+    holding the exact Python ints."""
+    if set(order) != set(legs) or len(order) != len(legs):
+        raise ValueError("output legs disagree with remaining legs")
+    arr = _array(*value).transpose([legs.index(l) for l in order])
+    fits = arr.dtype != object or -_INT64 <= arr.min(initial=0) <= arr.max(initial=0) < _INT64
+    return arr.astype(np.int64 if fits else object)
 
 
 def _entries(arr: np.ndarray) -> dict:
@@ -559,11 +534,6 @@ def _entries(arr: np.ndarray) -> dict:
         return {(): int(arr)} if arr else {}
     idx = np.nonzero(arr)
     return dict(zip(zip(*(i.tolist() for i in idx)), arr[idx].tolist()))
-
-
-def _nonzero(data: dict) -> dict:
-    """The dict without the entries that summed to zero."""
-    return {k: v for k, v in data.items() if v}
 
 
 def _pattern(legs) -> tuple:
@@ -581,31 +551,24 @@ def _once(pattern) -> list:
     return [i for i, w in enumerate(pattern) if pattern.count(w) == 1]
 
 
-def _dense_array(dims, data) -> np.ndarray:
-    """Dense dtype=object array of a sparse dict, holding its Python ints."""
+def _array(dims, data) -> np.ndarray:
+    """The data of a value as an array: an array itself, or a sparse dict
+    as a dense dtype=object array holding its Python ints."""
+    if not isinstance(data, dict):
+        return data
     arr = np.zeros(dims, dtype=object)
     for idx, v in data.items():
         arr[idx] = v
     return arr
 
 
-def _einsum_spec(inputs, output) -> str:
-    """einsum subscripts for operands with wire-id legs `inputs` and result
-    legs `output`: one letter per distinct wire, in order of first
-    appearance. numpy accepts 52 letters (its integer-sublist form has the
-    same [0, 52) limit), so at most 52 distinct wires."""
-    wires = dict.fromkeys(chain(*inputs, output))
-    if len(wires) > len(_LETTERS):
-        raise ValueError("too many distinct wires for einsum subscripts")
-    name = dict(zip(wires, _LETTERS)).__getitem__
-    words = ["".join(map(name, legs)) for legs in (*inputs, output)]
-    return ",".join(words[:-1]) + "->" + words[-1]
-
-
 def dense_oracle(net: VertexNetwork) -> np.ndarray:
     """Independent reference: one float64 einsum over the whole network,
     contracted in the pairwise order numpy's own greedy path search picks
     (independent of _reduce's plan); unoptimised, its nested loop grows as
-    the product of every wire dimension."""
+    the product of every wire dimension. Its subscripts are the network's
+    own wire ids, which numpy takes in [0, 52): at most 52 wires."""
+    if len(net.edges) + len(net.open_legs) > 52:
+        raise ValueError("too many distinct wires for einsum subscripts")
     ops = [vert.array.astype(np.float64) for vert in net.vertices]
-    return np.einsum(_einsum_spec(net._legs, net._out), *ops, optimize="greedy")
+    return np.einsum(*chain(*zip(ops, net._legs)), list(net._out), optimize="greedy")

@@ -329,6 +329,11 @@ def test_palev_commands(capsys):
         capsys, "palev", "normal-order", "--system", "nosuch", "--word", "p,q"
     )
     assert code == 2
+    assert err.splitlines() == ["error: unknown rewrite system 'nosuch'; available: h1, spin21, spin3"]
+    # normal_order's own ValueError reaches the one error path unwrapped
+    code, _, err = run(capsys, "palev", "normal-order", "--system", "h1", "--word", "p,zz")
+    assert code == 2
+    assert err.splitlines() == ["error: generator 'zz' unknown to system 'h1'"]
 
 
 
@@ -392,6 +397,23 @@ def test_net_bad_network_json_exits_two_with_one_error_line(capsys, tmp_path, wh
     assert len(out.splitlines()) == 1  # the header only
 
 
+def test_net_check_past_52_wires_exits_two(capsys, tmp_path):
+    # a paired 64-vertex (2, 1) ring has 64 + 31 + 2 = 97 wires: both
+    # contractions run, and the einsum oracle refuses
+    edges = [[[i, "spinor"], [(i + 1) % 64, "dual"]] for i in range(64)]
+    edges += [[[v, "vector"], [v + 1, "vector"]] for v in range(2, 64, 2)]
+    blob = {"vertices": [{"kind": "gamma", "p": 2, "q": 1}] * 64, "edges": edges,
+            "open": [[0, "vector"], [1, "vector"]]}
+    f = tmp_path / "ring64.json"
+    f.write_text(json.dumps(blob))
+    code, out, err = run(capsys, "net", "check", str(f))
+    assert code == 2
+    assert err.splitlines() == ["error: too many distinct wires for einsum subscripts"]
+    assert len(out.splitlines()) == 1  # the header only
+    code, out, _ = run(capsys, "net", "eval", str(f))
+    assert code == 0
+
+
 def test_verify_all_passes_and_repeats_bytewise(capsys):
     code, out1, _ = run(capsys, "verify-all")
     assert code == 0
@@ -415,8 +437,13 @@ def test_argparse_usage_exits_two(capsys):
 
 
 def test_bad_config_is_usage_error(capsys):
-    code, _, err = run(capsys, "--mode", "exact", "--tolerance", "-3", "verify-all")
+    code, out, err = run(capsys, "--mode", "exact", "--tolerance", "-3", "verify-all")
     assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error: tolerance must be positive"]
+    code, out, err = run(capsys, "--tolerance", "-3", "sets", "code", "{}")
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: tolerance must be positive"]
 
 
 def test_sets_code_prints_past_the_int_str_digit_limit(capsys):

@@ -228,24 +228,27 @@ def _all_pairs_reduce(legs, keys, values, dense_cutoff, memo, log):
     """The greedy as a full rescan per step: merge the pair with the
     smallest (not sharing a wire, merged size), first pair on ties, and
     append the result after the untouched tensors. It ignores `memo`,
-    computes every merge and logs the legs of each, so it stays an
-    independent reference."""
-    tensors = [vertexnet._Tensor(l, values[k].dims, values[k].data) for l, k in zip(legs, keys)]
+    computes every merge with the module's merge routines, given the
+    shared positions the planner's _pair computes, and works out and logs
+    the legs of each itself, so it stays an independent reference."""
+    tensors = [(l, values[k]) for l, k in zip(legs, keys)]
     while len(tensors) > 1:
         best = None
         for i, j in combinations(range(len(tensors)), 2):
-            a, b = tensors[i], tensors[j]
-            shared = [d for l, d in zip(a.legs, a.dims) if l in b.legs]
-            key = (not shared, a.size * b.size // prod(d * d for d in shared))
+            (la, (da, _)), (lb, (db, _)) = tensors[i], tensors[j]
+            shared = tuple((x, lb.index(w)) for x, w in enumerate(la) if w in lb)
+            key = (not shared, prod(da) * prod(db) // prod(da[x] ** 2 for x, _ in shared))
             if best is None or key < best[0]:
-                best = (key, i, j)
-        (_, size), i, j = best
-        a, b = tensors[i], tensors[j]
-        log.append((a.legs, b.legs))
-        merged = a._merge_dense(b) if max(a.size, b.size, size) <= dense_cutoff else a._merge_sparse(b)
-        tensors = [t for k, t in enumerate(tensors) if k not in (i, j)] + [merged]
-    values.append(tensors[0])
-    return tensors[0].legs, len(values) - 1
+                best = (key, i, j, shared)
+        (_, size), i, j, shared = best
+        (la, va), (lb, vb) = tensors[i], tensors[j]
+        log.append((la, lb))
+        dense = max(prod(va[0]), prod(vb[0]), size) <= dense_cutoff
+        merged = (vertexnet._merge_dense if dense else vertexnet._merge_sparse)(va, vb, shared)
+        out = tuple([w for w in la if w not in lb] + [w for w in lb if w not in la])
+        tensors = [t for k, t in enumerate(tensors) if k not in (i, j)] + [(out, merged)]
+    values.append(tensors[0][1])
+    return tensors[0][0], len(values) - 1
 
 
 def _merge_log(monkeypatch, net, reference=False):
@@ -525,48 +528,65 @@ def test_long_ring_past_int64_is_exact(numpy_dtypes, p, q):
 
 def test_dense_merge_past_int64_falls_back(numpy_dtypes):
     big = 1 << 40
-    a = vertexnet._Tensor((0, 1), (2, 2), {(0, 0): big, (0, 1): big, (1, 1): -big})
-    b = vertexnet._Tensor((1, 2), (2, 2), {(0, 0): big, (1, 0): big, (1, 1): big})
-    dense = a._merge_dense(b)
-    sparse = a._merge_sparse(b)
+    # legs (0, 1) and (1, 2): wire 1 sits at position 1 of a and 0 of b
+    a = ((2, 2), {(0, 0): big, (0, 1): big, (1, 1): -big})
+    b = ((2, 2), {(0, 0): big, (1, 0): big, (1, 1): big})
+    dense = vertexnet._merge_dense(a, b, ((1, 0),))
+    sparse = vertexnet._merge_sparse(a, b, ((1, 0),))
     assert numpy_dtypes["matmul"] == [[object, object]]
-    assert dense.legs == sparse.legs == (0, 2)
-    assert dense.entries() == sparse.entries() == {
+    assert dense[0] == sparse[0] == (2, 2)
+    assert vertexnet._entries(dense[1]) == sparse[1] == {
         (0, 0): 2 * big * big, (0, 1): big * big, (1, 0): -big * big, (1, 1): -big * big,
     }
-    assert dense.to_dense((0, 2)).dtype == object
+    assert vertexnet._to_dense((0, 2), dense, (0, 2)).dtype == object
 
 
 def test_results_that_fit_stay_int64():
-    t = vertexnet._Tensor((0,), (2,), {(0,): (1 << 63) - 1, (1,): -(1 << 63)})
-    arr = t.to_dense((0,))
+    arr = vertexnet._to_dense((0,), ((2,), {(0,): (1 << 63) - 1, (1,): -(1 << 63)}), (0,))
     assert arr.dtype == np.int64
     assert arr.tolist() == [(1 << 63) - 1, -(1 << 63)]
-    t = vertexnet._Tensor((0,), (2,), {(0,): 1 << 63})
-    assert t.to_dense((0,)).dtype == object
+    assert vertexnet._to_dense((0,), ((2,), {(0,): 1 << 63}), (0,)).dtype == object
 
 
-def test_einsum_lettering_caps_at_52_wires():
-    assert vertexnet._einsum_spec(((5, 9), (9, 2)), (5, 2)) == "ab,bc->ac"
-    assert vertexnet._einsum_spec((range(52),), ()).endswith("Z->")
-    with pytest.raises(ValueError, match="too many distinct wires"):
-        vertexnet._einsum_spec((range(53),), ())
+def test_output_legs_must_match_the_remaining_legs():
+    value = ((2, 1), np.ones((2, 1), dtype=np.int64))
+    for order in ((0,), (0, 2), (0, 1, 1)):
+        with pytest.raises(ValueError, match="output legs disagree"):
+            vertexnet._to_dense((0, 1), value, order)
+    assert vertexnet._to_dense((0, 1), value, (1, 0)).shape == (1, 2)
+
+
+@pytest.mark.parametrize("edges, ok", [(2, True), (1, False)])
+def test_dense_oracle_takes_at_most_52_wires(edges, ok):
+    # eighteen (1, 0) vertices, every slot open but for `edges` spinor ->
+    # dual edges: 54 - edges wires, all of dimension 1
+    wired = [((i, "spinor"), (i + 1, "dual")) for i in range(edges)]
+    ends = {end for e in wired for end in e}
+    slots = [(v, s) for v in range(18) for s in ("dual", "vector", "spinor")]
+    net = VertexNetwork([GammaVertex(1, 0) for _ in range(18)], wired, [s for s in slots if s not in ends])
+    assert len(net.edges) + len(net.open_legs) == (52 if ok else 53)
+    if ok:
+        got = dense_oracle(net)
+        assert got.shape == (1,) * 50 and got.item() == 1.0 == net.contract().item()
+    else:
+        with pytest.raises(ValueError, match="too many distinct wires for einsum subscripts"):
+            dense_oracle(net)
 
 
 # -- array and dict representations ---------------------------------------------
 
 
 def _merge_paths(monkeypatch):
-    """Names of the merge routines each _Tensor.merge call runs, in order."""
+    """Names of the merge routines the contraction runs, in order."""
     seen = []
     for name in ("_merge_dense", "_merge_sparse"):
-        real = getattr(vertexnet._Tensor, name)
+        real = getattr(vertexnet, name)
 
-        def spy(self, other, *args, real=real, name=name):
+        def spy(va, vb, shared, real=real, name=name):
             seen.append(name)
-            return real(self, other, *args)
+            return real(va, vb, shared)
 
-        monkeypatch.setattr(vertexnet._Tensor, name, spy)
+        monkeypatch.setattr(vertexnet, name, spy)
     return seen
 
 
@@ -603,13 +623,13 @@ def test_memoised_arrays_are_read_only(monkeypatch, net):
     made = []
     real = vertexnet._store
 
-    def spy(memo, values, name, t):
-        made.append(t)
-        return real(memo, values, name, t)
+    def spy(memo, values, name, value):
+        made.append(value)
+        return real(memo, values, name, value)
 
     monkeypatch.setattr(vertexnet, "_store", spy)
     arr = net.contract()
-    arrays = [t.data for t in made if not isinstance(t.data, dict)]
+    arrays = [data for _, data in made if not isinstance(data, dict)]
     assert arrays and not any(a.flags.writeable for a in arrays)
     # the result is a fresh copy
     assert arr.flags.writeable
@@ -659,11 +679,11 @@ def test_object_fallback_trips_inside_the_array_path(monkeypatch, numpy_dtypes):
 def test_array_results_that_fit_come_back_int64():
     # an object array (as int_matmul returns past its bound) whose entries fit
     big = np.array([(1 << 63) - 1, -(1 << 63)], dtype=object)
-    arr = vertexnet._Tensor((0,), (2,), big).to_dense((0,))
+    arr = vertexnet._to_dense((0,), ((2,), big), (0,))
     assert arr.dtype == np.int64
     assert arr.tolist() == [(1 << 63) - 1, -(1 << 63)]
     over = np.array([1 << 63, 0], dtype=object)
-    assert vertexnet._Tensor((0,), (2,), over).to_dense((0,)).dtype == object
+    assert vertexnet._to_dense((0,), ((2,), over), (0,)).dtype == object
     # a single vertex hands back a fresh, writeable copy of its cached array
     net = VertexNetwork(
         [GammaVertex(2, 1)], edges=[], open_legs=[(0, "dual"), (0, "vector"), (0, "spinor")]
