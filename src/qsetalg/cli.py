@@ -63,7 +63,7 @@ def _read_mv(path: str):
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
         return mv_from_json(data)
-    except (OSError, ValueError, TypeError) as e:
+    except (OSError, ValueError) as e:
         raise CliError(f"cannot read multivector from {path}: {e}") from None
 
 

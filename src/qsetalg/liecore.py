@@ -7,10 +7,13 @@ scale s (basis_i = G_i / s), as its builders make it: gamma products and
 ladder pairs over 2, the small catalog matrices over 1. All commutators come
 from one batched integer product (linalg.int_matmul: float64 while
 d * max|G|^2 < 2^53 for d x d matrices, int64 while it is < 2^62), and all
-of them are solved at once against the basis, followed by one exact residual
-check over every matrix entry. So closure failures are detected exactly
-rather than hidden under a least-squares fit; a float refit of the same stack
-is an independent cross-check, not the source of truth.
+of them are solved at once against the basis by one linalg.ColumnSolver (the
+basis's Gram matrix inverted once per algebra), followed by one exact
+residual check over every matrix entry. So closure failures are detected
+exactly rather than hidden under a least-squares fit; a float refit of the
+same stack (numeric_contraction_check: one batched commutator product and
+one least-squares call for every bracket) is an independent cross-check, not
+the source of truth.
 
 StructureConstants hold the constants as one integer array C of shape
 (n, n, n) and one common denominator D: c_ijk = C[i, j, k] / D. Jacobi sums,
@@ -121,7 +124,7 @@ class MatrixAlgebra:
         if self._sc is None:
             n = self.dim
             i, j = np.triu_indices(n, 1)
-            comm = self.commutators().reshape(len(i), -1).T
+            comm = self.commutators().reshape(len(i), self.matrix_dim ** 2).T
             x, inside = self._solver.solve(comm)
             if not inside.all():
                 bad = int(np.argmin(inside))
@@ -161,10 +164,6 @@ class StructureConstants:
     @property
     def dim(self) -> int:
         return len(self.C)
-
-    def antisymmetry_defect(self) -> Fraction:
-        both = linalg.int_combine((1, self.C), (1, self.C.transpose(1, 0, 2)))
-        return Fraction(linalg.peak(both), self.D)
 
     def jacobi_defect(self) -> Fraction:
         """max |[[x_i,x_j],x_k] + [[x_j,x_k],x_i] + [[x_k,x_i],x_j]| coordinate
@@ -276,9 +275,6 @@ class ContractionFamily:
     def exponent(self, i: int, j: int, k: int) -> Fraction:
         return self.weights[i] + self.weights[j] - self.weights[k]
 
-    def surviving(self):
-        return [t for t in self.sc.nonzero() if self.exponent(t[0], t[1], t[2]) == 0]
-
     def decaying(self):
         return [
             (i, j, k, c, self.exponent(i, j, k))
@@ -345,6 +341,11 @@ def numeric_contraction_check(
     """Re-derive the structure constants of the eps-scaled basis in float
     arithmetic via least squares and compare against the exact family.
 
+    Every bracket i < j comes from one batched product of the scaled stack,
+    and all of them are solved in one np.linalg.lstsq call with one column
+    per bracket. eps^w is Python's **, so a negative eps with a fractional
+    weight scales by a complex number where numpy's ** would give NaN.
+
     Returns the largest relative deviation over all (i, j) brackets, where the
     denominator is max(1, |exact coordinate vector|_inf). Independent of the
     exact path: uses numpy only, on floats of the integer stack and of C / D.
@@ -353,26 +354,22 @@ def numeric_contraction_check(
     """
     sc = algebra.structure_constants()
     fam = ContractionFamily(sc, weights)
-    n = algebra.dim
-    ws = [float(w) for w in fam.weights]
-    basis = linalg.to_float(algebra.stack, algebra.scale)
-    consts = linalg.to_float(sc.C, sc.D)
-    mats = [m * (eps ** w) for m, w in zip(basis, ws)]
-    cols = np.stack([m.reshape(-1) for m in mats], axis=1)
-    worst = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            comm = mats[i] @ mats[j] - mats[j] @ mats[i]
-            coords, *_ = np.linalg.lstsq(cols, comm.reshape(-1), rcond=None)
-            exact = np.array(
-                [
-                    float(consts[i, j, k]) * eps ** (ws[i] + ws[j] - ws[k])
-                    for k in range(n)
-                ]
-            )
-            scale = max(1.0, float(np.abs(exact).max()))
-            worst = max(worst, float(np.abs(coords - exact).max()) / scale)
-    return worst
+    ws = np.array([float(w) for w in fam.weights])
+    i, j = np.triu_indices(algebra.dim, 1)
+    mats = linalg.to_float(algebra.stack, algebra.scale) * _powers(eps, ws)[:, None, None]
+    cols = mats.reshape(len(ws), -1).T
+    comm = (mats[i] @ mats[j] - mats[j] @ mats[i]).reshape(len(i), len(cols))
+    coords = np.linalg.lstsq(cols, comm.T, rcond=None)[0].T
+    exps = ws[i, None] + ws[j, None] - ws[None, :]
+    exact = linalg.to_float(sc.C, sc.D)[i, j] * _powers(eps, exps)
+    scale = np.maximum(1.0, np.abs(exact).max(axis=1))
+    return float((np.abs(coords - exact).max(axis=1) / scale).max(initial=0.0))
+
+
+def _powers(eps: float, exps):
+    """eps ** e for every float e in exps, by Python's **, once per value."""
+    vals, where = np.unique(exps, return_inverse=True)
+    return np.array([eps ** e for e in vals.tolist()])[where.reshape(exps.shape)]
 
 
 # ---------------------------------------------------------------------------

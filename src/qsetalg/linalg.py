@@ -42,8 +42,8 @@ the only way out to floating point, for the numeric cross-checks.
 
 All exact elimination is one row step, _eliminate, and one echelon,
 RationalSpan: primitive, fully reduced integer rows, with the product of the
-factors the rows were scaled by kept. det, both ColumnSolver passes and the
-central series are spans; congruence_signature updates rows with the same
+factors the rows were scaled by kept. det, ColumnSolver's Gram inverse and
+the central series are spans; congruence_signature updates rows with the same
 step, dividing by the previous pivot (Bareiss 1968). det takes an integer
 array with its denominator, and returns a Fraction.
 """
@@ -201,43 +201,31 @@ class ColumnSolver:
     """Solves M X = B exactly for a fixed integer matrix M (m x k) of full
     column rank, for any number of right-hand sides at once.
 
-    One RationalSpan over M's rows finds k pivot rows P with M[P] invertible
-    (LinalgError when the columns are dependent). A second one over the rows
-    of [M[P] | I] reduces them to (p_c e_c | p_c inv(M[P])_c), one for each
-    column c, so the inverse is kept scaled to integers: inv(M[P]) = A / den.
+    One RationalSpan over the rows of [G | I], G = M^T M the Gram matrix,
+    reduces them to (p_c e_c | p_c inv(G)_c), one for each column c, so the
+    inverse is kept scaled to integers: inv(G) = A / den. A reduced row whose
+    lead falls in the right half means G, hence M's columns, is singular
+    (LinalgError). X = inv(G) M^T B is then kept as left = A M^T.
     """
 
     def __init__(self, m):
         self.m = m
-        rows = m.tolist()
         k = m.shape[1]
-        # a zero or repeated row cannot enlarge the span: offer each distinct
-        # nonzero row once, at its first index
-        first = {}
-        for i, row in enumerate(rows):
-            if any(row):
-                first.setdefault(tuple(row), i)
-        span, self.pivot_rows = RationalSpan(k), []
-        for row, i in first.items():
-            if span.add(row):
-                self.pivot_rows.append(i)
-                if len(self.pivot_rows) == k:
-                    break
-        else:
+        span = RationalSpan(2 * k)
+        for c, row in enumerate(int_matmul(m.T, m).tolist()):
+            span.add(row + [int(c == j) for j in range(k)])
+        if any(lead >= k for _, lead in span.rows):
             raise LinalgError("columns are linearly dependent")
-        aug = RationalSpan(2 * k)
-        for i, r in enumerate(self.pivot_rows):
-            aug.add(rows[r] + [int(i == j) for j in range(k)])
-        pivots = [row for row, _ in sorted(aug.rows, key=lambda item: item[1])]
+        pivots = [row for row, _ in sorted(span.rows, key=lambda item: item[1])]
         self.den = lcm(*(row[c] for c, row in enumerate(pivots)))
         inv = [[x * (self.den // row[c]) for x in row[k:]] for c, row in enumerate(pivots)]
-        self.inv = fit(np.array(inv, dtype=object))
+        self.left = int_matmul(fit(np.array(inv, dtype=object)), m.T)
 
     def solve(self, b):
         """For an integer array B (m x r), return (X, inside): M X == den * B
         for every column of B inside the span of M's columns, which one exact
         residual check over all rows decides (inside[r])."""
-        x = int_matmul(self.inv, b[self.pivot_rows])
+        x = int_matmul(self.left, b)
         resid = int_combine((1, int_matmul(self.m, x)), (-self.den, b))
         return x, ~(resid != 0).any(axis=0)
 

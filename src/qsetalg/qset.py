@@ -398,9 +398,18 @@ def mv_to_json(mv: Multivector) -> list:
 
 
 def mv_from_json(data) -> Multivector:
+    """The multivector of mv_to_json's triples; a ValueError names the first
+    entry that is not [set text, integer, nonzero integer]."""
+    if not isinstance(data, list):
+        raise ValueError(f"a multivector is a JSON list, not {type(data).__name__}")
     terms: dict = {}
     for entry in data:
-        text, num, den = entry
-        lab = parse_set_text(text)
-        terms[lab] = terms.get(lab, 0) + Fraction(int(num), int(den))
+        text, num, den = entry if isinstance(entry, list) and len(entry) == 3 else (None,) * 3
+        if not (isinstance(text, str) and type(num) is type(den) is int and den):
+            raise ValueError(f"entry {entry!r} is not [set text, integer, nonzero integer]")
+        try:
+            lab = parse_set_text(text)
+        except ValueError as e:
+            raise ValueError(f"entry {entry!r}: {e}") from None
+        terms[lab] = terms.get(lab, 0) + Fraction(num, den)
     return Multivector(terms)

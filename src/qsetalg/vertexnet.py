@@ -197,11 +197,13 @@ def _vertex_from_json(data):
     if not isinstance(data, dict):
         raise ValueError(f"a vertex is a JSON object, not {data!r}")
     kind = data.get("kind")
-    if kind == "gamma":
-        return GammaVertex(int(data["p"]), int(data["q"]))
-    if kind == "iota":
-        return IotaNode(int(data["m"]), int(data["rank"]))
-    raise ValueError(f"unknown vertex kind {kind!r}")
+    cls, keys = {"gamma": (GammaVertex, ("p", "q")), "iota": (IotaNode, ("m", "rank"))}.get(kind, (None, ()))
+    if cls is None:
+        raise ValueError(f"unknown vertex kind {kind!r}")
+    for key in keys:
+        if type(data[key]) is not int:
+            raise ValueError(f"vertex field {key!r} is not an integer: {data[key]!r}")
+    return cls(*(data[key] for key in keys))
 
 
 @dataclass(frozen=True)
@@ -568,6 +570,8 @@ def dense_oracle(net: VertexNetwork) -> np.ndarray:
     (independent of _reduce's plan); unoptimised, its nested loop grows as
     the product of every wire dimension. Its subscripts are the network's
     own wire ids, which numpy takes in [0, 52): at most 52 wires."""
+    if not net.vertices:
+        return np.ones(())
     if len(net.edges) + len(net.open_legs) > 52:
         raise ValueError("too many distinct wires for einsum subscripts")
     ops = [vert.array.astype(np.float64) for vert in net.vertices]

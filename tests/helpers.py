@@ -7,7 +7,6 @@ import json
 import os
 from bisect import bisect_left
 from fractions import Fraction
-from math import lcm
 
 import numpy as np
 
@@ -340,25 +339,24 @@ def reference_defect(gammas, eta) -> int:
     return worst
 
 
-def plain_column_solver(m):
-    """(pivot_rows, den, inv) of linalg.ColumnSolver(m), with every row of m
-    offered to the span in order, zero and repeated rows included: the loop
-    ColumnSolver ran before it offered each distinct nonzero row once, kept
-    as the reference that shortcut is checked against."""
-    rows = m.tolist()
-    k = m.shape[1]
-    span, pivot_rows = linalg.RationalSpan(k), []
-    for i, row in enumerate(rows):
-        if span.add(row):
-            pivot_rows.append(i)
-            if len(pivot_rows) == k:
-                break
-    else:
-        raise linalg.LinalgError("columns are linearly dependent")
-    aug = linalg.RationalSpan(2 * k)
-    for i, r in enumerate(pivot_rows):
-        aug.add(rows[r] + [int(i == j) for j in range(k)])
-    pivots = [row for row, _ in sorted(aug.rows, key=lambda item: item[1])]
-    den = lcm(*(row[c] for c, row in enumerate(pivots)))
-    inv = [[x * (den // row[c]) for x in row[k:]] for c, row in enumerate(pivots)]
-    return pivot_rows, den, inv
+def reference_refit(algebra, weights, eps: float) -> float:
+    """liecore.numeric_contraction_check as one commutator and one lstsq per
+    bracket: the loop it ran before it batched both, kept as the reference
+    the batched refit is checked against."""
+    from qsetalg.liecore import ContractionFamily
+
+    sc = algebra.structure_constants()
+    ws = [float(w) for w in ContractionFamily(sc, weights).weights]
+    n = algebra.dim
+    mats = [m * (eps ** w) for m, w in zip(linalg.to_float(algebra.stack, algebra.scale), ws)]
+    cols = np.stack([m.reshape(-1) for m in mats], axis=1)
+    consts = linalg.to_float(sc.C, sc.D)
+    worst = 0.0
+    for i in range(n):
+        for j in range(i + 1, n):
+            comm = mats[i] @ mats[j] - mats[j] @ mats[i]
+            coords = np.linalg.lstsq(cols, comm.reshape(-1), rcond=None)[0]
+            exact = np.array([float(consts[i, j, k]) * eps ** (ws[i] + ws[j] - ws[k]) for k in range(n)])
+            scale = max(1.0, float(np.abs(exact).max()))
+            worst = max(worst, float(np.abs(coords - exact).max()) / scale)
+    return worst

@@ -87,6 +87,29 @@ def test_qset_bad_file(capsys, tmp_path):
     assert "cannot read" in err
 
 
+@pytest.mark.parametrize(
+    "blob, reason",
+    [
+        ([[[None], None, None]], "entry [[None], None, None] is not [set text, integer, nonzero integer]"),
+        ([["{}", 1, 0]], "entry ['{}', 1, 0] is not [set text, integer, nonzero integer]"),
+        ([["{}", 1e400, 1]], "entry ['{}', inf, 1] is not [set text, integer, nonzero integer]"),
+        ([["{}", 1.5, 1]], "entry ['{}', 1.5, 1] is not [set text, integer, nonzero integer]"),
+        ([["{}", True, 1]], "entry ['{}', True, 1] is not [set text, integer, nonzero integer]"),
+        ([["{}", 1]], "entry ['{}', 1] is not [set text, integer, nonzero integer]"),
+        ([["{", 1, 1]], "entry ['{', 1, 1]: expected '{' at position 1 in '{'"),
+        ({}, "a multivector is a JSON list, not dict"),
+        (5, "a multivector is a JSON list, not int"),
+    ],
+)
+def test_qset_bad_multivector_exits_two_with_one_error_line(capsys, tmp_path, blob, reason):
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(blob).replace("Infinity", "1e400"))
+    code, out, err = run(capsys, "qset", "norm", str(f), "--rank", "2")
+    assert code == 2
+    assert err.splitlines() == [f"error: cannot read multivector from {f}: {reason}"]
+    assert len(out.splitlines()) == 1  # the header only
+
+
 def test_gamma_and_out_dir(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("QSETALG_OUT_DIR", str(tmp_path))
     code, out, _ = run(capsys, "gamma", "2", "1", "--json", "g.json")
@@ -386,6 +409,10 @@ def test_net_commands(capsys, tmp_path):
              "open": [[0, "vector"], [0, "vector"]]},
             "slot (0, 'vector') declared open twice",
         ),
+        ({"vertices": [{"kind": "gamma", "p": 1.5, "q": 1}]}, "vertex field 'p' is not an integer: 1.5"),
+        ({"vertices": [{"kind": "gamma", "p": 2, "q": "1"}]}, "vertex field 'q' is not an integer: '1'"),
+        ({"vertices": [{"kind": "gamma", "p": True, "q": 1}]}, "vertex field 'p' is not an integer: True"),
+        ({"vertices": [{"kind": "iota", "m": 1, "rank": 2.0}]}, "vertex field 'rank' is not an integer: 2.0"),
     ],
 )
 def test_net_bad_network_json_exits_two_with_one_error_line(capsys, tmp_path, what, blob, reason):
@@ -517,6 +544,17 @@ def test_net_eval_and_check_on_a_closed_network(capsys, tmp_path):
     code, out, _ = run(capsys, "net", "check", str(f))
     assert code == 0
     assert out.splitlines()[-1].endswith("PASS")
+
+
+@pytest.mark.parametrize("what", ["eval", "check"])
+def test_net_with_no_vertices_is_the_unit_scalar(capsys, tmp_path, what):
+    f = tmp_path / "empty.json"
+    f.write_text("{}")
+    code, out, _ = run(capsys, "net", what, str(f))
+    assert code == 0
+    want = ["open legs: []", "1", "parity flags: 0"] if what == "eval" else [
+        "contraction paths agree with dense einsum: PASS"]
+    assert out.splitlines()[1:] == want
 
 
 def test_net_check_passes_on_a_16_ring(capsys):

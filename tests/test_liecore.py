@@ -19,7 +19,7 @@ from qsetalg.liecore import (
 )
 
 
-from helpers import load_oracle, scaled_basis, smul
+from helpers import load_oracle, reference_refit, scaled_basis, smul
 
 HALF = Fraction(1, 2)
 
@@ -81,10 +81,18 @@ def test_abelian_classification():
     assert not sc.is_semisimple()
 
 
+def test_one_dimensional_algebra_is_abelian_and_refits():
+    alg = MatrixAlgebra("line", np.array([[[1, 0], [0, 0]]]), 1)
+    sc = alg.structure_constants()
+    assert sc.C.tolist() == [[[0]]] and sc.D == 1
+    assert sc.classify() == "abelian"
+    assert numeric_contraction_check(alg, (1,), 0.5) == 0.0
+
+
 def test_defects_vanish_for_catalog_entries():
     for ent in catalog().values():
         sc = ent.algebra.structure_constants()
-        assert sc.antisymmetry_defect() == 0
+        assert np.array_equal(sc.C, -sc.C.transpose(1, 0, 2))
         assert sc.jacobi_defect() == 0
 
 
@@ -162,15 +170,15 @@ def test_family_at_requires_exact_scaling():
 def test_surviving_and_decaying_partition():
     ent = catalog()["so4"]
     fam = ContractionFamily(ent.algebra.structure_constants(), ent.weights)
-    surv = set()
-    for i, j, k, _ in fam.surviving():
-        surv.add((i, j, k))
+    surv = {(i, j, k) for i, j, k, _ in fam.sc.nonzero() if fam.exponent(i, j, k) == 0}
     dec = set()
     for i, j, k, _, e in fam.decaying():
         assert e > 0
         dec.add((i, j, k))
     assert surv.isdisjoint(dec)
+    assert surv | dec == {(i, j, k) for i, j, k, _ in fam.sc.nonzero()}
     lim = fam.limit()
+    assert {(i, j, k) for i, j, k, _ in lim.nonzero()} == surv
     assert lim.killing_det() == 0
     assert lim.classify() == "non-semisimple (mixed)"
 
@@ -179,6 +187,26 @@ def test_numeric_contraction_check_is_tiny():
     ent = catalog()["so21"]
     rel = numeric_contraction_check(ent.algebra, ent.weights, 1e-3)
     assert rel <= 1e-9
+
+
+def _refit_cases():
+    """Every algebra the CLI contracts, with the weights its goldens use."""
+    from qsetalg.yang import PRESETS, build_yang, toy_frame
+
+    fixed = {"so3": (0, 1, 1), "h1": (1, 1, 1)}
+    for key, ent in catalog().items():
+        yield key, ent.algebra, ent.weights or fixed[key]
+    yield "toy", toy_frame(), (HALF, HALF, 1)
+    for preset in sorted(PRESETS):
+        fr = build_yang(preset)
+        yield preset, fr.algebra, fr.family().weights
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1 / 7, 3.0, -1 / 100, 1e-8])
+def test_batched_refit_matches_the_per_bracket_loop(eps):
+    for key, alg, weights in _refit_cases():
+        got, want = numeric_contraction_check(alg, weights, eps), reference_refit(alg, weights, eps)
+        assert abs(got - want) <= 1e-15, key
 
 
 def test_rotation_boost6_is_so4_sized():

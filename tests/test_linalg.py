@@ -4,8 +4,10 @@ from math import prod
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from helpers import lagrange_signature, mat, plain_column_solver
+from helpers import lagrange_signature, mat
 from qsetalg import linalg
 
 
@@ -317,26 +319,66 @@ def _solver_matrices():
             yield np.concatenate([m[:, :-1], m[:, :1] - m[:, 1:2]], axis=1)
 
 
-def test_column_solver_matches_the_plain_row_loop():
+def _rank(m) -> int:
+    """Exact rank of the integer matrix m, by a span over its columns."""
+    span = linalg.RationalSpan(m.shape[0])
+    return sum(span.add(col) for col in m.T.tolist())
+
+
+def test_column_solver_recovers_coordinates_on_the_algebra_bases():
+    rng = np.random.default_rng(20249)
     for m in _solver_matrices():
-        try:
-            pivot_rows, den, inv = plain_column_solver(m)
-        except linalg.LinalgError:
+        k = m.shape[1]
+        if _rank(m) < k:
             with pytest.raises(linalg.LinalgError):
                 linalg.ColumnSolver(m)
             continue
         solver = linalg.ColumnSolver(m)
-        assert solver.pivot_rows == pivot_rows
-        assert solver.den == den
-        assert solver.inv.tolist() == inv
+        coords = rng.integers(-9, 10, size=(k, 4))
+        x, inside = solver.solve(linalg.int_matmul(m, coords))
+        assert inside.all()
+        assert (x == solver.den * coords).all()
 
 
 def test_column_solver_with_zero_and_repeated_rows_rejects_a_dependent_basis():
     m = np.array([[0, 0, 0], [1, 2, 3], [1, 2, 3], [0, 0, 0], [2, 4, 6], [0, 1, 1], [0, 1, 1]])
     with pytest.raises(linalg.LinalgError):
-        plain_column_solver(m)
-    with pytest.raises(linalg.LinalgError):
         linalg.ColumnSolver(m)
     m[3] = [5, 0, 0]
     solver = linalg.ColumnSolver(m)
-    assert (solver.pivot_rows, solver.den, solver.inv.tolist()) == plain_column_solver(m)
+    x, inside = solver.solve(m @ np.array([[1], [-2], [3]]))
+    assert inside.all()
+    assert x.ravel().tolist() == [solver.den * c for c in (1, -2, 3)]
+
+
+_entries = st.integers(-(2 ** 70), 2 ** 70)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.data())
+def test_column_solver_property(data):
+    """For full-column-rank M: solve(M Y) == den * Y with every column inside,
+    a column b reads inside exactly when [M | b] keeps rank k, and a column
+    that depends on the others makes the solver refuse."""
+    k = data.draw(st.integers(1, 4), label="k")
+    rows = data.draw(st.integers(k, 3 * k), label="rows")
+    m = np.array(data.draw(st.lists(
+        st.lists(_entries, min_size=k, max_size=k), min_size=rows, max_size=rows)), dtype=object)
+    assume(_rank(m) == k)
+    solver = linalg.ColumnSolver(linalg.fit(m))  # int64 where it fits, as the Lie layer passes it
+
+    y = np.array(data.draw(st.lists(
+        st.lists(_entries, min_size=2, max_size=2), min_size=k, max_size=k)), dtype=object)
+    x, inside = solver.solve(linalg.fit(linalg.int_matmul(m, y)))
+    assert inside.all()
+    assert (x == solver.den * y).all()
+
+    b = np.array(data.draw(st.lists(_entries, min_size=rows, max_size=rows)), dtype=object)
+    x, inside = solver.solve(linalg.fit(b[:, None]))
+    assert bool(inside[0]) == (_rank(np.column_stack([m, b])) == k)
+    if inside[0]:
+        assert (linalg.int_matmul(m, x) == solver.den * b[:, None]).all()
+
+    c = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k)), dtype=object)
+    with pytest.raises(linalg.LinalgError):
+        linalg.ColumnSolver(linalg.fit(np.column_stack([m, linalg.int_matmul(m, c[:, None])])))
