@@ -20,8 +20,7 @@ gamma_{i+1} has sign[i, r] in column perm[i, r]. A product of two monomials
 is a gather, and the anticommutator, top element and commutator checks run
 on these stacks in O(n^2 d). The dense d x d matrices are built only at the
 edge, on first read of `gammas` (and so of `gamma(i)`, `gammas_to_json` and
-the vertex tables of vertexnet), and cached. Matrices that are not monomial
-(as gammas_from_json may be handed) are refused with a ValueError.
+the vertex tables of vertexnet), and cached.
 
 Everything is exact: int64 while a stated bound holds, Python ints past it.
 The representation dimension is not always the minimal one (for example
@@ -198,15 +197,12 @@ class GammaSet:
         return half
 
     def _top(self):
-        """(perm, sign) of the top element, signs exact for its square: at
-        most 2n factors of |sign| <= m."""
+        """(perm, sign) of the top element, the product of all generators
+        highest index first; signs exact for its square: at most 2n factors
+        of |sign| <= m."""
         sign = cast(self.sign, self._peak ** (2 * len(self.sign)))
         start = (np.arange(self.dim), np.ones(self.dim, dtype=sign.dtype))
         return reduce(_mul, zip(self.perm[::-1], sign[::-1]), start)
-
-    def top(self) -> np.ndarray:
-        """Product of all generators, highest index first."""
-        return _dense(*(x[None] for x in self._top()))[0]
 
     def top_square_sign(self) -> int:
         top = self._top()
@@ -264,15 +260,3 @@ def gammas_to_json(gs: GammaSet) -> dict:
         "gammas": [g.tolist() for g in gs.gammas],
     }
 
-
-def gammas_from_json(data: dict) -> GammaSet:
-    """The set of the monomial integer matrices data["gammas"]; ValueError
-    for any other. No matrices is the set of Cl(0, 0), on one dimension."""
-    p, q = int(data["p"]), int(data["q"])
-    if len(data["gammas"]) != p + q:
-        raise ValueError("p + q disagrees with the number of matrices")
-    stack = np.array(data["gammas"], dtype=np.int64)
-    gs = GammaSet(p, q, *_monomial(stack if len(stack) else stack.reshape(0, 1, 1)))
-    if gs.dim != int(data["dim"]):
-        raise ValueError("dimension field disagrees with matrices")
-    return gs

@@ -63,8 +63,8 @@ from . import linalg
 from .linalg import ColumnSolver, LinalgError, RationalSpan
 
 
-class LieError(Exception):
-    pass
+class LieError(ValueError):
+    """Ill-posed algebra or contraction input; the CLI exits 2 on it."""
 
 
 class ClosureError(LieError):

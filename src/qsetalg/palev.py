@@ -15,6 +15,8 @@ exclusion principle: adag^N is nonzero but adag^{N+1} annihilates everything.
 
 Entries of a and adag live in Q(sqrt(N)); every computation here runs on the
 integer pair (A, B), which keeps it exact, and the sqrt(N) stays symbolic.
+A mode is held as its capacity N alone; only a carrier triple builds the
+bands of A, B and Z, for itself.
 
 Carrier triples package the mode as a Lie triple:
 
@@ -61,9 +63,9 @@ MAX_CAPACITY = 4096  # largest capacity N = 2j of a mode
 
 class PalevMode:
     """One oscillator mode truncated at 2j quanta (N = 2j, N + 1 levels),
-    given by three int64 vectors: the weights N - k of A e_k = (N - k) e_{k+1}
-    and k + 1 of B e_{k+1} = (k + 1) e_k for k < N, and the diagonal 2k - N
-    of Z = [A, B]. The vectors are built on first read."""
+    held as its capacity alone: its deviation and exclusion figures are
+    closed forms in N, and carrier_triple builds the bands of A, B and
+    Z = [A, B] from N for each triple."""
 
     def __init__(self, two_j: int):
         if not isinstance(two_j, int) or two_j < 1:
@@ -72,24 +74,6 @@ class PalevMode:
             raise ValueError(f"capacity {two_j} is past the largest supported capacity, {MAX_CAPACITY}")
         self.two_j = two_j
         self.dim = two_j + 1
-
-    @cached_property
-    def _raise(self):
-        import numpy as np
-
-        return np.arange(self.two_j, 0, -1, dtype=np.int64)
-
-    @cached_property
-    def _lower(self):
-        import numpy as np
-
-        return np.arange(1, self.dim, dtype=np.int64)
-
-    @cached_property
-    def _charge(self):
-        import numpy as np
-
-        return np.arange(-self.two_j, self.dim, 2, dtype=np.int64)
 
     @property
     def j(self) -> Fraction:
@@ -214,15 +198,16 @@ def carrier_triple(mode: PalevMode, preset: str = "spin3"):
     spin21 takes (Z, A-B, A+B) over 2, so [q,p] = r reads [Q, P] / 4 = R / 2.
     In both, the three relations read [Q, P] = 2 R, [P, R] = 2 Q and
     [Q, R] = 2 P. A and B are weighted shifts and Z is diagonal, so every
-    part is tridiagonal: each is built as a band straight from the mode's
-    vectors, and each relation is checked on five diagonals.
+    part is tridiagonal: each is built as a band straight from the ladder
+    weights and charges of the mode's capacity, and each relation is
+    checked on five diagonals.
     """
     import numpy as np
 
     A, B, Z = np.zeros((3, 3, mode.dim + 2), dtype=np.int64)
-    A[0, 2:-1] = mode._raise
-    B[2, 1:-2] = mode._lower
-    Z[1, 1:-1] = mode._charge
+    A[0, 2:-1] = np.arange(mode.two_j, 0, -1)  # A e_k = (N - k) e_{k+1}
+    B[2, 1:-2] = np.arange(1, mode.dim)  # B e_{k+1} = (k + 1) e_k
+    Z[1, 1:-1] = np.arange(-mode.two_j, mode.dim, 2)  # Z e_k = (2k - N) e_k
     if preset == "spin3":
         q, p, r, scale = A + B, A - B, -Z, 1
         tags = (

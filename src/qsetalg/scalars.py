@@ -23,9 +23,9 @@ _MODES = ("exact", "float")
 
 
 class RunConfig:
-    """Seed, mode and tolerance of a run: immutable, equal and hashed by
-    value. A plain slotted class, so the CLI loads no dataclasses (and with
-    it inspect) on its way to the commands that need neither."""
+    """Seed, mode and tolerance of a run, checked once as it is made. A plain
+    slotted class, so the CLI loads no dataclasses (and with it inspect) on
+    its way to the commands that need neither."""
 
     __slots__ = ("seed", "mode", "tolerance")
 
@@ -34,31 +34,7 @@ class RunConfig:
             raise ValueError(f"mode must be one of {_MODES}")
         if not tolerance > 0:
             raise ValueError("tolerance must be positive")
-        for name, value in zip(self.__slots__, (seed, mode, tolerance)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return type(self), self._fields()
-
-    def _fields(self) -> tuple:
-        return self.seed, self.mode, self.tolerance
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        return f"{type(self).__qualname__}(seed={self.seed!r}, mode={self.mode!r}, tolerance={self.tolerance!r})"
+        self.seed, self.mode, self.tolerance = seed, mode, tolerance
 
     def describe(self) -> str:
         return f"seed={self.seed} mode={self.mode} tolerance={self.tolerance:.17g}"
@@ -132,9 +108,6 @@ class UnitTag:
     @classmethod
     def single(cls, sym: str, exp=1) -> "UnitTag":
         return cls({sym: exp})
-
-    def exponents(self) -> dict:
-        return dict(self._exps)
 
     def __mul__(self, other: "UnitTag") -> "UnitTag":
         out = dict(self._exps)

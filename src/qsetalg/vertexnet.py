@@ -127,10 +127,6 @@ class GammaVertex:
         (self.gamma_set, self.array, self.slot_dims, self.slot_kinds,
          self.slot_parity, self.parity, self._slots) = _gamma_table(p, q)
 
-    def entries(self):
-        """Sparse dict (dual, vector, spinor) -> entry; a fresh copy."""
-        return _entries(self.array)
-
     def to_json(self):
         return {"kind": "gamma", "p": self.p, "q": self.q}
 
@@ -170,10 +166,6 @@ class IotaNode:
         (self.array, self.slot_dims, self.slot_kinds,
          self.slot_parity, self.parity, self._slots) = _iota_table(m, rank)
 
-    def entries(self):
-        """Sparse dict (out, in) -> 1; inclusion of grade-m labels."""
-        return _entries(self.array)
-
     def to_json(self):
         return {"kind": "iota", "m": self.m, "rank": self.rank}
 
@@ -197,13 +189,31 @@ def _vertex_from_json(data):
     if not isinstance(data, dict):
         raise ValueError(f"a vertex is a JSON object, not {data!r}")
     kind = data.get("kind")
-    cls, keys = {"gamma": (GammaVertex, ("p", "q")), "iota": (IotaNode, ("m", "rank"))}.get(kind, (None, ()))
-    if cls is None:
+    if kind not in ("gamma", "iota"):
         raise ValueError(f"unknown vertex kind {kind!r}")
+    cls, keys = (GammaVertex, ("p", "q")) if kind == "gamma" else (IotaNode, ("m", "rank"))
     for key in keys:
+        if key not in data:
+            raise ValueError(f"{kind} vertex has no field {key!r}")
         if type(data[key]) is not int:
             raise ValueError(f"vertex field {key!r} is not an integer: {data[key]!r}")
     return cls(*(data[key] for key in keys))
+
+
+def _list(data: dict, key: str) -> list:
+    """The JSON list data[key], empty when the key is absent."""
+    value = data.get(key, [])
+    if not isinstance(value, list):
+        raise ValueError(f"network field {key!r} is not a list: {value!r}")
+    return value
+
+
+def _end(item, where: str) -> tuple:
+    """(vertex, slot) of the JSON pair [vertex index, slot name] in `where`."""
+    v, s = item if isinstance(item, list) and len(item) == 2 else (None, None)
+    if type(v) is not int or type(s) is not str:
+        raise ValueError(f"{where}: {item!r} is not [integer vertex index, slot name]")
+    return v, s
 
 
 @dataclass(frozen=True)
@@ -271,7 +281,7 @@ class VertexNetwork:
         """(position, dim, kind) of the slot `end` = (vertex, slot name)."""
         v, s = end
         if not (isinstance(v, int) and 0 <= v < len(self.vertices)):
-            raise ValueError(f"edge references vertex {v!r}")
+            raise ValueError(f"slot {end!r} names no vertex; the network has {len(self.vertices)}")
         vert = self.vertices[v]
         slot = vert._slots.get(s)
         if slot is None:
@@ -349,12 +359,13 @@ class VertexNetwork:
     def from_json(cls, data) -> "VertexNetwork":
         if not isinstance(data, dict):
             raise ValueError(f"a network is a JSON object, not {type(data).__name__}")
-        vertices = [_vertex_from_json(v) for v in data.get("vertices", [])]
-        edges = [
-            ((int(a[0]), str(a[1])), (int(b[0]), str(b[1])))
-            for a, b in data.get("edges", [])
-        ]
-        open_legs = [(int(v), str(s)) for v, s in data.get("open", [])]
+        vertices = [_vertex_from_json(v) for v in _list(data, "vertices")]
+        edges = []
+        for e in _list(data, "edges"):
+            if not (isinstance(e, list) and len(e) == 2):
+                raise ValueError(f"edge {e!r} is not two [vertex, slot] pairs")
+            edges.append(tuple(_end(end, f"edge {e!r}") for end in e))
+        open_legs = [_end(l, "open leg") for l in _list(data, "open")]
         return cls(vertices, edges, open_legs)
 
     @classmethod

@@ -45,12 +45,7 @@ import numpy as np
 
 from . import linalg
 from .cliff import build_gammas
-from .liecore import (
-    ContractionFamily,
-    ContractionError,
-    MatrixAlgebra,
-    StructureConstants,
-)
+from .liecore import ContractionFamily, MatrixAlgebra, StructureConstants
 from .scalars import UnitTag
 
 # ---------------------------------------------------------------------------
@@ -113,7 +108,6 @@ class YangFrame:
         gs = build_gammas(gp, gq)
         self.preset = preset
         self.gamma_set = gs
-        self.direction_index = tuple(picks)
         self.eta6 = tuple(gs.eta_entry(i) for i in picks)
         self.eta_mu = self.eta6[:4]
 
@@ -124,7 +118,7 @@ class YangFrame:
         pairs = rot + [(5, mu) for mu in mus] + [(6, mu) for mu in mus] + [(6, 5)]
         labels = [f"L{mu}{nu}" for mu, nu in rot] + [f"x{mu}" for mu in mus]
         labels += [f"p{mu}" for mu in mus] + ["z"]
-        self.rot_slots, self.x_slots, self.p_slots = list(range(6)), list(range(6, 10)), list(range(10, 14))
+        self.x_slots, self.p_slots = list(range(6, 10)), list(range(10, 14))
         self.z_slot = 14
         # M(a, b) = gamma_a gamma_b / 2: the integer antisym matrix over 2
         stack = np.stack([gs.antisym(picks[a - 1], picks[b - 1]) for a, b in pairs])
@@ -256,9 +250,6 @@ def gauge_defect(frame: YangFrame, eps_sqrt) -> DefectReport:
 # ---------------------------------------------------------------------------
 # coordinate accumulation: Kronecker sums of two-level steps
 
-_STEP_PLUS = np.array([[0, 1], [1, 0]], dtype=np.int64)
-_STEP_MINUS = np.array([[0, 1], [-1, 0]], dtype=np.int64)
-
 _MAX_STEPS = 12
 
 ACCUMULATION_PRESETS = {
@@ -279,19 +270,14 @@ class AccumulationResult:
         return sum(m for _, m in self.spectrum)
 
 
-def step_matrix(square: int) -> np.ndarray:
-    if square == 1:
-        return _STEP_PLUS.copy()
-    if square == -1:
-        return _STEP_MINUS.copy()
-    raise ValueError("step square must be +1 or -1")
-
-
 def total_matrix(n: int, square: int) -> np.ndarray:
-    """Kronecker sum of n identical two-level steps; dimension 2**n."""
+    """Kronecker sum of n identical two-level steps [[0, 1], [square, 0]],
+    each squaring to square * I; dimension 2**n."""
     if not 1 <= n <= _MAX_STEPS:
         raise ValueError(f"steps must lie in 1..{_MAX_STEPS}")
-    s = step_matrix(square)
+    if square not in (1, -1):
+        raise ValueError("step square must be +1 or -1")
+    s = np.array([[0, 1], [square, 0]], dtype=np.int64)
     dim = 1 << n
     out = np.zeros((dim, dim), dtype=np.int64)
     for k in range(n):

@@ -49,10 +49,19 @@ def fraction_view(vector, offset: int) -> tuple:
     return linalg.from_scaled(np.diag(vector, offset), 1)
 
 
+def mode_vectors(mode):
+    """The ladder weights N - k of A e_k = (N - k) e_{k+1} and k + 1 of
+    B e_{k+1} = (k + 1) e_k for k < N, and the diagonal 2k - N of
+    Z = [A, B], of a PalevMode of capacity N, as int64 arrays."""
+    n = mode.two_j
+    return np.arange(n, 0, -1), np.arange(1, n + 1), np.arange(-n, n + 1, 2)
+
+
 def mode_matrices(mode):
     """A, B and Z = [A, B] of a PalevMode as Fraction matrices, from its
     weight and charge vectors."""
-    return fraction_view(mode._raise, -1), fraction_view(mode._lower, 1), fraction_view(mode._charge, 0)
+    raising, lowering, charge = mode_vectors(mode)
+    return fraction_view(raising, -1), fraction_view(lowering, 1), fraction_view(charge, 0)
 
 
 def scaled_basis(basis, weights, eps_sqrt):

@@ -11,6 +11,7 @@ import pytest
 
 import qsetalg
 from qsetalg.cli import main
+from qsetalg.cliff import build_gammas
 from qsetalg.perfinite import decode
 from qsetalg.qset import Multivector, mv_to_json
 
@@ -118,6 +119,7 @@ def test_gamma_and_out_dir(capsys, tmp_path, monkeypatch):
     data = json.loads((tmp_path / "g.json").read_text())
     assert data["dim"] == 2
     assert data["eta"] == [1, 1, -1]
+    assert data["gammas"] == [g.tolist() for g in build_gammas(2, 1).gammas]
 
 
 def test_structure_killing_contract(capsys):
@@ -397,6 +399,9 @@ def test_net_commands(capsys, tmp_path):
     assert code == 2
 
 
+GAMMA_21 = {"kind": "gamma", "p": 2, "q": 1}
+
+
 @pytest.mark.parametrize("what", ["eval", "check", "parity"])
 @pytest.mark.parametrize(
     "blob, reason",
@@ -413,6 +418,36 @@ def test_net_commands(capsys, tmp_path):
         ({"vertices": [{"kind": "gamma", "p": 2, "q": "1"}]}, "vertex field 'q' is not an integer: '1'"),
         ({"vertices": [{"kind": "gamma", "p": True, "q": 1}]}, "vertex field 'p' is not an integer: True"),
         ({"vertices": [{"kind": "iota", "m": 1, "rank": 2.0}]}, "vertex field 'rank' is not an integer: 2.0"),
+        ({"vertices": [{"kind": "gamma", "p": 2}]}, "gamma vertex has no field 'q'"),
+        ({"vertices": [{"kind": ["gamma"], "p": 2, "q": 1}]}, "unknown vertex kind ['gamma']"),
+        ({"vertices": 3}, "network field 'vertices' is not a list: 3"),
+        ({"vertices": [], "edges": {}}, "network field 'edges' is not a list: {}"),
+        ({"vertices": [], "open": "0"}, "network field 'open' is not a list: '0'"),
+        (
+            {"vertices": [GAMMA_21], "edges": [[[0.9, "dual"], [0, "spinor"]]], "open": [[0.5, "vector"]]},
+            "edge [[0.9, 'dual'], [0, 'spinor']]: [0.9, 'dual'] is not [integer vertex index, slot name]",
+        ),
+        (
+            {"vertices": [GAMMA_21], "edges": [[[0, "dual"], [0, "spinor"]]], "open": [[0.5, "vector"]]},
+            "open leg: [0.5, 'vector'] is not [integer vertex index, slot name]",
+        ),
+        (
+            {"vertices": [GAMMA_21], "edges": [[["0", "dual"], [0, "spinor"]]], "open": [[0, "vector"]]},
+            "edge [['0', 'dual'], [0, 'spinor']]: ['0', 'dual'] is not [integer vertex index, slot name]",
+        ),
+        (
+            {"vertices": [GAMMA_21] * 2, "edges": [[[0, "dual"], [0, "spinor"]]], "open": [[0, "vector"], [True, "vector"]]},
+            "open leg: [True, 'vector'] is not [integer vertex index, slot name]",
+        ),
+        (
+            {"vertices": [GAMMA_21], "edges": [[[0, "dual"], [0, 2]]], "open": [[0, "vector"]]},
+            "edge [[0, 'dual'], [0, 2]]: [0, 2] is not [integer vertex index, slot name]",
+        ),
+        ({"vertices": [GAMMA_21], "edges": [[0, 1]]}, "edge [0, 1]: 0 is not [integer vertex index, slot name]"),
+        ({"vertices": [GAMMA_21], "edges": [[[0, "dual"]]]}, "edge [[0, 'dual']] is not two [vertex, slot] pairs"),
+        ({"vertices": [GAMMA_21], "open": [5]}, "open leg: 5 is not [integer vertex index, slot name]"),
+        ({"vertices": [GAMMA_21], "open": [[1, "vector"]]}, "slot (1, 'vector') names no vertex; the network has 1"),
+        ({"vertices": [GAMMA_21], "edges": [[[0, "dual"], [-1, "spinor"]]]}, "slot (-1, 'spinor') names no vertex; the network has 1"),
     ],
 )
 def test_net_bad_network_json_exits_two_with_one_error_line(capsys, tmp_path, what, blob, reason):

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from qsetalg.cliff import (
+    GammaSet,
+    _dense,
+    _monomial,
     anticommutator_defect,
     build_gammas,
     entries_are_signs,
-    gammas_from_json,
-    gammas_to_json,
 )
 from qsetalg.linalg import int_commutator
 
@@ -92,9 +93,14 @@ def test_antisym_is_antisymmetric(p, q):
             assert np.array_equal(gs.antisym(a, b), -gs.antisym(b, a))
 
 
+def top_element(gs):
+    """The dense top element, from the set's (perm, sign) product."""
+    return _dense(*(x[None] for x in gs._top()))[0]
+
+
 def test_top_element_anticommutes_in_even_total():
     gs = build_gammas(2, 2)
-    top = np.asarray(gs.top())
+    top = top_element(gs)
     for i in range(1, 5):
         g = np.asarray(gs.gamma(i))
         assert np.array_equal(top @ g, -(g @ top))
@@ -107,17 +113,6 @@ def test_build_guards():
         build_gammas(-1, 2)
     with pytest.raises(ValueError):
         build_gammas(7, 6)
-
-
-@pytest.mark.parametrize("p, q", [(0, 0), *SIGNATURES])
-def test_json_round_trip(p, q):
-    gs = build_gammas(p, q)
-    again = gammas_from_json(gammas_to_json(gs))
-    assert again.p == gs.p and again.q == gs.q
-    assert again.dim == gs.dim
-    assert np.array_equal(again.perm, gs.perm) and np.array_equal(again.sign, gs.sign)
-    for i in range(1, gs.n + 1):
-        assert np.array_equal(again.gamma(i), gs.gamma(i))
 
 
 # -- the signed-permutation kernel -----------------------------------------
@@ -152,7 +147,7 @@ def reference_top(gammas, dim):
 def test_kernel_matches_the_dense_reference_on_built_sets(p, q):
     gs = build_gammas(p, q)
     assert anticommutator_defect(gs) == reference_defect(gs.gammas, gs.eta) == 0
-    assert np.array_equal(gs.top(), reference_top(gs.gammas, gs.dim))
+    assert np.array_equal(top_element(gs), reference_top(gs.gammas, gs.dim))
     for a in range(1, gs.n + 1):
         for b in range(1, gs.n + 1):
             ga, gb = gs.gamma(a), gs.gamma(b)
@@ -160,7 +155,8 @@ def test_kernel_matches_the_dense_reference_on_built_sets(p, q):
 
 
 def _from_matrices(p, q, gammas):
-    return gammas_from_json({"p": p, "q": q, "dim": len(gammas[0]), "gammas": gammas})
+    """The GammaSet of integer matrices that are monomial, refused otherwise."""
+    return GammaSet(p, q, *_monomial(np.array(gammas, dtype=np.int64)))
 
 
 def broken_sets(rng, count):
@@ -203,19 +199,19 @@ def test_defect_past_int64_takes_python_ints():
 
 def test_non_monomial_set_is_refused():
     gs = build_gammas(2, 1)
-    data = gammas_to_json(gs)
-    data["gammas"][0] = (gs.gamma(1) + gs.gamma(2)).tolist()
+    gammas = [g.tolist() for g in gs.gammas]
+    gammas[0] = (gs.gamma(1) + gs.gamma(2)).tolist()
     with pytest.raises(ValueError, match="exactly one nonzero"):
-        gammas_from_json(data)
+        _from_matrices(2, 1, gammas)
     # the dense product of this matrix wrapped around int64: the diagonal
     # 2^81 - 2 came back as -2, and the defect read 2^42
-    big = {"p": 1, "q": 0, "dim": 2, "gammas": [[[1 << 40, 1], [0, 1 << 40]]]}
-    assert reference_defect([np.array(big["gammas"][0], dtype=object)], (1,)) == 2417851639229258349412350
+    big = [[1 << 40, 1], [0, 1 << 40]]
+    assert reference_defect([np.array(big, dtype=object)], (1,)) == 2417851639229258349412350
     with pytest.raises(ValueError, match="exactly one nonzero"):
-        gammas_from_json(big)
+        _from_matrices(1, 0, [big])
     with pytest.raises(ValueError, match="square"):
         _from_matrices(1, 0, [[[1, 0]]])
-    assert not entries_are_signs(gammas_from_json({**data, "gammas": [[[2, 0], [0, 2]]] * 3}))
+    assert not entries_are_signs(_from_matrices(2, 1, [[[2, 0], [0, 2]]] * 3))
 
 
 def test_stored_arrays_are_read_only():
@@ -223,21 +219,6 @@ def test_stored_arrays_are_read_only():
     for arr in (gs.perm, gs.sign, gs.gammas[0]):
         with pytest.raises(ValueError):
             arr[0, 0] = 7
-    data = gammas_to_json(gs)
-    data["gammas"][0] = (gs.gamma(1) + gs.gamma(2)).tolist()
-    with pytest.raises(ValueError, match="exactly one nonzero"):
-        gammas_from_json(data)
-
-
-def test_monomial_json_reads_back_monomial():
-    gs = build_gammas(3, 2)
-    data = gammas_to_json(gs)
-    again = gammas_from_json(data)
-    assert np.array_equal(again.perm, gs.perm) and np.array_equal(again.sign, gs.sign)
-    with pytest.raises(ValueError, match="number of matrices"):
-        gammas_from_json({**data, "q": 3})
-    with pytest.raises(ValueError, match="dimension field"):
-        gammas_from_json({**data, "dim": 8})
 
 
 def top_square_rule(p, q):

@@ -32,6 +32,7 @@ from helpers import (
     load_oracle,
     madd,
     mode_matrices,
+    mode_vectors,
     msub,
     smul,
     sympy_nc_text,
@@ -160,23 +161,12 @@ def test_charge_diagonal():
         assert mode_matrices(m)[2][k][k] == 2 * k - 4
 
 
-@pytest.mark.parametrize("two_j", [1, 4, 9])
-def test_mode_vectors_are_built_on_first_read(two_j):
-    m = PalevMode(two_j)
-    assert not {"_raise", "_lower", "_charge"} & vars(m).keys()
-    assert m._raise.dtype == m._lower.dtype == m._charge.dtype == np.int64
-    assert m._raise.tolist() == [two_j - k for k in range(two_j)]
-    assert m._lower.tolist() == [k + 1 for k in range(two_j)]
-    assert m._charge.tolist() == [2 * k - two_j for k in range(m.dim)]
-    assert m._raise is m._raise
-
-
 @pytest.mark.parametrize("two_j", [1, 2, 5, 12])
 def test_exclusion_report_is_the_power_of_the_raising_matrix(two_j):
-    # exclusion_report reads its weights from a range, not from _raise:
-    # both must give the same A
+    # exclusion_report reads its weights from a range, and the carrier bands
+    # build theirs from np.arange: both must give the same A
     m = PalevMode(two_j)
-    a = np.diag(m._raise, -1)
+    a = np.diag(mode_vectors(m)[0], -1)
     at_n = np.linalg.matrix_power(a, two_j)
     beyond = np.linalg.matrix_power(a, two_j + 1)
     assert m.exclusion_report() == (Fraction(int(abs(at_n).max())), Fraction(int(abs(beyond).max())))
@@ -220,9 +210,11 @@ def test_carrier_parts_equal_the_fraction_construction(n, preset):
     q, p, r = (repr(x) for x in want)
     assert repr(triple).startswith(f"CarrierTriple(preset={preset!r}, q={q}, p={p}, r={r}, tags=(")
     assert all(checks.values())
-    m._charge = 2 * m._charge  # a wrong charge breaks every relation that involves it
-    _, checks = carrier_triple(m, preset)
-    assert not any(checks.values())
+    # a wrong charge breaks every relation that involves it: Z is r in
+    # spin3 and q in spin21
+    q, p, r = triple.parts
+    wrong = (q, p, 2 * r) if preset == "spin3" else (2 * q, p, r)
+    assert not any(palev._relations_hold(wrong, ((0, 1, 2), (1, 2, 0), (0, 2, 1))))
 
 
 def carrier_parts(n, preset):

@@ -209,6 +209,22 @@ def test_signature_matches_float_oracle_and_exact_congruence():
         assert dense == rep.as_tuple()
 
 
+def mask_loop_signature(n):
+    """(plus, minus, zero) of the Berezin Gram matrix on n generators by
+    visiting every blade mask: a blade pairs when g (n - g) is even for its
+    grade g, and the pairs are hyperbolic."""
+    paired = sum(1 for mask in range(1 << n) if mask.bit_count() * (n - mask.bit_count()) % 2 == 0)
+    return paired // 2, paired // 2, (1 << n) - 2 * (paired // 2)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_signature_counts_by_grade_as_the_mask_loop_did(r):
+    frame = RankFrame(r)
+    rep = signature_report(frame)
+    assert rep.as_tuple() == mask_loop_signature(frame.n)
+    assert rep.dimension == 1 << frame.n
+
+
 @pytest.mark.parametrize("r", [1, 2, 3])
 @pytest.mark.parametrize("top_scale", [1, 2, Fraction(1, 3)])
 def test_gram_matrix_reads_beta_form_from_the_wedge_table(r, top_scale):

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsetalg import vertexnet
 from qsetalg.cliff import build_gammas
@@ -20,7 +22,7 @@ from qsetalg.vertexnet import (
 def test_gamma_vertex_entries_match_matrices():
     v = GammaVertex(2, 1)
     gs = build_gammas(2, 1)
-    ent = v.entries()
+    ent = vertexnet._entries(v.array)
     for m in range(3):
         g = np.asarray(gs.gamma(m + 1))
         for y2 in range(gs.dim):
@@ -45,7 +47,7 @@ def test_iota_node_entries_are_a_grade_selector():
     node = IotaNode(1, 2)
     # two generators at rank 2: the grade-1 labels are codes 1 and 2
     assert node.slot_dims == {"out": 4, "in": 2}
-    ent = node.entries()
+    ent = vertexnet._entries(node.array)
     assert ent == {(1, 0): 1, (2, 1): 1}
 
 
@@ -470,19 +472,14 @@ def test_planner_cost_is_linear_in_the_vertex_count(monkeypatch):
 
 def test_vertices_share_no_mutable_state():
     a, b = GammaVertex(3, 1), GammaVertex(3, 1)
-    before = b.entries()
-    ent = a.entries()
-    ent.clear()
-    ent[(0, 0, 0)] = 99
-    assert b.entries() == before
-    assert a.entries() == before
+    before = vertexnet._entries(b.array)
     with pytest.raises(ValueError):
         a.gamma_set.gammas[0][0, 0] = 7
     with pytest.raises(ValueError):
         a.gamma_set.sign[0, 0] = 7
     with pytest.raises(ValueError):
         a.gamma_set.perm[0, 0] = 1
-    assert b.entries() == before
+    assert vertexnet._entries(b.array) == before
     assert np.array_equal(b.gamma_set.gammas[0], build_gammas(3, 1).gammas[0])
     # the slot tables are shared read-only views
     for name, want in (("slot_dims", 4), ("slot_kinds", "dual"), ("slot_parity", 1)):
@@ -721,3 +718,51 @@ def test_merges_past_52_wires_stay_arrays(monkeypatch):
     assert paths and "_merge_sparse" not in paths
     assert arr.shape == (1,) * 60
     assert arr.item() == 1
+
+
+# seven small signatures: spinor dimensions 1, 2 and 4, vector dimensions 1-4
+_SMALL_SIGNATURES = [(1, 0), (0, 1), (1, 1), (2, 0), (2, 1), (0, 2), (3, 1)]
+_MAX_OPEN = 6
+
+
+@st.composite
+def gamma_networks(draw):
+    """Up to seven gamma vertices, any pairing of compatible slots of equal
+    dimension (a vertex's spinor on its own dual included), and the slots
+    left unpaired, at most _MAX_OPEN, open in a drawn order."""
+    verts = [GammaVertex(*s) for s in draw(st.lists(st.sampled_from(_SMALL_SIGNATURES), min_size=1, max_size=7))]
+
+    def groups(slot):
+        by_dim: dict = {}
+        for i, v in enumerate(verts):
+            by_dim.setdefault(v.slot_dims[slot], []).append(i)
+        return list(by_dim.values())
+
+    vectors = groups("vector")
+    budget = _MAX_OPEN - sum(len(ids) % 2 for ids in vectors)  # an odd vector group leaves one open
+    edges, open_legs = [], []
+    for ids in groups("spinor"):  # spinor slots and dual slots share their dimension
+        spinors, duals = draw(st.permutations(ids)), draw(st.permutations(ids))
+        left = draw(st.integers(0, min(len(ids), budget // 2)))
+        budget -= 2 * left
+        edges += [((a, "spinor"), (b, "dual")) for a, b in zip(spinors[left:], duals[left:])]
+        open_legs += [(a, "spinor") for a in spinors[:left]] + [(b, "dual") for b in duals[:left]]
+    for ids in vectors:
+        order = draw(st.permutations(ids))
+        left = len(ids) % 2 + 2 * draw(st.integers(0, min(len(ids) // 2, budget // 2)))
+        budget -= left - len(ids) % 2
+        edges += [((a, "vector"), (b, "vector")) for a, b in zip(order[left::2], order[left + 1::2])]
+        open_legs += [(a, "vector") for a in order[:left]]
+    return VertexNetwork(verts, edges, draw(st.permutations(open_legs)))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(gamma_networks())
+def test_random_networks_agree_on_every_path(net):
+    """contract() (arrays within the default cutoff), contract(dense_cutoff=0)
+    (dicts throughout) and the float64 einsum oracle give one tensor."""
+    assert len(net.open_legs) <= _MAX_OPEN
+    arrays, dicts = net.contract(), net.contract(dense_cutoff=0)
+    assert arrays.dtype == dicts.dtype == np.int64
+    assert np.array_equal(arrays, dicts)
+    assert np.array_equal(arrays.astype(float), dense_oracle(net))
