@@ -32,8 +32,7 @@ print()
 print("== spin generators close on rotation constants ==")
 gs = build_gammas(2, 1)
 pairs = [(2, 3), (2, 1), (1, 3)]
-stack = np.stack([gs.antisym(a, b) for a, b in pairs])
-sc = MatrixAlgebra("spin21", stack, 2, labels=("q", "p", "r")).structure_constants()
+sc = MatrixAlgebra("spin21", gs.antisym(pairs), 2, labels=("q", "p", "r")).structure_constants()
 for i, j, k, c in sc.nonzero():
     print(f"  [{sc.labels[i]},{sc.labels[j]}] = {c} {sc.labels[k]}")
 print("killing det:", sc.killing_det(), "->", sc.classify())

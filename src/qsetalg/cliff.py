@@ -18,9 +18,12 @@ matrices (one nonzero per row) is monomial, so a GammaSet holds its
 generators as two int64 stacks of shape (n, d), `perm` and `sign`: row r of
 gamma_{i+1} has sign[i, r] in column perm[i, r]. A product of two monomials
 is a gather, and the anticommutator, top element and commutator checks run
-on these stacks in O(n^2 d). The dense d x d matrices are built only at the
-edge, on first read of `gammas` (and so of `gamma(i)`, `gammas_to_json` and
-the vertex tables of vertexnet), and cached.
+on these stacks in O(n^2 d). Dense d x d matrices are built only at the
+edge, by one builder: on first read of `gammas` (and so of `gamma(i)`,
+`gammas_to_json` and the vertex tables of vertexnet), cached, and by
+`antisym`, whose whole stack of [gamma_a, gamma_b] / 2 for a list of pairs
+(the generators of a rotation frame) is one gather of the cached pair
+products made dense at once.
 
 Everything is exact: int64 while a stated bound holds, Python ints past it.
 The representation dimension is not always the minimal one (for example
@@ -181,17 +184,18 @@ class GammaSet:
     def eta_entry(self, i: int) -> int:
         return self.eta[self._index(i, "eta")]
 
-    def antisym(self, a: int, b: int) -> np.ndarray:
-        """A_ab = [gamma_a, gamma_b] / 2, exact (equals gamma_a gamma_b off the
-        diagonal, zero on it). Over scale 2 these are the rotation generators:
+    def antisym(self, pairs) -> np.ndarray:
+        """The (k, d, d) stack of A_ab = [gamma_a, gamma_b] / 2 for the k
+        1-based pairs (a, b), exact (A_ab equals gamma_a gamma_b off the
+        diagonal a == b, zero on it): one gather of the products gamma_a gamma_b
+        and gamma_b gamma_a, made dense at once. Over scale 2 these are the
+        rotation generators:
         [A_ab, A_cd] = 2 (eta_bc A_ad - eta_ac A_bd - eta_bd A_ac + eta_ad A_bc)."""
-        i, j = self._index(a), self._index(b)
+        i, j = np.array([[self._index(a), self._index(b)] for a, b in pairs], dtype=np.intp).reshape(-1, 2).T
         perm, sign = self._products
-        rows = np.arange(self.dim)
-        comm = np.zeros((self.dim, self.dim), dtype=sign.dtype)
-        comm[rows, perm[i, j]] = sign[i, j]
-        comm[rows, perm[j, i]] -= sign[j, i]
-        half, rem = np.divmod(comm, 2)
+        at, d = ([i, j], [j, i]), self.dim  # gamma_a gamma_b, then gamma_b gamma_a
+        ab, ba = _dense(perm[at].reshape(-1, d), sign[at].reshape(-1, d)).reshape(2, -1, d, d)
+        half, rem = np.divmod(ab - ba, 2)
         if rem.any():
             raise AssertionError("commutator of gammas must be even")
         return half

@@ -4,16 +4,17 @@ and one-parameter contractions.
 A MatrixAlgebra is a basis of exact rational matrices assumed (and verified)
 to close under commutators, taken and held as an integer stack G over one
 scale s (basis_i = G_i / s), as its builders make it: gamma products and
-ladder pairs over 2, the small catalog matrices over 1. All commutators come
-from one batched integer product (linalg.int_matmul: float64 while
-d * max|G|^2 < 2^53 for d x d matrices, int64 while it is < 2^62), and all
-of them are solved at once against the basis by one linalg.ColumnSolver (the
-basis's Gram matrix inverted once per algebra), followed by one exact
-residual check over every matrix entry. So closure failures are detected
-exactly rather than hidden under a least-squares fit; a float refit of the
-same stack (numeric_contraction_check: one batched commutator product and
-one least-squares call for every bracket) is an independent cross-check, not
-the source of truth.
+ladder pairs over 2, the small catalog matrices over 1. All commutators are
+read off one product table G_a G_b of every ordered pair, one batched
+integer product (linalg.int_matmul: float64 while d * max|G|^2 < 2^53 for
+d x d matrices, int64 while it is < 2^62, so the difference of two entries
+fits), and all of them are solved at once against the basis by one
+linalg.ColumnSolver (the basis's Gram matrix inverted once per algebra),
+followed by one exact residual check over every matrix entry. So closure
+failures are detected exactly rather than hidden under a least-squares fit;
+a float refit of the same stack (numeric_contraction_check: one batched
+commutator product and one least-squares call for every bracket) is an
+independent cross-check, not the source of truth.
 
 StructureConstants hold the constants as one integer array C of shape
 (n, n, n) and one common denominator D: c_ijk = C[i, j, k] / D. Jacobi sums,
@@ -110,10 +111,12 @@ class MatrixAlgebra:
 
     def commutators(self):
         """Integer array K of shape (pairs, d, d) over the pairs i < j in
-        np.triu_indices order: [basis_i, basis_j] == K[pair] / scale^2."""
+        np.triu_indices order: [basis_i, basis_j] == K[pair] / scale^2, read
+        off the one product table G_a G_b of every ordered pair."""
         if self._comm is None:
             i, j = np.triu_indices(self.dim, 1)
-            self._comm = linalg.int_commutator(self.stack[i], self.stack[j])
+            table = linalg.int_matmul(self.stack[:, None], self.stack[None])
+            self._comm = table[i, j] - table[j, i]
         return self._comm
 
     def structure_constants(self) -> "StructureConstants":
@@ -400,17 +403,15 @@ def heisenberg3() -> MatrixAlgebra:
     return MatrixAlgebra("h1", np.array((p, q, c)), 1, labels=("P", "Q", "Z"))
 
 
-def boost_triple(steps: int = 2) -> MatrixAlgebra:
+def boost_triple() -> MatrixAlgebra:
     """so(2,1) in the symmetric presentation [q,p] = r, [p,r] = q, [q,r] = p,
-    realized rationally on steps+1 levels as (q, p, r) =
+    realized rationally on three levels as (q, p, r) =
     ([A,B]/2, (A-B)/2, (A+B)/2) for the integer ladder pair
-    A e_k = (steps-k) e_{k+1}, B e_k = k e_{k-1}, whose bracket [A, B] is
-    diagonal with entries 2k - steps."""
-    if steps < 1:
-        raise ValueError("need at least two levels")
-    k = np.arange(steps, dtype=np.int64)
-    a, b = np.diag(steps - k, -1), np.diag(k + 1, 1)
-    stack = np.stack([linalg.int_commutator(a, b), a - b, a + b])
+    A e_k = (2-k) e_{k+1}, B e_k = k e_{k-1}, whose bracket [A, B] is
+    diagonal with entries 2k - 2, written here in closed form."""
+    k = np.arange(3)
+    a, b = np.diag(2 - k[:2], -1), np.diag(k[1:], 1)
+    stack = np.stack([np.diag(2 * k - 2), a - b, a + b])
     return MatrixAlgebra("so21", stack, 2, labels=("q", "p", "r"))
 
 
@@ -420,12 +421,7 @@ def rotation_boost6() -> MatrixAlgebra:
 
     gs = build_gammas(4, 0)
     pairs = ((1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4))
-    return MatrixAlgebra(
-        "so4",
-        np.stack([gs.antisym(a, b) for a, b in pairs]),
-        2,
-        labels=("r12", "r13", "r23", "b1", "b2", "b3"),
-    )
+    return MatrixAlgebra("so4", gs.antisym(pairs), 2, labels=("r12", "r13", "r23", "b1", "b2", "b3"))
 
 
 # key -> (builder, default contraction weights, note); nothing is built here

@@ -18,7 +18,10 @@ each states its bound before it runs:
   of k products (k the inner dimension), so every product and every partial
   sum is at most k * max|a| * max|b| in absolute value. A contraction that
   is not a matrix product (vertexnet's tensor merges) reshapes its operands
-  to one first.
+  to one first, and a commutator is the difference of two entries of one
+  product table (the Lie layer's stack[:, None] @ stack[None]): one bound,
+  so one tier and one dtype, and two entries under 2^62 differ by less
+  than 2^63.
 - int_combine((c, a), ...): bounded by sum(|c| * max|a|).
 
 int_matmul takes the first of three tiers its bound fits; int_combine takes
@@ -125,24 +128,15 @@ def int_combine(*terms):
     return sum(c * cast(a, bound) for c, a in terms)
 
 
-def _matmul_bound(a, b) -> int:
-    """k * max|a| * max|b| for a @ b, k the inner dimension, each factor
-    taken as at least 1."""
-    return max(a.shape[-1], 1) * max(peak(a), 1) * max(peak(b), 1)
-
-
-def _tier_matmul(a, b, bound: int):
-    """a @ b in the tier `bound` picks: float64 BLAS under 2^53, int64 under
-    2^62, Python ints otherwise. The result is int64 or Python ints."""
+def int_matmul(a, b):
+    """Exact a @ b for integer arrays, with np.matmul's broadcasting, in the
+    tier its bound k * max|a| * max|b| picks (each factor taken as at least
+    1): float64 BLAS under 2^53, int64 under 2^62, Python ints otherwise. The
+    result is int64 or Python ints."""
+    bound = max(a.shape[-1], 1) * max(peak(a), 1) * max(peak(b), 1)
     if bound < _EXACT:
         return np.matmul(a.astype(np.float64), b.astype(np.float64)).astype(np.int64)
     return np.matmul(cast(a, bound), cast(b, bound))
-
-
-def int_matmul(a, b):
-    """Exact a @ b for integer arrays, with np.matmul's broadcasting, in the
-    tier its bound k * max|a| * max|b| picks."""
-    return _tier_matmul(a, b, _matmul_bound(a, b))
 
 
 def mmul(a: Matrix, b: Matrix) -> Matrix:
@@ -152,15 +146,6 @@ def mmul(a: Matrix, b: Matrix) -> Matrix:
         raise LinalgError(f"shape mismatch {shape(a)} @ {shape(b)}")
     (ia, da), (ib, db) = int_scaled(a), int_scaled(b)
     return from_scaled(int_matmul(ia, ib), da * db)
-
-
-def int_commutator(a, b):
-    """a b - b a for integer arrays of square matrices (2-d, or 3-d stacks
-    multiplied pairwise), exact. Both products share one bound, read once,
-    hence one tier and one dtype, and each stays under 2^62, so the
-    difference fits."""
-    bound = _matmul_bound(a, b)
-    return _tier_matmul(a, b, bound) - _tier_matmul(b, a, bound)
 
 
 def to_float(a, den: int) -> np.ndarray:

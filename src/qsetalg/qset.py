@@ -324,20 +324,16 @@ def grade_parity(x: PerfiniteSet) -> int:
     return x.grade & 1
 
 
-def iota_m(w: Multivector, m: int, frame: RankFrame, frame_out: RankFrame | None = None):
+def iota_m(w: Multivector, m: int, frame: RankFrame):
     """Grade-m part of w, re-expressed one rank up: each grade-m blade label x
     becomes the single generator labeled x (blade label iota(x)). Other grades
-    are annihilated. Returns (image, frame_out)."""
+    are annihilated. Returns (image, frame_out), frame_out the frame of rank
+    r + 1 with the same preset metric."""
     frame.validate(w)
-    if frame_out is None:
-        if frame.metric_name == "explicit":
-            raise ValueError("explicit-metric frames need an explicit frame_out")
-        frame_out = RankFrame(frame.r + 1, metric=frame.metric_name)
-    if frame_out.r != frame.r + 1:
-        raise ValueError("frame_out must sit exactly one rank above frame")
-    mv = Multivector._of({1 << k: c for k, c in w._terms.items() if k.bit_count() == m})
-    frame_out.validate(mv)
-    return mv, frame_out
+    if frame.metric_name == "explicit":
+        raise ValueError("iota needs a preset metric: an explicit metric names no frame one rank up")
+    frame_out = RankFrame(frame.r + 1, metric=frame.metric_name)
+    return Multivector._of({1 << k: c for k, c in w._terms.items() if k.bit_count() == m}), frame_out
 
 
 @dataclass(frozen=True)

@@ -227,7 +227,6 @@ class ParityFlag:
 class ParityReport:
     ok: bool
     flags: tuple
-    vertex_parity: tuple  # per-vertex slot-parity sum mod 2
 
 
 class VertexNetwork:
@@ -280,7 +279,7 @@ class VertexNetwork:
     def _slot(self, end):
         """(position, dim, kind) of the slot `end` = (vertex, slot name)."""
         v, s = end
-        if not (isinstance(v, int) and 0 <= v < len(self.vertices)):
+        if not (type(v) is int and 0 <= v < len(self.vertices)):
             raise ValueError(f"slot {end!r} names no vertex; the network has {len(self.vertices)}")
         vert = self.vertices[v]
         slot = vert._slots.get(s)
@@ -289,8 +288,8 @@ class VertexNetwork:
         return slot
 
     def parity_check(self) -> ParityReport:
-        """Each vertex's parity sum, read from its shared table, and a flag
-        for every iota node (see the module docstring)."""
+        """A flag for every iota node, its reason read from the node's
+        parity sum (see the module docstring)."""
         flags = []
         for vi, vert in enumerate(self.vertices):
             if vert.kind != "iota":
@@ -303,7 +302,7 @@ class VertexNetwork:
                           f"grade-1 generator one rank up; parity bookkeeping does not "
                           f"transfer across the boundary")
             flags.append(ParityFlag(vi, "iota", reason))
-        return ParityReport(not flags, tuple(flags), tuple(v.parity for v in self.vertices))
+        return ParityReport(not flags, tuple(flags))
 
     # -- contraction ---------------------------------------------------------
 

@@ -22,10 +22,10 @@ The same mechanism in miniature: three directions, signature arranged so that
 2x2 toy built here reproduces the catalog triple's structure constants
 exactly.
 
-Physical scales ride along as unit tags (symbol -> exponent maps, never
-floats): coordinates carry xbar * N^{-1/2}, momenta ebar * N^{-1/2}, and the
-surviving pairing therefore carries xbar * ebar / N, the action quantum of
-the contracted theory.
+Physical scales are unit tags (symbol -> exponent maps, never floats;
+unit_tags()): coordinates carry xbar * N^{-1/2}, momenta ebar * N^{-1/2},
+and the surviving pairing therefore carries xbar * ebar / N, the action
+quantum of the contracted theory.
 
 accumulate_coordinate() treats one direction's coordinate as a sum of n
 commuting two-level steps (Kronecker sum). Each step has spectrum {+1, -1}
@@ -80,8 +80,7 @@ def toy_frame() -> MatrixAlgebra:
     gs = build_gammas(2, 1)
     s = TOY_GAMMA_ORDER
     pairs = ((s[2], s[0]), (s[2], s[1]), (s[1], s[0]))
-    stack = np.stack([gs.antisym(a, b) for a, b in pairs])
-    return MatrixAlgebra("toy", stack, 2, labels=("q", "p", "r"))
+    return MatrixAlgebra("toy", gs.antisym(pairs), 2, labels=("q", "p", "r"))
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +106,6 @@ class YangFrame:
         (gp, gq), picks = PRESETS[preset]
         gs = build_gammas(gp, gq)
         self.preset = preset
-        self.gamma_set = gs
         self.eta6 = tuple(gs.eta_entry(i) for i in picks)
         self.eta_mu = self.eta6[:4]
 
@@ -120,15 +118,14 @@ class YangFrame:
         labels += [f"p{mu}" for mu in mus] + ["z"]
         self.x_slots, self.p_slots = list(range(6, 10)), list(range(10, 14))
         self.z_slot = 14
-        # M(a, b) = gamma_a gamma_b / 2: the integer antisym matrix over 2
-        stack = np.stack([gs.antisym(picks[a - 1], picks[b - 1]) for a, b in pairs])
+        # M(a, b) = gamma_a gamma_b / 2: the integer antisym stack over 2
+        stack = gs.antisym([(picks[a - 1], picks[b - 1]) for a, b in pairs])
         self.algebra = MatrixAlgebra(f"yang-{preset}", stack, 2, labels=labels)
         self.weights = (
             (Fraction(0),) * 6
             + (Fraction(1, 2),) * 8
             + (Fraction(1),)
         )
-        self.tags = unit_tags()
 
     @property
     def labels(self):
@@ -145,10 +142,8 @@ class YangFrame:
         return (plus, 4 - plus)
 
     def __repr__(self):
-        return (
-            f"YangFrame({self.preset!r}, eta6={self.eta6}, "
-            f"matrices {self.gamma_set.dim}x{self.gamma_set.dim})"
-        )
+        d = self.algebra.matrix_dim
+        return f"YangFrame({self.preset!r}, eta6={self.eta6}, matrices {d}x{d})"
 
 
 def build_yang(preset: str = "4-2") -> YangFrame:

@@ -2,6 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# One profile for every property test: derandomized, so each run draws the
+# same examples and Tier-1 stays deterministic, and no per-example deadline,
+# since exact arithmetic on large entries is slow on purpose. Each test sets
+# only its own max_examples.
+settings.register_profile("qsetalg", derandomize=True, deadline=None)
+settings.load_profile("qsetalg")
 
 
 @pytest.fixture

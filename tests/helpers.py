@@ -44,6 +44,13 @@ def commutator(a, b):
     return msub(linalg.mmul(a, b), linalg.mmul(b, a))
 
 
+def dense_commutator(a, b):
+    """a b - b a, exact, for integer arrays of square matrices (2-d, or stacks
+    multiplied pairwise), by two linalg.int_matmul products: the dense
+    reference gamma pairs and carrier bands are checked against."""
+    return linalg.int_matmul(a, b) - linalg.int_matmul(b, a)
+
+
 def fraction_view(vector, offset: int) -> tuple:
     """The Fraction matrix with `vector` on diagonal `offset`, zero elsewhere."""
     return linalg.from_scaled(np.diag(vector, offset), 1)

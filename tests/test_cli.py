@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -50,6 +51,27 @@ def test_sets_usage_errors(capsys):
     assert "error:" in err
     code, _, err = run(capsys, "sets", "decode", "x")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sets", "code"], "sets code takes one set text"),
+        (["sets", "code", "{}", "{}"], "sets code takes one set text"),
+        (["sets", "decode"], "sets decode takes one integer"),
+        (["sets", "decode", "1", "2"], "sets decode takes one integer"),
+        (["sets", "info"], "sets info takes one set text"),
+        (["sets", "info", "{}", "{}"], "sets info takes one set text"),
+        (["sets", "enumerate"], "sets enumerate takes a maximum rank"),
+        (["sets", "enumerate", "1", "2"], "sets enumerate takes a maximum rank"),
+        (["sets", "enumerate", "x"], "rank must be an integer"),
+        (["palev", "normal-order", "--word", ","], "empty word"),
+    ],
+)
+def test_usage_errors_exit_two_with_one_error_line(capsys, argv, message):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.splitlines() == [f"error: {message}"]
 
 
 def test_qset_pipeline(tmp_path, capsys):
@@ -108,6 +130,18 @@ def test_qset_bad_multivector_exits_two_with_one_error_line(capsys, tmp_path, bl
     code, out, err = run(capsys, "qset", "norm", str(f), "--rank", "2")
     assert code == 2
     assert err.splitlines() == [f"error: cannot read multivector from {f}: {reason}"]
+    assert len(out.splitlines()) == 1  # the header only
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [("5", "a multivector is a JSON list, not int"), ("[", "Expecting value: line 1 column 2 (char 1)")],
+)
+def test_bad_multivector_on_stdin_exits_two_with_one_error_line(capsys, monkeypatch, text, reason):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out, err = run(capsys, "qset", "norm", "-", "--rank", "2")
+    assert code == 2
+    assert err.splitlines() == [f"error: cannot read multivector from -: {reason}"]
     assert len(out.splitlines()) == 1  # the header only
 
 

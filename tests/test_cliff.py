@@ -12,9 +12,7 @@ from qsetalg.cliff import (
     build_gammas,
     entries_are_signs,
 )
-from qsetalg.linalg import int_commutator
-
-from helpers import ORACLE_DIR, load_oracle, reference_defect
+from helpers import ORACLE_DIR, dense_commutator, load_oracle, reference_defect
 
 sys.path.insert(0, ORACLE_DIR)
 from gamma_digests import digest  # noqa: E402
@@ -68,13 +66,14 @@ def test_squares_match_signature():
 @pytest.mark.parametrize("p, q", SIGNATURES)
 def test_antisymmetrized_pairs_close_like_rotations(p, q):
     """[A_ab, A_cd] == 2 (eta_bc A_ad - eta_ac A_bd - eta_bd A_ac + eta_ad A_bc)
-    for A_ab = antisym(a, b), over every pair of pairs a < b, c < d at once."""
+    for the stack of every A_ab from one antisym call, over every pair of
+    pairs a < b, c < d at once."""
     gs = build_gammas(p, q)
     n = gs.n
-    full = np.array([[gs.antisym(a, b) for b in range(1, n + 1)] for a in range(1, n + 1)])
+    full = gs.antisym([(a, b) for a in range(1, n + 1) for b in range(1, n + 1)]).reshape(n, n, gs.dim, gs.dim)
     eta = np.diag(gs.eta)
     a, b = np.triu_indices(n, 1)
-    lhs = int_commutator(full[a, b][:, None], full[a, b][None])
+    lhs = dense_commutator(full[a, b][:, None], full[a, b][None])
     a, b, c, d = a[:, None], b[:, None], a[None], b[None]
 
     def term(x, y, u, v):
@@ -88,9 +87,9 @@ def test_antisymmetrized_pairs_close_like_rotations(p, q):
 def test_antisym_is_antisymmetric(p, q):
     gs = build_gammas(p, q)
     for a in range(1, gs.n + 1):
-        assert not gs.antisym(a, a).any()
+        assert not gs.antisym([(a, a)]).any()
         for b in range(a + 1, gs.n + 1):
-            assert np.array_equal(gs.antisym(a, b), -gs.antisym(b, a))
+            assert np.array_equal(gs.antisym([(a, b)]), -gs.antisym([(b, a)]))
 
 
 def top_element(gs):
@@ -148,15 +147,23 @@ def test_kernel_matches_the_dense_reference_on_built_sets(p, q):
     gs = build_gammas(p, q)
     assert anticommutator_defect(gs) == reference_defect(gs.gammas, gs.eta) == 0
     assert np.array_equal(top_element(gs), reference_top(gs.gammas, gs.dim))
-    for a in range(1, gs.n + 1):
-        for b in range(1, gs.n + 1):
-            ga, gb = gs.gamma(a), gs.gamma(b)
-            assert np.array_equal(2 * gs.antisym(a, b), ga @ gb - gb @ ga)
+    pairs = [(a, b) for a in range(1, gs.n + 1) for b in range(1, gs.n + 1)]
+    for (a, b), half in zip(pairs, gs.antisym(pairs)):
+        ga, gb = gs.gamma(a), gs.gamma(b)
+        assert np.array_equal(2 * half, ga @ gb - gb @ ga)
 
 
 def _from_matrices(p, q, gammas):
     """The GammaSet of integer matrices that are monomial, refused otherwise."""
     return GammaSet(p, q, *_monomial(np.array(gammas, dtype=np.int64)))
+
+
+def test_antisym_refuses_an_odd_commutator():
+    # a 3-cycle and a transposition: their two products are distinct
+    # permutations, so the commutator has entries +-1 and halves inexactly
+    gs = _from_matrices(2, 0, [np.eye(3, dtype=np.int64)[[1, 2, 0]], np.eye(3, dtype=np.int64)[[1, 0, 2]]])
+    with pytest.raises(AssertionError, match="must be even"):
+        gs.antisym([(1, 1), (1, 2)])
 
 
 def broken_sets(rng, count):

@@ -97,8 +97,8 @@ def test_defects_vanish_for_catalog_entries():
 
 
 def test_ladder_matrices_shape_and_relation():
-    # the pair behind boost_triple(3): A steps down the index, B steps up,
-    # and their bracket is diagonal, so the two alone do not close
+    # a four-level ladder pair like boost_triple's: A steps down the index,
+    # B steps up, and their bracket is diagonal, so the two alone do not close
     k = np.arange(3)
     up, down = np.diag(3 - k, -1), np.diag(k + 1, 1)
     alg = MatrixAlgebra("ladder", np.stack([up, down]), 1)

@@ -13,7 +13,6 @@ import sympy as sp
 from qsetalg import linalg, palev
 from qsetalg.cli import main
 from qsetalg.liecore import boost_triple
-from qsetalg.linalg import int_commutator
 from qsetalg.palev import (
     MAX_CAPACITY,
     NCPolynomial,
@@ -29,6 +28,7 @@ from qsetalg.palev import (
 
 from helpers import (
     commutator,
+    dense_commutator,
     load_oracle,
     madd,
     mode_matrices,
@@ -251,7 +251,7 @@ def test_band_relations_match_the_dense_commutator(preset):
                 i = rng.randrange(max(-o, 0), n + 1 - max(o, 0))
                 bent[k][o + 1, i + 1] += rng.choice((-1, 1))
                 mats = [dense(b) for b in bent]
-                want = np.array_equal(int_commutator(mats[0], mats[1]), 2 * mats[2])
+                want = np.array_equal(dense_commutator(mats[0], mats[1]), 2 * mats[2])
                 assert relation_holds(*bent) == want
 
 

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsetalg.perfinite import (
     EMPTY,
@@ -95,6 +97,22 @@ def test_parse_format_round_trip():
     for x in enumerate_rank(3):
         assert parse_set_text(format_set_text(x)) == x
     assert parse_set_text(" { { } , { { } } } ") == decode(3)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_set_text_round_trip_property(data):
+    """format_set_text agrees with the recursive reference, and parse_set_text
+    reads it back, also with whitespace at up to eight places, for codes
+    below 2^16 (every set of rank 4) and up to 2^64."""
+    x = decode(data.draw(st.integers(0, (1 << 16) - 1) | st.integers(0, 1 << 64), label="code"))
+    text = format_set_text(x)
+    assert text == recursive_format_set_text(x)
+    assert parse_set_text(text) == x
+    spaced = list(text)
+    for at in data.draw(st.lists(st.integers(0, len(text)), max_size=8), label="spaces"):
+        spaced.insert(at, data.draw(st.sampled_from([" ", "\n\t"])))
+    assert parse_set_text("".join(spaced)) == x
 
 
 @pytest.mark.parametrize("bad", ["", "{", "}{", "{{}", "{,}", "{{}}x", "0"])

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsetalg import perfinite, qset
 from qsetalg.cliff import build_gammas
@@ -255,10 +257,10 @@ def test_iota_lifts_selected_grade_one_rank_up():
     assert len(img.support()) == 2
 
 
-def test_iota_rejects_mismatched_output_frame():
-    frame = RankFrame(2)
-    with pytest.raises(ValueError):
-        iota_m(embed(decode(1)), 1, frame, RankFrame(4))
+def test_iota_refuses_explicit_metric_frames():
+    frame = RankFrame(2, metric=((1, 0), (0, -1)))
+    with pytest.raises(ValueError, match="explicit metric"):
+        iota_m(embed(decode(1)), 1, frame)
 
 
 def test_frame_guards():
@@ -326,6 +328,24 @@ def test_products_match_label_reference(rank, metric):
         u, v = rand_mv(rng, frame), rand_mv(rng, frame)
         assert grassmann(u, v) == label_grassmann(u, v)
         assert clifford(u, v, frame) == label_clifford(u, v, frame)
+
+
+def _multivectors(frame):
+    """Sums of up to five blades of the frame with small rational coefficients."""
+    term = st.tuples(st.integers(0, (1 << frame.n) - 1), st.fractions(-9, 9, max_denominator=9))
+    return st.lists(term, max_size=5).map(
+        lambda terms: sum((Multivector.blade(decode(c), f) for c, f in terms), Multivector.zero())
+    )
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_products_match_label_reference_property(data):
+    rank = data.draw(st.sampled_from([2, 3]), label="rank")
+    frame = RankFrame(rank, metric=data.draw(st.sampled_from(["zero", "berezin", "hyperbolic"]), label="metric"))
+    u, v = data.draw(_multivectors(frame), label="u"), data.draw(_multivectors(frame), label="v")
+    assert grassmann(u, v) == label_grassmann(u, v)
+    assert clifford(u, v, frame) == label_clifford(u, v, frame)
 
 
 @pytest.mark.parametrize("metric", ["hyperbolic", "diagonal"])

@@ -58,3 +58,25 @@ def test_run_config_still_resolves_from_verify():
     from qsetalg import scalars, verify
 
     assert verify.RunConfig is scalars.RunConfig
+
+
+def test_verify_all_reports_a_failed_and_a_crashed_check(monkeypatch, capsys):
+    """One check fails its own test and one raises: each gets its [FAIL]
+    line, the others still run, and the CLI exits 1."""
+    from qsetalg import verify
+    from qsetalg.cli import main
+
+    def fails(config):
+        verify._fail("frame drifted")
+
+    def crashes(config):
+        raise RuntimeError("boom")
+
+    patched = {"frame-full": fails, "network-contraction": crashes}
+    monkeypatch.setattr(verify, "_REGISTRY", tuple((name, patched.get(name, fn)) for name, fn in verify._REGISTRY))
+    assert main(["verify-all"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "[FAIL] frame-full | frame drifted" in lines
+    assert "[FAIL] network-contraction | error: RuntimeError: boom" in lines
+    assert sum(line.startswith("[PASS]") for line in lines) == 11
+    assert lines[-1] == "result: 11/13 checks passed"

@@ -111,6 +111,18 @@ def test_network_requires_every_slot_exactly_once():
         )
 
 
+@pytest.mark.parametrize("index", [True, False, np.int64(1), 1.0])
+def test_network_refuses_a_vertex_index_that_is_not_an_int(index):
+    # a bool is an int subclass: True must not read as vertex 1
+    g = GammaVertex(2, 1)
+    with pytest.raises(ValueError, match="names no vertex"):
+        VertexNetwork(
+            [g, g],
+            edges=[((index, "spinor"), (0, "dual")), ((0, "spinor"), (1, "dual"))],
+            open_legs=[(0, "vector"), (1, "vector")],
+        )
+
+
 def test_parity_passes_pure_gamma_networks():
     g = GammaVertex(2, 1)
     net = VertexNetwork(
@@ -756,7 +768,7 @@ def gamma_networks(draw):
     return VertexNetwork(verts, edges, draw(st.permutations(open_legs)))
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(gamma_networks())
 def test_random_networks_agree_on_every_path(net):
     """contract() (arrays within the default cutoff), contract(dense_cutoff=0)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qsetalg.liecore import boost_triple
+from qsetalg.liecore import boost_triple, rotation_boost6
 from qsetalg.yang import (
     ACCUMULATION_PRESETS,
     PRESETS,
@@ -276,6 +276,21 @@ def test_gauge_defect_on_a_huge_basis_takes_the_python_int_route(numpy_dtypes):
     assert rep.eps == eps_sqrt * eps_sqrt
 
 
+@pytest.mark.parametrize(
+    "build",
+    [*(lambda p=p: build_yang(p) for p in sorted(PRESETS)), toy_frame, rotation_boost6],
+    ids=[*sorted(PRESETS), "toy", "so4"],
+)
+def test_a_frame_gathers_its_generators_in_one_antisym_call(monkeypatch, build):
+    from qsetalg.cliff import GammaSet
+
+    calls = []
+    real = GammaSet.antisym
+    monkeypatch.setattr(GammaSet, "antisym", lambda gs, pairs: calls.append(1) or real(gs, pairs))
+    build()
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_frame_commutators_take_the_float64_route(numpy_dtypes, preset):
     alg = build_yang(preset).algebra
@@ -283,7 +298,7 @@ def test_frame_commutators_take_the_float64_route(numpy_dtypes, preset):
     a, b = alg.stack[i].astype(object), alg.stack[j].astype(object)
     numpy_dtypes["matmul"].clear()
     comm = alg.commutators()
-    assert numpy_dtypes == {"einsum": [], "matmul": [[np.dtype(np.float64)] * 2] * 2}
+    assert numpy_dtypes == {"einsum": [], "matmul": [[np.dtype(np.float64)] * 2]}
     assert comm.dtype == np.int64
     assert comm.tolist() == (a @ b - b @ a).tolist()
 
