@@ -304,7 +304,7 @@ def _cmd_contract(args) -> int:
     for i, j, k, c in at.nonzero():
         print(f"  [{at.labels[i]},{at.labels[j]}] -> {fmt_scalar(c)} {at.labels[k]}")
     ok = rel <= 1e-9
-    print(f"float refit deviation: {rel:.17g} ({'PASS' if ok else 'FAIL'} <= 1e-9)")
+    print(f"float refit deviation: {fmt_scalar(rel)} ({'PASS' if ok else 'FAIL'} <= 1e-9)")
     return 0 if ok else 1
 
 
@@ -352,7 +352,7 @@ def _cmd_yang(args) -> int:
     print(f"eps = {fmt_scalar(rep.eps)}")
     for li, lj, m in rep.by_pair:
         print(f"|[{li},{lj}] - limit| = {fmt_scalar(m)}")
-    print(f"worst defect: {fmt_scalar(rep.worst)} (~{float(rep.worst):.17g})")
+    print(f"worst defect: {fmt_scalar(rep.worst)} (~{fmt_scalar(float(rep.worst))})")
     return 0
 
 

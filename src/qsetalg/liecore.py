@@ -135,9 +135,7 @@ class MatrixAlgebra:
             c = np.zeros((n, n, n), dtype=x.dtype)
             c[i, j] = x.T
             c[j, i] = -x.T
-            self._sc = StructureConstants(
-                c, self._solver.den * self.scale, name=self.name, labels=self.labels
-            )
+            self._sc = StructureConstants(c, self._solver.den * self.scale, labels=self.labels)
         return self._sc
 
     def __repr__(self):
@@ -149,14 +147,13 @@ class StructureConstants:
     array C and denominator D with c == C / D; the Fraction table c is a view
     built on first read."""
 
-    def __init__(self, C, D: int, name: str = "", labels=None):
+    def __init__(self, C, D: int, labels=None):
         """Constants C / D for an integer array C of shape (n, n, n), D != 0."""
         n = C.shape[0]
         if C.shape != (n, n, n):
             raise ValueError("structure constants must be n x n x n")
         g = gcd(D, *C.ravel().tolist()) * (-1 if D < 0 else 1)
         self.C, self.D = linalg.fit(C // g), D // g
-        self.name = name
         self.labels = tuple(labels) if labels else tuple(f"x{i+1}" for i in range(n))
 
     @cached_property
@@ -244,7 +241,7 @@ class StructureConstants:
         return [(i, j, k, Fraction(v, self.D)) for (i, j, k), v in zip(idx.tolist(), vals)]
 
     def __repr__(self):
-        return f"StructureConstants({self.name!r}, dim={self.dim})"
+        return f"StructureConstants(dim={self.dim})"
 
 
 def _upper(n: int):
@@ -307,19 +304,13 @@ class ContractionFamily:
         return StructureConstants(
             linalg.cast(C, bound) * linalg.cast(factor, bound)[e - lo],
             self.sc.D * q ** top * p ** -lo,
-            name=f"{self.sc.name}@eps={eps}",
             labels=self.sc.labels,
         )
 
     def limit(self) -> StructureConstants:
         """Keep the constants c_ijk, i < j, with exponent zero (and c_jik = -c_ijk)."""
         kept = np.where(_upper(self.sc.dim) & (self._exp == 0), self.sc.C, 0)
-        return StructureConstants(
-            kept - kept.transpose(1, 0, 2),
-            self.sc.D,
-            name=f"{self.sc.name}->limit",
-            labels=self.sc.labels,
-        )
+        return StructureConstants(kept - kept.transpose(1, 0, 2), self.sc.D, labels=self.sc.labels)
 
     def describe(self):
         """(label_i, label_j, label_k, constant, exponent) rows, sorted."""
@@ -335,6 +326,10 @@ class ContractionFamily:
                 )
             )
         return out
+
+
+# cond * 2^-52 within the refit's 1e-9 tolerance (see numeric_contraction_check)
+_MAX_REFIT_COND = 1e-9 * 2**52
 
 
 @np.errstate(over="raise")
@@ -353,7 +348,10 @@ def numeric_contraction_check(
     denominator is max(1, |exact coordinate vector|_inf). Independent of the
     exact path: uses numpy only, on floats of the integer stack and of C / D.
     A value past float range raises (OverflowError or FloatingPointError)
-    rather than turning into inf.
+    rather than turning into inf. The solve loses about cond * 2^-52 of
+    relative accuracy, cond the condition number of the scaled basis read off
+    lstsq's singular values; past _MAX_REFIT_COND that exceeds the 1e-9 the
+    refit is judged at, so it raises ContractionError instead of a verdict.
     """
     sc = algebra.structure_constants()
     fam = ContractionFamily(sc, weights)
@@ -362,7 +360,14 @@ def numeric_contraction_check(
     mats = linalg.to_float(algebra.stack, algebra.scale) * _powers(eps, ws)[:, None, None]
     cols = mats.reshape(len(ws), -1).T
     comm = (mats[i] @ mats[j] - mats[j] @ mats[i]).reshape(len(i), len(cols))
-    coords = np.linalg.lstsq(cols, comm.T, rcond=None)[0].T
+    coords, _, _, sv = np.linalg.lstsq(cols, comm.T, rcond=None)
+    hi, lo = sv[[0, -1]].tolist()
+    cond = hi / lo if lo else float("inf")
+    if not cond <= _MAX_REFIT_COND:
+        raise ContractionError(
+            f"the float refit cannot resolve eps={eps:g}: condition number {cond:.3g} > {_MAX_REFIT_COND:.3g}"
+        )
+    coords = coords.T
     exps = ws[i, None] + ws[j, None] - ws[None, :]
     exact = linalg.to_float(sc.C, sc.D)[i, j] * _powers(eps, exps)
     scale = np.maximum(1.0, np.abs(exact).max(axis=1))
@@ -381,7 +386,6 @@ def _powers(eps: float, exps):
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    key: str
     algebra: MatrixAlgebra
     weights: tuple | None
     note: str
@@ -444,7 +448,7 @@ CATALOG = {
 def catalog_entry(key: str) -> CatalogEntry:
     """Build the one catalog algebra named key."""
     build, weights, note = CATALOG[key]
-    return CatalogEntry(key, build(), weights, note)
+    return CatalogEntry(build(), weights, note)
 
 
 def catalog() -> dict:

@@ -561,9 +561,9 @@ def _inversions(word) -> int:
     return sum(a > b for i, a in enumerate(word) for b in word[i + 1 :])
 
 
-def normal_order(poly: NCPolynomial, system) -> NCPolynomial:
-    """Rewrite every word so generator ranks ascend left to right, pushing
-    bracket corrections down.
+def normal_order(poly: NCPolynomial, system: str) -> NCPolynomial:
+    """Rewrite every word so the generator ranks of the preset named system
+    ascend left to right, pushing bracket corrections down.
 
     Pending words sit in one dict keyed by word (as a tuple of ranks), so
     equal words merge their coefficients before they are rewritten. Each
@@ -572,8 +572,7 @@ def normal_order(poly: NCPolynomial, system) -> NCPolynomial:
     the swapped word has one out-of-order pair fewer and every correction is
     shorter, so no word comes back once popped and a popped ordered word is
     final. Every pop counts as one step against _MAX_REWRITE_STEPS."""
-    if isinstance(system, str):
-        system = REWRITE_PRESETS[system]
+    system = REWRITE_PRESETS[system]
     rules = system.rank_rules
     pending: dict = {}
     heap: list = []

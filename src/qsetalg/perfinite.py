@@ -164,10 +164,6 @@ def por(x, y):
     return decode(x.code | y.code)
 
 
-def code(x: PerfiniteSet) -> int:
-    return x.code
-
-
 def decode(n: int) -> PerfiniteSet:
     """Inverse Ackermann coding: the unique set with code n."""
     n = operator.index(n)

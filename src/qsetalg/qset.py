@@ -33,8 +33,8 @@ so the anticommutator of a pair is exactly 1; one table per rank). An
 explicit symmetric matrix is also accepted and gets a table on its frame.
 
 The Berezin pairing itself lives on the whole algebra: berezin_norm(w) is the
-coefficient of the top blade in w ^ w, and beta_form polarizes it. Both divide
-by the frame's top_scale so rescaling the top element rescales norms inversely.
+coefficient of the top blade in w ^ w, and beta_form polarizes it. The frame's
+top element is that blade with coefficient 1.
 """
 
 from __future__ import annotations
@@ -148,7 +148,7 @@ def embed(x: PerfiniteSet) -> Multivector:
 class RankFrame:
     """Generator family, metric, and top element for rank r."""
 
-    def __init__(self, r: int, metric="berezin", top_scale=1):
+    def __init__(self, r: int, metric="berezin"):
         if not isinstance(r, int) or r < 1:
             raise ValueError("rank frames need integer r >= 1")
         if r > 4:
@@ -157,9 +157,6 @@ class RankFrame:
         self.generators = enumerate_rank(r - 1)
         self.n = len(self.generators)
         self.top_label = decode((1 << self.n) - 1)
-        self.top_scale = Fraction(top_scale)
-        if self.top_scale == 0:
-            raise ValueError("top_scale must be nonzero")
         if isinstance(metric, str):
             self.metric_name = metric
             self.beta, self._metric, self._table = _preset(r, metric)
@@ -183,7 +180,7 @@ class RankFrame:
                 )
 
     def top(self) -> Multivector:
-        return Multivector.blade(self.top_label, self.top_scale)
+        return Multivector.blade(self.top_label)
 
     def basis_labels(self) -> tuple:
         """All 2**n blade labels in code order (the rank <= r sets)."""
@@ -303,7 +300,7 @@ def clifford(v: Multivector, w: Multivector, frame: RankFrame) -> Multivector:
 def berezin_norm(w: Multivector, frame: RankFrame):
     """Coefficient of the top element in w ^ w."""
     frame.validate(w)
-    return grassmann(w, w).coeff(frame.top_label) / frame.top_scale
+    return grassmann(w, w).coeff(frame.top_label)
 
 
 def beta_form(v: Multivector, w: Multivector, frame: RankFrame):
@@ -311,7 +308,7 @@ def beta_form(v: Multivector, w: Multivector, frame: RankFrame):
     frame.validate(v)
     frame.validate(w)
     sym = grassmann(v, w) + grassmann(w, v)
-    return sym.coeff(frame.top_label) / Fraction(2) / frame.top_scale
+    return sym.coeff(frame.top_label) / Fraction(2)
 
 
 def grade_op(w: Multivector) -> Multivector:
@@ -349,14 +346,14 @@ class SignatureReport:
 
 def gram_matrix(frame: RankFrame):
     """Dense exact Gram matrix of beta_form on the full blade basis (small n):
-    the top coefficient of e_a ^ e_b + e_b ^ e_a over 2 top_scale, read from
-    the wedge table for every pair, one Fraction per distinct value."""
+    the top coefficient of e_a ^ e_b + e_b ^ e_a over 2, read from the
+    wedge table for every pair, one Fraction per distinct value."""
     if frame.n > 8:
         raise ValueError("dense Gram limited to n <= 8; use signature_report")
     dim = 1 << frame.n
     tops = [[_blade_product(a, b, None, _WEDGE).get(dim - 1, 0) for b in range(dim)] for a in range(dim)]
     sums = [[tops[a][b] + tops[b][a] for b in range(dim)] for a in range(dim)]
-    value = {s: Fraction(s, 2) / frame.top_scale for s in {s for row in sums for s in row}}
+    value = {s: Fraction(s, 2) for s in {s for row in sums for s in row}}
     return tuple(tuple(map(value.__getitem__, row)) for row in sums)
 
 

@@ -37,7 +37,7 @@ class RunConfig:
         self.seed, self.mode, self.tolerance = seed, mode, tolerance
 
     def describe(self) -> str:
-        return f"seed={self.seed} mode={self.mode} tolerance={self.tolerance:.17g}"
+        return f"seed={self.seed} mode={self.mode} tolerance={fmt_scalar(self.tolerance)}"
 
 
 def parse_int(text: str) -> int:
@@ -106,8 +106,8 @@ class UnitTag:
         return cls()
 
     @classmethod
-    def single(cls, sym: str, exp=1) -> "UnitTag":
-        return cls({sym: exp})
+    def single(cls, sym: str) -> "UnitTag":
+        return cls({sym: 1})
 
     def __mul__(self, other: "UnitTag") -> "UnitTag":
         out = dict(self._exps)

@@ -14,10 +14,10 @@ from fractions import Fraction
 import numpy as np
 
 from .cliff import anticommutator_defect, build_gammas, entries_are_signs
-from .liecore import ContractionFamily, boost_triple, catalog, numeric_contraction_check
+from .liecore import ContractionFamily, boost_triple, catalog_entry, numeric_contraction_check
 from .linalg import int_matmul
 from .palev import NCPolynomial, PalevMode, QiHbar, carrier_triple, normal_order
-from .perfinite import EMPTY, code, decode, enumerate_rank
+from .perfinite import EMPTY, decode, enumerate_rank
 from .qset import (
     Multivector,
     RankFrame,
@@ -56,8 +56,8 @@ def _fail(msg: str):
 
 def _check_set_codes(cfg: RunConfig) -> str:
     for n in range(256):
-        if code(decode(n)) != n:
-            _fail(f"code(decode({n})) != {n}")
+        if decode(n).code != n:
+            _fail(f"decode({n}).code != {n}")
     return "codes 0..255 decode/encode round-trip"
 
 
@@ -158,11 +158,10 @@ def _check_gammas(cfg: RunConfig) -> str:
 
 
 def _check_catalog(cfg: RunConfig) -> str:
-    cat = catalog()
     facts = []
     want = {"so3": (Fraction(-8), "semisimple"), "h1": (Fraction(0), "nilpotent"), "so21": (Fraction(-8), "semisimple")}
     for key in sorted(want):
-        sc = cat[key].algebra.structure_constants()
+        sc = catalog_entry(key).algebra.structure_constants()
         det, cls = sc.killing_det(), sc.classify()
         if (det, cls) != want[key]:
             _fail(f"{key}: det={det} classify={cls}, wanted {want[key]}")
@@ -173,7 +172,7 @@ def _check_catalog(cfg: RunConfig) -> str:
 
 
 def _check_contraction(cfg: RunConfig) -> str:
-    ent = catalog()["so21"]
+    ent = catalog_entry("so21")
     fam = ContractionFamily(ent.algebra.structure_constants(), ent.weights)
     lim = fam.limit()
     if lim.killing_det() != 0:
@@ -324,10 +323,6 @@ _REGISTRY = (
     ("accumulation-spectra", _check_accumulation),
     ("network-contraction", _check_networks),
 )
-
-
-def check_names():
-    return tuple(name for name, _ in _REGISTRY)
 
 
 def run_all(config: RunConfig):

@@ -15,8 +15,8 @@ Two node species:
                    label's own code.
 
 Every vertex of one signature (or grade and rank) shares one read-only
-table, built on first use: its array, its slot_dims, slot_kinds and
-slot_parity (MappingProxyType views) and their parity sum.
+table, built on first use: its array, its parity sum, and its slots, a
+MappingProxyType from slot name to (position, dim, kind).
 
 Edges join slots of compatible kind and equal dimension: spinor to dual,
 vector to vector, and an iota's out to a higher iota's in (chaining). Open
@@ -101,12 +101,10 @@ _COMPATIBLE = frozenset({
 
 
 def _slot_tables(names, dims, kinds, parities) -> tuple:
-    """A species' shared slot tables: read-only slot_dims, slot_kinds and
-    slot_parity, their parity sum mod 2, and each slot's (position, dim,
-    kind), which the wiring pass reads."""
-    views = (MappingProxyType(dict(zip(names, col))) for col in (dims, kinds, parities))
+    """A species' shared slot tables: the parity sum mod 2, and each slot's
+    (position, dim, kind) in a read-only map, which the wiring pass reads."""
     slots = {s: (i, d, k) for i, (s, d, k) in enumerate(zip(names, dims, kinds))}
-    return (*views, sum(parities) % 2, MappingProxyType(slots))
+    return sum(parities) % 2, MappingProxyType(slots)
 
 
 class GammaVertex:
@@ -124,8 +122,7 @@ class GammaVertex:
             raise ValueError(f"gamma vertex limited to p + q <= {MAX_TOTAL}")
         self.p = p
         self.q = q
-        (self.gamma_set, self.array, self.slot_dims, self.slot_kinds,
-         self.slot_parity, self.parity, self._slots) = _gamma_table(p, q)
+        self.gamma_set, self.array, self.parity, self.slots = _gamma_table(p, q)
 
     def to_json(self):
         return {"kind": "gamma", "p": self.p, "q": self.q}
@@ -162,9 +159,7 @@ class IotaNode:
             raise ValueError(f"grade {m} impossible with {n} generators")
         self.m = m
         self.rank = rank
-        self.n_generators = n
-        (self.array, self.slot_dims, self.slot_kinds,
-         self.slot_parity, self.parity, self._slots) = _iota_table(m, rank)
+        self.array, self.parity, self.slots = _iota_table(m, rank)
 
     def to_json(self):
         return {"kind": "iota", "m": self.m, "rank": self.rank}
@@ -282,7 +277,7 @@ class VertexNetwork:
         if not (type(v) is int and 0 <= v < len(self.vertices)):
             raise ValueError(f"slot {end!r} names no vertex; the network has {len(self.vertices)}")
         vert = self.vertices[v]
-        slot = vert._slots.get(s)
+        slot = vert.slots.get(s)
         if slot is None:
             raise ValueError(f"vertex {v} ({vert.kind}) has no slot {s!r}")
         return slot

@@ -261,9 +261,6 @@ class AccumulationResult:
     unit: UnitTag
     spectrum: tuple  # ((integer level, multiplicity), ...) descending level
 
-    def total_multiplicity(self) -> int:
-        return sum(m for _, m in self.spectrum)
-
 
 def total_matrix(n: int, square: int) -> np.ndarray:
     """Kronecker sum of n identical two-level steps [[0, 1], [square, 0]],
@@ -282,7 +279,7 @@ def total_matrix(n: int, square: int) -> np.ndarray:
     return out
 
 
-def accumulate_coordinate(n: int, square: int = 1, step_unit: str = "lstep") -> AccumulationResult:
+def accumulate_coordinate(n: int, square: int = 1) -> AccumulationResult:
     """Spectrum of a coordinate built from n two-level steps.
 
     Commuting steps with spectrum {+1, -1} (times i for square == -1) add up
@@ -294,7 +291,7 @@ def accumulate_coordinate(n: int, square: int = 1, step_unit: str = "lstep") -> 
         raise ValueError(f"steps must lie in 1..{_MAX_STEPS}")
     if square not in (1, -1):
         raise ValueError("step square must be +1 or -1")
-    unit = UnitTag.single(step_unit)
+    unit = UnitTag.single("lstep")
     if square == -1:
         unit = unit * UnitTag.single("i")
     spectrum = tuple((n - 2 * j, comb(n, j)) for j in range(n + 1))

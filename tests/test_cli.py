@@ -65,6 +65,13 @@ def test_sets_usage_errors(capsys):
         (["sets", "enumerate"], "sets enumerate takes a maximum rank"),
         (["sets", "enumerate", "1", "2"], "sets enumerate takes a maximum rank"),
         (["sets", "enumerate", "x"], "rank must be an integer"),
+        (["sets", "enumerate", "-1"], "rank is non-negative"),
+        (["sets", "decode", "-1"], "codes are non-negative"),
+        (["contract", "so3", "--weights", "1,2"], "one weight per basis element"),
+        (
+            ["contract", "so3", "--weights", "1/2,1/2,1/2", "--eps", "1/100"],
+            "exponent 1/2 is not an integer; evaluate with a rational square root of eps instead",
+        ),
         (["palev", "normal-order", "--word", ","], "empty word"),
     ],
 )
@@ -203,6 +210,26 @@ def test_eps_past_the_float_refit_exits_two_before_the_payload(capsys, name):
     assert code == 2
     assert out.startswith("# qsetalg contract |") and len(out.splitlines()) == 1
     assert err == "error: the float refit overflows at eps=1e+300\n"
+
+
+@pytest.mark.parametrize("eps", ["1e-200", "1e-15", "1e-8", "1e15", "1e200"])
+@pytest.mark.parametrize("name", ["so21", "so4", "yang-4-2"])
+def test_the_float_refit_passes_or_refuses_never_fails(capsys, name, eps):
+    # so21's weights spread by 1/2, so at 1e-8 its scaled basis has condition
+    # number 1e4 and the refit resolves it; the others spread by 1, and so4's
+    # commutators overflow at 1e200 before the solve
+    code, out, err = run(capsys, "contract", name, "--eps", eps)
+    if (name, eps) == ("so21", "1e-8"):
+        assert code == 0 and err == ""
+        assert out.splitlines()[-1].endswith("(PASS <= 1e-9)")
+        return
+    assert code == 2
+    assert out.startswith("# qsetalg contract |") and len(out.splitlines()) == 1
+    if (name, eps) == ("so4", "1e200"):
+        assert err == "error: the float refit overflows at eps=1e+200\n"
+    else:
+        assert err.startswith(f"error: the float refit cannot resolve eps={float(eps):g}: condition number ")
+        assert err.endswith(" > 4.5e+06\n") and len(err.splitlines()) == 1
 
 
 def test_bad_weights_and_negative_eps(capsys):
@@ -482,6 +509,14 @@ GAMMA_21 = {"kind": "gamma", "p": 2, "q": 1}
         ({"vertices": [GAMMA_21], "open": [5]}, "open leg: 5 is not [integer vertex index, slot name]"),
         ({"vertices": [GAMMA_21], "open": [[1, "vector"]]}, "slot (1, 'vector') names no vertex; the network has 1"),
         ({"vertices": [GAMMA_21], "edges": [[[0, "dual"], [-1, "spinor"]]]}, "slot (-1, 'spinor') names no vertex; the network has 1"),
+        (
+            {"vertices": [GAMMA_21], "edges": [[[0, "dual"], [0, "dual"]]], "open": [[0, "vector"], [0, "spinor"]]},
+            "slot (0, 'dual') wired to itself",
+        ),
+        (
+            {"vertices": [GAMMA_21], "edges": [[[0, "dual"], [0, "spinor"]]], "open": [[0, "nope"]]},
+            "vertex 0 (gamma) has no slot 'nope'",
+        ),
     ],
 )
 def test_net_bad_network_json_exits_two_with_one_error_line(capsys, tmp_path, what, blob, reason):

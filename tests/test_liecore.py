@@ -204,7 +204,14 @@ def _refit_cases():
 
 @pytest.mark.parametrize("eps", [1e-3, 1 / 7, 3.0, -1 / 100, 1e-8])
 def test_batched_refit_matches_the_per_bracket_loop(eps):
+    # at 1e-8 the basis of an algebra whose weights spread by 1 has condition
+    # number 1e8, past the refit's bound; so21, h1 and toy still resolve
+    refused = {"so3", "so4", "3-3", "4-2", "5-1"} if eps == 1e-8 else set()
     for key, alg, weights in _refit_cases():
+        if key in refused:
+            with pytest.raises(ContractionError, match=r"cannot resolve eps=1e-08: condition number 1e\+08"):
+                numeric_contraction_check(alg, weights, eps)
+            continue
         got, want = numeric_contraction_check(alg, weights, eps), reference_refit(alg, weights, eps)
         assert abs(got - want) <= 1e-15, key
 

@@ -160,12 +160,7 @@ def test_berezin_norm_of_one_plus_top():
         frame = RankFrame(r)
         v = Multivector.scalar(1) + frame.top()
         assert berezin_norm(v, frame) == 2
-    scaled = RankFrame(2, top_scale=2)
-    # the scaled frame's own top keeps the normalization invariant,
-    # a raw unit top blade sees the denominator
-    assert berezin_norm(Multivector.scalar(1) + scaled.top(), scaled) == 2
-    raw = Multivector.scalar(1) + Multivector.blade(scaled.top_label)
-    assert berezin_norm(raw, scaled) == 1
+        assert frame.top() == Multivector.blade(frame.top_label)
 
 
 def test_beta_form_is_the_polarization():
@@ -228,16 +223,15 @@ def test_signature_counts_by_grade_as_the_mask_loop_did(r):
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
-@pytest.mark.parametrize("top_scale", [1, 2, Fraction(1, 3)])
-def test_gram_matrix_reads_beta_form_from_the_wedge_table(r, top_scale):
-    frame = RankFrame(r, top_scale=top_scale)
+def test_gram_matrix_reads_beta_form_from_the_wedge_table(r):
+    frame = RankFrame(r)
     got = gram_matrix(frame)
     assert got == beta_gram(frame)
     assert isinstance(got, tuple) and all(isinstance(row, tuple) for row in got)
     assert all(type(x) is Fraction for row in got for x in row)
-    # only complementary blades pair, so the top-scaled pairing is all it holds
+    # only complementary blades pair, at +-1
     top = (1 << frame.n) - 1
-    assert {x for row in got for x in row} <= {0, 1 / frame.top_scale, -1 / frame.top_scale}
+    assert {x for row in got for x in row} <= {0, 1, -1}
     assert all(got[a][b] == 0 for a in range(top + 1) for b in range(top + 1) if a ^ b != top)
 
 

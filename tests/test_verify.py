@@ -1,6 +1,11 @@
 import pytest
 
-from qsetalg.verify import RunConfig, check_names, run_all
+from qsetalg import verify
+from qsetalg.verify import RunConfig, run_all
+
+
+def check_names():
+    return tuple(name for name, _ in verify._REGISTRY)
 
 
 def test_default_run_passes_everything():
@@ -55,7 +60,7 @@ def test_config_validation():
 
 
 def test_run_config_still_resolves_from_verify():
-    from qsetalg import scalars, verify
+    from qsetalg import scalars
 
     assert verify.RunConfig is scalars.RunConfig
 
@@ -63,7 +68,6 @@ def test_run_config_still_resolves_from_verify():
 def test_verify_all_reports_a_failed_and_a_crashed_check(monkeypatch, capsys):
     """One check fails its own test and one raises: each gets its [FAIL]
     line, the others still run, and the CLI exits 1."""
-    from qsetalg import verify
     from qsetalg.cli import main
 
     def fails(config):

@@ -34,8 +34,8 @@ def test_gamma_vertex_entries_match_matrices():
 
 def test_gamma_vertex_slots():
     v = GammaVertex(3, 1)
-    assert v.slot_dims == {"dual": 4, "vector": 4, "spinor": 4}
-    assert v.slot_parity == {"dual": 1, "vector": 0, "spinor": 1}
+    assert dict(v.slots) == {"dual": (0, 4, "dual"), "vector": (1, 4, "vector"), "spinor": (2, 4, "spinor")}
+    assert v.parity == 0
     with pytest.raises(ValueError):
         GammaVertex(0, 0)
     # p + q = 13 is one past build_gammas' limit
@@ -46,15 +46,15 @@ def test_gamma_vertex_slots():
 def test_iota_node_entries_are_a_grade_selector():
     node = IotaNode(1, 2)
     # two generators at rank 2: the grade-1 labels are codes 1 and 2
-    assert node.slot_dims == {"out": 4, "in": 2}
+    assert dict(node.slots) == {"out": (0, 4, "monad-out"), "in": (1, 2, "blade-in")}
     ent = vertexnet._entries(node.array)
     assert ent == {(1, 0): 1, (2, 1): 1}
 
 
 def test_iota_node_dims_follow_binomials():
     node = IotaNode(2, 3)
-    assert node.slot_dims["in"] == 6   # C(4, 2)
-    assert node.slot_dims["out"] == 16
+    assert node.slots["in"][1] == 6   # C(4, 2)
+    assert node.slots["out"][1] == 16
     with pytest.raises(ValueError):
         IotaNode(5, 3)
     with pytest.raises(ValueError):
@@ -493,19 +493,17 @@ def test_vertices_share_no_mutable_state():
         a.gamma_set.perm[0, 0] = 1
     assert vertexnet._entries(b.array) == before
     assert np.array_equal(b.gamma_set.gammas[0], build_gammas(3, 1).gammas[0])
-    # the slot tables are shared read-only views
-    for name, want in (("slot_dims", 4), ("slot_kinds", "dual"), ("slot_parity", 1)):
-        assert getattr(a, name) is getattr(b, name)
-        with pytest.raises(TypeError):
-            getattr(a, name)["dual"] = 7
-        with pytest.raises(TypeError):
-            del getattr(a, name)["dual"]
-        assert getattr(b, name)["dual"] == want
-    assert GammaVertex(3, 1).slot_dims == {"dual": 4, "vector": 4, "spinor": 4}
+    # the slot table is one shared read-only view
+    assert a.slots is b.slots
+    with pytest.raises(TypeError):
+        a.slots["dual"] = (0, 7, "dual")
+    with pytest.raises(TypeError):
+        del a.slots["dual"]
+    assert b.slots["dual"] == (0, 4, "dual")
     node = IotaNode(1, 2)
     with pytest.raises(TypeError):
-        node.slot_dims["in"] = 3
-    assert IotaNode(1, 2).slot_dims == {"out": 4, "in": 2}
+        node.slots["in"] = (1, 3, "blade-in")
+    assert IotaNode(1, 2).slots["in"] == (1, 2, "blade-in")
 
 
 def test_a_network_contracts_the_same_twice():
@@ -747,7 +745,7 @@ def gamma_networks(draw):
     def groups(slot):
         by_dim: dict = {}
         for i, v in enumerate(verts):
-            by_dim.setdefault(v.slot_dims[slot], []).append(i)
+            by_dim.setdefault(v.slots[slot][1], []).append(i)
         return list(by_dim.values())
 
     vectors = groups("vector")
