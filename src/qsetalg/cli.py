@@ -8,8 +8,7 @@ usage or invalid input.
 Output files given as bare names land in $QSETALG_OUT_DIR when that is set.
 
 Each handler imports the layers it runs, so a command loads only those; the
-sets, qset and palev ladder/deviation/exclusion/normal-order commands run
-without numpy.
+sets, qset and palev commands run without numpy.
 """
 
 from __future__ import annotations

@@ -152,7 +152,7 @@ class StructureConstants:
         n = C.shape[0]
         if C.shape != (n, n, n):
             raise ValueError("structure constants must be n x n x n")
-        g = gcd(D, *C.ravel().tolist()) * (-1 if D < 0 else 1)
+        g = gcd(D, int(np.gcd.reduce(C, axis=None))) * (-1 if D < 0 else 1)
         self.C, self.D = linalg.fit(C // g), D // g
         self.labels = tuple(labels) if labels else tuple(f"x{i+1}" for i in range(n))
 

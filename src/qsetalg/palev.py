@@ -39,9 +39,8 @@ sum_j j! C(k,j)^2 (-i hbar)^j q^{k-j} p^{k-j}.
 sympy is not needed to run any of it. It is imported only at the edge: when
 NCPolynomial is handed a sympy coefficient, when a QiHbar is converted to
 sympy (_sympy_), and by evaluate_nc, which takes sympy matrices. numpy is
-imported only by the band and carrier code (the carrier triple's Fraction
-views included), so the ladder, deviation, exclusion and normal-ordering
-paths run without it.
+never imported: the carrier bands are tuples of Python ints, so every path,
+carrier triples included, runs on plain Python, exact at any size.
 """
 
 from __future__ import annotations
@@ -51,6 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import prod
+from operator import add, mul, sub
 
 from .scalars import UnitTag
 
@@ -116,16 +116,6 @@ def bose_deviation(two_j: int, n: int) -> Fraction:
 # carrier triples
 
 
-def _unband(band):
-    """The d x d matrix M of its band, a (3, d + 2) array whose row o + 1
-    holds M[i, i + o] in column i + 1 for o = -1, 0, 1; zero where i + o
-    leaves the matrix and in both margins."""
-    import numpy as np
-
-    d = band.shape[-1] - 2
-    return sum(np.diag(band[o + 1, 1 + max(-o, 0) : 1 + d - max(o, 0)], o) for o in (-1, 0, 1))
-
-
 @dataclass(frozen=True, eq=False)
 class CarrierTriple:
     """Lie triple wrapping a mode. `parts` are the integer carrier parts, as
@@ -141,9 +131,14 @@ class CarrierTriple:
     relations: str
 
     def _view(self, k: int) -> tuple:
-        from . import linalg
-
-        return linalg.from_scaled(_unband(self.parts[k]), self.scale)
+        band = self.parts[k]
+        d = len(next(iter(band.values())))
+        rows = [[Fraction(0)] * d for _ in range(d)]
+        for o, values in band.items():
+            for i, x in enumerate(values):
+                if x:
+                    rows[i][i + o] = Fraction(x, self.scale)
+        return tuple(map(tuple, rows))
 
     q = cached_property(lambda self: self._view(0))
     p = cached_property(lambda self: self._view(1))
@@ -156,36 +151,19 @@ class CarrierTriple:
         return f"CarrierTriple({', '.join(f'{f}={getattr(self, f)!r}' for f in shown)})"
 
 
-def _band_commutator(x, y):
-    """[X, Y] on the offsets -2..2 (rows 0..4) for stacks of tridiagonal X
-    and Y given by their bands: entry (i, i + a + b) of X Y gains
-    X[i, i + a] Y[i + a, i + a + b], at most three products per entry."""
-    import numpy as np
-
-    d = x.shape[-1] - 2
-    out = np.zeros((len(x), 5, d + 2), dtype=x.dtype)
-    for a in range(3):  # rows a + b for b = 0, 1, 2 at once
-        xy = x[:, a, None, 1 : d + 1] * y[:, :, a : a + d]
-        yx = y[:, a, None, 1 : d + 1] * x[:, :, a : a + d]
-        out[:, a : a + 3, 1 : d + 1] += xy - yx
-    return out
-
-
-def _relations_hold(bands, triples) -> list:
-    """Whether [P_i, P_j] == 2 P_k for each (i, j, k) in triples, exactly,
-    for the integer bands P, in O(d): with |entries| <= m, [P_i, P_j] and
-    2 P_k stay within 6 m^2 + 2 m, so the bands are int64 while that is
-    under 2^62 and Python ints past it."""
-    import numpy as np
-
-    from . import linalg
-
-    bands = np.stack(bands)
-    m = linalg.peak(bands)
-    bands = linalg.cast(bands, 6 * m * m + 2 * m)
-    x, y, w = (bands[list(idx)] for idx in zip(*triples))
-    comm = _band_commutator(x, y)
-    return [np.array_equal(c[1:4], 2 * t) and not c[[0, 4]].any() for c, t in zip(comm, w)]
+def _relation_holds(x, y, w) -> bool:
+    """Whether [X, Y] == 2 W exactly, for tridiagonal X, Y and W given by
+    their bands, compared on all five diagonals s = -2..2 of [X, Y]: entry
+    (i, i + a + b) of X Y gains X[i, i + a] Y[i + a, i + a + b] for each
+    offset a of X and b of Y. Python ints throughout, so no entry can wrap."""
+    d = len(next(iter(x.values())))
+    comm = {s: [0] * d for s in range(-2, 3)}
+    for left, right, op in ((x, y, add), (y, x, sub)):
+        for a, u in left.items():
+            for b, v in right.items():
+                v = v[a:] + (0,) * a if a >= 0 else (0,) * -a + v[:a]  # v[i + a]
+                comm[a + b] = list(map(op, comm[a + b], map(mul, u, v)))
+    return comm == {s: [2 * v for v in w[s]] if s in w else [0] * d for s in comm}
 
 
 def carrier_triple(mode: PalevMode, preset: str = "spin3"):
@@ -198,18 +176,19 @@ def carrier_triple(mode: PalevMode, preset: str = "spin3"):
     spin21 takes (Z, A-B, A+B) over 2, so [q,p] = r reads [Q, P] / 4 = R / 2.
     In both, the three relations read [Q, P] = 2 R, [P, R] = 2 Q and
     [Q, R] = 2 P. A and B are weighted shifts and Z is diagonal, so every
-    part is tridiagonal: each is built as a band straight from the ladder
-    weights and charges of the mode's capacity, and each relation is
-    checked on five diagonals.
+    part is tridiagonal: each is built as a band, {o: (M[i, i + o] for
+    i = 0..N)} over its nonzero diagonals o, of Python ints (zero where
+    i + o leaves the matrix), straight from the ladder weights and charges
+    of the mode's capacity, and each relation is checked on five diagonals.
     """
-    import numpy as np
-
-    A, B, Z = np.zeros((3, 3, mode.dim + 2), dtype=np.int64)
-    A[0, 2:-1] = np.arange(mode.two_j, 0, -1)  # A e_k = (N - k) e_{k+1}
-    B[2, 1:-2] = np.arange(1, mode.dim)  # B e_{k+1} = (k + 1) e_k
-    Z[1, 1:-1] = np.arange(-mode.two_j, mode.dim, 2)  # Z e_k = (2k - N) e_k
+    n = mode.two_j
+    lower = (0, *range(n, 0, -1))  # A e_k = (N - k) e_{k+1}: A[i, i - 1] = N - i + 1
+    upper = (*range(1, n + 1), 0)  # B e_{k+1} = (k + 1) e_k: B[i, i + 1] = i + 1
+    charge = tuple(range(-n, n + 1, 2))  # Z e_k = (2k - N) e_k
+    plus = {-1: lower, 1: upper}  # A + B
+    minus = {-1: lower, 1: tuple(-x for x in upper)}  # A - B
     if preset == "spin3":
-        q, p, r, scale = A + B, A - B, -Z, 1
+        q, p, r, scale = plus, minus, {0: tuple(-x for x in charge)}, 1
         tags = (
             UnitTag({"sqrt2": -1}),
             UnitTag({"i": 1, "sqrt2": -1}),
@@ -218,13 +197,13 @@ def carrier_triple(mode: PalevMode, preset: str = "spin3"):
         names = ("[q,p] = r", "[p,r] = -2q", "[q,r] = 2p")
         relations = "[q,p]=r, [p,r]=-2q, [q,r]=2p"
     elif preset == "spin21":
-        q, p, r, scale = Z, A - B, A + B, 2
+        q, p, r, scale = {0: charge}, minus, plus, 2
         tags = (UnitTag.one(),) * 3
         names = ("[q,p] = r", "[p,r] = q", "[q,r] = p")
         relations = "[q,p]=r, [p,r]=q, [q,r]=p"
     else:
         raise ValueError(f"unknown carrier preset {preset!r}")
-    checks = dict(zip(names, _relations_hold((q, p, r), ((0, 1, 2), (1, 2, 0), (0, 2, 1)))))
+    checks = {name: _relation_holds(x, y, w) for name, (x, y, w) in zip(names, ((q, p, r), (p, r, q), (q, r, p)))}
     return CarrierTriple(preset, (q, p, r), scale, tags, relations), checks
 
 

@@ -296,6 +296,9 @@ for argv in (
     "palev exclusion --capacity 30",
     "palev ladder",
     "palev normal-order",
+    "palev carriers --preset spin3",
+    "palev carriers --preset spin21",
+    "palev carriers --capacity 4096",
 ):
     main(argv.split())
     assert not loaded("numpy", "qsetalg.qset"), f"{loaded('numpy', 'qsetalg.qset')} loaded by {argv}"
@@ -308,9 +311,8 @@ for argv in (
     main(argv.split())
     assert not loaded("numpy"), f"numpy loaded by {argv}"
 layers = ("qsetalg.verify", "qsetalg.vertexnet", "qsetalg.yang")
-for argv in ("gamma 4 4", "palev carriers"):
-    main(argv.split())
-    assert not loaded(*layers), f"{loaded(*layers)} loaded by {argv}"
+main("gamma 4 4".split())
+assert not loaded(*layers), f"{loaded(*layers)} loaded by gamma 4 4"
 for argv in ("structure so3", "killing toy", "contract so3", "yang table", f"net eval {net}"):
     main(argv.split())
     assert not loaded("qsetalg.verify"), f"qsetalg.verify loaded by {argv}"

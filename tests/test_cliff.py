@@ -204,6 +204,17 @@ def test_defect_past_int64_takes_python_ints():
     assert anticommutator_defect(gs) == want == 2 * c * c - 2
 
 
+def test_top_past_int64_takes_python_ints():
+    # four generators with signs +-2^20: the top element's signs are +-2^80,
+    # exact only because its bound counts all 2n factors of its square
+    c = 1 << 20
+    gs = _from_matrices(2, 2, [c * g for g in build_gammas(2, 2).gammas])
+    perm, sign = gs._top()
+    assert {abs(s) for s in sign.tolist()} == {c ** 4}
+    want = reference_top([g.astype(object) for g in gs.gammas], gs.dim)
+    assert np.array_equal(top_element(gs), want)
+
+
 def test_non_monomial_set_is_refused():
     gs = build_gammas(2, 1)
     gammas = [g.tolist() for g in gs.gammas]

@@ -49,6 +49,15 @@ def test_int_combine_falls_back_to_python_ints():
     assert linalg.int_combine((1, a // 4), (1, a // 4)).dtype == np.int64
 
 
+def test_int_combine_bound_sums_every_term():
+    # each term stays within 2^61 on its own; the bound must add all four,
+    # or their sum, 2^63, wraps to -2^63 in int64
+    a = np.array([2 ** 61])
+    got = linalg.int_combine((1, a), (1, a), (1, a), (1, a))
+    assert got.dtype == object
+    assert got.tolist() == [2 ** 63]
+
+
 def _python_product(a, b):
     """a @ b on Python ints: the reference int_matmul is checked against."""
     return a.astype(object) @ b.astype(object)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from qsetalg import linalg, palev
+from qsetalg import palev
 from qsetalg.cli import main
 from qsetalg.liecore import boost_triple
 from qsetalg.palev import (
@@ -163,8 +163,8 @@ def test_charge_diagonal():
 
 @pytest.mark.parametrize("two_j", [1, 2, 5, 12])
 def test_exclusion_report_is_the_power_of_the_raising_matrix(two_j):
-    # exclusion_report reads its weights from a range, and the carrier bands
-    # build theirs from np.arange: both must give the same A
+    # exclusion_report reads its weights from a range, and the hand-built
+    # ladder of helpers.mode_vectors from np.arange: both must give the same A
     m = PalevMode(two_j)
     a = np.diag(mode_vectors(m)[0], -1)
     at_n = np.linalg.matrix_power(a, two_j)
@@ -213,8 +213,8 @@ def test_carrier_parts_equal_the_fraction_construction(n, preset):
     # a wrong charge breaks every relation that involves it: Z is r in
     # spin3 and q in spin21
     q, p, r = triple.parts
-    wrong = (q, p, 2 * r) if preset == "spin3" else (2 * q, p, r)
-    assert not any(palev._relations_hold(wrong, ((0, 1, 2), (1, 2, 0), (0, 2, 1))))
+    q, p, r = (q, p, scaled(2, r)) if preset == "spin3" else (scaled(2, q), p, r)
+    assert not any(palev._relation_holds(x, y, w) for x, y, w in ((q, p, r), (p, r, q), (q, r, p)))
 
 
 def carrier_parts(n, preset):
@@ -222,18 +222,24 @@ def carrier_parts(n, preset):
     return triple.parts
 
 
-def relation_holds(x, y, w) -> bool:
-    (holds,) = palev._relations_hold((x, y, w), ((0, 1, 2),))
-    return holds
+def scaled(c, band):
+    return {o: tuple(c * x for x in v) for o, v in band.items()}
+
+
+def bend(band, o, i, by):
+    """The band with entry (i, i + o) moved by `by`, diagonal o added if absent."""
+    v = list(band.get(o, (0,) * len(next(iter(band.values())))))
+    v[i] += by
+    return {**band, o: tuple(v)}
 
 
 def dense(band):
-    """The matrix of a band: M[i, i + o] = band[o + 1, i + 1]."""
-    d = band.shape[1] - 2
-    m = np.zeros((d, d), dtype=band.dtype)
-    for o in (-1, 0, 1):
+    """The matrix of a band: M[i, i + o] = band[o][i]."""
+    d = len(next(iter(band.values())))
+    m = np.zeros((d, d), dtype=np.int64)
+    for o, v in band.items():
         for i in range(max(-o, 0), d - max(o, 0)):
-            m[i, i + o] = band[o + 1, i + 1]
+            m[i, i + o] = v[i]
     return m
 
 
@@ -243,36 +249,46 @@ def test_band_relations_match_the_dense_commutator(preset):
     for n in (1, 2, 3, 7, 16):
         q, p, r = carrier_parts(n, preset)
         for x, y, w in ((q, p, r), (p, r, q), (q, r, p)):
-            assert relation_holds(x, y, w)
+            assert palev._relation_holds(x, y, w)
             for _ in range(5):
-                bent = [b.copy() for b in (x, y, w)]
+                bent = [x, y, w]
                 k = rng.randrange(3)
                 o = rng.choice((-1, 0, 1))
                 i = rng.randrange(max(-o, 0), n + 1 - max(o, 0))
-                bent[k][o + 1, i + 1] += rng.choice((-1, 1))
+                bent[k] = bend(bent[k], o, i, rng.choice((-1, 1)))
                 mats = [dense(b) for b in bent]
                 want = np.array_equal(dense_commutator(mats[0], mats[1]), 2 * mats[2])
-                assert relation_holds(*bent) == want
+                assert palev._relation_holds(*bent) == want
+
+
+def test_unit_band_brackets_match_the_dense_commutator():
+    # whether [E, F] vanishes, for unit bands E and F on three levels, is read
+    # on all five diagonals: E_01 E_12 = E_02 lies on the outer diagonal 2
+    d = 3
+    units = [{o: tuple(int(k == i) for k in range(d))} for o in (-1, 0, 1) for i in range(max(-o, 0), d - max(o, 0))]
+    zero = {0: (0,) * d}
+    for x, y in itertools.product(units, repeat=2):
+        assert palev._relation_holds(x, y, zero) == (not dense_commutator(dense(x), dense(y)).any())
 
 
 def test_band_relations_past_int64_take_python_ints():
-    q, p, r = (m.astype(object) for m in carrier_parts(6, "spin21"))
+    q, p, r = carrier_parts(6, "spin21")
     c = 1 << 40
     # [cQ, cP] = c^2 [Q, P] = 2 c^2 R, entries past 2^63
-    assert relation_holds(c * q, c * p, c * c * r)
-    bent = c * c * r
-    bent[0, 4] += 1  # entry (3, 2)
-    assert not relation_holds(c * q, c * p, bent)
+    x, y, w = scaled(c, q), scaled(c, p), scaled(c * c, r)
+    assert max(abs(v) for v in w[-1]) > 2 ** 63
+    assert palev._relation_holds(x, y, w)
+    assert not palev._relation_holds(x, y, bend(w, -1, 3, 1))  # entry (3, 2)
 
 
 def test_carrier_views_are_built_on_first_read(monkeypatch):
     calls = []
-    real = linalg.from_scaled
-    monkeypatch.setattr(linalg, "from_scaled", lambda a, den: calls.append(1) or real(a, den))
+    real = palev.CarrierTriple._view
+    monkeypatch.setattr(palev.CarrierTriple, "_view", lambda self, k: calls.append(k) or real(self, k))
     triple, checks = carrier_triple(PalevMode(1024), "spin3")
     assert all(checks.values()) and not calls
-    assert len(triple.q) == 1025 and calls == [1]
-    assert triple.q is triple.q and calls == [1]
+    assert len(triple.q) == 1025 and calls == [0]
+    assert triple.q is triple.q and calls == [0]
 
 
 def test_rewrite_budget_is_bad_input_exit_two(capsys, monkeypatch):
