@@ -9,11 +9,11 @@ charge. The decay rate is exact: every leftover bracket shrinks like 1/N.
 
 from fractions import Fraction
 
-from qsetalg.liecore import ContractionFamily, catalog, numeric_contraction_check
+from qsetalg.liecore import ContractionFamily, catalog_entry, numeric_contraction_check
 from qsetalg.yang import build_yang, contract_to_hp, gauge_defect
 
 print("== three generators: q, p, r ==")
-ent = catalog()["so21"]
+ent = catalog_entry("so21")
 sc = ent.algebra.structure_constants()
 fam = ContractionFamily(sc, ent.weights)
 for li, lj, lk, c, e in fam.describe():

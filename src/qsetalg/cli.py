@@ -1,9 +1,13 @@
 """Command-line interface.
 
 Every command prints a one-line header echoing the run configuration, then
-its payload. Exact rationals print as n or n/d; floats print with %.17g.
+its payload. main builds the RunConfig and prints that header, once, for
+every command but verify-all, whose report opens with its own config line.
+Exact rationals print as n or n/d; floats print with %.17g.
 Exit codes: 0 success, 1 a verification or consistency check failed, 2 bad
-usage or invalid input.
+usage or invalid input. Each layer checks its own inputs, and any
+ValueError it raises reaches main's one error path as exit 2; the CLI
+checks only the text it parses itself.
 
 Output files given as bare names land in $QSETALG_OUT_DIR when that is set.
 
@@ -35,14 +39,6 @@ _MAX_CODE_DIGITS = int(MAX_CODE_BITS * log10(2)) + 1
 
 class CliError(ValueError):
     """Invalid input; maps to exit code 2, as every ValueError does."""
-
-
-def _config(args) -> RunConfig:
-    return RunConfig(seed=args.seed, mode=args.mode, tolerance=args.tolerance)
-
-
-def _header(args, name: str) -> None:
-    print(f"# qsetalg {name} | {_config(args).describe()}")
 
 
 def _resolve_out(path: str) -> str:
@@ -131,24 +127,28 @@ def _lookup_algebra(name: str):
 # subcommand handlers (return process exit code)
 
 
+# operand count of each sets op, and what its usage error says it takes
+_SETS_OPERANDS = {
+    "xor": (2, "exactly two set texts"), "or": (2, "exactly two set texts"), "code": (1, "one set text"),
+    "decode": (1, "one integer"), "info": (1, "one set text"), "enumerate": (1, "a maximum rank"),
+}
+
+
 def _cmd_sets(args) -> int:
-    _header(args, "sets")
     op = args.op
+    count, takes = _SETS_OPERANDS[op]
+    if len(args.operands) != count:
+        raise CliError(f"sets {op} takes {takes}")
     if op == "xor" or op == "or":
-        if len(args.operands) != 2:
-            raise CliError(f"sets {op} takes exactly two set texts")
-        x = parse_set_text(args.operands[0])
-        y = parse_set_text(args.operands[1])
+        x, y = map(parse_set_text, args.operands)
         z = (x ^ y) if op == "xor" else (x | y)
         print("OM" if z is OM else format_set_text(z))
-    elif op == "code":
-        if len(args.operands) != 1:
-            raise CliError("sets code takes one set text")
-        print(fmt_scalar(parse_set_text(args.operands[0]).code))
+        return 0
+    text = args.operands[0]
+    if op == "code":
+        print(fmt_scalar(parse_set_text(text).code))
     elif op == "decode":
-        if len(args.operands) != 1:
-            raise CliError("sets decode takes one integer")
-        text = args.operands[0].strip()
+        text = text.strip()
         too_long = f"sets decode: the code passes the {MAX_CODE_BITS}-bit set limit"
         if len(text) > _MAX_CODE_DIGITS:
             raise CliError(too_long)
@@ -160,15 +160,11 @@ def _cmd_sets(args) -> int:
             raise CliError(too_long)
         print(format_set_text(decode(n)))
     elif op == "info":
-        if len(args.operands) != 1:
-            raise CliError("sets info takes one set text")
-        x = parse_set_text(args.operands[0])
+        x = parse_set_text(text)
         print(f"code={fmt_scalar(x.code)} grade={x.grade} rank={x.rank}")
-    elif op == "enumerate":
-        if len(args.operands) != 1:
-            raise CliError("sets enumerate takes a maximum rank")
+    else:  # enumerate
         try:
-            r = int(args.operands[0])
+            r = int(text)
         except ValueError:
             raise CliError("rank must be an integer") from None
         for x in enumerate_rank(r, allow_large=args.allow_large):
@@ -190,7 +186,6 @@ _QSET_INPUTS = {
 def _cmd_qset(args) -> int:
     from .qset import berezin_norm, beta_form, clifford, embed, grassmann, iota_m, signature_report
 
-    _header(args, "qset")
     op = args.op
     if len(args.inputs) != _QSET_INPUTS[op]:
         raise CliError(f"qset {op} takes {_QSET_INPUTS[op]} input(s), got {len(args.inputs)}")
@@ -230,7 +225,6 @@ def _cmd_qset(args) -> int:
 def _cmd_gamma(args) -> int:
     from .cliff import anticommutator_defect, build_gammas, entries_are_signs, gammas_to_json
 
-    _header(args, "gamma")
     gs = build_gammas(args.p, args.q)
     defect = anticommutator_defect(gs)
     print(f"signature=({gs.p},{gs.q}) dim={gs.dim} eta={list(gs.eta)}")
@@ -246,7 +240,6 @@ def _cmd_gamma(args) -> int:
 
 
 def _cmd_structure(args) -> int:
-    _header(args, "structure")
     algebra, _, note = _lookup_algebra(args.name)
     sc = algebra.structure_constants()
     print(f"{args.name}: dim={sc.dim} ({note})")
@@ -259,7 +252,6 @@ def _cmd_structure(args) -> int:
 
 
 def _cmd_killing(args) -> int:
-    _header(args, "killing")
     algebra, _, _ = _lookup_algebra(args.name)
     sc = algebra.structure_constants()
     print(f"{args.name}: Killing form")
@@ -273,7 +265,6 @@ def _cmd_killing(args) -> int:
 def _cmd_contract(args) -> int:
     from .liecore import ContractionFamily, numeric_contraction_check
 
-    _header(args, "contract")
     algebra, default_w, _ = _lookup_algebra(args.name)
     if args.weights:
         try:
@@ -310,7 +301,6 @@ def _cmd_contract(args) -> int:
 def _cmd_yang(args) -> int:
     from .yang import accumulate_preset, build_yang, contract_to_hp, gauge_defect, unit_tags
 
-    _header(args, "yang")
     what = args.what
     if what == "units":
         for name, tag in sorted(unit_tags().items()):
@@ -356,16 +346,10 @@ def _cmd_yang(args) -> int:
 
 
 def _cmd_palev(args) -> int:
-    from .palev import REWRITE_PRESETS, NCPolynomial, PalevMode, carrier_triple, normal_order
+    from .palev import NCPolynomial, PalevMode, carrier_triple, normal_order
 
-    _header(args, "palev")
     what = args.what
     if what == "normal-order":
-        if args.system not in REWRITE_PRESETS:
-            raise CliError(
-                f"unknown rewrite system {args.system!r}; "
-                f"available: {', '.join(sorted(REWRITE_PRESETS))}"
-            )
         word = tuple(w for w in args.word.split(",") if w)
         if not word:
             raise CliError("empty word")
@@ -379,12 +363,11 @@ def _cmd_palev(args) -> int:
         print("[a, adag] diagonal: " + ", ".join(fmt_scalar(d) for d in diag))
         return 0
     if what == "deviation":
-        if args.level is not None and not 0 <= args.level <= mode.two_j:
-            raise CliError(f"level must lie in 0..{mode.two_j}")
-        levels = [args.level] if args.level is not None else list(range(mode.dim))
+        levels = range(mode.dim) if args.level is None else [args.level]
+        deviations = [mode.bose_deviation(n) for n in levels]  # range-checked before any output
         print(f"capacity {mode.two_j} (j = {fmt_scalar(mode.j)})")
-        for n in levels:
-            print(f"level {n}: deviation {fmt_scalar(mode.bose_deviation(n))}")
+        for n, d in zip(levels, deviations):
+            print(f"level {n}: deviation {fmt_scalar(d)}")
         return 0
     if what == "exclusion":
         at_n, at_n1 = mode.exclusion_report()
@@ -406,7 +389,6 @@ def _cmd_net(args) -> int:
 
     from .vertexnet import VertexNetwork, dense_oracle
 
-    _header(args, "net")
     try:
         net = VertexNetwork.load(args.file)
     except (OSError, ValueError) as e:
@@ -433,10 +415,10 @@ def _cmd_net(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_verify_all(args) -> int:
+def _verify_all(cfg: RunConfig) -> int:
     from .verify import run_all
 
-    report, ok = run_all(_config(args))
+    report, ok = run_all(cfg)
     sys.stdout.write(report)
     return 0 if ok else 1
 
@@ -461,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sets", help="hereditarily finite set operations")
-    p.add_argument("op", choices=("xor", "or", "code", "decode", "info", "enumerate"))
+    p.add_argument("op", choices=tuple(_SETS_OPERANDS))
     p.add_argument("operands", nargs="*")
     p.add_argument("--allow-large", action="store_true", help="permit rank 4 enumeration")
     p.set_defaults(fn=_cmd_sets)
@@ -528,16 +510,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help="network JSON file")
     p.set_defaults(fn=_cmd_net)
 
-    p = sub.add_parser("verify-all", help="run the deterministic check registry")
-    p.set_defaults(fn=_cmd_verify_all)
+    sub.add_parser("verify-all", help="run the deterministic check registry")
 
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        cfg = RunConfig(seed=args.seed, mode=args.mode, tolerance=args.tolerance)
+        if args.command == "verify-all":  # its report opens with its own config line
+            return _verify_all(cfg)
+        print(f"# qsetalg {args.command} | {cfg.describe()}")
         return args.fn(args)
     except ValueError as e:  # CliError included
         print(f"error: {e}", file=sys.stderr)

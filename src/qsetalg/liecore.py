@@ -449,7 +449,3 @@ def catalog_entry(key: str) -> CatalogEntry:
     """Build the one catalog algebra named key."""
     build, weights, note = CATALOG[key]
     return CatalogEntry(build(), weights, note)
-
-
-def catalog() -> dict:
-    return {key: catalog_entry(key) for key in CATALOG}

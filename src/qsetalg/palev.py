@@ -536,36 +536,34 @@ class RewriteBudgetError(ValueError):
     """Normal ordering needed more than _MAX_REWRITE_STEPS rewrite steps."""
 
 
-def _inversions(word) -> int:
-    return sum(a > b for i, a in enumerate(word) for b in word[i + 1 :])
-
-
 def normal_order(poly: NCPolynomial, system: str) -> NCPolynomial:
     """Rewrite every word so the generator ranks of the preset named system
     ascend left to right, pushing bracket corrections down.
 
     Pending words sit in one dict keyed by word (as a tuple of ranks), so
     equal words merge their coefficients before they are rewritten. Each
-    step pops the longest pending word, and among equal lengths the one with
-    the most out-of-order pairs, and rewrites its leftmost out-of-order pair:
-    the swapped word has one out-of-order pair fewer and every correction is
-    shorter, so no word comes back once popped and a popped ordered word is
-    final. Every pop counts as one step against _MAX_REWRITE_STEPS."""
+    step pops the longest pending word, and among equal lengths the last in
+    word order, and rewrites its leftmost out-of-order pair: the swapped word
+    comes earlier in word order and every correction is shorter, so every
+    word that can produce a word is popped before it, no word comes back once
+    popped, and a popped ordered word is final. Every pop counts as one step
+    against _MAX_REWRITE_STEPS."""
+    if system not in REWRITE_PRESETS:
+        raise ValueError(f"unknown rewrite system {system!r}; available: {', '.join(sorted(REWRITE_PRESETS))}")
     system = REWRITE_PRESETS[system]
     rules = system.rank_rules
     pending: dict = {}
     heap: list = []
 
-    def push(word, coeff, inversions):
+    def push(word, coeff):
         if word in pending:
             pending[word] = pending[word] + coeff
         else:
             pending[word] = coeff
-            heapq.heappush(heap, (-len(word), -inversions, word))
+            heapq.heappush(heap, (-len(word), tuple(-r for r in word), word))
 
     for w, c in poly.terms().items():
-        w = tuple(system.rank(g) for g in w)
-        push(w, c, _inversions(w))
+        push(tuple(system.rank(g) for g in w), c)
     done: dict = {}
     steps = 0
     while heap:
@@ -575,14 +573,14 @@ def normal_order(poly: NCPolynomial, system: str) -> NCPolynomial:
                 f"normal ordering exceeded the budget of {_MAX_REWRITE_STEPS} "
                 "rewrite steps; try a shorter word"
             )
-        _, minus_inv, word = heapq.heappop(heap)
+        word = heapq.heappop(heap)[2]
         coeff = pending.pop(word)
         if not coeff:
             continue
-        if not minus_inv:
+        spot = next((i for i in range(len(word) - 1) if word[i] > word[i + 1]), None)
+        if spot is None:
             done[word] = coeff
             continue
-        spot = next(i for i in range(len(word) - 1) if word[i] > word[i + 1])
         g, h = word[spot], word[spot + 1]
         corr = rules.get((g, h))
         if corr is None:
@@ -590,10 +588,9 @@ def normal_order(poly: NCPolynomial, system: str) -> NCPolynomial:
                 f"system {system.name!r} has no rule for {system.order[g]}*{system.order[h]}"
             )
         head, tail = word[:spot], word[spot + 2 :]
-        push(head + (h, g) + tail, coeff, -minus_inv - 1)
+        push(head + (h, g) + tail, coeff)
         for cw, cc in corr:
-            w = head + cw + tail
-            push(w, coeff * cc, _inversions(w))
+            push(head + cw + tail, coeff * cc)
     return NCPolynomial._of(
         {tuple(system.order[r] for r in w): c for w, c in done.items()}
     )

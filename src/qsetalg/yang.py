@@ -32,7 +32,8 @@ commuting two-level steps (Kronecker sum). Each step has spectrum {+1, -1}
 (spacelike, symmetric step) or {+i, -i} (timelike, antisymmetric step, the i
 kept in the unit tag), so the total has the binomial spectrum
 {n - 2j with multiplicity C(n, j)}; the eigenvalues accumulate in integer
-rungs around zero instead of filling a continuum.
+rungs around zero instead of filling a continuum. total_matrix() builds that
+Kronecker sum; one check serves both: 1..12 steps, each of square +1 or -1.
 """
 
 from __future__ import annotations
@@ -262,13 +263,17 @@ class AccumulationResult:
     spectrum: tuple  # ((integer level, multiplicity), ...) descending level
 
 
-def total_matrix(n: int, square: int) -> np.ndarray:
-    """Kronecker sum of n identical two-level steps [[0, 1], [square, 0]],
-    each squaring to square * I; dimension 2**n."""
+def _check_steps(n: int, square: int) -> None:
     if not 1 <= n <= _MAX_STEPS:
         raise ValueError(f"steps must lie in 1..{_MAX_STEPS}")
     if square not in (1, -1):
         raise ValueError("step square must be +1 or -1")
+
+
+def total_matrix(n: int, square: int) -> np.ndarray:
+    """Kronecker sum of n identical two-level steps [[0, 1], [square, 0]],
+    each squaring to square * I; dimension 2**n."""
+    _check_steps(n, square)
     s = np.array([[0, 1], [square, 0]], dtype=np.int64)
     dim = 1 << n
     out = np.zeros((dim, dim), dtype=np.int64)
@@ -287,10 +292,7 @@ def accumulate_coordinate(n: int, square: int = 1) -> AccumulationResult:
     records the integer levels; the unit tag carries the step length and, for
     timelike steps, the factor i.
     """
-    if not 1 <= n <= _MAX_STEPS:
-        raise ValueError(f"steps must lie in 1..{_MAX_STEPS}")
-    if square not in (1, -1):
-        raise ValueError("step square must be +1 or -1")
+    _check_steps(n, square)
     unit = UnitTag.single("lstep")
     if square == -1:
         unit = unit * UnitTag.single("i")

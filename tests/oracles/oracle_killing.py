@@ -11,7 +11,7 @@ import os
 
 import sympy as sp
 
-from qsetalg.liecore import catalog
+from qsetalg.liecore import CATALOG, catalog_entry
 from qsetalg.yang import PRESETS, build_yang
 
 
@@ -46,8 +46,8 @@ def killing_det(basis) -> sp.Rational:
 
 def main() -> None:
     out = {}
-    for key, ent in catalog().items():
-        d = killing_det(ent.algebra.basis)
+    for key in CATALOG:
+        d = killing_det(catalog_entry(key).algebra.basis)
         out[key] = str(d)
         print(f"{key}: killing det {d}")
     for preset in sorted(PRESETS):

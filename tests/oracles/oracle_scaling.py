@@ -12,7 +12,7 @@ import os
 
 import numpy as np
 
-from qsetalg.liecore import catalog
+from qsetalg.liecore import catalog_entry
 from qsetalg.yang import build_yang
 
 
@@ -42,7 +42,7 @@ def limit_by_elimination(basis, weights, e1, e2):
 def main() -> None:
     out = {}
 
-    ent = catalog()["so21"]
+    ent = catalog_entry("so21")
     basis = [np.array(m, dtype=float) for m in ent.algebra.basis]
     weights = ent.weights
     c_lim, _ = limit_by_elimination(basis, weights, 1e-2, 1e-3)

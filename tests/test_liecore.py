@@ -5,13 +5,14 @@ import pytest
 
 from qsetalg import linalg
 from qsetalg.liecore import (
+    CATALOG,
     ClosureError,
     ContractionError,
     ContractionFamily,
     MatrixAlgebra,
     StructureConstants,
     boost_triple,
-    catalog,
+    catalog_entry,
     heisenberg3,
     numeric_contraction_check,
     rotation3,
@@ -22,6 +23,11 @@ from qsetalg.liecore import (
 from helpers import load_oracle, reference_refit, scaled_basis, smul
 
 HALF = Fraction(1, 2)
+
+
+def catalog() -> dict:
+    """Every catalog algebra, each built fresh, by key."""
+    return {key: catalog_entry(key) for key in CATALOG}
 
 
 def test_rotation3_constants_are_the_alternating_tensor():
@@ -118,7 +124,7 @@ def test_boost_triple_relations():
 
 
 def test_contraction_exponents_and_limit():
-    ent = catalog()["so21"]
+    ent = catalog_entry("so21")
     fam = ContractionFamily(ent.algebra.structure_constants(), ent.weights)
     rows = {(li, lj, lk): e for li, lj, lk, _, e in fam.describe()}
     assert rows[("q", "p", "r")] == 0
@@ -147,7 +153,7 @@ def test_divergence_names_the_first_diverging_constant():
 
 
 def test_family_at_matches_scaled_basis_refit():
-    ent = catalog()["so21"]
+    ent = catalog_entry("so21")
     sc = ent.algebra.structure_constants()
     fam = ContractionFamily(sc, ent.weights)
     eps_sqrt = Fraction(1, 2)
@@ -159,7 +165,7 @@ def test_family_at_matches_scaled_basis_refit():
 
 
 def test_family_at_requires_exact_scaling():
-    ent = catalog()["so21"]
+    ent = catalog_entry("so21")
     fam = ContractionFamily(ent.algebra.structure_constants(), ent.weights)
     at = fam.at(Fraction(1, 1000))
     assert at.c[0][2][1] == Fraction(1, 1000)
@@ -168,7 +174,7 @@ def test_family_at_requires_exact_scaling():
 
 
 def test_surviving_and_decaying_partition():
-    ent = catalog()["so4"]
+    ent = catalog_entry("so4")
     fam = ContractionFamily(ent.algebra.structure_constants(), ent.weights)
     surv = {(i, j, k) for i, j, k, _ in fam.sc.nonzero() if fam.exponent(i, j, k) == 0}
     dec = set()
@@ -184,7 +190,7 @@ def test_surviving_and_decaying_partition():
 
 
 def test_numeric_contraction_check_is_tiny():
-    ent = catalog()["so21"]
+    ent = catalog_entry("so21")
     rel = numeric_contraction_check(ent.algebra, ent.weights, 1e-3)
     assert rel <= 1e-9
 
@@ -261,7 +267,7 @@ def _assert_python_int_route(sc, seen):
 
 
 def test_contraction_at_tiny_eps_takes_the_python_int_route(numpy_dtypes):
-    ent = catalog()["so21"]
+    ent = catalog_entry("so21")
     base = ent.algebra.structure_constants()
     fam = ContractionFamily(base, ent.weights)
     eps = Fraction(1, 2 ** 40)
@@ -357,7 +363,7 @@ def test_fraction_views_are_built_on_first_read():
     sc = alg.structure_constants()
     assert "basis" not in vars(alg) and "c" not in vars(sc)
     sc.killing_det(), sc.classify(), sc.nonzero()
-    numeric_contraction_check(alg, catalog()["so4"].weights, 1e-3)
+    numeric_contraction_check(alg, catalog_entry("so4").weights, 1e-3)
     assert "basis" not in vars(alg) and "c" not in vars(sc)
     assert alg.basis == tuple(
         tuple(tuple(Fraction(int(x), 2) for x in row) for row in m) for m in alg.stack

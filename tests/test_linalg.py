@@ -355,11 +355,11 @@ def _solver_matrices():
     """The column matrices ColumnSolver meets: the three frames, every catalog
     algebra, and seeded integer matrices with zero and repeated rows, each
     with more than one column also once with a dependent last column."""
-    from qsetalg.liecore import catalog
+    from qsetalg.liecore import CATALOG, catalog_entry
     from qsetalg.yang import PRESETS, build_yang
 
     algebras = [build_yang(p).algebra for p in sorted(PRESETS)]
-    algebras += [ent.algebra for ent in catalog().values()]
+    algebras += [catalog_entry(key).algebra for key in CATALOG]
     for alg in algebras:
         yield alg.stack.reshape(alg.dim, -1).T
     rng = np.random.default_rng(20248)

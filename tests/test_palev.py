@@ -315,6 +315,18 @@ def test_rewrite_step_counts_of_the_merged_rewrite(monkeypatch):
             normal_order(word, "h1")
 
 
+def test_rewrite_step_counts_of_p_k_q_k_through_k_9(monkeypatch):
+    # one pop per distinct word reached, whatever order pops them; k = 4 and
+    # k = 7 are the test above
+    for k, steps in ((1, 3), (2, 8), (3, 18), (5, 61), (6, 98), (8, 213), (9, 295)):
+        word = NCPolynomial.word(*("p" * k + "q" * k))
+        monkeypatch.setattr(palev, "_MAX_REWRITE_STEPS", steps)
+        assert normal_order(word, "h1") == weyl_closed_form(k)
+        monkeypatch.setattr(palev, "_MAX_REWRITE_STEPS", steps - 1)
+        with pytest.raises(palev.RewriteBudgetError):
+            normal_order(word, "h1")
+
+
 def test_p7q7_orders_at_the_default_budget(capsys):
     word = ",".join("p" * 7 + "q" * 7)
     code = main(["palev", "normal-order", "--system", "h1", "--word", word])
@@ -330,6 +342,12 @@ def test_presets_exist():
     assert set(REWRITE_PRESETS) == {"h1", "spin21", "spin3"}
     for sys_ in REWRITE_PRESETS.values():
         assert isinstance(sys_, RewriteSystem)
+
+
+def test_unknown_system_is_a_value_error_with_the_cli_text():
+    with pytest.raises(ValueError) as exc:
+        normal_order(NCPolynomial.word("p"), "nosuch")
+    assert str(exc.value) == "unknown rewrite system 'nosuch'; available: h1, spin21, spin3"
 
 
 def test_known_reordering():

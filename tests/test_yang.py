@@ -256,10 +256,10 @@ def test_gauge_defect_on_a_huge_basis_takes_the_python_int_route(numpy_dtypes):
     from types import SimpleNamespace
 
     from qsetalg import linalg
-    from qsetalg.liecore import ContractionFamily, MatrixAlgebra, catalog
+    from qsetalg.liecore import ContractionFamily, MatrixAlgebra, catalog_entry
     from helpers import smul
 
-    ent = catalog()["so21"]
+    ent = catalog_entry("so21")
     big = linalg.int_scaled([smul(2 ** 31, m) for m in ent.algebra.basis])
     alg = MatrixAlgebra("so21-big", *big, labels=ent.algebra.labels)
     frame = SimpleNamespace(
