@@ -68,7 +68,7 @@ class PalevMode:
     Z = [A, B] from N for each triple."""
 
     def __init__(self, two_j: int):
-        if not isinstance(two_j, int) or two_j < 1:
+        if type(two_j) is not int or two_j < 1:
             raise ValueError("two_j must be a positive integer")
         if two_j > MAX_CAPACITY:
             raise ValueError(f"capacity {two_j} is past the largest supported capacity, {MAX_CAPACITY}")
@@ -475,40 +475,14 @@ class NCPolynomial:
         return f"NCPolynomial({self})"
 
 
-@dataclass(frozen=True)
-class RewriteSystem:
-    """Canonical generator order plus correction rules g*h = h*g + corr for
-    each out-of-order adjacent pair (g later in the order than h)."""
-
-    name: str
-    order: tuple
-    corrections: dict
-
-    def rank(self, g: str) -> int:
-        try:
-            return self.order.index(g)
-        except ValueError:
-            raise ValueError(f"generator {g!r} unknown to system {self.name!r}") from None
-
-    @cached_property
-    def rank_rules(self) -> dict:
-        """The corrections with generators replaced by their ranks:
-        {(rank g, rank h): [(rank word, coefficient)]}."""
-        return {
-            (self.rank(g), self.rank(h)): [
-                (tuple(self.rank(x) for x in w), c) for w, c in corr.terms().items()
-            ]
-            for (g, h), corr in self.corrections.items()
-        }
-
-
 _I = QiHbar({0: (0, 1)})
 _MINUS_I_HBAR = QiHbar({1: (0, -1)})
 
+# name -> (canonical generator order, corrections): g*h = h*g + corr for each
+# out-of-order adjacent pair (g later in the order than h)
 REWRITE_PRESETS = {
-    "h1": RewriteSystem("h1", ("q", "p"), {("p", "q"): NCPolynomial.scalar(_MINUS_I_HBAR)}),
-    "spin21": RewriteSystem(
-        "spin21",
+    "h1": (("q", "p"), {("p", "q"): NCPolynomial.scalar(_MINUS_I_HBAR)}),
+    "spin21": (
         ("q", "p", "r"),
         {
             # [q,p] = r, [p,r] = q, [q,r] = p
@@ -517,8 +491,7 @@ REWRITE_PRESETS = {
             ("r", "q"): NCPolynomial.word("p", coeff=-1),
         },
     ),
-    "spin3": RewriteSystem(
-        "spin3",
+    "spin3": (
         ("jx", "jy", "jz"),
         {
             # [jx,jy] = i jz, [jy,jz] = i jx, [jz,jx] = i jy
@@ -538,7 +511,9 @@ class RewriteBudgetError(ValueError):
 
 def normal_order(poly: NCPolynomial, system: str) -> NCPolynomial:
     """Rewrite every word so the generator ranks of the preset named system
-    ascend left to right, pushing bracket corrections down.
+    ascend left to right, pushing bracket corrections down. The rules are
+    built on each call from the preset's REWRITE_PRESETS entry, with every
+    generator replaced by its place in the order.
 
     Pending words sit in one dict keyed by word (as a tuple of ranks), so
     equal words merge their coefficients before they are rewritten. Each
@@ -550,8 +525,16 @@ def normal_order(poly: NCPolynomial, system: str) -> NCPolynomial:
     against _MAX_REWRITE_STEPS."""
     if system not in REWRITE_PRESETS:
         raise ValueError(f"unknown rewrite system {system!r}; available: {', '.join(sorted(REWRITE_PRESETS))}")
-    system = REWRITE_PRESETS[system]
-    rules = system.rank_rules
+    order, corrections = REWRITE_PRESETS[system]
+    rank = {g: i for i, g in enumerate(order)}
+
+    def ranks(word):
+        try:
+            return tuple(rank[g] for g in word)
+        except KeyError as e:
+            raise ValueError(f"generator {e.args[0]!r} unknown to system {system!r}") from None
+
+    rules = {ranks(gh): [(ranks(w), c) for w, c in corr.terms().items()] for gh, corr in corrections.items()}
     pending: dict = {}
     heap: list = []
 
@@ -563,7 +546,7 @@ def normal_order(poly: NCPolynomial, system: str) -> NCPolynomial:
             heapq.heappush(heap, (-len(word), tuple(-r for r in word), word))
 
     for w, c in poly.terms().items():
-        push(tuple(system.rank(g) for g in w), c)
+        push(ranks(w), c)
     done: dict = {}
     steps = 0
     while heap:
@@ -582,17 +565,13 @@ def normal_order(poly: NCPolynomial, system: str) -> NCPolynomial:
             done[word] = coeff
             continue
         g, h = word[spot], word[spot + 1]
-        corr = rules.get((g, h))
-        if corr is None:
-            raise ValueError(
-                f"system {system.name!r} has no rule for {system.order[g]}*{system.order[h]}"
-            )
+        corr = rules[g, h]
         head, tail = word[:spot], word[spot + 2 :]
         push(head + (h, g) + tail, coeff)
         for cw, cc in corr:
             push(head + cw + tail, coeff * cc)
     return NCPolynomial._of(
-        {tuple(system.order[r] for r in w): c for w, c in done.items()}
+        {tuple(order[r] for r in w): c for w, c in done.items()}
     )
 
 

@@ -21,16 +21,17 @@ Products:
                            metric; e_i e_j + e_j e_i = 2 beta(i, j)
 
 Both run one loop over term pairs that reads each blade product e_a e_b from
-a per-metric table, computed exactly on first use (rank 4 has 2^16 blades,
-too many to fill up front). grassmann is the zero metric's case; zero-metric
-products do not depend on n, so the zero and berezin frames share its table.
+a table, computed exactly on first use (rank 4 has 2^16 blades, too many to
+fill up front). grassmann is the zero metric's case; zero-metric products do
+not depend on n, so the zero and berezin frames share its table.
 
-The frame metric has presets "zero" (pure Grassmann), "berezin" (the
-restriction of the Berezin polarization to generators, computed once per
+A frame's metric is one of three presets: "zero" (pure Grassmann), "berezin"
+(the restriction of the Berezin polarization to generators, computed once per
 rank; it vanishes identically, so clifford coincides with grassmann -- lone
 generators are null), and "hyperbolic" (generator 2k pairs with 2k+1 at 1/2,
-so the anticommutator of a pair is exactly 1; one table per rank). An
-explicit symmetric matrix is also accepted and gets a table on its frame.
+so the anticommutator of a pair is exactly 1; one table per rank). The
+hyperbolic pairing is the only nonzero metric, so the blade-product kernel
+reads a generator's partner, i ^ 1, instead of a metric row.
 
 The Berezin pairing itself lives on the whole algebra: berezin_norm(w) is the
 coefficient of the top blade in w ^ w, and beta_form polarizes it. The frame's
@@ -149,25 +150,18 @@ class RankFrame:
     """Generator family, metric, and top element for rank r."""
 
     def __init__(self, r: int, metric="berezin"):
-        if not isinstance(r, int) or r < 1:
+        if type(r) is not int or r < 1:
             raise ValueError("rank frames need integer r >= 1")
         if r > 4:
             raise ValueError("r > 4 needs more generators than fit in memory")
+        if not (isinstance(metric, str) and metric in _PRESETS):
+            raise ValueError(f"unknown metric preset {metric!r}")
         self.r = r
         self.generators = enumerate_rank(r - 1)
         self.n = len(self.generators)
         self.top_label = decode((1 << self.n) - 1)
-        if isinstance(metric, str):
-            self.metric_name = metric
-            self.beta, self._metric, self._table = _preset(r, metric)
-        else:
-            rows = tuple(tuple(Fraction(x) for x in row) for row in metric)
-            if len(rows) != self.n or any(len(row) != self.n for row in rows):
-                raise ValueError(f"metric must be {self.n}x{self.n}")
-            if any(rows[i][j] != rows[j][i] for i in range(self.n) for j in range(i)):
-                raise ValueError("metric must be symmetric")
-            self.metric_name = "explicit"
-            self.beta, self._metric, self._table = rows, *_kernel(rows)
+        self.metric_name = metric
+        self._paired, self._table = _preset(self.n, metric)
 
     def validate(self, mv: Multivector) -> None:
         for k in mv._terms:
@@ -191,62 +185,51 @@ class RankFrame:
 
 
 _WEDGE: dict = {}  # the zero metric's blade products (see "Products" above)
-
-
-def _kernel(rows):
-    """(metric, table) for _product: a zero metric runs metric-free on the
-    wedge table, any other gets a table of its own."""
-    if any(x for row in rows for x in row):
-        return rows, {}
-    return None, _WEDGE
+_PRESETS = ("zero", "berezin", "hyperbolic")
+_HALF = Fraction(1, 2)
 
 
 @cache
-def _preset(r: int, name: str):
-    """(metric rows, kernel metric, table) of a preset at rank r, built once."""
-    n = len(enumerate_rank(r - 1))
-    zero = Fraction(0)
+def _preset(n: int, name: str):
+    """(paired, table) for _product of a preset on n generators, built once:
+    the hyperbolic pairing gets a table of its own, and the zero metric runs
+    unpaired on the wedge table."""
+    if name == "hyperbolic":
+        if n % 2:
+            raise ValueError("hyperbolic metric pairs generators; generator count is odd")
+        return True, {}
     if name == "berezin":
         # The Berezin polarization on generators, computed, not assumed: the
         # symmetrized product of two generators never reaches the top blade,
-        # so this is the zero matrix at every rank -- lone generators are null.
+        # so it vanishes at every rank -- lone generators are null.
         top = (1 << n) - 1
         gens = [Multivector._of({1 << i: 1}) for i in range(n)]
-        rows = tuple(
-            tuple(Fraction((grassmann(gi, gj) + grassmann(gj, gi))._terms.get(top, 0), 2) for gj in gens)
-            for gi in gens
-        )
-    elif name == "hyperbolic":
-        if n % 2:
-            raise ValueError("hyperbolic metric pairs generators; generator count is odd")
-        half = Fraction(1, 2)
-        rows = tuple(tuple(half if j == i ^ 1 else zero for j in range(n)) for i in range(n))
-    elif name == "zero":
-        rows = tuple((zero,) * n for _ in range(n))
-    else:
-        raise ValueError(f"unknown metric preset {name!r}")
-    return (rows, *_kernel(rows))
+        if any((grassmann(gi, gj) + grassmann(gj, gi))._terms.get(top) for gi in gens for gj in gens):
+            raise AssertionError("the Berezin polarization of two generators is nonzero")
+    return False, _WEDGE
 
 
-def _contraction(i: int, k: int, beta_row):
-    """e_i -| blade k as (mask, coefficient) pairs: (-1)^t beta(i, j_t) for
-    the t-th generator j_t of k, which it removes."""
-    for t, j in enumerate(bit_positions(k)):
-        b = beta_row[j]
-        if b:
-            yield k ^ (1 << j), -b if t & 1 else b
+def _contraction(i: int, k: int):
+    """e_i -| blade k as (mask, coefficient) pairs under the hyperbolic
+    pairing: e_i meets only its partner j = i ^ 1, at beta(i, j) = 1/2, and
+    removes it from k with the sign (-1)^t of its place t in k."""
+    j = 1 << (i ^ 1)
+    if k & j:
+        yield k ^ j, -_HALF if (k & (j - 1)).bit_count() & 1 else _HALF
 
 
-def _blade_product(a: int, b: int, beta, table: dict) -> dict:
-    """e_a e_b as {mask: coefficient} against the metric rows beta (None:
-    the zero metric), stored in table the first time it is asked for.
+def _blade_product(a: int, b: int, paired: bool, table: dict) -> dict:
+    """e_a e_b as {mask: coefficient} under the hyperbolic pairing when
+    paired, else the zero metric, stored in table the first time it is asked
+    for.
 
     With i the lowest generator of a, e_a = e_i e_rest - e_i -| e_rest, so
     e_a e_b = e_i (e_rest e_b) - (e_i -| e_rest) e_b, and e_i e_m is a wedge
     part plus a contraction part. The suffixes of a are walked from the top,
     each stored, so a long label costs no recursion; only the contraction
-    part recurses, and it needs a metric, so at most 16 generators. Exact for
-    any symmetric metric; float coefficients only meet the table in _product.
+    part recurses, and it needs the pairing, so at most 16 generators. Every
+    paired coefficient is a power of 1/2 up to sign; float coefficients only
+    meet the table in _product.
     """
     out, rest = table.setdefault((0, b), {b: 1}), 0
     for i in reversed([*bit_positions(a)]):
@@ -257,26 +240,26 @@ def _blade_product(a: int, b: int, beta, table: dict) -> dict:
             for m, c in out.items():
                 if not m & low:
                     acc[m | low] = acc.get(m | low, 0) + (-c if (m & (low - 1)).bit_count() & 1 else c)
-                if beta is not None:
-                    for k, x in _contraction(i, m, beta[i]):
+                if paired:
+                    for k, x in _contraction(i, m):
                         acc[k] = acc.get(k, 0) + x * c
-            if beta is not None:
-                for k2, s in _contraction(i, rest, beta[i]):
-                    for k, x in _blade_product(k2, b, beta, table).items():
+            if paired:
+                for k2, s in _contraction(i, rest):
+                    for k, x in _blade_product(k2, b, paired, table).items():
                         acc[k] = acc.get(k, 0) - s * x
             hit = table[rest | low, b] = {k: x for k, x in acc.items() if x}
         out, rest = hit, rest | low
     return out
 
 
-def _product(v: Multivector, w: Multivector, beta, table: dict) -> Multivector:
+def _product(v: Multivector, w: Multivector, paired: bool, table: dict) -> Multivector:
     """sum of c_a c_b e_a e_b over the terms of v and w (see _blade_product)."""
     out: dict = {}
     for a, ca in v._terms.items():
         for b, cb in w._terms.items():
             ab = table.get((a, b))
             if ab is None:
-                ab = _blade_product(a, b, beta, table)
+                ab = _blade_product(a, b, paired, table)
             if ab:
                 c = ca * cb
                 for m, x in ab.items():
@@ -287,14 +270,15 @@ def _product(v: Multivector, w: Multivector, beta, table: dict) -> Multivector:
 def grassmann(v: Multivector, w: Multivector) -> Multivector:
     """Exterior product: the zero-metric product, where shared generators
     annihilate."""
-    return _product(v, w, None, _WEDGE)
+    return _product(v, w, False, _WEDGE)
 
 
 def clifford(v: Multivector, w: Multivector, frame: RankFrame) -> Multivector:
-    """Geometric product against frame.beta. Reduces to grassmann when beta = 0."""
+    """Geometric product against the frame's metric preset; grassmann for
+    the zero and berezin frames."""
     frame.validate(v)
     frame.validate(w)
-    return _product(v, w, frame._metric, frame._table)
+    return _product(v, w, frame._paired, frame._table)
 
 
 def berezin_norm(w: Multivector, frame: RankFrame):
@@ -327,8 +311,6 @@ def iota_m(w: Multivector, m: int, frame: RankFrame):
     are annihilated. Returns (image, frame_out), frame_out the frame of rank
     r + 1 with the same preset metric."""
     frame.validate(w)
-    if frame.metric_name == "explicit":
-        raise ValueError("iota needs a preset metric: an explicit metric names no frame one rank up")
     frame_out = RankFrame(frame.r + 1, metric=frame.metric_name)
     return Multivector._of({1 << k: c for k, c in w._terms.items() if k.bit_count() == m}), frame_out
 
@@ -351,7 +333,7 @@ def gram_matrix(frame: RankFrame):
     if frame.n > 8:
         raise ValueError("dense Gram limited to n <= 8; use signature_report")
     dim = 1 << frame.n
-    tops = [[_blade_product(a, b, None, _WEDGE).get(dim - 1, 0) for b in range(dim)] for a in range(dim)]
+    tops = [[_blade_product(a, b, False, _WEDGE).get(dim - 1, 0) for b in range(dim)] for a in range(dim)]
     sums = [[tops[a][b] + tops[b][a] for b in range(dim)] for a in range(dim)]
     value = {s: Fraction(s, 2) for s in {s for row in sums for s in row}}
     return tuple(tuple(map(value.__getitem__, row)) for row in sums)

@@ -222,10 +222,17 @@ def label_grassmann(v, w):
     return Multivector(out)
 
 
-def _label_gen_times(a, mv, frame, gen_index):
+def preset_metric(frame):
+    """The generator metric of frame's preset as rows: 1/2 on each pair
+    (2k, 2k + 1) of a hyperbolic frame, zero everywhere else."""
+    half = Fraction(1, 2) if frame.metric_name == "hyperbolic" else Fraction(0)
+    return tuple(tuple(half if j == i ^ 1 else Fraction(0) for j in range(frame.n)) for i in range(frame.n))
+
+
+def _label_gen_times(a, mv, frame, beta, gen_index):
     """e_a mv = wedge part + contraction part."""
     sa = frame.generators[a]
-    beta_row = frame.beta[a]
+    beta_row = beta[a]
     out = {}
     for lab, c in mv.items():
         elems = tuple(lab)
@@ -242,8 +249,8 @@ def _label_gen_times(a, mv, frame, gen_index):
     return Multivector(out)
 
 
-def _label_gen_contract_blade(a, idxs, frame):
-    beta_row = frame.beta[a]
+def _label_gen_contract_blade(a, idxs, frame, beta):
+    beta_row = beta[a]
     out = {}
     for t, b in enumerate(idxs):
         if beta_row[b]:
@@ -252,32 +259,33 @@ def _label_gen_contract_blade(a, idxs, frame):
     return Multivector(out)
 
 
-def _label_blade_times(idxs, mv, frame, gen_index):
+def _label_blade_times(idxs, mv, frame, beta, gen_index):
     # blade(a0, rest) = e_a0 ^ blade(rest) = e_a0 blade(rest) - e_a0 -| blade(rest)
     if not idxs:
         return mv
     a0, rest = idxs[0], idxs[1:]
-    part = _label_gen_times(a0, _label_blade_times(rest, mv, frame, gen_index), frame, gen_index)
-    corr = _label_gen_contract_blade(a0, rest, frame)
+    part = _label_gen_times(a0, _label_blade_times(rest, mv, frame, beta, gen_index), frame, beta, gen_index)
+    corr = _label_gen_contract_blade(a0, rest, frame, beta)
     if corr.is_zero():
         return part
-    return part - _label_mv_times(corr, mv, frame, gen_index)
+    return part - _label_mv_times(corr, mv, frame, beta, gen_index)
 
 
-def _label_mv_times(v, w, frame, gen_index):
+def _label_mv_times(v, w, frame, beta, gen_index):
     total = Multivector.zero()
     for lab, c in v.items():
         idxs = tuple(gen_index[s] for s in lab)
-        total = total + c * _label_blade_times(idxs, w, frame, gen_index)
+        total = total + c * _label_blade_times(idxs, w, frame, beta, gen_index)
     return total
 
 
 def label_clifford(v, w, frame):
-    """Geometric product against frame.beta by the contraction recursion."""
+    """Geometric product against preset_metric(frame) by the contraction
+    recursion."""
     frame.validate(v)
     frame.validate(w)
     gen_index = {s: i for i, s in enumerate(frame.generators)}
-    return _label_mv_times(v, w, frame, gen_index)
+    return _label_mv_times(v, w, frame, preset_metric(frame), gen_index)
 
 
 def beta_gram(frame):

@@ -108,9 +108,9 @@ def run(mutant: Mutant) -> str:
         )
     lines = [ln for ln in done.stdout.splitlines() if re.search(r"\d+ (passed|failed|error)", ln)]
     summary = f"pytest exit {done.returncode}: {lines[-1].strip('= ') if lines else 'no summary'}"
-    # 1: a test failed, 2: collection failed, 3: pytest's internal error;
-    # 0 means every test passed, and 4 or 5 that no test ran at all
-    verdict = {0: "SURVIVED", 1: "killed", 2: "killed", 3: "killed"}.get(done.returncode, "NOT RUN")
+    # 1: a test failed, 2: collection failed; 0 means every test passed,
+    # and 3 (pytest's internal error), 4 or 5 that the tests did not all run
+    verdict = {0: "SURVIVED", 1: "killed", 2: "killed"}.get(done.returncode, "NOT RUN")
     return f"{verdict} ({summary})"
 
 

@@ -19,7 +19,6 @@ from qsetalg.palev import (
     PalevMode,
     QiHbar,
     REWRITE_PRESETS,
-    RewriteSystem,
     bose_deviation,
     carrier_triple,
     evaluate_nc,
@@ -65,6 +64,11 @@ def test_mode_shapes_and_bounds():
     assert m.j == 2
     with pytest.raises(ValueError):
         PalevMode(0)
+
+
+def test_a_capacity_is_an_int_proper():
+    with pytest.raises(ValueError, match="two_j must be a positive integer"):
+        PalevMode(True)
 
 
 def test_capacity_limit():
@@ -339,9 +343,17 @@ def test_p7q7_orders_at_the_default_budget(capsys):
 
 
 def test_presets_exist():
+    # each preset is (order, corrections), with a correction for every
+    # out-of-order pair of its generators and for no other pair, each in
+    # generators of the preset
     assert set(REWRITE_PRESETS) == {"h1", "spin21", "spin3"}
-    for sys_ in REWRITE_PRESETS.values():
-        assert isinstance(sys_, RewriteSystem)
+    for order, corrections in REWRITE_PRESETS.values():
+        assert len(set(order)) == len(order)
+        out_of_order = {(g, h) for i, h in enumerate(order) for g in order[i + 1 :]}
+        assert set(corrections) == out_of_order
+        for corr in corrections.values():
+            assert isinstance(corr, NCPolynomial)
+            assert all(set(w) <= set(order) for w in corr.terms())
 
 
 def test_unknown_system_is_a_value_error_with_the_cli_text():

@@ -1,4 +1,6 @@
 import functools
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -28,7 +30,7 @@ from qsetalg.qset import (
     signature_report,
 )
 
-from helpers import beta_gram, label_clifford, label_grassmann, load_oracle, rand_label, rand_mv
+from helpers import beta_gram, label_clifford, label_grassmann, load_oracle, preset_metric, rand_label, rand_mv
 
 
 def test_embed_is_the_unit_blade():
@@ -151,7 +153,7 @@ def test_clifford_generator_relations_hyperbolic():
     for i, u in enumerate(gens):
         for j, v in enumerate(gens):
             sym = clifford(u, v, frame) + clifford(v, u, frame)
-            want = 2 * frame.beta[i][j] * Multivector.scalar(1)
+            want = 2 * preset_metric(frame)[i][j] * Multivector.scalar(1)
             assert sym == want
 
 
@@ -251,10 +253,15 @@ def test_iota_lifts_selected_grade_one_rank_up():
     assert len(img.support()) == 2
 
 
-def test_iota_refuses_explicit_metric_frames():
-    frame = RankFrame(2, metric=((1, 0), (0, -1)))
-    with pytest.raises(ValueError, match="explicit metric"):
-        iota_m(embed(decode(1)), 1, frame)
+@pytest.mark.parametrize("metric", [((1, 0), (0, -1)), [[0, 1], [1, 0]], None, "explicit"])
+def test_a_metric_is_one_of_three_presets(metric):
+    with pytest.raises(ValueError, match="unknown metric preset"):
+        RankFrame(2, metric=metric)
+
+
+def test_a_rank_is_an_int_proper():
+    with pytest.raises(ValueError, match="rank frames need integer r >= 1"):
+        RankFrame(True)
 
 
 def test_frame_guards():
@@ -299,25 +306,14 @@ def test_chop_drops_small_float_terms():
 # -- the bitmask products against the label-walking reference ----------------
 
 
-def _explicit_metric(rng, n, dense):
-    """Seeded symmetric rational metric: every entry nonzero when dense,
-    else diagonal with nonzero entries."""
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n) if dense else (i,):
-            rows[i][j] = rows[j][i] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 3))
-    return rows
-
-
 # the hyperbolic metric needs an even generator count, so not at rank 1
 @pytest.mark.parametrize(
     "rank,metric",
-    [(r, m) for r in (1, 2, 3) for m in ("zero", "berezin", "hyperbolic", "dense") if (r, m) != (1, "hyperbolic")],
+    [(r, m) for r in (1, 2, 3) for m in ("zero", "berezin", "hyperbolic") if (r, m) != (1, "hyperbolic")],
 )
 def test_products_match_label_reference(rank, metric):
     rng = random.Random(f"bitmask-reference:{rank}:{metric}")
-    n = 1 << (rank - 1)
-    frame = RankFrame(rank, metric=_explicit_metric(rng, n, dense=True) if metric == "dense" else metric)
+    frame = RankFrame(rank, metric=metric)
     for _ in range(20):
         u, v = rand_mv(rng, frame), rand_mv(rng, frame)
         assert grassmann(u, v) == label_grassmann(u, v)
@@ -342,10 +338,10 @@ def test_products_match_label_reference_property(data):
     assert clifford(u, v, frame) == label_clifford(u, v, frame)
 
 
-@pytest.mark.parametrize("metric", ["hyperbolic", "diagonal"])
+@pytest.mark.parametrize("metric", ["hyperbolic"])
 def test_rank_four_products_match_label_reference(metric):
     rng = random.Random(f"bitmask-reference:4:{metric}")
-    frame = RankFrame(4, metric=_explicit_metric(rng, 16, dense=False) if metric == "diagonal" else metric)
+    frame = RankFrame(4, metric=metric)
     for _ in range(8):
         u, v = rand_mv(rng, frame, terms=3), rand_mv(rng, frame, terms=3)
         assert grassmann(u, v) == label_grassmann(u, v)
@@ -411,28 +407,18 @@ def _floats(mv):
     return Multivector({lab: float(c) for lab, c in mv.items()})
 
 
-@pytest.mark.parametrize("metric", ["hyperbolic", "dense"])
+@pytest.mark.parametrize("metric", ["hyperbolic"])
 def test_float_products_match_label_reference(metric):
     # the table multiplies in a different order from the reference, so a
     # float coefficient may differ in its last bits
     rng = random.Random(f"float-reference:{metric}")
-    frame = RankFrame(3, metric=_explicit_metric(rng, 4, dense=True) if metric == "dense" else metric)
+    frame = RankFrame(3, metric=metric)
     for _ in range(20):
         u, v = _floats(rand_mv(rng, frame)), _floats(rand_mv(rng, frame))
         for got, want in ((grassmann(u, v), label_grassmann(u, v)), (clifford(u, v, frame), label_clifford(u, v, frame))):
             assert all(isinstance(c, float) for _, c in got.items())
             for lab in set(got.support()) | set(want.support()):
                 assert abs(got.coeff(lab) - want.coeff(lab)) <= 1e-12 * max(1.0, abs(want.coeff(lab)))
-
-
-def test_explicit_metrics_at_one_rank_keep_their_own_products():
-    rng = random.Random(43)
-    frames = [RankFrame(3, metric=_explicit_metric(rng, 4, dense=True)) for _ in range(2)]
-    assert frames[0].beta != frames[1].beta
-    for _ in range(10):
-        u, v = rand_mv(rng, frames[0]), rand_mv(rng, frames[0])
-        for frame in frames:
-            assert clifford(u, v, frame) == label_clifford(u, v, frame)
 
 
 def test_repeated_products_store_no_new_table_entry():
@@ -460,28 +446,49 @@ def test_berezin_metric_is_computed_once_per_rank(monkeypatch):
     monkeypatch.setattr(qset, "grassmann", spy)
     frames = [RankFrame(3), RankFrame(3)]
     assert len(calls) == 2 * 4 * 4
-    assert frames[0].beta == frames[1].beta == tuple((0,) * 4 for _ in range(4))
     assert frames[0]._table is frames[1]._table is qset._WEDGE
 
 
-@pytest.mark.parametrize("p", range(5))
-def test_clifford_equals_gamma_products(p):
-    # on the rank-3 frame (4 generators) with metric diag(eta) of Cl(p, 4-p),
-    # e_A -> gamma_{i+1} ... over A's generators i ascending is an algebra
-    # map: the image of every product of two blades is the matrix product
-    gs = build_gammas(p, 4 - p)
-    frame = RankFrame(3, metric=[[gs.eta[i] if i == j else 0 for j in range(4)] for i in range(4)])
-    ident = np.eye(gs.dim, dtype=np.int64)
+def test_a_nonzero_berezin_polarization_is_an_assertion_error(monkeypatch):
+    # the berezin frame runs on the wedge table only because the computed
+    # polarization of two generators is zero; a wedge product that reaches
+    # the top blade must stop the frame
+    monkeypatch.setattr(qset, "_preset", functools.cache(qset._preset.__wrapped__))
+    monkeypatch.setattr(qset, "grassmann", lambda v, w: Multivector.scalar(1) + RankFrame(2, "zero").top())
+    with pytest.raises(AssertionError, match="Berezin polarization"):
+        RankFrame(2)
+
+
+def test_hyperbolic_clifford_equals_witt_basis_products():
+    # the rank-3 hyperbolic frame is Cl(2, 2) in a Witt basis: with gamma_a
+    # squaring to 1 and gamma_b to -1, e_2k -> (gamma_a + gamma_b)/2 and
+    # e_2k+1 -> (gamma_a - gamma_b)/2 square to 0 and pair at 1/2. A blade
+    # maps to the antisymmetrized product of its generators' images, and
+    # the image of every product of two blades is the matrix product
+    gs = build_gammas(2, 2)
+    gens = []
+    for i in range(4):
+        a, b = gs.gamma(i // 2 + 1), gs.gamma(i // 2 + 3)
+        assert gs.eta_entry(i // 2 + 1) == 1 and gs.eta_entry(i // 2 + 3) == -1
+        gens.append((a - b if i & 1 else a + b).astype(object) * Fraction(1, 2))
+    frame = RankFrame(3, metric="hyperbolic")
     image = {}
     for lab in frame.basis_labels():
-        m = ident
-        for i in bit_positions(lab.code):
-            m = m @ gs.gamma(i + 1)
-        image[lab.code] = m
+        idxs = list(bit_positions(lab.code))
+        total = np.zeros((gs.dim, gs.dim), dtype=object)
+        for perm in itertools.permutations(idxs):
+            m = np.eye(gs.dim, dtype=object)
+            for i in perm:
+                m = m @ gens[i]
+            inversions = sum(x > y for x, y in itertools.combinations(perm, 2))
+            total = total + (-1) ** inversions * m
+        image[lab.code] = total * Fraction(1, math.factorial(len(idxs)))
+    # the 16 images are independent, so the map is an isomorphism
+    flat = np.array([image[c].ravel() for c in range(16)], dtype=float)
+    assert np.linalg.matrix_rank(flat) == 16
     for a in frame.basis_labels():
         for b in frame.basis_labels():
-            got = np.zeros_like(ident)
+            got = np.zeros((gs.dim, gs.dim), dtype=object)
             for lab, c in clifford(Multivector.blade(a), Multivector.blade(b), frame).items():
-                assert c.denominator == 1
-                got += int(c) * image[lab.code]
+                got = got + c * image[lab.code]
             assert np.array_equal(got, image[a.code] @ image[b.code])
