@@ -459,36 +459,69 @@ def test_a_nonzero_berezin_polarization_is_an_assertion_error(monkeypatch):
         RankFrame(2)
 
 
-def test_hyperbolic_clifford_equals_witt_basis_products():
-    # the rank-3 hyperbolic frame is Cl(2, 2) in a Witt basis: with gamma_a
-    # squaring to 1 and gamma_b to -1, e_2k -> (gamma_a + gamma_b)/2 and
-    # e_2k+1 -> (gamma_a - gamma_b)/2 square to 0 and pair at 1/2. A blade
-    # maps to the antisymmetrized product of its generators' images, and
-    # the image of every product of two blades is the matrix product
-    gs = build_gammas(2, 2)
-    gens = []
-    for i in range(4):
-        a, b = gs.gamma(i // 2 + 1), gs.gamma(i // 2 + 3)
-        assert gs.eta_entry(i // 2 + 1) == 1 and gs.eta_entry(i // 2 + 3) == -1
-        gens.append((a - b if i & 1 else a + b).astype(object) * Fraction(1, 2))
-    frame = RankFrame(3, metric="hyperbolic")
-    image = {}
+def _assert_witt_images_multiply(frame, gs, gens):
+    # gens holds twice each generator's image, as integer matrices. A blade
+    # of grade g maps to the antisymmetrized product of its generators'
+    # images, scale[A] * twice[A] with twice[A] the signed sum over orders of
+    # the doubled images and scale[A] = 1 / (2^g g!). The images of the 2^n
+    # blades must be independent, so the map is an isomorphism, and the
+    # image of every product of two blades must be the matrix product
+    twice, scale = {}, {}
     for lab in frame.basis_labels():
         idxs = list(bit_positions(lab.code))
-        total = np.zeros((gs.dim, gs.dim), dtype=object)
+        total = np.zeros((gs.dim, gs.dim), dtype=np.int64)
         for perm in itertools.permutations(idxs):
-            m = np.eye(gs.dim, dtype=object)
+            m = np.eye(gs.dim, dtype=np.int64)
             for i in perm:
                 m = m @ gens[i]
             inversions = sum(x > y for x, y in itertools.combinations(perm, 2))
-            total = total + (-1) ** inversions * m
-        image[lab.code] = total * Fraction(1, math.factorial(len(idxs)))
-    # the 16 images are independent, so the map is an isomorphism
-    flat = np.array([image[c].ravel() for c in range(16)], dtype=float)
-    assert np.linalg.matrix_rank(flat) == 16
+            total += (-1) ** inversions * m
+        twice[lab.code] = total
+        scale[lab.code] = Fraction(1, 2 ** len(idxs) * math.factorial(len(idxs)))
+    flat = np.array([m.ravel() for m in twice.values()], dtype=float)
+    assert np.linalg.matrix_rank(flat) == len(twice) == 1 << len(gens)
     for a in frame.basis_labels():
         for b in frame.basis_labels():
-            got = np.zeros((gs.dim, gs.dim), dtype=object)
-            for lab, c in clifford(Multivector.blade(a), Multivector.blade(b), frame).items():
-                got = got + c * image[lab.code]
-            assert np.array_equal(got, image[a.code] @ image[b.code])
+            want = scale[a.code] * scale[b.code]
+            terms = [(c * scale[lab.code], lab.code) for lab, c in clifford(Multivector.blade(a), Multivector.blade(b), frame).items()]
+            den = math.lcm(want.denominator, *(c.denominator for c, _ in terms))
+            got = np.zeros((gs.dim, gs.dim), dtype=np.int64)
+            for c, code in terms:
+                got += int(c * den) * twice[code]
+            assert np.array_equal(got, int(want * den) * (twice[a.code] @ twice[b.code]))
+
+
+def _witt_generators(frame):
+    """Twice the images of the frame's generators in Cl(m, m), gamma_1..m
+    squaring to 1 and gamma_m+1..2m to -1: x_k = (gamma_k + gamma_m+k)/2
+    squares to 0 and y_k = (gamma_k - gamma_m+k)/2 pairs with x_k at 1/2.
+    The hyperbolic frame maps e_2k, e_2k+1 to x_k, y_k; a wedge frame maps
+    e_k to x_k."""
+    n = frame.n
+    m = n // 2 if frame.metric_name == "hyperbolic" else n
+    gs = build_gammas(m, m)
+    gens = []
+    for i in range(n):
+        k, minus = (i // 2, i & 1) if frame.metric_name == "hyperbolic" else (i, 0)
+        assert gs.eta_entry(k + 1) == 1 and gs.eta_entry(k + m + 1) == -1
+        a, b = gs.gamma(k + 1).astype(np.int64), gs.gamma(k + m + 1).astype(np.int64)
+        gens.append(a - b if minus else a + b)
+    return gs, gens
+
+
+def test_hyperbolic_clifford_equals_witt_basis_products():
+    # the rank-3 hyperbolic frame is Cl(2, 2) in a Witt basis
+    frame = RankFrame(3, metric="hyperbolic")
+    _assert_witt_images_multiply(frame, *_witt_generators(frame))
+
+
+@pytest.mark.parametrize(
+    "rank,metric",
+    [(r, m) for r in (1, 2, 3) for m in ("zero", "berezin", "hyperbolic") if (r, m) not in {(1, "hyperbolic"), (3, "hyperbolic")}],
+)
+def test_clifford_equals_witt_basis_products(rank, metric):
+    # the other presets against the same oracle: the rank-2 hyperbolic frame
+    # is Cl(1, 1), and a wedge frame on n generators is the exterior algebra
+    # spanned by n isotropic, mutually anticommuting x_k in Cl(n, n)
+    frame = RankFrame(rank, metric=metric)
+    _assert_witt_images_multiply(frame, *_witt_generators(frame))
