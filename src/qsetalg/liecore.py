@@ -4,14 +4,13 @@ and one-parameter contractions.
 A MatrixAlgebra is a basis of exact rational matrices assumed (and verified)
 to close under commutators, taken and held as an integer stack G over one
 scale s (basis_i = G_i / s), as its builders make it: gamma products and
-ladder pairs over 2, the small catalog matrices over 1. All commutators are
-read off one product table G_a G_b of every ordered pair, one batched
-integer product (linalg.int_matmul: float64 while d * max|G|^2 < 2^53 for
-d x d matrices, int64 while it is < 2^62, so the difference of two entries
-fits), and all of them are solved at once against the basis by one
-linalg.ColumnSolver (the basis's Gram matrix inverted once per algebra),
-followed by one exact residual check over every matrix entry. So closure
-failures are detected exactly rather than hidden under a least-squares fit;
+ladder pairs over 2, the small catalog matrices over 1. The commutators are
+formed for one i against all j > i at a time, in the tier of their bound
+2 * d * max|G|^2 for d x d matrices (linalg.tier), and all of them are
+solved at once against the basis by one linalg.ColumnSolver (the basis's
+Gram matrix inverted once per algebra), whose exact Pythagorean check finds
+every bracket outside the span. So closure failures are detected exactly
+rather than hidden under a least-squares fit;
 a float refit of the same stack (numeric_contraction_check: one batched
 commutator product and one least-squares call for every bracket) is an
 independent cross-check, not the source of truth.
@@ -25,9 +24,9 @@ B = k * max|a| * max|b|: float64 while B < 2^53, int64 while B < 2^62. The
 sums are linalg.int_combine, int64 while its bound is < 2^62, and a
 contraction's factors eps^e multiply C elementwise on Python ints:
 
-    Jacobi   J = C.reshape(n^2, n) @ C.reshape(n, n^2), B = n * max|C|^2,
-             then J_ijk + J_jki + J_kij over i < j < k, int64 while
-             3 * max|J| < 2^62
+    Jacobi   [[x_i,x_j],x_k] + [[x_j,x_k],x_i] + [[x_k,x_i],x_j], three
+             products of C with C summed in blocks of one i in the tier
+             their sum's bound 3 * n * max|C|^2 picks (linalg.tier)
     Killing  C.reshape(n, n^2) @ C.transpose(2, 1, 0).reshape(n^2, n),
              B = n^2 * max|C|^2
     series   U @ C.reshape(n, n^2), B = n * max|U| * max|C|, for the rows U
@@ -55,7 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import gcd, lcm
 
 import numpy as np
@@ -110,13 +109,18 @@ class MatrixAlgebra:
         return linalg.from_scaled(self.stack, self.scale)
 
     def commutators(self):
-        """Integer array K of shape (pairs, d, d) over the pairs i < j in
-        np.triu_indices order: [basis_i, basis_j] == K[pair] / scale^2, read
-        off the one product table G_a G_b of every ordered pair."""
+        """Integer array K of shape (pairs, d, d) over pairs(n): [basis_i,
+        basis_j] == K[pair] / scale^2. Formed for one i against all j > i at
+        a time, in the tier of 2 * d * max|G|^2 (a difference of two sums of
+        d products), and cast once, as each block is written into K."""
         if self._comm is None:
-            i, j = np.triu_indices(self.dim, 1)
-            table = linalg.int_matmul(self.stack[:, None], self.stack[None])
-            self._comm = table[i, j] - table[j, i]
+            n, d = self.dim, self.matrix_dim
+            bound = 2 * d * max(linalg.peak(self.stack), 1) ** 2
+            g = linalg.tier(self.stack, bound)
+            self._comm = linalg.cast(np.zeros((len(pairs(n)[0]), d, d), dtype=np.int64), bound)
+            # K's rows split after n - 1, n - 2, ... pairs: one block of (i, j > i) per i
+            for i, block in enumerate(np.split(self._comm, np.cumsum(range(n - 1, 1, -1)))):
+                np.subtract(np.matmul(g[i], g[i + 1:]), np.matmul(g[i + 1:], g[i]), out=block, casting="unsafe")
         return self._comm
 
     def structure_constants(self) -> "StructureConstants":
@@ -126,7 +130,7 @@ class MatrixAlgebra:
         so the constants are X / (den * scale)."""
         if self._sc is None:
             n = self.dim
-            i, j = np.triu_indices(n, 1)
+            i, j = pairs(n)
             comm = self.commutators().reshape(len(i), self.matrix_dim ** 2).T
             x, inside = self._solver.solve(comm)
             if not inside.all():
@@ -167,14 +171,20 @@ class StructureConstants:
 
     def jacobi_defect(self) -> Fraction:
         """max |[[x_i,x_j],x_k] + [[x_j,x_k],x_i] + [[x_k,x_i],x_j]| coordinate
-        over i < j < k."""
-        n = self.dim
-        # [[x_i,x_j],x_k] * D^2
-        nested = linalg.int_matmul(self.C.reshape(n * n, n), self.C.reshape(n, n * n)).reshape(n, n, n, n)
-        a, b, c = np.ogrid[:n, :n, :n]
-        i, j, k = np.nonzero((a < b) & (b < c))
-        cyclic = linalg.int_combine((1, nested[i, j, k]), (1, nested[j, k, i]), (1, nested[k, i, j]))
-        return Fraction(linalg.peak(cyclic), self.D ** 2)
+        over i < j < k, for one i at a time, in the tier of the sum's bound
+        3 * n * max|C|^2 (each term is a sum of n products)."""
+        n, (pi, pj) = self.dim, pairs(self.dim)
+        bound = 3 * n * max(linalg.peak(self.C), 1) ** 2
+        c = linalg.tier(self.C, bound)
+        flat, col = c.reshape(n, n * n), c.transpose(1, 0, 2)  # col[i][k] = C[k, i]
+        worst = 0
+        for i in range(n - 2):
+            j, k = (x[len(pi) - (n - i - 1) * (n - i - 2) // 2:] for x in (pi, pj))  # the pairs i < j < k
+            cyclic = np.matmul(c[j, k], col[i])  # D^2 [[x_j,x_k],x_i], a row per (j, k)
+            cyclic += np.matmul(c[i], flat).reshape(n, n, n)[j, k]  # [[x_i,x_j],x_k]
+            cyclic += np.matmul(col[i], flat).reshape(n, n, n)[k, j]  # [[x_k,x_i],x_j]
+            worst = max(worst, linalg.peak(cyclic))
+        return Fraction(worst, self.D ** 2)
 
     def _killing(self):
         """The integer Killing form: killing_form() == _killing() / D^2."""
@@ -244,9 +254,20 @@ class StructureConstants:
         return f"StructureConstants(dim={self.dim})"
 
 
+@cache
+def pairs(n: int):
+    """(i, j), the pairs i < j < n in np.triu_indices order, read-only."""
+    i, j = np.triu_indices(n, 1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
+@cache
 def _upper(n: int):
-    """Mask of the (i, j, k) with i < j, shape (n, n, 1)."""
-    return np.triu(np.ones((n, n), dtype=bool), 1)[:, :, None]
+    """Read-only mask of the (i, j, k) with i < j, shape (n, n, 1)."""
+    mask = np.triu(np.ones((n, n), dtype=bool), 1)[:, :, None]
+    mask.flags.writeable = False
+    return mask
 
 
 class ContractionFamily:
@@ -356,7 +377,7 @@ def numeric_contraction_check(
     sc = algebra.structure_constants()
     fam = ContractionFamily(sc, weights)
     ws = np.array([float(w) for w in fam.weights])
-    i, j = np.triu_indices(algebra.dim, 1)
+    i, j = pairs(algebra.dim)
     mats = linalg.to_float(algebra.stack, algebra.scale) * _powers(eps, ws)[:, None, None]
     cols = mats.reshape(len(ws), -1).T
     comm = (mats[i] @ mats[j] - mats[j] @ mats[i]).reshape(len(i), len(cols))

@@ -18,14 +18,13 @@ each states its bound before it runs:
   of k products (k the inner dimension), so every product and every partial
   sum is at most k * max|a| * max|b| in absolute value. A contraction that
   is not a matrix product (vertexnet's tensor merges) reshapes its operands
-  to one first, and a commutator is the difference of two entries of one
-  product table (the Lie layer's stack[:, None] @ stack[None]): one bound,
-  so one tier and one dtype, and two entries under 2^62 differ by less
-  than 2^63.
+  to one first.
 - int_combine((c, a), ...): bounded by sum(|c| * max|a|).
 
 int_matmul takes the first of three tiers its bound fits; int_combine takes
-the first of the last two:
+the first of the last two. A caller that sums products itself casts them
+into the tier (tier()) of its sum's bound: the Lie layer's commutators
+S_i S_j - S_j S_i, within 2 * d * max|S|^2, so the difference fits too.
 
 - float64 through np.matmul (BLAS) while the bound is under 2^53. Every
   integer of magnitude up to 2^53 is a float64, and a sum or product of
@@ -77,14 +76,20 @@ _EXACT = 1 << 53  # every integer up to 2^53 in magnitude is a float64
 
 
 def peak(a) -> int:
-    """max |entry| of an integer array, as a Python int (0 when empty)."""
-    return int(np.abs(a).max(initial=0))
+    """max |entry| of an integer array, as a Python int (0 when empty), read
+    off its max and min, so no array of |a| is made."""
+    return max(int(a.max(initial=0)), -int(a.min(initial=0)))
 
 
 def cast(a, bound: int):
     """a as int64 when `bound`, a stated bound on every value computed from
     it, is under 2^62, else as Python ints: the one int64 tier rule."""
     return a.astype(np.int64 if bound < _LIMIT else object, copy=False)
+
+
+def tier(a, bound: int):
+    """a in the first tier `bound` fits: float64 under 2^53, else as cast."""
+    return a.astype(np.float64) if bound < _EXACT else cast(a, bound)
 
 
 def fit(a):
@@ -134,9 +139,8 @@ def int_matmul(a, b):
     1): float64 BLAS under 2^53, int64 under 2^62, Python ints otherwise. The
     result is int64 or Python ints."""
     bound = max(a.shape[-1], 1) * max(peak(a), 1) * max(peak(b), 1)
-    if bound < _EXACT:
-        return np.matmul(a.astype(np.float64), b.astype(np.float64)).astype(np.int64)
-    return np.matmul(cast(a, bound), cast(b, bound))
+    out = np.matmul(tier(a, bound), tier(b, bound))
+    return out.astype(np.int64) if bound < _EXACT else out
 
 
 def mmul(a: Matrix, b: Matrix) -> Matrix:
@@ -188,9 +192,11 @@ class ColumnSolver:
 
     One RationalSpan over the rows of [G | I], G = M^T M the Gram matrix,
     reduces them to (p_c e_c | p_c inv(G)_c), one for each column c, so the
-    inverse is kept scaled to integers: inv(G) = A / den. A reduced row whose
-    lead falls in the right half means G, hence M's columns, is singular
-    (LinalgError). X = inv(G) M^T B is then kept as left = A M^T.
+    inverse is kept scaled to integers: inv(G) = A / den, den > 0. A reduced
+    row whose lead falls in the right half means G, hence M's columns, is
+    singular (LinalgError). solve(B) forms y = M^T B and X = A y, and b is in
+    the span exactly when den |b|^2 == y_b . x_b: P = M inv(G) M^T projects
+    orthogonally onto the span, so den |b|^2 - y_b . x_b = den |(I - P) b|^2.
     """
 
     def __init__(self, m):
@@ -203,16 +209,24 @@ class ColumnSolver:
             raise LinalgError("columns are linearly dependent")
         pivots = [row for row, _ in sorted(span.rows, key=lambda item: item[1])]
         self.den = lcm(*(row[c] for c, row in enumerate(pivots)))
-        inv = [[x * (self.den // row[c]) for x in row[k:]] for c, row in enumerate(pivots)]
-        self.left = int_matmul(fit(np.array(inv, dtype=object)), m.T)
+        self.a = fit(np.array([[x * (self.den // p[c]) for x in p[k:]] for c, p in enumerate(pivots)], dtype=object))
 
     def solve(self, b):
         """For an integer array B (m x r), return (X, inside): M X == den * B
-        for every column of B inside the span of M's columns, which one exact
-        residual check over all rows decides (inside[r])."""
-        x = int_matmul(self.left, b)
-        resid = int_combine((1, int_matmul(self.m, x)), (-self.den, b))
-        return x, ~(resid != 0).any(axis=0)
+        for every column of B inside the span of M's columns (inside[r]). y is
+        formed in two halves, so no float copy of all of B is made; |b|^2 and
+        y_b . x_b run in int64 while den * m * max|B|^2 and
+        k * max|y| * max|x| are under 2^62."""
+        half = b.shape[1] // 2
+        y = np.concatenate([int_matmul(self.m.T, part) for part in (b[:, :half], b[:, half:])], axis=1)
+        x = int_matmul(self.a, y)
+        norms = _column_dots(b, b, self.den * len(b) * max(peak(b), 1) ** 2)
+        return x, self.den * norms == _column_dots(y, x, len(y) * max(peak(y), 1) * max(peak(x), 1))
+
+
+def _column_dots(a, b, bound: int):
+    """sum(a * b, axis=0), in int64 while `bound` is under 2^62."""
+    return np.matmul(cast(a, bound).T[:, None], cast(b, bound).T[:, :, None])[:, 0, 0]
 
 
 class RationalSpan:

@@ -46,7 +46,7 @@ import numpy as np
 
 from . import linalg
 from .cliff import build_gammas
-from .liecore import ContractionFamily, MatrixAlgebra, StructureConstants
+from .liecore import ContractionFamily, MatrixAlgebra, StructureConstants, pairs
 from .scalars import UnitTag
 
 # ---------------------------------------------------------------------------
@@ -211,19 +211,21 @@ def gauge_defect(frame: YangFrame, eps_sqrt) -> DefectReport:
     its commutators) and the limit constants L / DL, every term of D_ij
     carries the same power eps_sqrt^(2 w_i + 2 w_j): the limit keeps only
     constants with w_k = w_i + w_j. So D_ij is that power times the integer
-    matrix Q_ij = DL K_ij - s sum_k L_ijk G_k over s^2 DL, and one integer
-    product (linalg.int_matmul) gives Q for all pairs.
+    matrix Q_ij = DL K_ij - s sum_k L_ijk G_k over s^2 DL. Q is formed n
+    pairs at a time in the tier of |DL| max|K| + s n max|L| max|G|, keeping
+    only each pair's peak.
     """
     eps_sqrt = Fraction(eps_sqrt)
-    alg = frame.algebra
+    alg, n = frame.algebra, frame.algebra.dim
     lim = ContractionFamily(frame.structure_constants(), frame.weights).limit()
-    i, j = np.triu_indices(alg.dim, 1)
-    comm = alg.commutators()
-    q = linalg.int_combine(
-        (lim.D, comm),
-        (-alg.scale, linalg.int_matmul(lim.C[i, j], alg.stack.reshape(alg.dim, -1)).reshape(comm.shape)),
-    )
-    peaks = np.abs(q).reshape(len(i), -1).max(axis=1).tolist()
+    i, j = pairs(n)
+    comm, lc, peak = alg.commutators().reshape(len(i), -1), lim.C[i, j], linalg.peak
+    bound = lim.D * max(peak(comm), 1) + alg.scale * n * max(peak(lc), 1) * max(peak(alg.stack), 1)
+    g, lc, peaks = linalg.tier(alg.stack.reshape(n, -1), bound), linalg.tier(lc, bound), []
+    for at in range(0, len(i), n):
+        q = np.matmul(lc[at:at + n], g) * -alg.scale
+        q += lim.D * linalg.cast(comm[at:at + n], bound)
+        peaks += [int(x) for x in np.maximum(q.max(axis=1), -q.min(axis=1))]
     den = alg.scale ** 2 * lim.D
     two_w = [2 * x for x in frame.weights]
     powers = {}  # exponent of |eps_sqrt| -> its power; a frame has a few

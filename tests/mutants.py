@@ -56,12 +56,36 @@ MUTANTS = (
         "bound = max(peak(a), 1) * max(peak(b), 1)",
         "test_linalg.py",
     ),
-    Mutant("linalg.int_matmul-le", "linalg.py", "if bound < _EXACT:", "if bound <= _EXACT:", "test_linalg.py"),
+    Mutant(
+        "linalg.int_matmul-le", "linalg.py",
+        "if bound < _EXACT else cast(a, bound)", "if bound <= _EXACT else cast(a, bound)",
+        "test_linalg.py",
+    ),
     Mutant(
         "linalg.int_combine-max", "linalg.py",
         "bound = sum(max(abs(c), 1) * max(peak(a), 1) for c, a in terms)",
         "bound = max(max(abs(c), 1) * max(peak(a), 1) for c, a in terms)",
         "test_linalg.py",
+    ),
+    Mutant(
+        "linalg.solve-norm-no-rows", "linalg.py",
+        "self.den * len(b) * max(peak(b), 1) ** 2", "self.den * max(peak(b), 1) ** 2",
+        "test_linalg.py",
+    ),
+    Mutant(
+        "linalg.solve-dot-no-k", "linalg.py",
+        "len(y) * max(peak(y), 1) * max(peak(x), 1)", "max(peak(y), 1) * max(peak(x), 1)",
+        "test_linalg.py",
+    ),
+    Mutant(
+        "liecore.commutators-no-2", "liecore.py",
+        "bound = 2 * d * max(linalg.peak(self.stack), 1) ** 2", "bound = d * max(linalg.peak(self.stack), 1) ** 2",
+        "test_liecore.py",
+    ),
+    Mutant(
+        "liecore.jacobi-no-3", "liecore.py",
+        "bound = 3 * n * max(linalg.peak(self.C), 1) ** 2", "bound = n * max(linalg.peak(self.C), 1) ** 2",
+        "test_liecore.py",
     ),
     Mutant("vertexnet._INT64-2^70", "vertexnet.py", "_INT64 = 1 << 63", "_INT64 = 1 << 70", "test_vertexnet.py"),
     Mutant(

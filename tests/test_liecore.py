@@ -15,6 +15,7 @@ from qsetalg.liecore import (
     catalog_entry,
     heisenberg3,
     numeric_contraction_check,
+    pairs,
     rotation3,
     rotation_boost6,
 )
@@ -87,10 +88,41 @@ def test_abelian_classification():
     assert not sc.is_semisimple()
 
 
+def test_pairs_are_shared_and_read_only():
+    i, j = pairs(5)
+    assert pairs(5)[0] is i
+    assert (i.tolist(), j.tolist()) == tuple(x.tolist() for x in np.triu_indices(5, 1))
+    with pytest.raises(ValueError):
+        i[0] = 1
+
+
+def test_commutator_bound_holds_the_difference():
+    # d * m^2 < 2^53 <= 2 * d * m^2: each product fits float64, but the
+    # (0, 1) entry of [A, B] is 4 m^2 - m, odd and past 2^53
+    m = 2 ** 26 - 1
+    stack = np.array([[[m, m], [0, -m]], [[-(m - 1), m], [0, m]]], dtype=np.int64)
+    a, b = stack.astype(object)
+    want = a @ b - b @ a
+    assert want[0, 1] == 4 * m * m - m and 2 * m * m < 2 ** 53 <= want[0, 1]
+    got = MatrixAlgebra("edge", stack, 1).commutators()
+    assert got.dtype == np.int64 and got.tolist() == [want.tolist()]
+
+
+@pytest.mark.parametrize("m", [40000001, 2 ** 30])
+def test_jacobi_bound_holds_the_cyclic_sum(m):
+    # every constant m: each nested bracket is n m^2 = 3 m^2, the cyclic sum
+    # 9 m^2; 3 m^2 fits the float64 (int64) tier but 9 m^2 does not, odd past
+    # 2^53 (past 2^63)
+    sc = StructureConstants(np.full((3, 3, 3), m, dtype=np.int64), 1)
+    assert sc.jacobi_defect() == 9 * m * m == _ref_jacobi(sc.c)
+
+
 def test_one_dimensional_algebra_is_abelian_and_refits():
     alg = MatrixAlgebra("line", np.array([[[1, 0], [0, 0]]]), 1)
+    assert alg.commutators().shape == (0, 2, 2)  # no pairs
     sc = alg.structure_constants()
     assert sc.C.tolist() == [[[0]]] and sc.D == 1
+    assert sc.jacobi_defect() == 0
     assert sc.classify() == "abelian"
     assert numeric_contraction_check(alg, (1,), 0.5) == 0.0
 

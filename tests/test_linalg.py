@@ -125,20 +125,22 @@ def test_int_matmul_follows_matmul_shapes(sa, sb):
     assert np.array_equal(huge, want * 2 ** 80)
 
 
-def test_commutator_table_reads_each_peak_once(monkeypatch, numpy_dtypes):
-    # every [G_a, G_b] is read off one product table: two peak reads, one
-    # np.matmul, one tier for all of them
+def test_commutators_read_one_peak_and_cast_the_stack_once(monkeypatch, numpy_dtypes):
+    # 2 * d * max|G|^2 = 2^64: one peak read, one cast of the stack into the
+    # Python-int tier, and the one block's two products run there
     from qsetalg.liecore import MatrixAlgebra
 
     stack = np.array([[[2 ** 30, 1], [0, -3]], [[5, 0], [2 ** 31, 7]]], dtype=np.int64)
     alg = MatrixAlgebra("pair", stack, 1)
-    reads = []
-    real = linalg.peak
-    monkeypatch.setattr(linalg, "peak", lambda a: reads.append(1) or real(a))
+    calls = {"peak": [], "tier": []}
+    for name in calls:
+        real = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name, lambda *args, _real=real, _seen=calls[name]: _seen.append(1) or _real(*args))
     numpy_dtypes["matmul"].clear()
     got = alg.commutators()
-    assert len(reads) == 2
-    assert [d[0] for d in numpy_dtypes["matmul"]] == [np.dtype(object)]
+    assert {name: len(seen) for name, seen in calls.items()} == {"peak": 1, "tier": 1}
+    assert numpy_dtypes["matmul"] == [[np.dtype(object)] * 2] * 2
+    assert got.dtype == object
     a, b = stack
     assert got.tolist() == [(_python_product(a, b) - _python_product(b, a)).tolist()]
 
@@ -336,6 +338,8 @@ def test_column_solver_solves_and_flags_columns_outside_the_span():
     assert inside.tolist() == [True, False]
     assert [Fraction(int(v), solver.den) for v in x[:, 0]] == [2, 3]
     assert (m @ x[:, :1] == solver.den * b[:, :1]).all()
+    x, inside = solver.solve(b[:, :0])  # no columns: an algebra with no pairs
+    assert x.shape == (2, 0) and inside.shape == (0,)
 
 
 def test_column_solver_recovers_random_coordinates():
@@ -402,6 +406,83 @@ def test_column_solver_with_zero_and_repeated_rows_rejects_a_dependent_basis():
     x, inside = solver.solve(m @ np.array([[1], [-2], [3]]))
     assert inside.all()
     assert x.ravel().tolist() == [solver.den * c for c in (1, -2, 3)]
+
+
+def _fraction_inverse(g):
+    """inv(g) for a nonsingular integer matrix, by Gauss-Jordan on Fractions."""
+    k = len(g)
+    rows = [[Fraction(x) for x in row] + [Fraction(int(r == c)) for c in range(k)] for r, row in enumerate(g)]
+    for c in range(k):
+        p = next(r for r in range(c, k) if rows[r][c])
+        rows[c], rows[p] = rows[p], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for r in range(k):
+            if r != c and rows[r][c]:
+                rows[r] = [x - rows[r][c] * y for x, y in zip(rows[r], rows[c])]
+    return [row[k:] for row in rows]
+
+
+def test_column_solver_gram_path_matches_a_fraction_reference():
+    # A / den is inv(M^T M), X == den inv(G) M^T B, and a column is inside
+    # exactly when M inv(G) M^T b == b, all on Fractions
+    rng = np.random.default_rng(20250)
+    for rows, k in ((3, 1), (4, 2), (6, 3), (9, 5), (12, 4)):
+        m = rng.integers(-5, 6, size=(rows, k))
+        if _rank(m) < k:
+            continue
+        solver = linalg.ColumnSolver(m)
+        inv = _fraction_inverse(_python_product(m.T, m).tolist())
+        assert [[Fraction(int(x), solver.den) for x in row] for row in solver.a] == inv
+        b = np.concatenate([m @ rng.integers(-9, 10, size=(k, 3)), rng.integers(-9, 10, size=(rows, 3))], axis=1)
+        x, inside = solver.solve(b)
+        want = _fraction_product(inv, _fraction_product(m.T.tolist(), b.tolist()))
+        assert [[Fraction(int(v), solver.den) for v in row] for row in x] == [list(row) for row in want]
+        back = _fraction_product(m.tolist(), want)
+        assert inside.tolist() == [all(back[r][c] == b[r, c] for r in range(rows)) for c in range(b.shape[1])]
+        assert inside[:3].all()
+
+
+def test_column_solver_norm_tier_counts_the_rows():
+    # M = 64 ones, so den = 64, and b = c * ones is inside: den |b|^2 ==
+    # 64 * 64 * c^2 ~ 2^66 must run on Python ints; without the row count its
+    # bound reads 64 c^2 < 2^62 and the int64 product wraps
+    m = np.ones((64, 1), dtype=np.int64)
+    c = 2 ** 27 + 1
+    solver = linalg.ColumnSolver(m)
+    assert solver.den == 64 and solver.den * 64 * c * c >= 2 ** 63 > 64 * c * c
+    x, inside = solver.solve(np.full((64, 1), c, dtype=np.int64))
+    assert inside.tolist() == [True]
+    assert x.tolist() == [[64 * c]]
+
+
+def test_column_solver_dot_tier_counts_the_inner_dimension():
+    # M = I_4, so y = x = b and y . x == |b|^2 == 4 c^2 ~ 2^63.2: c^2 < 2^62
+    # alone, but the sum of four must run on Python ints
+    c = 3 * 2 ** 29
+    solver = linalg.ColumnSolver(np.eye(4, dtype=np.int64))
+    assert solver.den == 1 and c * c < 2 ** 62 and 4 * c * c >= 2 ** 63
+    x, inside = solver.solve(np.full((4, 1), c, dtype=np.int64))
+    assert inside.tolist() == [True]
+    assert x.tolist() == [[c]] * 4
+
+
+def test_pythagorean_check_on_python_ints_finds_a_one_unit_escape(numpy_dtypes):
+    # so(3) with L1 and L3 scaled by 2^40 and L3 moved by one unit on the
+    # diagonal: [A, B] = 2^40 L3 = C - E_00 leaves the span by that unit
+    from qsetalg.liecore import ClosureError, MatrixAlgebra, rotation3
+
+    l1, l2, l3 = rotation3().stack.astype(object)
+    unit = np.zeros((3, 3), dtype=object)
+    unit[0, 0] = 1
+    stack = np.array([2 ** 40 * l1, l2, 2 ** 40 * l3 + unit], dtype=object)
+    alg = MatrixAlgebra("escape", stack, 1)
+    solver = linalg.ColumnSolver(alg.stack.reshape(3, -1).T)
+    numpy_dtypes["matmul"].clear()
+    x, inside = solver.solve(alg.commutators().reshape(3, -1).T)
+    assert not inside[0]
+    assert numpy_dtypes["matmul"][-2:] == [[np.dtype(object)] * 2] * 2  # |b|^2 and y . x
+    with pytest.raises(ClosureError, match=r"^\[0,1\] leaves the span of the basis$"):
+        alg.structure_constants()
 
 
 _entries = st.integers(-(2 ** 70), 2 ** 70)

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -292,13 +293,22 @@ def test_a_frame_gathers_its_generators_in_one_antisym_call(monkeypatch, build):
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
-def test_frame_commutators_take_the_float64_route(numpy_dtypes, preset):
+def test_frame_commutators_take_the_float64_route(monkeypatch, numpy_dtypes, preset):
+    # one peak read and one cast of the stack into the float64 tier, then
+    # two float64 products for each block of one i against all j > i
+    from qsetalg import linalg
+
     alg = build_yang(preset).algebra
     i, j = np.triu_indices(alg.dim, 1)
     a, b = alg.stack[i].astype(object), alg.stack[j].astype(object)
+    calls = {"peak": [], "tier": []}
+    for name in calls:
+        real = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name, lambda *args, _real=real, _seen=calls[name]: _seen.append(1) or _real(*args))
     numpy_dtypes["matmul"].clear()
     comm = alg.commutators()
-    assert numpy_dtypes == {"einsum": [], "matmul": [[np.dtype(np.float64)] * 2]}
+    assert {name: len(seen) for name, seen in calls.items()} == {"peak": 1, "tier": 1}
+    assert numpy_dtypes == {"einsum": [], "matmul": [[np.dtype(np.float64)] * 2] * (2 * (alg.dim - 1))}
     assert comm.dtype == np.int64
     assert comm.tolist() == (a @ b - b @ a).tolist()
 
@@ -311,6 +321,21 @@ FRAME_OPS = {
     "contract": lambda fr: contract_to_hp(fr),
     "gauge": lambda fr: gauge_defect(fr, Fraction(1, 10 ** 6)),
 }
+
+
+@pytest.mark.parametrize("op", sorted(FRAME_OPS))
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_frame_operations_keep_at_most_one_commutator_sized_array(preset, op):
+    """On a fresh frame, each operation's traced peak stays under twice the
+    commutator array K: K itself and less than another K's worth at once."""
+    frame = build_yang(preset)
+    tracemalloc.start()
+    try:
+        FRAME_OPS[op](frame)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * frame.algebra.commutators().nbytes
 
 
 @pytest.mark.parametrize("op", sorted(FRAME_OPS))
