@@ -3,10 +3,8 @@
 
 The construction is a doubling recursion on (p, q); every matrix entry is
 -1, 0, or +1 and every anticommutator is checked exactly in integers.
-The antisymmetrized pairs then close under commutators like rotations do.
+The pair products gamma_a gamma_b then close under commutators like rotations do.
 """
-
-import numpy as np
 
 from qsetalg.cliff import anticommutator_defect, build_gammas
 from qsetalg.liecore import MatrixAlgebra
@@ -25,14 +23,14 @@ gs = build_gammas(2, 1)
 print("== the three 2x2 matrices for signature (2,1) ==")
 for i in range(1, 4):
     print(f"  gamma_{i} (square {gs.eta_entry(i):+d}):")
-    for row in np.asarray(gs.gamma(i)):
-        print("   ", row.tolist())
+    for row in gs.gamma(i):
+        print("   ", list(row))
 
 print()
 print("== spin generators close on rotation constants ==")
 gs = build_gammas(2, 1)
 pairs = [(2, 3), (2, 1), (1, 3)]
-sc = MatrixAlgebra("spin21", gs.antisym(pairs), 2, labels=("q", "p", "r")).structure_constants()
+sc = MatrixAlgebra.of_points("spin21", gs.products(pairs), gs.dim, 2, labels=("q", "p", "r")).structure_constants()
 for i, j, k, c in sc.nonzero():
     print(f"  [{sc.labels[i]},{sc.labels[j]}] = {c} {sc.labels[k]}")
 print("killing det:", sc.killing_det(), "->", sc.classify())

@@ -11,11 +11,12 @@ The package is organized bottom-up:
     vertexnet   triadic tensor networks with parity typing
     cli         command line front end (also `python -m qsetalg`)
 
-Everything advertised as exact is computed as integer arrays over a common
+Everything advertised as exact is computed on Python ints over a common
 scale, or over fractions.Fraction. Floats appear in cross-checks and
-explicitly float-mode paths, and in one exact place: float64 carries integer
-matrix products (BLAS) while k * max|a| * max|b| < 2^53, where every product
-and partial sum is an integer float64 holds exactly (linalg.int_matmul).
+explicitly float-mode paths, and in one exact place: float64 carries the
+integer matrix products of network merges (BLAS) while
+k * max|a| * max|b| < 2^53, where every product and partial sum is an
+integer float64 holds exactly (vertexnet.int_matmul).
 """
 
 from .perfinite import OM, PerfiniteSet, decode, parse_set_text

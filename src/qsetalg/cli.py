@@ -11,8 +11,9 @@ checks only the text it parses itself.
 
 Output files given as bare names land in $QSETALG_OUT_DIR when that is set.
 
-Each handler imports the layers it runs, so a command loads only those; the
-sets, qset and palev commands run without numpy.
+Each handler imports the layers it runs, so a command loads only those.
+numpy is loaded only by contract --eps (the float refit), net and
+verify-all; every other command runs without it.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .perfinite import MAX_CODE_BITS, OM, decode, enumerate_rank, format_set_tex
 from .scalars import RunConfig, fmt_scalar, parse_int
 
 # sorted(yang.PRESETS) and sorted(yang.ACCUMULATION_PRESETS), held here so the
-# parser is built without numpy; a test pins them to yang's tables
+# parser is built without importing yang; a test pins them to yang's tables
 _YANG_PRESETS = ("3-3", "4-2", "5-1")
 _FRAMES = ("feynman", "penrose")
 

@@ -15,20 +15,16 @@ built by a three-rule recursion over explicit seed representations:
 
 Every seed is a signed permutation, and a Kronecker product of monomial
 matrices (one nonzero per row) is monomial, so a GammaSet holds its
-generators as two int64 stacks of shape (n, d), `perm` and `sign`: row r of
-gamma_{i+1} has sign[i, r] in column perm[i, r]. A product of two monomials
-is a gather, and the anticommutator, top element and commutator checks run
-on these stacks in O(n^2 d). Dense d x d matrices are built only at the
-edge, by one builder: on first read of `gammas` (and so of `gamma(i)`,
-`gammas_to_json` and the vertex tables of vertexnet), cached, and by
-`antisym`, whose whole stack of [gamma_a, gamma_b] / 2 for a list of pairs
-(the generators of a rotation frame) is one gather of the cached pair
-products made dense at once.
-
-Everything is exact: int64 while a stated bound holds, Python ints past it.
-The representation dimension is not always the minimal one (for example
-Cl(0,8) lands at 64 rather than 16); callers that only need the algebra
-relations never notice, and exactness was the goal here.
+generators as tuples of Python ints, `perm` and `sign`: row r of
+gamma_{i+1} has sign[i][r] in column perm[i][r]. With signs +-1 a
+generator is also a permutation of 2d points (signed_points): row r goes to
+point perm[r] or perm[r] + d by its sign, and point r + d to the other one.
+The matrix product a b is then the point map a, then b (then): one
+bytes.translate while 2d <= 256, so the recursion, the pair products and
+the anticommutator check run on these. Dense matrices are built only on
+first read of `gammas`. Everything is exact on Python ints; the
+representation dimension is not always the minimal one (Cl(0,8) lands at
+64 rather than 16).
 
 Indices are 1-based in the public API: gamma(1) .. gamma(p) square to +1,
 gamma(p+1) .. gamma(p+q) to -1.
@@ -36,183 +32,208 @@ gamma(p+1) .. gamma(p+q) to -1.
 
 from __future__ import annotations
 
-from functools import cached_property, reduce
-
-import numpy as np
-
-from .linalg import cast
+from functools import cache, cached_property, reduce
+from itertools import chain
+from operator import add, mul, neg
 
 
-def _monomial(stack):
-    """(perm, sign) stacks of a (k, d, d) integer stack whose every row holds
-    exactly one nonzero entry; ValueError for any other stack."""
-    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
-        raise ValueError("gamma matrices must be square and of one size")
-    nonzero = stack != 0
-    if not (nonzero.sum(axis=-1) == 1).all():
-        raise ValueError("a gamma matrix has a row without exactly one nonzero entry")
-    perm = nonzero.argmax(axis=-1)
-    return perm, np.take_along_axis(stack, perm[..., None], axis=-1)[..., 0]
+def _monomial(matrix) -> tuple:
+    """(perm, sign) of one square integer matrix whose every row holds
+    exactly one nonzero entry; ValueError for any other matrix."""
+    perm, sign = [], []
+    for row in matrix:
+        if len(row) != len(matrix):
+            raise ValueError("gamma matrices must be square and of one size")
+        cols = [c for c, x in enumerate(row) if x]
+        if len(cols) != 1:
+            raise ValueError("a gamma matrix has a row without exactly one nonzero entry")
+        perm.append(cols[0])
+        sign.append(int(row[cols[0]]))
+    return tuple(perm), tuple(sign)
 
 
-def _mul(a, b):
+def _mul(a, b) -> tuple:
     """Product of two monomials a = (perm, sign) and b: row r of a b holds
     sign_a[r] sign_b[perm_a[r]] in column perm_b[perm_a[r]]."""
     (pa, sa), (pb, sb) = a, b
-    return pb[pa], sa * sb[pa]
+    return tuple(map(pb.__getitem__, pa)), tuple(map(mul, sa, map(sb.__getitem__, pa)))
 
 
-def _seed(matrix):
-    """(perm, sign) of one monomial matrix."""
-    return tuple(x[0] for x in _monomial(np.array([matrix], dtype=np.int64)))
+def signed_points(perm, sign):
+    """The monomial (perm, sign) as a permutation of 2d points (see the
+    module text); KeyError when a sign is not +-1."""
+    return _close(map(add, perm, map({1: 0, -1: len(perm)}.__getitem__, sign)), len(perm))
 
 
-def _stack(*monomials):
-    return tuple(np.stack(xs) for xs in zip(*monomials))
+def _close(head, d: int):
+    """The point permutation whose first d points go to `head`: point r + d
+    goes to the negative of head[r]. A 256-byte translation table while
+    2d <= 256, else a tuple."""
+    swap, rest = _swap(d)
+    if rest is None:
+        head = tuple(head)
+        return head + tuple(map(swap.__getitem__, head))
+    head = bytes(head)
+    return head + head.translate(swap) + rest
 
 
-def _join(*stacks):
-    return tuple(np.concatenate(xs) for xs in zip(*stacks))
+@cache
+def _swap(d: int) -> tuple:
+    """(table sending point x to its negative, padding to 256 bytes or None
+    past 2d = 256)."""
+    swap = [*range(d, 2 * d), *range(d)]
+    if 2 * d > 256:
+        return swap, None
+    rest = bytes(range(2 * d, 256))
+    return bytes(swap) + rest, rest
 
 
-_SX = _seed([[0, 1], [1, 0]])
-_SZ = _seed([[1, 0], [0, -1]])
-_SM = _seed([[0, 1], [-1, 0]])  # squares to -1
+def then(a, b):
+    """The point permutation of the matrix product a b: a, then b."""
+    if isinstance(a, bytes) and isinstance(b, bytes):
+        return a.translate(b)
+    return tuple(map(b.__getitem__, a))
+
+
+def point_monomial(pts, d: int) -> tuple:
+    """(perm, sign) of a point permutation of 2d points."""
+    cols, signs = _unpoint(d)
+    return tuple(map(cols.__getitem__, pts[:d])), tuple(map(signs.__getitem__, pts[:d]))
+
+
+@cache
+def _unpoint(d: int) -> tuple:
+    """(column, sign) of each of 2d points."""
+    return (*range(d), *range(d)), (1,) * d + (-1,) * d
+
+
+_SX = _monomial([[0, 1], [1, 0]])
+_SZ = _monomial([[1, 0], [0, -1]])
+_SM = _monomial([[0, 1], [-1, 0]])  # squares to -1
 # Left multiplication by i and j on quaternions with basis (1, i, j, k).
-_QI = _seed([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
-_QJ = _seed([[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]])
+_QI = _monomial([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
+_QJ = _monomial([[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]])
 _SXZ = _mul(_SX, _SZ)
 _QK = _mul(_QI, _QJ)
 _SEEDS = {
-    (0, 0): (np.zeros((0, 1), dtype=np.int64),) * 2,
-    (1, 0): _stack(_seed([[1]])),
-    (0, 1): _stack(_SM),
-    (2, 0): _stack(_SX, _SZ),
-    (0, 2): _stack(_QI, _QJ),
+    (0, 0): (),
+    (1, 0): (_monomial([[1]]),),
+    (0, 1): (_SM,),
+    (2, 0): (_SX, _SZ),
+    (0, 2): (_QI, _QJ),
 }
 
 MAX_TOTAL = 12  # largest p + q of a gamma set, and of a gamma vertex
 
 
-def _kron(a, b):
-    """kron(a, g) for the monomial a and every g of the stack b: row (r, s)
-    has sign a_r b_s in column perm_a(r) d_b + perm_b(s)."""
-    (pa, sa), (pb, sb) = a, b
-    k, d = pb.shape
-    shape = (k, len(pa) * d)
-    perm = pa[None, :, None] * d + pb[:, None, :]
-    return perm.reshape(shape), (sa[None, :, None] * sb[:, None, :]).reshape(shape)
+def _kron(a, old, d: int) -> tuple:
+    """The point permutations of kron(a, g) for the seed a = (perm, sign),
+    signs +-1, and each point permutation g of d rows in old: row (r, s) has
+    sign a_r b_s in column perm_a(r) d + perm_b(s), so block r of the head
+    is g's head sent through one table per row r of a (_blocks)."""
+    size, tables = len(a[0]) * d, _blocks(a, d)
+    if isinstance(tables[0], bytes):
+        return tuple(_close(b"".join([g[:d].translate(t) for t in tables]), size) for g in old)
+    return tuple(_close(chain.from_iterable(then(g[:d], t) for t in tables), size) for g in old)
 
 
-def _eye(stack):
-    d = stack[0].shape[1]
-    return np.arange(d)[None], np.ones((1, d), dtype=np.int64)
+@cache
+def _blocks(a, d: int) -> tuple:
+    """For each row r of the seed a, the table sending a point of d rows to
+    its point in block r of kron(a, g): bytes while the product has at most
+    128 rows, else tuples."""
+    size, tables = len(a[0]) * d, []
+    for c, s in zip(*a):
+        lo, hi = c * d + (size if s < 0 else 0), c * d + (0 if s < 0 else size)
+        cols = [*range(lo, lo + d), *range(hi, hi + d)]
+        tables.append(tuple(cols) if 2 * size > 256 else bytes(cols + [0] * (256 - 2 * d)))
+    return tuple(tables)
 
 
-def _recurse(p: int, q: int):
-    """(perm, sign) stacks of shape (p + q, d), plus generators first."""
+def _recurse(p: int, q: int) -> tuple:
+    """(point permutations, dimension) of signature (p, q), plus generators
+    first."""
     if (p, q) in _SEEDS:
-        return _SEEDS[p, q]
+        seeds = _SEEDS[p, q]
+        return tuple(signed_points(*m) for m in seeds), len(seeds[0][0]) if seeds else 1
     if p >= 1 and q >= 1:
-        old = _recurse(p - 1, q - 1)
-        return _join(_kron(_SX, _eye(old)), _kron(_SZ, old), _kron(_SM, _eye(old)))
-    if q == 0:  # p >= 3
-        old = _recurse(0, p - 2)
-        return _join(_kron(_SX, _eye(old)), _kron(_SZ, _eye(old)), _kron(_SXZ, old))
-    # p == 0, q >= 3
-    old = _recurse(q - 2, 0)
-    return _join(_kron(_QI, _eye(old)), _kron(_QJ, _eye(old)), _kron(_QK, old))
-
-
-def _dense(perm, sign):
-    """The dense (k, d, d) stack of monomial (perm, sign) stacks."""
-    k, d = perm.shape
-    out = np.zeros((k, d, d), dtype=sign.dtype)
-    out[np.arange(k)[:, None], np.arange(d), perm] = sign
-    return out
-
-
-def _frozen(a):
-    a.flags.writeable = False
-    return a
+        (old, d), lead, mid, tail = _recurse(p - 1, q - 1), (_SX,), _SZ, (_SM,)
+    elif q == 0:  # p >= 3
+        (old, d), lead, mid, tail = _recurse(0, p - 2), (_SX, _SZ), _SXZ, ()
+    else:  # p == 0, q >= 3
+        (old, d), lead, mid, tail = _recurse(q - 2, 0), (_QI, _QJ), _QK, ()
+    eye = (_close(range(d), d),)
+    gens = (*(_kron(s, eye, d)[0] for s in lead), *_kron(mid, old, d), *(_kron(s, eye, d)[0] for s in tail))
+    return gens, len(mid[0]) * d
 
 
 class GammaSet:
     """Concrete real representation of the generators for signature (p, q).
 
-    The set holds `perm` and `sign`, (n, d) stacks of its monomial
-    generators. Both are read-only: the cached products and the dense view
-    are derived from them once."""
+    The set holds `perm` and `sign`, one tuple of Python ints per monomial
+    generator; the dense view and, where every sign is +-1, the point
+    permutations are derived from them on first read (a built set starts
+    with the point permutations it was built as)."""
 
     def __init__(self, p: int, q: int, perm, sign):
         self.p = p
         self.q = q
         self.n = p + q
         self.eta = (1,) * p + (-1,) * q
-        self.perm = _frozen(perm)
-        self.sign = _frozen(sign)
-        self.dim = perm.shape[1]
+        self.perm = tuple(map(tuple, perm))
+        self.sign = tuple(map(tuple, sign))
+        self.dim = len(self.perm[0]) if self.perm else 1
 
     @cached_property
     def gammas(self) -> tuple:
-        """The generators as dense int64 matrices, built on first read."""
-        return tuple(_frozen(_dense(self.perm, self.sign)))
+        """The generators as dense integer matrices, tuples of rows, built on
+        first read."""
+        zero = (0,) * self.dim
+        return tuple(
+            tuple(zero[:c] + (s,) + zero[c + 1:] for c, s in zip(perm, sign)) for perm, sign in zip(self.perm, self.sign)
+        )
 
     @cached_property
-    def _peak(self) -> int:
-        """max |sign|, read once: a set's stacks do not change after it is built."""
-        return int(np.abs(self.sign).max(initial=0))
-
-    @cached_property
-    def _products(self):
-        """(perm, sign) of gamma_i gamma_j for every pair (i, j), as (n, n, d)
-        stacks, gathered at once; with |sign| <= m the signs are exact for a
-        sum of three entries of size up to m^2 and 2 (2 m^2 + 2 < 2^62)."""
-        sign = cast(self.sign, 2 * self._peak ** 2 + 2)
-        j, after_i = np.arange(len(self.perm))[None, :, None], self.perm[:, None, :]
-        return self.perm[j, after_i], sign[:, None, :] * sign[j, after_i]
+    def _points(self):
+        """The generators as point permutations, or None when a sign is not
+        +-1."""
+        try:
+            return tuple(map(signed_points, self.perm, self.sign))
+        except KeyError:
+            return None
 
     def _index(self, i: int, what: str = "gamma") -> int:
         if not 1 <= i <= self.n:
             raise IndexError(f"{what} index {i} outside 1..{self.n}")
         return i - 1
 
-    def gamma(self, i: int) -> np.ndarray:
+    def gamma(self, i: int) -> tuple:
         """1-based: indices 1..p square to +1, p+1..p+q to -1."""
         return self.gammas[self._index(i)]
 
     def eta_entry(self, i: int) -> int:
         return self.eta[self._index(i, "eta")]
 
-    def antisym(self, pairs) -> np.ndarray:
-        """The (k, d, d) stack of A_ab = [gamma_a, gamma_b] / 2 for the k
-        1-based pairs (a, b), exact (A_ab equals gamma_a gamma_b off the
-        diagonal a == b, zero on it): one gather of the products gamma_a gamma_b
-        and gamma_b gamma_a, made dense at once. Over scale 2 these are the
-        rotation generators:
+    def products(self, pairs) -> tuple:
+        """The point permutations of gamma_a gamma_b for the 1-based pairs
+        (a, b); ValueError when a sign is not +-1. For a != b in a set that
+        anticommutes gamma_a gamma_b is [gamma_a, gamma_b] / 2, and over
+        scale 2 these are the rotation generators: with A_ab = gamma_a gamma_b,
         [A_ab, A_cd] = 2 (eta_bc A_ad - eta_ac A_bd - eta_bd A_ac + eta_ad A_bc)."""
-        i, j = np.array([[self._index(a), self._index(b)] for a, b in pairs], dtype=np.intp).reshape(-1, 2).T
-        perm, sign = self._products
-        at, d = ([i, j], [j, i]), self.dim  # gamma_a gamma_b, then gamma_b gamma_a
-        ab, ba = _dense(perm[at].reshape(-1, d), sign[at].reshape(-1, d)).reshape(2, -1, d, d)
-        half, rem = np.divmod(ab - ba, 2)
-        if rem.any():
-            raise AssertionError("commutator of gammas must be even")
-        return half
+        pts = self._points
+        if pts is None:
+            raise ValueError("products of gammas need signs +-1")
+        return tuple(then(pts[self._index(a)], pts[self._index(b)]) for a, b in pairs)
 
-    def _top(self):
+    def _top(self) -> tuple:
         """(perm, sign) of the top element, the product of all generators
-        highest index first; signs exact for its square: at most 2n factors
-        of |sign| <= m."""
-        sign = cast(self.sign, self._peak ** (2 * len(self.sign)))
-        start = (np.arange(self.dim), np.ones(self.dim, dtype=sign.dtype))
-        return reduce(_mul, zip(self.perm[::-1], sign[::-1]), start)
+        highest index first."""
+        start = (tuple(range(self.dim)), (1,) * self.dim)
+        return reduce(_mul, zip(self.perm[::-1], self.sign[::-1]), start)
 
     def top_square_sign(self) -> int:
-        top = self._top()
-        perm, sign = _mul(top, top)
-        ident = (perm == np.arange(self.dim)).all()
-        found = [s for s in (1, -1) if ident and (sign == s).all()]
+        perm, sign = _mul(self._top(), self._top())
+        found = [s for s in (1, -1) if perm == tuple(range(self.dim)) and sign == (s,) * self.dim]
         if not found:
             raise AssertionError("top element must square to +/- identity")
         return found[0]
@@ -226,33 +247,48 @@ def build_gammas(p: int, q: int) -> GammaSet:
         raise ValueError("signature counts must be nonnegative")
     if p + q > MAX_TOTAL:
         raise ValueError(f"p + q > {MAX_TOTAL} not supported")
-    return GammaSet(p, q, *(a.copy() for a in _recurse(p, q)))
+    points, dim = _recurse(p, q)
+    monomials = [point_monomial(g, dim) for g in points]
+    gs = GammaSet(p, q, [m[0] for m in monomials], [m[1] for m in monomials])
+    gs._points = points
+    return gs
+
+
+def _pair_defect(gs: GammaSet, i: int, j: int) -> int:
+    """max |entry| of gamma_i gamma_j + gamma_j gamma_i - 2 eta_i delta_ij I
+    (0-based): row r holds the first product's entry in column c1, the
+    second's in c2 and the target's in r, summed where columns coincide."""
+    gi, gj = (gs.perm[i], gs.sign[i]), (gs.perm[j], gs.sign[j])
+    (c1, v1), (c2, v2) = _mul(gi, gj), _mul(gj, gi)
+    t = 2 * gs.eta[i] if i == j else 0
+    worst = 0
+    for r, (a, x, b, y) in enumerate(zip(c1, v1, c2, v2)):
+        row = {r: -t}
+        row[a] = row.get(a, 0) + x
+        row[b] = row.get(b, 0) + y
+        worst = max(worst, *map(abs, row.values()))
+    return worst
 
 
 def anticommutator_defect(gs: GammaSet) -> int:
     """max |gamma_i gamma_j + gamma_j gamma_i - 2 eta_i delta_ij I|, exactly.
 
     Zero for every GammaSet this module builds; kept as a function because the
-    acceptance checks sweep it over all signatures. All pairs are checked at
-    once over the (n, n, d) stacks of pair products:
-    row r of pair (i, j) has nonzero entries only in column c1 of
-    gamma_i gamma_j, column c2 of gamma_j gamma_i and column r of the
-    diagonal target, and each entry is the sum of those values whose columns
-    coincide. Column c2 of (i, j) is column c1 of (j, i), so the entries at
-    c1 and at r cover every pair. With |sign| <= m no entry exceeds
-    2 m^2 + 2, so the stacks stay int64 while that is under 2^62 and take
-    Python ints past it.
+    acceptance checks sweep it over all signatures. On a set of signs +-1 a
+    pair whose point permutations show gamma_i gamma_j == -gamma_j gamma_i
+    (gamma_i^2 == eta_i I for i == j) has no nonzero entry; every other pair
+    is counted entry by entry (_pair_defect).
     """
-    c1, v1 = gs._products
-    c2, v2 = c1.transpose(1, 0, 2), v1.transpose(1, 0, 2)
-    c3, v3 = np.arange(gs.dim), (-2 * np.diag(gs.eta))[:, :, None]
-    at_c1 = v1 + np.where(c2 == c1, v2, 0) + np.where(c3 == c1, v3, 0)
-    at_c3 = v3 + np.where(c1 == c3, v1, 0) + np.where(c2 == c3, v2, 0)
-    return int(max(np.abs(at_c1).max(initial=0), np.abs(at_c3).max(initial=0)))
+    pairs, pts, d = [(i, j) for i in range(gs.n) for j in range(i, gs.n)], gs._points, gs.dim
+    if pts is not None:
+        square = {1: _close(range(d), d), -1: _close(range(d, 2 * d), d)}  # I and -I
+        want = {(i, j): square[gs.eta[i]] if i == j else then(then(pts[j], pts[i]), square[-1]) for i, j in pairs}
+        pairs = [(i, j) for i, j in pairs if then(pts[i], pts[j]) != want[i, j]]
+    return max((_pair_defect(gs, i, j) for i, j in pairs), default=0)
 
 
 def entries_are_signs(gs: GammaSet) -> bool:
-    return gs._peak <= 1
+    return max(map(abs, chain.from_iterable(gs.sign)), default=0) <= 1
 
 
 def gammas_to_json(gs: GammaSet) -> dict:
@@ -261,6 +297,5 @@ def gammas_to_json(gs: GammaSet) -> dict:
         "q": gs.q,
         "dim": gs.dim,
         "eta": list(gs.eta),
-        "gammas": [g.tolist() for g in gs.gammas],
+        "gammas": [[list(row) for row in g] for g in gs.gammas],
     }
-

@@ -1,42 +1,31 @@
 """Exact Lie-algebra machinery: structure constants, Killing forms, gradings,
-and one-parameter contractions.
+and one-parameter contractions, on Python ints.
 
-A MatrixAlgebra is a basis of exact rational matrices assumed (and verified)
-to close under commutators, taken and held as an integer stack G over one
-scale s (basis_i = G_i / s), as its builders make it: gamma products and
-ladder pairs over 2, the small catalog matrices over 1. The commutators are
-formed for one i against all j > i at a time, in the tier of their bound
-2 * d * max|G|^2 for d x d matrices (linalg.tier), and all of them are
-solved at once against the basis by one linalg.ColumnSolver (the basis's
-Gram matrix inverted once per algebra), whose exact Pythagorean check finds
-every bracket outside the span. So closure failures are detected exactly
-rather than hidden under a least-squares fit;
-a float refit of the same stack (numeric_contraction_check: one batched
-commutator product and one least-squares call for every bracket) is an
-independent cross-check, not the source of truth.
+A MatrixAlgebra is a basis of integer matrices G_i over one scale s
+(basis_i = G_i / s), assumed (and verified) to close under commutators,
+each held sparse as {r * d + c: entry}. A linalg.ColumnSolver inverts the
+basis's Gram matrix once: it reads coordinates off the trace form where
+that matrix is diagonal (16 I on the frames, 2 I on so3, I on h1,
+diag(8, 10, 10) on so21, 8 I on so4) and goes through a RationalSpan for
+any other basis, refuses a dependent basis, and finds every bracket outside
+the span by an exact Pythagorean check rather than a least-squares fit.
 
-StructureConstants hold the constants as one integer array C of shape
-(n, n, n) and one common denominator D: c_ijk = C[i, j, k] / D. Jacobi sums,
-the Killing form, the derived and lower central series, and contractions are
-integer products and array operations on C. The matrix products among them
-are linalg.int_matmul, whose bound for a @ b with inner dimension k is
-B = k * max|a| * max|b|: float64 while B < 2^53, int64 while B < 2^62. The
-sums are linalg.int_combine, int64 while its bound is < 2^62, and a
-contraction's factors eps^e multiply C elementwise on Python ints:
+A basis of signed permutations with signs +-1 (MatrixAlgebra.of_points:
+the gamma products of the frames, so4 and the toy triple) is also held as
+cliff point permutations. Two such generators that commute or anticommute,
+as gamma products do, have G_i G_j == +-G_j G_i, one bytes.translate each:
+the bracket is 0 or 2 G_i G_j, and a lookup by permutation finds the one
+generator +-G_k it lands on. Any other pair goes through the solver.
 
-    Jacobi   [[x_i,x_j],x_k] + [[x_j,x_k],x_i] + [[x_k,x_i],x_j], three
-             products of C with C summed in blocks of one i in the tier
-             their sum's bound 3 * n * max|C|^2 picks (linalg.tier)
-    Killing  C.reshape(n, n^2) @ C.transpose(2, 1, 0).reshape(n^2, n),
-             B = n^2 * max|C|^2
-    series   U @ C.reshape(n, n^2), B = n * max|U| * max|C|, for the rows U
-             of the current term (or the basis), then V @ that, reshaped
-             to a stack of n x n, B = n * max|V| * max|U C|
-
-and when a bound fails the same product runs on Python ints; killing_det
-eliminates the integer Killing form over D^2. MatrixAlgebra.basis,
-StructureConstants.c and killing_form are Fraction views for reports; the
-first two are built on first read and cached.
+StructureConstants hold the constants as one sparse table over one
+denominator D: table[i, j] = {k: C} for i < j, c_ijk = C / D in lowest
+terms. Jacobi sums, the Killing form, the derived and lower central series
+and contractions run over its nonzero entries; killing_det eliminates the
+integer Killing form over D^2 (linalg.det). MatrixAlgebra.basis,
+StructureConstants.c and killing_form are Fraction views for reports.
+numeric_contraction_check, an independent float refit of the same basis
+(one batched commutator product and one least-squares call), is a
+cross-check rather than the source of truth, and the one numpy user here.
 
 Contractions follow the graded-rescaling pattern: assign each basis element a
 weight w_i, scale x_i -> eps^{w_i} x_i, and watch
@@ -54,13 +43,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 from math import gcd, lcm
+from operator import index
 
-import numpy as np
-
-from . import linalg
-from .linalg import ColumnSolver, LinalgError, RationalSpan
+from .cliff import signed_points, then
+from .linalg import ColumnSolver, LinalgError, RationalSpan, det
 
 
 class LieError(ValueError):
@@ -76,70 +64,105 @@ class ContractionError(LieError):
 
 
 class MatrixAlgebra:
-    """Lie algebra presented by an independent basis of rational matrices,
-    kept as an integer stack over one scale: basis_i == stack[i] / scale."""
+    """Lie algebra presented by an independent basis of integer matrices
+    over one scale: basis_i == matrices[i] / scale."""
 
-    def __init__(self, name: str, stack, scale: int, labels=None):
-        """The algebra spanned by stack[i] / scale, for an integer array stack
-        of shape (n, d, d) and an integer scale > 0."""
-        if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+    def __init__(self, name: str, matrices, scale: int, labels=None):
+        """The algebra spanned by matrices[i] / scale, for square integer
+        matrices of one size (sequences of rows) and an integer scale > 0."""
+        d = len(matrices[0]) if len(matrices) else 0
+        if any(len(m) != d or any(len(row) != d for row in m) for m in matrices):
             raise ValueError("basis matrices must be square and same size")
-        n = len(stack)
+        entries = [{r * d + c: index(x) for r, row in enumerate(m) for c, x in enumerate(row) if x} for m in matrices]
+        self._setup(name, entries, d, scale, labels)
+        self._points = None
+
+    @classmethod
+    def of_points(cls, name: str, points, d: int, scale: int, labels=None) -> "MatrixAlgebra":
+        """The algebra spanned by signed permutations over scale, each given
+        as a cliff point permutation of 2d points."""
+        alg = cls.__new__(cls)
+        alg._setup(name, [{r * d + x % d: 1 - 2 * (x >= d) for r, x in enumerate(g[:d])} for g in points], d, scale, labels)
+        alg._points = tuple(points)
+        return alg
+
+    def _setup(self, name: str, entries, d: int, scale: int, labels) -> None:
+        n = len(entries)
         if not n:
             raise ValueError("empty basis")
-        self.stack, self.scale = linalg.fit(stack), scale
         try:
-            self._solver = ColumnSolver(self.stack.reshape(n, -1).T)
+            self._solver = ColumnSolver(entries)
         except LinalgError:
             raise ValueError(f"basis of {name} is linearly dependent") from None
-        self.name = name
-        self.matrix_dim = stack.shape[1]
+        self.name, self.entries, self.matrix_dim, self.scale = name, tuple(entries), d, scale
         self.labels = tuple(labels) if labels else tuple(f"x{i+1}" for i in range(n))
         if len(self.labels) != n:
             raise ValueError("one label per basis element")
-        self._sc = self._comm = None
+        self._sc = None
 
     @property
     def dim(self) -> int:
-        return len(self.stack)
+        return len(self.entries)
+
+    @cached_property
+    def matrices(self) -> tuple:
+        """The integer matrices G_i, dense tuples of rows, built on first read."""
+        d = self.matrix_dim
+        return tuple(tuple(tuple(m.get(r * d + c, 0) for c in range(d)) for r in range(d)) for m in self.entries)
 
     @cached_property
     def basis(self) -> tuple:
-        """The basis as Fraction matrices, stack / scale, built on first read."""
-        return linalg.from_scaled(self.stack, self.scale)
+        """The basis as Fraction matrices, G_i / scale, built on first read."""
+        return tuple(tuple(tuple(Fraction(x, self.scale) for x in row) for row in m) for m in self.matrices)
 
-    def commutators(self):
-        """Integer array K of shape (pairs, d, d) over pairs(n): [basis_i,
-        basis_j] == K[pair] / scale^2. Formed for one i against all j > i at
-        a time, in the tier of 2 * d * max|G|^2 (a difference of two sums of
-        d products), and cast once, as each block is written into K."""
-        if self._comm is None:
-            n, d = self.dim, self.matrix_dim
-            bound = 2 * d * max(linalg.peak(self.stack), 1) ** 2
-            g = linalg.tier(self.stack, bound)
-            self._comm = linalg.cast(np.zeros((len(pairs(n)[0]), d, d), dtype=np.int64), bound)
-            # K's rows split after n - 1, n - 2, ... pairs: one block of (i, j > i) per i
-            for i, block in enumerate(np.split(self._comm, np.cumsum(range(n - 1, 1, -1)))):
-                np.subtract(np.matmul(g[i], g[i + 1:]), np.matmul(g[i + 1:], g[i]), out=block, casting="unsafe")
-        return self._comm
+    def _commutator(self, i: int, j: int) -> dict:
+        """G_i G_j - G_j G_i, sparse over r * d + c."""
+        (a, b), d = (self.matrices[i], self.matrices[j]), self.matrix_dim
+        out = {}
+        for r in range(d):
+            for c in range(d):
+                x = sum(a[r][k] * b[k][c] - b[r][k] * a[k][c] for k in range(d))
+                if x:
+                    out[r * d + c] = x
+        return out
+
+    def _point_brackets(self) -> dict:
+        """{(i, j): {k: x}}, x over the solver's den, for the pairs of a basis
+        of points whose products G_i G_j and G_j G_i are equal (bracket 0)
+        or opposite with G_i G_j == +-G_k (bracket 2 G_i G_j), found by a
+        lookup by permutation; every other pair is left out."""
+        pts, d, n = self._points, self.matrix_dim, self.dim
+        compose = bytes.translate if isinstance(pts[0], bytes) else then
+        minus, lookup, out = signed_points(range(d), (-1,) * d), {}, {}
+        for k, g in enumerate(pts):
+            lookup[g], lookup[compose(g, minus)] = (k, 1), (k, -1)
+        for i, gi in enumerate(pts):
+            for j in range(i + 1, n):
+                ij, ji = compose(gi, pts[j]), compose(pts[j], gi)
+                if ij == ji:
+                    out[i, j] = {}
+                elif ij in lookup and ij == compose(ji, minus):
+                    k, sign = lookup[ij]
+                    out[i, j] = {k: 2 * sign * self._solver.den}
+        return out
 
     def structure_constants(self) -> "StructureConstants":
-        """Solve every [basis_i, basis_j], i < j, against the basis at once.
-        With the stack flattened into columns M, the solver gives X with
-        M X == den * K; the basis is M / scale and the commutators K / scale^2,
-        so the constants are X / (den * scale)."""
+        """Solve every [basis_i, basis_j], i < j, against the basis. The
+        solver gives G_i G_j - G_j G_i == sum_k x_k G_k / den, with
+        ClosureError when it leaves the span; the basis is G / scale and the
+        brackets (G_i G_j - G_j G_i) / scale^2, so the constants are
+        x / (den * scale)."""
         if self._sc is None:
             n = self.dim
-            i, j = pairs(n)
-            comm = self.commutators().reshape(len(i), self.matrix_dim ** 2).T
-            x, inside = self._solver.solve(comm)
-            if not inside.all():
-                bad = int(np.argmin(inside))
-                raise ClosureError(f"[{i[bad]},{j[bad]}] leaves the span of the basis")
-            c = np.zeros((n, n, n), dtype=x.dtype)
-            c[i, j] = x.T
-            c[j, i] = -x.T
-            self._sc = StructureConstants(c, self._solver.den * self.scale, labels=self.labels)
+            table = self._point_brackets() if self._points is not None else {}
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if (i, j) not in table:
+                        x, inside = self._solver.solve(self._commutator(i, j))
+                        if not inside:
+                            raise ClosureError(f"[{i},{j}] leaves the span of the basis")
+                        table[i, j] = dict(enumerate(x))
+            self._sc = StructureConstants(n, table, self._solver.den * self.scale, labels=self.labels)
         return self._sc
 
     def __repr__(self):
@@ -147,81 +170,122 @@ class MatrixAlgebra:
 
 
 class StructureConstants:
-    """c[i][j][k] with [x_i, x_j] = sum_k c[i][j][k] x_k, held as the integer
-    array C and denominator D with c == C / D; the Fraction table c is a view
-    built on first read."""
+    """c[i][j][k] with [x_i, x_j] = sum_k c[i][j][k] x_k, held as the sparse
+    table {(i, j): {k: C}}, i < j, of nonzero integers C and one
+    denominator D > 0 with c_ijk == C / D in lowest terms; the Fraction
+    table c is a view built on first read. Pairs are held in sorted order,
+    and nonzero() sorts each pair's k."""
 
-    def __init__(self, C, D: int, labels=None):
-        """Constants C / D for an integer array C of shape (n, n, n), D != 0."""
-        n = C.shape[0]
-        if C.shape != (n, n, n):
-            raise ValueError("structure constants must be n x n x n")
-        g = gcd(D, int(np.gcd.reduce(C, axis=None))) * (-1 if D < 0 else 1)
-        self.C, self.D = linalg.fit(C // g), D // g
+    def __init__(self, n: int, table, D: int = 1, labels=None):
+        """Constants table[i, j][k] / D for pairs i < j < n and k < n, D != 0;
+        a pair left out commutes."""
+        rows = {}
+        for (i, j), row in sorted(table.items()):
+            row = {k: v for k, v in row.items() if v}
+            if not 0 <= i < j < n or row and not 0 <= min(row) <= max(row) < n:
+                raise ValueError("structure constants take pairs i < j < n and indices k < n")
+            if row:
+                rows[i, j] = row
+        g = gcd(D, *(v for row in rows.values() for v in row.values())) * (-1 if D < 0 else 1)
+        if g != 1:
+            rows = {ij: {k: v // g for k, v in row.items()} for ij, row in rows.items()}
+        self.table, self.D, self.n = rows, D // g, n
         self.labels = tuple(labels) if labels else tuple(f"x{i+1}" for i in range(n))
 
     @cached_property
     def c(self) -> tuple:
-        """Nested tuples of Fraction, C / D, built on first read."""
-        return linalg.from_scaled(self.C, self.D)
+        """Nested tuples of Fraction, the table over D, built on first read."""
+        n, both = self.n, self._both
+        return tuple(tuple(tuple(Fraction(both.get((i, j), {}).get(k, 0), self.D) for k in range(n)) for j in range(n)) for i in range(n))
 
     @property
     def dim(self) -> int:
-        return len(self.C)
+        return self.n
+
+    def bracket(self, i: int, j: int) -> dict:
+        """{k: C} with [x_i, x_j] = sum_k C x_k / D, for any i, j."""
+        return dict(self._both.get((i, j), {}))
+
+    @cached_property
+    def _both(self) -> dict:
+        """The table with its antisymmetric half: (i, j) and (j, i)."""
+        out = dict(self.table)
+        for (i, j), row in self.table.items():
+            out[j, i] = {k: -v for k, v in row.items()}
+        return out
 
     def jacobi_defect(self) -> Fraction:
         """max |[[x_i,x_j],x_k] + [[x_j,x_k],x_i] + [[x_k,x_i],x_j]| coordinate
-        over i < j < k, for one i at a time, in the tier of the sum's bound
-        3 * n * max|C|^2 (each term is a sum of n products)."""
-        n, (pi, pj) = self.dim, pairs(self.dim)
-        bound = 3 * n * max(linalg.peak(self.C), 1) ** 2
-        c = linalg.tier(self.C, bound)
-        flat, col = c.reshape(n, n * n), c.transpose(1, 0, 2)  # col[i][k] = C[k, i]
-        worst = 0
-        for i in range(n - 2):
-            j, k = (x[len(pi) - (n - i - 1) * (n - i - 2) // 2:] for x in (pi, pj))  # the pairs i < j < k
-            cyclic = np.matmul(c[j, k], col[i])  # D^2 [[x_j,x_k],x_i], a row per (j, k)
-            cyclic += np.matmul(c[i], flat).reshape(n, n, n)[j, k]  # [[x_i,x_j],x_k]
-            cyclic += np.matmul(col[i], flat).reshape(n, n, n)[k, j]  # [[x_k,x_i],x_j]
-            worst = max(worst, linalg.peak(cyclic))
-        return Fraction(worst, self.D ** 2)
+        over i < j < k. Each of the three terms is a nested bracket
+        [[x_a,x_b],x_c], a < b, with c the largest, smallest or middle
+        index (sign +, +, -), so the sums gather C_abm C_mcl over the
+        nonzero constants, keyed by the sorted triple and l."""
+        after, sums = {}, {}  # m -> [(c, l, C_mcl)]
+        for (m, c), inner in self._both.items():
+            after.setdefault(m, []).extend((c, l, y) for l, y in inner.items())
+        for (a, b), row in self.table.items():
+            for m, x in row.items():
+                for c, l, y in after.get(m, ()):
+                    if c < a:
+                        key, f = (c, a, b, l), x
+                    elif a < c < b:
+                        key, f = (a, c, b, l), -x
+                    elif c > b:
+                        key, f = (a, b, c, l), x
+                    else:
+                        continue
+                    sums[key] = sums.get(key, 0) + f * y
+        return Fraction(max(map(abs, sums.values()), default=0), self.D ** 2)
 
-    def _killing(self):
-        """The integer Killing form: killing_form() == _killing() / D^2."""
-        n = self.dim
-        return linalg.int_matmul(self.C.reshape(n, n * n), self.C.transpose(2, 1, 0).reshape(n * n, n))
+    def _killing(self) -> list:
+        """The integer Killing form: killing_form() == _killing() / D^2.
+        K_ab = sum over (m, l) of c_aml c_blm, gathered by (m, l)."""
+        at = {}  # (m, l) -> [(a, C_aml)]
+        for (a, m), row in self._both.items():
+            for l, x in row.items():
+                at.setdefault((m, l), []).append((a, x))
+        out = [[0] * self.n for _ in range(self.n)]
+        for (m, l), left in at.items():
+            for b, y in at.get((l, m), ()):
+                for a, x in left:
+                    out[a][b] += x * y
+        return out
 
     def killing_form(self):
         """K[i][j] = trace(ad x_i . ad x_j), exact."""
-        return linalg.from_scaled(self._killing(), self.D ** 2)
+        den = self.D ** 2
+        return tuple(tuple(Fraction(x, den) for x in row) for row in self._killing())
 
     def killing_det(self) -> Fraction:
-        return linalg.det(self._killing(), self.D ** 2)
+        return det(self._killing(), self.D ** 2)
 
     def is_semisimple(self) -> bool:
         return self.killing_det() != 0
+
+    def _bracket_vector(self, u, v) -> list:
+        """D [u, v] for coordinate vectors u and v."""
+        out = [0] * self.n
+        for (i, j), row in self.table.items():
+            f = u[i] * v[j] - u[j] * v[i]
+            if f:
+                for k, x in row.items():
+                    out[k] += f * x
+        return out
 
     def _series_vanishes(self, derived: bool) -> bool:
         """Descending series test. Each term is an ideal inside the previous
         one, so a step that fails to drop the dimension has stabilized; a
         strict drop can happen at most dim times. Vectors are integer rows:
         a common scale does not change a span."""
-        n = self.dim
-        basis_vecs = np.eye(n, dtype=np.int64)
-        current = basis_vecs
-        prev_dim = n
+        n = self.n
+        basis = current = [[int(i == j) for j in range(n)] for i in range(n)]
         for _ in range(n + 1):
             span = RationalSpan(n)
-            left = current if derived else basis_vecs
-            brackets = linalg.int_matmul(left, self.C.reshape(n, n * n)).reshape(-1, n, n)
-            brackets = linalg.int_matmul(current, brackets)
-            vecs = [w for w in brackets.reshape(-1, n).tolist() if any(w) and span.add(w)]
-            if not vecs:
-                return True
-            if len(vecs) == prev_dim:
-                return False
-            prev_dim = len(vecs)
-            current = linalg.fit(np.array(vecs, dtype=object))
+            brackets = (self._bracket_vector(u, v) for u in (current if derived else basis) for v in current)
+            vecs = [w for w in brackets if any(w) and span.add(w)]
+            if not vecs or len(vecs) == len(current):
+                return not vecs
+            current = vecs
         return False
 
     def is_nilpotent(self) -> bool:
@@ -231,7 +295,7 @@ class StructureConstants:
         return self._series_vanishes(derived=True)
 
     def is_abelian(self) -> bool:
-        return not (self.C != 0).any()
+        return not self.table
 
     def classify(self) -> str:
         if self.is_abelian():
@@ -246,28 +310,10 @@ class StructureConstants:
 
     def nonzero(self):
         """Sorted (i, j, k, c) with i < j and c != 0."""
-        idx = np.argwhere(_upper(self.dim) & (self.C != 0))
-        vals = self.C[tuple(idx.T)].tolist()
-        return [(i, j, k, Fraction(v, self.D)) for (i, j, k), v in zip(idx.tolist(), vals)]
+        return [(i, j, k, Fraction(row[k], self.D)) for (i, j), row in self.table.items() for k in sorted(row)]
 
     def __repr__(self):
         return f"StructureConstants(dim={self.dim})"
-
-
-@cache
-def pairs(n: int):
-    """(i, j), the pairs i < j < n in np.triu_indices order, read-only."""
-    i, j = np.triu_indices(n, 1)
-    i.flags.writeable = j.flags.writeable = False
-    return i, j
-
-
-@cache
-def _upper(n: int):
-    """Read-only mask of the (i, j, k) with i < j, shape (n, n, 1)."""
-    mask = np.triu(np.ones((n, n), dtype=bool), 1)[:, :, None]
-    mask.flags.writeable = False
-    return mask
 
 
 class ContractionFamily:
@@ -279,84 +325,64 @@ class ContractionFamily:
         if len(self.weights) != sc.dim:
             raise ContractionError("one weight per basis element")
         self._wden = lcm(*(w.denominator for w in self.weights))
-        w = linalg.fit(np.array([int(x * self._wden) for x in self.weights], dtype=object))
-        # exponents w_i + w_j - w_k of every constant, times _wden
-        self._exp = linalg.int_combine(
-            (1, w[:, None, None]), (1, w[None, :, None]), (-1, w[None, None, :])
-        )
-        diverging = np.argwhere(_upper(sc.dim) & (sc.C != 0) & (self._exp < 0))
-        if len(diverging):
-            i, j, k = diverging[0].tolist()
-            raise ContractionError(
-                f"constant ({self.sc.labels[i]},{self.sc.labels[j]})->"
-                f"{self.sc.labels[k]} diverges: exponent "
-                f"{self.exponent(i, j, k)} < 0"
-            )
+        w = [int(x * self._wden) for x in self.weights]
+        # exponents w_i + w_j - w_k of every nonzero constant, times _wden
+        self._exp = {(i, j): {k: w[i] + w[j] - w[k] for k in row} for (i, j), row in sc.table.items()}
+        for i, j, k in self._indices():
+            if self._exp[i, j][k] < 0:
+                raise ContractionError(
+                    f"constant ({self.sc.labels[i]},{self.sc.labels[j]})->"
+                    f"{self.sc.labels[k]} diverges: exponent "
+                    f"{self.exponent(i, j, k)} < 0"
+                )
+
+    def _indices(self):
+        """(i, j, k) of the nonzero constants, i < j, sorted."""
+        return ((i, j, k) for (i, j), row in self.sc.table.items() for k in sorted(row))
 
     def exponent(self, i: int, j: int, k: int) -> Fraction:
         return self.weights[i] + self.weights[j] - self.weights[k]
 
     def decaying(self):
-        return [
-            (i, j, k, c, self.exponent(i, j, k))
-            for i, j, k, c in self.sc.nonzero()
-            if self.exponent(i, j, k) > 0
-        ]
+        return [(i, j, k, c, self.exponent(i, j, k)) for i, j, k, c in self.sc.nonzero() if self._exp[i, j][k] > 0]
 
     def at(self, eps: Fraction) -> StructureConstants:
         """Exact table at a finite parameter value; exponents must be integers.
         With eps = p/q and exponents e in lo..top, c_ijk eps^e is
-        C * p^(e - lo) * q^(top - e) over D * q^top * p^(-lo). The product
-        runs in int64 while its bound max|C| * max|factor| is under 2^62."""
+        C * p^(e - lo) * q^(top - e) over D * q^top * p^(-lo)."""
         eps = Fraction(eps)
-        C, live = self.sc.C, self.sc.C != 0
-        fractional = np.argwhere(live & (self._exp % self._wden != 0)).tolist()
-        if fractional:
-            e = self.exponent(*fractional[0])
-            raise ContractionError(
-                f"exponent {e} is not an integer; evaluate with a "
-                f"rational square root of eps instead"
-            )
-        e = np.where(live, self._exp // self._wden, 0).astype(np.int64)
-        lo, top = int(e.min(initial=0)), int(e.max(initial=0))
+        for i, j, k in self._indices():
+            if self._exp[i, j][k] % self._wden:
+                raise ContractionError(
+                    f"exponent {self.exponent(i, j, k)} is not an integer; evaluate with a "
+                    f"rational square root of eps instead"
+                )
+        exps = {ij: {k: e // self._wden for k, e in row.items()} for ij, row in self._exp.items()}
+        every = [e for row in exps.values() for e in row.values()]
+        lo, top = min([0, *every]), max([0, *every])
         p, q = eps.numerator, eps.denominator
-        factor = np.array([p ** (x - lo) * q ** (top - x) for x in range(lo, top + 1)], dtype=object)
-        bound = linalg.peak(C) * linalg.peak(factor)
-        return StructureConstants(
-            linalg.cast(C, bound) * linalg.cast(factor, bound)[e - lo],
-            self.sc.D * q ** top * p ** -lo,
-            labels=self.sc.labels,
-        )
+        table = {
+            ij: {k: v * p ** (exps[ij][k] - lo) * q ** (top - exps[ij][k]) for k, v in row.items()}
+            for ij, row in self.sc.table.items()
+        }
+        return StructureConstants(self.sc.dim, table, self.sc.D * q ** top * p ** -lo, labels=self.sc.labels)
 
     def limit(self) -> StructureConstants:
         """Keep the constants c_ijk, i < j, with exponent zero (and c_jik = -c_ijk)."""
-        kept = np.where(_upper(self.sc.dim) & (self._exp == 0), self.sc.C, 0)
-        return StructureConstants(kept - kept.transpose(1, 0, 2), self.sc.D, labels=self.sc.labels)
+        table = {ij: {k: v for k, v in row.items() if not self._exp[ij][k]} for ij, row in self.sc.table.items()}
+        return StructureConstants(self.sc.dim, table, self.sc.D, labels=self.sc.labels)
 
     def describe(self):
         """(label_i, label_j, label_k, constant, exponent) rows, sorted."""
-        out = []
-        for i, j, k, v in self.sc.nonzero():
-            out.append(
-                (
-                    self.sc.labels[i],
-                    self.sc.labels[j],
-                    self.sc.labels[k],
-                    v,
-                    self.exponent(i, j, k),
-                )
-            )
-        return out
+        labels = self.sc.labels
+        return [(labels[i], labels[j], labels[k], v, self.exponent(i, j, k)) for i, j, k, v in self.sc.nonzero()]
 
 
 # cond * 2^-52 within the refit's 1e-9 tolerance (see numeric_contraction_check)
 _MAX_REFIT_COND = 1e-9 * 2**52
 
 
-@np.errstate(over="raise")
-def numeric_contraction_check(
-    algebra: MatrixAlgebra, weights, eps: float
-) -> float:
+def numeric_contraction_check(algebra: MatrixAlgebra, weights, eps: float) -> float:
     """Re-derive the structure constants of the eps-scaled basis in float
     arithmetic via least squares and compare against the exact family.
 
@@ -367,36 +393,45 @@ def numeric_contraction_check(
 
     Returns the largest relative deviation over all (i, j) brackets, where the
     denominator is max(1, |exact coordinate vector|_inf). Independent of the
-    exact path: uses numpy only, on floats of the integer stack and of C / D.
-    A value past float range raises (OverflowError or FloatingPointError)
-    rather than turning into inf. The solve loses about cond * 2^-52 of
-    relative accuracy, cond the condition number of the scaled basis read off
-    lstsq's singular values; past _MAX_REFIT_COND that exceeds the 1e-9 the
-    refit is judged at, so it raises ContractionError instead of a verdict.
+    exact path: uses numpy only, on floats of the integer matrices and of
+    C / D, each correctly rounded. A value past float range raises
+    (OverflowError or FloatingPointError) rather than turning into inf. The
+    solve loses about cond * 2^-52 of relative accuracy, cond the condition
+    number of the scaled basis read off lstsq's singular values; past
+    _MAX_REFIT_COND that exceeds the 1e-9 the refit is judged at, so it
+    raises ContractionError instead of a verdict.
     """
+    import numpy as np
+
     sc = algebra.structure_constants()
     fam = ContractionFamily(sc, weights)
+    n = algebra.dim
     ws = np.array([float(w) for w in fam.weights])
-    i, j = pairs(algebra.dim)
-    mats = linalg.to_float(algebra.stack, algebra.scale) * _powers(eps, ws)[:, None, None]
-    cols = mats.reshape(len(ws), -1).T
-    comm = (mats[i] @ mats[j] - mats[j] @ mats[i]).reshape(len(i), len(cols))
-    coords, _, _, sv = np.linalg.lstsq(cols, comm.T, rcond=None)
-    hi, lo = sv[[0, -1]].tolist()
-    cond = hi / lo if lo else float("inf")
-    if not cond <= _MAX_REFIT_COND:
-        raise ContractionError(
-            f"the float refit cannot resolve eps={eps:g}: condition number {cond:.3g} > {_MAX_REFIT_COND:.3g}"
-        )
-    coords = coords.T
-    exps = ws[i, None] + ws[j, None] - ws[None, :]
-    exact = linalg.to_float(sc.C, sc.D)[i, j] * _powers(eps, exps)
-    scale = np.maximum(1.0, np.abs(exact).max(axis=1))
-    return float((np.abs(coords - exact).max(axis=1) / scale).max(initial=0.0))
+    i, j = np.triu_indices(n, 1)
+    with np.errstate(over="raise"):
+        stack = np.array([[[x / algebra.scale for x in row] for row in m] for m in algebra.matrices])
+        mats = stack * _powers(eps, ws)[:, None, None]
+        cols = mats.reshape(n, -1).T
+        comm = (mats[i] @ mats[j] - mats[j] @ mats[i]).reshape(len(i), len(cols))
+        coords, _, _, sv = np.linalg.lstsq(cols, comm.T, rcond=None)
+        hi, lo = sv[[0, -1]].tolist()
+        cond = hi / lo if lo else float("inf")
+        if not cond <= _MAX_REFIT_COND:
+            raise ContractionError(
+                f"the float refit cannot resolve eps={eps:g}: condition number {cond:.3g} > {_MAX_REFIT_COND:.3g}"
+            )
+        coords = coords.T
+        exps = ws[i, None] + ws[j, None] - ws[None, :]
+        exact = np.array([[sc.bracket(a, b).get(k, 0) / sc.D for k in range(n)] for a, b in zip(i.tolist(), j.tolist())])
+        exact = exact.reshape(len(i), n) * _powers(eps, exps)
+        scale = np.maximum(1.0, np.abs(exact).max(axis=1))
+        return float((np.abs(coords - exact).max(axis=1) / scale).max(initial=0.0))
 
 
 def _powers(eps: float, exps):
     """eps ** e for every float e in exps, by Python's **, once per value."""
+    import numpy as np
+
     vals, where = np.unique(exps, return_inverse=True)
     return np.array([eps ** e for e in vals.tolist()])[where.reshape(exps.shape)]
 
@@ -417,7 +452,7 @@ def rotation3() -> MatrixAlgebra:
     l1 = ((0, 0, 0), (0, 0, -1), (0, 1, 0))
     l2 = ((0, 0, 1), (0, 0, 0), (-1, 0, 0))
     l3 = ((0, -1, 0), (1, 0, 0), (0, 0, 0))
-    return MatrixAlgebra("so3", np.array((l1, l2, l3)), 1, labels=("L1", "L2", "L3"))
+    return MatrixAlgebra("so3", (l1, l2, l3), 1, labels=("L1", "L2", "L3"))
 
 
 def heisenberg3() -> MatrixAlgebra:
@@ -425,7 +460,7 @@ def heisenberg3() -> MatrixAlgebra:
     p = ((0, 1, 0), (0, 0, 0), (0, 0, 0))
     q = ((0, 0, 0), (0, 0, 1), (0, 0, 0))
     c = ((0, 0, 1), (0, 0, 0), (0, 0, 0))
-    return MatrixAlgebra("h1", np.array((p, q, c)), 1, labels=("P", "Q", "Z"))
+    return MatrixAlgebra("h1", (p, q, c), 1, labels=("P", "Q", "Z"))
 
 
 def boost_triple() -> MatrixAlgebra:
@@ -434,10 +469,11 @@ def boost_triple() -> MatrixAlgebra:
     ([A,B]/2, (A-B)/2, (A+B)/2) for the integer ladder pair
     A e_k = (2-k) e_{k+1}, B e_k = k e_{k-1}, whose bracket [A, B] is
     diagonal with entries 2k - 2, written here in closed form."""
-    k = np.arange(3)
-    a, b = np.diag(2 - k[:2], -1), np.diag(k[1:], 1)
-    stack = np.stack([np.diag(2 * k - 2), a - b, a + b])
-    return MatrixAlgebra("so21", stack, 2, labels=("q", "p", "r"))
+    a = ((0, 0, 0), (2, 0, 0), (0, 1, 0))
+    b = ((0, 1, 0), (0, 0, 2), (0, 0, 0))
+    ab = ((-2, 0, 0), (0, 0, 0), (0, 0, 2))
+    diff, total = (tuple(tuple(x + s * y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)) for s in (-1, 1))
+    return MatrixAlgebra("so21", (ab, diff, total), 2, labels=("q", "p", "r"))
 
 
 def rotation_boost6() -> MatrixAlgebra:
@@ -446,7 +482,8 @@ def rotation_boost6() -> MatrixAlgebra:
 
     gs = build_gammas(4, 0)
     pairs = ((1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4))
-    return MatrixAlgebra("so4", gs.antisym(pairs), 2, labels=("r12", "r13", "r23", "b1", "b2", "b3"))
+    labels = ("r12", "r13", "r23", "b1", "b2", "b3")
+    return MatrixAlgebra.of_points("so4", gs.products(pairs), gs.dim, 2, labels=labels)
 
 
 # key -> (builder, default contraction weights, note); nothing is built here

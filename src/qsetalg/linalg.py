@@ -1,61 +1,25 @@
-"""Exact rational matrix kernel.
+"""Exact rational linear algebra on Python ints.
 
-The same exact numbers appear in two forms:
-
-- an integer-scaled array (A, d): integers A over one common denominator d,
-  so the numbers are A / d; the only working form, from gamma product to
-  Killing determinant, and the only input the Lie layer takes;
-- a Matrix, an immutable tuple of tuples of Fraction: an output view that
-  reports and tests read (the Lie layer builds its views with from_scaled on
-  first read), and otherwise only the input of congruence_signature and
-  mmul. int_scaled and from_scaled convert between the two, for matrices
-  and higher tensors alike.
-
-All bulk arithmetic runs on integer-scaled arrays through two routines, and
-each states its bound before it runs:
-
-- int_matmul(a, b): a @ b with matmul broadcasting. An output entry is a sum
-  of k products (k the inner dimension), so every product and every partial
-  sum is at most k * max|a| * max|b| in absolute value. A contraction that
-  is not a matrix product (vertexnet's tensor merges) reshapes its operands
-  to one first.
-- int_combine((c, a), ...): bounded by sum(|c| * max|a|).
-
-int_matmul takes the first of three tiers its bound fits; int_combine takes
-the first of the last two. A caller that sums products itself casts them
-into the tier (tier()) of its sum's bound: the Lie layer's commutators
-S_i S_j - S_j S_i, within 2 * d * max|S|^2, so the difference fits too.
-
-- float64 through np.matmul (BLAS) while the bound is under 2^53. Every
-  integer of magnitude up to 2^53 is a float64, and a sum or product of
-  float64s is rounded only when its exact value is not itself a float64.
-  Here every operand entry, every product and every partial sum, in
-  whatever order the BLAS adds them (a fused multiply-add included), is an
-  integer under the bound, so none is ever rounded and the result is exact.
-  (This rests on the BLAS summing the products a_ij b_jk themselves; it
-  forms no sums of operand entries, as Strassen's scheme would.)
-- int64 while the bound is under 2^62.
-- Python ints (dtype=object) otherwise, which cannot overflow.
-
-There is no separate Fraction loop: mmul, commutators, structure constants,
-Jacobi and Killing sums all take these routines. Nothing here rounds: the
-float64 tier only ever holds integers it represents exactly, and to_float is
-the only way out to floating point, for the numeric cross-checks.
+Numbers are held as integers over one common denominator, or as Fraction.
+A Matrix, an immutable tuple of tuples of Fraction, is the form reports and
+tests read, and the input of congruence_signature and mmul.
 
 All exact elimination is one row step, _eliminate, and one echelon,
 RationalSpan: primitive, fully reduced integer rows, with the product of the
 factors the rows were scaled by kept. det, ColumnSolver's Gram inverse and
-the central series are spans; congruence_signature updates rows with the same
-step, dividing by the previous pivot (Bareiss 1968). det takes an integer
-array with its denominator, and returns a Fraction.
+the Lie layer's central series are spans; congruence_signature updates rows
+with the same step, dividing by the previous pivot (Bareiss 1968). det takes
+integer rows with their denominator, and returns a Fraction.
+
+Nothing here imports numpy: Python ints cannot overflow, so no step states
+or checks a bound.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm, prod
-
-import numpy as np
+from operator import mul
 
 Matrix = tuple  # tuple[tuple[Fraction, ...], ...]
 
@@ -68,105 +32,24 @@ def shape(a) -> tuple[int, int]:
     return (len(a), len(a[0]) if len(a) else 0)
 
 
-# ---------------------------------------------------------------------------
-# integer-scaled arrays
-
-_LIMIT = 1 << 62  # int64 bound with a bit to spare for one sign flip or difference
-_EXACT = 1 << 53  # every integer up to 2^53 in magnitude is a float64
-
-
-def peak(a) -> int:
-    """max |entry| of an integer array, as a Python int (0 when empty), read
-    off its max and min, so no array of |a| is made."""
-    return max(int(a.max(initial=0)), -int(a.min(initial=0)))
-
-
-def cast(a, bound: int):
-    """a as int64 when `bound`, a stated bound on every value computed from
-    it, is under 2^62, else as Python ints: the one int64 tier rule."""
-    return a.astype(np.int64 if bound < _LIMIT else object, copy=False)
-
-
-def tier(a, bound: int):
-    """a in the first tier `bound` fits: float64 under 2^53, else as cast."""
-    return a.astype(np.float64) if bound < _EXACT else cast(a, bound)
-
-
-def fit(a):
-    """a as int64 if every entry fits comfortably, else as Python ints."""
-    return cast(a, peak(a))
-
-
-def int_scaled(a):
-    """(A, d) with a == A / d exactly: A an integer array of a's shape, d the
-    least common denominator of the entries (ints, Fractions, or anything
-    Fraction accepts)."""
-    arr = np.array(a, dtype=object)
-    vals = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in arr.flat]
-    den = lcm(*(x.denominator for x in vals))
-    ints = np.array([x.numerator * (den // x.denominator) for x in vals], dtype=object)
-    return fit(ints.reshape(arr.shape)), den
-
-
-def from_scaled(a, den: int) -> tuple:
-    """Nested tuples of Fraction equal to the integer array a divided by den."""
-    memo = {}
-
-    def entry(x):
-        f = memo.get(x)
-        if f is None:
-            f = memo[x] = Fraction(x, den)
-        return f
-
-    def build(v, depth):
-        if depth == 1:
-            return tuple(map(entry, v))
-        return tuple(build(r, depth - 1) for r in v)
-
-    return build(a.tolist(), a.ndim)
-
-
-def int_combine(*terms):
-    """sum(c * a for c, a in terms) exactly, for Python ints c and integer
-    arrays a (broadcast). int64 while sum(|c| * max|a|) < 2^62."""
-    bound = sum(max(abs(c), 1) * max(peak(a), 1) for c, a in terms)
-    return sum(c * cast(a, bound) for c, a in terms)
-
-
-def int_matmul(a, b):
-    """Exact a @ b for integer arrays, with np.matmul's broadcasting, in the
-    tier its bound k * max|a| * max|b| picks (each factor taken as at least
-    1): float64 BLAS under 2^53, int64 under 2^62, Python ints otherwise. The
-    result is int64 or Python ints."""
-    bound = max(a.shape[-1], 1) * max(peak(a), 1) * max(peak(b), 1)
-    out = np.matmul(tier(a, bound), tier(b, bound))
-    return out.astype(np.int64) if bound < _EXACT else out
-
-
 def mmul(a: Matrix, b: Matrix) -> Matrix:
-    """Exact product: one int_matmul over the integer-scaled operands."""
-    k, k2 = shape(a)[1], shape(b)[0]
-    if k != k2:
+    """Exact product of two Fraction matrices."""
+    if shape(a)[1] != shape(b)[0]:
         raise LinalgError(f"shape mismatch {shape(a)} @ {shape(b)}")
-    (ia, da), (ib, db) = int_scaled(a), int_scaled(b)
-    return from_scaled(int_matmul(ia, ib), da * db)
-
-
-def to_float(a, den: int) -> np.ndarray:
-    """a / den as floats, each correctly rounded (as float(Fraction) is)."""
-    return (a.astype(object) / den).astype(float)
+    cols = tuple(zip(*b))
+    return tuple(tuple(Fraction(sum(map(mul, row, col))) for col in cols) for row in a)
 
 
 def det(a, den: int) -> Fraction:
-    """Exact determinant of the integer array a divided by den. a's rows go
+    """Exact determinant of the integer rows a divided by den. a's rows go
     into one RationalSpan; when all n enlarge it they end as a permuted
     diagonal, and det(a) * num / d == sign * prod(pivots) for the span's
     scale num / d."""
-    n, m = a.shape
-    if n != m:
+    n = len(a)
+    if any(len(row) != n for row in a):
         raise LinalgError("determinant of non-square matrix")
     span = RationalSpan(n)
-    if not all(span.add(row) for row in a.tolist()):
+    if not all(span.add(row) for row in a):
         return Fraction(0)
     leads = [lead for _, lead in span.rows]
     flips = sum(x > y for i, x in enumerate(leads) for y in leads[i + 1:])
@@ -187,46 +70,58 @@ def _eliminate(v: list, w: list, lead: int, div: int = 0) -> tuple[list, int]:
 
 
 class ColumnSolver:
-    """Solves M X = B exactly for a fixed integer matrix M (m x k) of full
-    column rank, for any number of right-hand sides at once.
+    """Coordinates of integer vectors in the span of k fixed, independent
+    integer vectors, exactly.
 
-    One RationalSpan over the rows of [G | I], G = M^T M the Gram matrix,
-    reduces them to (p_c e_c | p_c inv(G)_c), one for each column c, so the
-    inverse is kept scaled to integers: inv(G) = A / den, den > 0. A reduced
-    row whose lead falls in the right half means G, hence M's columns, is
-    singular (LinalgError). solve(B) forms y = M^T B and X = A y, and b is in
-    the span exactly when den |b|^2 == y_b . x_b: P = M inv(G) M^T projects
-    orthogonally onto the span, so den |b|^2 - y_b . x_b = den |(I - P) b|^2.
+    Vectors are sparse: dicts from a position to a nonzero int. The Gram
+    matrix G (g_ab = v_a . v_b, summed over the positions two vectors share)
+    is inverted once, inv(G) = A / den with integer A and den > 0. Where G
+    is diagonal, the coordinates are read off the trace form: A is diagonal
+    with den / g_aa. Otherwise one RationalSpan over the rows of [G | I]
+    reduces them to (p_c e_c | p_c inv(G)_c), one for each c, and a reduced
+    row whose lead falls in the right half means G, hence the vectors, is
+    singular (LinalgError). solve(b) forms y = (v_a . b) and x = A y, and b
+    is in the span exactly when den |b|^2 == y . x: P, the orthogonal
+    projection onto the span, has den |b|^2 - y . x = den |(I - P) b|^2.
     """
 
-    def __init__(self, m):
-        self.m = m
-        k = m.shape[1]
+    def __init__(self, vectors):
+        k = len(vectors)
+        self._at = at = {}  # position -> [(a, v_a[position])]
+        for a, vec in enumerate(vectors):
+            for pos, x in vec.items():
+                at.setdefault(pos, []).append((a, x))
+        gram = [[0] * k for _ in range(k)]
+        for hits in at.values():
+            for a, x in hits:
+                row = gram[a]
+                for b, y in hits:
+                    row[b] += x * y
+        diag = [gram[a][a] for a in range(k)]
+        if all(row.count(0) == k - 1 for row in gram) and all(diag):
+            self.den, self.a = lcm(*diag), [[0] * k for _ in range(k)]
+            for a, g in enumerate(diag):
+                self.a[a][a] = self.den // g
+            return
         span = RationalSpan(2 * k)
-        for c, row in enumerate(int_matmul(m.T, m).tolist()):
+        for c, row in enumerate(gram):
             span.add(row + [int(c == j) for j in range(k)])
         if any(lead >= k for _, lead in span.rows):
             raise LinalgError("columns are linearly dependent")
         pivots = [row for row, _ in sorted(span.rows, key=lambda item: item[1])]
         self.den = lcm(*(row[c] for c, row in enumerate(pivots)))
-        self.a = fit(np.array([[x * (self.den // p[c]) for x in p[k:]] for c, p in enumerate(pivots)], dtype=object))
+        self.a = [[x * (self.den // p[c]) for x in p[k:]] for c, p in enumerate(pivots)]
 
-    def solve(self, b):
-        """For an integer array B (m x r), return (X, inside): M X == den * B
-        for every column of B inside the span of M's columns (inside[r]). y is
-        formed in two halves, so no float copy of all of B is made; |b|^2 and
-        y_b . x_b run in int64 while den * m * max|B|^2 and
-        k * max|y| * max|x| are under 2^62."""
-        half = b.shape[1] // 2
-        y = np.concatenate([int_matmul(self.m.T, part) for part in (b[:, :half], b[:, half:])], axis=1)
-        x = int_matmul(self.a, y)
-        norms = _column_dots(b, b, self.den * len(b) * max(peak(b), 1) ** 2)
-        return x, self.den * norms == _column_dots(y, x, len(y) * max(peak(y), 1) * max(peak(x), 1))
-
-
-def _column_dots(a, b, bound: int):
-    """sum(a * b, axis=0), in int64 while `bound` is under 2^62."""
-    return np.matmul(cast(a, bound).T[:, None], cast(b, bound).T[:, :, None])[:, 0, 0]
+    def solve(self, b) -> tuple[list, bool]:
+        """(x, inside) for a sparse integer vector b: x the integer
+        coordinates over den, inside whether b lies in the span, so that
+        b == sum(x_a v_a) / den exactly when inside."""
+        y = [0] * len(self.a)
+        for pos, value in b.items():
+            for a, x in self._at.get(pos, ()):
+                y[a] += x * value
+        x = [sum(map(mul, row, y)) for row in self.a]
+        return x, self.den * sum(v * v for v in b.values()) == sum(map(mul, y, x))
 
 
 class RationalSpan:
@@ -272,17 +167,20 @@ class RationalSpan:
 def congruence_signature(a: Matrix) -> tuple[int, int, int]:
     """Exact (n_plus, n_minus, n_zero) of a symmetric rational matrix.
 
-    Lagrange congruence diagonalization of the integer-scaled matrix:
-    simultaneous row and column operations preserve the signature, zero
-    diagonals are repaired with the classic row+row / col+col trick before
-    elimination. Rows are updated by _eliminate, divided exactly by the
-    previous pivot (Bareiss), so the trailing block stays symmetric and equals
-    that pivot times the rational one: pivot d is positive iff d * prev > 0.
+    Lagrange congruence diagonalization of the matrix scaled to integers by
+    the least common denominator of its entries: simultaneous row and column
+    operations preserve the signature, zero diagonals are repaired with the
+    classic row+row / col+col trick before elimination. Rows are updated by
+    _eliminate, divided exactly by the previous pivot (Bareiss), so the
+    trailing block stays symmetric and equals that pivot times the rational
+    one: pivot d is positive iff d * prev > 0.
     """
     n, m = shape(a)
     if n != m:
         raise LinalgError("signature of non-square matrix")
-    w = int_scaled(a)[0].tolist()
+    rows = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row] for row in a]
+    den = lcm(*{x.denominator for row in rows for x in row})
+    w = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
     if any(w[i][j] != w[j][i] for i in range(n) for j in range(i)):
         raise LinalgError("signature of non-symmetric matrix")
     pos = neg = zero = 0

@@ -36,8 +36,8 @@ then held one of two ways, by its dense size (product of dimensions):
 
     array   within dense_cutoff: an integer ndarray. Vertices hand over their
             cached read-only arrays, and a merge of two arrays whose result
-            fits too is a tensordot run as one linalg.int_matmul: the shared
-            legs move to the inner dimension and the kept legs are flattened
+            fits too is a tensordot run as one int_matmul: the shared legs
+            move to the inner dimension and the kept legs are flattened
             (float64 BLAS, int64 or Python ints, by its stated bound).
     dict    past it: index tuple -> nonzero entry, merged by an exact sparse
             hash-join on the shared indices.
@@ -83,7 +83,6 @@ from types import MappingProxyType
 import numpy as np
 
 from .cliff import MAX_TOTAL, build_gammas
-from .linalg import int_matmul
 from .perfinite import enumerate_rank
 
 # every intermediate of a ring with up to three open vector legs at
@@ -92,6 +91,8 @@ from .perfinite import enumerate_rank
 # vertex (64, 12, 64) stays past it and enters as a dict.
 _DENSE_CUTOFF = 1 << 14
 _INT64 = 1 << 63
+_LIMIT = 1 << 62  # int64 bound with a bit to spare for one sign flip or difference
+_EXACT = 1 << 53  # every integer up to 2^53 in magnitude is a float64
 
 # the slot kind pairs an edge may join, in either order
 _COMPATIBLE = frozenset({
@@ -137,7 +138,8 @@ def _gamma_table(p: int, q: int):
     vertex, built once per signature and shared by every vertex, all
     read-only."""
     gs = build_gammas(p, q)
-    stack = np.stack(gs.gammas, axis=1)
+    stack = np.zeros((gs.dim, gs.n, gs.dim), dtype=np.int64)  # stack[r, m, c] = gamma_m[r][c]
+    stack[np.arange(gs.dim), np.arange(gs.n)[:, None], np.array(gs.perm)] = np.array(gs.sign)
     stack.flags.writeable = False
     names = GammaVertex.slot_names
     return gs, stack, *_slot_tables(names, (gs.dim, p + q, gs.dim), names, (1, 0, 1))
@@ -511,9 +513,30 @@ def _merge_sparse(va: tuple, vb: tuple, shared) -> tuple:
     return dims, {k: v for k, v in out.items() if v}  # drop entries that summed to 0
 
 
+def _peak(a) -> int:
+    """max |entry| of an integer array, as a Python int (0 when empty)."""
+    return max(int(a.max(initial=0)), -int(a.min(initial=0)))
+
+
+def int_matmul(a, b):
+    """Exact a @ b for integer arrays, with np.matmul's broadcasting. Every
+    product and partial sum of an entry is at most k * max|a| * max|b| (k
+    the inner dimension, each factor taken as at least 1), and the product
+    runs in the first tier that bound fits: float64 BLAS under 2^53, where
+    every such integer is a float64 and none is rounded in any summation
+    order (the BLAS sums the products themselves, forming no sums of operand
+    entries as Strassen's scheme would); int64 under 2^62; Python ints
+    otherwise. The result is int64 or Python ints."""
+    bound = max(a.shape[-1], 1) * max(_peak(a), 1) * max(_peak(b), 1)
+    if bound < _EXACT:
+        return np.matmul(a.astype(np.float64), b.astype(np.float64)).astype(np.int64)
+    kind = np.int64 if bound < _LIMIT else object
+    return np.matmul(a.astype(kind, copy=False), b.astype(kind, copy=False))
+
+
 def _merge_dense(va: tuple, vb: tuple, shared) -> tuple:
     """The merge of two (dims, data) values as a tensordot run as one exact
-    matrix product (linalg.int_matmul): each operand's shared legs move to
+    matrix product (int_matmul): each operand's shared legs move to
     the inner dimension and its kept legs are flattened. A (dims, array)
     value."""
     a_keep, a_sh, b_keep, b_sh, dims = _layout(va[0], vb[0], shared)

@@ -34,6 +34,12 @@ kept in the unit tag), so the total has the binomial spectrum
 {n - 2j with multiplicity C(n, j)}; the eigenvalues accumulate in integer
 rungs around zero instead of filling a continuum. total_matrix() builds that
 Kronecker sum; one check serves both: 1..12 steps, each of square +1 or -1.
+
+Each generator M(a, b) is a signed permutation over 2, handed to
+MatrixAlgebra.of_points as it comes out of the gamma set, so the frames,
+their constants, the contraction and the defect all run on Python ints;
+total_matrix, a dense array by design, is the one place here that imports
+numpy.
 """
 
 from __future__ import annotations
@@ -42,11 +48,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-import numpy as np
-
-from . import linalg
 from .cliff import build_gammas
-from .liecore import ContractionFamily, MatrixAlgebra, StructureConstants, pairs
+from .liecore import ContractionFamily, MatrixAlgebra, StructureConstants
 from .scalars import UnitTag
 
 # ---------------------------------------------------------------------------
@@ -81,7 +84,7 @@ def toy_frame() -> MatrixAlgebra:
     gs = build_gammas(2, 1)
     s = TOY_GAMMA_ORDER
     pairs = ((s[2], s[0]), (s[2], s[1]), (s[1], s[0]))
-    return MatrixAlgebra("toy", gs.antisym(pairs), 2, labels=("q", "p", "r"))
+    return MatrixAlgebra.of_points("toy", gs.products(pairs), gs.dim, 2, labels=("q", "p", "r"))
 
 
 # ---------------------------------------------------------------------------
@@ -119,9 +122,9 @@ class YangFrame:
         labels += [f"p{mu}" for mu in mus] + ["z"]
         self.x_slots, self.p_slots = list(range(6, 10)), list(range(10, 14))
         self.z_slot = 14
-        # M(a, b) = gamma_a gamma_b / 2: the integer antisym stack over 2
-        stack = gs.antisym([(picks[a - 1], picks[b - 1]) for a, b in pairs])
-        self.algebra = MatrixAlgebra(f"yang-{preset}", stack, 2, labels=labels)
+        # M(a, b) = gamma_a gamma_b / 2: signed permutations over 2
+        products = gs.products([(picks[a - 1], picks[b - 1]) for a, b in pairs])
+        self.algebra = MatrixAlgebra.of_points(f"yang-{preset}", products, gs.dim, 2, labels=labels)
         self.weights = (
             (Fraction(0),) * 6
             + (Fraction(1, 2),) * 8
@@ -178,15 +181,16 @@ def contract_to_hp(frame: YangFrame):
     (family, HpTarget)."""
     fam = frame.family()
     lim = fam.limit()
-    xs, ps, zs = frame.x_slots, frame.p_slots, frame.z_slot
-    central = not lim.C[zs].any()
-    xx = not lim.C[np.ix_(xs, xs)].any()
-    pp = not lim.C[np.ix_(ps, ps)].any()
+    xs, ps, z = frame.x_slots, frame.p_slots, frame.z_slot
+    central = not any(z in pair for pair in lim.table)
+    xx = not any(i in xs and j in xs for i, j in lim.table)
+    pp = not any(i in ps and j in ps for i, j in lim.table)
     # c[x_a, p_b] == eta_a delta_ab z exactly when C[x_a, p_b] == D eta_a delta_ab z
-    want = np.zeros((len(xs), len(ps), lim.dim), dtype=object)
-    for a, eta in enumerate(frame.eta_mu):
-        want[a, a, zs] = lim.D * eta
-    pairing = bool((lim.C[np.ix_(xs, ps)] == want).all())
+    pairing = all(
+        lim.bracket(x, p) == ({z: lim.D * eta} if a == b else {})
+        for a, (x, eta) in enumerate(zip(xs, frame.eta_mu))
+        for b, p in enumerate(ps)
+    )
     degenerate = lim.killing_det() == 0
     return fam, HpTarget(lim, central, xx, pp, pairing, degenerate)
 
@@ -207,38 +211,30 @@ def gauge_defect(frame: YangFrame, eps_sqrt) -> DefectReport:
     rational. The worst entry decays linearly in eps: the decaying brackets
     all carry exponent one onto weight-zero rotations.
 
-    With X_i = eps_sqrt^(2 w_i) G_i / s (the algebra's integer stack, K_ij
-    its commutators) and the limit constants L / DL, every term of D_ij
-    carries the same power eps_sqrt^(2 w_i + 2 w_j): the limit keeps only
-    constants with w_k = w_i + w_j. So D_ij is that power times the integer
-    matrix Q_ij = DL K_ij - s sum_k L_ijk G_k over s^2 DL. Q is formed n
-    pairs at a time in the tier of |DL| max|K| + s n max|L| max|G|, keeping
-    only each pair's peak.
+    With X_i = eps_sqrt^(2 w_i) G_i / s, and the limit keeping only the
+    constants with w_k = w_i + w_j, D_ij is eps_sqrt^(2 w_i + 2 w_j) times
+    sum_k (c_ijk - l_ijk) G_k / s: for c = C / D and l = L / DL, the integer
+    matrix sum_k (DL C_ijk - D L_ijk) G_k over s D DL, over the nonzero
+    constants only.
     """
     eps_sqrt = Fraction(eps_sqrt)
-    alg, n = frame.algebra, frame.algebra.dim
-    lim = ContractionFamily(frame.structure_constants(), frame.weights).limit()
-    i, j = pairs(n)
-    comm, lc, peak = alg.commutators().reshape(len(i), -1), lim.C[i, j], linalg.peak
-    bound = lim.D * max(peak(comm), 1) + alg.scale * n * max(peak(lc), 1) * max(peak(alg.stack), 1)
-    g, lc, peaks = linalg.tier(alg.stack.reshape(n, -1), bound), linalg.tier(lc, bound), []
-    for at in range(0, len(i), n):
-        q = np.matmul(lc[at:at + n], g) * -alg.scale
-        q += lim.D * linalg.cast(comm[at:at + n], bound)
-        peaks += [int(x) for x in np.maximum(q.max(axis=1), -q.min(axis=1))]
-    den = alg.scale ** 2 * lim.D
+    alg, sc = frame.algebra, frame.structure_constants()
+    lim = ContractionFamily(sc, frame.weights).limit()
+    den = alg.scale * sc.D * lim.D
     two_w = [2 * x for x in frame.weights]
-    powers = {}  # exponent of |eps_sqrt| -> its power; a frame has a few
     rows = []
     worst = Fraction(0)
-    for a, b, top in zip(i.tolist(), j.tolist(), peaks):
+    for (a, b), row in sc.table.items():
+        kept, entry = lim.table.get((a, b), {}), {}
+        for k, v in row.items():
+            f = lim.D * v - sc.D * kept.get(k, 0)
+            if f:
+                for pos, x in alg.entries[k].items():
+                    entry[pos] = entry.get(pos, 0) + f * x
+        top = max(map(abs, entry.values()), default=0)
         if not top:
             continue
-        e = int(two_w[a] + two_w[b])
-        p = powers.get(e)
-        if p is None:
-            p = powers[e] = abs(eps_sqrt) ** e
-        m = Fraction(p.numerator * top, p.denominator * den)
+        m = abs(eps_sqrt) ** int(two_w[a] + two_w[b]) * Fraction(top, den)
         if m:
             rows.append((frame.labels[a], frame.labels[b], m))
             worst = max(worst, m)
@@ -272,9 +268,11 @@ def _check_steps(n: int, square: int) -> None:
         raise ValueError("step square must be +1 or -1")
 
 
-def total_matrix(n: int, square: int) -> np.ndarray:
+def total_matrix(n: int, square: int):
     """Kronecker sum of n identical two-level steps [[0, 1], [square, 0]],
-    each squaring to square * I; dimension 2**n."""
+    each squaring to square * I; dimension 2**n, as an int64 array."""
+    import numpy as np
+
     _check_steps(n, square)
     s = np.array([[0, 1], [square, 0]], dtype=np.int64)
     dim = 1 << n

@@ -1,16 +1,18 @@
 """Shared test utilities: frozen oracle loading, seeded random elements,
-elementwise Fraction matrix helpers (the package itself works on integer
-arrays), and the reference implementations the package's faster routes are
-checked against."""
+elementwise Fraction matrix helpers (the package itself works on integers
+over one denominator), integer-scaled arrays, and the reference
+implementations the package's faster routes are checked against."""
 
 import json
 import os
 from bisect import bisect_left
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
 from qsetalg import linalg
+from qsetalg.vertexnet import int_matmul
 from qsetalg.perfinite import PerfiniteSet, decode
 from qsetalg.qset import Multivector, beta_form
 
@@ -46,14 +48,34 @@ def commutator(a, b):
 
 def dense_commutator(a, b):
     """a b - b a, exact, for integer arrays of square matrices (2-d, or stacks
-    multiplied pairwise), by two linalg.int_matmul products: the dense
+    multiplied pairwise), by two vertexnet.int_matmul products: the dense
     reference gamma pairs and carrier bands are checked against."""
-    return linalg.int_matmul(a, b) - linalg.int_matmul(b, a)
+    return int_matmul(a, b) - int_matmul(b, a)
+
+
+def int_scaled(a):
+    """(A, d) with a == A / d exactly: A an integer array of a's shape (int64
+    where every entry fits, else Python ints), d the least common
+    denominator of the entries (ints, Fractions, or anything Fraction
+    accepts)."""
+    arr = np.array(a, dtype=object)
+    vals = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in arr.flat]
+    den = lcm(*(Fraction(x).denominator for x in vals))
+    ints = np.array([int(x * den) for x in vals], dtype=object).reshape(arr.shape)
+    top = max((abs(x) for x in ints.flat), default=0)
+    return ints.astype(np.int64 if top < 1 << 62 else object), den
+
+
+def from_scaled(a, den: int) -> tuple:
+    """Nested tuples of Fraction equal to the integer array a divided by den."""
+    if np.ndim(a) == 0:
+        return Fraction(int(a), den)
+    return tuple(from_scaled(x, den) for x in a)
 
 
 def fraction_view(vector, offset: int) -> tuple:
     """The Fraction matrix with `vector` on diagonal `offset`, zero elsewhere."""
-    return linalg.from_scaled(np.diag(vector, offset), 1)
+    return from_scaled(np.diag(vector, offset), 1)
 
 
 def mode_vectors(mode):
@@ -372,15 +394,15 @@ def reference_refit(algebra, weights, eps: float) -> float:
     sc = algebra.structure_constants()
     ws = [float(w) for w in ContractionFamily(sc, weights).weights]
     n = algebra.dim
-    mats = [m * (eps ** w) for m, w in zip(linalg.to_float(algebra.stack, algebra.scale), ws)]
+    mats = [np.array(m, dtype=float) * (eps ** w) for m, w in zip(algebra.basis, ws)]
     cols = np.stack([m.reshape(-1) for m in mats], axis=1)
-    consts = linalg.to_float(sc.C, sc.D)
+    consts = sc.c
     worst = 0.0
     for i in range(n):
         for j in range(i + 1, n):
             comm = mats[i] @ mats[j] - mats[j] @ mats[i]
             coords = np.linalg.lstsq(cols, comm.reshape(-1), rcond=None)[0]
-            exact = np.array([float(consts[i, j, k]) * eps ** (ws[i] + ws[j] - ws[k]) for k in range(n)])
+            exact = np.array([float(consts[i][j][k]) * eps ** (ws[i] + ws[j] - ws[k]) for k in range(n)])
             scale = max(1.0, float(np.abs(exact).max()))
             worst = max(worst, float(np.abs(coords - exact).max()) / scale)
     return worst

@@ -153,7 +153,8 @@ def test_criterion_06_full_frame_contraction():
         fr = build_yang(preset)
         sc = fr.structure_constants()
         ok = ok and sc.dim == 15
-        ok = ok and np.array_equal(sc.C, -sc.C.transpose(1, 0, 2)) and sc.jacobi_defect() == 0
+        c = np.array(sc.c, dtype=object)
+        ok = ok and np.array_equal(c, -c.transpose(1, 0, 2)) and sc.jacobi_defect() == 0
         ok = ok and sc.classify() == "semisimple"
         _, target = contract_to_hp(fr)
         ok = ok and target.all_hold()

@@ -81,6 +81,38 @@ def test_usage_errors_exit_two_with_one_error_line(capsys, argv, message):
     assert err.splitlines() == [f"error: {message}"]
 
 
+_ALGEBRAS = "h1, so21, so3, so4, toy, yang-3-3, yang-4-2, yang-5-1"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gamma", "7", "6"], "p + q > 12 not supported"),
+        (["gamma", "0", "13"], "p + q > 12 not supported"),
+        (["gamma", "-1", "2"], "signature counts must be nonnegative"),
+        (["gamma", "2", "-3"], "signature counts must be nonnegative"),
+        (["structure", "nosuch"], f"unknown algebra 'nosuch'; available: {_ALGEBRAS}"),
+        (["killing", "yang-6-0"], f"unknown algebra 'yang-6-0'; available: {_ALGEBRAS}"),
+        (["contract", "so5"], f"unknown algebra 'so5'; available: {_ALGEBRAS}"),
+        (["contract", "so3", "--weights", "1,0,0"], "constant (L2,L3)->L1 diverges: exponent -1 < 0"),
+        (["contract", "so4", "--weights", "0,0,0,1/2,1/2,1"], "constant (r13,b1)->b3 diverges: exponent -1/2 < 0"),
+        (
+            ["contract", "toy", "--weights", "1/2,1/2,1/2", "--eps", "1/100"],
+            "exponent 1/2 is not an integer; evaluate with a rational square root of eps instead",
+        ),
+        (["yang", "defect", "--capacity", "99"], "capacity 99 must be a perfect square for exact scaling"),
+        (["yang", "defect", "--capacity", "2"], "capacity 2 must be a perfect square for exact scaling"),
+        (["yang", "accumulate", "--steps", "0"], "steps must lie in 1..12"),
+        (["yang", "accumulate", "--steps", "13"], "steps must lie in 1..12"),
+    ],
+)
+def test_bad_lie_layer_input_exits_two_after_the_header(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out.splitlines() == [out.splitlines()[0]] and out.startswith(f"# qsetalg {argv[0]} |")
+    assert err.splitlines() == [f"error: {message}"]
+
+
 def test_qset_pipeline(tmp_path, capsys):
     code, out, _ = run(capsys, "qset", "embed", "{{},{{}}}")
     assert code == 0
@@ -160,7 +192,7 @@ def test_gamma_and_out_dir(capsys, tmp_path, monkeypatch):
     data = json.loads((tmp_path / "g.json").read_text())
     assert data["dim"] == 2
     assert data["eta"] == [1, 1, -1]
-    assert data["gammas"] == [g.tolist() for g in build_gammas(2, 1).gammas]
+    assert data["gammas"] == [[list(row) for row in g] for g in build_gammas(2, 1).gammas]
 
 
 def test_structure_killing_contract(capsys):
@@ -281,7 +313,7 @@ IMPORT_GRAPH = """
 import sys
 from qsetalg.cli import main
 
-net, mv_a, mv_b = sys.argv[1:4]
+net, mv_a, mv_b, json_out = sys.argv[1:5]
 
 
 def loaded(*names):
@@ -312,10 +344,19 @@ for argv in (
     assert not loaded("numpy"), f"numpy loaded by {argv}"
 layers = ("qsetalg.verify", "qsetalg.vertexnet", "qsetalg.yang")
 main("gamma 4 4".split())
-assert not loaded(*layers), f"{loaded(*layers)} loaded by gamma 4 4"
+assert not loaded(*layers, "numpy"), f"{loaded(*layers, 'numpy')} loaded by gamma 4 4"
+main(["gamma", "4", "4", "--json", json_out])
+assert not loaded(*layers, "numpy"), f"{loaded(*layers, 'numpy')} loaded by gamma 4 4 --json"
+lie = [f"{cmd} {name}" for cmd in ("structure", "killing") for name in ("so3", "h1", "so21", "so4", "toy", "yang-4-2")]
+lie += ["contract so3 --weights 1/2,1/2,1", "contract yang-3-3"]
+lie += ["yang table", "yang contract", "yang defect", "yang accumulate", "yang units"]
+for argv in lie:
+    main(argv.split())
+    assert not loaded("numpy", "qsetalg.verify", "qsetalg.vertexnet"), f"{loaded('numpy', 'qsetalg.verify', 'qsetalg.vertexnet')} loaded by {argv}"
 for argv in ("structure so3", "killing toy", "contract so3", "yang table", f"net eval {net}"):
     main(argv.split())
     assert not loaded("qsetalg.verify"), f"qsetalg.verify loaded by {argv}"
+assert loaded("qsetalg.vertexnet")
 assert main(["verify-all"]) == 0
 assert loaded("qsetalg.verify")
 """
@@ -330,7 +371,29 @@ def test_each_command_imports_only_the_layers_it_runs(tmp_path):
         path.write_text(json.dumps(mv_to_json(sum((Multivector.blade(decode(c), c + 1) for c in codes), Multivector.zero()))))
         mvs.append(str(path))
     res = subprocess.run(
-        [sys.executable, "-c", IMPORT_GRAPH, net, *mvs],
+        [sys.executable, "-c", IMPORT_GRAPH, net, *mvs, str(tmp_path / "gammas.json")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert res.returncode == 0, res.stderr
+
+
+NUMPY_AFTER = """
+import io, sys
+from contextlib import redirect_stdout
+from qsetalg.cli import main
+
+with redirect_stdout(io.StringIO()):
+    main(sys.argv[1:])
+assert "numpy" in sys.modules, "numpy not loaded"
+"""
+
+
+@pytest.mark.parametrize("argv", ["contract so21 --eps 1/100", "net eval {net}", "verify-all"])
+def test_float_refits_networks_and_verify_all_still_load_numpy(argv):
+    src = str(Path(qsetalg.__file__).resolve().parents[1])
+    net = str(Path(__file__).parent / "oracles" / "net_ring3.json")
+    res = subprocess.run(
+        [sys.executable, "-c", NUMPY_AFTER, *argv.format(net=net).split()],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
     )
     assert res.returncode == 0, res.stderr

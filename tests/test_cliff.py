@@ -6,11 +6,11 @@ import pytest
 
 from qsetalg.cliff import (
     GammaSet,
-    _dense,
     _monomial,
     anticommutator_defect,
     build_gammas,
     entries_are_signs,
+    point_monomial,
 )
 from helpers import ORACLE_DIR, dense_commutator, load_oracle, reference_defect
 
@@ -63,14 +63,32 @@ def test_squares_match_signature():
         assert np.array_equal(sq, gs.eta_entry(i) * np.eye(gs.dim, dtype=sq.dtype))
 
 
+def dense(perm, sign):
+    """The dense matrix of the monomial (perm, sign), Python ints."""
+    out = np.zeros((len(perm), len(perm)), dtype=object)
+    out[np.arange(len(perm)), list(perm)] = list(sign)
+    return out
+
+
+def antisym(gs, pairs):
+    """The (k, d, d) stack of A_ab = [gamma_a, gamma_b] / 2 for the 1-based
+    pairs: gamma_a gamma_b from one products call off the diagonal a == b,
+    zero on it."""
+    products = gs.products([(a, b) for a, b in pairs if a != b])
+    stack = np.zeros((len(pairs), gs.dim, gs.dim), dtype=np.int64)
+    for at, product in zip([i for i, (a, b) in enumerate(pairs) if a != b], products):
+        stack[at] = dense(*point_monomial(product, gs.dim))
+    return stack
+
+
 @pytest.mark.parametrize("p, q", SIGNATURES)
 def test_antisymmetrized_pairs_close_like_rotations(p, q):
     """[A_ab, A_cd] == 2 (eta_bc A_ad - eta_ac A_bd - eta_bd A_ac + eta_ad A_bc)
-    for the stack of every A_ab from one antisym call, over every pair of
-    pairs a < b, c < d at once."""
+    for the stack of every A_ab = gamma_a gamma_b (a != b), over every pair
+    of pairs a < b, c < d at once."""
     gs = build_gammas(p, q)
     n = gs.n
-    full = gs.antisym([(a, b) for a in range(1, n + 1) for b in range(1, n + 1)]).reshape(n, n, gs.dim, gs.dim)
+    full = antisym(gs, [(a, b) for a in range(1, n + 1) for b in range(1, n + 1)]).reshape(n, n, gs.dim, gs.dim)
     eta = np.diag(gs.eta)
     a, b = np.triu_indices(n, 1)
     lhs = dense_commutator(full[a, b][:, None], full[a, b][None])
@@ -85,16 +103,19 @@ def test_antisymmetrized_pairs_close_like_rotations(p, q):
 
 @pytest.mark.parametrize("p, q", [(4, 0), (2, 1), (3, 3)])
 def test_antisym_is_antisymmetric(p, q):
+    # gamma_a gamma_b == -gamma_b gamma_a off the diagonal, eta_a I on it
     gs = build_gammas(p, q)
     for a in range(1, gs.n + 1):
-        assert not gs.antisym([(a, a)]).any()
+        (square,) = gs.products([(a, a)])
+        assert np.array_equal(dense(*point_monomial(square, gs.dim)), gs.eta_entry(a) * np.eye(gs.dim, dtype=int))
         for b in range(a + 1, gs.n + 1):
-            assert np.array_equal(gs.antisym([(a, b)]), -gs.antisym([(b, a)]))
+            ab, ba = (dense(*point_monomial(x, gs.dim)) for x in gs.products([(a, b), (b, a)]))
+            assert np.array_equal(ab, -ba)
 
 
 def top_element(gs):
     """The dense top element, from the set's (perm, sign) product."""
-    return _dense(*(x[None] for x in gs._top()))[0]
+    return dense(*gs._top())
 
 
 def test_top_element_anticommutes_in_even_total():
@@ -130,9 +151,11 @@ def test_digests_of_every_set_through_twelve():
 def test_every_set_is_a_signed_permutation_stack():
     for p, q in SIGNATURES + [(0, 12), (12, 0), (5, 7)]:
         gs = build_gammas(p, q)
-        assert gs.perm.shape == gs.sign.shape == (p + q, gs.dim)
-        assert all(sorted(row) == list(range(gs.dim)) for row in gs.perm.tolist())
-        assert set(np.unique(gs.sign)) <= {-1, 1}
+        assert len(gs.perm) == len(gs.sign) == p + q
+        assert all(len(row) == gs.dim for row in gs.perm + gs.sign)
+        assert all(sorted(row) == list(range(gs.dim)) for row in gs.perm)
+        assert {s for row in gs.sign for s in row} <= {-1, 1}
+        assert GammaSet(p, q, gs.perm, gs.sign)._points == gs._points
 
 
 def reference_top(gammas, dim):
@@ -142,28 +165,36 @@ def reference_top(gammas, dim):
     return out
 
 
+def arrays(gs):
+    """The set's dense generators as integer arrays."""
+    return [np.array(g) for g in gs.gammas]
+
+
 @pytest.mark.parametrize("p, q", SIGNATURES)
 def test_kernel_matches_the_dense_reference_on_built_sets(p, q):
     gs = build_gammas(p, q)
-    assert anticommutator_defect(gs) == reference_defect(gs.gammas, gs.eta) == 0
-    assert np.array_equal(top_element(gs), reference_top(gs.gammas, gs.dim))
+    assert anticommutator_defect(gs) == reference_defect(arrays(gs), gs.eta) == 0
+    assert np.array_equal(top_element(gs), reference_top(arrays(gs), gs.dim))
     pairs = [(a, b) for a in range(1, gs.n + 1) for b in range(1, gs.n + 1)]
-    for (a, b), half in zip(pairs, gs.antisym(pairs)):
-        ga, gb = gs.gamma(a), gs.gamma(b)
+    for (a, b), half in zip(pairs, antisym(gs, pairs)):
+        ga, gb = np.array(gs.gamma(a)), np.array(gs.gamma(b))
         assert np.array_equal(2 * half, ga @ gb - gb @ ga)
 
 
 def _from_matrices(p, q, gammas):
     """The GammaSet of integer matrices that are monomial, refused otherwise."""
-    return GammaSet(p, q, *_monomial(np.array(gammas, dtype=np.int64)))
+    return GammaSet(p, q, *zip(*(_monomial(g) for g in gammas)))
 
 
 def test_antisym_refuses_an_odd_commutator():
     # a 3-cycle and a transposition: their two products are distinct
-    # permutations, so the commutator has entries +-1 and halves inexactly
+    # permutations, so the pair neither commutes nor anticommutes and the
+    # defect check counts its entries; a set with a sign 3 has no point
+    # permutations, so products refuses it
     gs = _from_matrices(2, 0, [np.eye(3, dtype=np.int64)[[1, 2, 0]], np.eye(3, dtype=np.int64)[[1, 0, 2]]])
-    with pytest.raises(AssertionError, match="must be even"):
-        gs.antisym([(1, 1), (1, 2)])
+    assert anticommutator_defect(gs) == reference_defect(arrays(gs), gs.eta) == 2
+    with pytest.raises(ValueError, match="signs"):
+        _from_matrices(1, 0, [[[3]]]).products([(1, 1)])
 
 
 def broken_sets(rng, count):
@@ -172,7 +203,7 @@ def broken_sets(rng, count):
     another."""
     for _ in range(count):
         p, q = rng.choice([s for s in SIGNATURES if sum(s) >= 2])
-        gammas = [g.copy() for g in build_gammas(p, q).gammas]
+        gammas = arrays(build_gammas(p, q))
         i, j = rng.sample(range(p + q), 2)
         kind = rng.choice(("scaled", "rows", "duplicate"))
         if kind == "scaled":
@@ -189,13 +220,13 @@ def test_kernel_matches_the_dense_reference_on_broken_sets():
     seen = set()
     for gs in broken_sets(random.Random(7), 300):
         got = anticommutator_defect(gs)
-        assert got == reference_defect(gs.gammas, gs.eta)
+        assert got == reference_defect(arrays(gs), gs.eta)
         seen.add(got)
     assert 0 not in seen and len(seen) > 2
 
 
 def test_defect_past_int64_takes_python_ints():
-    gammas = list(build_gammas(3, 2).gammas)
+    gammas = arrays(build_gammas(3, 2))
     c = 1 << 40
     gammas[4] = c * gammas[4]
     gs = _from_matrices(3, 2, gammas)
@@ -208,17 +239,17 @@ def test_top_past_int64_takes_python_ints():
     # four generators with signs +-2^20: the top element's signs are +-2^80,
     # exact only because its bound counts all 2n factors of its square
     c = 1 << 20
-    gs = _from_matrices(2, 2, [c * g for g in build_gammas(2, 2).gammas])
+    gs = _from_matrices(2, 2, [c * g for g in arrays(build_gammas(2, 2))])
     perm, sign = gs._top()
-    assert {abs(s) for s in sign.tolist()} == {c ** 4}
-    want = reference_top([g.astype(object) for g in gs.gammas], gs.dim)
+    assert {abs(s) for s in sign} == {c ** 4}
+    want = reference_top([g.astype(object) for g in arrays(gs)], gs.dim)
     assert np.array_equal(top_element(gs), want)
 
 
 def test_non_monomial_set_is_refused():
     gs = build_gammas(2, 1)
-    gammas = [g.tolist() for g in gs.gammas]
-    gammas[0] = (gs.gamma(1) + gs.gamma(2)).tolist()
+    gammas = [np.array(g).tolist() for g in gs.gammas]
+    gammas[0] = (np.array(gs.gamma(1)) + np.array(gs.gamma(2))).tolist()
     with pytest.raises(ValueError, match="exactly one nonzero"):
         _from_matrices(2, 1, gammas)
     # the dense product of this matrix wrapped around int64: the diagonal
@@ -235,8 +266,8 @@ def test_non_monomial_set_is_refused():
 def test_stored_arrays_are_read_only():
     gs = build_gammas(2, 1)
     for arr in (gs.perm, gs.sign, gs.gammas[0]):
-        with pytest.raises(ValueError):
-            arr[0, 0] = 7
+        with pytest.raises(TypeError):
+            arr[0][0] = 7
 
 
 def top_square_rule(p, q):

@@ -15,13 +15,12 @@ from qsetalg.liecore import (
     catalog_entry,
     heisenberg3,
     numeric_contraction_check,
-    pairs,
     rotation3,
     rotation_boost6,
 )
 
 
-from helpers import load_oracle, reference_refit, scaled_basis, smul
+from helpers import int_scaled, load_oracle, reference_refit, scaled_basis, smul
 
 HALF = Fraction(1, 2)
 
@@ -54,14 +53,14 @@ def test_closure_error_on_escaping_bracket():
     sx = ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)))
     sz = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(-1)))
     with pytest.raises(ClosureError):
-        MatrixAlgebra("open", *linalg.int_scaled([sx, sz])).structure_constants()
+        MatrixAlgebra("open", *int_scaled([sx, sz])).structure_constants()
 
 
 def test_dependent_basis_is_rejected():
     m = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
     twice = ((Fraction(2), Fraction(0)), (Fraction(0), Fraction(2)))
     with pytest.raises(ValueError):
-        MatrixAlgebra("dep", *linalg.int_scaled([m, twice]))
+        MatrixAlgebra("dep", *int_scaled([m, twice]))
 
 
 def test_catalog_killing_determinants_match_sympy():
@@ -82,46 +81,45 @@ def test_catalog_classifications():
 def test_abelian_classification():
     d1 = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(0)))
     d2 = ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(1)))
-    sc = MatrixAlgebra("diag", *linalg.int_scaled([d1, d2])).structure_constants()
+    sc = MatrixAlgebra("diag", *int_scaled([d1, d2])).structure_constants()
     assert sc.classify() == "abelian"
     assert sc.is_abelian() and sc.is_nilpotent() and sc.is_solvable()
     assert not sc.is_semisimple()
 
 
-def test_pairs_are_shared_and_read_only():
-    i, j = pairs(5)
-    assert pairs(5)[0] is i
-    assert (i.tolist(), j.tolist()) == tuple(x.tolist() for x in np.triu_indices(5, 1))
-    with pytest.raises(ValueError):
-        i[0] = 1
+def test_bracket_reads_both_orders():
+    sc = rotation_boost6().structure_constants()
+    for i in range(sc.dim):
+        assert sc.bracket(i, i) == {}
+        for j in range(sc.dim):
+            got = sc.bracket(i, j)
+            assert {k: Fraction(v, sc.D) for k, v in got.items()} == {k: c for k, c in enumerate(sc.c[i][j]) if c}
+            assert got == {k: -v for k, v in sc.bracket(j, i).items()}
 
 
 def test_commutator_bound_holds_the_difference():
-    # d * m^2 < 2^53 <= 2 * d * m^2: each product fits float64, but the
-    # (0, 1) entry of [A, B] is 4 m^2 - m, odd and past 2^53
+    # the (0, 1) entry of [A, B] is 4 m^2 - m, odd and past 2^53
     m = 2 ** 26 - 1
     stack = np.array([[[m, m], [0, -m]], [[-(m - 1), m], [0, m]]], dtype=np.int64)
     a, b = stack.astype(object)
     want = a @ b - b @ a
     assert want[0, 1] == 4 * m * m - m and 2 * m * m < 2 ** 53 <= want[0, 1]
-    got = MatrixAlgebra("edge", stack, 1).commutators()
-    assert got.dtype == np.int64 and got.tolist() == [want.tolist()]
+    got = MatrixAlgebra("edge", stack, 1)._commutator(0, 1)
+    assert got == {2 * r + c: x for (r, c), x in np.ndenumerate(want) if x}
 
 
 @pytest.mark.parametrize("m", [40000001, 2 ** 30])
 def test_jacobi_bound_holds_the_cyclic_sum(m):
-    # every constant m: each nested bracket is n m^2 = 3 m^2, the cyclic sum
-    # 9 m^2; 3 m^2 fits the float64 (int64) tier but 9 m^2 does not, odd past
-    # 2^53 (past 2^63)
-    sc = StructureConstants(np.full((3, 3, 3), m, dtype=np.int64), 1)
-    assert sc.jacobi_defect() == 9 * m * m == _ref_jacobi(sc.c)
+    # constants of size m: the cyclic sum is m^2 (past 2^60 for m = 2^30),
+    # exact on Python ints
+    sc = StructureConstants(3, {(0, 1): {0: m, 2: m}, (0, 2): {1: m}, (1, 2): {0: m, 1: -m}})
+    assert sc.jacobi_defect() == _ref_jacobi(sc.c) == m * m
 
 
 def test_one_dimensional_algebra_is_abelian_and_refits():
     alg = MatrixAlgebra("line", np.array([[[1, 0], [0, 0]]]), 1)
-    assert alg.commutators().shape == (0, 2, 2)  # no pairs
     sc = alg.structure_constants()
-    assert sc.C.tolist() == [[[0]]] and sc.D == 1
+    assert sc.table == {} and sc.D == 1 and sc.c == (((0,),),)
     assert sc.jacobi_defect() == 0
     assert sc.classify() == "abelian"
     assert numeric_contraction_check(alg, (1,), 0.5) == 0.0
@@ -130,7 +128,8 @@ def test_one_dimensional_algebra_is_abelian_and_refits():
 def test_defects_vanish_for_catalog_entries():
     for ent in catalog().values():
         sc = ent.algebra.structure_constants()
-        assert np.array_equal(sc.C, -sc.C.transpose(1, 0, 2))
+        n = sc.dim
+        assert all(sc.c[i][j][k] == -sc.c[j][i][k] for i in range(n) for j in range(n) for k in range(n))
         assert sc.jacobi_defect() == 0
 
 
@@ -192,7 +191,7 @@ def test_family_at_matches_scaled_basis_refit():
     eps = eps_sqrt * eps_sqrt
     at = fam.at(eps)
     scaled = scaled_basis(ent.algebra.basis, ent.weights, eps_sqrt)
-    refit = MatrixAlgebra("refit", *linalg.int_scaled(scaled)).structure_constants()
+    refit = MatrixAlgebra("refit", *int_scaled(scaled)).structure_constants()
     assert at.c == refit.c
 
 
@@ -288,17 +287,12 @@ def _ref_killing(c):
     )
 
 
-def _assert_python_int_route(sc, seen):
-    for method, ref in (
-        (sc.jacobi_defect, lambda: _ref_jacobi(sc.c)),
-        (sc.killing_form, lambda: _ref_killing(sc.c)),
-    ):
-        seen.clear()
-        assert method() == ref()
-        assert any(object in dtypes for dtypes in seen)
+def _assert_exact(sc):
+    assert sc.jacobi_defect() == _ref_jacobi(sc.c)
+    assert sc.killing_form() == _ref_killing(sc.c)
 
 
-def test_contraction_at_tiny_eps_takes_the_python_int_route(numpy_dtypes):
+def test_contraction_at_tiny_eps_takes_the_python_int_route():
     ent = catalog_entry("so21")
     base = ent.algebra.structure_constants()
     fam = ContractionFamily(base, ent.weights)
@@ -310,25 +304,15 @@ def test_contraction_at_tiny_eps_takes_the_python_int_route(numpy_dtypes):
         for i in range(n)
     )
     assert sc.c == want
-    _assert_python_int_route(sc, numpy_dtypes["matmul"])
+    _assert_exact(sc)
 
 
-def test_contraction_at_multiplies_in_int64_within_its_bound(monkeypatch):
-    from qsetalg import liecore
+def test_contraction_at_one_third_matches_the_fraction_table():
     from qsetalg.yang import build_yang
 
     fam = build_yang("5-1").family()
-    handed = []
-    real = liecore.StructureConstants.__init__
-
-    def spy(self, C, D, *args, **kwargs):
-        handed.append(C.dtype)
-        real(self, C, D, *args, **kwargs)
-
-    monkeypatch.setattr(liecore.StructureConstants, "__init__", spy)
     eps = Fraction(1, 3)
     sc = fam.at(eps)
-    assert handed == [np.int64]
     base, n = fam.sc, fam.sc.dim
     want = tuple(
         tuple(tuple(base.c[i][j][k] * eps ** int(fam.exponent(i, j, k)) for k in range(n)) for j in range(n))
@@ -337,16 +321,15 @@ def test_contraction_at_multiplies_in_int64_within_its_bound(monkeypatch):
     assert sc.c == want
 
 
-def test_so3_scaled_by_2_to_the_40_takes_the_python_int_route(numpy_dtypes):
+def test_so3_scaled_by_2_to_the_40_takes_the_python_int_route():
     big = 2 ** 40
-    alg = MatrixAlgebra("so3-big", *linalg.int_scaled([smul(big, m) for m in rotation3().basis]))
+    alg = MatrixAlgebra("so3-big", *int_scaled([smul(big, m) for m in rotation3().basis]))
     sc = alg.structure_constants()
-    assert any(object in dtypes for dtypes in numpy_dtypes["matmul"])  # commutators and solve
     plain = rotation3().structure_constants()
     assert sc.c == tuple(
         tuple(tuple(big * x for x in row) for row in plane) for plane in plain.c
     )
-    _assert_python_int_route(sc, numpy_dtypes["matmul"])
+    _assert_exact(sc)
 
 
 # ---------------------------------------------------------------------------
@@ -356,10 +339,10 @@ def test_so3_scaled_by_2_to_the_40_takes_the_python_int_route(numpy_dtypes):
 def test_the_basis_view_scales_back_to_the_same_stack():
     for ent in catalog().values():
         alg = ent.algebra
-        again = MatrixAlgebra(alg.name, *linalg.int_scaled(alg.basis), labels=alg.labels)
-        assert again.scale == alg.scale and np.array_equal(again.stack, alg.stack)
+        again = MatrixAlgebra(alg.name, *int_scaled(alg.basis), labels=alg.labels)
+        assert again.scale == alg.scale and again.matrices == alg.matrices
         a, b = alg.structure_constants(), again.structure_constants()
-        assert a.D == b.D and np.array_equal(a.C, b.C)
+        assert a.D == b.D and a.table == b.table
 
 
 def test_constructor_rejects_a_dependent_stack_with_its_message():
@@ -367,7 +350,7 @@ def test_constructor_rejects_a_dependent_stack_with_its_message():
     with pytest.raises(ValueError, match=r"^basis of dep is linearly dependent$"):
         MatrixAlgebra("dep", stack, 3)
     with pytest.raises(ValueError, match=r"^basis of dep is linearly dependent$"):
-        MatrixAlgebra("dep", *linalg.int_scaled([((1, 0), (0, 1)), ((2, 0), (0, 2))]))
+        MatrixAlgebra("dep", *int_scaled([((1, 0), (0, 1)), ((2, 0), (0, 2))]))
     with pytest.raises(ValueError, match="square"):
         MatrixAlgebra("flat", np.zeros((2, 2, 3), dtype=np.int64), 1)
     with pytest.raises(ValueError, match="empty basis"):
@@ -375,13 +358,12 @@ def test_constructor_rejects_a_dependent_stack_with_its_message():
 
 
 def test_structure_constants_reduce_c_over_d_to_lowest_terms():
-    C = np.zeros((2, 2, 2), dtype=np.int64)
-    C[0, 1, 1], C[1, 0, 1] = 6, -6
-    sc = StructureConstants(C, -4, labels=("a", "b"))
-    assert sc.D == 2 and sc.C[0, 1, 1] == -3
+    sc = StructureConstants(2, {(0, 1): {0: 0, 1: 6}}, -4, labels=("a", "b"))
+    assert sc.D == 2 and sc.table == {(0, 1): {1: -3}}
     assert sc.nonzero() == [(0, 1, 1, Fraction(-3, 2))]
-    with pytest.raises(ValueError, match="n x n x n"):
-        StructureConstants(np.zeros((2, 2, 3), dtype=np.int64), 1)
+    for bad in ({(1, 0): {0: 1}}, {(0, 0): {0: 1}}, {(0, 1): {2: 1}}):
+        with pytest.raises(ValueError, match="pairs i < j < n and indices k < n"):
+            StructureConstants(2, bad)
 
 
 def test_a_non_closing_stack_raises_closure_error():
@@ -398,9 +380,9 @@ def test_fraction_views_are_built_on_first_read():
     numeric_contraction_check(alg, catalog_entry("so4").weights, 1e-3)
     assert "basis" not in vars(alg) and "c" not in vars(sc)
     assert alg.basis == tuple(
-        tuple(tuple(Fraction(int(x), 2) for x in row) for row in m) for m in alg.stack
+        tuple(tuple(Fraction(int(x), 2) for x in row) for row in m) for m in alg.matrices
     )
-    assert sc.c[0][1][2] == Fraction(int(sc.C[0, 1, 2]), sc.D)
+    assert sc.c[0][1][2] == Fraction(sc.bracket(0, 1).get(2, 0), sc.D)
 
 
 def _killing_cases():
@@ -424,4 +406,75 @@ KILLING_CASES = dict(_killing_cases())
 @pytest.mark.parametrize("name", list(KILLING_CASES))
 def test_integer_killing_det_equals_det_of_the_fraction_form(name):
     sc = KILLING_CASES[name]
-    assert sc.killing_det() == linalg.det(*linalg.int_scaled(sc.killing_form()))
+    ints, den = int_scaled(sc.killing_form())
+    assert sc.killing_det() == linalg.det(ints.tolist(), den)
+
+
+# -- a basis whose Gram matrix is not diagonal goes through the span ----------
+
+
+def _fraction_constants(basis):
+    """c_ijk of Fraction matrices by the Fraction route: each commutator's
+    coordinates solve the normal equations G x = (<b_a, [b_i, b_j]>) by
+    Gauss-Jordan, and must rebuild the commutator exactly."""
+    from helpers import commutator
+
+    def dot(a, b):
+        return sum(x * y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+
+    n = len(basis)
+    table = []
+    for i in range(n):
+        plane = []
+        for j in range(n):
+            k_ij = commutator(basis[i], basis[j])
+            rows = [[dot(a, b) for b in basis] + [dot(a, k_ij)] for a in basis]
+            for c in range(n):
+                p = next(r for r in range(c, n) if rows[r][c])
+                rows[c], rows[p] = rows[p], rows[c]
+                rows[c] = [x / rows[c][c] for x in rows[c]]
+                for r in range(n):
+                    if r != c:
+                        rows[r] = [x - rows[r][c] * y for x, y in zip(rows[r], rows[c])]
+            x = [row[n] for row in rows]
+            rebuilt = tuple(
+                tuple(sum(x[k] * basis[k][r][s] for k in range(n)) for s in range(len(k_ij))) for r in range(len(k_ij))
+            )
+            assert rebuilt == k_ij
+            plane.append(tuple(x))
+        table.append(tuple(plane))
+    return tuple(table)
+
+
+def _sheared(basis, rows):
+    """The Fraction matrices sum_k rows[a][k] basis[k], one per row."""
+    return [
+        tuple(tuple(sum(w * m[r][s] for w, m in zip(row, basis)) for s in range(len(basis[0]))) for r in range(len(basis[0])))
+        for row in rows
+    ]
+
+
+def test_a_sheared_basis_goes_through_the_span_and_matches_the_fraction_route():
+    x1, x2, x3 = boost_triple().basis
+    sheared = _sheared((x1, x2, x3), ((1, 0, 0), (1, 1, 0), (0, 0, 1)))
+    alg = MatrixAlgebra("so21-sheared", *int_scaled(sheared), labels=("a", "b", "c"))
+    inv = alg._solver.a
+    assert any(inv[a][b] for a in range(3) for b in range(3) if a != b)  # inv(G) is not diagonal
+    sc = alg.structure_constants()
+    assert sc.c == _fraction_constants(sheared)
+    assert sc.jacobi_defect() == 0
+    # the Killing determinant scales by det(P)^2 = 1 under the shear P
+    assert sc.killing_det() == Fraction(load_oracle("oracle_killing")["so21"])
+    assert sc.classify() == "semisimple"
+
+
+def test_a_sheared_dependent_or_open_basis_is_refused():
+    x1, x2, x3 = boost_triple().basis
+    dependent = _sheared((x1, x2, x3), ((1, 0, 0), (1, 1, 0), (2, 1, 0)))
+    with pytest.raises(ValueError, match=r"^basis of so21-dep is linearly dependent$"):
+        MatrixAlgebra("so21-dep", *int_scaled(dependent))
+    open_pair = _sheared((x1, x2, x3), ((1, 0, 0), (1, 1, 0)))
+    alg = MatrixAlgebra("so21-open", *int_scaled(open_pair))
+    assert alg._solver.a[0][1] != 0
+    with pytest.raises(ClosureError):
+        alg.structure_constants()

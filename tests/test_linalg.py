@@ -7,8 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import lagrange_signature, mat
-from qsetalg import linalg
+from helpers import from_scaled, int_scaled, lagrange_signature, mat
+from qsetalg import linalg, vertexnet
 
 
 def _fraction_product(a, b):
@@ -32,30 +32,23 @@ def test_mmul_just_past_the_bound_equals_the_fraction_product():
     assert linalg.mmul(a, b) == _fraction_product(a, b)
 
 
+def test_mmul_refuses_mismatched_shapes():
+    with pytest.raises(linalg.LinalgError, match=r"shape mismatch \(1, 2\) @ \(1, 1\)"):
+        linalg.mmul(mat([[1, 2]]), mat([[3]]))
+
+
 def test_int_scaled_round_trip_and_dtype():
-    small, den = linalg.int_scaled([[Fraction(1, 2), 3], [Fraction(-2, 3), 0]])
+    small, den = int_scaled([[Fraction(1, 2), 3], [Fraction(-2, 3), 0]])
     assert den == 6 and small.dtype == np.int64
     assert small.tolist() == [[3, 18], [-4, 0]]
-    huge, den = linalg.int_scaled([2 ** 70, Fraction(1, 3)])
+    huge, den = int_scaled([2 ** 70, Fraction(1, 3)])
     assert den == 3 and huge.dtype == object
-    assert linalg.from_scaled(huge, den) == (Fraction(2 ** 70), Fraction(1, 3))
+    assert from_scaled(huge, den) == (Fraction(2 ** 70), Fraction(1, 3))
 
 
-def test_int_combine_falls_back_to_python_ints():
-    a = np.array([2 ** 61, -(2 ** 61), 7], dtype=np.int64)
-    got = linalg.int_combine((1, a), (1, a), (-3, a))
-    assert got.dtype == object
-    assert got.tolist() == [-(2 ** 61), 2 ** 61, -7]
-    assert linalg.int_combine((1, a // 4), (1, a // 4)).dtype == np.int64
-
-
-def test_int_combine_bound_sums_every_term():
-    # each term stays within 2^61 on its own; the bound must add all four,
-    # or their sum, 2^63, wraps to -2^63 in int64
-    a = np.array([2 ** 61])
-    got = linalg.int_combine((1, a), (1, a), (1, a), (1, a))
-    assert got.dtype == object
-    assert got.tolist() == [2 ** 63]
+def _fit(a):
+    """a as int64 where every entry fits with a bit to spare, else Python ints."""
+    return a.astype(np.int64 if max((abs(int(x)) for x in a.flat), default=0) < 2 ** 62 else object)
 
 
 def _python_product(a, b):
@@ -86,15 +79,15 @@ _EDGES = (
 
 @pytest.mark.parametrize("a, b, tier", _EDGES)
 def test_int_matmul_tier_edges(numpy_dtypes, a, b, tier):
-    bound = a.shape[-1] * linalg.peak(a) * linalg.peak(b)
+    bound = a.shape[-1] * vertexnet._peak(a) * vertexnet._peak(b)
     assert bound in (2 ** 53 - 1, 2 ** 53, 2 ** 62 - 1, 2 ** 62)
     want = _python_product(a, b)
     assert want[0, 0] % 2 == 1 and bound - want[0, 0] < 2 ** 33
-    got = linalg.int_matmul(a, b)
+    got = vertexnet.int_matmul(a, b)
     assert _tier(numpy_dtypes["matmul"]) == tier
     assert got.dtype == (object if tier is object else np.int64)
     assert got.tolist() == want.tolist()
-    assert linalg.int_matmul(-a, b).tolist() == (-want).tolist()
+    assert vertexnet.int_matmul(-a, b).tolist() == (-want).tolist()
 
 
 def test_int_matmul_matches_python_ints_on_seeded_stacks():
@@ -107,7 +100,7 @@ def test_int_matmul_matches_python_ints_on_seeded_stacks():
     for bits in (3, 20, 26, 31, 40, 70):
         for sa, sb in (((5, 7), (7, 4)), ((3, 6, 6), (3, 6, 6)), ((2, 1, 4, 5), (3, 5, 2))):
             a, b = rand(sa, bits), rand(sb, bits)
-            got = linalg.int_matmul(a, b)
+            got = vertexnet.int_matmul(a, b)
             assert got.shape == np.broadcast_shapes(sa[:-2], sb[:-2]) + (sa[-2], sb[-1])
             assert got.tolist() == _python_product(a, b).tolist()
 
@@ -118,37 +111,17 @@ def test_int_matmul_matches_python_ints_on_seeded_stacks():
 def test_int_matmul_follows_matmul_shapes(sa, sb):
     a = np.arange(1, prod(sa) + 1, dtype=np.int64).reshape(sa) - 2
     b = np.arange(prod(sb), dtype=np.int64).reshape(sb) * 3 - 5
-    got = linalg.int_matmul(a, b)
+    got = vertexnet.int_matmul(a, b)
     want = _python_product(a, b)
     assert np.shape(got) == np.shape(want) and np.array_equal(got, want)
-    huge = linalg.int_matmul(a * 2 ** 40, b * 2 ** 40)
+    huge = vertexnet.int_matmul(a * 2 ** 40, b * 2 ** 40)
     assert np.array_equal(huge, want * 2 ** 80)
-
-
-def test_commutators_read_one_peak_and_cast_the_stack_once(monkeypatch, numpy_dtypes):
-    # 2 * d * max|G|^2 = 2^64: one peak read, one cast of the stack into the
-    # Python-int tier, and the one block's two products run there
-    from qsetalg.liecore import MatrixAlgebra
-
-    stack = np.array([[[2 ** 30, 1], [0, -3]], [[5, 0], [2 ** 31, 7]]], dtype=np.int64)
-    alg = MatrixAlgebra("pair", stack, 1)
-    calls = {"peak": [], "tier": []}
-    for name in calls:
-        real = getattr(linalg, name)
-        monkeypatch.setattr(linalg, name, lambda *args, _real=real, _seen=calls[name]: _seen.append(1) or _real(*args))
-    numpy_dtypes["matmul"].clear()
-    got = alg.commutators()
-    assert {name: len(seen) for name, seen in calls.items()} == {"peak": 1, "tier": 1}
-    assert numpy_dtypes["matmul"] == [[np.dtype(object)] * 2] * 2
-    assert got.dtype == object
-    a, b = stack
-    assert got.tolist() == [(_python_product(a, b) - _python_product(b, a)).tolist()]
 
 
 def test_int_matmul_takes_object_input_under_the_bound(numpy_dtypes):
     a = np.array([[3, -5], [2 ** 20, 7]], dtype=object)
     b = np.array([[1, 2 ** 21], [-4, 0]], dtype=object)
-    got = linalg.int_matmul(a, b)
+    got = vertexnet.int_matmul(a, b)
     assert _tier(numpy_dtypes["matmul"]) == np.float64
     assert got.dtype == np.int64
     assert got.tolist() == _python_product(a, b).tolist()
@@ -168,7 +141,7 @@ def test_int_matmul_property(data):
 
     def array(shape):
         flat = data.draw(st.lists(st.integers(-top, top), min_size=prod(shape), max_size=prod(shape)))
-        return linalg.fit(np.array(flat, dtype=object).reshape(shape))
+        return _fit(np.array(flat, dtype=object).reshape(shape))
 
     if kind == "table":
         stack = array((n, d, d))
@@ -176,7 +149,7 @@ def test_int_matmul_property(data):
     else:
         lead = (n,) if kind == "stacked" else ()
         a, b = array(lead + (d, k)), array(lead + (k, d))
-    got = linalg.int_matmul(a, b)
+    got = vertexnet.int_matmul(a, b)
     assert got.dtype in (np.int64, object)
     assert got.tolist() == _python_product(a, b).tolist()
 
@@ -197,12 +170,18 @@ def _rand_fraction(rng, zeros=0.3):
     return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
 
 
+def _int_rows(a):
+    """(integer rows, denominator) of a Fraction matrix."""
+    ints, den = int_scaled(a)
+    return ints.tolist(), den
+
+
 def test_det_matches_sympy_on_seeded_rational_matrices():
     rng = random.Random(20240)
     for n in range(1, 7):
         for _ in range(12):
             a = mat([[_rand_fraction(rng) for _ in range(n)] for _ in range(n)])
-            assert linalg.det(*linalg.int_scaled(a)) == _sympy_det(a)
+            assert linalg.det(*_int_rows(a)) == _sympy_det(a)
 
 
 def test_det_of_singular_matrices_is_zero():
@@ -213,27 +192,27 @@ def test_det_of_singular_matrices_is_zero():
             c1, c2 = _rand_fraction(rng, 0), _rand_fraction(rng, 0)
             dependent = [c1 * x + c2 * y for x, y in zip(rows[0], rows[-1])]
             rows.insert(rng.randrange(n), dependent)
-            assert linalg.det(*linalg.int_scaled(mat(rows))) == 0 == _sympy_det(mat(rows))
-    assert linalg.det(*linalg.int_scaled(mat([[0, 0], [0, 0]]))) == 0
-    assert linalg.det(*linalg.int_scaled(mat([[1, 2, 3], [0, 0, 0], [4, 5, 6]]))) == 0
+            assert linalg.det(*_int_rows(mat(rows))) == 0 == _sympy_det(mat(rows))
+    assert linalg.det(*_int_rows(mat([[0, 0], [0, 0]]))) == 0
+    assert linalg.det(*_int_rows(mat([[1, 2, 3], [0, 0, 0], [4, 5, 6]]))) == 0
 
 
 def test_det_with_row_swaps_and_huge_entries():
     swap = mat([[0, 0, 2], [0, 3, 0], [5, 0, 0]])
-    assert linalg.det(*linalg.int_scaled(swap)) == -30 == _sympy_det(swap)
+    assert linalg.det(*_int_rows(swap)) == -30 == _sympy_det(swap)
     shuffled = mat([[0, 1, 0, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 0, 1, 0]])
-    assert linalg.det(*linalg.int_scaled(shuffled)) == _sympy_det(shuffled)
+    assert linalg.det(*_int_rows(shuffled)) == _sympy_det(shuffled)
     huge = mat([
         [2 ** 70, Fraction(1, 3), -7],
         [0, -(2 ** 70) + 1, Fraction(2 ** 70, 11)],
         [5, 2 ** 69, 0],
     ])
-    assert linalg.det(*linalg.int_scaled(huge)) == _sympy_det(huge)
+    assert linalg.det(*_int_rows(huge)) == _sympy_det(huge)
     rng = random.Random(20242)
     for _ in range(8):
         a = mat([[rng.choice([0, 1, -1]) * 2 ** 70 + rng.randint(-3, 3) for _ in range(4)] for _ in range(4)])
-        assert linalg.det(*linalg.int_scaled(a)) == _sympy_det(a)
-    assert linalg.det(*linalg.int_scaled(mat([[Fraction(-2, 7)]]))) == Fraction(-2, 7)
+        assert linalg.det(*_int_rows(a)) == _sympy_det(a)
+    assert linalg.det(*_int_rows(mat([[Fraction(-2, 7)]]))) == Fraction(-2, 7)
 
 
 @settings(max_examples=100)
@@ -245,12 +224,12 @@ def test_det_property(data):
     entry = st.one_of(st.just(0), st.fractions(-9, 9, max_denominator=6), st.integers(-(2 ** 70), 2 ** 70))
     rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
     a = mat(rows)
-    assert linalg.det(*linalg.int_scaled(a)) == _sympy_det(a)
+    assert linalg.det(*_int_rows(a)) == _sympy_det(a)
 
 
 def test_det_of_non_square_raises():
     with pytest.raises(linalg.LinalgError):
-        linalg.det(*linalg.int_scaled(mat([[1, 2, 3], [4, 5, 6]])))
+        linalg.det(*_int_rows(mat([[1, 2, 3], [4, 5, 6]])))
 
 
 def _rand_symmetric(rng, n, rank=None):
@@ -323,22 +302,39 @@ def test_rational_span_add_tracks_sympy_rank():
             assert span.add(v) is (sp.Matrix(seen).rank() > before)
 
 
+def _sparse(vector) -> dict:
+    return {r: int(x) for r, x in enumerate(vector) if x}
+
+
+def _column_solver(m):
+    """A ColumnSolver over the columns of the integer matrix m."""
+    return linalg.ColumnSolver([_sparse(col) for col in np.asarray(m).T.tolist()])
+
+
+def _solve(solver, b):
+    """(X, inside) for every column of the integer matrix b, X's columns the
+    coordinates over den, as arrays."""
+    cols = [solver.solve(_sparse(col)) for col in np.asarray(b).T.tolist()]
+    x = np.array([x for x, _ in cols], dtype=object).T.reshape(len(solver.a), len(cols))
+    return x, np.array([inside for _, inside in cols], dtype=bool)
+
+
 def test_column_solver_rejects_dependent_columns():
     with pytest.raises(linalg.LinalgError):
-        linalg.ColumnSolver(np.array([[1, 2], [2, 4], [3, 6]], dtype=np.int64))
+        _column_solver(np.array([[1, 2], [2, 4], [3, 6]], dtype=np.int64))
     with pytest.raises(linalg.LinalgError):
-        linalg.ColumnSolver(np.array([[1, 0, 1], [0, 1, 1]], dtype=np.int64))
+        _column_solver(np.array([[1, 0, 1], [0, 1, 1]], dtype=np.int64))
 
 
 def test_column_solver_solves_and_flags_columns_outside_the_span():
     m = np.array([[0, 0], [2, 0], [0, 3], [1, 1]], dtype=np.int64)
-    solver = linalg.ColumnSolver(m)
+    solver = _column_solver(m)
     b = np.array([[0, 1], [4, 0], [9, 0], [5, 0]], dtype=np.int64)  # (2, 3) inside; e_1 not
-    x, inside = solver.solve(b)
+    x, inside = _solve(solver, b)
     assert inside.tolist() == [True, False]
     assert [Fraction(int(v), solver.den) for v in x[:, 0]] == [2, 3]
     assert (m @ x[:, :1] == solver.den * b[:, :1]).all()
-    x, inside = solver.solve(b[:, :0])  # no columns: an algebra with no pairs
+    x, inside = _solve(solver, b[:, :0])  # no columns: an algebra with no pairs
     assert x.shape == (2, 0) and inside.shape == (0,)
 
 
@@ -349,8 +345,8 @@ def test_column_solver_recovers_random_coordinates():
         m[0] = 0
         assert np.linalg.matrix_rank(m.astype(float)) == k
         coords = rng.integers(-9, 10, size=(k, 5))
-        solver = linalg.ColumnSolver(m)
-        x, inside = solver.solve(m @ coords)
+        solver = _column_solver(m)
+        x, inside = _solve(solver, m @ coords)
         assert inside.all()
         assert (x == solver.den * coords).all()
 
@@ -365,7 +361,7 @@ def _solver_matrices():
     algebras = [build_yang(p).algebra for p in sorted(PRESETS)]
     algebras += [catalog_entry(key).algebra for key in CATALOG]
     for alg in algebras:
-        yield alg.stack.reshape(alg.dim, -1).T
+        yield np.array(alg.matrices).reshape(alg.dim, -1).T
     rng = np.random.default_rng(20248)
     for k in (1, 3, 6):
         m = rng.integers(-3, 4, size=(2 * k, k))
@@ -388,11 +384,11 @@ def test_column_solver_recovers_coordinates_on_the_algebra_bases():
         k = m.shape[1]
         if _rank(m) < k:
             with pytest.raises(linalg.LinalgError):
-                linalg.ColumnSolver(m)
+                _column_solver(m)
             continue
-        solver = linalg.ColumnSolver(m)
+        solver = _column_solver(m)
         coords = rng.integers(-9, 10, size=(k, 4))
-        x, inside = solver.solve(linalg.int_matmul(m, coords))
+        x, inside = _solve(solver, vertexnet.int_matmul(m, coords))
         assert inside.all()
         assert (x == solver.den * coords).all()
 
@@ -400,10 +396,10 @@ def test_column_solver_recovers_coordinates_on_the_algebra_bases():
 def test_column_solver_with_zero_and_repeated_rows_rejects_a_dependent_basis():
     m = np.array([[0, 0, 0], [1, 2, 3], [1, 2, 3], [0, 0, 0], [2, 4, 6], [0, 1, 1], [0, 1, 1]])
     with pytest.raises(linalg.LinalgError):
-        linalg.ColumnSolver(m)
+        _column_solver(m)
     m[3] = [5, 0, 0]
-    solver = linalg.ColumnSolver(m)
-    x, inside = solver.solve(m @ np.array([[1], [-2], [3]]))
+    solver = _column_solver(m)
+    x, inside = _solve(solver, m @ np.array([[1], [-2], [3]]))
     assert inside.all()
     assert x.ravel().tolist() == [solver.den * c for c in (1, -2, 3)]
 
@@ -430,11 +426,11 @@ def test_column_solver_gram_path_matches_a_fraction_reference():
         m = rng.integers(-5, 6, size=(rows, k))
         if _rank(m) < k:
             continue
-        solver = linalg.ColumnSolver(m)
+        solver = _column_solver(m)
         inv = _fraction_inverse(_python_product(m.T, m).tolist())
         assert [[Fraction(int(x), solver.den) for x in row] for row in solver.a] == inv
         b = np.concatenate([m @ rng.integers(-9, 10, size=(k, 3)), rng.integers(-9, 10, size=(rows, 3))], axis=1)
-        x, inside = solver.solve(b)
+        x, inside = _solve(solver, b)
         want = _fraction_product(inv, _fraction_product(m.T.tolist(), b.tolist()))
         assert [[Fraction(int(v), solver.den) for v in row] for row in x] == [list(row) for row in want]
         back = _fraction_product(m.tolist(), want)
@@ -444,43 +440,38 @@ def test_column_solver_gram_path_matches_a_fraction_reference():
 
 def test_column_solver_norm_tier_counts_the_rows():
     # M = 64 ones, so den = 64, and b = c * ones is inside: den |b|^2 ==
-    # 64 * 64 * c^2 ~ 2^66 must run on Python ints; without the row count its
-    # bound reads 64 c^2 < 2^62 and the int64 product wraps
+    # 64 * 64 * c^2 ~ 2^66, past int64, and exact on Python ints
     m = np.ones((64, 1), dtype=np.int64)
     c = 2 ** 27 + 1
-    solver = linalg.ColumnSolver(m)
+    solver = _column_solver(m)
     assert solver.den == 64 and solver.den * 64 * c * c >= 2 ** 63 > 64 * c * c
-    x, inside = solver.solve(np.full((64, 1), c, dtype=np.int64))
+    x, inside = _solve(solver, np.full((64, 1), c, dtype=np.int64))
     assert inside.tolist() == [True]
     assert x.tolist() == [[64 * c]]
 
 
 def test_column_solver_dot_tier_counts_the_inner_dimension():
     # M = I_4, so y = x = b and y . x == |b|^2 == 4 c^2 ~ 2^63.2: c^2 < 2^62
-    # alone, but the sum of four must run on Python ints
+    # alone, and the sum of four past int64, exact on Python ints
     c = 3 * 2 ** 29
-    solver = linalg.ColumnSolver(np.eye(4, dtype=np.int64))
+    solver = _column_solver(np.eye(4, dtype=np.int64))
     assert solver.den == 1 and c * c < 2 ** 62 and 4 * c * c >= 2 ** 63
-    x, inside = solver.solve(np.full((4, 1), c, dtype=np.int64))
+    x, inside = _solve(solver, np.full((4, 1), c, dtype=np.int64))
     assert inside.tolist() == [True]
     assert x.tolist() == [[c]] * 4
 
 
-def test_pythagorean_check_on_python_ints_finds_a_one_unit_escape(numpy_dtypes):
+def test_pythagorean_check_on_python_ints_finds_a_one_unit_escape():
     # so(3) with L1 and L3 scaled by 2^40 and L3 moved by one unit on the
     # diagonal: [A, B] = 2^40 L3 = C - E_00 leaves the span by that unit
     from qsetalg.liecore import ClosureError, MatrixAlgebra, rotation3
 
-    l1, l2, l3 = rotation3().stack.astype(object)
+    l1, l2, l3 = (np.array(m, dtype=object) for m in rotation3().matrices)
     unit = np.zeros((3, 3), dtype=object)
     unit[0, 0] = 1
-    stack = np.array([2 ** 40 * l1, l2, 2 ** 40 * l3 + unit], dtype=object)
-    alg = MatrixAlgebra("escape", stack, 1)
-    solver = linalg.ColumnSolver(alg.stack.reshape(3, -1).T)
-    numpy_dtypes["matmul"].clear()
-    x, inside = solver.solve(alg.commutators().reshape(3, -1).T)
-    assert not inside[0]
-    assert numpy_dtypes["matmul"][-2:] == [[np.dtype(object)] * 2] * 2  # |b|^2 and y . x
+    alg = MatrixAlgebra("escape", [2 ** 40 * l1, l2, 2 ** 40 * l3 + unit], 1)
+    x, inside = alg._solver.solve(alg._commutator(0, 1))
+    assert not inside
     with pytest.raises(ClosureError, match=r"^\[0,1\] leaves the span of the basis$"):
         alg.structure_constants()
 
@@ -499,20 +490,20 @@ def test_column_solver_property(data):
     m = np.array(data.draw(st.lists(
         st.lists(_entries, min_size=k, max_size=k), min_size=rows, max_size=rows)), dtype=object)
     assume(_rank(m) == k)
-    solver = linalg.ColumnSolver(linalg.fit(m))  # int64 where it fits, as the Lie layer passes it
+    solver = _column_solver(_fit(m))  # int64 where it fits, as the Lie layer passes it
 
     y = np.array(data.draw(st.lists(
         st.lists(_entries, min_size=2, max_size=2), min_size=k, max_size=k)), dtype=object)
-    x, inside = solver.solve(linalg.fit(linalg.int_matmul(m, y)))
+    x, inside = _solve(solver, _fit(vertexnet.int_matmul(m, y)))
     assert inside.all()
     assert (x == solver.den * y).all()
 
     b = np.array(data.draw(st.lists(_entries, min_size=rows, max_size=rows)), dtype=object)
-    x, inside = solver.solve(linalg.fit(b[:, None]))
+    x, inside = _solve(solver, _fit(b[:, None]))
     assert bool(inside[0]) == (_rank(np.column_stack([m, b])) == k)
     if inside[0]:
-        assert (linalg.int_matmul(m, x) == solver.den * b[:, None]).all()
+        assert (vertexnet.int_matmul(m, x) == solver.den * b[:, None]).all()
 
     c = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k)), dtype=object)
     with pytest.raises(linalg.LinalgError):
-        linalg.ColumnSolver(linalg.fit(np.column_stack([m, linalg.int_matmul(m, c[:, None])])))
+        _column_solver(_fit(np.column_stack([m, vertexnet.int_matmul(m, c[:, None])])))

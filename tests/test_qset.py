@@ -504,7 +504,7 @@ def _witt_generators(frame):
     for i in range(n):
         k, minus = (i // 2, i & 1) if frame.metric_name == "hyperbolic" else (i, 0)
         assert gs.eta_entry(k + 1) == 1 and gs.eta_entry(k + m + 1) == -1
-        a, b = gs.gamma(k + 1).astype(np.int64), gs.gamma(k + m + 1).astype(np.int64)
+        a, b = np.array(gs.gamma(k + 1), dtype=np.int64), np.array(gs.gamma(k + m + 1), dtype=np.int64)
         gens.append(a - b if minus else a + b)
     return gs, gens
 

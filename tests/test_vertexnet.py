@@ -485,12 +485,12 @@ def test_planner_cost_is_linear_in_the_vertex_count(monkeypatch):
 def test_vertices_share_no_mutable_state():
     a, b = GammaVertex(3, 1), GammaVertex(3, 1)
     before = vertexnet._entries(b.array)
-    with pytest.raises(ValueError):
-        a.gamma_set.gammas[0][0, 0] = 7
-    with pytest.raises(ValueError):
-        a.gamma_set.sign[0, 0] = 7
-    with pytest.raises(ValueError):
-        a.gamma_set.perm[0, 0] = 1
+    with pytest.raises(TypeError):
+        a.gamma_set.gammas[0][0][0] = 7
+    with pytest.raises(TypeError):
+        a.gamma_set.sign[0][0] = 7
+    with pytest.raises(TypeError):
+        a.gamma_set.perm[0][0] = 1
     assert vertexnet._entries(b.array) == before
     assert np.array_equal(b.gamma_set.gammas[0], build_gammas(3, 1).gammas[0])
     # the slot table is one shared read-only view

@@ -45,7 +45,8 @@ def test_full_frames_close_with_vanishing_defects(preset):
     fr = _frame(preset)
     sc = fr.structure_constants()
     assert sc.dim == 15
-    assert np.array_equal(sc.C, -sc.C.transpose(1, 0, 2))
+    c = np.array(sc.c, dtype=object)
+    assert np.array_equal(c, -c.transpose(1, 0, 2))
     assert sc.jacobi_defect() == 0
     assert sc.classify() == "semisimple"
 
@@ -253,24 +254,21 @@ def _ref_gauge_rows(basis, weights, labels, lim, eps_sqrt):
     return tuple(rows)
 
 
-def test_gauge_defect_on_a_huge_basis_takes_the_python_int_route(numpy_dtypes):
+def test_gauge_defect_on_a_huge_basis_takes_the_python_int_route():
     from types import SimpleNamespace
 
-    from qsetalg import linalg
     from qsetalg.liecore import ContractionFamily, MatrixAlgebra, catalog_entry
-    from helpers import smul
+    from helpers import int_scaled, smul
 
     ent = catalog_entry("so21")
-    big = linalg.int_scaled([smul(2 ** 31, m) for m in ent.algebra.basis])
+    big = int_scaled([smul(2 ** 31, m) for m in ent.algebra.basis])
     alg = MatrixAlgebra("so21-big", *big, labels=ent.algebra.labels)
     frame = SimpleNamespace(
         algebra=alg, weights=ent.weights, labels=alg.labels, structure_constants=alg.structure_constants
     )
     lim = ContractionFamily(alg.structure_constants(), ent.weights).limit()
     eps_sqrt = Fraction(-3, 7)
-    numpy_dtypes["matmul"].clear()
     rep = gauge_defect(frame, eps_sqrt)
-    assert any(np.dtype(object) in dtypes for dtypes in numpy_dtypes["matmul"])
     want = _ref_gauge_rows(alg.basis, ent.weights, alg.labels, lim.c, eps_sqrt)
     assert rep.by_pair == want
     assert rep.worst == max(m for _, _, m in want)
@@ -282,35 +280,29 @@ def test_gauge_defect_on_a_huge_basis_takes_the_python_int_route(numpy_dtypes):
     [*(lambda p=p: build_yang(p) for p in sorted(PRESETS)), toy_frame, rotation_boost6],
     ids=[*sorted(PRESETS), "toy", "so4"],
 )
-def test_a_frame_gathers_its_generators_in_one_antisym_call(monkeypatch, build):
+def test_a_frame_gathers_its_generators_in_one_products_call(monkeypatch, build):
     from qsetalg.cliff import GammaSet
 
     calls = []
-    real = GammaSet.antisym
-    monkeypatch.setattr(GammaSet, "antisym", lambda gs, pairs: calls.append(1) or real(gs, pairs))
+    real = GammaSet.products
+    monkeypatch.setattr(GammaSet, "products", lambda gs, pairs: calls.append(1) or real(gs, pairs))
     build()
     assert len(calls) == 1
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
-def test_frame_commutators_take_the_float64_route(monkeypatch, numpy_dtypes, preset):
-    # one peak read and one cast of the stack into the float64 tier, then
-    # two float64 products for each block of one i against all j > i
-    from qsetalg import linalg
+def test_frame_commutators_take_the_float64_route(preset):
+    # every bracket of the frame equals its constants times the basis:
+    # [G_i, G_j] / s^2 == sum_k c_ijk G_k / s, against the dense products
+    from helpers import dense_commutator
 
     alg = build_yang(preset).algebra
+    sc = alg.structure_constants()
+    g = np.array(alg.matrices, dtype=object)
     i, j = np.triu_indices(alg.dim, 1)
-    a, b = alg.stack[i].astype(object), alg.stack[j].astype(object)
-    calls = {"peak": [], "tier": []}
-    for name in calls:
-        real = getattr(linalg, name)
-        monkeypatch.setattr(linalg, name, lambda *args, _real=real, _seen=calls[name]: _seen.append(1) or _real(*args))
-    numpy_dtypes["matmul"].clear()
-    comm = alg.commutators()
-    assert {name: len(seen) for name, seen in calls.items()} == {"peak": 1, "tier": 1}
-    assert numpy_dtypes == {"einsum": [], "matmul": [[np.dtype(np.float64)] * 2] * (2 * (alg.dim - 1))}
-    assert comm.dtype == np.int64
-    assert comm.tolist() == (a @ b - b @ a).tolist()
+    comm = dense_commutator(g[i], g[j])
+    c = np.array(sc.c, dtype=object)[i, j]
+    assert np.array_equal(comm, alg.scale * np.einsum("pk,kab->pab", c, g))
 
 
 FRAME_OPS = {
@@ -327,25 +319,24 @@ FRAME_OPS = {
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_frame_operations_keep_at_most_one_commutator_sized_array(preset, op):
     """On a fresh frame, each operation's traced peak stays under twice the
-    commutator array K: K itself and less than another K's worth at once."""
+    dense commutator array K of int64 (pairs, d, d) the frame would take."""
     frame = build_yang(preset)
+    n, d = frame.algebra.dim, frame.algebra.matrix_dim
     tracemalloc.start()
     try:
         FRAME_OPS[op](frame)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * frame.algebra.commutators().nbytes
+    assert peak < 2 * (n * (n - 1) // 2) * d * d * 8
 
 
 @pytest.mark.parametrize("op", sorted(FRAME_OPS))
 @pytest.mark.parametrize("preset", sorted(PRESETS))
-def test_frame_operations_stay_in_integer_arrays(monkeypatch, preset, op):
-    """No Fraction round trip from the gamma products to the result."""
-    from qsetalg import linalg
-
-    calls = []
-    for name in ("int_scaled", "from_scaled"):
-        monkeypatch.setattr(linalg, name, lambda *args, _name=name: calls.append(_name))
-    FRAME_OPS[op](build_yang(preset))
-    assert calls == []
+def test_frame_operations_stay_in_integer_arrays(preset, op):
+    """No Fraction view is built from the gamma products to the result."""
+    frame = build_yang(preset)
+    FRAME_OPS[op](frame)
+    sc = frame.structure_constants()
+    assert "basis" not in vars(frame.algebra) and "matrices" not in vars(frame.algebra)
+    assert "c" not in vars(sc)
