@@ -12,11 +12,10 @@ The package is organized bottom-up:
     cli         command line front end (also `python -m qsetalg`)
 
 Everything advertised as exact is computed on Python ints over a common
-scale, or over fractions.Fraction. Floats appear in cross-checks and
-explicitly float-mode paths, and in one exact place: float64 carries the
-integer matrix products of network merges (BLAS) while
-k * max|a| * max|b| < 2^53, where every product and partial sum is an
-integer float64 holds exactly (vertexnet.int_matmul).
+scale, or over fractions.Fraction. The integer matrix products of network
+merges run in int64 while their stated bound k * max|a| * max|b| stays under
+2^62, and on Python ints past it (vertexnet.int_matmul). Floats appear only
+in cross-checks and explicitly float-mode paths.
 """
 
 from .perfinite import OM, PerfiniteSet, decode, parse_set_text

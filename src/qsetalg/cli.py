@@ -228,14 +228,18 @@ def _cmd_gamma(args) -> int:
 
     gs = build_gammas(args.p, args.q)
     defect = anticommutator_defect(gs)
+    if args.json:  # written before any payload line, so a bad path prints none
+        path = _resolve_out(args.json)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(gammas_to_json(gs), fh)
+        except OSError as e:
+            raise CliError(f"cannot write matrices to {path}: {e.strerror}") from None
     print(f"signature=({gs.p},{gs.q}) dim={gs.dim} eta={list(gs.eta)}")
     print(f"anticommutator defect={defect}")
     print(f"entries in -1,0,1: {entries_are_signs(gs)}")
     print(f"top element squares to {gs.top_square_sign():+d}")
     if args.json:
-        path = _resolve_out(args.json)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(gammas_to_json(gs), fh)
         print(f"matrices written to {path}")
     return 0 if defect == 0 else 1
 

@@ -38,13 +38,13 @@ then held one of two ways, by its dense size (product of dimensions):
             cached read-only arrays, and a merge of two arrays whose result
             fits too is a tensordot run as one int_matmul: the shared legs
             move to the inner dimension and the kept legs are flattened
-            (float64 BLAS, int64 or Python ints, by its stated bound).
+            (int64 under its stated bound of 2^62, Python ints past it).
     dict    past it: index tuple -> nonzero entry, merged by an exact sparse
             hash-join on the shared indices.
 
 dense_cutoff=0 keeps every tensor a dict. No entry wraps on either path; the
 result is int64 when every entry fits and dtype=object otherwise. Tests
-replay whole networks through float64 einsum as an independent oracle.
+replay whole networks through dense_oracle, an independent einsum.
 
 One contract() call computes each distinct merge and self-trace, and each
 distinct vertex's dict, once. A tensor in flight is its legs (wire ids) and
@@ -92,7 +92,6 @@ from .perfinite import enumerate_rank
 _DENSE_CUTOFF = 1 << 14
 _INT64 = 1 << 63
 _LIMIT = 1 << 62  # int64 bound with a bit to spare for one sign flip or difference
-_EXACT = 1 << 53  # every integer up to 2^53 in magnitude is a float64
 
 # the slot kind pairs an edge may join, in either order
 _COMPATIBLE = frozenset({
@@ -521,24 +520,19 @@ def _peak(a) -> int:
 def int_matmul(a, b):
     """Exact a @ b for integer arrays, with np.matmul's broadcasting. Every
     product and partial sum of an entry is at most k * max|a| * max|b| (k
-    the inner dimension, each factor taken as at least 1), and the product
-    runs in the first tier that bound fits: float64 BLAS under 2^53, where
-    every such integer is a float64 and none is rounded in any summation
-    order (the BLAS sums the products themselves, forming no sums of operand
-    entries as Strassen's scheme would); int64 under 2^62; Python ints
-    otherwise. The result is int64 or Python ints."""
+    the inner dimension, each factor taken as at least 1): the product runs
+    on int64 while that bound is under 2^62, and on Python ints past it,
+    which is also the result's dtype."""
     bound = max(a.shape[-1], 1) * max(_peak(a), 1) * max(_peak(b), 1)
-    if bound < _EXACT:
-        return np.matmul(a.astype(np.float64), b.astype(np.float64)).astype(np.int64)
     kind = np.int64 if bound < _LIMIT else object
     return np.matmul(a.astype(kind, copy=False), b.astype(kind, copy=False))
 
 
 def _merge_dense(va: tuple, vb: tuple, shared) -> tuple:
     """The merge of two (dims, data) values as a tensordot run as one exact
-    matrix product (int_matmul): each operand's shared legs move to
-    the inner dimension and its kept legs are flattened. A (dims, array)
-    value."""
+    matrix product (int_matmul, int64 under 2^62 and Python ints past it):
+    each operand's shared legs move to the inner dimension and its kept
+    legs are flattened. A (dims, array) value."""
     a_keep, a_sh, b_keep, b_sh, dims = _layout(va[0], vb[0], shared)
     a = _array(*va).transpose(a_keep + a_sh)
     b = _array(*vb).transpose(b_sh + b_keep)

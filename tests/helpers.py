@@ -66,6 +66,16 @@ def int_scaled(a):
     return ints.astype(np.int64 if top < 1 << 62 else object), den
 
 
+def fit_int64(a):
+    """a as int64 where every entry fits with a bit to spare, else Python ints."""
+    return a.astype(np.int64 if max((abs(int(x)) for x in a.flat), default=0) < 2 ** 62 else object)
+
+
+def python_product(a, b):
+    """a @ b on Python ints: the reference int_matmul is checked against."""
+    return a.astype(object) @ b.astype(object)
+
+
 def from_scaled(a, den: int) -> tuple:
     """Nested tuples of Fraction equal to the integer array a divided by den."""
     if np.ndim(a) == 0:

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -5,15 +6,18 @@ import subprocess
 import sys
 import warnings
 from decimal import Context, Decimal
+from itertools import product
 from math import factorial
 from pathlib import Path
 
 import pytest
 
 import qsetalg
-from qsetalg.cli import main
-from qsetalg.cliff import build_gammas
-from qsetalg.perfinite import decode
+from qsetalg import cli
+from qsetalg.cli import build_parser, main
+from qsetalg.cliff import MAX_TOTAL, build_gammas
+from qsetalg.palev import MAX_CAPACITY
+from qsetalg.perfinite import MAX_CODE_BITS, decode
 from qsetalg.qset import Multivector, mv_to_json
 
 
@@ -82,6 +86,7 @@ def test_usage_errors_exit_two_with_one_error_line(capsys, argv, message):
 
 
 _ALGEBRAS = "h1, so21, so3, so4, toy, yang-3-3, yang-4-2, yang-5-1"
+_TESTS = str(Path(__file__).parent)  # a directory, which --json cannot write to
 
 
 @pytest.mark.parametrize(
@@ -104,6 +109,11 @@ _ALGEBRAS = "h1, so21, so3, so4, toy, yang-3-3, yang-4-2, yang-5-1"
         (["yang", "defect", "--capacity", "2"], "capacity 2 must be a perfect square for exact scaling"),
         (["yang", "accumulate", "--steps", "0"], "steps must lie in 1..12"),
         (["yang", "accumulate", "--steps", "13"], "steps must lie in 1..12"),
+        (
+            ["gamma", "2", "1", "--json", "no-such-dir/g.json"],
+            "cannot write matrices to no-such-dir/g.json: No such file or directory",
+        ),
+        (["gamma", "2", "1", "--json", _TESTS], f"cannot write matrices to {_TESTS}: Is a directory"),
     ],
 )
 def test_bad_lie_layer_input_exits_two_after_the_header(capsys, argv, message):
@@ -284,7 +294,7 @@ def test_unknown_algebra_lists_every_name(capsys):
 LAZY_SYMPY = """
 import sys
 import qsetalg.cli, qsetalg.palev, qsetalg.verify
-from qsetalg.cli import main
+from qsetalg.cli import build_parser, main
 assert "sympy" not in sys.modules, "sympy loaded on import"
 main(["structure", "so3"])
 main(["palev", "exclusion", "--capacity", "5"])
@@ -311,7 +321,7 @@ def test_sympy_loads_only_where_a_coefficient_is_built():
 
 IMPORT_GRAPH = """
 import sys
-from qsetalg.cli import main
+from qsetalg.cli import build_parser, main
 
 net, mv_a, mv_b, json_out = sys.argv[1:5]
 
@@ -380,7 +390,7 @@ def test_each_command_imports_only_the_layers_it_runs(tmp_path):
 NUMPY_AFTER = """
 import io, sys
 from contextlib import redirect_stdout
-from qsetalg.cli import main
+from qsetalg.cli import build_parser, main
 
 with redirect_stdout(io.StringIO()):
     main(sys.argv[1:])
@@ -640,6 +650,93 @@ def test_bad_config_is_usage_error(capsys):
     code, out, err = run(capsys, "--tolerance", "-3", "sets", "code", "{}")
     assert code == 2 and out == ""
     assert err.splitlines() == ["error: tolerance must be positive"]
+
+
+# -- the law over the whole parser: every argv exits 0, 1 or 2 -----------------
+
+# one boundary table for every free value: zero, a sign, past int64, empty,
+# not a number, a zero denominator, past float range, nan, and the limits
+# the layers state: p + q and yang's steps (12), a mode's capacity and
+# the size of a set code in bits
+_BOUNDARY = (
+    "0", "-1", str(2 ** 64), "", "x", "1/0", "1e400", "nan",
+    str(MAX_TOTAL), str(MAX_TOTAL + 1), str(MAX_CAPACITY), str(MAX_CAPACITY + 1), str(MAX_CODE_BITS),
+)
+# one well-formed value per free positional, so each option is also tried
+# past a command that parses
+_WELL_FORMED = {
+    "p": ["2"], "q": ["1"], "name": ["so3"], "operands": ["{}"], "inputs": ["{}"],
+    "file": [str(Path(__file__).parent / "oracles" / "net_ring2.json")],
+}
+
+
+def _tails(free):
+    """Values for a subcommand's free positionals: a lone nargs="*" slot
+    takes none, one or two copies of each boundary value; fixed slots take
+    every combination of boundary values."""
+    if [a.nargs for a in free] == ["*"]:
+        return [[]] + [[v] * n for v in _BOUNDARY for n in (1, 2)]
+    return [list(t) for t in product(_BOUNDARY, repeat=len(free))]
+
+
+def _option_argvs(parser, prefix):
+    """prefix plus each option of parser: a flag alone, an option with
+    choices at each choice, any other at each boundary value."""
+    argvs = []
+    for opt in parser._actions:
+        if not opt.option_strings or isinstance(opt, argparse._HelpAction):
+            continue
+        flag = opt.option_strings[-1]
+        if opt.nargs == 0:
+            argvs.append(prefix + [flag])
+        else:
+            argvs += [prefix + [flag, v] for v in opt.choices or _BOUNDARY]
+    return argvs
+
+
+def _law_argvs():
+    """argv lists built from build_parser() itself: for every subcommand and
+    every choice of its choice positionals, the boundary values in its free
+    positionals, and each of its options; then each top-level option before
+    the first subcommand. verify-all runs bare only: each run replays the
+    whole check registry. No other value of the table is skipped."""
+    top = build_parser()
+    (sub,) = [a for a in top._actions if isinstance(a, argparse._SubParsersAction)]
+    argvs = []
+    for name, parser in sub.choices.items():
+        positionals = [a for a in parser._actions if not a.option_strings]
+        free = [a for a in positionals if not a.choices]
+        well_formed = [v for a in free for v in _WELL_FORMED[a.dest]]
+        for head in product(*[a.choices for a in positionals if a.choices]):
+            argvs += [[name, *head, *tail] for tail in _tails(free)]
+            argvs += _option_argvs(parser, [name, *head, *well_formed])
+    first, parser = next(iter(sub.choices.items()))
+    head = [next(iter(a.choices)) for a in parser._actions if not a.option_strings and a.choices]
+    return argvs + [argv + [first, *head] for argv in _option_argvs(top, [])]
+
+
+def test_every_argv_the_parser_builds_exits_0_1_or_2(capsys, monkeypatch, tmp_path):
+    # bare file names read and write in an empty directory
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("QSETALG_OUT_DIR", raising=False)
+    # main parses with one shared parser: a parse leaves it as it was, and
+    # building the parser anew for each argv would take five sixths of the run
+    parser = build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    broken = []
+    for argv in _law_argvs():
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse's own usage error
+            code = e.code
+        except Exception as e:  # a traceback is what this law forbids
+            code = repr(e)
+        out, err = capsys.readouterr()
+        errors = [ln for ln in err.splitlines() if "error:" in ln]
+        payload = [ln for ln in out.splitlines() if not ln.startswith("# qsetalg ")]
+        if code not in (0, 1, 2) or code == 2 and (len(errors) != 1 or payload):
+            broken.append((argv, code, errors, payload[:2]))
+    assert broken == []
 
 
 def test_sets_code_prints_past_the_int_str_digit_limit(capsys):

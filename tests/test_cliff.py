@@ -225,7 +225,7 @@ def test_kernel_matches_the_dense_reference_on_broken_sets():
     assert 0 not in seen and len(seen) > 2
 
 
-def test_defect_past_int64_takes_python_ints():
+def test_defect_past_int64_is_exact():
     gammas = arrays(build_gammas(3, 2))
     c = 1 << 40
     gammas[4] = c * gammas[4]
@@ -235,7 +235,7 @@ def test_defect_past_int64_takes_python_ints():
     assert anticommutator_defect(gs) == want == 2 * c * c - 2
 
 
-def test_top_past_int64_takes_python_ints():
+def test_top_past_int64_is_exact():
     # four generators with signs +-2^20: the top element's signs are +-2^80,
     # exact only because its bound counts all 2n factors of its square
     c = 1 << 20

@@ -292,7 +292,7 @@ def _assert_exact(sc):
     assert sc.killing_form() == _ref_killing(sc.c)
 
 
-def test_contraction_at_tiny_eps_takes_the_python_int_route():
+def test_contraction_at_tiny_eps_matches_the_fraction_table():
     ent = catalog_entry("so21")
     base = ent.algebra.structure_constants()
     fam = ContractionFamily(base, ent.weights)
@@ -321,7 +321,7 @@ def test_contraction_at_one_third_matches_the_fraction_table():
     assert sc.c == want
 
 
-def test_so3_scaled_by_2_to_the_40_takes_the_python_int_route():
+def test_so3_scaled_by_2_to_the_40_scales_its_constants_exactly():
     big = 2 ** 40
     alg = MatrixAlgebra("so3-big", *int_scaled([smul(big, m) for m in rotation3().basis]))
     sc = alg.structure_constants()

@@ -1,13 +1,12 @@
 import random
 from fractions import Fraction
-from math import prod
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import from_scaled, int_scaled, lagrange_signature, mat
+from helpers import fit_int64, from_scaled, int_scaled, lagrange_signature, mat, python_product
 from qsetalg import linalg, vertexnet
 
 
@@ -44,114 +43,6 @@ def test_int_scaled_round_trip_and_dtype():
     huge, den = int_scaled([2 ** 70, Fraction(1, 3)])
     assert den == 3 and huge.dtype == object
     assert from_scaled(huge, den) == (Fraction(2 ** 70), Fraction(1, 3))
-
-
-def _fit(a):
-    """a as int64 where every entry fits with a bit to spare, else Python ints."""
-    return a.astype(np.int64 if max((abs(int(x)) for x in a.flat), default=0) < 2 ** 62 else object)
-
-
-def _python_product(a, b):
-    """a @ b on Python ints: the reference int_matmul is checked against."""
-    return a.astype(object) @ b.astype(object)
-
-
-def _tier(seen):
-    """The dtype of the single np.matmul call recorded by the spy."""
-    (dtypes,) = seen
-    assert len(set(dtypes)) == 1
-    return dtypes[0]
-
-
-# (a, b, tier): k * max|a| * max|b| just under and at each tier edge, with
-# entries chosen so the exact product is odd and near the bound
-_EDGES = (
-    # 6361 * 69431 * 20394401 == 2^53 - 1, and so is the product
-    (np.full((1, 6361), 69431), np.full((6361, 1), 20394401), np.float64),
-    # 2 * 2^26 * 2^26 == 2^53; the product is 2^53 - 2^27 + 1
-    (np.array([[2 ** 26, 2 ** 26 - 1]]), np.array([[2 ** 26], [2 ** 26 - 1]]), np.int64),
-    # (2^31 - 1) * (2^31 + 1) == 2^62 - 1, and so is the product
-    (np.array([[2 ** 31 - 1]]), np.array([[2 ** 31 + 1]]), np.int64),
-    # 2 * 2^30 * 2^31 == 2^62; the product is 2^62 - 3 * 2^30 + 1
-    (np.array([[2 ** 30, 2 ** 30 - 1]]), np.array([[2 ** 31], [2 ** 31 - 1]]), object),
-)
-
-
-@pytest.mark.parametrize("a, b, tier", _EDGES)
-def test_int_matmul_tier_edges(numpy_dtypes, a, b, tier):
-    bound = a.shape[-1] * vertexnet._peak(a) * vertexnet._peak(b)
-    assert bound in (2 ** 53 - 1, 2 ** 53, 2 ** 62 - 1, 2 ** 62)
-    want = _python_product(a, b)
-    assert want[0, 0] % 2 == 1 and bound - want[0, 0] < 2 ** 33
-    got = vertexnet.int_matmul(a, b)
-    assert _tier(numpy_dtypes["matmul"]) == tier
-    assert got.dtype == (object if tier is object else np.int64)
-    assert got.tolist() == want.tolist()
-    assert vertexnet.int_matmul(-a, b).tolist() == (-want).tolist()
-
-
-def test_int_matmul_matches_python_ints_on_seeded_stacks():
-    rng = random.Random(20247)
-
-    def rand(shape, bits):
-        vals = [rng.randint(-(2 ** bits), 2 ** bits) for _ in range(prod(shape))]
-        return np.array(vals, dtype=np.int64 if bits < 63 else object).reshape(shape)
-
-    for bits in (3, 20, 26, 31, 40, 70):
-        for sa, sb in (((5, 7), (7, 4)), ((3, 6, 6), (3, 6, 6)), ((2, 1, 4, 5), (3, 5, 2))):
-            a, b = rand(sa, bits), rand(sb, bits)
-            got = vertexnet.int_matmul(a, b)
-            assert got.shape == np.broadcast_shapes(sa[:-2], sb[:-2]) + (sa[-2], sb[-1])
-            assert got.tolist() == _python_product(a, b).tolist()
-
-
-@pytest.mark.parametrize(
-    "sa, sb", [((4,), (4,)), ((4,), (4, 3)), ((2, 4), (4,)), ((0, 3), (3, 2)), ((2, 0), (0, 3)), ((3, 2, 4), (4, 5))]
-)
-def test_int_matmul_follows_matmul_shapes(sa, sb):
-    a = np.arange(1, prod(sa) + 1, dtype=np.int64).reshape(sa) - 2
-    b = np.arange(prod(sb), dtype=np.int64).reshape(sb) * 3 - 5
-    got = vertexnet.int_matmul(a, b)
-    want = _python_product(a, b)
-    assert np.shape(got) == np.shape(want) and np.array_equal(got, want)
-    huge = vertexnet.int_matmul(a * 2 ** 40, b * 2 ** 40)
-    assert np.array_equal(huge, want * 2 ** 80)
-
-
-def test_int_matmul_takes_object_input_under_the_bound(numpy_dtypes):
-    a = np.array([[3, -5], [2 ** 20, 7]], dtype=object)
-    b = np.array([[1, 2 ** 21], [-4, 0]], dtype=object)
-    got = vertexnet.int_matmul(a, b)
-    assert _tier(numpy_dtypes["matmul"]) == np.float64
-    assert got.dtype == np.int64
-    assert got.tolist() == _python_product(a, b).tolist()
-
-
-@settings(max_examples=200)
-@given(st.data())
-def test_int_matmul_property(data):
-    """int_matmul equals the product on Python ints, for entries up to 2^12
-    (the float64 tier), 2^31, 2^62 and 2^80, int64 wherever they fit, as the
-    package passes them."""
-    top = data.draw(st.sampled_from([2 ** 12, 2 ** 31, 2 ** 62, 2 ** 80]), label="top")
-    # a plain product, a stack multiplied pairwise, or the commutator table
-    # stack[:, None] @ stack[None]
-    kind = data.draw(st.sampled_from(["plain", "stacked", "table"]), label="kind")
-    n, d, k = (data.draw(st.integers(1, 3), label=x) for x in "ndk")
-
-    def array(shape):
-        flat = data.draw(st.lists(st.integers(-top, top), min_size=prod(shape), max_size=prod(shape)))
-        return _fit(np.array(flat, dtype=object).reshape(shape))
-
-    if kind == "table":
-        stack = array((n, d, d))
-        a, b = stack[:, None], stack[None]
-    else:
-        lead = (n,) if kind == "stacked" else ()
-        a, b = array(lead + (d, k)), array(lead + (k, d))
-    got = vertexnet.int_matmul(a, b)
-    assert got.dtype in (np.int64, object)
-    assert got.tolist() == _python_product(a, b).tolist()
 
 
 # -- exact elimination: det, congruence_signature, RationalSpan, ColumnSolver
@@ -427,7 +318,7 @@ def test_column_solver_gram_path_matches_a_fraction_reference():
         if _rank(m) < k:
             continue
         solver = _column_solver(m)
-        inv = _fraction_inverse(_python_product(m.T, m).tolist())
+        inv = _fraction_inverse(python_product(m.T, m).tolist())
         assert [[Fraction(int(x), solver.den) for x in row] for row in solver.a] == inv
         b = np.concatenate([m @ rng.integers(-9, 10, size=(k, 3)), rng.integers(-9, 10, size=(rows, 3))], axis=1)
         x, inside = _solve(solver, b)
@@ -438,7 +329,7 @@ def test_column_solver_gram_path_matches_a_fraction_reference():
         assert inside[:3].all()
 
 
-def test_column_solver_norm_tier_counts_the_rows():
+def test_column_solver_is_exact_when_the_norm_sum_passes_int64():
     # M = 64 ones, so den = 64, and b = c * ones is inside: den |b|^2 ==
     # 64 * 64 * c^2 ~ 2^66, past int64, and exact on Python ints
     m = np.ones((64, 1), dtype=np.int64)
@@ -450,7 +341,7 @@ def test_column_solver_norm_tier_counts_the_rows():
     assert x.tolist() == [[64 * c]]
 
 
-def test_column_solver_dot_tier_counts_the_inner_dimension():
+def test_column_solver_is_exact_when_the_dot_sum_passes_int64():
     # M = I_4, so y = x = b and y . x == |b|^2 == 4 c^2 ~ 2^63.2: c^2 < 2^62
     # alone, and the sum of four past int64, exact on Python ints
     c = 3 * 2 ** 29
@@ -490,20 +381,20 @@ def test_column_solver_property(data):
     m = np.array(data.draw(st.lists(
         st.lists(_entries, min_size=k, max_size=k), min_size=rows, max_size=rows)), dtype=object)
     assume(_rank(m) == k)
-    solver = _column_solver(_fit(m))  # int64 where it fits, as the Lie layer passes it
+    solver = _column_solver(fit_int64(m))  # int64 where it fits, as the Lie layer passes it
 
     y = np.array(data.draw(st.lists(
         st.lists(_entries, min_size=2, max_size=2), min_size=k, max_size=k)), dtype=object)
-    x, inside = _solve(solver, _fit(vertexnet.int_matmul(m, y)))
+    x, inside = _solve(solver, fit_int64(vertexnet.int_matmul(m, y)))
     assert inside.all()
     assert (x == solver.den * y).all()
 
     b = np.array(data.draw(st.lists(_entries, min_size=rows, max_size=rows)), dtype=object)
-    x, inside = _solve(solver, _fit(b[:, None]))
+    x, inside = _solve(solver, fit_int64(b[:, None]))
     assert bool(inside[0]) == (_rank(np.column_stack([m, b])) == k)
     if inside[0]:
         assert (vertexnet.int_matmul(m, x) == solver.den * b[:, None]).all()
 
     c = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k)), dtype=object)
     with pytest.raises(linalg.LinalgError):
-        _column_solver(_fit(np.column_stack([m, vertexnet.int_matmul(m, c[:, None])])))
+        _column_solver(fit_int64(np.column_stack([m, vertexnet.int_matmul(m, c[:, None])])))

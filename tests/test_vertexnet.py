@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import fit_int64, python_product
 from qsetalg import vertexnet
 from qsetalg.cliff import build_gammas
 from qsetalg.vertexnet import (
@@ -515,6 +516,127 @@ def test_a_network_contracts_the_same_twice():
     assert np.array_equal(net.contract(dense_cutoff=0), first)
     assert isinstance(net.vertices, tuple) and isinstance(net.edges, tuple)
     assert net.open_legs == ((1, "vector"), (0, "vector"), (2, "vector"))
+
+
+# -- int_matmul, the merge kernel ----------------------------------------------
+
+
+def _tier(seen):
+    """The dtype of the single np.matmul call recorded by the spy."""
+    (dtypes,) = seen
+    assert len(set(dtypes)) == 1
+    return dtypes[0]
+
+
+# (a, b, tier): k * max|a| * max|b| just under and at 2^53, past which float64
+# no longer holds every integer, and at the int64 edge 2^62, with entries
+# chosen so the exact product is odd and near the bound
+_EDGES = (
+    # 6361 * 69431 * 20394401 == 2^53 - 1, and so is the product
+    (np.full((1, 6361), 69431), np.full((6361, 1), 20394401), np.int64),
+    # 2 * 2^26 * 2^26 == 2^53; the product is 2^53 - 2^27 + 1
+    (np.array([[2 ** 26, 2 ** 26 - 1]]), np.array([[2 ** 26], [2 ** 26 - 1]]), np.int64),
+    # (2^31 - 1) * (2^31 + 1) == 2^62 - 1, and so is the product
+    (np.array([[2 ** 31 - 1]]), np.array([[2 ** 31 + 1]]), np.int64),
+    # 2 * 2^30 * 2^31 == 2^62; the product is 2^62 - 3 * 2^30 + 1
+    (np.array([[2 ** 30, 2 ** 30 - 1]]), np.array([[2 ** 31], [2 ** 31 - 1]]), object),
+)
+
+
+@pytest.mark.parametrize("a, b, tier", _EDGES)
+def test_int_matmul_tier_edges(numpy_dtypes, a, b, tier):
+    bound = a.shape[-1] * vertexnet._peak(a) * vertexnet._peak(b)
+    assert bound in (2 ** 53 - 1, 2 ** 53, 2 ** 62 - 1, 2 ** 62)
+    want = python_product(a, b)
+    assert want[0, 0] % 2 == 1 and bound - want[0, 0] < 2 ** 33
+    got = vertexnet.int_matmul(a, b)
+    assert _tier(numpy_dtypes["matmul"]) == tier
+    assert got.dtype == tier
+    assert got.tolist() == want.tolist()
+    assert vertexnet.int_matmul(-a, b).tolist() == (-want).tolist()
+
+
+def test_int_matmul_matches_python_ints_on_seeded_stacks():
+    rng = random.Random(20247)
+
+    def rand(shape, bits):
+        vals = [rng.randint(-(2 ** bits), 2 ** bits) for _ in range(prod(shape))]
+        return np.array(vals, dtype=np.int64 if bits < 63 else object).reshape(shape)
+
+    for bits in (3, 20, 26, 31, 40, 70):
+        for sa, sb in (((5, 7), (7, 4)), ((3, 6, 6), (3, 6, 6)), ((2, 1, 4, 5), (3, 5, 2))):
+            a, b = rand(sa, bits), rand(sb, bits)
+            got = vertexnet.int_matmul(a, b)
+            assert got.shape == np.broadcast_shapes(sa[:-2], sb[:-2]) + (sa[-2], sb[-1])
+            assert got.tolist() == python_product(a, b).tolist()
+
+
+@pytest.mark.parametrize(
+    "sa, sb", [((4,), (4,)), ((4,), (4, 3)), ((2, 4), (4,)), ((0, 3), (3, 2)), ((2, 0), (0, 3)), ((3, 2, 4), (4, 5))]
+)
+def test_int_matmul_follows_matmul_shapes(sa, sb):
+    a = np.arange(1, prod(sa) + 1, dtype=np.int64).reshape(sa) - 2
+    b = np.arange(prod(sb), dtype=np.int64).reshape(sb) * 3 - 5
+    got = vertexnet.int_matmul(a, b)
+    want = python_product(a, b)
+    assert np.shape(got) == np.shape(want) and np.array_equal(got, want)
+    huge = vertexnet.int_matmul(a * 2 ** 40, b * 2 ** 40)
+    assert np.array_equal(huge, want * 2 ** 80)
+
+
+def test_int_matmul_takes_object_input_under_the_bound(numpy_dtypes):
+    a = np.array([[3, -5], [2 ** 20, 7]], dtype=object)
+    b = np.array([[1, 2 ** 21], [-4, 0]], dtype=object)
+    got = vertexnet.int_matmul(a, b)
+    assert _tier(numpy_dtypes["matmul"]) == np.int64
+    assert got.dtype == np.int64
+    assert got.tolist() == python_product(a, b).tolist()
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_int_matmul_property(data):
+    """int_matmul equals the product on Python ints, for entries up to 2^12,
+    2^31, 2^62 and 2^80, int64 wherever they fit, as the package passes
+    them."""
+    top = data.draw(st.sampled_from([2 ** 12, 2 ** 31, 2 ** 62, 2 ** 80]), label="top")
+    # a plain product, a stack multiplied pairwise, or the commutator table
+    # stack[:, None] @ stack[None]
+    kind = data.draw(st.sampled_from(["plain", "stacked", "table"]), label="kind")
+    n, d, k = (data.draw(st.integers(1, 3), label=x) for x in "ndk")
+
+    def array(shape):
+        flat = data.draw(st.lists(st.integers(-top, top), min_size=prod(shape), max_size=prod(shape)))
+        return fit_int64(np.array(flat, dtype=object).reshape(shape))
+
+    if kind == "table":
+        stack = array((n, d, d))
+        a, b = stack[:, None], stack[None]
+    else:
+        lead = (n,) if kind == "stacked" else ()
+        a, b = array(lead + (d, k)), array(lead + (k, d))
+    got = vertexnet.int_matmul(a, b)
+    assert got.dtype in (np.int64, object)
+    assert got.tolist() == python_product(a, b).tolist()
+
+
+def _float_free_cases():
+    nets = [
+        pytest.param(VertexNetwork.load(str(path)), id=path.stem)
+        for path in sorted((Path(__file__).parent / "oracles").glob("net_*.json"))
+    ]
+    rng = random.Random(20251)
+    return nets + [pytest.param(_ring(128, p, q, rng), id=f"ring128-{p}{q}") for p, q in ((4, 4), (4, 1))]
+
+
+@pytest.mark.parametrize("net", _float_free_cases())
+def test_contraction_never_hands_numpy_a_float(numpy_dtypes, net):
+    # exact means integers: every merge and self-trace, on arrays within the
+    # default cutoff and on arrays throughout, keeps integer operands
+    assert np.array_equal(net.contract(), net.contract(dense_cutoff=10**9))
+    seen = numpy_dtypes["matmul"] + numpy_dtypes["einsum"]
+    assert seen or len(net.vertices) < 2
+    assert not [dt for call in seen for dt in call if np.issubdtype(dt, np.inexact)]
 
 
 # -- exactness past int64 ------------------------------------------------------

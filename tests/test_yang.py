@@ -254,7 +254,7 @@ def _ref_gauge_rows(basis, weights, labels, lim, eps_sqrt):
     return tuple(rows)
 
 
-def test_gauge_defect_on_a_huge_basis_takes_the_python_int_route():
+def test_gauge_defect_on_a_huge_basis_matches_the_reference_rows():
     from types import SimpleNamespace
 
     from qsetalg.liecore import ContractionFamily, MatrixAlgebra, catalog_entry
@@ -291,7 +291,7 @@ def test_a_frame_gathers_its_generators_in_one_products_call(monkeypatch, build)
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
-def test_frame_commutators_take_the_float64_route(preset):
+def test_frame_commutators_equal_the_constants_times_the_basis(preset):
     # every bracket of the frame equals its constants times the basis:
     # [G_i, G_j] / s^2 == sum_k c_ijk G_k / s, against the dense products
     from helpers import dense_commutator
