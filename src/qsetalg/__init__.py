@@ -6,7 +6,8 @@ The package is organized bottom-up:
     qset        Grassmann/Clifford linearization over rank frames, Berezin norms
     cliff       real gamma matrix sets, top elements
     liecore     structure constants, Killing forms, contraction limits
-    yang        six-index spin frames, canonical contraction, spectra
+    yang        six-index spin frames, canonical contraction
+    spectra     unit tags and accumulated coordinate spectra
     palev       finite ladder oscillators, normal ordering
     vertexnet   triadic tensor networks with parity typing
     cli         command line front end (also `python -m qsetalg`)
@@ -18,25 +19,21 @@ merges run in int64 while their stated bound k * max|a| * max|b| stays under
 in cross-checks and explicitly float-mode paths.
 """
 
-from .perfinite import OM, PerfiniteSet, decode, parse_set_text
-
-__all__ = [
-    "OM",
-    "PerfiniteSet",
-    "decode",
-    "parse_set_text",
-    "Multivector",
-    "RankFrame",
-]
+__all__ = ["OM", "PerfiniteSet", "decode", "parse_set_text", "Multivector", "RankFrame"]
 
 __version__ = "0.1.0"
 
 
 def __getattr__(name):
-    """Multivector and RankFrame, importing qset on first use, so a command
-    that never builds a multivector never loads it."""
+    """The names of __all__, importing perfinite or qset on first use, so a
+    command that never parses a set or builds a multivector never loads
+    them."""
     if name in ("Multivector", "RankFrame"):
         from . import qset
 
         return getattr(qset, name)
+    if name in __all__:
+        from . import perfinite
+
+        return getattr(perfinite, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

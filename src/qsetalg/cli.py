@@ -11,31 +11,30 @@ checks only the text it parses itself.
 
 Output files given as bare names land in $QSETALG_OUT_DIR when that is set.
 
-Each handler imports the layers it runs, so a command loads only those.
-numpy is loaded only by contract --eps (the float refit), net and
-verify-all; every other command runs without it.
+Each handler imports the layers it runs, so a command loads only those;
+json loads only where JSON is read or written. numpy is loaded only by
+contract --eps (the float refit), net eval, net check and verify-all, and
+no command loads dataclasses.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 from math import isqrt, log10
 
-from .perfinite import MAX_CODE_BITS, OM, decode, enumerate_rank, format_set_text, parse_set_text
 from .scalars import RunConfig, fmt_scalar, parse_int
 
-# sorted(yang.PRESETS) and sorted(yang.ACCUMULATION_PRESETS), held here so the
-# parser is built without importing yang; a test pins them to yang's tables
+# sorted(yang.PRESETS), sorted(spectra.ACCUMULATION_PRESETS) and sorted(liecore.CATALOG),
+# held here so neither parsing nor refusing an unknown algebra imports a layer;
+# a test pins them to those tables
 _YANG_PRESETS = ("3-3", "4-2", "5-1")
 _FRAMES = ("feynman", "penrose")
-
-
-# decimal digits of 2**MAX_CODE_BITS - 1, the largest code a set may have
-_MAX_CODE_DIGITS = int(MAX_CODE_BITS * log10(2)) + 1
+_CATALOG = ("h1", "so21", "so3", "so4")
+_ALGEBRAS = (*_CATALOG, "toy", *(f"yang-{p}" for p in _YANG_PRESETS))
 
 
 class CliError(ValueError):
@@ -50,6 +49,8 @@ def _resolve_out(path: str) -> str:
 
 
 def _read_mv(path: str):
+    import json
+
     from .qset import mv_from_json
 
     try:
@@ -64,6 +65,8 @@ def _read_mv(path: str):
 
 
 def _print_mv(mv) -> None:
+    import json
+
     from .qset import mv_to_json
 
     print(json.dumps(mv_to_json(mv)))
@@ -104,24 +107,23 @@ def _print_matrix(m) -> None:
 
 
 def _lookup_algebra(name: str):
-    """(algebra, default weights, note) for one name; builds only that algebra."""
-    from .liecore import CATALOG, catalog_entry
-
-    if name in CATALOG:
-        ent = catalog_entry(name)
-        return ent.algebra, ent.weights, ent.note
+    """(algebra, default weights, note) for one name; builds only that
+    algebra, and refuses an unknown name before importing any layer."""
+    if name not in _ALGEBRAS:
+        raise CliError(f"unknown algebra {name!r}; available: {', '.join(sorted(_ALGEBRAS))}")
     if name == "toy":
         from .yang import toy_frame
 
         return toy_frame(), None, "2x2 symmetric triple"
-    preset = name.removeprefix("yang-")
-    if name.startswith("yang-") and preset in _YANG_PRESETS:
+    if name.startswith("yang-"):
         from .yang import build_yang
 
-        fr = build_yang(preset)
+        fr = build_yang(name.removeprefix("yang-"))
         return fr.algebra, fr.weights, f"15 generators, six directions {fr.eta6}"
-    names = [*CATALOG, "toy", *(f"yang-{p}" for p in _YANG_PRESETS)]
-    raise CliError(f"unknown algebra {name!r}; available: {', '.join(sorted(names))}")
+    from .liecore import catalog_entry
+
+    ent = catalog_entry(name)
+    return ent.algebra, ent.weights, ent.note
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +138,8 @@ _SETS_OPERANDS = {
 
 
 def _cmd_sets(args) -> int:
+    from .perfinite import MAX_CODE_BITS, OM, decode, enumerate_rank, format_set_text, parse_set_text
+
     op = args.op
     count, takes = _SETS_OPERANDS[op]
     if len(args.operands) != count:
@@ -151,7 +155,7 @@ def _cmd_sets(args) -> int:
     elif op == "decode":
         text = text.strip()
         too_long = f"sets decode: the code passes the {MAX_CODE_BITS}-bit set limit"
-        if len(text) > _MAX_CODE_DIGITS:
+        if len(text) > int(MAX_CODE_BITS * log10(2)) + 1:  # the digits of 2**MAX_CODE_BITS - 1
             raise CliError(too_long)
         try:
             n = parse_int(text)
@@ -191,14 +195,13 @@ def _cmd_qset(args) -> int:
     if len(args.inputs) != _QSET_INPUTS[op]:
         raise CliError(f"qset {op} takes {_QSET_INPUTS[op]} input(s), got {len(args.inputs)}")
     if op == "embed":
+        from .perfinite import parse_set_text
+
         _print_mv(embed(parse_set_text(args.inputs[0])))
         return 0
     if op == "signature":
         rep = signature_report(_make_frame(args))
-        print(
-            f"dimension={rep.dimension} plus={rep.n_plus} "
-            f"minus={rep.n_minus} zero={rep.n_zero}"
-        )
+        print(f"dimension={rep.dimension} plus={rep.n_plus} minus={rep.n_minus} zero={rep.n_zero}")
         return 0
     if op == "grassmann":
         a, b = (_read_mv(p) for p in args.inputs)
@@ -229,6 +232,8 @@ def _cmd_gamma(args) -> int:
     gs = build_gammas(args.p, args.q)
     defect = anticommutator_defect(gs)
     if args.json:  # written before any payload line, so a bad path prints none
+        import json
+
         path = _resolve_out(args.json)
         try:
             with open(path, "w", encoding="utf-8") as fh:
@@ -268,9 +273,9 @@ def _cmd_killing(args) -> int:
 
 
 def _cmd_contract(args) -> int:
+    algebra, default_w, _ = _lookup_algebra(args.name)  # an unknown name is refused first
     from .liecore import ContractionFamily, numeric_contraction_check
 
-    algebra, default_w, _ = _lookup_algebra(args.name)
     if args.weights:
         try:
             weights = tuple(Fraction(w) for w in args.weights.split(","))
@@ -304,20 +309,24 @@ def _cmd_contract(args) -> int:
 
 
 def _cmd_yang(args) -> int:
-    from .yang import accumulate_preset, build_yang, contract_to_hp, gauge_defect, unit_tags
-
     what = args.what
     if what == "units":
+        from .spectra import unit_tags
+
         for name, tag in sorted(unit_tags().items()):
             print(f"{name}: {tag}")
         return 0
     if what == "accumulate":
+        from .spectra import accumulate_preset
+
         results = accumulate_preset(args.frame, args.steps)
         for label in sorted(results):
             res = results[label]
             levels = ", ".join(f"{lvl}:{m}" for lvl, m in res.spectrum)
             print(f"{label} (square {res.square:+d}, unit {res.unit}): {levels}")
         return 0
+    from .yang import build_yang, contract_to_hp, gauge_defect
+
     fr = build_yang(args.preset)
     if what == "table":
         sc = fr.structure_constants()
@@ -327,14 +336,8 @@ def _cmd_yang(args) -> int:
         return 0
     if what == "contract":
         _, target = contract_to_hp(fr)
-        rows = [
-            ("central charge", target.central_charge),
-            ("coordinates commute", target.coordinates_commute),
-            ("momenta commute", target.momenta_commute),
-            ("canonical pairing", target.heisenberg_pairing),
-            ("killing degenerate", target.killing_degenerate),
-        ]
-        for label, ok in rows:
+        labels = ("central charge", "coordinates commute", "momenta commute", "canonical pairing", "killing degenerate")
+        for label, ok in zip(labels, target[1:]):  # the invariants, in HpTarget's field order
             print(f"{label}: {'PASS' if ok else 'FAIL'}")
         print(f"limit classification: {target.constants.classify()}")
         return 0 if target.all_hold() else 1
@@ -390,8 +393,6 @@ def _cmd_palev(args) -> int:
 
 
 def _cmd_net(args) -> int:
-    import numpy as np
-
     from .vertexnet import VertexNetwork, dense_oracle
 
     try:
@@ -406,12 +407,16 @@ def _cmd_net(args) -> int:
         print(f"parity: {'PASS' if rep.ok else 'FAIL'} ({len(rep.flags)} flags)")
         return 0 if rep.ok else 1
     if what == "eval":
+        import json
+
         arr = net.contract()
         print(f"open legs: {list(net.open_legs)}")
         print(json.dumps(arr.tolist()))
         rep = net.parity_check()
         print(f"parity flags: {len(rep.flags)}")
         return 0
+    import numpy as np
+
     sparse = net.contract(dense_cutoff=0)  # check: sparse dicts throughout
     dense = net.contract(dense_cutoff=10**9)  # integer arrays throughout
     oracle = dense_oracle(net)
@@ -432,7 +437,9 @@ def _verify_all(cfg: RunConfig) -> int:
 # parser
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(
         prog="qsetalg",
         description="finite set algebra, gamma frames, contractions, and "

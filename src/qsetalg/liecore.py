@@ -41,7 +41,7 @@ while the original is nonzero is the signature of a genuine contraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -440,11 +440,8 @@ def _powers(eps: float, exps):
 # catalog
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    algebra: MatrixAlgebra
-    weights: tuple | None
-    note: str
+# a built catalog algebra, its default weights (or None) and a note
+CatalogEntry = namedtuple("CatalogEntry", "algebra weights note")
 
 
 def rotation3() -> MatrixAlgebra:

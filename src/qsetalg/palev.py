@@ -46,7 +46,6 @@ carrier triples included, runs on plain Python, exact at any size.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import prod
@@ -116,19 +115,15 @@ def bose_deviation(two_j: int, n: int) -> Fraction:
 # carrier triples
 
 
-@dataclass(frozen=True, eq=False)
 class CarrierTriple:
     """Lie triple wrapping a mode. `parts` are the integer carrier parts, as
     bands, over `scale`; q, p and r are their rational values as Fraction
-    matrices, built on first read. Tags carry the irrational/imaginary
-    normalizations; relations are the target brackets among the tagged
-    generators."""
+    matrices, built on first read. Tags, UnitTags for (q, p, r), carry the
+    irrational/imaginary normalizations; relations are the target brackets
+    among the tagged generators. Triples compare by identity."""
 
-    preset: str
-    parts: tuple
-    scale: int
-    tags: tuple  # UnitTag for (q, p, r)
-    relations: str
+    def __init__(self, preset: str, parts: tuple, scale: int, tags: tuple, relations: str):
+        self.preset, self.parts, self.scale, self.tags, self.relations = preset, parts, scale, tags, relations
 
     def _view(self, k: int) -> tuple:
         band = self.parts[k]

@@ -40,7 +40,7 @@ top element is that blade with coefficient 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from math import comb
@@ -315,12 +315,8 @@ def iota_m(w: Multivector, m: int, frame: RankFrame):
     return Multivector._of({1 << k: c for k, c in w._terms.items() if k.bit_count() == m}), frame_out
 
 
-@dataclass(frozen=True)
-class SignatureReport:
-    n_plus: int
-    n_minus: int
-    n_zero: int
-    dimension: int
+class SignatureReport(namedtuple("SignatureReport", "n_plus n_minus n_zero dimension")):
+    __slots__ = ()
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.n_plus, self.n_minus, self.n_zero)

@@ -31,16 +31,9 @@ from .qset import (
     signature_report,
 )
 from .scalars import RunConfig
+from .spectra import accumulate_coordinate, total_matrix, unit_tags
 from .vertexnet import GammaVertex, IotaNode, VertexNetwork, dense_oracle
-from .yang import (
-    accumulate_coordinate,
-    build_yang,
-    contract_to_hp,
-    gauge_defect,
-    toy_frame,
-    total_matrix,
-    unit_tags,
-)
+from .yang import build_yang, contract_to_hp, gauge_defect, toy_frame
 
 
 class _CheckFailure(Exception):

@@ -15,8 +15,8 @@ Two node species:
                    label's own code.
 
 Every vertex of one signature (or grade and rank) shares one read-only
-table, built on first use: its array, its parity sum, and its slots, a
-MappingProxyType from slot name to (position, dim, kind).
+table, built on first use: its parity sum and its slots, a MappingProxyType
+from slot name to (position, dim, kind); and one array, built on first read.
 
 Edges join slots of compatible kind and equal dimension: spinor to dual,
 vector to vector, and an iota's out to a higher iota's in (chaining). Open
@@ -72,18 +72,28 @@ a parity-conservation argument has to notice before waving a network through.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 from heapq import heapify, heappop, heappush
 from itertools import chain, combinations
 from math import prod
 from types import MappingProxyType
 
-import numpy as np
-
 from .cliff import MAX_TOTAL, build_gammas
 from .perfinite import enumerate_rank
+
+
+class _Numpy:
+    """numpy's stand-in: the first attribute read imports numpy and rebinds
+    np to it, so building a network and its parity audit load no numpy."""
+
+    def __getattr__(self, name):
+        global np
+        import numpy as np
+        return getattr(np, name)
+
+
+np = _Numpy()
 
 # every intermediate of a ring with up to three open vector legs at
 # p + q <= 8 fits: the largest, two (16, 8, 16) vertices of a (4, 4) 3-ring
@@ -109,8 +119,8 @@ def _slot_tables(names, dims, kinds, parities) -> tuple:
 
 class GammaVertex:
     """A (p, q) gamma vertex; `array` is its read-only int64 tensor
-    (dual, vector, spinor). Every vertex of the signature shares it and
-    its slot tables."""
+    (dual, vector, spinor), built on first read. Every vertex of the
+    signature shares it and its slot tables."""
 
     kind = "gamma"
     slot_names = ("dual", "vector", "spinor")
@@ -122,7 +132,9 @@ class GammaVertex:
             raise ValueError(f"gamma vertex limited to p + q <= {MAX_TOTAL}")
         self.p = p
         self.q = q
-        self.gamma_set, self.array, self.parity, self.slots = _gamma_table(p, q)
+        self.gamma_set, self.parity, self.slots = _gamma_table(p, q)
+
+    array = property(lambda self: _gamma_array(self.p, self.q))
 
     def to_json(self):
         return {"kind": "gamma", "p": self.p, "q": self.q}
@@ -133,21 +145,27 @@ class GammaVertex:
 
 @cache
 def _gamma_table(p: int, q: int):
-    """GammaSet, (dual, vector, spinor) stack and slot tables of a (p, q)
-    vertex, built once per signature and shared by every vertex, all
-    read-only."""
+    """GammaSet and slot tables of a (p, q) vertex, built once per signature
+    and shared by every vertex, all read-only."""
     gs = build_gammas(p, q)
+    names = GammaVertex.slot_names
+    return gs, *_slot_tables(names, (gs.dim, p + q, gs.dim), names, (1, 0, 1))
+
+
+@cache
+def _gamma_array(p: int, q: int):
+    """The read-only (dual, vector, spinor) stack of a (p, q) vertex."""
+    gs = _gamma_table(p, q)[0]
     stack = np.zeros((gs.dim, gs.n, gs.dim), dtype=np.int64)  # stack[r, m, c] = gamma_m[r][c]
     stack[np.arange(gs.dim), np.arange(gs.n)[:, None], np.array(gs.perm)] = np.array(gs.sign)
     stack.flags.writeable = False
-    names = GammaVertex.slot_names
-    return gs, stack, *_slot_tables(names, (gs.dim, p + q, gs.dim), names, (1, 0, 1))
+    return stack
 
 
 class IotaNode:
     """A grade-m selector of the rank frame; `array` is its read-only 0/1
-    inclusion matrix (out, in). Every node of the grade and rank shares it
-    and its slot tables."""
+    inclusion matrix (out, in), built on first read. Every node of the
+    grade and rank shares it and its slot tables."""
 
     kind = "iota"
     slot_names = ("out", "in")
@@ -160,7 +178,9 @@ class IotaNode:
             raise ValueError(f"grade {m} impossible with {n} generators")
         self.m = m
         self.rank = rank
-        self.array, self.parity, self.slots = _iota_table(m, rank)
+        self.parity, self.slots = _iota_table(m, rank)
+
+    array = property(lambda self: _iota_array(self.m, self.rank))
 
     def to_json(self):
         return {"kind": "iota", "m": self.m, "rank": self.rank}
@@ -171,14 +191,22 @@ class IotaNode:
 
 @cache
 def _iota_table(m: int, rank: int):
-    """Inclusion matrix and slot tables of a grade-m node: the grade-m
-    labels of the rank frame, in ascending code, down the in axis; each
-    label's code is exactly its out-side generator index."""
+    """Slot tables of a grade-m node: out has a place per generator one
+    rank up, in one per grade-m label of the rank frame."""
+    dims = (1 << len(enumerate_rank(rank - 1)), sum(x.grade == m for x in enumerate_rank(rank)))
+    return _slot_tables(IotaNode.slot_names, dims, ("monad-out", "blade-in"), (1, m % 2))
+
+
+@cache
+def _iota_array(m: int, rank: int):
+    """Inclusion matrix of a grade-m node: the grade-m labels of the rank
+    frame, in ascending code, down the in axis; each label's code is exactly
+    its out-side generator index."""
     codes = [x.code for x in enumerate_rank(rank) if x.grade == m]
     arr = np.zeros((1 << len(enumerate_rank(rank - 1)), len(codes)), dtype=np.int64)
     arr[codes, range(len(codes))] = 1
     arr.flags.writeable = False
-    return arr, *_slot_tables(IotaNode.slot_names, arr.shape, ("monad-out", "blade-in"), (1, m % 2))
+    return arr
 
 
 def _vertex_from_json(data):
@@ -212,17 +240,8 @@ def _end(item, where: str) -> tuple:
     return v, s
 
 
-@dataclass(frozen=True)
-class ParityFlag:
-    vertex: int
-    kind: str
-    reason: str
-
-
-@dataclass(frozen=True)
-class ParityReport:
-    ok: bool
-    flags: tuple
+ParityFlag = namedtuple("ParityFlag", "vertex kind reason")
+ParityReport = namedtuple("ParityReport", "ok flags")
 
 
 class VertexNetwork:
@@ -365,6 +384,8 @@ class VertexNetwork:
 
     @classmethod
     def load(cls, path: str) -> "VertexNetwork":
+        import json
+
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_json(json.load(fh))
 

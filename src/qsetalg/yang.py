@@ -22,52 +22,21 @@ The same mechanism in miniature: three directions, signature arranged so that
 2x2 toy built here reproduces the catalog triple's structure constants
 exactly.
 
-Physical scales are unit tags (symbol -> exponent maps, never floats;
-unit_tags()): coordinates carry xbar * N^{-1/2}, momenta ebar * N^{-1/2},
-and the surviving pairing therefore carries xbar * ebar / N, the action
-quantum of the contracted theory.
-
-accumulate_coordinate() treats one direction's coordinate as a sum of n
-commuting two-level steps (Kronecker sum). Each step has spectrum {+1, -1}
-(spacelike, symmetric step) or {+i, -i} (timelike, antisymmetric step, the i
-kept in the unit tag), so the total has the binomial spectrum
-{n - 2j with multiplicity C(n, j)}; the eigenvalues accumulate in integer
-rungs around zero instead of filling a continuum. total_matrix() builds that
-Kronecker sum; one check serves both: 1..12 steps, each of square +1 or -1.
-
 Each generator M(a, b) is a signed permutation over 2, handed to
 MatrixAlgebra.of_points as it comes out of the gamma set, so the frames,
-their constants, the contraction and the defect all run on Python ints;
-total_matrix, a dense array by design, is the one place here that imports
-numpy.
+their constants, the contraction and the defect all run on Python ints,
+with no numpy. The scales and spectra of the contracted coordinates live in
+spectra, which needs none of this.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from math import comb
 
 from .cliff import build_gammas
 from .liecore import ContractionFamily, MatrixAlgebra, StructureConstants
-from .scalars import UnitTag
-
-# ---------------------------------------------------------------------------
-# unit tags
-
-
-def unit_tags() -> dict:
-    """Scales carried by the contracted generators: coordinates and momenta
-    shrink like N^{-1/2}, so their surviving pairing carries the 1/N action
-    quantum."""
-    coord = UnitTag({"xbar": 1, "N": Fraction(-1, 2)})
-    mom = UnitTag({"ebar": 1, "N": Fraction(-1, 2)})
-    return {
-        "coordinate": coord,
-        "momentum": mom,
-        "action": coord * mom,
-    }
-
+from .scalars import UnitTag  # noqa: F401 (yang.UnitTag is public, as palev.UnitTag is)
 
 # ---------------------------------------------------------------------------
 # toy frame: three directions, 2x2 matrices
@@ -154,26 +123,16 @@ def build_yang(preset: str = "4-2") -> YangFrame:
     return YangFrame(preset)
 
 
-@dataclass(frozen=True)
-class HpTarget:
+class HpTarget(namedtuple(
+    "HpTarget", "constants central_charge coordinates_commute momenta_commute heisenberg_pairing killing_degenerate"
+)):
     """Contracted structure constants plus the invariants that make the limit
     a rotations-plus-Heisenberg algebra."""
 
-    constants: StructureConstants
-    central_charge: bool
-    coordinates_commute: bool
-    momenta_commute: bool
-    heisenberg_pairing: bool
-    killing_degenerate: bool
+    __slots__ = ()
 
     def all_hold(self) -> bool:
-        return (
-            self.central_charge
-            and self.coordinates_commute
-            and self.momenta_commute
-            and self.heisenberg_pairing
-            and self.killing_degenerate
-        )
+        return all(self[1:])  # every field after the constants
 
 
 def contract_to_hp(frame: YangFrame):
@@ -195,13 +154,9 @@ def contract_to_hp(frame: YangFrame):
     return fam, HpTarget(lim, central, xx, pp, pairing, degenerate)
 
 
-@dataclass(frozen=True)
-class DefectReport:
-    """How far the eps-scaled generators are from satisfying the limit table."""
-
-    eps: Fraction
-    worst: Fraction
-    by_pair: tuple  # ((label_i, label_j, max-abs entry as Fraction), ...)
+# how far the eps-scaled generators are from satisfying the limit table: eps,
+# the worst entry and by_pair, ((label_i, label_j, max-abs entry), ...), exact
+DefectReport = namedtuple("DefectReport", "eps worst by_pair")
 
 
 def gauge_defect(frame: YangFrame, eps_sqrt) -> DefectReport:
@@ -239,75 +194,3 @@ def gauge_defect(frame: YangFrame, eps_sqrt) -> DefectReport:
             rows.append((frame.labels[a], frame.labels[b], m))
             worst = max(worst, m)
     return DefectReport(eps_sqrt * eps_sqrt, worst, tuple(rows))
-
-
-# ---------------------------------------------------------------------------
-# coordinate accumulation: Kronecker sums of two-level steps
-
-_MAX_STEPS = 12
-
-ACCUMULATION_PRESETS = {
-    # direction label -> step square, per direction
-    "penrose": (("s1", 1), ("s2", 1), ("s3", 1)),
-    "feynman": (("s1", 1), ("s2", 1), ("s3", 1), ("t", -1)),
-}
-
-
-@dataclass(frozen=True)
-class AccumulationResult:
-    steps: int
-    square: int
-    unit: UnitTag
-    spectrum: tuple  # ((integer level, multiplicity), ...) descending level
-
-
-def _check_steps(n: int, square: int) -> None:
-    if not 1 <= n <= _MAX_STEPS:
-        raise ValueError(f"steps must lie in 1..{_MAX_STEPS}")
-    if square not in (1, -1):
-        raise ValueError("step square must be +1 or -1")
-
-
-def total_matrix(n: int, square: int):
-    """Kronecker sum of n identical two-level steps [[0, 1], [square, 0]],
-    each squaring to square * I; dimension 2**n, as an int64 array."""
-    import numpy as np
-
-    _check_steps(n, square)
-    s = np.array([[0, 1], [square, 0]], dtype=np.int64)
-    dim = 1 << n
-    out = np.zeros((dim, dim), dtype=np.int64)
-    for k in range(n):
-        left = np.eye(1 << k, dtype=np.int64)
-        right = np.eye(1 << (n - k - 1), dtype=np.int64)
-        out += np.kron(np.kron(left, s), right)
-    return out
-
-
-def accumulate_coordinate(n: int, square: int = 1) -> AccumulationResult:
-    """Spectrum of a coordinate built from n two-level steps.
-
-    Commuting steps with spectrum {+1, -1} (times i for square == -1) add up
-    to levels n - 2j, j = 0..n, each with multiplicity C(n, j). The result
-    records the integer levels; the unit tag carries the step length and, for
-    timelike steps, the factor i.
-    """
-    _check_steps(n, square)
-    unit = UnitTag.single("lstep")
-    if square == -1:
-        unit = unit * UnitTag.single("i")
-    spectrum = tuple((n - 2 * j, comb(n, j)) for j in range(n + 1))
-    return AccumulationResult(n, square, unit, spectrum)
-
-
-def accumulate_preset(name: str, n: int) -> dict:
-    """Run accumulate_coordinate for every direction of a named frame."""
-    if name not in ACCUMULATION_PRESETS:
-        raise ValueError(
-            f"unknown accumulation preset {name!r}; choose from "
-            f"{sorted(ACCUMULATION_PRESETS)}"
-        )
-    return {
-        label: accumulate_coordinate(n, square)
-        for label, square in ACCUMULATION_PRESETS[name]
-    }

@@ -25,7 +25,8 @@ from qsetalg.qset import (
 )
 from qsetalg.verify import RunConfig, run_all
 from qsetalg.vertexnet import GammaVertex, IotaNode, VertexNetwork, dense_oracle
-from qsetalg.yang import accumulate_coordinate, build_yang, contract_to_hp, gauge_defect
+from qsetalg.spectra import accumulate_coordinate
+from qsetalg.yang import build_yang, contract_to_hp, gauge_defect
 
 from helpers import rand_mv
 
@@ -179,7 +180,7 @@ def test_criterion_07_accumulation_spectra():
     t0 = time.monotonic()
     from math import comb
 
-    from qsetalg.yang import total_matrix
+    from qsetalg.spectra import total_matrix
 
     ok = True
     for n in range(1, 9):

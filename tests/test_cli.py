@@ -13,7 +13,6 @@ from pathlib import Path
 import pytest
 
 import qsetalg
-from qsetalg import cli
 from qsetalg.cli import build_parser, main
 from qsetalg.cliff import MAX_TOTAL, build_gammas
 from qsetalg.palev import MAX_CAPACITY
@@ -321,70 +320,100 @@ def test_sympy_loads_only_where_a_coefficient_is_built():
 
 IMPORT_GRAPH = """
 import sys
-from qsetalg.cli import build_parser, main
-
-net, mv_a, mv_b, json_out = sys.argv[1:5]
+from qsetalg.cli import main
 
 
-def loaded(*names):
+def loaded(names):
     return [n for n in names if n in sys.modules]
 
 
-assert not loaded("numpy", "qsetalg.qset"), "numpy or qset loaded on import"
-main("sets decode 11".split())
-assert not loaded("numpy", "qsetalg.qset", "dataclasses"), f"{loaded('numpy', 'qsetalg.qset', 'dataclasses')} loaded by sets decode 11"
-for argv in (
-    "palev deviation --capacity 9",
-    "palev exclusion --capacity 30",
-    "palev ladder",
-    "palev normal-order",
-    "palev carriers --preset spin3",
-    "palev carriers --preset spin21",
-    "palev carriers --capacity 4096",
-):
-    main(argv.split())
-    assert not loaded("numpy", "qsetalg.qset"), f"{loaded('numpy', 'qsetalg.qset')} loaded by {argv}"
-for argv in (
-    "qset signature --rank 3",
-    f"qset grassmann {mv_a} {mv_b}",
-    f"qset clifford {mv_a} {mv_b} --rank 3 --metric hyperbolic",
-    f"qset norm {mv_a} --rank 3",
-):
-    main(argv.split())
-    assert not loaded("numpy"), f"numpy loaded by {argv}"
-layers = ("qsetalg.verify", "qsetalg.vertexnet", "qsetalg.yang")
-main("gamma 4 4".split())
-assert not loaded(*layers, "numpy"), f"{loaded(*layers, 'numpy')} loaded by gamma 4 4"
-main(["gamma", "4", "4", "--json", json_out])
-assert not loaded(*layers, "numpy"), f"{loaded(*layers, 'numpy')} loaded by gamma 4 4 --json"
-lie = [f"{cmd} {name}" for cmd in ("structure", "killing") for name in ("so3", "h1", "so21", "so4", "toy", "yang-4-2")]
-lie += ["contract so3 --weights 1/2,1/2,1", "contract yang-3-3"]
-lie += ["yang table", "yang contract", "yang defect", "yang accumulate", "yang units"]
-for argv in lie:
-    main(argv.split())
-    assert not loaded("numpy", "qsetalg.verify", "qsetalg.vertexnet"), f"{loaded('numpy', 'qsetalg.verify', 'qsetalg.vertexnet')} loaded by {argv}"
-for argv in ("structure so3", "killing toy", "contract so3", "yang table", f"net eval {net}"):
-    main(argv.split())
-    assert not loaded("qsetalg.verify"), f"qsetalg.verify loaded by {argv}"
-assert loaded("qsetalg.vertexnet")
-assert main(["verify-all"]) == 0
-assert loaded("qsetalg.verify")
+for call in sys.argv[1:]:
+    argv, code, forbidden = call.split("|")
+    forbidden = forbidden.split(",")
+    assert not loaded(forbidden), f"{loaded(forbidden)} loaded before {argv}: an earlier call loads it"
+    assert main(argv.split()) == int(code), f"{argv} did not exit {code}"
+    assert not loaded(forbidden), f"{loaded(forbidden)} loaded by {argv}"
 """
 
+# what each numpy-free call must not load
+_LIGHT = ("dataclasses", "inspect", "numpy")
+_NOT_NET = ("qsetalg.vertexnet", "qsetalg.verify")
+_NO_SETS = ("json", "qsetalg.perfinite", "qsetalg.qset")
 
-def test_each_command_imports_only_the_layers_it_runs(tmp_path):
-    src = str(Path(qsetalg.__file__).resolve().parents[1])
-    net = str(Path(__file__).parent / "oracles" / "net_ring3.json")
+
+def _import_chains(tmp_path):
+    """Every argv shape of the cli benchmark deck (and a few more), each
+    with its exit code and the modules it must not load, as chains of calls
+    for one interpreter each. Modules stay loaded, so within a chain no call
+    loads what a later one must not; the script asserts that too."""
+    oracles = Path(__file__).parent / "oracles"
+    ring, iota = oracles / "net_ring3.json", oracles / "net_iota.json"
     mvs = []
     for name, codes in (("a.json", (0, 3, 6, 15)), ("b.json", (1, 5, 10, 12))):
         path = tmp_path / name
         path.write_text(json.dumps(mv_to_json(sum((Multivector.blade(decode(c), c + 1) for c in codes), Multivector.zero()))))
-        mvs.append(str(path))
+        mvs.append(path)
+    a, b = mvs
+    palev = ("palev deviation --capacity 9", "palev exclusion --capacity 20", "palev exclusion --capacity 30",
+             "palev ladder", "palev carriers --capacity 7 --preset spin3", "palev carriers --preset spin21",
+             "palev carriers --capacity 4096", "palev normal-order --system spin21 --word q,p,r,q")
+    lie = [f"{cmd} {name}" for cmd in ("structure", "killing") for name in ("so3", "h1", "so21", "so4", "toy", "yang-4-2")]
+    lie += ["contract so3 --weights 1/2,1/2,1", "contract yang-3-3", "yang table --preset 5-1",
+            "yang contract --preset 3-3", "yang defect --capacity 1000000 --preset 4-2"]
+    sets = ("sets decode 11", "sets xor {} {{}}", "sets enumerate 2", "sets code {{}}", "sets info {{{}}}")
+    light = [
+        *((argv, 0, _LIGHT + _NO_SETS + _NOT_NET + ("qsetalg.cliff", "qsetalg.liecore")) for argv in palev),
+        *((argv, 0, _LIGHT + _NO_SETS + _NOT_NET + ("qsetalg.cliff", "qsetalg.liecore", "qsetalg.yang")) for argv in (
+            "yang units", "yang accumulate --frame feynman --steps 12", "yang accumulate --frame penrose --steps 1")),
+        ("gamma 4 4", 0, _LIGHT + _NO_SETS + _NOT_NET + ("qsetalg.liecore", "qsetalg.yang")),
+        *((argv, 0, _LIGHT + _NO_SETS + _NOT_NET) for argv in lie),
+        *((argv, 0, _LIGHT + _NOT_NET + ("json", "qsetalg.qset")) for argv in sets),
+        ("qset signature --rank 3", 0, _LIGHT + _NOT_NET + ("json",)),
+        *((argv, 0, _LIGHT + _NOT_NET) for argv in (
+            "qset embed {{}}", f"qset grassmann {a} {b}", f"qset clifford {a} {b} --rank 3 --metric hyperbolic",
+            f"qset norm {a} --rank 3")),
+        *((argv, code, _LIGHT + ("qsetalg.verify",)) for argv, code in ((f"net parity {ring}", 0), (f"net parity {iota}", 1))),
+    ]
+    numpy = [
+        (f"gamma 4 4 --json {tmp_path / 'gammas.json'}", 0,
+         _LIGHT + ("qsetalg.perfinite", "qsetalg.liecore", "qsetalg.yang") + _NOT_NET),
+        *((argv, 0, ("dataclasses", "qsetalg.verify")) for argv in (f"net eval {ring}", f"net eval {iota}", f"net check {ring}")),
+        *((argv, 0, ("dataclasses",)) for argv in ("--seed 1 verify-all", "--mode float --seed 2 verify-all")),
+    ]
+    refit = [(argv, 0, ("dataclasses", "json", "qsetalg.perfinite") + _NOT_NET)
+             for argv in ("contract so21 --eps 1/100", "contract so4 --eps 1/1000")]
+    return light, numpy, refit
+
+
+def test_each_command_imports_only_the_layers_it_runs(tmp_path):
+    src = str(Path(qsetalg.__file__).resolve().parents[1])
+    for chain in _import_chains(tmp_path):
+        calls = [f"{argv}|{code}|{','.join(forbidden)}" for argv, code, forbidden in chain]
+        res = subprocess.run(
+            [sys.executable, "-c", IMPORT_GRAPH, *calls],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert res.returncode == 0, res.stderr
+
+
+UNKNOWN_ALGEBRA = """
+import sys
+from qsetalg.cli import main
+
+for cmd in ("structure", "killing", "contract"):
+    assert main([cmd, "nosuch"]) == 2
+assert "qsetalg.liecore" not in sys.modules and "qsetalg.yang" not in sys.modules
+"""
+
+
+def test_unknown_algebra_is_refused_before_the_lie_layer_loads():
+    src = str(Path(qsetalg.__file__).resolve().parents[1])
     res = subprocess.run(
-        [sys.executable, "-c", IMPORT_GRAPH, net, *mvs, str(tmp_path / "gammas.json")],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        [sys.executable, "-c", UNKNOWN_ALGEBRA], capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
     )
     assert res.returncode == 0, res.stderr
+    want = "error: unknown algebra 'nosuch'; available: h1, so21, so3, so4, toy, yang-3-3, yang-4-2, yang-5-1"
+    assert res.stderr.splitlines() == [want] * 3
 
 
 NUMPY_AFTER = """
@@ -410,10 +439,11 @@ def test_float_refits_networks_and_verify_all_still_load_numpy(argv):
 
 
 def test_yang_choices_match_the_yang_tables(capsys):
-    from qsetalg import cli, yang
+    from qsetalg import cli, liecore, spectra, yang
 
     assert cli._YANG_PRESETS == tuple(sorted(yang.PRESETS))
-    assert cli._FRAMES == tuple(sorted(yang.ACCUMULATION_PRESETS))
+    assert cli._FRAMES == tuple(sorted(spectra.ACCUMULATION_PRESETS))
+    assert cli._CATALOG == tuple(sorted(liecore.CATALOG))
     with pytest.raises(SystemExit) as done:
         main(["yang", "--help"])
     assert done.value.code == 0
@@ -719,10 +749,6 @@ def test_every_argv_the_parser_builds_exits_0_1_or_2(capsys, monkeypatch, tmp_pa
     # bare file names read and write in an empty directory
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("QSETALG_OUT_DIR", raising=False)
-    # main parses with one shared parser: a parse leaves it as it was, and
-    # building the parser anew for each argv would take five sixths of the run
-    parser = build_parser()
-    monkeypatch.setattr(cli, "build_parser", lambda: parser)
     broken = []
     for argv in _law_argvs():
         try:
@@ -768,10 +794,8 @@ def test_sets_decode_reads_back_what_code_prints(capsys):
 
 
 def test_sets_decode_refuses_codes_past_the_set_limit(capsys):
-    from qsetalg import cli
-
-    # more digits than 2**(2**24) - 1 has: refused before conversion
-    code, out, err = run(capsys, "sets", "decode", "1" * (cli._MAX_CODE_DIGITS + 1))
+    # 2**(2**24) - 1 has 5050446 digits; one more is refused before conversion
+    code, out, err = run(capsys, "sets", "decode", "1" * 5050447)
     assert code == 2
     assert "passes the 16777216-bit set limit" in err
     assert len(out.splitlines()) == 1  # the header only

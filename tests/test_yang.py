@@ -5,19 +5,9 @@ import numpy as np
 import pytest
 
 from qsetalg.liecore import boost_triple, rotation_boost6
-from qsetalg.yang import (
-    ACCUMULATION_PRESETS,
-    PRESETS,
-    UnitTag,
-    accumulate_coordinate,
-    accumulate_preset,
-    build_yang,
-    contract_to_hp,
-    gauge_defect,
-    total_matrix,
-    toy_frame,
-    unit_tags,
-)
+from qsetalg.scalars import UnitTag
+from qsetalg.spectra import ACCUMULATION_PRESETS, accumulate_coordinate, accumulate_preset, total_matrix, unit_tags
+from qsetalg.yang import PRESETS, build_yang, contract_to_hp, gauge_defect, toy_frame
 
 from helpers import load_oracle
 
