@@ -13,16 +13,15 @@ built by a three-rule recursion over explicit seed representations:
     (0,q) -> (q+2,0)     two new plus generators, old ones conjugated through
     (p,0) -> (0,p+2)     two new minus generators via the quaternion pair
 
-Every seed is a signed permutation, and a Kronecker product of monomial
-matrices (one nonzero per row) is monomial, so a GammaSet holds its
-generators as tuples of Python ints, `perm` and `sign`: row r of
-gamma_{i+1} has sign[i][r] in column perm[i][r]. With signs +-1 a
-generator is also a permutation of 2d points (signed_points): row r goes to
-point perm[r] or perm[r] + d by its sign, and point r + d to the other one.
-The matrix product a b is then the point map a, then b (then): one
-bytes.translate while 2d <= 256, so the recursion, the pair products and
-the anticommutator check run on these. Dense matrices are built only on
-first read of `gammas`. Everything is exact on Python ints; the
+Every seed is a signed permutation, written as (columns, signs), and a
+Kronecker product of signed permutations is one, so a GammaSet holds each
+generator as a permutation of 2d points, its `points`: row r, holding sign
+s in column c, sends point r to point c (s = +1) or c + d (s = -1), and
+point r + d to the other one. The matrix product a b is the point map a,
+then b (then): one bytes.translate while 2d <= 256. The recursion, the pair
+products, the top element and the anticommutator check run on these; -g
+is g with its two halves of points swapped. Dense matrices are built only
+on first read of `gammas`. Everything is exact on Python ints; the
 representation dimension is not always the minimal one (Cl(0,8) lands at
 64 rather than 16).
 
@@ -34,35 +33,13 @@ from __future__ import annotations
 
 from functools import cache, cached_property, reduce
 from itertools import chain
-from operator import add, mul, neg
+from operator import add
 
 
-def _monomial(matrix) -> tuple:
-    """(perm, sign) of one square integer matrix whose every row holds
-    exactly one nonzero entry; ValueError for any other matrix."""
-    perm, sign = [], []
-    for row in matrix:
-        if len(row) != len(matrix):
-            raise ValueError("gamma matrices must be square and of one size")
-        cols = [c for c, x in enumerate(row) if x]
-        if len(cols) != 1:
-            raise ValueError("a gamma matrix has a row without exactly one nonzero entry")
-        perm.append(cols[0])
-        sign.append(int(row[cols[0]]))
-    return tuple(perm), tuple(sign)
-
-
-def _mul(a, b) -> tuple:
-    """Product of two monomials a = (perm, sign) and b: row r of a b holds
-    sign_a[r] sign_b[perm_a[r]] in column perm_b[perm_a[r]]."""
-    (pa, sa), (pb, sb) = a, b
-    return tuple(map(pb.__getitem__, pa)), tuple(map(mul, sa, map(sb.__getitem__, pa)))
-
-
-def signed_points(perm, sign):
-    """The monomial (perm, sign) as a permutation of 2d points (see the
-    module text); KeyError when a sign is not +-1."""
-    return _close(map(add, perm, map({1: 0, -1: len(perm)}.__getitem__, sign)), len(perm))
+def signed_points(columns, signs):
+    """The signed permutation with signs[r] = +-1 in column columns[r] of
+    row r as a permutation of 2d points (see the module text)."""
+    return _close(map(add, columns, map({1: 0, -1: len(columns)}.__getitem__, signs)), len(columns))
 
 
 def _close(head, d: int):
@@ -95,29 +72,18 @@ def then(a, b):
     return tuple(map(b.__getitem__, a))
 
 
-def point_monomial(pts, d: int) -> tuple:
-    """(perm, sign) of a point permutation of 2d points."""
-    cols, signs = _unpoint(d)
-    return tuple(map(cols.__getitem__, pts[:d])), tuple(map(signs.__getitem__, pts[:d]))
-
-
-@cache
-def _unpoint(d: int) -> tuple:
-    """(column, sign) of each of 2d points."""
-    return (*range(d), *range(d)), (1,) * d + (-1,) * d
-
-
-_SX = _monomial([[0, 1], [1, 0]])
-_SZ = _monomial([[1, 0], [0, -1]])
-_SM = _monomial([[0, 1], [-1, 0]])  # squares to -1
-# Left multiplication by i and j on quaternions with basis (1, i, j, k).
-_QI = _monomial([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
-_QJ = _monomial([[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]])
-_SXZ = _mul(_SX, _SZ)
-_QK = _mul(_QI, _QJ)
+# Seeds as (columns, signs): row r holds signs[r] in column columns[r].
+_SX = ((1, 0), (1, 1))
+_SZ = ((0, 1), (1, -1))
+_SM = ((1, 0), (1, -1))  # squares to -1
+_SXZ = ((1, 0), (-1, 1))  # sigma_x sigma_z
+# Left multiplication by i, j and k = i j on quaternions with basis (1, i, j, k).
+_QI = ((1, 0, 3, 2), (-1, 1, -1, 1))
+_QJ = ((2, 3, 0, 1), (-1, 1, 1, -1))
+_QK = ((3, 2, 1, 0), (-1, -1, 1, 1))
 _SEEDS = {
     (0, 0): (),
-    (1, 0): (_monomial([[1]]),),
+    (1, 0): (((0,), (1,)),),
     (0, 1): (_SM,),
     (2, 0): (_SX, _SZ),
     (0, 2): (_QI, _QJ),
@@ -127,9 +93,9 @@ MAX_TOTAL = 12  # largest p + q of a gamma set, and of a gamma vertex
 
 
 def _kron(a, old, d: int) -> tuple:
-    """The point permutations of kron(a, g) for the seed a = (perm, sign),
-    signs +-1, and each point permutation g of d rows in old: row (r, s) has
-    sign a_r b_s in column perm_a(r) d + perm_b(s), so block r of the head
+    """The point permutations of kron(a, g) for the seed a = (columns,
+    signs) and each point permutation g of d rows in old: row (r, s) has
+    sign a_r b_s in column col_a(r) d + col_b(s), so block r of the head
     is g's head sent through one table per row r of a (_blocks)."""
     size, tables = len(a[0]) * d, _blocks(a, d)
     if isinstance(tables[0], bytes):
@@ -170,37 +136,25 @@ def _recurse(p: int, q: int) -> tuple:
 class GammaSet:
     """Concrete real representation of the generators for signature (p, q).
 
-    The set holds `perm` and `sign`, one tuple of Python ints per monomial
-    generator; the dense view and, where every sign is +-1, the point
-    permutations are derived from them on first read (a built set starts
-    with the point permutations it was built as)."""
+    The set holds `points`, one point permutation of 2 dim points per
+    generator (a 256-byte table while 2 dim <= 256, a tuple past that); the
+    dense view is derived from them on first read."""
 
-    def __init__(self, p: int, q: int, perm, sign):
+    def __init__(self, p: int, q: int, points, dim: int):
         self.p = p
         self.q = q
         self.n = p + q
         self.eta = (1,) * p + (-1,) * q
-        self.perm = tuple(map(tuple, perm))
-        self.sign = tuple(map(tuple, sign))
-        self.dim = len(self.perm[0]) if self.perm else 1
+        self.points = tuple(points)
+        self.dim = dim
 
     @cached_property
     def gammas(self) -> tuple:
-        """The generators as dense integer matrices, tuples of rows, built on
-        first read."""
-        zero = (0,) * self.dim
-        return tuple(
-            tuple(zero[:c] + (s,) + zero[c + 1:] for c, s in zip(perm, sign)) for perm, sign in zip(self.perm, self.sign)
-        )
-
-    @cached_property
-    def _points(self):
-        """The generators as point permutations, or None when a sign is not
-        +-1."""
-        try:
-            return tuple(map(signed_points, self.perm, self.sign))
-        except KeyError:
-            return None
+        """The generators as dense integer matrices, tuples of rows, built
+        from the points on first read."""
+        d = self.dim
+        zero = (0,) * d
+        return tuple(tuple(zero[:x % d] + (1 - 2 * (x >= d),) + zero[x % d + 1:] for x in g[:d]) for g in self.points)
 
     def _index(self, i: int, what: str = "gamma") -> int:
         if not 1 <= i <= self.n:
@@ -216,24 +170,21 @@ class GammaSet:
 
     def products(self, pairs) -> tuple:
         """The point permutations of gamma_a gamma_b for the 1-based pairs
-        (a, b); ValueError when a sign is not +-1. For a != b in a set that
-        anticommutes gamma_a gamma_b is [gamma_a, gamma_b] / 2, and over
-        scale 2 these are the rotation generators: with A_ab = gamma_a gamma_b,
+        (a, b). For a != b in a set that anticommutes gamma_a gamma_b is
+        [gamma_a, gamma_b] / 2, and over scale 2 these are the rotation
+        generators: with A_ab = gamma_a gamma_b,
         [A_ab, A_cd] = 2 (eta_bc A_ad - eta_ac A_bd - eta_bd A_ac + eta_ad A_bc)."""
-        pts = self._points
-        if pts is None:
-            raise ValueError("products of gammas need signs +-1")
-        return tuple(then(pts[self._index(a)], pts[self._index(b)]) for a, b in pairs)
+        return tuple(then(self.points[self._index(a)], self.points[self._index(b)]) for a, b in pairs)
 
-    def _top(self) -> tuple:
-        """(perm, sign) of the top element, the product of all generators
-        highest index first."""
-        start = (tuple(range(self.dim)), (1,) * self.dim)
-        return reduce(_mul, zip(self.perm[::-1], self.sign[::-1]), start)
+    def _top(self):
+        """The point permutation of the top element, the product of all
+        generators highest index first."""
+        return reduce(then, self.points[::-1], _close(range(self.dim), self.dim))
 
     def top_square_sign(self) -> int:
-        perm, sign = _mul(self._top(), self._top())
-        found = [s for s in (1, -1) if perm == tuple(range(self.dim)) and sign == (s,) * self.dim]
+        top, d = self._top(), self.dim
+        head = [*then(top, top)[:d]]
+        found = [s for s, x in ((1, 0), (-1, d)) if head == [*range(x, x + d)]]
         if not found:
             raise AssertionError("top element must square to +/- identity")
         return found[0]
@@ -243,29 +194,26 @@ class GammaSet:
 
 
 def build_gammas(p: int, q: int) -> GammaSet:
+    if type(p) is not int or type(q) is not int:
+        raise ValueError("signature counts must be integers")
     if p < 0 or q < 0:
         raise ValueError("signature counts must be nonnegative")
     if p + q > MAX_TOTAL:
         raise ValueError(f"p + q > {MAX_TOTAL} not supported")
-    points, dim = _recurse(p, q)
-    monomials = [point_monomial(g, dim) for g in points]
-    gs = GammaSet(p, q, [m[0] for m in monomials], [m[1] for m in monomials])
-    gs._points = points
-    return gs
+    return GammaSet(p, q, *_recurse(p, q))
 
 
 def _pair_defect(gs: GammaSet, i: int, j: int) -> int:
     """max |entry| of gamma_i gamma_j + gamma_j gamma_i - 2 eta_i delta_ij I
-    (0-based): row r holds the first product's entry in column c1, the
-    second's in c2 and the target's in r, summed where columns coincide."""
-    gi, gj = (gs.perm[i], gs.sign[i]), (gs.perm[j], gs.sign[j])
-    (c1, v1), (c2, v2) = _mul(gi, gj), _mul(gj, gi)
+    (0-based): row r holds each product's sign in the column of its point
+    and the target's in r, summed where columns coincide."""
+    (gi, gj), d = (gs.points[i], gs.points[j]), gs.dim
     t = 2 * gs.eta[i] if i == j else 0
     worst = 0
-    for r, (a, x, b, y) in enumerate(zip(c1, v1, c2, v2)):
+    for r, pair in enumerate(zip(then(gi, gj)[:d], then(gj, gi)[:d])):
         row = {r: -t}
-        row[a] = row.get(a, 0) + x
-        row[b] = row.get(b, 0) + y
+        for x in pair:
+            row[x % d] = row.get(x % d, 0) + 1 - 2 * (x >= d)
         worst = max(worst, *map(abs, row.values()))
     return worst
 
@@ -274,21 +222,27 @@ def anticommutator_defect(gs: GammaSet) -> int:
     """max |gamma_i gamma_j + gamma_j gamma_i - 2 eta_i delta_ij I|, exactly.
 
     Zero for every GammaSet this module builds; kept as a function because the
-    acceptance checks sweep it over all signatures. On a set of signs +-1 a
-    pair whose point permutations show gamma_i gamma_j == -gamma_j gamma_i
-    (gamma_i^2 == eta_i I for i == j) has no nonzero entry; every other pair
-    is counted entry by entry (_pair_defect).
+    acceptance checks sweep it over all signatures. A pair whose point
+    permutations show gamma_i gamma_j == -gamma_j gamma_i (gamma_i^2 ==
+    eta_i I for i == j) has no nonzero entry; every other pair is counted
+    entry by entry (_pair_defect).
     """
-    pairs, pts, d = [(i, j) for i in range(gs.n) for j in range(i, gs.n)], gs._points, gs.dim
-    if pts is not None:
-        square = {1: _close(range(d), d), -1: _close(range(d, 2 * d), d)}  # I and -I
-        want = {(i, j): square[gs.eta[i]] if i == j else then(then(pts[j], pts[i]), square[-1]) for i, j in pairs}
-        pairs = [(i, j) for i, j in pairs if then(pts[i], pts[j]) != want[i, j]]
+    pts, d = gs.points, gs.dim
+    minus_eta = {1: _close(range(d, 2 * d), d), -1: _close(range(d), d)}  # -eta_i I, so gamma_i^2 == -(-eta_i I)
+    pairs = [
+        (i, j) for i in range(gs.n) for j in range(i, gs.n)
+        if then(pts[i], pts[j])[:d] != (minus_eta[gs.eta[i]] if i == j else then(pts[j], pts[i]))[d:2 * d]
+    ]
     return max((_pair_defect(gs, i, j) for i, j in pairs), default=0)
 
 
 def entries_are_signs(gs: GammaSet) -> bool:
-    return max(map(abs, chain.from_iterable(gs.sign)), default=0) <= 1
+    """Whether every generator is a signed permutation: its points are a
+    permutation of the 2d points that sends point r + d to the negative of
+    r's image."""
+    d = gs.dim
+    swap = _swap(d)[0]
+    return all(sorted(g[:2 * d]) == [*range(2 * d)] and [*g[d:2 * d]] == [swap[x] for x in g[:d]] for g in gs.points)
 
 
 def gammas_to_json(gs: GammaSet) -> dict:

@@ -14,8 +14,9 @@ A basis of signed permutations with signs +-1 (MatrixAlgebra.of_points:
 the gamma products of the frames, so4 and the toy triple) is also held as
 cliff point permutations. Two such generators that commute or anticommute,
 as gamma products do, have G_i G_j == +-G_j G_i, one bytes.translate each:
-the bracket is 0 or 2 G_i G_j, and a lookup by permutation finds the one
-generator +-G_k it lands on. Any other pair goes through the solver.
+the bracket is 0 or 2 G_i G_j, and a lookup by the first d points finds
+the one generator +-G_k it lands on (-G_k is G_k with its two halves of
+points swapped). Any other pair goes through the solver.
 
 StructureConstants hold the constants as one sparse table over one
 denominator D: table[i, j] = {k: C} for i < j, c_ijk = C / D in lowest
@@ -47,7 +48,7 @@ from functools import cached_property
 from math import gcd, lcm
 from operator import index
 
-from .cliff import signed_points, then
+from .cliff import then
 from .linalg import ColumnSolver, LinalgError, RationalSpan, det
 
 
@@ -130,19 +131,20 @@ class MatrixAlgebra:
         """{(i, j): {k: x}}, x over the solver's den, for the pairs of a basis
         of points whose products G_i G_j and G_j G_i are equal (bracket 0)
         or opposite with G_i G_j == +-G_k (bracket 2 G_i G_j), found by a
-        lookup by permutation; every other pair is left out."""
+        lookup by the first d points, where -G has G's last d; every other
+        pair is left out."""
         pts, d, n = self._points, self.matrix_dim, self.dim
         compose = bytes.translate if isinstance(pts[0], bytes) else then
-        minus, lookup, out = signed_points(range(d), (-1,) * d), {}, {}
+        lookup, out = {}, {}
         for k, g in enumerate(pts):
-            lookup[g], lookup[compose(g, minus)] = (k, 1), (k, -1)
+            lookup[g[:d]], lookup[g[d:2 * d]] = (k, 1), (k, -1)
         for i, gi in enumerate(pts):
             for j in range(i + 1, n):
                 ij, ji = compose(gi, pts[j]), compose(pts[j], gi)
                 if ij == ji:
                     out[i, j] = {}
-                elif ij in lookup and ij == compose(ji, minus):
-                    k, sign = lookup[ij]
+                elif ij[:d] == ji[d:2 * d] and ij[:d] in lookup:
+                    k, sign = lookup[ij[:d]]
                     out[i, j] = {k: 2 * sign * self._solver.den}
         return out
 

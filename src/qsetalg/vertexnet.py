@@ -73,7 +73,7 @@ a parity-conservation argument has to notice before waving a network through.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cache
+from functools import cache, lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import chain, combinations
 from math import prod
@@ -143,10 +143,11 @@ class GammaVertex:
         return f"GammaVertex(p={self.p}, q={self.q})"
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def _gamma_table(p: int, q: int):
     """GammaSet and slot tables of a (p, q) vertex, built once per signature
-    and shared by every vertex, all read-only."""
+    and shared by every vertex, all read-only. Typed, so that 2.0 or True
+    reaches build_gammas's refusal instead of the entry for 2 or 1."""
     gs = build_gammas(p, q)
     names = GammaVertex.slot_names
     return gs, *_slot_tables(names, (gs.dim, p + q, gs.dim), names, (1, 0, 1))
@@ -156,8 +157,9 @@ def _gamma_table(p: int, q: int):
 def _gamma_array(p: int, q: int):
     """The read-only (dual, vector, spinor) stack of a (p, q) vertex."""
     gs = _gamma_table(p, q)[0]
+    heads = np.array([[*g[:gs.dim]] for g in gs.points])  # row r's point: +1 in column x, or -1 in x - dim past dim
     stack = np.zeros((gs.dim, gs.n, gs.dim), dtype=np.int64)  # stack[r, m, c] = gamma_m[r][c]
-    stack[np.arange(gs.dim), np.arange(gs.n)[:, None], np.array(gs.perm)] = np.array(gs.sign)
+    stack[np.arange(gs.dim), np.arange(gs.n)[:, None], heads % gs.dim] = 1 - 2 * (heads >= gs.dim)
     stack.flags.writeable = False
     return stack
 

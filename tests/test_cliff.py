@@ -5,12 +5,20 @@ import numpy as np
 import pytest
 
 from qsetalg.cliff import (
+    _QI,
+    _QJ,
+    _QK,
+    _SX,
+    _SXZ,
+    _SZ,
+    MAX_TOTAL,
     GammaSet,
-    _monomial,
+    _close,
     anticommutator_defect,
     build_gammas,
     entries_are_signs,
-    point_monomial,
+    signed_points,
+    then,
 )
 from helpers import ORACLE_DIR, dense_commutator, load_oracle, reference_defect
 
@@ -63,11 +71,21 @@ def test_squares_match_signature():
         assert np.array_equal(sq, gs.eta_entry(i) * np.eye(gs.dim, dtype=sq.dtype))
 
 
-def dense(perm, sign):
-    """The dense matrix of the monomial (perm, sign), Python ints."""
-    out = np.zeros((len(perm), len(perm)), dtype=object)
-    out[np.arange(len(perm)), list(perm)] = list(sign)
+def dense(points, d):
+    """The dense matrix of a point permutation of 2d points, Python ints:
+    row r holds +1 in column x for its point x < d, else -1 in column x - d."""
+    out = np.zeros((d, d), dtype=object)
+    for r, x in enumerate(points[:d]):
+        out[r, x % d] = 1 - 2 * (x >= d)
     return out
+
+
+def to_points(matrix):
+    """The point permutation of a square matrix whose every row holds one
+    entry +-1 and zeros."""
+    rows = [[int(x) for x in row] for row in matrix]
+    cols = [next(c for c, x in enumerate(row) if x) for row in rows]
+    return signed_points(cols, [row[c] for row, c in zip(rows, cols)])
 
 
 def antisym(gs, pairs):
@@ -77,7 +95,7 @@ def antisym(gs, pairs):
     products = gs.products([(a, b) for a, b in pairs if a != b])
     stack = np.zeros((len(pairs), gs.dim, gs.dim), dtype=np.int64)
     for at, product in zip([i for i, (a, b) in enumerate(pairs) if a != b], products):
-        stack[at] = dense(*point_monomial(product, gs.dim))
+        stack[at] = dense(product, gs.dim)
     return stack
 
 
@@ -107,15 +125,15 @@ def test_antisym_is_antisymmetric(p, q):
     gs = build_gammas(p, q)
     for a in range(1, gs.n + 1):
         (square,) = gs.products([(a, a)])
-        assert np.array_equal(dense(*point_monomial(square, gs.dim)), gs.eta_entry(a) * np.eye(gs.dim, dtype=int))
+        assert np.array_equal(dense(square, gs.dim), gs.eta_entry(a) * np.eye(gs.dim, dtype=int))
         for b in range(a + 1, gs.n + 1):
-            ab, ba = (dense(*point_monomial(x, gs.dim)) for x in gs.products([(a, b), (b, a)]))
+            ab, ba = (dense(x, gs.dim) for x in gs.products([(a, b), (b, a)]))
             assert np.array_equal(ab, -ba)
 
 
 def top_element(gs):
-    """The dense top element, from the set's (perm, sign) product."""
-    return dense(*gs._top())
+    """The dense top element, from the set's point product."""
+    return dense(gs._top(), gs.dim)
 
 
 def test_top_element_anticommutes_in_even_total():
@@ -133,6 +151,10 @@ def test_build_guards():
         build_gammas(-1, 2)
     with pytest.raises(ValueError):
         build_gammas(7, 6)
+    # counts that are not ints, bools included, are refused before any use
+    for p, q in [(2.0, 1), (True, 1), (1, False), ("1", 1), (1, None)]:
+        with pytest.raises(ValueError, match="integers"):
+            build_gammas(p, q)
 
 
 # -- the signed-permutation kernel -----------------------------------------
@@ -151,11 +173,35 @@ def test_digests_of_every_set_through_twelve():
 def test_every_set_is_a_signed_permutation_stack():
     for p, q in SIGNATURES + [(0, 12), (12, 0), (5, 7)]:
         gs = build_gammas(p, q)
-        assert len(gs.perm) == len(gs.sign) == p + q
-        assert all(len(row) == gs.dim for row in gs.perm + gs.sign)
-        assert all(sorted(row) == list(range(gs.dim)) for row in gs.perm)
-        assert {s for row in gs.sign for s in row} <= {-1, 1}
-        assert GammaSet(p, q, gs.perm, gs.sign)._points == gs._points
+        d = gs.dim
+        assert len(gs.points) == p + q
+        # a 256-byte table while 2d <= 256, fixing every point past 2d
+        if 2 * d <= 256:
+            assert all(type(g) is bytes and g[2 * d:] == bytes(range(2 * d, 256)) for g in gs.points)
+        else:
+            assert all(type(g) is tuple and len(g) == 2 * d for g in gs.points)
+        assert all(sorted(g[:2 * d]) == list(range(2 * d)) for g in gs.points)
+        # point r + d goes to the negative of point r's image
+        assert all(g[r + d] == (g[r] + d) % (2 * d) for g in gs.points for r in range(d))
+        assert GammaSet(p, q, [to_points(g) for g in gs.gammas], d).points == gs.points
+
+
+def test_entries_are_signs_only_for_signed_permutations():
+    for total in range(MAX_TOTAL + 1):
+        for p in range(total + 1):
+            assert entries_are_signs(build_gammas(p, total - p))
+    rest = bytes(range(4, 256))
+    assert entries_are_signs(GammaSet(2, 0, [bytes([1, 0, 3, 2]) + rest, bytes([2, 1, 0, 3]) + rest], 2))
+    # an image repeated: rows 0 and 1 both land in column 0
+    assert not entries_are_signs(GammaSet(2, 0, [bytes([0, 0, 2, 2]) + rest, bytes([0, 1, 2, 3]) + rest], 2))
+    # a permutation of the 4 points, but point 2 = -0 goes to 3 = -1, not to -0
+    assert not entries_are_signs(GammaSet(2, 0, [bytes([0, 1, 2, 3]) + rest, bytes([0, 1, 3, 2]) + rest], 2))
+    # past 2d = 256 the tuple layout is checked alike
+    d = 129
+    minus = tuple(range(d, 2 * d)) + tuple(range(d))
+    assert entries_are_signs(GammaSet(1, 0, [minus], d))
+    # points d and d + 1 trade images
+    assert not entries_are_signs(GammaSet(1, 0, [minus[:d] + (1, 0) + minus[d + 2:]], d))
 
 
 def reference_top(gammas, dim):
@@ -182,32 +228,29 @@ def test_kernel_matches_the_dense_reference_on_built_sets(p, q):
 
 
 def _from_matrices(p, q, gammas):
-    """The GammaSet of integer matrices that are monomial, refused otherwise."""
-    return GammaSet(p, q, *zip(*(_monomial(g) for g in gammas)))
+    """The GammaSet of square matrices whose every row holds one entry +-1."""
+    return GammaSet(p, q, [to_points(g) for g in gammas], len(gammas[0]))
 
 
 def test_antisym_refuses_an_odd_commutator():
     # a 3-cycle and a transposition: their two products are distinct
     # permutations, so the pair neither commutes nor anticommutes and the
-    # defect check counts its entries; a set with a sign 3 has no point
-    # permutations, so products refuses it
+    # defect check counts its entries
     gs = _from_matrices(2, 0, [np.eye(3, dtype=np.int64)[[1, 2, 0]], np.eye(3, dtype=np.int64)[[1, 0, 2]]])
     assert anticommutator_defect(gs) == reference_defect(arrays(gs), gs.eta) == 2
-    with pytest.raises(ValueError, match="signs"):
-        _from_matrices(1, 0, [[[3]]]).products([(1, 1)])
 
 
 def broken_sets(rng, count):
-    """Monomial sets that fail the relations: one generator scaled by 3,
-    one with two rows swapped, or one generator repeated in place of
-    another."""
+    """Signed permutation sets that fail the relations: one generator with
+    one row's sign flipped, one with two rows swapped, or one generator
+    repeated in place of another."""
     for _ in range(count):
         p, q = rng.choice([s for s in SIGNATURES if sum(s) >= 2])
         gammas = arrays(build_gammas(p, q))
         i, j = rng.sample(range(p + q), 2)
-        kind = rng.choice(("scaled", "rows", "duplicate"))
-        if kind == "scaled":
-            gammas[i] = 3 * gammas[i]
+        kind = rng.choice(("sign", "rows", "duplicate"))
+        if kind == "sign":
+            gammas[i][rng.randrange(len(gammas[i]))] *= -1
         elif kind == "rows" and len(gammas[i]) > 1:
             r, s = rng.sample(range(len(gammas[i])), 2)
             gammas[i][[r, s]] = gammas[i][[s, r]]
@@ -225,49 +268,14 @@ def test_kernel_matches_the_dense_reference_on_broken_sets():
     assert 0 not in seen and len(seen) > 2
 
 
-def test_defect_past_int64_is_exact():
-    gammas = arrays(build_gammas(3, 2))
-    c = 1 << 40
-    gammas[4] = c * gammas[4]
-    gs = _from_matrices(3, 2, gammas)
-    # gamma_5^2 = -c^2 I, so the defect is |2 c^2 - 2|, past 2^63
-    want = reference_defect([g.astype(object) for g in gammas], gs.eta)
-    assert anticommutator_defect(gs) == want == 2 * c * c - 2
-
-
-def test_top_past_int64_is_exact():
-    # four generators with signs +-2^20: the top element's signs are +-2^80,
-    # exact only because its bound counts all 2n factors of its square
-    c = 1 << 20
-    gs = _from_matrices(2, 2, [c * g for g in arrays(build_gammas(2, 2))])
-    perm, sign = gs._top()
-    assert {abs(s) for s in sign} == {c ** 4}
-    want = reference_top([g.astype(object) for g in arrays(gs)], gs.dim)
-    assert np.array_equal(top_element(gs), want)
-
-
-def test_non_monomial_set_is_refused():
-    gs = build_gammas(2, 1)
-    gammas = [np.array(g).tolist() for g in gs.gammas]
-    gammas[0] = (np.array(gs.gamma(1)) + np.array(gs.gamma(2))).tolist()
-    with pytest.raises(ValueError, match="exactly one nonzero"):
-        _from_matrices(2, 1, gammas)
-    # the dense product of this matrix wrapped around int64: the diagonal
-    # 2^81 - 2 came back as -2, and the defect read 2^42
-    big = [[1 << 40, 1], [0, 1 << 40]]
-    assert reference_defect([np.array(big, dtype=object)], (1,)) == 2417851639229258349412350
-    with pytest.raises(ValueError, match="exactly one nonzero"):
-        _from_matrices(1, 0, [big])
-    with pytest.raises(ValueError, match="square"):
-        _from_matrices(1, 0, [[[1, 0]]])
-    assert not entries_are_signs(_from_matrices(2, 1, [[[2, 0], [0, 2]]] * 3))
-
-
 def test_stored_arrays_are_read_only():
-    gs = build_gammas(2, 1)
-    for arr in (gs.perm, gs.sign, gs.gammas[0]):
+    # bytes tables while 2d <= 256, tuples past it
+    for gs in (build_gammas(2, 1), build_gammas(2, 10)):
+        for arr in (gs.points, gs.gammas[0]):
+            with pytest.raises(TypeError):
+                arr[0][0] = 7
         with pytest.raises(TypeError):
-            arr[0][0] = 7
+            gs.points[0] = gs.points[1]
 
 
 def top_square_rule(p, q):
@@ -288,3 +296,23 @@ def test_largest_sets_anticommute_exactly(p, q):
     assert entries_are_signs(gs)
     assert gs.top_square_sign() == top_square_rule(p, q)
     assert "gammas" not in vars(gs)  # no dense matrix was built
+
+
+def test_literal_seed_products_match_their_factors():
+    # sigma_x sigma_z and the quaternion k = i j are written out as
+    # (columns, signs); each must be the product of its two factors
+    for a, b, ab in [(_SX, _SZ, _SXZ), (_QI, _QJ, _QK)]:
+        assert then(signed_points(*a), signed_points(*b)) == signed_points(*ab)
+        d = len(ab[0])
+        assert np.array_equal(dense(signed_points(*ab), d), dense(signed_points(*a), d) @ dense(signed_points(*b), d))
+
+
+@pytest.mark.parametrize("p, q", [(3, 1), (0, 5), (2, 10)])
+def test_negation_swaps_the_two_halves_of_points(p, q):
+    # -g, the product g (-I), is g with its first and last d points traded
+    gs = build_gammas(p, q)
+    d = gs.dim
+    minus = _close(range(d, 2 * d), d)
+    for g in gs.points:
+        assert then(g, minus) == g[d:2 * d] + g[:d] + g[2 * d:]
+        assert np.array_equal(dense(then(g, minus), d), -dense(g, d))

@@ -42,6 +42,11 @@ def test_gamma_vertex_slots():
     # p + q = 13 is one past build_gammas' limit
     with pytest.raises(ValueError, match="p \\+ q <= 12"):
         GammaVertex(7, 6)
+    # a float or bool equal to a built signature is refused all the same
+    GammaVertex(2, 1), GammaVertex(1, 1)
+    for p, q in [(2.0, 1), (True, 1), (1, True)]:
+        with pytest.raises(ValueError, match="integers"):
+            GammaVertex(p, q)
 
 
 def test_iota_node_entries_are_a_grade_selector():
@@ -489,9 +494,9 @@ def test_vertices_share_no_mutable_state():
     with pytest.raises(TypeError):
         a.gamma_set.gammas[0][0][0] = 7
     with pytest.raises(TypeError):
-        a.gamma_set.sign[0][0] = 7
+        a.gamma_set.points[0][0] = 7
     with pytest.raises(TypeError):
-        a.gamma_set.perm[0][0] = 1
+        a.gamma_set.points[0] = a.gamma_set.points[1]
     assert vertexnet._entries(b.array) == before
     assert np.array_equal(b.gamma_set.gammas[0], build_gammas(3, 1).gammas[0])
     # the slot table is one shared read-only view
