@@ -27,7 +27,8 @@ and open legs are tuples, so that wiring never goes stale.
 
 contract() runs a greedy pairwise reduction, joining the pair of tensors
 whose merged result is smallest. A wire index keeps the candidates to pairs
-that share a wire, so planning costs O(E log E) for E edges instead of an
+that share a wire, each sized once from per-wire dims and worked out in full
+only if merged, so planning costs O(E log E) for E edges instead of an
 all-pairs rescan per merge (O(V^3) for V vertices). A vertex that carries a
 wire twice (a spinor line closed on itself) is traced on its own cached
 array as it enters; its entries are -1, 0 or 1, so the trace stays int64. No
@@ -126,6 +127,8 @@ class GammaVertex:
     slot_names = ("dual", "vector", "spinor")
 
     def __init__(self, p: int, q: int):
+        if type(p) is not int or type(q) is not int:
+            raise ValueError("signature counts must be integers")
         if p + q < 1:
             raise ValueError("gamma vertex needs at least one direction")
         if p + q > MAX_TOTAL:
@@ -173,6 +176,8 @@ class IotaNode:
     slot_names = ("out", "in")
 
     def __init__(self, m: int, rank: int):
+        if type(m) is not int or type(rank) is not int:
+            raise ValueError("grade and rank must be integers")
         if rank not in (1, 2, 3):
             raise ValueError("iota nodes support input frame ranks 1..3")
         n = len(enumerate_rank(rank - 1))
@@ -191,7 +196,7 @@ class IotaNode:
         return f"IotaNode(m={self.m}, rank={self.rank})"
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def _iota_table(m: int, rank: int):
     """Slot tables of a grade-m node: out has a place per generator one
     rank up, in one per grade-m label of the rank frame."""
@@ -199,7 +204,7 @@ def _iota_table(m: int, rank: int):
     return _slot_tables(IotaNode.slot_names, dims, ("monad-out", "blade-in"), (1, m % 2))
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def _iota_array(m: int, rank: int):
     """Inclusion matrix of a grade-m node: the grade-m labels of the rank
     frame, in ascending code, down the in axis; each label's code is exactly
@@ -263,16 +268,16 @@ class VertexNetwork:
         for w, e in enumerate(self.edges):
             a, b = e
             (pa, da, ka), (pb, db, kb) = self._slot(a), self._slot(b)
-            if a == b:
-                raise ValueError(f"slot {a} wired to itself")
-            if (ka, kb) not in _COMPATIBLE:
-                raise ValueError(f"incompatible slot kinds {ka!r} and {kb!r} on edge {e}")
-            if da != db:
+            if a == b or da != db or (ka, kb) not in _COMPATIBLE:
+                if a == b:
+                    raise ValueError(f"slot {a} wired to itself")
+                if (ka, kb) not in _COMPATIBLE:
+                    raise ValueError(f"incompatible slot kinds {ka!r} and {kb!r} on edge {e}")
                 raise ValueError(f"dimension mismatch on edge {e}: {da} vs {db}")
-            for end, pos in ((a, pa), (b, pb)):
-                if legs[end[0]][pos] is not None:
-                    raise ValueError(f"slot {end} used twice")
-                legs[end[0]][pos] = w
+            la, lb = legs[a[0]], legs[b[0]]
+            if la[pa] is not None or lb[pb] is not None:
+                raise ValueError(f"slot {a if la[pa] is not None else b} used twice")
+            la[pa] = lb[pb] = w
             if a[0] == b[0]:
                 loops.add(a[0])
         for j, l in enumerate(self.open_legs):
@@ -294,15 +299,17 @@ class VertexNetwork:
         self._out = range(n, n + len(self.open_legs))
 
     def _slot(self, end):
-        """(position, dim, kind) of the slot `end` = (vertex, slot name)."""
+        """(position, dim, kind) of the slot `end` = (vertex, slot name),
+        read by one lookup."""
         v, s = end
-        if not (type(v) is int and 0 <= v < len(self.vertices)):
-            raise ValueError(f"slot {end!r} names no vertex; the network has {len(self.vertices)}")
-        vert = self.vertices[v]
-        slot = vert.slots.get(s)
-        if slot is None:
-            raise ValueError(f"vertex {v} ({vert.kind}) has no slot {s!r}")
-        return slot
+        if type(v) is int and v >= 0:
+            try:
+                return self.vertices[v].slots[s]
+            except KeyError:
+                raise ValueError(f"vertex {v} ({self.vertices[v].kind}) has no slot {s!r}") from None
+            except IndexError:
+                pass
+        raise ValueError(f"slot {end!r} names no vertex; the network has {len(self.vertices)}")
 
     def parity_check(self) -> ParityReport:
         """A flag for every iota node, its reason read from the node's
@@ -328,8 +335,8 @@ class VertexNetwork:
 
         Pairwise greedy (see _reduce): always merge the pair with the
         smallest resulting dense size, preferring pairs that share a wire.
-        A wire index finds those pairs, so planning costs O(E log E) for E
-        edges rather than an all-pairs scan per merge.
+        A wire index finds those pairs and sizes each once, so planning costs
+        O(E log E) for E edges rather than an all-pairs scan per merge.
 
         A vertex carrying a wire twice is traced on its own array first.
         dense_cutoff then picks the representation, never the plan. A vertex
@@ -354,10 +361,12 @@ class VertexNetwork:
             return np.ones((), dtype=np.int64)
         memo: dict = {}
         values: list = []
-        legs, keys = [], []
-        for vi, (vert, ls) in enumerate(zip(self.vertices, self._legs)):
-            ls, key = _enter(vert.array, ls, vi in self._loops, dense_cutoff, memo, values)
-            legs.append(ls)
+        legs, keys = list(self._legs), []
+        for vi, vert in enumerate(self.vertices):
+            arr = vert.array
+            key = memo.get((id(arr), None))  # an untraced vertex already stored
+            if key is None or vi in self._loops:
+                legs[vi], key = _enter(arr, legs[vi], vi in self._loops, dense_cutoff, memo, values)
             keys.append(key)
         ls, key = _reduce(legs, keys, values, dense_cutoff, memo)
         return _to_dense(ls, values[key], self._out)
@@ -403,12 +412,15 @@ def _enter(arr, legs, traced: bool, dense_cutoff: int, memo: dict, values: list)
     over each wire it carries twice and held as a dict past dense_cutoff,
     computed once per distinct (array, pattern) in `memo`. Only a vertex can
     carry a wire twice: a merge keeps the wires it sees once."""
-    name = (id(arr), _pattern(legs) if traced else None)
-    key = memo.get(name)
     if traced:
-        pattern = name[1]
-        keep = _once(pattern)
+        # the wires numbered by first appearance, (5, 9, 9, 2) -> (0, 1, 1, 2),
+        # name the self-trace up to relabelling and serve as einsum subscripts
+        first: dict = {}
+        pattern = tuple(first.setdefault(l, len(first)) for l in legs)
+        keep = [i for i, w in enumerate(pattern) if pattern.count(w) == 1]  # the legs seen once
         legs = tuple(legs[i] for i in keep)
+    name = (id(arr), pattern if traced else None)
+    key = memo.get(name)
     if key is None:
         if traced:
             arr = np.einsum(arr, list(pattern), [pattern[i] for i in keep])
@@ -418,79 +430,81 @@ def _enter(arr, legs, traced: bool, dense_cutoff: int, memo: dict, values: list)
 
 def _reduce(legs: list, keys: list, values: list, dense_cutoff: int, memo: dict):
     """Merge tensors pairwise down to one and return its (legs, key). The
-    state is flat per-id lists: legs (None once merged away) and key, with
-    each key's dims and size; the values themselves are read only when a
-    merge is new to `memo`.
+    state is flat per-id lists: legs (None once merged away), key and dense
+    size; the values themselves are read only when a merge is new to `memo`.
 
     Each step merges the pair with the smallest (not sharing a wire,
     merged size, id_a, id_b): ids follow creation order and a merged tensor
     gets a fresh id, so this is the all-pairs greedy with its first-pair
-    tie-break. Pairs that share a wire live in a heap of _pair entries; a
-    wire index (wire -> ids of the live tensors carrying it, at most two)
-    finds the new tensor's neighbours after each merge, and entries naming
-    a merged-away tensor are dropped when they surface. When the heap runs
-    dry the live tensors share no wire at all (one per connected
+    tie-break. Pairs that share a wire live in a heap of (size, a, b)
+    entries, size = sizes[a] * sizes[b] over the squared dims of the wires
+    they share, each wire's read once. A wire index (wire -> ids of the live
+    tensors carrying it, at most two), updated in place, gives each merge's
+    neighbours and those wires. A stale entry costs one pop; shared positions
+    and kept legs are worked out only for the live pair merged. When the
+    heap runs dry the live tensors share no wire at all (one per connected
     component), and those few are scanned pairwise.
     """
-    dims = [values[k][0] for k in keys]
-    sizes = [prod(d) for d in dims]
+    sizes = [prod(values[k][0]) for k in keys]
+    square: dict = {}
     holders: dict = {}
-    for i, ls in enumerate(legs):
-        for w in ls:
-            holders.setdefault(w, []).append(i)
-    pairs = {tuple(ids) for ids in holders.values() if len(ids) == 2}
-    heap = [_pair(a, b, legs, dims, sizes) for a, b in pairs]
+    over: dict = {}  # pair -> product of its shared wires' squared dims
+    for i, (ls, k) in enumerate(zip(legs, keys)):
+        for w, d in zip(ls, values[k][0]):
+            square[w] = d * d
+            ids = holders.setdefault(w, [])
+            if ids:  # i is w's second holder
+                over[ids[0], i] = over.get((ids[0], i), 1) * d * d
+            ids.append(i)
+    heap = [(sizes[a] * sizes[b] // d, a, b) for (a, b), d in over.items()]
     heapify(heap)
     for c in range(len(legs), 2 * len(legs) - 1):
         while heap:
-            size, a, b, shared = heappop(heap)
+            size, a, b = heappop(heap)
             if legs[a] is not None and legs[b] is not None:
                 break
         else:
             live = [i for i, ls in enumerate(legs) if ls is not None]
-            size, a, b, shared = min(_pair(a, b, legs, dims, sizes) for a, b in combinations(live, 2))
-        out = _kept(legs[a], legs[b])
+            size, a, b = min((sizes[a] * sizes[b], a, b) for a, b in combinations(live, 2))
+        out, shared = _kept(legs[a], legs[b])
         name = (keys[a], keys[b], shared)
         key = memo.get(name)
         if key is None:
             merge = _merge_dense if max(sizes[a], sizes[b], size) <= dense_cutoff else _merge_sparse
             key = _store(memo, values, name, merge(values[keys[a]], values[keys[b]], shared))
         legs[a] = legs[b] = None
-        neighbours = set()
+        over = {}  # neighbour -> product of the squared dims it shares with c
         for w in out:
             # a kept wire came from a or b and has at most one other holder
             ids = holders[w]
+            gone = int(legs[ids[0]] is not None)  # the merged-away holder's index
+            ids[gone] = c
             if len(ids) == 2:
-                n = ids[0] if legs[ids[1]] is None else ids[1]
-                neighbours.add(n)
-                holders[w] = [n, c]
-            else:
-                holders[w] = [c]
+                n = ids[1 - gone]
+                over[n] = over.get(n, 1) * square[w]
         legs.append(out)
         keys.append(key)
-        dims.append(values[key][0])
         sizes.append(size)
-        for n in neighbours:
-            heappush(heap, _pair(n, c, legs, dims, sizes))
+        for n, d in over.items():
+            heappush(heap, (sizes[n] * size // d, n, c))
     return legs[-1], keys[-1]
 
 
-def _pair(a: int, b: int, legs, dims, sizes) -> tuple:
-    """(merged size, a, b, shared) of the pair of live tensors a < b: the
-    dense size of their merge, and (position in a, position in b) of each
-    wire they share, in a's order. Every pair-size evaluation runs here."""
-    la, lb = legs[a], legs[b]
-    shared = tuple([(i, lb.index(w)) for i, w in enumerate(la) if w in lb])
-    size = sizes[a] * sizes[b]
-    for i, _ in shared:
-        size //= dims[a][i] ** 2
-    return size, a, b, shared
-
-
 def _kept(la, lb) -> tuple:
-    """Legs of a merge result: the wires of la that lb lacks, then those
-    of lb that la lacks, in order. Every plan step runs here once."""
-    return tuple([w for w in la if w not in lb] + [w for w in lb if w not in la])
+    """(legs, shared) of merging la and lb: the wires of la that lb lacks,
+    then those of lb that la lacks; and (position in la, position in lb) of
+    each wire they share, in la's order. Every plan step runs here once, in
+    plain loops, which cost less than comprehensions on legs this short."""
+    out, shared = [], []
+    for i, w in enumerate(la):
+        if w in lb:
+            shared.append((i, lb.index(w)))
+        else:
+            out.append(w)
+    for w in lb:
+        if w not in la:
+            out.append(w)
+    return tuple(out), tuple(shared)
 
 
 def _store(memo: dict, values: list, name, value: tuple) -> int:
@@ -581,21 +595,6 @@ def _entries(arr: np.ndarray) -> dict:
         return {(): int(arr)} if arr else {}
     idx = np.nonzero(arr)
     return dict(zip(zip(*(i.tolist() for i in idx)), arr[idx].tolist()))
-
-
-def _pattern(legs) -> tuple:
-    """Each leg's wire numbered by first appearance: (5, 9, 9, 2) ->
-    (0, 1, 1, 2). It names a vertex's self-trace up to relabelling the
-    wires, and hands its numbers to np.einsum as subscripts."""
-    first: dict = {}
-    return tuple(first.setdefault(l, len(first)) for l in legs)
-
-
-def _once(pattern) -> list:
-    """Positions of the wires a pattern numbers once: the legs a
-    contraction keeps, in order. Every other wire appears twice and is
-    summed."""
-    return [i for i, w in enumerate(pattern) if pattern.count(w) == 1]
 
 
 def _array(dims, data) -> np.ndarray:

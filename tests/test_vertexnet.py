@@ -42,9 +42,10 @@ def test_gamma_vertex_slots():
     # p + q = 13 is one past build_gammas' limit
     with pytest.raises(ValueError, match="p \\+ q <= 12"):
         GammaVertex(7, 6)
-    # a float or bool equal to a built signature is refused all the same
+    # a float or bool equal to a built signature is refused all the same,
+    # and so is a string, before any arithmetic on it
     GammaVertex(2, 1), GammaVertex(1, 1)
-    for p, q in [(2.0, 1), (True, 1), (1, True)]:
+    for p, q in [(2.0, 1), (True, 1), (1, True), ("1", 0), (1, None), (np.int64(2), 1)]:
         with pytest.raises(ValueError, match="integers"):
             GammaVertex(p, q)
 
@@ -65,6 +66,11 @@ def test_iota_node_dims_follow_binomials():
         IotaNode(5, 3)
     with pytest.raises(ValueError):
         IotaNode(1, 4)
+    # True and 1.0 equal valid fields: they must not construct and write
+    # `true` or `1.0` into to_json()
+    for m, rank in [(1, True), (True, 2), (1.0, 2), (1, 2.0), ("1", 2), (1, np.int64(2))]:
+        with pytest.raises(ValueError, match="grade and rank must be integers"):
+            IotaNode(m, rank)
 
 
 def test_network_rejects_incompatible_wiring():
@@ -115,6 +121,27 @@ def test_network_requires_every_slot_exactly_once():
             edges=[((0, "spinor"), (1, "dual")), ((0, "spinor"), (0, "dual"))],
             open_legs=[(0, "vector"), (1, "vector"), (1, "spinor")],
         )
+
+
+_G, _H = GammaVertex(2, 1), GammaVertex(4, 4)
+
+
+@pytest.mark.parametrize("vertices, edges, open_legs, message", [
+    ([_G], [((0, "dual"), (0, "dual"))], [(0, "vector"), (0, "spinor")], "slot (0, 'dual') wired to itself"),
+    ([_G], [((0, "vector"), (0, "spinor"))], [(0, "dual")],
+     "incompatible slot kinds 'vector' and 'spinor' on edge ((0, 'vector'), (0, 'spinor'))"),
+    ([_G, _H], [((0, "vector"), (1, "vector"))], [(0, "dual"), (0, "spinor"), (1, "dual"), (1, "spinor")],
+     "dimension mismatch on edge ((0, 'vector'), (1, 'vector')): 3 vs 8"),
+    ([_G, _G], [((0, "spinor"), (1, "dual")), ((1, "spinor"), (1, "dual"))], [(0, "dual"), (0, "vector"), (1, "vector")],
+     "slot (1, 'dual') used twice"),
+    ([_G], [((0, "spin"), (0, "dual"))], [(0, "vector")], "vertex 0 (gamma) has no slot 'spin'"),
+    ([_G], [((-1, "spinor"), (0, "dual"))], [(0, "vector")], "slot (-1, 'spinor') names no vertex; the network has 1"),
+    ([_G], [((0, "spinor"), (0, "dual"))], [(2, "vector")], "slot (2, 'vector') names no vertex; the network has 1"),
+])
+def test_wiring_errors_name_the_slot_or_edge(vertices, edges, open_legs, message):
+    with pytest.raises(ValueError) as err:
+        VertexNetwork(vertices, edges, open_legs)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("index", [True, False, np.int64(1), 1.0])
@@ -248,16 +275,21 @@ def _all_pairs_reduce(legs, keys, values, dense_cutoff, memo, log):
     """The greedy as a full rescan per step: merge the pair with the
     smallest (not sharing a wire, merged size), first pair on ties, and
     append the result after the untouched tensors. It ignores `memo`,
-    computes every merge with the module's merge routines, given the
-    shared positions the planner's _pair computes, and works out and logs
+    computes every merge with the module's merge routines, given shared
+    positions it works out the way the planner does, and works out and logs
     the legs of each itself, so it stays an independent reference."""
     tensors = [(l, values[k]) for l, k in zip(legs, keys)]
     while len(tensors) > 1:
         best = None
+        wires = [set(l) for l, _ in tensors]
+        sizes = [prod(v[0]) for _, v in tensors]
         for i, j in combinations(range(len(tensors)), 2):
-            (la, (da, _)), (lb, (db, _)) = tensors[i], tensors[j]
-            shared = tuple((x, lb.index(w)) for x, w in enumerate(la) if w in lb)
-            key = (not shared, prod(da) * prod(db) // prod(da[x] ** 2 for x, _ in shared))
+            if wires[i].isdisjoint(wires[j]):
+                key, shared = (True, sizes[i] * sizes[j]), ()  # an outer product
+            else:
+                (la, (da, _)), lb = tensors[i], tensors[j][0]
+                shared = tuple((x, lb.index(w)) for x, w in enumerate(la) if w in lb)
+                key = (False, sizes[i] * sizes[j] // prod(da[x] ** 2 for x, _ in shared))
             if best is None or key < best[0]:
                 best = (key, i, j, shared)
         (_, size), i, j, shared = best
@@ -426,6 +458,10 @@ def _planner_cases():
         p, q = rng.choice([(2, 1), (3, 1), (2, 2), (4, 1), (2, 4)])
         cases.append((f"ring{size}-{p}{q}", _ring(size, p, q, rng)))
     cases.append(("crossed-ring", _crossed_ring(12, rng)))
+    # the slowest bench rings: |p - q| <= 1 stays int64, |p - q| >= 2 merges
+    # past 2^63 on Python ints
+    for p, q in ((3, 2), (4, 1)):
+        cases.append((f"ring128-{p}{q}", _ring(128, p, q, rng)))
     for nodes in ([(0, 1), (1, 2)], [(1, 1), (1, 2), (3, 3)], [(2, 2), (1, 3)]):
         cases.append((f"iota{nodes}", _iota_chain(nodes)))
     cases.append(("self-loop", _self_loop_network()))
@@ -472,20 +508,22 @@ def test_closed_networks_contract_to_a_0d_array(p, q, want):
 
 
 def test_planner_cost_is_linear_in_the_vertex_count(monkeypatch):
-    # a full rescan per step would evaluate ~V^3/6 pair sizes (1.8e8 here)
+    # a full rescan per step would size ~V^3/6 pairs (1.8e8 here); the
+    # planner sizes each pair it pushes once and works out legs only for
+    # the V - 1 pairs it merges
     size = 1024
-    calls = []
-    real = vertexnet._pair
-
-    def spy(*args):
-        calls.append(1)
-        return real(*args)
-
-    monkeypatch.setattr(vertexnet, "_pair", spy)
+    kept, initial, pushed = [], [], []
+    real_kept, real_heapify, real_push = vertexnet._kept, vertexnet.heapify, vertexnet.heappush
+    monkeypatch.setattr(vertexnet, "_kept", lambda la, lb: kept.append(1) or real_kept(la, lb))
+    monkeypatch.setattr(vertexnet, "heapify", lambda heap: initial.append(len(heap)) or real_heapify(heap))
+    monkeypatch.setattr(vertexnet, "heappush", lambda heap, item: pushed.append(1) or real_push(heap, item))
     arr = _paired_ring(size, 2, 1).contract()
     # (p - q)^pairs * tr(g_a g_b) = 1 * dim * eta_a delta_ab
     assert arr.tolist() == [[2, 0, 0], [0, 2, 0], [0, 0, -2]]
-    assert len(calls) <= 6 * size
+    assert len(kept) == size - 1
+    # one entry per neighbouring pair of the ring, then at most two new
+    # neighbours per merge
+    assert initial == [size] and len(pushed) <= 2 * (size - 1)
 
 
 def test_vertices_share_no_mutable_state():
