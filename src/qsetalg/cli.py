@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from fractions import Fraction
 from functools import cache
@@ -528,6 +529,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a token that starts with '-' as an option unless it is a plain
+    # negative decimal, so '--eps -1/2' (or --ep, --e) is joined: '--eps=-1/2'
+    for k in range(len(argv) - 1, 0, -1):
+        if len(argv[k - 1]) > 2 and "--eps".startswith(argv[k - 1]) and re.match(r"-[\d.]", argv[k]):
+            argv[k - 1:k + 1] = [f"{argv[k - 1]}={argv[k]}"]
     args = build_parser().parse_args(argv)
     try:
         cfg = RunConfig(seed=args.seed, mode=args.mode, tolerance=args.tolerance)

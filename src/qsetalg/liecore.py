@@ -327,16 +327,14 @@ class ContractionFamily:
         if len(self.weights) != sc.dim:
             raise ContractionError("one weight per basis element")
         self._wden = lcm(*(w.denominator for w in self.weights))
-        w = [int(x * self._wden) for x in self.weights]
+        w = [x.numerator * (self._wden // x.denominator) for x in self.weights]
         # exponents w_i + w_j - w_k of every nonzero constant, times _wden
         self._exp = {(i, j): {k: w[i] + w[j] - w[k] for k in row} for (i, j), row in sc.table.items()}
-        for i, j, k in self._indices():
-            if self._exp[i, j][k] < 0:
-                raise ContractionError(
-                    f"constant ({self.sc.labels[i]},{self.sc.labels[j]})->"
-                    f"{self.sc.labels[k]} diverges: exponent "
-                    f"{self.exponent(i, j, k)} < 0"
-                )
+        bad = [(i, j, k) for (i, j), row in self._exp.items() for k, e in row.items() if e < 0]
+        if bad:  # name the first in sorted order
+            (i, j, k), labels = min(bad), sc.labels
+            e = self.exponent(i, j, k)
+            raise ContractionError(f"constant ({labels[i]},{labels[j]})->{labels[k]} diverges: exponent {e} < 0")
 
     def _indices(self):
         """(i, j, k) of the nonzero constants, i < j, sorted."""
@@ -390,8 +388,9 @@ def numeric_contraction_check(algebra: MatrixAlgebra, weights, eps: float) -> fl
 
     Every bracket i < j comes from one batched product of the scaled stack,
     and all of them are solved in one np.linalg.lstsq call with one column
-    per bracket. eps^w is Python's **, so a negative eps with a fractional
-    weight scales by a complex number where numpy's ** would give NaN.
+    per bracket. The stack and the exact table are scattered from the sparse
+    algebra.entries and sc.table. eps^w is Python's **, so a negative eps with
+    a fractional weight scales by a complex number where numpy's ** gives NaN.
 
     Returns the largest relative deviation over all (i, j) brackets, where the
     denominator is max(1, |exact coordinate vector|_inf). Independent of the
@@ -406,13 +405,15 @@ def numeric_contraction_check(algebra: MatrixAlgebra, weights, eps: float) -> fl
     import numpy as np
 
     sc = algebra.structure_constants()
-    fam = ContractionFamily(sc, weights)
-    n = algebra.dim
-    ws = np.array([float(w) for w in fam.weights])
-    i, j = np.triu_indices(n, 1)
+    ws = np.array([float(w) for w in ContractionFamily(sc, weights).weights])
+    n, d = algebra.dim, algebra.matrix_dim
+    i, j = np.array([(a, b) for a in range(n) for b in range(a + 1, n)], dtype=np.intp).reshape(-1, 2).T
     with np.errstate(over="raise"):
-        stack = np.array([[[x / algebra.scale for x in row] for row in m] for m in algebra.matrices])
-        mats = stack * _powers(eps, ws)[:, None, None]
+        # each nonzero entry over the scale by Python's /, correctly rounded at any size
+        at = {g * d * d + r: x / algebra.scale for g, m in enumerate(algebra.entries) for r, x in m.items()}
+        stack = np.zeros(n * d * d)
+        stack[list(at)] = list(at.values())
+        mats = stack.reshape(n, d, d) * _powers(eps, ws)[:, None, None]
         cols = mats.reshape(n, -1).T
         comm = (mats[i] @ mats[j] - mats[j] @ mats[i]).reshape(len(i), len(cols))
         coords, _, _, sv = np.linalg.lstsq(cols, comm.T, rcond=None)
@@ -424,7 +425,10 @@ def numeric_contraction_check(algebra: MatrixAlgebra, weights, eps: float) -> fl
             )
         coords = coords.T
         exps = ws[i, None] + ws[j, None] - ws[None, :]
-        exact = np.array([[sc.bracket(a, b).get(k, 0) / sc.D for k in range(n)] for a, b in zip(i.tolist(), j.tolist())])
+        # the constants C / D; pair a < b is row a (2n - a - 3) / 2 + b - 1
+        at = {(a * (2 * n - a - 3) // 2 + b - 1) * n + k: C / sc.D for (a, b), row in sc.table.items() for k, C in row.items()}
+        exact = np.zeros(len(i) * n)
+        exact[list(at)] = list(at.values())
         exact = exact.reshape(len(i), n) * _powers(eps, exps)
         scale = np.maximum(1.0, np.abs(exact).max(axis=1))
         return float((np.abs(coords - exact).max(axis=1) / scale).max(initial=0.0))
@@ -434,8 +438,9 @@ def _powers(eps: float, exps):
     """eps ** e for every float e in exps, by Python's **, once per value."""
     import numpy as np
 
-    vals, where = np.unique(exps, return_inverse=True)
-    return np.array([eps ** e for e in vals.tolist()])[where.reshape(exps.shape)]
+    flat = exps.ravel().tolist()
+    power = {e: eps ** e for e in set(flat)}
+    return np.array([power[e] for e in flat]).reshape(exps.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -29,11 +29,13 @@ contract() runs a greedy pairwise reduction, joining the pair of tensors
 whose merged result is smallest. A wire index keeps the candidates to pairs
 that share a wire, each sized once from per-wire dims and worked out in full
 only if merged, so planning costs O(E log E) for E edges instead of an
-all-pairs rescan per merge (O(V^3) for V vertices). A vertex that carries a
-wire twice (a spinor line closed on itself) is traced on its own cached
-array as it enters; its entries are -1, 0 or 1, so the trace stays int64. No
-merge result carries a wire twice, so that is the only trace. Each value is
-then held one of two ways, by its dense size (product of dimensions):
+all-pairs rescan per merge (O(V^3) for V vertices); an entry a merge strands
+costs one pop (245 pops for a paired 128-vertex ring's 127 merges). A vertex
+that carries a wire twice (a spinor line closed on itself) is traced on its
+own cached array as it enters; its entries are -1, 0 or 1, so the trace
+stays int64. No merge result carries a wire twice, so that is the only
+trace. Each value is then held one of two ways, by its dense size (product
+of dimensions):
 
     array   within dense_cutoff: an integer ndarray. Vertices hand over their
             cached read-only arrays, and a merge of two arrays whose result
@@ -50,19 +52,20 @@ replay whole networks through dense_oracle, an independent einsum.
 One contract() call computes each distinct merge and self-trace, and each
 distinct vertex's dict, once. A tensor in flight is its legs (wire ids) and
 a small integer key into the call's table of values; a value is a plain
-(dims, data) pair, data an array or a dict. A vertex's key is named by its
-cached array, which every vertex of one signature shares, and by the
-pattern of its legs if it is traced, where pattern numbers the wires by
-first appearance; a merge's is named by (key, key, shared), where shared
-pairs the positions of each wire the two operands share, in the first
-operand's order. shared describes the merge completely: the merge routines
-read the summed positions and the result's leg order (the first operand's
-kept legs, then the second's) from it alone and never see a wire id. The
-representation (array or dict) follows from the keys' dims, the positions
-and the cutoff, so equal keys mean equal dims and equal data. A plan step
-that repeats a merge computes only the result's legs; stored arrays are
-read-only and shared, never copied. In a paired 128-vertex ring, 13 of the
-127 merges are distinct. The memo lives for one call only.
+(dims, data, peak) triple, data an array or a dict and peak its max |entry|,
+read once. A vertex's key is named by its slot table, which every vertex of
+one signature (one cached array) shares, and by the pattern of its legs if
+it is traced, where pattern numbers the wires by first appearance; a
+merge's is named by (key, key, shared), where shared pairs the positions of
+each wire the two operands share, in the first operand's order. shared
+describes the merge completely: the merge routines read the summed
+positions and the result's leg order (the first operand's kept legs, then
+the second's) from it alone and never see a wire id. The representation
+(array or dict) follows from the keys' dims, the positions and the cutoff,
+so equal keys mean equal dims and equal data. A plan step that repeats a
+merge computes only the result's legs; stored arrays are read-only and
+shared, never copied. In a paired 128-vertex ring, 13 of the 127 merges
+are distinct. The memo lives for one call only.
 
 parity_check() is the bookkeeping pass: gauge vertices always balance; every
 iota node gets flagged. An even-m node breaks the mod-2 grading outright
@@ -336,7 +339,8 @@ class VertexNetwork:
         Pairwise greedy (see _reduce): always merge the pair with the
         smallest resulting dense size, preferring pairs that share a wire.
         A wire index finds those pairs and sizes each once, so planning costs
-        O(E log E) for E edges rather than an all-pairs scan per merge.
+        O(E log E) for E edges rather than an all-pairs scan per merge; an
+        entry a merge strands costs one pop when it surfaces.
 
         A vertex carrying a wire twice is traced on its own array first.
         dense_cutoff then picks the representation, never the plan. A vertex
@@ -352,10 +356,7 @@ class VertexNetwork:
 
         A memo local to this call computes each distinct vertex value,
         merge and self-trace once (see the module docstring), so a plan
-        step costs one memo lookup unless its merge is new. A value is a
-        (dims, data) pair, and a merge is fully described by the planner's
-        shared positions. The memo's invariant: equal keys mean equal dims
-        and equal data.
+        step costs one memo lookup unless its merge is new.
         """
         if not self.vertices:
             return np.ones((), dtype=np.int64)
@@ -363,10 +364,9 @@ class VertexNetwork:
         values: list = []
         legs, keys = list(self._legs), []
         for vi, vert in enumerate(self.vertices):
-            arr = vert.array
-            key = memo.get((id(arr), None))  # an untraced vertex already stored
+            key = memo.get(id(vert.slots))  # an untraced vertex of a species already stored
             if key is None or vi in self._loops:
-                legs[vi], key = _enter(arr, legs[vi], vi in self._loops, dense_cutoff, memo, values)
+                legs[vi], key = _enter(vert, legs[vi], vi in self._loops, dense_cutoff, memo, values)
             keys.append(key)
         ls, key = _reduce(legs, keys, values, dense_cutoff, memo)
         return _to_dense(ls, values[key], self._out)
@@ -407,11 +407,11 @@ class VertexNetwork:
         )
 
 
-def _enter(arr, legs, traced: bool, dense_cutoff: int, memo: dict, values: list):
+def _enter(vert, legs, traced: bool, dense_cutoff: int, memo: dict, values: list):
     """(legs, key) of a vertex entering the reduction: its array, traced
     over each wire it carries twice and held as a dict past dense_cutoff,
-    computed once per distinct (array, pattern) in `memo`. Only a vertex can
-    carry a wire twice: a merge keeps the wires it sees once."""
+    computed once per distinct (slot table, pattern) in `memo`. Only a
+    vertex can carry a wire twice: a merge keeps the wires it sees once."""
     if traced:
         # the wires numbered by first appearance, (5, 9, 9, 2) -> (0, 1, 1, 2),
         # name the self-trace up to relabelling and serve as einsum subscripts
@@ -419,12 +419,13 @@ def _enter(arr, legs, traced: bool, dense_cutoff: int, memo: dict, values: list)
         pattern = tuple(first.setdefault(l, len(first)) for l in legs)
         keep = [i for i, w in enumerate(pattern) if pattern.count(w) == 1]  # the legs seen once
         legs = tuple(legs[i] for i in keep)
-    name = (id(arr), pattern if traced else None)
+    name = (id(vert.slots), pattern) if traced else id(vert.slots)
     key = memo.get(name)
     if key is None:
+        arr = vert.array
         if traced:
             arr = np.einsum(arr, list(pattern), [pattern[i] for i in keep])
-        key = _store(memo, values, name, (arr.shape, _entries(arr) if arr.size > dense_cutoff else arr))
+        key = _store(memo, values, name, arr.shape, _entries(arr) if arr.size > dense_cutoff else arr)
     return legs, key
 
 
@@ -436,32 +437,38 @@ def _reduce(legs: list, keys: list, values: list, dense_cutoff: int, memo: dict)
     Each step merges the pair with the smallest (not sharing a wire,
     merged size, id_a, id_b): ids follow creation order and a merged tensor
     gets a fresh id, so this is the all-pairs greedy with its first-pair
-    tie-break. Pairs that share a wire live in a heap of (size, a, b)
-    entries, size = sizes[a] * sizes[b] over the squared dims of the wires
-    they share, each wire's read once. A wire index (wire -> ids of the live
-    tensors carrying it, at most two), updated in place, gives each merge's
-    neighbours and those wires. A stale entry costs one pop; shared positions
-    and kept legs are worked out only for the live pair merged. When the
-    heap runs dry the live tensors share no wire at all (one per connected
-    component), and those few are scanned pairwise.
+    tie-break. Pairs that share a wire live in a heap of ints (size << bits |
+    a) << bits | b, ordered as (size, a, b), size = sizes[a] * sizes[b] over
+    the squared dims of the wires they share. A wire index (per wire: the
+    first and second live ids carrying it, the second None for an open
+    wire, and its squared dim), updated in place, gives each merge's
+    neighbours and those wires. A stale entry costs one pop; shared
+    positions and kept legs are worked out only for the live pair merged.
+    When the heap runs dry the live tensors share no wire at all (one per
+    connected component), and those few are scanned pairwise.
     """
     sizes = [prod(values[k][0]) for k in keys]
-    square: dict = {}
-    holders: dict = {}
+    first = [None] * (max(chain.from_iterable(legs), default=-1) + 1)
+    second, square = first[:], first[:]
     over: dict = {}  # pair -> product of its shared wires' squared dims
     for i, (ls, k) in enumerate(zip(legs, keys)):
         for w, d in zip(ls, values[k][0]):
-            square[w] = d * d
-            ids = holders.setdefault(w, [])
-            if ids:  # i is w's second holder
-                over[ids[0], i] = over.get((ids[0], i), 1) * d * d
-            ids.append(i)
-    heap = [(sizes[a] * sizes[b] // d, a, b) for (a, b), d in over.items()]
+            j = first[w]
+            if j is None:
+                first[w], square[w] = i, d * d
+            else:
+                second[w] = i
+                over[j, i] = over.get((j, i), 1) * square[w]
+    bits = (2 * len(legs)).bit_length()
+    mask = (1 << bits) - 1
+    heap = [(sizes[a] * sizes[b] // d << bits | a) << bits | b for (a, b), d in over.items()]
     heapify(heap)
     for c in range(len(legs), 2 * len(legs) - 1):
         while heap:
-            size, a, b = heappop(heap)
+            e = heappop(heap)
+            a, b = e >> bits & mask, e & mask
             if legs[a] is not None and legs[b] is not None:
+                size = e >> 2 * bits
                 break
         else:
             live = [i for i, ls in enumerate(legs) if ls is not None]
@@ -471,22 +478,22 @@ def _reduce(legs: list, keys: list, values: list, dense_cutoff: int, memo: dict)
         key = memo.get(name)
         if key is None:
             merge = _merge_dense if max(sizes[a], sizes[b], size) <= dense_cutoff else _merge_sparse
-            key = _store(memo, values, name, merge(values[keys[a]], values[keys[b]], shared))
+            key = _store(memo, values, name, *merge(values[keys[a]], values[keys[b]], shared))
         legs[a] = legs[b] = None
         over = {}  # neighbour -> product of the squared dims it shares with c
         for w in out:
-            # a kept wire came from a or b and has at most one other holder
-            ids = holders[w]
-            gone = int(legs[ids[0]] is not None)  # the merged-away holder's index
-            ids[gone] = c
-            if len(ids) == 2:
-                n = ids[1 - gone]
+            n = second[w]
+            if n is not None:  # c takes over the end that a or b held
+                if legs[n] is None:
+                    second[w], n = c, first[w]
+                else:
+                    first[w] = c
                 over[n] = over.get(n, 1) * square[w]
         legs.append(out)
         keys.append(key)
         sizes.append(size)
         for n, d in over.items():
-            heappush(heap, (sizes[n] * size // d, n, c))
+            heappush(heap, (sizes[n] * size // d << bits | n) << bits | c)
     return legs[-1], keys[-1]
 
 
@@ -507,32 +514,34 @@ def _kept(la, lb) -> tuple:
     return tuple(out), tuple(shared)
 
 
-def _store(memo: dict, values: list, name, value: tuple) -> int:
-    """Key of value, a (dims, data) pair computed once per `name` in one
-    contract() call: the next free index into `values`. Its array is made
-    read-only, so a repeat shares it uncopied."""
-    if not isinstance(value[1], dict):
-        value[1].flags.writeable = False
+def _store(memo: dict, values: list, name, dims, data) -> int:
+    """Key of the value (dims, data, peak), computed once per `name` in one
+    contract() call and its peak read here once: the next free index into
+    `values`. Its array is made read-only, so a repeat shares it uncopied."""
+    if not isinstance(data, dict):
+        data.flags.writeable = False
     memo[name] = len(values)
-    values.append(value)
+    values.append((dims, data, _peak(data)))
     return memo[name]
 
 
+@lru_cache(maxsize=1024)
 def _layout(da, db, shared) -> tuple:
-    """Leg positions of a merge of operands with dims da and db: (kept in
-    a, shared in a, kept in b, shared in b), the shared ones paired as in
-    `shared`, and the result's dims, a's kept legs then b's."""
-    a_sh, b_sh = (list(s) for s in zip(*shared)) if shared else ([], [])
-    a_keep = [i for i in range(len(da)) if i not in a_sh]
-    b_keep = [i for i in range(len(db)) if i not in b_sh]
-    return a_keep, a_sh, b_keep, b_sh, tuple([da[i] for i in a_keep] + [db[i] for i in b_keep])
+    """Leg positions of a merge of operands with dims da and db, cached by
+    shape alone: (kept in a, shared in a, kept in b, shared in b), the
+    shared ones paired as in `shared`; the result's dims, a's kept legs then
+    b's; and the inner dimension."""
+    a_sh, b_sh = zip(*shared) if shared else ((), ())
+    a_keep, b_keep = (tuple(i for i in range(len(d)) if i not in sh) for d, sh in ((da, a_sh), (db, b_sh)))
+    dims = tuple(da[i] for i in a_keep) + tuple(db[i] for i in b_keep)
+    return a_keep, a_sh, b_keep, b_sh, dims, prod(db[i] for i in b_sh)
 
 
 def _merge_sparse(va: tuple, vb: tuple, shared) -> tuple:
-    """The merge of two (dims, data) values as an exact sparse hash-join on
-    the shared indices: a (dims, dict) value."""
-    a_keep, a_sh, b_keep, b_sh, dims = _layout(va[0], vb[0], shared)
-    ea, eb = (d if isinstance(d, dict) else _entries(d) for _, d in (va, vb))
+    """The merge of two (dims, data, peak) values as an exact sparse
+    hash-join on the shared indices: (dims, dict)."""
+    a_keep, a_sh, b_keep, b_sh, dims, *_ = _layout(va[0], vb[0], shared)
+    ea, eb = (v[1] if isinstance(v[1], dict) else _entries(v[1]) for v in (va, vb))
     buckets: dict = {}
     for idx, v in eb.items():
         right = tuple(idx[i] for i in b_keep)
@@ -549,38 +558,40 @@ def _merge_sparse(va: tuple, vb: tuple, shared) -> tuple:
     return dims, {k: v for k, v in out.items() if v}  # drop entries that summed to 0
 
 
-def _peak(a) -> int:
-    """max |entry| of an integer array, as a Python int (0 when empty)."""
-    return max(int(a.max(initial=0)), -int(a.min(initial=0)))
+def _peak(data) -> int:
+    """max |entry| of an integer array or sparse dict, as a Python int (0 when empty)."""
+    if isinstance(data, dict):
+        return max(map(abs, data.values()), default=0)
+    return max(int(data.max(initial=0)), -int(data.min(initial=0)))
 
 
-def int_matmul(a, b):
+def int_matmul(a, b, peaks=None):
     """Exact a @ b for integer arrays, with np.matmul's broadcasting. Every
     product and partial sum of an entry is at most k * max|a| * max|b| (k
-    the inner dimension, each factor taken as at least 1): the product runs
-    on int64 while that bound is under 2^62, and on Python ints past it,
-    which is also the result's dtype."""
-    bound = max(a.shape[-1], 1) * max(_peak(a), 1) * max(_peak(b), 1)
+    the inner dimension, each factor taken as at least 1, and peaks, if
+    given, the two maxima): the product runs on int64 while that bound is
+    under 2^62, and on Python ints past it, which is also the result's dtype."""
+    pa, pb = peaks or (_peak(a), _peak(b))
+    bound = max(a.shape[-1], 1) * max(pa, 1) * max(pb, 1)
     kind = np.int64 if bound < _LIMIT else object
     return np.matmul(a.astype(kind, copy=False), b.astype(kind, copy=False))
 
 
 def _merge_dense(va: tuple, vb: tuple, shared) -> tuple:
-    """The merge of two (dims, data) values as a tensordot run as one exact
-    matrix product (int_matmul, int64 under 2^62 and Python ints past it):
-    each operand's shared legs move to the inner dimension and its kept
-    legs are flattened. A (dims, array) value."""
-    a_keep, a_sh, b_keep, b_sh, dims = _layout(va[0], vb[0], shared)
+    """The merge of two (dims, data, peak) values as a tensordot run as one
+    exact matrix product (int_matmul on their peaks, int64 under 2^62 and
+    Python ints past it): each operand's shared legs move to the inner
+    dimension and its kept legs are flattened: (dims, array)."""
+    a_keep, a_sh, b_keep, b_sh, dims, inner = _layout(va[0], vb[0], shared)
     a = _array(*va).transpose(a_keep + a_sh)
     b = _array(*vb).transpose(b_sh + b_keep)
-    inner = prod(b.shape[:len(b_sh)])
-    return dims, int_matmul(a.reshape(-1, inner), b.reshape(inner, -1)).reshape(dims)
+    return dims, int_matmul(a.reshape(-1, inner), b.reshape(inner, -1), (va[2], vb[2])).reshape(dims)
 
 
 def _to_dense(legs, value: tuple, order) -> np.ndarray:
-    """A fresh array of the (dims, data) value with wire-id legs `legs`,
-    axes in `order`: int64 when every entry fits, otherwise dtype=object
-    holding the exact Python ints."""
+    """A fresh array of the value with wire-id legs `legs`, axes in
+    `order`: int64 when every entry fits, otherwise dtype=object holding
+    the exact Python ints."""
     if set(order) != set(legs) or len(order) != len(legs):
         raise ValueError("output legs disagree with remaining legs")
     arr = _array(*value).transpose([legs.index(l) for l in order])
@@ -597,7 +608,7 @@ def _entries(arr: np.ndarray) -> dict:
     return dict(zip(zip(*(i.tolist() for i in idx)), arr[idx].tolist()))
 
 
-def _array(dims, data) -> np.ndarray:
+def _array(dims, data, *_) -> np.ndarray:
     """The data of a value as an array: an array itself, or a sparse dict
     as a dense dtype=object array holding its Python ints."""
     if not isinstance(data, dict):

@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
-"""Mutants of the stated bounds, as data, and an opt-in runner.
+"""Mutants of the stated bounds and fast paths, as data, and an opt-in runner.
 
 Each int64 route in src/qsetalg states a bound and falls back to Python ints
 past it; a point permutation is a bytes table only while its 2d points fit
-in 256; and the trace form reads coordinates only off a diagonal Gram
-matrix. Each mutant below changes one such bound or condition (or the
-comparison against it) and names the test file that must fail under it: a
-mutant that passes its test file shows a bound no test trips.
+in 256; the trace form reads coordinates only off a diagonal Gram matrix;
+a ring merge reads its operands' stored peaks; the planner drops a heap
+entry unless both its tensors are live; and the float refit scatters the
+exact constants straight from the sparse table. Each mutant below changes
+one such bound or condition (or the comparison against it, or the value
+read) and names the test file that must fail under it: a mutant that passes
+its test file shows a bound no test trips.
 
     python tests/mutants.py [NAME ...]
 
@@ -53,8 +56,8 @@ MUTANTS = (
     Mutant("vertexnet._LIMIT-2^63", "vertexnet.py", "_LIMIT = 1 << 62", "_LIMIT = 1 << 63", "test_vertexnet.py"),
     Mutant(
         "vertexnet.int_matmul-no-k", "vertexnet.py",
-        "bound = max(a.shape[-1], 1) * max(_peak(a), 1) * max(_peak(b), 1)",
-        "bound = max(_peak(a), 1) * max(_peak(b), 1)",
+        "bound = max(a.shape[-1], 1) * max(pa, 1) * max(pb, 1)",
+        "bound = max(pa, 1) * max(pb, 1)",
         "test_vertexnet.py",
     ),
     Mutant("vertexnet._INT64-2^70", "vertexnet.py", "_INT64 = 1 << 63", "_INT64 = 1 << 70", "test_vertexnet.py"),
@@ -68,6 +71,21 @@ MUTANTS = (
         "cliff._blocks-bytes-512", "cliff.py",
         "tuple(cols) if 2 * size > 256 else", "tuple(cols) if 2 * size > 512 else",
         "test_cliff.py",
+    ),
+    Mutant(
+        "vertexnet._merge_dense-peak-of-a-twice", "vertexnet.py",
+        "b.reshape(inner, -1), (va[2], vb[2]))", "b.reshape(inner, -1), (va[2], va[2]))",
+        "test_vertexnet.py",
+    ),
+    Mutant(
+        "vertexnet._reduce-b-unchecked", "vertexnet.py",
+        "if legs[a] is not None and legs[b] is not None:", "if legs[a] is not None:",
+        "test_vertexnet.py",
+    ),
+    Mutant(
+        "liecore.refit-sign-dropped", "liecore.py",
+        "C / sc.D for (a, b), row in sc.table.items()", "abs(C) / sc.D for (a, b), row in sc.table.items()",
+        "test_liecore.py",
     ),
     Mutant(
         "linalg.ColumnSolver-diagonal-unchecked", "linalg.py",

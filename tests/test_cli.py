@@ -282,6 +282,19 @@ def test_bad_weights_and_negative_eps(capsys):
     assert "PASS" in out
 
 
+@pytest.mark.parametrize("option", ["--eps", "--ep", "--e"])
+@pytest.mark.parametrize("eps, shown", [("-1/2", "-1/2"), ("-1e-3", "-1/1000"), ("-0.5", "-1/2")])
+def test_a_negative_eps_parses_as_a_separate_token(capsys, option, eps, shown):
+    # argparse alone takes only a plain negative decimal such as -0.5 for
+    # the value of --eps or an abbreviation of it; main joins the others on
+    # as --eps=<value>
+    spaced = run(capsys, "contract", "so21", option, eps)
+    assert spaced == run(capsys, "contract", "so21", f"--eps={eps}")
+    code, out, err = spaced
+    assert code == 0 and err == ""
+    assert f"at eps={shown}:" in out and "PASS" in out
+
+
 def test_unknown_algebra_lists_every_name(capsys):
     code, _, err = run(capsys, "killing", "nosuch")
     assert code == 2

@@ -183,6 +183,17 @@ def test_divergence_names_the_first_diverging_constant():
         ContractionFamily(sc, (0, 0, 0, HALF, HALF, 1))
 
 
+def test_the_refit_refuses_weights_with_the_family_text():
+    alg = rotation_boost6()
+    sc = alg.structure_constants()
+    for weights in ((1, 0, 0, 0, 0, 0), (0, 0, 0, HALF, HALF, 1), (0, 0, 0, 1, 1)):
+        with pytest.raises(ContractionError) as family:
+            ContractionFamily(sc, weights)
+        with pytest.raises(ContractionError) as refit:
+            numeric_contraction_check(alg, weights, 0.1)
+        assert str(refit.value) == str(family.value)
+
+
 def test_family_at_matches_scaled_basis_refit():
     ent = catalog_entry("so21")
     sc = ent.algebra.structure_constants()
@@ -251,6 +262,27 @@ def test_batched_refit_matches_the_per_bracket_loop(eps):
             continue
         got, want = numeric_contraction_check(alg, weights, eps), reference_refit(alg, weights, eps)
         assert abs(got - want) <= 1e-15, key
+
+
+def test_refit_floats_equal_the_frozen_ones():
+    # recorded by tests/oracles/refit_values.py; == rather than a tolerance
+    frozen = load_oracle("refit_values")
+    assert sorted(frozen) == sorted(key for key, _, _ in _refit_cases())
+    for key, alg, weights in _refit_cases():
+        got = {text: numeric_contraction_check(alg, weights, float(text)) for text in frozen[key]}
+        assert got == frozen[key], key
+
+
+def test_refit_divides_past_2_53_as_python_does():
+    # 3s / 2s is exactly 1.5, but float(3s) / float(2s) is not: the refit of
+    # 1.5 so(3) written over a scale past 2^60 equals the refit over scale 2
+    s = 2**60 + 86
+    assert float(3 * s) / float(2 * s) != 1.5
+    small = MatrixAlgebra("so3x3/2", [[[3 * x for x in row] for row in m] for m in rotation3().matrices], 2)
+    big = MatrixAlgebra("so3x3/2", [[[3 * s * x for x in row] for row in m] for m in rotation3().matrices], 2 * s)
+    assert big.structure_constants().table == small.structure_constants().table
+    for eps in (1e-3, 1 / 7, 3.0, -1 / 100):
+        assert numeric_contraction_check(big, (0, 1, 1), eps) == numeric_contraction_check(small, (0, 1, 1), eps)
 
 
 def test_rotation_boost6_is_so4_sized():

@@ -287,7 +287,7 @@ def _all_pairs_reduce(legs, keys, values, dense_cutoff, memo, log):
             if wires[i].isdisjoint(wires[j]):
                 key, shared = (True, sizes[i] * sizes[j]), ()  # an outer product
             else:
-                (la, (da, _)), lb = tensors[i], tensors[j][0]
+                (la, (da, *_)), lb = tensors[i], tensors[j][0]
                 shared = tuple((x, lb.index(w)) for x, w in enumerate(la) if w in lb)
                 key = (False, sizes[i] * sizes[j] // prod(da[x] ** 2 for x, _ in shared))
             if best is None or key < best[0]:
@@ -296,9 +296,9 @@ def _all_pairs_reduce(legs, keys, values, dense_cutoff, memo, log):
         (la, va), (lb, vb) = tensors[i], tensors[j]
         log.append((la, lb))
         dense = max(prod(va[0]), prod(vb[0]), size) <= dense_cutoff
-        merged = (vertexnet._merge_dense if dense else vertexnet._merge_sparse)(va, vb, shared)
+        dims, data = (vertexnet._merge_dense if dense else vertexnet._merge_sparse)(va, vb, shared)
         out = tuple([w for w in la if w not in lb] + [w for w in lb if w not in la])
-        tensors = [t for k, t in enumerate(tensors) if k not in (i, j)] + [(out, merged)]
+        tensors = [t for k, t in enumerate(tensors) if k not in (i, j)] + [(out, (dims, data, vertexnet._peak(data)))]
     values.append(tensors[0][1])
     return tensors[0][0], len(values) - 1
 
@@ -526,6 +526,28 @@ def test_planner_cost_is_linear_in_the_vertex_count(monkeypatch):
     assert initial == [size] and len(pushed) <= 2 * (size - 1)
 
 
+def test_a_long_ring_reads_each_peak_once_and_heaps_plain_ints(monkeypatch):
+    # each stored value's max |entry| is read once, as it is made, and the
+    # int64 bound of each distinct merge reads its operands' peaks from there;
+    # the planner's heap holds ints, and its stale entries cost one pop each
+    peaks, products, pushed, popped = [], [], [], []
+    real_peak, real_matmul = vertexnet._peak, vertexnet.int_matmul
+    real_push, real_pop = vertexnet.heappush, vertexnet.heappop
+    monkeypatch.setattr(vertexnet, "_peak", lambda data: peaks.append(1) or real_peak(data))
+    monkeypatch.setattr(vertexnet, "int_matmul", lambda a, b, p: products.append(p) or real_matmul(a, b, p))
+    monkeypatch.setattr(vertexnet, "heappush", lambda heap, item: pushed.append(item) or real_push(heap, item))
+    monkeypatch.setattr(vertexnet, "heappop", lambda heap: popped.append(1) or real_pop(heap))
+    assert _paired_ring(1024, 2, 1).contract().tolist() == [[2, 0, 0], [0, 2, 0], [0, 0, -2]]
+    # one vertex value and 19 distinct merges: one peak each, and none
+    # read inside int_matmul
+    assert len(products) == 19 and None not in products
+    assert len(peaks) == 1 + 19
+    # 1023 merges, 1024 initial entries and 2043 pushed: 1011 pops drop a
+    # stale entry
+    assert all(type(item) is int for item in pushed)
+    assert (len(pushed), len(popped)) == (2043, 2034)
+
+
 def test_vertices_share_no_mutable_state():
     a, b = GammaVertex(3, 1), GammaVertex(3, 1)
     before = vertexnet._entries(b.array)
@@ -701,8 +723,8 @@ def test_long_ring_past_int64_is_exact(numpy_dtypes, p, q):
 def test_dense_merge_past_int64_falls_back(numpy_dtypes):
     big = 1 << 40
     # legs (0, 1) and (1, 2): wire 1 sits at position 1 of a and 0 of b
-    a = ((2, 2), {(0, 0): big, (0, 1): big, (1, 1): -big})
-    b = ((2, 2), {(0, 0): big, (1, 0): big, (1, 1): big})
+    a = ((2, 2), {(0, 0): big, (0, 1): big, (1, 1): -big}, big)
+    b = ((2, 2), {(0, 0): big, (1, 0): big, (1, 1): big}, big)
     dense = vertexnet._merge_dense(a, b, ((1, 0),))
     sparse = vertexnet._merge_sparse(a, b, ((1, 0),))
     assert numpy_dtypes["matmul"] == [[object, object]]
@@ -779,7 +801,7 @@ def test_long_rings_merge_arrays_only_at_the_default_cutoff(monkeypatch, p, q):
     paths = _merge_paths(monkeypatch)
     products = []
     real = vertexnet.int_matmul
-    monkeypatch.setattr(vertexnet, "int_matmul", lambda a, b: products.append(1) or real(a, b))
+    monkeypatch.setattr(vertexnet, "int_matmul", lambda a, b, peaks: products.append(1) or real(a, b, peaks))
     arr, plan = _merge_log(monkeypatch, _paired_ring(128, p, q))
     # all 127 plan steps run, and the memo computes the 13 distinct merges
     assert len(plan) == 127
@@ -795,13 +817,13 @@ def test_memoised_arrays_are_read_only(monkeypatch, net):
     made = []
     real = vertexnet._store
 
-    def spy(memo, values, name, value):
-        made.append(value)
-        return real(memo, values, name, value)
+    def spy(memo, values, name, dims, data):
+        made.append(data)
+        return real(memo, values, name, dims, data)
 
     monkeypatch.setattr(vertexnet, "_store", spy)
     arr = net.contract()
-    arrays = [data for _, data in made if not isinstance(data, dict)]
+    arrays = [data for data in made if not isinstance(data, dict)]
     assert arrays and not any(a.flags.writeable for a in arrays)
     # the result is a fresh copy
     assert arr.flags.writeable
