@@ -165,10 +165,13 @@ def por(x, y):
 
 
 def decode(n: int) -> PerfiniteSet:
-    """Inverse Ackermann coding: the unique set with code n."""
+    """Inverse Ackermann coding: the unique set with code n. A code past
+    MAX_CODE_BITS bits is refused, as parse_set_text refuses its text."""
     n = operator.index(n)
     if n < 0:
         raise ValueError("codes are non-negative")
+    if n >> MAX_CODE_BITS:
+        raise ValueError(_TOO_LARGE)
     s = PerfiniteSet.__new__(PerfiniteSet)
     s._code = n
     return s

@@ -20,18 +20,19 @@ Products:
     clifford(v, w, frame)  geometric product against the frame's generator
                            metric; e_i e_j + e_j e_i = 2 beta(i, j)
 
-Both run one loop over term pairs that reads each blade product e_a e_b from
-a table, computed exactly on first use (rank 4 has 2^16 blades, too many to
-fill up front). grassmann is the zero metric's case; zero-metric products do
-not depend on n, so the zero and berezin frames share its table.
+Both run one loop over term pairs; each blade product e_a e_b is a closed
+form, stored in no table. The wedge of disjoint masks is one reordering sign
+times e_(a|b) (0 if they share a bit). The hyperbolic algebra is the graded
+tensor product of its pairs' Cl(1,1) (Lounesto, Clifford Algebras and
+Spinors): e_a e_b is the product over pairs of a fixed 4x4 table, _PAIR,
+times (-1)^(sum over k > l of |A_k| |B_l|), A_k and B_l the pair parts of a
+and b; products of two pairs are cached, at most 16 * 16.
 
 A frame's metric is one of three presets: "zero" (pure Grassmann), "berezin"
 (the restriction of the Berezin polarization to generators, computed once per
 rank; it vanishes identically, so clifford coincides with grassmann -- lone
 generators are null), and "hyperbolic" (generator 2k pairs with 2k+1 at 1/2,
-so the anticommutator of a pair is exactly 1; one table per rank). The
-hyperbolic pairing is the only nonzero metric, so the blade-product kernel
-reads a generator's partner, i ^ 1, instead of a metric row.
+so the anticommutator of a pair is exactly 1).
 
 The Berezin pairing itself lives on the whole algebra: berezin_norm(w) is the
 coefficient of the top blade in w ^ w, and beta_form polarizes it. The frame's
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from math import comb
 
 from .perfinite import (
@@ -161,7 +162,7 @@ class RankFrame:
         self.n = len(self.generators)
         self.top_label = decode((1 << self.n) - 1)
         self.metric_name = metric
-        self._paired, self._table = _preset(self.n, metric)
+        self._blade = _preset(self.n, metric)
 
     def validate(self, mv: Multivector) -> None:
         for k in mv._terms:
@@ -184,20 +185,17 @@ class RankFrame:
         return f"RankFrame(r={self.r}, n={self.n}, metric={self.metric_name!r})"
 
 
-_WEDGE: dict = {}  # the zero metric's blade products (see "Products" above)
 _PRESETS = ("zero", "berezin", "hyperbolic")
-_HALF = Fraction(1, 2)
 
 
 @cache
 def _preset(n: int, name: str):
-    """(paired, table) for _product of a preset on n generators, built once:
-    the hyperbolic pairing gets a table of its own, and the zero metric runs
-    unpaired on the wedge table."""
+    """The blade product of a preset on n generators, checked once: the
+    hyperbolic pairing needs whole pairs, and the zero metric is the wedge."""
     if name == "hyperbolic":
         if n % 2:
             raise ValueError("hyperbolic metric pairs generators; generator count is odd")
-        return True, {}
+        return partial(_graded, _block, 4)  # two pairs at a time
     if name == "berezin":
         # The Berezin polarization on generators, computed, not assumed: the
         # symmetrized product of two generators never reaches the top blade,
@@ -206,71 +204,71 @@ def _preset(n: int, name: str):
         gens = [Multivector._of({1 << i: 1}) for i in range(n)]
         if any((grassmann(gi, gj) + grassmann(gj, gi))._terms.get(top) for gi in gens for gj in gens):
             raise AssertionError("the Berezin polarization of two generators is nonzero")
-    return False, _WEDGE
+    return _wedge
 
 
-def _contraction(i: int, k: int):
-    """e_i -| blade k as (mask, coefficient) pairs under the hyperbolic
-    pairing: e_i meets only its partner j = i ^ 1, at beta(i, j) = 1/2, and
-    removes it from k with the sign (-1)^t of its place t in k."""
-    j = 1 << (i ^ 1)
-    if k & j:
-        yield k ^ j, -_HALF if (k & (j - 1)).bit_count() & 1 else _HALF
+def _wedge(a: int, b: int) -> tuple:
+    """e_a ^ e_b as ((mask, sign),), or () when a and b share a generator:
+    (-1)^s e_(a|b), s the pairs (i in a, j in b) with i > j, counted over
+    the set bits of b alone, as labels can have million-bit codes."""
+    if a & b:
+        return ()
+    ab, s = a | b, 0
+    while b:  # j the lowest set bit of b: count the generators of a above j
+        s += (a & -(b & -b)).bit_count()
+        b &= b - 1
+    return ((ab, -1 if s & 1 else 1),)
 
 
-def _blade_product(a: int, b: int, paired: bool, table: dict) -> dict:
-    """e_a e_b as {mask: coefficient} under the hyperbolic pairing when
-    paired, else the zero metric, stored in table the first time it is asked
-    for.
+# e_a e_b in one hyperbolic pair x, y (x^2 = y^2 = 0, xy + yx = 1), in the
+# blade basis 0: 1, 1: x, 2: y, 3: x^y, as ((mask, coefficient), ...)
+_PAIR = (
+    (((0, 1),), ((1, 1),), ((2, 1),), ((3, 1),)),
+    (((1, 1),), (), ((3, 1), (0, Fraction(1, 2))), ((1, Fraction(-1, 2)),)),
+    (((2, 1),), ((3, -1), (0, Fraction(1, 2))), (), ((2, Fraction(1, 2)),)),
+    (((3, 1),), ((1, Fraction(1, 2)),), ((2, Fraction(-1, 2)),), ((0, Fraction(1, 4)),)),
+)
 
-    With i the lowest generator of a, e_a = e_i e_rest - e_i -| e_rest, so
-    e_a e_b = e_i (e_rest e_b) - (e_i -| e_rest) e_b, and e_i e_m is a wedge
-    part plus a contraction part. The suffixes of a are walked from the top,
-    each stored, so a long label costs no recursion; only the contraction
-    part recurses, and it needs the pairing, so at most 16 generators. Every
-    paired coefficient is a power of 1/2 up to sign; float coefficients only
-    meet the table in _product.
-    """
-    out, rest = table.setdefault((0, b), {b: 1}), 0
-    for i in reversed([*bit_positions(a)]):
-        low = 1 << i
-        hit = table.get((rest | low, b))
-        if hit is None:
-            acc: dict = {}
-            for m, c in out.items():
-                if not m & low:
-                    acc[m | low] = acc.get(m | low, 0) + (-c if (m & (low - 1)).bit_count() & 1 else c)
-                if paired:
-                    for k, x in _contraction(i, m):
-                        acc[k] = acc.get(k, 0) + x * c
-            if paired:
-                for k2, s in _contraction(i, rest):
-                    for k, x in _blade_product(k2, b, paired, table).items():
-                        acc[k] = acc.get(k, 0) - s * x
-            hit = table[rest | low, b] = {k: x for k, x in acc.items() if x}
-        out, rest = hit, rest | low
+
+def _graded(digit, width: int, a: int, b: int) -> list:
+    """e_a e_b in a graded tensor product of algebras on width-bit digits,
+    digit(da, db) the product within one digit: the digit products
+    multiplied out, times (-1)^(sum over k > l of |A_k| |B_l|) for moving
+    each digit of b left past the higher digits of a."""
+    low = (1 << width) - 1
+    out, shift = digit(a & low, b & low), width
+    while (a | b) >> shift:
+        da, db = a >> shift & low, b >> shift & low
+        sign = -1 if da.bit_count() * (b & (1 << shift) - 1).bit_count() & 1 else 1
+        out = [(m | g << shift, sign * x * y) for m, x in out for g, y in digit(da, db)]
+        shift += width
     return out
 
 
-def _product(v: Multivector, w: Multivector, paired: bool, table: dict) -> Multivector:
-    """sum of c_a c_b e_a e_b over the terms of v and w (see _blade_product)."""
+@cache
+def _block(a: int, b: int) -> tuple:
+    """e_a e_b for two hyperbolic pairs: a, b < 16, so at most 16 * 16 entries."""
+    return tuple(_graded(lambda i, j: _PAIR[i][j], 2, a, b))
+
+
+def _product(v: Multivector, w: Multivector, blade) -> Multivector:
+    """sum of c_a c_b e_a e_b over the terms of v and w, blade(a, b) giving
+    e_a e_b as (mask, coefficient) pairs."""
     out: dict = {}
     for a, ca in v._terms.items():
         for b, cb in w._terms.items():
-            ab = table.get((a, b))
-            if ab is None:
-                ab = _blade_product(a, b, paired, table)
+            ab = blade(a, b)
             if ab:
                 c = ca * cb
-                for m, x in ab.items():
-                    out[m] = out.get(m, 0) + c * x
+                for m, x in ab:  # a first term goes in as is: 0 + Fraction is a slow reflected add
+                    out[m] = out[m] + c * x if m in out else c * x
     return Multivector._of(out)
 
 
 def grassmann(v: Multivector, w: Multivector) -> Multivector:
     """Exterior product: the zero-metric product, where shared generators
     annihilate."""
-    return _product(v, w, False, _WEDGE)
+    return _product(v, w, _wedge)
 
 
 def clifford(v: Multivector, w: Multivector, frame: RankFrame) -> Multivector:
@@ -278,7 +276,7 @@ def clifford(v: Multivector, w: Multivector, frame: RankFrame) -> Multivector:
     the zero and berezin frames."""
     frame.validate(v)
     frame.validate(w)
-    return _product(v, w, frame._paired, frame._table)
+    return _product(v, w, frame._blade)
 
 
 def berezin_norm(w: Multivector, frame: RankFrame):
@@ -324,15 +322,14 @@ class SignatureReport(namedtuple("SignatureReport", "n_plus n_minus n_zero dimen
 
 def gram_matrix(frame: RankFrame):
     """Dense exact Gram matrix of beta_form on the full blade basis (small n):
-    the top coefficient of e_a ^ e_b + e_b ^ e_a over 2, read from the
-    wedge table for every pair, one Fraction per distinct value."""
+    e_a pairs only with its complement e_b, at the mean of the wedge signs
+    of e_a ^ e_b and e_b ^ e_a, one Fraction per distinct value."""
     if frame.n > 8:
         raise ValueError("dense Gram limited to n <= 8; use signature_report")
-    dim = 1 << frame.n
-    tops = [[_blade_product(a, b, False, _WEDGE).get(dim - 1, 0) for b in range(dim)] for a in range(dim)]
-    sums = [[tops[a][b] + tops[b][a] for b in range(dim)] for a in range(dim)]
-    value = {s: Fraction(s, 2) for s in {s for row in sums for s in row}}
-    return tuple(tuple(map(value.__getitem__, row)) for row in sums)
+    top = (1 << frame.n) - 1
+    value = {s: Fraction(s, 2) for s in (-2, 0, 2)}
+    pair = [value[_wedge(a, top ^ a)[0][1] + _wedge(top ^ a, a)[0][1]] for a in range(top + 1)]
+    return tuple(tuple(pair[a] if a ^ b == top else value[0] for b in range(top + 1)) for a in range(top + 1))
 
 
 def signature_report(frame: RankFrame) -> SignatureReport:

@@ -323,7 +323,7 @@ def label_clifford(v, w, frame):
 def beta_gram(frame):
     """The Gram matrix of beta_form on the full blade basis, one beta_form
     call (two wedge products) per entry: the reference qset.gram_matrix's
-    table reads are checked against."""
+    wedge signs of complementary blades are checked against."""
     blades = [Multivector.blade(lab) for lab in frame.basis_labels()]
     return tuple(tuple(beta_form(bi, bj, frame) for bj in blades) for bi in blades)
 

@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
-"""Mutants of the stated bounds and fast paths, as data, and an opt-in runner.
+"""Mutants of the stated bounds, fast paths and closed forms, as data, and an
+opt-in runner.
 
 Each int64 route in src/qsetalg states a bound and falls back to Python ints
 past it; a point permutation is a bytes table only while its 2d points fit
 in 256; the trace form reads coordinates only off a diagonal Gram matrix;
 a ring merge reads its operands' stored peaks; the planner drops a heap
-entry unless both its tensors are live; and the float refit scatters the
-exact constants straight from the sparse table. Each mutant below changes
-one such bound or condition (or the comparison against it, or the value
-read) and names the test file that must fail under it: a mutant that passes
-its test file shows a bound no test trips.
+entry unless both its tensors are live; the float refit scatters the exact
+constants straight from the sparse table; and a hyperbolic blade product is
+read off the 4x4 pair table, signed by moving b's pairs past a's higher
+ones. Each mutant below changes one such bound, condition, entry or sign
+(or the comparison against it, or the value read) and names the test file
+that must fail under it: a mutant that passes its test file shows a bound
+no test trips.
 
     python tests/mutants.py [NAME ...]
 
@@ -91,6 +94,12 @@ MUTANTS = (
         "linalg.ColumnSolver-diagonal-unchecked", "linalg.py",
         "if all(row.count(0) == k - 1 for row in gram) and all(diag):", "if all(diag):",
         "test_liecore.py",
+    ),
+    Mutant("qset._PAIR-x(x^y)-sign", "qset.py", "((1, Fraction(-1, 2)),)", "((1, Fraction(1, 2)),)", "test_qset.py"),
+    Mutant(
+        "qset._graded-cross-sign-dropped", "qset.py",
+        "sign = -1 if da.bit_count() * (b & (1 << shift) - 1).bit_count() & 1 else 1", "sign = 1",
+        "test_qset.py",
     ),
 )
 

@@ -1,4 +1,6 @@
 import random
+import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 
 from qsetalg.perfinite import (
     EMPTY,
+    MAX_CODE_BITS,
     OM,
     PerfiniteSet,
     decode,
@@ -16,6 +19,7 @@ from qsetalg.perfinite import (
     por,
     xor_union,
 )
+from qsetalg.qset import Multivector, mv_from_json, mv_to_json
 
 from helpers import load_oracle, recursive_format_set_text, recursive_parse_set_text
 
@@ -204,3 +208,21 @@ def test_sets_past_the_code_size_limit_are_refused():
     with pytest.raises(ValueError):
         parse_set_text("{{{{{{{{}}}}}}}}")
     assert iota(decode((1 << 24) - 1)).code == 1 << ((1 << 24) - 1)
+
+
+def test_decode_refuses_what_set_text_and_json_refuse():
+    # a code at the limit (one element, coded 2**24 - 1) round-trips through
+    # set text and multivector JSON; one past it (one element coded 2**24) is
+    # refused by decode with the message parse_set_text gives for its text
+    edge = decode(1 << (MAX_CODE_BITS - 1))
+    assert parse_set_text(format_set_text(edge)) == edge
+    mv = Multivector.blade(edge, Fraction(-2, 3))
+    assert mv_from_json(mv_to_json(mv)) == mv
+    with pytest.raises(ValueError) as refused:
+        decode(1 << MAX_CODE_BITS)
+    past = "{" + format_set_text(decode(MAX_CODE_BITS)) + "}"
+    with pytest.raises(ValueError) as parsed:
+        parse_set_text(past)
+    assert str(refused.value) == str(parsed.value)
+    with pytest.raises(ValueError, match=re.escape(str(refused.value))):
+        mv_from_json([[past, 1, 1]])

@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -225,7 +226,7 @@ def test_signature_counts_by_grade_as_the_mask_loop_did(r):
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
-def test_gram_matrix_reads_beta_form_from_the_wedge_table(r):
+def test_gram_matrix_reads_beta_form_from_the_wedge_sign(r):
     frame = RankFrame(r)
     got = gram_matrix(frame)
     assert got == beta_gram(frame)
@@ -348,21 +349,24 @@ def test_rank_four_products_match_label_reference(metric):
         assert clifford(u, v, frame) == label_clifford(u, v, frame)
 
 
+# elements of rank 4 (65535) and rank 5 (65536, 65541, 2**20): label codes
+# run to a million bits
+_LARGE_POOL = [decode(c) for c in (0, 3, 15, 255, 65535, 65536, 65541, 1 << 20)]
+
+
+def _large_code_mv(rng):
+    terms = {}
+    for _ in range(3):
+        label = PerfiniteSet(rng.sample(_LARGE_POOL, rng.randint(0, 4)))
+        terms[label] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    return Multivector(terms)
+
+
 def test_grassmann_matches_label_reference_on_large_element_codes():
-    # elements of rank 4 (65535) and rank 5 (65536, 65541, 2**20): label
-    # codes run to a million bits, and the sign loops over set bits only
-    pool = [decode(c) for c in (0, 3, 15, 255, 65535, 65536, 65541, 1 << 20)]
+    # the sign loops over set bits only
     rng = random.Random(37)
-
-    def rand_big_mv():
-        terms = {}
-        for _ in range(3):
-            label = PerfiniteSet(rng.sample(pool, rng.randint(0, 4)))
-            terms[label] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        return Multivector(terms)
-
     for _ in range(30):
-        u, v = rand_big_mv(), rand_big_mv()
+        u, v = _large_code_mv(rng), _large_code_mv(rng)
         assert grassmann(u, v) == label_grassmann(u, v)
 
 
@@ -409,8 +413,8 @@ def _floats(mv):
 
 @pytest.mark.parametrize("metric", ["hyperbolic"])
 def test_float_products_match_label_reference(metric):
-    # the table multiplies in a different order from the reference, so a
-    # float coefficient may differ in its last bits
+    # the closed form multiplies in a different order from the reference,
+    # so a float coefficient may differ in its last bits
     rng = random.Random(f"float-reference:{metric}")
     frame = RankFrame(3, metric=metric)
     for _ in range(20):
@@ -421,17 +425,43 @@ def test_float_products_match_label_reference(metric):
                 assert abs(got.coeff(lab) - want.coeff(lab)) <= 1e-12 * max(1.0, abs(want.coeff(lab)))
 
 
-def test_repeated_products_store_no_new_table_entry():
+def test_pair_table_matches_label_reference_entry_by_entry():
+    # the rank-2 hyperbolic frame is one pair: blades 1, x, y, x^y are codes 0-3
+    frame = RankFrame(2, metric="hyperbolic")
+    for a in range(4):
+        for b in range(4):
+            u, v = Multivector.blade(decode(a)), Multivector.blade(decode(b))
+            want = label_clifford(u, v, frame)
+            assert Multivector({decode(g): x for g, x in qset._PAIR[a][b]}) == want
+            assert clifford(u, v, frame) == want
+
+
+def _container_sizes():
+    return {name: len(obj) for name, obj in vars(qset).items() if not name.startswith("__") and isinstance(obj, (dict, list, set, tuple))}
+
+
+def test_products_retain_no_state():
+    # rank-4 hyperbolic products and wedges of million-bit labels leave no
+    # table behind: no module-level container of qset grows, the caches
+    # that outlive a call (two-pair blocks, checked presets) stay within
+    # their bounds, and what is still allocated afterwards stays under 1 MB
     rng = random.Random(47)
-    frame = RankFrame(3, metric="hyperbolic")
-    u, v = rand_mv(rng, frame), rand_mv(rng, frame)
-    first = clifford(u, v, frame), grassmann(u, v)
-    sizes = len(frame._table), len(qset._WEDGE)
-    assert (clifford(u, v, frame), grassmann(u, v)) == first
-    assert (len(frame._table), len(qset._WEDGE)) == sizes
-    # a table is keyed by pairs of rank-3 blades: at most 16 * 16 entries
-    assert all(a < 16 and b < 16 for a, b in frame._table)
-    assert RankFrame(3, metric="hyperbolic")._table is frame._table
+    frame = RankFrame(4, metric="hyperbolic")
+    before = _container_sizes()
+    tracemalloc.start()
+    try:
+        for _ in range(100):
+            clifford(rand_mv(rng, frame, terms=8), rand_mv(rng, frame, terms=8), frame)
+        for _ in range(30):
+            grassmann(_large_code_mv(rng), _large_code_mv(rng))
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert _container_sizes() == before
+    assert {name for name, obj in vars(qset).items() if hasattr(obj, "cache_info")} == {"_preset", "_block"}
+    assert qset._block.cache_info().currsize <= 16 * 16
+    assert qset._preset.cache_info().currsize <= 4 * len(qset._PRESETS)  # ranks 1-4
+    assert retained < 1 << 20
 
 
 def test_berezin_metric_is_computed_once_per_rank(monkeypatch):
@@ -444,13 +474,13 @@ def test_berezin_metric_is_computed_once_per_rank(monkeypatch):
         return real(v, w)
 
     monkeypatch.setattr(qset, "grassmann", spy)
-    frames = [RankFrame(3), RankFrame(3)]
+    RankFrame(3)
+    RankFrame(3)
     assert len(calls) == 2 * 4 * 4
-    assert frames[0]._table is frames[1]._table is qset._WEDGE
 
 
 def test_a_nonzero_berezin_polarization_is_an_assertion_error(monkeypatch):
-    # the berezin frame runs on the wedge table only because the computed
+    # the berezin frame runs on the wedge only because the computed
     # polarization of two generators is zero; a wedge product that reaches
     # the top blade must stop the frame
     monkeypatch.setattr(qset, "_preset", functools.cache(qset._preset.__wrapped__))
