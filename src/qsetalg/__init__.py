@@ -13,10 +13,9 @@ The package is organized bottom-up:
     cli         command line front end (also `python -m qsetalg`)
 
 Everything advertised as exact is computed on Python ints over a common
-scale, or over fractions.Fraction. The integer matrix products of network
-merges run in int64 while their stated bound k * max|a| * max|b| stays under
-2^62, and on Python ints past it (vertexnet.int_matmul). Floats appear only
-in cross-checks and explicitly float-mode paths.
+scale, or over fractions.Fraction; network merges are sparse joins on
+Python ints too. Floats appear only in cross-checks and explicitly
+float-mode paths.
 """
 
 __all__ = ["OM", "PerfiniteSet", "decode", "parse_set_text", "Multivector", "RankFrame"]

@@ -394,7 +394,7 @@ def _cmd_palev(args) -> int:
 
 
 def _cmd_net(args) -> int:
-    from .vertexnet import VertexNetwork, dense_oracle
+    from .vertexnet import VertexNetwork, paths_agree
 
     try:
         net = VertexNetwork.load(args.file)
@@ -416,12 +416,7 @@ def _cmd_net(args) -> int:
         rep = net.parity_check()
         print(f"parity flags: {len(rep.flags)}")
         return 0
-    import numpy as np
-
-    sparse = net.contract(dense_cutoff=0)  # check: sparse dicts throughout
-    dense = net.contract(dense_cutoff=10**9)  # integer arrays throughout
-    oracle = dense_oracle(net)
-    ok = np.array_equal(sparse, dense) and np.array_equal(sparse.astype(float), oracle)
+    ok = paths_agree(net)  # check: the network and its reversal against the einsum
     print(f"contraction paths agree with dense einsum: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 

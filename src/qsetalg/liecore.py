@@ -88,6 +88,8 @@ class MatrixAlgebra:
         return alg
 
     def _setup(self, name: str, entries, d: int, scale: int, labels) -> None:
+        if type(scale) is not int or scale <= 0:
+            raise ValueError(f"the scale of {name} must be a positive int, not {scale!r}")
         n = len(entries)
         if not n:
             raise ValueError("empty basis")
@@ -181,6 +183,8 @@ class StructureConstants:
     def __init__(self, n: int, table, D: int = 1, labels=None):
         """Constants table[i, j][k] / D for pairs i < j < n and k < n, D != 0;
         a pair left out commutes."""
+        if D == 0:
+            raise ValueError("structure constants need a nonzero denominator D")
         rows = {}
         for (i, j), row in sorted(table.items()):
             row = {k: v for k, v in row.items() if v}

@@ -32,7 +32,7 @@ from .qset import (
 )
 from .scalars import RunConfig
 from .spectra import accumulate_coordinate, total_matrix, unit_tags
-from .vertexnet import GammaVertex, IotaNode, VertexNetwork, dense_oracle
+from .vertexnet import GammaVertex, IotaNode, VertexNetwork, paths_agree
 from .yang import build_yang, contract_to_hp, gauge_defect, toy_frame
 
 
@@ -282,11 +282,8 @@ def _check_networks(cfg: RunConfig) -> str:
         edges=[((0, "spinor"), (1, "dual")), ((1, "spinor"), (0, "dual"))],
         open_legs=[(0, "vector"), (1, "vector")],
     )
-    got = net.contract()
-    if not np.array_equal(got.astype(float), dense_oracle(net)):
-        _fail("sparse contraction disagrees with the dense oracle")
-    if not np.array_equal(got, net.contract(dense_cutoff=0)):
-        _fail("dense and sparse merge paths disagree")
+    if not paths_agree(net):
+        _fail("the network and its reversal disagree with each other or with the dense oracle")
     if not net.parity_check().ok:
         _fail("gauge-only network was flagged")
     chain = VertexNetwork(

@@ -15,8 +15,9 @@ Two node species:
                    label's own code.
 
 Every vertex of one signature (or grade and rank) shares one read-only
-table, built on first use: its parity sum and its slots, a MappingProxyType
-from slot name to (position, dim, kind); and one array, built on first read.
+table: its parity sum, its slots (slot name -> (position, dim, kind)) and
+its tensor, a (dims, entries) pair, entries mapping each index tuple to its
+nonzero entry, built once from the mathematics.
 
 Edges join slots of compatible kind and equal dimension: spinor to dual,
 vector to vector, and an iota's out to a higher iota's in (chaining). Open
@@ -30,42 +31,30 @@ whose merged result is smallest. A wire index keeps the candidates to pairs
 that share a wire, each sized once from per-wire dims and worked out in full
 only if merged, so planning costs O(E log E) for E edges instead of an
 all-pairs rescan per merge (O(V^3) for V vertices); an entry a merge strands
-costs one pop (245 pops for a paired 128-vertex ring's 127 merges). A vertex
-that carries a wire twice (a spinor line closed on itself) is traced on its
-own cached array as it enters; its entries are -1, 0 or 1, so the trace
-stays int64. No merge result carries a wire twice, so that is the only
-trace. Each value is then held one of two ways, by its dense size (product
-of dimensions):
+costs one pop (245-298 pops for a 128-vertex ring's 127 merges). A vertex
+that carries a wire twice (a spinor line closed on itself) is traced as it
+enters, and no merge result does, so that is the only trace. Entries are
+Python ints throughout and every merge is one exact sparse hash-join on the
+shared indices, so no entry wraps. The result is a fresh ndarray, int64 when
+every entry fits and dtype=object otherwise: numpy is imported for that
+conversion and for dense_oracle only, so building a network and its parity
+audit load no numpy. Tests replay whole networks through dense_oracle, an
+independent einsum.
 
-    array   within dense_cutoff: an integer ndarray. Vertices hand over their
-            cached read-only arrays, and a merge of two arrays whose result
-            fits too is a tensordot run as one int_matmul: the shared legs
-            move to the inner dimension and the kept legs are flattened
-            (int64 under its stated bound of 2^62, Python ints past it).
-    dict    past it: index tuple -> nonzero entry, merged by an exact sparse
-            hash-join on the shared indices.
-
-dense_cutoff=0 keeps every tensor a dict. No entry wraps on either path; the
-result is int64 when every entry fits and dtype=object otherwise. Tests
-replay whole networks through dense_oracle, an independent einsum.
-
-One contract() call computes each distinct merge and self-trace, and each
-distinct vertex's dict, once. A tensor in flight is its legs (wire ids) and
-a small integer key into the call's table of values; a value is a plain
-(dims, data, peak) triple, data an array or a dict and peak its max |entry|,
-read once. A vertex's key is named by its slot table, which every vertex of
-one signature (one cached array) shares, and by the pattern of its legs if
-it is traced, where pattern numbers the wires by first appearance; a
-merge's is named by (key, key, shared), where shared pairs the positions of
-each wire the two operands share, in the first operand's order. shared
-describes the merge completely: the merge routines read the summed
-positions and the result's leg order (the first operand's kept legs, then
-the second's) from it alone and never see a wire id. The representation
-(array or dict) follows from the keys' dims, the positions and the cutoff,
-so equal keys mean equal dims and equal data. A plan step that repeats a
-merge computes only the result's legs; stored arrays are read-only and
-shared, never copied. In a paired 128-vertex ring, 13 of the 127 merges
-are distinct. The memo lives for one call only.
+One contract() call computes each distinct merge and self-trace once. A
+tensor in flight is its legs (wire ids) and a small integer key into the
+call's table of values; a value is a plain (dims, entries) pair. A vertex's
+key is named by its slot table, which every vertex of one species shares,
+and by the pattern of its legs if it is traced, where pattern numbers the
+wires by first appearance; a merge's is named by (key, key, shared), where
+shared pairs the positions of each wire the two operands share, in the first
+operand's order. shared describes the merge completely: the join reads the
+summed positions and the result's leg order (the first operand's kept legs,
+then the second's) from it alone and never sees a wire id, so equal keys
+mean equal values. A plan step that repeats a merge computes only the
+result's legs; stored values are shared, never copied. In a paired
+128-vertex ring, 13 of the 127 merges are distinct. The memo lives for one
+call only.
 
 parity_check() is the bookkeeping pass: gauge vertices always balance; every
 iota node gets flagged. An even-m node breaks the mod-2 grading outright
@@ -77,35 +66,15 @@ a parity-conservation argument has to notice before waving a network through.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cache, lru_cache
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import chain, combinations
 from math import prod
+from operator import itemgetter
 from types import MappingProxyType
 
 from .cliff import MAX_TOTAL, build_gammas
 from .perfinite import enumerate_rank
-
-
-class _Numpy:
-    """numpy's stand-in: the first attribute read imports numpy and rebinds
-    np to it, so building a network and its parity audit load no numpy."""
-
-    def __getattr__(self, name):
-        global np
-        import numpy as np
-        return getattr(np, name)
-
-
-np = _Numpy()
-
-# every intermediate of a ring with up to three open vector legs at
-# p + q <= 8 fits: the largest, two (16, 8, 16) vertices of a (4, 4) 3-ring
-# merged over one spinor line, is (16, 8, 8, 16) = 2^14 entries. A p + q = 12
-# vertex (64, 12, 64) stays past it and enters as a dict.
-_DENSE_CUTOFF = 1 << 14
-_INT64 = 1 << 63
-_LIMIT = 1 << 62  # int64 bound with a bit to spare for one sign flip or difference
 
 # the slot kind pairs an edge may join, in either order
 _COMPATIBLE = frozenset({
@@ -114,17 +83,18 @@ _COMPATIBLE = frozenset({
 })
 
 
-def _slot_tables(names, dims, kinds, parities) -> tuple:
-    """A species' shared slot tables: the parity sum mod 2, and each slot's
-    (position, dim, kind) in a read-only map, which the wiring pass reads."""
+def _species(names, dims, kinds, parities, entries) -> tuple:
+    """A species' shared read-only tables: the parity sum mod 2; each slot's
+    (position, dim, kind), which the wiring pass reads; and the tensor
+    (dims, entries), which contract() reads."""
     slots = {s: (i, d, k) for i, (s, d, k) in enumerate(zip(names, dims, kinds))}
-    return sum(parities) % 2, MappingProxyType(slots)
+    return sum(parities) % 2, MappingProxyType(slots), (dims, MappingProxyType(entries))
 
 
 class GammaVertex:
-    """A (p, q) gamma vertex; `array` is its read-only int64 tensor
-    (dual, vector, spinor), built on first read. Every vertex of the
-    signature shares it and its slot tables."""
+    """A (p, q) gamma vertex; `tensor` is its (dims, entries) pair over the
+    slots (dual, vector, spinor). Every vertex of the signature shares it
+    and its slot tables."""
 
     kind = "gamma"
     slot_names = ("dual", "vector", "spinor")
@@ -138,9 +108,7 @@ class GammaVertex:
             raise ValueError(f"gamma vertex limited to p + q <= {MAX_TOTAL}")
         self.p = p
         self.q = q
-        self.gamma_set, self.parity, self.slots = _gamma_table(p, q)
-
-    array = property(lambda self: _gamma_array(self.p, self.q))
+        self.gamma_set, self.parity, self.slots, self.tensor = _gamma_table(p, q)
 
     def to_json(self):
         return {"kind": "gamma", "p": self.p, "q": self.q}
@@ -151,29 +119,19 @@ class GammaVertex:
 
 @lru_cache(maxsize=None, typed=True)
 def _gamma_table(p: int, q: int):
-    """GammaSet and slot tables of a (p, q) vertex, built once per signature
-    and shared by every vertex, all read-only. Typed, so that 2.0 or True
-    reaches build_gammas's refusal instead of the entry for 2 or 1."""
+    """GammaSet, slot tables and tensor of a (p, q) vertex, built once per
+    signature and shared by every vertex, all read-only. Typed, so that 2.0
+    or True reaches build_gammas's refusal instead of the entry for 2 or 1."""
     gs = build_gammas(p, q)
-    names = GammaVertex.slot_names
-    return gs, *_slot_tables(names, (gs.dim, p + q, gs.dim), names, (1, 0, 1))
-
-
-@cache
-def _gamma_array(p: int, q: int):
-    """The read-only (dual, vector, spinor) stack of a (p, q) vertex."""
-    gs = _gamma_table(p, q)[0]
-    heads = np.array([[*g[:gs.dim]] for g in gs.points])  # row r's point: +1 in column x, or -1 in x - dim past dim
-    stack = np.zeros((gs.dim, gs.n, gs.dim), dtype=np.int64)  # stack[r, m, c] = gamma_m[r][c]
-    stack[np.arange(gs.dim), np.arange(gs.n)[:, None], heads % gs.dim] = 1 - 2 * (heads >= gs.dim)
-    stack.flags.writeable = False
-    return stack
+    d, names = gs.dim, GammaVertex.slot_names
+    entries = {(r, m, x % d): 1 - 2 * (x >= d) for m, g in enumerate(gs.points) for r, x in enumerate(g[:d])}
+    return gs, *_species(names, (d, p + q, d), names, (1, 0, 1), entries)
 
 
 class IotaNode:
-    """A grade-m selector of the rank frame; `array` is its read-only 0/1
-    inclusion matrix (out, in), built on first read. Every node of the
-    grade and rank shares it and its slot tables."""
+    """A grade-m selector of the rank frame; `tensor` is its (dims, entries)
+    pair, the 0/1 inclusion matrix (out, in). Every node of the grade and
+    rank shares it and its slot tables."""
 
     kind = "iota"
     slot_names = ("out", "in")
@@ -188,9 +146,7 @@ class IotaNode:
             raise ValueError(f"grade {m} impossible with {n} generators")
         self.m = m
         self.rank = rank
-        self.parity, self.slots = _iota_table(m, rank)
-
-    array = property(lambda self: _iota_array(self.m, self.rank))
+        self.parity, self.slots, self.tensor = _iota_table(m, rank)
 
     def to_json(self):
         return {"kind": "iota", "m": self.m, "rank": self.rank}
@@ -201,22 +157,14 @@ class IotaNode:
 
 @lru_cache(maxsize=None, typed=True)
 def _iota_table(m: int, rank: int):
-    """Slot tables of a grade-m node: out has a place per generator one
-    rank up, in one per grade-m label of the rank frame."""
-    dims = (1 << len(enumerate_rank(rank - 1)), sum(x.grade == m for x in enumerate_rank(rank)))
-    return _slot_tables(IotaNode.slot_names, dims, ("monad-out", "blade-in"), (1, m % 2))
-
-
-@lru_cache(maxsize=None, typed=True)
-def _iota_array(m: int, rank: int):
-    """Inclusion matrix of a grade-m node: the grade-m labels of the rank
-    frame, in ascending code, down the in axis; each label's code is exactly
-    its out-side generator index."""
+    """Slot tables and tensor of a grade-m node: out has a place per
+    generator one rank up, in one per grade-m label of the rank frame, in
+    ascending code; each label's code is exactly its out-side generator
+    index."""
     codes = [x.code for x in enumerate_rank(rank) if x.grade == m]
-    arr = np.zeros((1 << len(enumerate_rank(rank - 1)), len(codes)), dtype=np.int64)
-    arr[codes, range(len(codes))] = 1
-    arr.flags.writeable = False
-    return arr
+    dims = (1 << len(enumerate_rank(rank - 1)), len(codes))
+    entries = {(c, j): 1 for j, c in enumerate(codes)}
+    return _species(IotaNode.slot_names, dims, ("monad-out", "blade-in"), (1, m % 2), entries)
 
 
 def _vertex_from_json(data):
@@ -333,7 +281,7 @@ class VertexNetwork:
 
     # -- contraction ---------------------------------------------------------
 
-    def contract(self, dense_cutoff: int = _DENSE_CUTOFF) -> np.ndarray:
+    def contract(self):
         """Contract all edges; result axes follow the declared open order.
 
         Pairwise greedy (see _reduce): always merge the pair with the
@@ -342,33 +290,24 @@ class VertexNetwork:
         O(E log E) for E edges rather than an all-pairs scan per merge; an
         entry a merge strands costs one pop when it surfaces.
 
-        A vertex carrying a wire twice is traced on its own array first.
-        dense_cutoff then picks the representation, never the plan. A vertex
-        whose (traced) dense size is within it stays an integer array, and a
-        merge whose operands and result are all within it is one exact
-        integer matrix product producing an array. Larger vertices become
-        sparse dicts, once per distinct vertex, and larger merges run the
-        exact sparse hash-join. 0 keeps dicts throughout; a huge cutoff
-        keeps arrays throughout.
-        Entries stay exact integers either way: the result, a fresh ndarray
-        (0-d for a network with no open legs), is int64 when every entry
-        fits and dtype=object (Python ints) otherwise.
-
-        A memo local to this call computes each distinct vertex value,
-        merge and self-trace once (see the module docstring), so a plan
-        step costs one memo lookup unless its merge is new.
+        A vertex carrying a wire twice is traced first, and every merge is
+        the exact hash-join _merge. The result, a fresh ndarray (0-d for a
+        network with no open legs), is int64 when every entry fits and
+        dtype=object (Python ints) otherwise. A memo local to this call
+        computes each distinct merge and self-trace once, so a plan step
+        costs one memo lookup unless its merge is new.
         """
         if not self.vertices:
-            return np.ones((), dtype=np.int64)
+            return _to_dense((), ((), {(): 1}), ())
         memo: dict = {}
         values: list = []
         legs, keys = list(self._legs), []
         for vi, vert in enumerate(self.vertices):
             key = memo.get(id(vert.slots))  # an untraced vertex of a species already stored
             if key is None or vi in self._loops:
-                legs[vi], key = _enter(vert, legs[vi], vi in self._loops, dense_cutoff, memo, values)
+                legs[vi], key = _enter(vert, legs[vi], vi in self._loops, memo, values)
             keys.append(key)
-        ls, key = _reduce(legs, keys, values, dense_cutoff, memo)
+        ls, key = _reduce(legs, keys, values, memo)
         return _to_dense(ls, values[key], self._out)
 
     # -- serialization -------------------------------------------------------
@@ -407,14 +346,14 @@ class VertexNetwork:
         )
 
 
-def _enter(vert, legs, traced: bool, dense_cutoff: int, memo: dict, values: list):
-    """(legs, key) of a vertex entering the reduction: its array, traced
-    over each wire it carries twice and held as a dict past dense_cutoff,
-    computed once per distinct (slot table, pattern) in `memo`. Only a
-    vertex can carry a wire twice: a merge keeps the wires it sees once."""
+def _enter(vert, legs, traced: bool, memo: dict, values: list):
+    """(legs, key) of a vertex entering the reduction: its tensor, traced
+    over each wire it carries twice, computed once per distinct (slot
+    table, pattern) in `memo`. Only a vertex can carry a wire twice: a merge
+    keeps the wires it sees once."""
     if traced:
         # the wires numbered by first appearance, (5, 9, 9, 2) -> (0, 1, 1, 2),
-        # name the self-trace up to relabelling and serve as einsum subscripts
+        # name the self-trace up to relabelling
         first: dict = {}
         pattern = tuple(first.setdefault(l, len(first)) for l in legs)
         keep = [i for i, w in enumerate(pattern) if pattern.count(w) == 1]  # the legs seen once
@@ -422,14 +361,25 @@ def _enter(vert, legs, traced: bool, dense_cutoff: int, memo: dict, values: list
     name = (id(vert.slots), pattern) if traced else id(vert.slots)
     key = memo.get(name)
     if key is None:
-        arr = vert.array
-        if traced:
-            arr = np.einsum(arr, list(pattern), [pattern[i] for i in keep])
-        key = _store(memo, values, name, arr.shape, _entries(arr) if arr.size > dense_cutoff else arr)
+        key = _store(memo, values, name, *(_trace(*vert.tensor, pattern, keep) if traced else vert.tensor))
     return legs, key
 
 
-def _reduce(legs: list, keys: list, values: list, dense_cutoff: int, memo: dict):
+def _trace(dims, entries, pattern, keep) -> tuple:
+    """The (dims, entries) of a tensor traced over each wire it carries
+    twice: its entries whose positions of one wire agree, summed by their
+    indices at the positions `keep` of the wires seen once."""
+    ties = [(i, pattern.index(w)) for i, w in enumerate(pattern) if pattern.index(w) < i]
+    kept = _getter(keep)
+    out: dict = {}
+    for idx, v in entries.items():
+        if all(idx[i] == idx[j] for i, j in ties):
+            k = kept(idx)
+            out[k] = out.get(k, 0) + v
+    return tuple(dims[i] for i in keep), {k: v for k, v in out.items() if v}
+
+
+def _reduce(legs: list, keys: list, values: list, memo: dict):
     """Merge tensors pairwise down to one and return its (legs, key). The
     state is flat per-id lists: legs (None once merged away), key and dense
     size; the values themselves are read only when a merge is new to `memo`.
@@ -477,8 +427,7 @@ def _reduce(legs: list, keys: list, values: list, dense_cutoff: int, memo: dict)
         name = (keys[a], keys[b], shared)
         key = memo.get(name)
         if key is None:
-            merge = _merge_dense if max(sizes[a], sizes[b], size) <= dense_cutoff else _merge_sparse
-            key = _store(memo, values, name, *merge(values[keys[a]], values[keys[b]], shared))
+            key = _store(memo, values, name, *_merge(values[keys[a]], values[keys[b]], shared))
         legs[a] = legs[b] = None
         over = {}  # neighbour -> product of the squared dims it shares with c
         for w in out:
@@ -514,120 +463,120 @@ def _kept(la, lb) -> tuple:
     return tuple(out), tuple(shared)
 
 
-def _store(memo: dict, values: list, name, dims, data) -> int:
-    """Key of the value (dims, data, peak), computed once per `name` in one
-    contract() call and its peak read here once: the next free index into
-    `values`. Its array is made read-only, so a repeat shares it uncopied."""
-    if not isinstance(data, dict):
-        data.flags.writeable = False
+def _store(memo: dict, values: list, name, dims, entries) -> int:
+    """Key of the value (dims, entries), computed once per `name` in one
+    contract() call: the next free index into `values`."""
     memo[name] = len(values)
-    values.append((dims, data, _peak(data)))
+    values.append((dims, entries))
     return memo[name]
+
+
+def _getter(positions):
+    """idx -> the tuple of idx's entries at `positions`: one itemgetter call
+    for two or more positions, which it already returns as a tuple."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    if positions:
+        (i,) = positions
+        return lambda idx: (idx[i],)
+    return lambda idx: ()
 
 
 @lru_cache(maxsize=1024)
 def _layout(da, db, shared) -> tuple:
-    """Leg positions of a merge of operands with dims da and db, cached by
-    shape alone: (kept in a, shared in a, kept in b, shared in b), the
-    shared ones paired as in `shared`; the result's dims, a's kept legs then
-    b's; and the inner dimension."""
+    """Getters of a merge of operands with dims da and db, cached by shape
+    alone: (kept of a, shared of a, kept of b, shared of b), each reading an
+    index tuple's entries at those positions, the shared ones paired as in
+    `shared` (a key that need only match between a and b, so a single one
+    is read as a scalar); and the result's dims, a's kept legs then b's."""
     a_sh, b_sh = zip(*shared) if shared else ((), ())
     a_keep, b_keep = (tuple(i for i in range(len(d)) if i not in sh) for d, sh in ((da, a_sh), (db, b_sh)))
+    a_key, b_key = (itemgetter(*sh) if shared else _getter(()) for sh in (a_sh, b_sh))
     dims = tuple(da[i] for i in a_keep) + tuple(db[i] for i in b_keep)
-    return a_keep, a_sh, b_keep, b_sh, dims, prod(db[i] for i in b_sh)
+    return _getter(a_keep), a_key, _getter(b_keep), b_key, dims
 
 
-def _merge_sparse(va: tuple, vb: tuple, shared) -> tuple:
-    """The merge of two (dims, data, peak) values as an exact sparse
-    hash-join on the shared indices: (dims, dict)."""
-    a_keep, a_sh, b_keep, b_sh, dims, *_ = _layout(va[0], vb[0], shared)
-    ea, eb = (v[1] if isinstance(v[1], dict) else _entries(v[1]) for v in (va, vb))
+def _merge(va: tuple, vb: tuple, shared) -> tuple:
+    """The merge of two (dims, entries) values as an exact sparse hash-join
+    on the shared indices: each entry of b is bucketed once by its shared
+    indices, with its kept ones, and each entry of a reads its kept indices
+    once and meets the bucket its shared indices name. (dims, entries)."""
+    a_keep, a_sh, b_keep, b_sh, dims = _layout(va[0], vb[0], shared)
     buckets: dict = {}
-    for idx, v in eb.items():
-        right = tuple(idx[i] for i in b_keep)
-        buckets.setdefault(tuple(idx[i] for i in b_sh), []).append((right, v))
+    for idx, w in vb[1].items():
+        k = b_sh(idx)
+        hits = buckets.get(k)
+        if hits is None:
+            buckets[k] = [(b_keep(idx), w)]
+        else:
+            hits.append((b_keep(idx), w))
     out: dict = {}
-    for idx, v in ea.items():
-        hits = buckets.get(tuple(idx[i] for i in a_sh))
-        if not hits:
-            continue
-        left = tuple(idx[i] for i in a_keep)
-        for right, w in hits:
-            full = left + right
-            out[full] = out.get(full, 0) + v * w
+    get = out.get
+    for idx, v in va[1].items():
+        hits = buckets.get(a_sh(idx))
+        if hits:
+            left = a_keep(idx)
+            for right, w in hits:
+                full = left + right
+                out[full] = get(full, 0) + v * w
     return dims, {k: v for k, v in out.items() if v}  # drop entries that summed to 0
 
 
-def _peak(data) -> int:
-    """max |entry| of an integer array or sparse dict, as a Python int (0 when empty)."""
-    if isinstance(data, dict):
-        return max(map(abs, data.values()), default=0)
-    return max(int(data.max(initial=0)), -int(data.min(initial=0)))
-
-
-def int_matmul(a, b, peaks=None):
-    """Exact a @ b for integer arrays, with np.matmul's broadcasting. Every
-    product and partial sum of an entry is at most k * max|a| * max|b| (k
-    the inner dimension, each factor taken as at least 1, and peaks, if
-    given, the two maxima): the product runs on int64 while that bound is
-    under 2^62, and on Python ints past it, which is also the result's dtype."""
-    pa, pb = peaks or (_peak(a), _peak(b))
-    bound = max(a.shape[-1], 1) * max(pa, 1) * max(pb, 1)
-    kind = np.int64 if bound < _LIMIT else object
-    return np.matmul(a.astype(kind, copy=False), b.astype(kind, copy=False))
-
-
-def _merge_dense(va: tuple, vb: tuple, shared) -> tuple:
-    """The merge of two (dims, data, peak) values as a tensordot run as one
-    exact matrix product (int_matmul on their peaks, int64 under 2^62 and
-    Python ints past it): each operand's shared legs move to the inner
-    dimension and its kept legs are flattened: (dims, array)."""
-    a_keep, a_sh, b_keep, b_sh, dims, inner = _layout(va[0], vb[0], shared)
-    a = _array(*va).transpose(a_keep + a_sh)
-    b = _array(*vb).transpose(b_sh + b_keep)
-    return dims, int_matmul(a.reshape(-1, inner), b.reshape(inner, -1), (va[2], vb[2])).reshape(dims)
-
-
-def _to_dense(legs, value: tuple, order) -> np.ndarray:
-    """A fresh array of the value with wire-id legs `legs`, axes in
+def _to_dense(legs, value: tuple, order):
+    """A fresh ndarray of the value with wire-id legs `legs`, axes in
     `order`: int64 when every entry fits, otherwise dtype=object holding
     the exact Python ints."""
     if set(order) != set(legs) or len(order) != len(legs):
         raise ValueError("output legs disagree with remaining legs")
-    arr = _array(*value).transpose([legs.index(l) for l in order])
-    fits = arr.dtype != object or -_INT64 <= arr.min(initial=0) <= arr.max(initial=0) < _INT64
-    return arr.astype(np.int64 if fits else object)
+    import numpy as np
 
-
-def _entries(arr: np.ndarray) -> dict:
-    """Sparse dict index tuple -> nonzero entry (a Python int) of an
-    integer array."""
-    if arr.ndim == 0:
-        return {(): int(arr)} if arr else {}
-    idx = np.nonzero(arr)
-    return dict(zip(zip(*(i.tolist() for i in idx)), arr[idx].tolist()))
-
-
-def _array(dims, data, *_) -> np.ndarray:
-    """The data of a value as an array: an array itself, or a sparse dict
-    as a dense dtype=object array holding its Python ints."""
-    if not isinstance(data, dict):
-        return data
-    arr = np.zeros(dims, dtype=object)
-    for idx, v in data.items():
-        arr[idx] = v
+    dims, entries = value
+    vals = list(entries.values())
+    fits = -(1 << 63) <= min(vals, default=0) and max(vals, default=0) < 1 << 63
+    kind = np.int64 if fits else object
+    if not order:
+        return np.array(entries.get((), 0), dtype=kind)
+    perm = [legs.index(l) for l in order]
+    arr = np.zeros([dims[i] for i in perm], dtype=kind)
+    if vals:
+        cols = list(zip(*entries))
+        arr[tuple(cols[i] for i in perm)] = vals
     return arr
 
 
-def dense_oracle(net: VertexNetwork) -> np.ndarray:
+def _reversed(net: VertexNetwork) -> VertexNetwork:
+    """The same network with its vertex list reversed, each end renumbered
+    and the open legs in their declared order: the same tensor, reached by
+    another greedy plan under other memo keys."""
+    last = len(net.vertices) - 1
+    edges = [[(last - v, s) for v, s in e] for e in net.edges]
+    return VertexNetwork(net.vertices[::-1], edges, [(last - v, s) for v, s in net.open_legs])
+
+
+def paths_agree(net: VertexNetwork) -> bool:
+    """Whether net.contract() and the contraction of the network with its
+    vertex list reversed are one array of one dtype, equal to dense_oracle's
+    float einsum. dense_oracle runs first, so a network past its 52 wires
+    is refused before any contraction."""
+    import numpy as np
+
+    oracle = dense_oracle(net)
+    got, again = net.contract(), _reversed(net).contract()
+    return got.dtype == again.dtype and np.array_equal(got, again) and np.array_equal(got.astype(float), oracle)
+
+
+def dense_oracle(net: VertexNetwork):
     """Independent reference: one float64 einsum over the whole network,
     contracted in the pairwise order numpy's own greedy path search picks
     (independent of _reduce's plan); unoptimised, its nested loop grows as
     the product of every wire dimension. Its subscripts are the network's
     own wire ids, which numpy takes in [0, 52): at most 52 wires."""
+    import numpy as np
+
     if not net.vertices:
         return np.ones(())
     if len(net.edges) + len(net.open_legs) > 52:
         raise ValueError("too many distinct wires for einsum subscripts")
-    ops = [vert.array.astype(np.float64) for vert in net.vertices]
+    axes = [range(len(vert.slot_names)) for vert in net.vertices]
+    ops = [_to_dense(ax, vert.tensor, ax).astype(np.float64) for ax, vert in zip(axes, net.vertices)]
     return np.einsum(*chain(*zip(ops, net._legs)), list(net._out), optimize="greedy")

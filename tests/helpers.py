@@ -12,7 +12,6 @@ from math import lcm
 import numpy as np
 
 from qsetalg import linalg
-from qsetalg.vertexnet import int_matmul
 from qsetalg.perfinite import PerfiniteSet, decode
 from qsetalg.qset import Multivector, beta_form
 
@@ -48,9 +47,9 @@ def commutator(a, b):
 
 def dense_commutator(a, b):
     """a b - b a, exact, for integer arrays of square matrices (2-d, or stacks
-    multiplied pairwise), by two vertexnet.int_matmul products: the dense
+    multiplied pairwise), by two python_product products: the dense
     reference gamma pairs and carrier bands are checked against."""
-    return int_matmul(a, b) - int_matmul(b, a)
+    return python_product(a, b) - python_product(b, a)
 
 
 def int_scaled(a):
@@ -72,7 +71,7 @@ def fit_int64(a):
 
 
 def python_product(a, b):
-    """a @ b on Python ints: the reference int_matmul is checked against."""
+    """a @ b on Python ints, with np.matmul's broadcasting."""
     return a.astype(object) @ b.astype(object)
 
 

@@ -1,18 +1,19 @@
 #!/usr/bin/env python3
-"""Mutants of the stated bounds, fast paths and closed forms, as data, and an
+"""Mutants of the size limits, fast paths and closed forms, as data, and an
 opt-in runner.
 
-Each int64 route in src/qsetalg states a bound and falls back to Python ints
-past it; a point permutation is a bytes table only while its 2d points fit
-in 256; the trace form reads coordinates only off a diagonal Gram matrix;
-a ring merge reads its operands' stored peaks; the planner drops a heap
-entry unless both its tensors are live; the float refit scatters the exact
-constants straight from the sparse table; and a hyperbolic blade product is
-read off the 4x4 pair table, signed by moving b's pairs past a's higher
-ones. Each mutant below changes one such bound, condition, entry or sign
-(or the comparison against it, or the value read) and names the test file
-that must fail under it: a mutant that passes its test file shows a bound
-no test trips.
+A point permutation is a bytes table only while its 2d points fit in 256;
+the trace form reads coordinates only off a diagonal Gram matrix; a network
+merge buckets b's entries by the indices it shares with a, a vertex's
+self-trace keeps only the entries whose positions of one wire agree, and a
+contraction's result is int64 only where every entry fits; the planner
+drops a heap entry unless both its tensors are live; the float refit
+scatters the exact constants straight from the sparse table; and a
+hyperbolic blade product is read off the 4x4 pair table, signed by moving
+b's pairs past a's higher ones. Each mutant below changes one such limit,
+condition, entry or sign (or the comparison against it, or the value read)
+and names the test file that must fail under it: a mutant that passes its
+test file shows a condition no test trips.
 
     python tests/mutants.py [NAME ...]
 
@@ -47,26 +48,18 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     Mutant(
-        "vertexnet.cast-limit-2^64", "vertexnet.py",
-        "np.int64 if bound < _LIMIT else object", "np.int64 if bound < 1 << 64 else object",
-        "test_vertexnet.py",
-    ),
-    Mutant(
-        "vertexnet.cast-le", "vertexnet.py",
-        "np.int64 if bound < _LIMIT else object", "np.int64 if bound <= _LIMIT else object",
-        "test_vertexnet.py",
-    ),
-    Mutant("vertexnet._LIMIT-2^63", "vertexnet.py", "_LIMIT = 1 << 62", "_LIMIT = 1 << 63", "test_vertexnet.py"),
-    Mutant(
-        "vertexnet.int_matmul-no-k", "vertexnet.py",
-        "bound = max(a.shape[-1], 1) * max(pa, 1) * max(pb, 1)",
-        "bound = max(pa, 1) * max(pb, 1)",
-        "test_vertexnet.py",
-    ),
-    Mutant("vertexnet._INT64-2^70", "vertexnet.py", "_INT64 = 1 << 63", "_INT64 = 1 << 70", "test_vertexnet.py"),
-    Mutant(
         "vertexnet._to_dense-le", "vertexnet.py",
-        "arr.max(initial=0) < _INT64", "arr.max(initial=0) <= _INT64",
+        "max(vals, default=0) < 1 << 63", "max(vals, default=0) <= 1 << 63",
+        "test_vertexnet.py",
+    ),
+    Mutant(
+        "vertexnet._layout-bucket-key-from-kept", "vertexnet.py",
+        "if shared else _getter(()) for sh in (a_sh, b_sh))", "if shared else _getter(()) for sh in (a_sh, b_keep))",
+        "test_vertexnet.py",
+    ),
+    Mutant(
+        "vertexnet._trace-repeated-leg-kept", "vertexnet.py",
+        "if all(idx[i] == idx[j] for i, j in ties):", "if all(idx[i] == idx[i] for i, j in ties):",
         "test_vertexnet.py",
     ),
     Mutant("cliff._swap-bytes-512", "cliff.py", "    if 2 * d > 256:", "    if 2 * d > 512:", "test_cliff.py"),
@@ -74,11 +67,6 @@ MUTANTS = (
         "cliff._blocks-bytes-512", "cliff.py",
         "tuple(cols) if 2 * size > 256 else", "tuple(cols) if 2 * size > 512 else",
         "test_cliff.py",
-    ),
-    Mutant(
-        "vertexnet._merge_dense-peak-of-a-twice", "vertexnet.py",
-        "b.reshape(inner, -1), (va[2], vb[2]))", "b.reshape(inner, -1), (va[2], va[2]))",
-        "test_vertexnet.py",
     ),
     Mutant(
         "vertexnet._reduce-b-unchecked", "vertexnet.py",

@@ -24,7 +24,7 @@ from qsetalg.qset import (
     signature_report,
 )
 from qsetalg.verify import RunConfig, run_all
-from qsetalg.vertexnet import GammaVertex, IotaNode, VertexNetwork, dense_oracle
+from qsetalg.vertexnet import GammaVertex, IotaNode, VertexNetwork, dense_oracle, paths_agree
 from qsetalg.spectra import accumulate_coordinate
 from qsetalg.yang import build_yang, contract_to_hp, gauge_defect
 
@@ -253,10 +253,9 @@ def test_criterion_09_network_contraction():
     )
     ok = True
     for net in nets:
-        sparse = net.contract(dense_cutoff=0)
-        dense = net.contract(dense_cutoff=10 ** 9)
-        ok = ok and np.array_equal(sparse, dense)
-        ok = ok and np.allclose(sparse.astype(float), dense_oracle(net))
+        got = net.contract()
+        ok = ok and paths_agree(net)
+        ok = ok and np.allclose(got.astype(float), dense_oracle(net))
         ok = ok and net.parity_check().ok
     flagged = VertexNetwork(
         [IotaNode(2, 2)], edges=[], open_legs=[(0, "out"), (0, "in")]
@@ -269,7 +268,7 @@ def test_criterion_09_network_contraction():
     _report(
         ok,
         "09 network-contraction",
-        "sparse == dense == einsum oracle on 1-3 vertex nets; "
+        "network == reversed network == einsum oracle on 1-3 vertex nets; "
         "parity passes gauge nets and flags grade selectors",
         t0,
         30,

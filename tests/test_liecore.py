@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qsetalg import linalg
+from qsetalg.cliff import build_gammas
 from qsetalg.liecore import (
     CATALOG,
     ClosureError,
@@ -396,6 +397,23 @@ def test_structure_constants_reduce_c_over_d_to_lowest_terms():
     for bad in ({(1, 0): {0: 1}}, {(0, 0): {0: 1}}, {(0, 1): {2: 1}}):
         with pytest.raises(ValueError, match="pairs i < j < n and indices k < n"):
             StructureConstants(2, bad)
+
+
+@pytest.mark.parametrize("table", [{(0, 1): {0: 3}}, {}])
+def test_structure_constants_refuse_a_zero_denominator(table):
+    # a zero D would rescale the entry 3 to 1, or divide by 0
+    with pytest.raises(ValueError, match="nonzero denominator"):
+        StructureConstants(2, table, 0)
+
+
+@pytest.mark.parametrize("scale", [0, -2, 2.0, True, Fraction(1, 2), np.int64(2)])
+def test_matrix_algebras_refuse_a_scale_that_is_not_a_positive_int(scale):
+    # a scale of 0 would build an algebra whose structure constants divide by 0
+    gs = build_gammas(2, 0)
+    with pytest.raises(ValueError, match="must be a positive int"):
+        MatrixAlgebra("x", rotation3().matrices, scale)
+    with pytest.raises(ValueError, match="must be a positive int"):
+        MatrixAlgebra.of_points("x", gs.points, gs.dim, scale)
 
 
 def test_a_non_closing_stack_raises_closure_error():

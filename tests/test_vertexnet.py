@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import fit_int64, python_product
 from qsetalg import vertexnet
 from qsetalg.cliff import build_gammas
 from qsetalg.vertexnet import (
@@ -17,13 +16,15 @@ from qsetalg.vertexnet import (
     IotaNode,
     VertexNetwork,
     dense_oracle,
+    paths_agree,
 )
 
 
 def test_gamma_vertex_entries_match_matrices():
     v = GammaVertex(2, 1)
     gs = build_gammas(2, 1)
-    ent = vertexnet._entries(v.array)
+    dims, ent = v.tensor
+    assert dims == (gs.dim, 3, gs.dim) and 0 not in ent.values()
     for m in range(3):
         g = np.asarray(gs.gamma(m + 1))
         for y2 in range(gs.dim):
@@ -54,8 +55,7 @@ def test_iota_node_entries_are_a_grade_selector():
     node = IotaNode(1, 2)
     # two generators at rank 2: the grade-1 labels are codes 1 and 2
     assert dict(node.slots) == {"out": (0, 4, "monad-out"), "in": (1, 2, "blade-in")}
-    ent = vertexnet._entries(node.array)
-    assert ent == {(1, 0): 1, (2, 1): 1}
+    assert node.tensor == ((4, 2), {(1, 0): 1, (2, 1): 1})
 
 
 def test_iota_node_dims_follow_binomials():
@@ -211,7 +211,7 @@ def test_gamma_loop_recovers_the_direction_metric():
     assert np.array_equal(arr, want)
 
 
-def test_sparse_and_dense_paths_agree_with_einsum():
+def test_reversed_network_agrees_with_einsum():
     g1 = GammaVertex(2, 2)
     g2 = GammaVertex(2, 2)
     net = VertexNetwork(
@@ -219,11 +219,12 @@ def test_sparse_and_dense_paths_agree_with_einsum():
         edges=[((0, "spinor"), (1, "dual")), ((0, "vector"), (1, "vector"))],
         open_legs=[(0, "dual"), (1, "spinor")],
     )
-    dense = net.contract(dense_cutoff=10 ** 9)
-    sparse = net.contract(dense_cutoff=0)
+    forward = net.contract()
+    backward = vertexnet._reversed(net).contract()
     oracle = dense_oracle(net)
-    assert np.array_equal(dense, sparse)
-    assert np.allclose(dense.astype(float), oracle)
+    assert np.array_equal(forward, backward)
+    assert np.allclose(forward.astype(float), oracle)
+    assert paths_agree(net)
 
 
 def test_grade_selector_chain_contracts():
@@ -271,11 +272,11 @@ def test_json_round_trip(tmp_path):
 # -- planner -----------------------------------------------------------------
 
 
-def _all_pairs_reduce(legs, keys, values, dense_cutoff, memo, log):
+def _all_pairs_reduce(legs, keys, values, memo, log):
     """The greedy as a full rescan per step: merge the pair with the
     smallest (not sharing a wire, merged size), first pair on ties, and
     append the result after the untouched tensors. It ignores `memo`,
-    computes every merge with the module's merge routines, given shared
+    computes every merge with the module's join, given shared
     positions it works out the way the planner does, and works out and logs
     the legs of each itself, so it stays an independent reference."""
     tensors = [(l, values[k]) for l, k in zip(legs, keys)]
@@ -292,13 +293,11 @@ def _all_pairs_reduce(legs, keys, values, dense_cutoff, memo, log):
                 key = (False, sizes[i] * sizes[j] // prod(da[x] ** 2 for x, _ in shared))
             if best is None or key < best[0]:
                 best = (key, i, j, shared)
-        (_, size), i, j, shared = best
+        _, i, j, shared = best
         (la, va), (lb, vb) = tensors[i], tensors[j]
         log.append((la, lb))
-        dense = max(prod(va[0]), prod(vb[0]), size) <= dense_cutoff
-        dims, data = (vertexnet._merge_dense if dense else vertexnet._merge_sparse)(va, vb, shared)
         out = tuple([w for w in la if w not in lb] + [w for w in lb if w not in la])
-        tensors = [t for k, t in enumerate(tensors) if k not in (i, j)] + [(out, (dims, data, vertexnet._peak(data)))]
+        tensors = [t for k, t in enumerate(tensors) if k not in (i, j)] + [(out, vertexnet._merge(va, vb, shared))]
     values.append(tensors[0][1])
     return tensors[0][0], len(values) - 1
 
@@ -485,12 +484,12 @@ def test_planner_merges_like_the_all_pairs_greedy(monkeypatch, net):
 
 @pytest.mark.parametrize("net", [pytest.param(n, id=k) for k, n in _merge_shape_cases()])
 def test_merge_shapes_match_the_oracle(monkeypatch, net):
-    paths = _merge_paths(monkeypatch)
+    joins = _joins(monkeypatch)
     oracle = dense_oracle(net)
-    for cutoff, path in ((0, "_merge_sparse"), (10**9, "_merge_dense")):
-        paths.clear()
-        arr = net.contract(dense_cutoff=cutoff)
-        assert set(paths) == {path}
+    for again in (net, vertexnet._reversed(net)):
+        joins.clear()
+        arr = again.contract()
+        assert len(joins) == len(net.vertices) - 1
         assert arr.shape == np.shape(oracle) and arr.dtype == np.int64
         assert np.array_equal(arr.astype(float), oracle)
 
@@ -499,8 +498,8 @@ def test_merge_shapes_match_the_oracle(monkeypatch, net):
 def test_closed_networks_contract_to_a_0d_array(p, q, want):
     # sum_m tr(g_m g_m) = dim * sum_m eta_m
     net = _closed_pair(p, q)
-    for cutoff in (0, 1 << 14, 10**9):
-        arr = net.contract(dense_cutoff=cutoff)
+    for again in (net, vertexnet._reversed(net)):
+        arr = again.contract()
         assert isinstance(arr, np.ndarray) and arr.shape == ()
         assert arr.dtype == np.int64 and arr == want
         assert arr.flags.writeable
@@ -526,22 +525,18 @@ def test_planner_cost_is_linear_in_the_vertex_count(monkeypatch):
     assert initial == [size] and len(pushed) <= 2 * (size - 1)
 
 
-def test_a_long_ring_reads_each_peak_once_and_heaps_plain_ints(monkeypatch):
-    # each stored value's max |entry| is read once, as it is made, and the
-    # int64 bound of each distinct merge reads its operands' peaks from there;
-    # the planner's heap holds ints, and its stale entries cost one pop each
-    peaks, products, pushed, popped = [], [], [], []
-    real_peak, real_matmul = vertexnet._peak, vertexnet.int_matmul
-    real_push, real_pop = vertexnet.heappush, vertexnet.heappop
-    monkeypatch.setattr(vertexnet, "_peak", lambda data: peaks.append(1) or real_peak(data))
-    monkeypatch.setattr(vertexnet, "int_matmul", lambda a, b, p: products.append(p) or real_matmul(a, b, p))
+def test_a_long_ring_joins_each_distinct_merge_once_and_heaps_plain_ints(monkeypatch):
+    # the memo computes each distinct merge once; the planner's heap holds
+    # ints, and its stale entries cost one pop each
+    joins, stored, pushed, popped = _joins(monkeypatch), [], [], []
+    real_store, real_push, real_pop = vertexnet._store, vertexnet.heappush, vertexnet.heappop
+    monkeypatch.setattr(vertexnet, "_store", lambda *args: stored.append(1) or real_store(*args))
     monkeypatch.setattr(vertexnet, "heappush", lambda heap, item: pushed.append(item) or real_push(heap, item))
     monkeypatch.setattr(vertexnet, "heappop", lambda heap: popped.append(1) or real_pop(heap))
     assert _paired_ring(1024, 2, 1).contract().tolist() == [[2, 0, 0], [0, 2, 0], [0, 0, -2]]
-    # one vertex value and 19 distinct merges: one peak each, and none
-    # read inside int_matmul
-    assert len(products) == 19 and None not in products
-    assert len(peaks) == 1 + 19
+    # one vertex value and 19 distinct merges, each joined and stored once
+    assert len(joins) == 19
+    assert len(stored) == 1 + 19
     # 1023 merges, 1024 initial entries and 2043 pushed: 1011 pops drop a
     # stale entry
     assert all(type(item) is int for item in pushed)
@@ -550,15 +545,19 @@ def test_a_long_ring_reads_each_peak_once_and_heaps_plain_ints(monkeypatch):
 
 def test_vertices_share_no_mutable_state():
     a, b = GammaVertex(3, 1), GammaVertex(3, 1)
-    before = vertexnet._entries(b.array)
+    before = dict(b.tensor[1])
     with pytest.raises(TypeError):
         a.gamma_set.gammas[0][0][0] = 7
     with pytest.raises(TypeError):
         a.gamma_set.points[0][0] = 7
     with pytest.raises(TypeError):
         a.gamma_set.points[0] = a.gamma_set.points[1]
-    assert vertexnet._entries(b.array) == before
+    assert dict(b.tensor[1]) == before
     assert np.array_equal(b.gamma_set.gammas[0], build_gammas(3, 1).gammas[0])
+    # the tensor is one shared read-only view too
+    assert a.tensor is b.tensor
+    with pytest.raises(TypeError):
+        a.tensor[1][0, 0, 0] = 7
     # the slot table is one shared read-only view
     assert a.slots is b.slots
     with pytest.raises(TypeError):
@@ -570,6 +569,9 @@ def test_vertices_share_no_mutable_state():
     with pytest.raises(TypeError):
         node.slots["in"] = (1, 3, "blade-in")
     assert IotaNode(1, 2).slots["in"] == (1, 2, "blade-in")
+    with pytest.raises(TypeError):
+        node.tensor[1][0, 0] = 7
+    assert IotaNode(1, 2).tensor[1] == {(1, 0): 1, (2, 1): 1}
 
 
 def test_a_network_contracts_the_same_twice():
@@ -578,111 +580,12 @@ def test_a_network_contracts_the_same_twice():
     net = _self_loop_network()
     first = net.contract()
     assert np.array_equal(first, net.contract()) and first.dtype == net.contract().dtype
-    assert np.array_equal(net.contract(dense_cutoff=0), first)
+    assert np.array_equal(vertexnet._reversed(net).contract(), first)
     assert isinstance(net.vertices, tuple) and isinstance(net.edges, tuple)
     assert net.open_legs == ((1, "vector"), (0, "vector"), (2, "vector"))
 
 
-# -- int_matmul, the merge kernel ----------------------------------------------
-
-
-def _tier(seen):
-    """The dtype of the single np.matmul call recorded by the spy."""
-    (dtypes,) = seen
-    assert len(set(dtypes)) == 1
-    return dtypes[0]
-
-
-# (a, b, tier): k * max|a| * max|b| just under and at 2^53, past which float64
-# no longer holds every integer, and at the int64 edge 2^62, with entries
-# chosen so the exact product is odd and near the bound
-_EDGES = (
-    # 6361 * 69431 * 20394401 == 2^53 - 1, and so is the product
-    (np.full((1, 6361), 69431), np.full((6361, 1), 20394401), np.int64),
-    # 2 * 2^26 * 2^26 == 2^53; the product is 2^53 - 2^27 + 1
-    (np.array([[2 ** 26, 2 ** 26 - 1]]), np.array([[2 ** 26], [2 ** 26 - 1]]), np.int64),
-    # (2^31 - 1) * (2^31 + 1) == 2^62 - 1, and so is the product
-    (np.array([[2 ** 31 - 1]]), np.array([[2 ** 31 + 1]]), np.int64),
-    # 2 * 2^30 * 2^31 == 2^62; the product is 2^62 - 3 * 2^30 + 1
-    (np.array([[2 ** 30, 2 ** 30 - 1]]), np.array([[2 ** 31], [2 ** 31 - 1]]), object),
-)
-
-
-@pytest.mark.parametrize("a, b, tier", _EDGES)
-def test_int_matmul_tier_edges(numpy_dtypes, a, b, tier):
-    bound = a.shape[-1] * vertexnet._peak(a) * vertexnet._peak(b)
-    assert bound in (2 ** 53 - 1, 2 ** 53, 2 ** 62 - 1, 2 ** 62)
-    want = python_product(a, b)
-    assert want[0, 0] % 2 == 1 and bound - want[0, 0] < 2 ** 33
-    got = vertexnet.int_matmul(a, b)
-    assert _tier(numpy_dtypes["matmul"]) == tier
-    assert got.dtype == tier
-    assert got.tolist() == want.tolist()
-    assert vertexnet.int_matmul(-a, b).tolist() == (-want).tolist()
-
-
-def test_int_matmul_matches_python_ints_on_seeded_stacks():
-    rng = random.Random(20247)
-
-    def rand(shape, bits):
-        vals = [rng.randint(-(2 ** bits), 2 ** bits) for _ in range(prod(shape))]
-        return np.array(vals, dtype=np.int64 if bits < 63 else object).reshape(shape)
-
-    for bits in (3, 20, 26, 31, 40, 70):
-        for sa, sb in (((5, 7), (7, 4)), ((3, 6, 6), (3, 6, 6)), ((2, 1, 4, 5), (3, 5, 2))):
-            a, b = rand(sa, bits), rand(sb, bits)
-            got = vertexnet.int_matmul(a, b)
-            assert got.shape == np.broadcast_shapes(sa[:-2], sb[:-2]) + (sa[-2], sb[-1])
-            assert got.tolist() == python_product(a, b).tolist()
-
-
-@pytest.mark.parametrize(
-    "sa, sb", [((4,), (4,)), ((4,), (4, 3)), ((2, 4), (4,)), ((0, 3), (3, 2)), ((2, 0), (0, 3)), ((3, 2, 4), (4, 5))]
-)
-def test_int_matmul_follows_matmul_shapes(sa, sb):
-    a = np.arange(1, prod(sa) + 1, dtype=np.int64).reshape(sa) - 2
-    b = np.arange(prod(sb), dtype=np.int64).reshape(sb) * 3 - 5
-    got = vertexnet.int_matmul(a, b)
-    want = python_product(a, b)
-    assert np.shape(got) == np.shape(want) and np.array_equal(got, want)
-    huge = vertexnet.int_matmul(a * 2 ** 40, b * 2 ** 40)
-    assert np.array_equal(huge, want * 2 ** 80)
-
-
-def test_int_matmul_takes_object_input_under_the_bound(numpy_dtypes):
-    a = np.array([[3, -5], [2 ** 20, 7]], dtype=object)
-    b = np.array([[1, 2 ** 21], [-4, 0]], dtype=object)
-    got = vertexnet.int_matmul(a, b)
-    assert _tier(numpy_dtypes["matmul"]) == np.int64
-    assert got.dtype == np.int64
-    assert got.tolist() == python_product(a, b).tolist()
-
-
-@settings(max_examples=200)
-@given(st.data())
-def test_int_matmul_property(data):
-    """int_matmul equals the product on Python ints, for entries up to 2^12,
-    2^31, 2^62 and 2^80, int64 wherever they fit, as the package passes
-    them."""
-    top = data.draw(st.sampled_from([2 ** 12, 2 ** 31, 2 ** 62, 2 ** 80]), label="top")
-    # a plain product, a stack multiplied pairwise, or the commutator table
-    # stack[:, None] @ stack[None]
-    kind = data.draw(st.sampled_from(["plain", "stacked", "table"]), label="kind")
-    n, d, k = (data.draw(st.integers(1, 3), label=x) for x in "ndk")
-
-    def array(shape):
-        flat = data.draw(st.lists(st.integers(-top, top), min_size=prod(shape), max_size=prod(shape)))
-        return fit_int64(np.array(flat, dtype=object).reshape(shape))
-
-    if kind == "table":
-        stack = array((n, d, d))
-        a, b = stack[:, None], stack[None]
-    else:
-        lead = (n,) if kind == "stacked" else ()
-        a, b = array(lead + (d, k)), array(lead + (k, d))
-    got = vertexnet.int_matmul(a, b)
-    assert got.dtype in (np.int64, object)
-    assert got.tolist() == python_product(a, b).tolist()
+# -- exactness past int64 ------------------------------------------------------
 
 
 def _float_free_cases():
@@ -696,43 +599,73 @@ def _float_free_cases():
 
 @pytest.mark.parametrize("net", _float_free_cases())
 def test_contraction_never_hands_numpy_a_float(numpy_dtypes, net):
-    # exact means integers: every merge and self-trace, on arrays within the
-    # default cutoff and on arrays throughout, keeps integer operands
-    assert np.array_equal(net.contract(), net.contract(dense_cutoff=10**9))
-    seen = numpy_dtypes["matmul"] + numpy_dtypes["einsum"]
-    assert seen or len(net.vertices) < 2
-    assert not [dt for call in seen for dt in call if np.issubdtype(dt, np.inexact)]
+    # exact means integers: every merge and self-trace is a join on Python
+    # ints, so a contraction runs no numpy product at all
+    arr = net.contract()
+    assert numpy_dtypes == {"einsum": [], "matmul": []}
+    assert arr.dtype in (np.int64, object)
 
 
-# -- exactness past int64 ------------------------------------------------------
-
-
-@pytest.mark.parametrize("p, q", [(3, 1), (4, 2)])
-def test_long_ring_past_int64_is_exact(numpy_dtypes, p, q):
+@pytest.mark.parametrize("p, q", [(3, 1), (4, 2), (4, 1)])
+def test_long_ring_past_int64_is_exact(p, q):
     arr = _paired_ring(128, p, q).contract()
     want = _paired_ring_value(128, p, q)
     assert abs(want[0][0]) >= 1 << 63
-    # the fallback ran: the result keeps Python ints instead of wrapping
+    # the result keeps Python ints instead of wrapping
     assert arr.dtype == object
     assert arr.tolist() == want
-    if (p, q) == (3, 1):
-        # 4x4 merges go dense; their operands pass int64 and matmul ran on objects
-        assert [object, object] in numpy_dtypes["matmul"]
 
 
-def test_dense_merge_past_int64_falls_back(numpy_dtypes):
+def test_merge_past_int64_is_exact():
     big = 1 << 40
     # legs (0, 1) and (1, 2): wire 1 sits at position 1 of a and 0 of b
-    a = ((2, 2), {(0, 0): big, (0, 1): big, (1, 1): -big}, big)
-    b = ((2, 2), {(0, 0): big, (1, 0): big, (1, 1): big}, big)
-    dense = vertexnet._merge_dense(a, b, ((1, 0),))
-    sparse = vertexnet._merge_sparse(a, b, ((1, 0),))
-    assert numpy_dtypes["matmul"] == [[object, object]]
-    assert dense[0] == sparse[0] == (2, 2)
-    assert vertexnet._entries(dense[1]) == sparse[1] == {
-        (0, 0): 2 * big * big, (0, 1): big * big, (1, 0): -big * big, (1, 1): -big * big,
-    }
-    assert vertexnet._to_dense((0, 2), dense, (0, 2)).dtype == object
+    a = ((2, 2), {(0, 0): big, (0, 1): big, (1, 1): -big})
+    b = ((2, 2), {(0, 0): big, (1, 0): big, (1, 1): big})
+    merged = vertexnet._merge(a, b, ((1, 0),))
+    assert merged == ((2, 2), {(0, 0): 2 * big * big, (0, 1): big * big, (1, 0): -big * big, (1, 1): -big * big})
+    assert vertexnet._to_dense((0, 2), merged, (0, 2)).dtype == object
+
+
+def _nested_loop_join(a, b, shared):
+    """Reference merge: every pair of entries whose shared indices agree,
+    keyed by a's kept indices then b's, summed, zeros dropped."""
+    a_sh, b_sh = [i for i, _ in shared], [j for _, j in shared]
+    out: dict = {}
+    for ia, v in a[1].items():
+        for ib, w in b[1].items():
+            if all(ia[i] == ib[j] for i, j in shared):
+                k = tuple(x for i, x in enumerate(ia) if i not in a_sh) + tuple(x for j, x in enumerate(ib) if j not in b_sh)
+                out[k] = out.get(k, 0) + v * w
+    return {k: v for k, v in out.items() if v}
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_merge_matches_a_nested_loop_join(data):
+    """_merge equals the nested-loop join on Python ints, for entries up to
+    2^12, 2^31, 2^62 and 2^80, with none to three shared legs in any
+    order."""
+    top = data.draw(st.sampled_from([2 ** 12, 2 ** 31, 2 ** 62, 2 ** 80]), label="top")
+    da = tuple(data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3), label="da"))
+    nb = data.draw(st.integers(1, 3), label="nb")
+    count = data.draw(st.integers(0, min(len(da), nb)), label="shared")
+    a_sh = data.draw(st.permutations(range(len(da))), label="a_sh")[:count]
+    b_sh = data.draw(st.permutations(range(nb)), label="b_sh")[:count]
+    shared = tuple(zip(a_sh, b_sh))
+    b_dims = [data.draw(st.integers(1, 3)) for _ in range(nb)]
+    for i, j in shared:
+        b_dims[j] = da[i]
+    db = tuple(b_dims)
+
+    def entries(dims):
+        index = st.tuples(*(st.integers(0, d - 1) for d in dims))
+        return data.draw(st.dictionaries(index, st.integers(-top, top), max_size=12))
+
+    a, b = (da, entries(da)), (db, entries(db))
+    dims, got = vertexnet._merge(a, b, shared)
+    kept_a = tuple(d for i, d in enumerate(da) if i not in a_sh)
+    assert dims == kept_a + tuple(d for j, d in enumerate(db) if j not in b_sh)
+    assert got == _nested_loop_join(a, b, shared)
 
 
 def test_results_that_fit_stay_int64():
@@ -740,10 +673,11 @@ def test_results_that_fit_stay_int64():
     assert arr.dtype == np.int64
     assert arr.tolist() == [(1 << 63) - 1, -(1 << 63)]
     assert vertexnet._to_dense((0,), ((2,), {(0,): 1 << 63}), (0,)).dtype == object
+    assert vertexnet._to_dense((0,), ((2,), {(1,): -(1 << 63) - 1}), (0,)).dtype == object
 
 
 def test_output_legs_must_match_the_remaining_legs():
-    value = ((2, 1), np.ones((2, 1), dtype=np.int64))
+    value = ((2, 1), {(0, 0): 1, (1, 0): 1})
     for order in ((0,), (0, 2), (0, 1, 1)):
         with pytest.raises(ValueError, match="output legs disagree"):
             vertexnet._to_dense((0, 1), value, order)
@@ -767,152 +701,192 @@ def test_dense_oracle_takes_at_most_52_wires(edges, ok):
             dense_oracle(net)
 
 
-# -- array and dict representations ---------------------------------------------
+# -- joins, self-traces and the second path ------------------------------------
 
 
-def _merge_paths(monkeypatch):
-    """Names of the merge routines the contraction runs, in order."""
+def _joins(monkeypatch):
+    """(dims of a, dims of b, shared) of every join the contraction runs, in
+    order."""
     seen = []
-    for name in ("_merge_dense", "_merge_sparse"):
-        real = getattr(vertexnet, name)
+    real = vertexnet._merge
 
-        def spy(va, vb, shared, real=real, name=name):
-            seen.append(name)
-            return real(va, vb, shared)
+    def spy(va, vb, shared):
+        seen.append((va[0], vb[0], shared))
+        return real(va, vb, shared)
 
-        monkeypatch.setattr(vertexnet, name, spy)
+    monkeypatch.setattr(vertexnet, "_merge", spy)
     return seen
 
 
+def test_a_self_trace_keeps_only_the_diagonal_of_its_wire():
+    # legs (w, v, w): the entries whose first and last index agree, summed
+    # by the middle one; (1, 2, 0) lies off the diagonal
+    entries = {(0, 0, 0): 5, (0, 0, 1): 7, (1, 0, 1): -2, (1, 2, 0): 4, (1, 2, 1): 1, (0, 1, 0): 3, (1, 1, 1): -3}
+    assert vertexnet._trace((2, 3, 2), entries, (0, 1, 0), [1]) == ((3,), {(0,): 3, (2,): 1})
+
+
+@pytest.mark.parametrize("pattern", [(0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1, 0), (0, 1, 2, 1)])
+def test_self_traces_match_a_dense_reference(pattern):
+    # every index of a seeded dense tensor, some entries zero: the trace
+    # sums the diagonal of each repeated wire, by the wires seen once
+    rng = random.Random(20260)
+    wires = max(pattern) + 1
+    wire_dims = [rng.randint(2, 3) for _ in range(wires)]
+    dims = tuple(wire_dims[w] for w in pattern)
+    entries = {idx: v for idx in np.ndindex(*dims) if (v := rng.randint(-4, 4))}
+    keep = [i for i, w in enumerate(pattern) if pattern.count(w) == 1]
+    want: dict = {}
+    for idx, v in entries.items():
+        at = {}
+        if all(at.setdefault(w, x) == x for w, x in zip(pattern, idx)):
+            k = tuple(idx[i] for i in keep)
+            want[k] = want.get(k, 0) + v
+    got = vertexnet._trace(dims, entries, pattern, keep)
+    assert got == (tuple(dims[i] for i in keep), {k: v for k, v in want.items() if v})
+
+
+def _verify_loop():
+    # the two-vertex loop of verify-all's network check
+    return VertexNetwork(
+        [GammaVertex(2, 1), GammaVertex(2, 1)],
+        edges=[((0, "spinor"), (1, "dual")), ((1, "spinor"), (0, "dual"))],
+        open_legs=[(0, "vector"), (1, "vector")],
+    )
+
+
+@pytest.mark.parametrize("name", ["net_ring16", "net_self_loop", "verify-loop"])
+def test_the_reversed_network_is_a_second_path(monkeypatch, name):
+    oracles = Path(__file__).parent / "oracles"
+    net = _verify_loop() if name == "verify-loop" else VertexNetwork.load(str(oracles / f"{name}.json"))
+    joins = _joins(monkeypatch)
+    got, plan = _merge_log(monkeypatch, net)
+    forward = joins[:]
+    joins.clear()
+    again, replan = _merge_log(monkeypatch, vertexnet._reversed(net))
+    # edges and open legs keep their order, so a wire id names the same
+    # wire in both: every plan differs in which operands a step merges, or
+    # in the order it takes them
+    assert plan != replan
+    # in the ring the joins differ too; in the other two every join takes
+    # two operands of one species in a symmetric loop (or a traced vertex
+    # and that loop), so swapping them makes the same call
+    assert (joins != forward) == (name == "net_ring16")
+    assert got.dtype == again.dtype and np.array_equal(got, again)
+    assert paths_agree(net)
+
+
+@pytest.mark.parametrize("fault", ["forward", "reversed", "dtype", "both"])
+def test_paths_agree_flags_each_disagreement(monkeypatch, fault):
+    # one contraction off by one entry, the reversed one handed back as
+    # object, or both off alike, which only the einsum oracle sees
+    net = _verify_loop()
+    assert paths_agree(net)
+    real = VertexNetwork.contract
+
+    def faulty(self):
+        arr = real(self)
+        if fault == "dtype":
+            return arr.astype(object) if self is not net else arr
+        if fault == "both" or (self is net) == (fault == "forward"):
+            arr.flat[0] += 1
+        return arr
+
+    monkeypatch.setattr(VertexNetwork, "contract", faulty)
+    assert not paths_agree(net)
+
+
 @pytest.mark.parametrize("net", [pytest.param(n, id=k) for k, n in _planner_cases()])
-def test_dict_and_array_paths_agree(monkeypatch, net):
-    paths = _merge_paths(monkeypatch)
-    dicts = net.contract(dense_cutoff=0)
-    assert "_merge_dense" not in paths
-    paths.clear()
-    arrays = net.contract(dense_cutoff=10**9)
-    assert "_merge_sparse" not in paths
-    assert dicts.dtype == arrays.dtype == net.contract().dtype
-    assert np.array_equal(dicts, arrays)
+def test_reversed_networks_agree(net):
+    forward, backward = net.contract(), vertexnet._reversed(net).contract()
+    assert forward.dtype == backward.dtype
+    assert np.array_equal(forward, backward)
 
 
 @pytest.mark.parametrize("p, q", [(4, 4), (2, 4), (4, 1)])
-def test_long_rings_merge_arrays_only_at_the_default_cutoff(monkeypatch, p, q):
-    paths = _merge_paths(monkeypatch)
-    products = []
-    real = vertexnet.int_matmul
-    monkeypatch.setattr(vertexnet, "int_matmul", lambda a, b, peaks: products.append(1) or real(a, b, peaks))
+def test_long_rings_join_each_distinct_merge_once(monkeypatch, p, q):
+    joins = _joins(monkeypatch)
     arr, plan = _merge_log(monkeypatch, _paired_ring(128, p, q))
     # all 127 plan steps run, and the memo computes the 13 distinct merges
     assert len(plan) == 127
-    assert paths == ["_merge_dense"] * 13
-    assert len(products) == 13  # one per distinct merge
+    assert len(joins) == 13
     # (4, 4) sums to zero; (2, 4) and (4, 1) reach (-2)^63 * 8 and 3^63 * 4
     assert arr.dtype == (np.int64 if p == q else object)
     assert arr.tolist() == _paired_ring_value(128, p, q)
 
 
-@pytest.mark.parametrize("net", [_paired_ring(24, 3, 1), _self_loop_network()])
-def test_memoised_arrays_are_read_only(monkeypatch, net):
-    made = []
+@pytest.mark.parametrize("net", [
+    _paired_ring(24, 3, 1), _self_loop_network(), VertexNetwork.load(str(Path(__file__).parent / "oracles" / "net_ring128.json")),
+])
+def test_untraced_vertices_enter_as_their_shared_entries(monkeypatch, net):
+    stored = []
     real = vertexnet._store
 
-    def spy(memo, values, name, dims, data):
-        made.append(data)
-        return real(memo, values, name, dims, data)
+    def spy(memo, values, name, dims, entries):
+        stored.append((name, entries))
+        return real(memo, values, name, dims, entries)
 
     monkeypatch.setattr(vertexnet, "_store", spy)
     arr = net.contract()
-    arrays = [data for data in made if not isinstance(data, dict)]
-    assert arrays and not any(a.flags.writeable for a in arrays)
-    # the result is a fresh copy
+    # each species stores its read-only entries once, uncopied; a traced
+    # vertex (named by its pattern too) and a merge store a fresh dict
+    untraced = {id(v.slots): v.tensor[1] for vi, v in enumerate(net.vertices) if vi not in net._loops}
+    entered = [(name, entries) for name, entries in stored if type(name) is int]
+    assert len(entered) == len(untraced)
+    assert all(entries is untraced[name] for name, entries in entered)
+    # the result is a fresh array
     assert arr.flags.writeable
 
 
-def test_sparse_vertices_are_converted_once_per_distinct_array(monkeypatch):
-    net = VertexNetwork.load(str(Path(__file__).parent / "oracles" / "net_ring128.json"))
-    calls = []
-    real = vertexnet._entries
-    monkeypatch.setattr(vertexnet, "_entries", lambda arr: calls.append(1) or real(arr))
-    dicts = net.contract(dense_cutoff=0)
-    distinct = len({id(v.array) for v in net.vertices})
-    assert len(calls) == distinct < len(net.vertices)
-    assert np.array_equal(dicts, net.contract(dense_cutoff=10**9))
-
-
-def test_three_open_legs_merge_arrays_only_at_the_default_cutoff(monkeypatch):
-    # two (16, 8, 16) vertices of a (4, 4) 3-ring merge to (16, 8, 8, 16):
-    # 2^14 entries, within the default cutoff
+def test_a_three_ring_with_three_open_legs_joins_twice(monkeypatch):
+    # two (16, 8, 16) vertices of a (4, 4) 3-ring join over one spinor line
+    # to (16, 8, 8, 16); the third, the older operand, joins it over two
     net = VertexNetwork(
         [GammaVertex(4, 4) for _ in range(3)],
         edges=[((i, "spinor"), ((i + 1) % 3, "dual")) for i in range(3)],
         open_legs=[(1, "vector"), (0, "vector"), (2, "vector")],
     )
-    paths = _merge_paths(monkeypatch)
+    joins = _joins(monkeypatch)
     arr = net.contract()
-    assert paths == ["_merge_dense"] * 2
-    dicts = net.contract(dense_cutoff=0)
-    assert arr.dtype == dicts.dtype == np.int64
-    assert np.array_equal(arr, dicts)
+    assert [(da, db) for da, db, _ in joins] == [((16, 8, 16), (16, 8, 16)), ((16, 8, 16), (16, 8, 8, 16))]
+    assert arr.dtype == np.int64 and arr.shape == (8, 8, 8)
+    assert np.array_equal(arr.astype(float), dense_oracle(net))
 
 
-def test_object_fallback_trips_inside_the_array_path(monkeypatch, numpy_dtypes):
-    # (4, 1): 3^63 * 4 passes 2^63 well inside the ring, on arrays
-    paths = _merge_paths(monkeypatch)
-    arr = _paired_ring(128, 4, 1).contract()
-    assert set(paths) == {"_merge_dense"}
-    # ring merges reach np.matmul only, and past int64 on Python ints
-    assert numpy_dtypes["einsum"] == []
-    assert [object, object] in numpy_dtypes["matmul"]
-    assert arr.dtype == object
-    want = _paired_ring_value(128, 4, 1)
-    assert abs(want[0][0]) >= 1 << 63
-    assert arr.tolist() == want
-
-
-def test_array_results_that_fit_come_back_int64():
-    # an object array (as int_matmul returns past its bound) whose entries fit
-    big = np.array([(1 << 63) - 1, -(1 << 63)], dtype=object)
-    arr = vertexnet._to_dense((0,), ((2,), big), (0,))
-    assert arr.dtype == np.int64
-    assert arr.tolist() == [(1 << 63) - 1, -(1 << 63)]
-    over = np.array([1 << 63, 0], dtype=object)
-    assert vertexnet._to_dense((0,), ((2,), over), (0,)).dtype == object
-    # a single vertex hands back a fresh, writeable copy of its cached array
+def test_a_single_vertex_comes_back_as_a_fresh_array():
     net = VertexNetwork(
         [GammaVertex(2, 1)], edges=[], open_legs=[(0, "dual"), (0, "vector"), (0, "spinor")]
     )
     arr = net.contract()
     assert arr.dtype == np.int64 and arr.flags.writeable
     arr[...] = 0
-    assert net.vertices[0].array.any()
+    assert net.contract().any()
 
 
 @pytest.mark.parametrize("p, q", [(0, 12), (6, 6), (12, 0)])
 def test_two_vertex_loops_up_to_p_plus_q_12(monkeypatch, p, q):
-    paths = _merge_paths(monkeypatch)
+    joins = _joins(monkeypatch)
     net = VertexNetwork(
         [GammaVertex(p, q), GammaVertex(p, q)],
         edges=[((0, "spinor"), (1, "dual")), ((1, "spinor"), (0, "dual"))],
         open_legs=[(0, "vector"), (1, "vector")],
     )
     arr = net.contract()
-    # each vertex is 64 x 12 x 64, past the default cutoff: it starts as a dict
-    assert paths == ["_merge_sparse"]
+    # each vertex is dim x 12 x dim with 12 * dim nonzero entries: one join
     gs = build_gammas(p, q)
+    assert joins == [((gs.dim, 12, gs.dim), (gs.dim, 12, gs.dim), ((0, 2), (2, 0)))]
     assert arr.tolist() == [
         [gs.dim * gs.eta[a] if a == b else 0 for b in range(12)] for a in range(12)
     ]
 
 
-def test_merges_past_52_wires_stay_arrays(monkeypatch):
+def test_joins_take_networks_past_52_wires(monkeypatch):
     # twenty (1, 0) vertices with every slot open: 60 legs of dimension 1,
-    # more than einsum has letters for; a merge is a matrix product and
-    # has no such limit
-    paths = _merge_paths(monkeypatch)
+    # more than einsum has letters for; a join has no such limit
+    joins = _joins(monkeypatch)
     legs = [(v, s) for v in range(20) for s in ("dual", "vector", "spinor")]
     arr = VertexNetwork([GammaVertex(1, 0) for _ in range(20)], [], legs).contract()
-    assert paths and "_merge_sparse" not in paths
+    # 19 outer products, 5 of them distinct; the last makes all 60 legs
+    assert len(joins) == 5 and max(len(da) + len(db) for da, db, _ in joins) == 60
     assert arr.shape == (1,) * 60
     assert arr.item() == 1
 
@@ -956,10 +930,10 @@ def gamma_networks(draw):
 @settings(max_examples=150)
 @given(gamma_networks())
 def test_random_networks_agree_on_every_path(net):
-    """contract() (arrays within the default cutoff), contract(dense_cutoff=0)
-    (dicts throughout) and the float64 einsum oracle give one tensor."""
+    """contract(), the contraction of the network with its vertex list
+    reversed and the float64 einsum oracle give one tensor."""
     assert len(net.open_legs) <= _MAX_OPEN
-    arrays, dicts = net.contract(), net.contract(dense_cutoff=0)
-    assert arrays.dtype == dicts.dtype == np.int64
-    assert np.array_equal(arrays, dicts)
-    assert np.array_equal(arrays.astype(float), dense_oracle(net))
+    forward, backward = net.contract(), vertexnet._reversed(net).contract()
+    assert forward.dtype == backward.dtype == np.int64
+    assert np.array_equal(forward, backward)
+    assert np.array_equal(forward.astype(float), dense_oracle(net))
